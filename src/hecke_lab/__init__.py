@@ -2,7 +2,6 @@
 their induced-representation spectra, and a numerical operator engine that
 cuts out newspaces of classical cusp forms."""
 
-from .cache import DiskCache, cache_roundtrip
 from .campaign import Campaign, run_verify
 from .characters import (
     DirChar,
@@ -70,7 +69,6 @@ __all__ = [
     "CycNum",
     "CyclotomicField",
     "DirChar",
-    "DiskCache",
     "HeckeElem",
     "MatPn",
     "OpMatrix",
@@ -80,7 +78,6 @@ __all__ = [
     "SpaceFormatError",
     "atkin_lehner_matrix",
     "build_In",
-    "cache_roundtrip",
     "char_eval",
     "component_dimensions",
     "conductor",

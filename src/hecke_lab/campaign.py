@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import DiskCache
 from .characters import PChar
-from .hecke import structure_table, verify_relations
+from .hecke import verify_relations
 from .induced import verify_induced
 from .newspace import characterize, placement_checks, qualifying_primes
 from .operators import op_U, op_W, w_square_scalar
@@ -78,15 +77,11 @@ def _grid_characters(cell: dict) -> list[PChar]:
 def run_verify(campaign: Campaign) -> Report:
     """Execute every campaign cell and return the merged report."""
     rep = Report(seed=campaign.seed, meta={"campaign": campaign.to_dict()})
-    cache = DiskCache()
     for cell in campaign.grid:
         p, n = int(cell["p"]), int(cell["n"])
         for chi in _grid_characters(cell):
             rep.extend(verify_relations(p, n, chi).assertions)
             rep.extend(verify_induced(p, n, chi).report.assertions)
-            if cache.directory is not None:
-                # warm the disk cache; corrupt entries are rebuilt with a warning
-                structure_table(p, n, chi, cache=cache)
     for directory in campaign.fixture_dirs:
         _classical_suite(rep, Path(directory), campaign.tolerance)
     return rep

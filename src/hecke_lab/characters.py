@@ -310,6 +310,15 @@ def pchar_from_values(p: int, n: int, values: dict) -> PChar:
 # ---------------------------------------------------------------------------
 
 
+def _vp(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def _factorize(N: int) -> list[tuple[int, int]]:
     out = []
     m = N

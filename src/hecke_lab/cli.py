@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .campaign import DEFAULT_TOLERANCE, Campaign, run_verify
+from .characters import _vp
 from .newspace import characterize, qualifying_primes
 from .operators import OpMatrix, op_Q, op_Qprime, op_S, op_Sprime, quad_ratio
 from .report import Report, check, check_bool, timed
@@ -44,14 +45,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="cut out the newspace and compare with the dimension oracle")
     c.add_argument("--report", help="write the JSON report to this path")
     return ap
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _cmd_verify(args) -> int:

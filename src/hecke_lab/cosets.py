@@ -17,17 +17,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-
-def _vp(x: int, p: int, n: int) -> int:
-    """p-adic valuation of x mod p^n, capped at n (v(0) = n)."""
-    x %= p**n
-    if x == 0:
-        return n
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+from .characters import _vp
 
 
 @dataclass(frozen=True)
@@ -140,7 +130,7 @@ class CosetTable:
         # (1 : d)-classes first, then (c : 1) by increasing valuation of c
         for d in range(pn):
             idx.append(CosetIndex("1d", d))
-        cs = sorted((c for c in range(pn) if c % p == 0), key=lambda c: (_vp(c, p, n), c))
+        cs = sorted((c for c in range(pn) if c % p == 0), key=lambda c: (_vp(c or pn, p), c))
         for c in cs:
             idx.append(CosetIndex("c1", c))
         self.indices = idx
@@ -175,7 +165,8 @@ class CosetTable:
     def label_of_index(self, ix: CosetIndex) -> str:
         if ix.kind == "1d":
             return "w"
-        return f"y{_vp(ix.value, self.p, self.n)}"
+        # canonical c lies in [0, p^n); c = 0 is the valuation-n class
+        return f"y{_vp(ix.value or self.pn, self.p)}"
 
     def label(self, g: MatPn) -> str:
         return self.label_of_index(self.canonical_index(g))

@@ -10,7 +10,6 @@ cyclotomic integers (plain integers on this basis).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,61 +304,15 @@ class StructTable:
                     return False
         return True
 
-    def to_jsonable(self) -> dict:
-        def enc(c: CycNum):
-            return {"order": c.field.order, "coords": [str(q) for q in c.coeffs]}
 
-        return {
-            "format_version": 1,
-            "p": self.p,
-            "n": self.n,
-            "character": self.char_spec,
-            "labels": self.labels,
-            "constants": [
-                {"i": li, "j": lj, "result": {lk: enc(c) for lk, c in prod.items()}}
-                for (li, lj), prod in sorted(self.constants.items())
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, doc: dict, field) -> "StructTable":
-        def dec(obj) -> CycNum:
-            if obj["order"] != field.order:
-                raise ValueError("cyclotomic order mismatch in stored table")
-            return CycNum(field, tuple(Fraction(s) for s in obj["coords"]))
-
-        constants = {}
-        for item in doc["constants"]:
-            constants[(item["i"], item["j"])] = {k: dec(v) for k, v in item["result"].items()}
-        return cls(
-            p=doc["p"],
-            n=doc["n"],
-            char_spec=doc["character"],
-            labels=list(doc["labels"]),
-            constants=constants,
-        )
-
-
-def structure_table(p: int, n: int, chi: PChar, cache=None) -> StructTable:
-    """Structure constants over the supported basis.  If a cache is supplied,
-    a stored table is reused (and verification always recomputes instead)."""
+def structure_table(p: int, n: int, chi: PChar) -> StructTable:
+    """Structure constants over the supported basis."""
     char_spec = {"modulus": p**n, "conrey": chi.conrey_index()}
-    key = f"struct_p{p}_n{n}_conrey{char_spec['conrey']}"
-    if cache is not None:
-        doc = cache.get(key)
-        if doc is not None:
-            try:
-                return StructTable.from_jsonable(doc, chi.field)
-            except (KeyError, ValueError):
-                pass  # fall through to recompute
     labels = supported_basis(p, n, chi)
     constants = {
         (li, lj): dict(_basis_product_cached(p, n, chi, li, lj)) for li in labels for lj in labels
     }
-    table = StructTable(p=p, n=n, char_spec=char_spec, labels=labels, constants=constants)
-    if cache is not None:
-        cache.put(key, table.to_jsonable())
-    return table
+    return StructTable(p=p, n=n, char_spec=char_spec, labels=labels, constants=constants)
 
 
 # ---------------------------------------------------------------------------

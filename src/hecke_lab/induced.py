@@ -20,6 +20,8 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .characters import PChar, unit_generators
 from .cosets import (
@@ -355,56 +357,6 @@ def _k0m_generators(p: int, n: int, m: int) -> list[MatPn]:
     return gens
 
 
-class _PhaseUnionFind:
-    """Union-find over coordinates with root-of-unity phase offsets.
-
-    Tracks relations v[i] = zeta^phi v[root]; a contradictory cycle forces the
-    whole component to zero.
-    """
-
-    def __init__(self, dim: int, m: int):
-        self.parent = list(range(dim))
-        self.phase = [0] * dim  # v[i] = zeta^phase[i] * v[parent[i]]
-        self.dead = [False] * dim
-        self.m = m
-
-    def find_with_phase(self, i: int) -> tuple[int, int]:
-        """(root, phi) with v[i] = zeta^phi v[root]; compresses the path."""
-        path = []
-        while self.parent[i] != i:
-            path.append(i)
-            i = self.parent[i]
-        root = i
-        # walking back from the root, accumulate each node's phase to the root
-        # and rewire it to point there directly
-        acc = 0
-        for node in reversed(path):
-            acc = (acc + self.phase[node]) % self.m
-            self.parent[node] = root
-            self.phase[node] = acc
-        return (root, self.phase[path[0]]) if path else (root, 0)
-
-    def relate(self, i: int, j: int, delta: int) -> None:
-        """Impose v[j] = zeta^delta v[i]."""
-        ri, pi = self.find_with_phase(i)
-        rj, pj = self.find_with_phase(j)
-        if ri == rj:
-            if (pi + delta - pj) % self.m != 0:
-                self.dead[ri] = True
-            return
-        # attach rj under ri: v[rj] = zeta^{pi + delta - pj} v[ri]
-        self.parent[rj] = ri
-        self.phase[rj] = (pi + delta - pj) % self.m
-        self.dead[ri] = self.dead[ri] or self.dead[rj]
-
-    def live_components(self) -> list[list[tuple[int, int]]]:
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i in range(len(self.parent)):
-            r, ph = self.find_with_phase(i)
-            groups.setdefault(r, []).append((i, ph))
-        return [mem for r, mem in sorted(groups.items()) if not self.dead[r]]
-
-
 @dataclass
 class FixedSubspace:
     """chi-eigenvectors of I(n) under right translation by K0(p^m)."""
@@ -414,83 +366,63 @@ class FixedSubspace:
     m_level: int
     dim: int
     basis_exponents: list[np.ndarray]  # per vector: exponent of zeta, -1 for zero
-    field: CyclotomicField
-
-    def as_complex(self) -> np.ndarray:
-        vecs = []
-        for ex in self.basis_exponents:
-            v = np.zeros(len(ex), dtype=complex)
-            live = ex >= 0
-            v[live] = np.exp(2j * np.pi * ex[live] / self.field.order)
-            vecs.append(v)
-        if not vecs:
-            return np.zeros((0, 0), dtype=complex)
-        return np.array(vecs)
-
-    def as_cyc(self) -> list[list[CycNum]]:
-        out = []
-        for ex in self.basis_exponents:
-            out.append(
-                [self.field.zeta(int(e)) if e >= 0 else self.field.zero for e in ex]
-            )
-        return out
 
 
 def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
-    """Joint chi-eigenspace for right translation by K0(p^m_level).
+    """Joint chi-eigenspace for right translation by K0(p^m_level): the
+    vectors v with pi_R(k) v = chi(d_k) v for every k in K0(p^m_level).
 
-    Constraints come from a generating set, then from systematically longer
-    words until the answer is stable; an inconsistent phase cycle (which is
-    how the non-character range m < r manifests) zeroes out its component.
+    For m_level >= r, d(k1 k2) = d1 d2 mod p^m_level makes k -> chi(d_k) a
+    character of K0(p^m_level), so imposing the equation on the generators
+    x(1), y(p^m), diag(u, 1), diag(1, u) imposes it on the whole group.  For
+    m_level < r one witness word y(p^m) x(t) with chi(1 + p^m t) != 1 breaks
+    multiplicativity against its two factors, which forces every vector to 0.
+
+    Each word is a phase permutation, so its equation links coordinate c to
+    cls[c] by a root of unity: the solutions are one vector per connected
+    component of the word graph whose cycles all carry phase 0.
     """
     p, n = rep.p, rep.n
     if not 0 <= m_level <= n:
         raise ValueError("level exponent out of range")
-    gens = _k0m_generators(p, n, m_level)
+    pn, mord, dim = p**n, rep.field.order, rep.dim
     vexp = rep.chi.exponent_table()
-    mord = rep.field.order
+    words = _k0m_generators(p, n, m_level)
+    if m_level < rep.r:
+        t = next(t for t in range(pn) if vexp[(1 + p**m_level * t) % pn] > 0)
+        words.append(ymat(p, n, p**m_level) @ xmat(p, n, t))
+    if any(k.d % p == 0 for k in words):
+        raise AssertionError("word with a non-unit lower-right entry")
 
-    uf = _PhaseUnionFind(rep.dim, mord)
-
-    def impose(k: MatPn):
-        # at m_level = 0 a word can leave the d-unit locus where the twist is
-        # defined; such words impose nothing
-        if k.d % p == 0:
-            return
-        xk = int(vexp[k.d % (p**n)])
+    # edge c -> cls[c] with v[cls[c]] = zeta^delta v[c], since
+    # (pi_R(k) v)[c] = zeta^e[c] v[cls[c]] must equal zeta^x_k v[c]
+    src, dst, delta = [], [], []
+    for k in words:
         pps = rep.piR(k)
-        cls, e = pps.cls[0], pps.e[0]
-        for c in range(rep.dim):
-            # zeta^{e[c]} v[cls[c]] = zeta^{xk} v[c]
-            uf.relate(c, int(cls[c]), (xk - int(e[c])) % mord)
+        src.append(np.arange(dim))
+        dst.append(pps.cls[0])
+        delta.append((vexp[k.d] - pps.e[0]) % mord)
+    src, dst, delta = np.concatenate(src), np.concatenate(dst), np.concatenate(delta)
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(dim, dim)).tocsr()
+    ncomp, labels = connected_components(graph, directed=False)
 
-    words = list(gens)
-    for g in gens:
-        for h in gens:
-            words.append(g @ h)
-    for g in gens:
-        for h in gens:
-            words.append(g @ h @ g)
+    # phases along a BFS spanning tree of each component, rooted at its
+    # first coordinate; step[a, b] is the phase carried from a to b
+    step = np.zeros((dim, dim), dtype=np.int64)
+    step[dst, src] = -delta % mord
+    step[src, dst] = delta
+    ph = np.zeros(dim, dtype=np.int64)
+    for root in np.unique(labels, return_index=True)[1]:
+        order, pred = breadth_first_order(graph, root, directed=False, return_predecessors=True)
+        for c in order[1:]:
+            ph[c] = (ph[pred[c]] + step[pred[c], c]) % mord
 
-    prev = None
-    for w in words:
-        impose(w)
-    comps = uf.live_components()
-    # one more sweep with longer words in case anything is still unresolved
-    while prev is None or len(comps) != prev:
-        prev = len(comps)
-        for g in gens:
-            for h in words[: 4 * len(gens)]:
-                impose(g @ h)
-        comps = uf.live_components()
-
-    basis = []
-    for mem in comps:
-        ex = np.full(rep.dim, -1, dtype=np.int64)
-        for i, ph in mem:
-            ex[i] = ph
-        basis.append(ex)
-    return FixedSubspace(p, n, m_level, len(comps), basis, rep.field)
+    # a component is dead when any of its edges disagrees with the tree phases
+    dead = np.zeros(ncomp, dtype=bool)
+    dead[labels[src[(ph[src] + delta - ph[dst]) % mord != 0]]] = True
+    live = np.flatnonzero(~dead)
+    basis = [np.where(labels == comp, ph, -1) for comp in live]
+    return FixedSubspace(p, n, m_level, len(basis), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characters import _factorize, _vp
 from .dimoracle import dim_new
 from .operators import (
     OpMatrix,
@@ -33,38 +34,13 @@ PLACEMENT_TOL = 1e-6
 QUAD_TOL = 1e-6
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _local_conductor_exponent(chi, p: int) -> int:
-    cond = chi.conductor
-    e = 0
-    while cond % p == 0:
-        cond //= p
-        e += 1
-    return e
-
-
 def qualifying_primes(N: int, chi) -> list[dict]:
     """Prime data at which the characterizing operators exist: exact prime
     divisors with trivial local factor ('Q') and higher powers p^n || N with
     imprimitive local factor ('S')."""
     out = []
     for p, e in _factorize(N):
-        c = _local_conductor_exponent(chi, p)
+        c = _vp(chi.conductor, p)
         if e == 1 and c == 0:
             out.append({"p": p, "n": 1, "kind": "Q"})
         elif e >= 2 and c < e:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
+from .characters import _vp
+from .cosets import unit_lifts
 from .qexp import QExpansion, evaluate_many, op_Up, op_Utilde
 from .spaces import CuspSpace
 
@@ -47,14 +49,6 @@ def _combine(matrix: np.ndarray, parts: list[OpMatrix], label: str) -> OpMatrix:
     cond = max((p.conditioning for p in parts), default=1.0)
     poisoned = any(p.poisoned for p in parts)
     return OpMatrix(matrix, res, cond, poisoned, label)
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def atkin_lehner_matrix(p: int, n: int, N: int) -> np.ndarray:
@@ -282,7 +276,7 @@ def op_Q(space: CuspSpace, p: int) -> OpMatrix:
     N = space.level
     if _vp(N, p) != 1:
         raise ValueError(f"p = {p} must exactly divide the level {N}")
-    if _local_conductor_exponent(space.char, p) != 0:
+    if _vp(space.char.conductor, p) != 0:
         raise ValueError(f"character has a nontrivial factor at {p}")
     scalar = np.conj(complement_value(space.char, p, p))
     Wop = op_W(space, p)
@@ -298,11 +292,6 @@ def op_Qprime(space: CuspSpace, p: int) -> OpMatrix:
     return _combine(Wop.matrix @ Q.matrix @ w_inv, [Q, Wop], f"Q'[{p}]")
 
 
-def _unit_lifts(m: int, p: int) -> list[int]:
-    """Smallest positive lifts of the units modulo m = p^t."""
-    return [s for s in range(1, m) if s % p != 0]
-
-
 def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
     """Level-raising survey operator at p^n || level: identity plus the
     chi-twisted slash sum over lower-triangular-modulo-p^j matrices with
@@ -315,7 +304,7 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
         r = n - 1
     q = p**n
     M = N // q
-    c_exp = _local_conductor_exponent(space.char, p)
+    c_exp = _vp(space.char.conductor, p)
     if not c_exp <= r <= n - 1:
         raise ValueError(f"need conductor exponent {c_exp} <= r <= {n - 1}, got r = {r}")
     terms: list[tuple[complex, np.ndarray]] = [
@@ -324,7 +313,7 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
     chi = space.char
     for j in range(r, n):
         c = p**j * M
-        for s in _unit_lifts(p ** (n - j), p):
+        for s in unit_lifts(p, n - j, n):
             d = p ** (n - j) - s * M
             a = pow(d % c, -1, c) if c > 1 else 0
             b = (a * d - 1) // c
@@ -333,15 +322,6 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
             scalar = np.conj(complex(chi.value_complex(d % N)))
             terms.append((scalar, np.array([[a, b], [c, d]], dtype=np.int64)))
     return op_matrix(space, terms, label=f"S[{q},{r}]")
-
-
-def _local_conductor_exponent(chi, p: int) -> int:
-    cond = chi.conductor
-    e = 0
-    while cond % p == 0:
-        cond //= p
-        e += 1
-    return e
 
 
 def op_Sprime(

@@ -51,13 +51,3 @@ def test_structure_table_commutative(p, n):
     for chi in PChar.all_characters(p, n):
         assert structure_table(p, n, chi).is_commutative()
 
-
-def test_structure_table_roundtrip():
-    chi = PChar.from_conrey(3, 2, 8)
-    table = structure_table(3, 2, chi)
-    doc = table.to_jsonable()
-    from hecke_lab.hecke import StructTable
-
-    back = StructTable.from_jsonable(doc, chi.field)
-    assert back.labels == table.labels
-    assert back.constants == table.constants
