@@ -37,7 +37,6 @@ from .induced import (
     eigenvalue_tables,
     eigenvector_basis,
     fixed_subspace,
-    piL_matrix,
     verify_induced,
 )
 from .newspace import characterize as newspace_characterize
@@ -108,7 +107,6 @@ __all__ = [
     "op_Utilde",
     "op_Vp",
     "op_W",
-    "piL_matrix",
     "placement_checks",
     "qualifying_primes",
     "quad_ratio",

@@ -10,8 +10,6 @@ character of that modulus shares one field.  Conrey's labeling of characters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional
 

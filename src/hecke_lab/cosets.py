@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Optional
 
 from .characters import _vp
 
@@ -211,8 +209,8 @@ def all_labels(p: int, n: int) -> list[str]:
     return ["w"] + [f"y{j}" for j in range(1, n + 1)]
 
 
-def unit_lifts(p: int, modulus_exp: int, ambient_exp: int) -> list[int]:
-    """Smallest positive lifts of (Z/p^modulus_exp)^x into Z/p^ambient_exp.
+def unit_lifts(p: int, modulus_exp: int) -> list[int]:
+    """Smallest positive lifts of (Z/p^modulus_exp)^x.
     For modulus_exp = 0 the group is trivial: [1]."""
     if modulus_exp == 0:
         return [1]
@@ -232,7 +230,7 @@ def class_right_reps(p: int, n: int, lab: str) -> list[MatPn]:
     if lab == "w":
         return [xmat(p, n, t) @ w1(p, n) for t in range(p**n)]
     j = int(lab[1:])
-    return [dmat(p, n, s) @ ymat(p, n, p**j) for s in unit_lifts(p, n - j, n)]
+    return [dmat(p, n, s) @ ymat(p, n, p**j) for s in unit_lifts(p, n - j)]
 
 
 def class_left_reps(p: int, n: int, lab: str) -> list[MatPn]:
@@ -245,7 +243,7 @@ def class_left_reps(p: int, n: int, lab: str) -> list[MatPn]:
     if lab == "w":
         return [w1(p, n) @ xmat(p, n, t) for t in range(p**n)]
     j = int(lab[1:])
-    return [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j, n)]
+    return [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j)]
 
 
 def single_cosets_of_double(p: int, n: int, j: int) -> list[MatPn]:

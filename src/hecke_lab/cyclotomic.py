@@ -121,8 +121,18 @@ class CyclotomicField:
         return CycNum(self, tuple(coords))
 
     def reduce_exponent_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized reduction: (..., m) integer counts -> (..., degree) coords."""
+        """Vectorized reduction: (..., m) integer counts -> (..., degree) coords.
+
+        Routed through BLAS in float64 when every intermediate integer provably
+        fits in the 2^53 mantissa (m * max|count| * max|table entry| < 2^52),
+        which is a large speedup on the big cells; int64 otherwise.
+        """
         red = self.reduction[: self.order]
+        cmax = int(np.abs(counts).max(initial=0))
+        rmax = int(np.abs(red).max(initial=0))
+        if cmax * rmax * self.order < 2**52:
+            out = counts.astype(np.float64) @ red.astype(np.float64)
+            return np.rint(out).astype(np.int64)
         return counts @ red
 
     def embed_powers(self, conjugate_exp: int = 1) -> np.ndarray:

@@ -11,7 +11,6 @@ pin expected dimensions before any eigenspace is ever computed.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 

@@ -10,7 +10,6 @@ cyclotomic integers (plain integers on this basis).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,14 +23,12 @@ from .cosets import (
     all_labels,
     class_left_reps,
     class_right_reps,
-    coset_table,
     double_coset_label,
     enumerate_Kg,
-    identity as mat_identity,
     label_rep,
 )
 from .cyclotomic import CycNum
-from .report import Assertion, Report, check, check_bool, timed
+from .report import Report, check, check_bool, timed
 
 
 class AlgebraError(ValueError):

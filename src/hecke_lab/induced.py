@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -29,12 +29,10 @@ from .cosets import (
     all_labels,
     class_right_reps,
     coset_table,
-    dmat,
     xmat,
     ymat,
 )
-from .cyclotomic import CyclotomicField, CycNum, _solve_fraction_system
-from .hecke import HeckeElem
+from .cyclotomic import CyclotomicField, _solve_fraction_system
 from .report import Report, check, check_bool, timed
 
 
@@ -69,12 +67,15 @@ class PhasePermSum:
         return self.cls.shape[1]
 
     def compose(self, other: "PhasePermSum") -> "PhasePermSum":
-        """Operator product (sum_a T_a)(sum_b S_b), expanded term by term."""
-        if self.m != other.m or self.dim != other.dim:
+        """Operator product (sum_a T_a)(sum_b S_b), expanded term by term.
+
+        self may hold only a block of rows of the left operator (cls of shape
+        (A, rows)); the product then holds the same rows."""
+        if self.m != other.m or self.dim > other.dim:
             raise ValueError("mismatched operators")
-        ci = self.cls  # (A, dim)
-        cls_out = other.cls[:, ci]  # (B, A, dim)
-        e_out = (self.e[None, :, :] + other.e[:, ci]) % self.m
+        ci = self.cls  # (A, rows)
+        cls_out = other.cls[:, ci]  # (B, A, rows)
+        e_out = self.e[None, :, :] + other.e[:, ci]  # reduced mod m by the constructor
         return PhasePermSum(
             cls_out.reshape(-1, self.dim), e_out.reshape(-1, self.dim), self.m
         )
@@ -86,14 +87,6 @@ class PhasePermSum:
             self.m,
         )
 
-    def to_counts(self) -> np.ndarray:
-        """(dim, dim, m) integer tensor of exponent counts for the sum."""
-        a, dim = self.cls.shape
-        rows = np.broadcast_to(np.arange(dim, dtype=np.int64), (a, dim))
-        flat = (rows * dim + self.cls) * self.m + self.e
-        counts = np.bincount(flat.ravel(), minlength=dim * dim * self.m)
-        return counts.reshape(dim, dim, self.m)
-
     def act_int_vector(self, v: np.ndarray) -> np.ndarray:
         """Image of an integer vector, as a (dim, m) exponent-count array."""
         a, dim = self.cls.shape
@@ -102,72 +95,6 @@ class PhasePermSum:
         rows = np.broadcast_to(np.arange(dim, dtype=np.int64), (a, dim))
         np.add.at(hist, (rows.ravel(), self.e.ravel()), gathered.ravel())
         return hist
-
-    def trace_counts(self) -> np.ndarray:
-        """Length-m exponent histogram of the trace."""
-        a, dim = self.cls.shape
-        ondiag = self.cls == np.arange(dim, dtype=np.int64)[None, :]
-        return np.bincount(self.e[ondiag], minlength=self.m)
-
-
-@dataclass
-class CycMatrix:
-    """Exact matrix over Q(zeta_m): integer coordinate tensor times a scale."""
-
-    field: CyclotomicField
-    coords: np.ndarray  # (dim, dim, degree) int64
-    scale: Fraction = Fraction(1)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    @classmethod
-    def from_phase_perm(
-        cls, fieldobj: CyclotomicField, pps: PhasePermSum, scale: Fraction = Fraction(1)
-    ) -> "CycMatrix":
-        counts = pps.to_counts()
-        dim = counts.shape[0]
-        coords = _reduce_counts(fieldobj, counts.reshape(dim * dim, fieldobj.order))
-        return cls(fieldobj, coords.reshape(dim, dim, fieldobj.degree), scale)
-
-    def __eq__(self, other):
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        if self.field.order != other.field.order or self.coords.shape != other.coords.shape:
-            return False
-        a = self.coords * (self.scale.numerator * other.scale.denominator)
-        b = other.coords * (other.scale.numerator * self.scale.denominator)
-        return bool(np.array_equal(a, b))
-
-    def __add__(self, other: "CycMatrix") -> "CycMatrix":
-        den = self.scale.denominator * other.scale.denominator
-        g = Fraction(1, den)
-        a = self.coords * int(self.scale / g)
-        b = other.coords * int(other.scale / g)
-        return CycMatrix(self.field, a + b, g)
-
-    def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        return self + (-1) * other
-
-    def __rmul__(self, q) -> "CycMatrix":
-        return CycMatrix(self.field, self.coords, self.scale * Fraction(q))
-
-    def entry(self, i: int, j: int) -> CycNum:
-        return CycNum(
-            self.field, tuple(Fraction(int(x)) * self.scale for x in self.coords[i, j])
-        )
-
-    def trace(self) -> CycNum:
-        diag = self.coords[np.arange(self.dim), np.arange(self.dim)].sum(axis=0)
-        return CycNum(self.field, tuple(Fraction(int(x)) * self.scale for x in diag))
-
-    def is_zero(self) -> bool:
-        return not self.coords.any()
-
-    def to_complex(self) -> np.ndarray:
-        pows = self.field.embed_powers()
-        return (self.coords @ pows) * complex(self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +142,6 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
     return cls, d0
 
 
-def _reduce_counts(fieldobj: CyclotomicField, counts: np.ndarray) -> np.ndarray:
-    """Exact (..., m) exponent counts -> (..., degree) coordinate reduction.
-
-    Routed through BLAS in float64 when every intermediate integer provably
-    fits in the 2^53 mantissa, which is a large speedup on the big cells; the
-    int64 path is the fallback.
-    """
-    red = fieldobj.reduction[: fieldobj.order]
-    cmax = int(counts.max(initial=0))
-    rmax = int(np.abs(red).max(initial=0))
-    if cmax * rmax * fieldobj.order < 2**52:
-        out = counts.astype(np.float64) @ red.astype(np.float64)
-        return np.rint(out).astype(np.int64)
-    return counts @ red
-
-
 # ---------------------------------------------------------------------------
 # The induced representation
 # ---------------------------------------------------------------------------
@@ -271,16 +182,6 @@ class InducedRep:
         self._piL_cache[lab] = pps
         return pps
 
-    def piL_elem(self, f: HeckeElem) -> list[tuple[Fraction, PhasePermSum]]:
-        """f as a rational combination of phase-perm sums (rational
-        coefficients only; that covers every element this module needs)."""
-        out = []
-        for lab, c in f.coeffs.items():
-            if not c.is_rational():
-                raise NotImplementedError("non-rational coefficient in piL_elem")
-            out.append((c.as_rational(), self.piL_basis(lab)))
-        return out
-
     def piR(self, k: MatPn) -> PhasePermSum:
         """Right translation by one group element (a single phase perm)."""
         cls, d0 = _right_transport(self.p, self.n, k)
@@ -310,13 +211,9 @@ class InducedRep:
 
     # -- exact helpers -----------------------------------------------------
 
-    def reduce_hist(self, hist: np.ndarray) -> np.ndarray:
-        """(..., m) exponent counts -> (..., degree) field coordinates."""
-        return _reduce_counts(self.field, hist)
-
     def act(self, pps: PhasePermSum, v: np.ndarray) -> np.ndarray:
         """Apply an operator to an integer vector; (dim, degree) coordinates."""
-        return self.reduce_hist(pps.act_int_vector(v))
+        return self.field.reduce_exponent_matrix(pps.act_int_vector(v))
 
     def embed_int_vector(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.field.degree), dtype=np.int64)
@@ -328,33 +225,20 @@ def build_In(p: int, n: int, chi: PChar) -> InducedRep:
     return InducedRep(p, n, chi)
 
 
-def piL_matrix(rep: InducedRep, f: HeckeElem) -> CycMatrix:
-    """Materialized matrix of the convolution action of f (rational coeffs)."""
-    total: Optional[CycMatrix] = None
-    for q, pps in rep.piL_elem(f):
-        m = CycMatrix.from_phase_perm(rep.field, pps, Fraction(1))
-        m = q * m
-        total = m if total is None else total + m
-    if total is None:
-        total = CycMatrix(
-            rep.field,
-            np.zeros((rep.dim, rep.dim, rep.field.degree), dtype=np.int64),
-            Fraction(1),
-        )
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Fixed vectors under the smaller congruence subgroups
 # ---------------------------------------------------------------------------
 
 
 def _k0m_generators(p: int, n: int, m: int) -> list[MatPn]:
+    """x(1), y(p^m) and diag(1, u) over the unit generators u.
+
+    These generate K0(p^m) together with the scalars u*I.  A scalar acts on
+    I(n) by chi(u) = chi(d), so its equation holds on every vector and
+    diag(u, 1) = (u*I) diag(1, u^-1) adds nothing once m >= r.
+    """
     gens = [xmat(p, n, 1), ymat(p, n, p**m if m <= n else 0)]
-    for g in unit_generators(p, n):
-        gens.append(dmat(p, n, g))
-        gens.append(MatPn(p, n, 1, 0, 0, g))
-    return gens
+    return gens + [MatPn(p, n, 1, 0, 0, g) for g in unit_generators(p, n)]
 
 
 @dataclass
@@ -374,7 +258,7 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
 
     For m_level >= r, d(k1 k2) = d1 d2 mod p^m_level makes k -> chi(d_k) a
     character of K0(p^m_level), so imposing the equation on the generators
-    x(1), y(p^m), diag(u, 1), diag(1, u) imposes it on the whole group.  For
+    of `_k0m_generators` imposes it on the whole group.  For
     m_level < r one witness word y(p^m) x(t) with chi(1 + p^m t) != 1 breaks
     multiplicativity against its two factors, which forces every vector to 0.
 
@@ -489,11 +373,77 @@ def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
     return {"V": vtab, "Y": ytab, "entrywise_ok": ok_all}
 
 
-def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict[str, CycMatrix]:
-    """Exact matrix-level proof that the nested Y-idempotents behave, plus the
-    two extra w-side projectors when the twist is trivial.
+# A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
+# over its terms, each factor a PhasePermSum.  Products are never expanded in
+# full: _row_blocks expands them one block of rows at a time.
 
-    Returns certified projector matrices keyed by component name.
+_BLOCK_ENTRIES = 2**18  # expanded (term, row) entries held per row block
+
+
+def _row_blocks(combo: list) -> Iterator[tuple[np.ndarray, list]]:
+    """Yield (rows, [(q, product restricted to rows)]) over blocks of rows,
+    each product expanded term by term.  A block holds at most
+    _BLOCK_ENTRIES expanded entries, or a single row."""
+    dim = combo[0][1][0].dim
+    per_row = sum(math.prod(f.terms for f in factors) for _, factors in combo)
+    step = max(1, _BLOCK_ENTRIES // per_row)
+    for lo in range(0, dim, step):
+        rows = slice(lo, min(lo + step, dim))
+        block = []
+        for q, (head, *tail) in combo:
+            prod = PhasePermSum(head.cls[:, rows], head.e[:, rows], head.m)
+            for f in tail:
+                prod = prod.compose(f)
+            block.append((q, prod))
+        yield np.arange(rows.start, rows.stop), block
+
+
+def _vanishes(field: CyclotomicField, combo: list) -> bool:
+    """Exact certificate that a combination is the zero operator.
+
+    Each block collapses to one signed count per distinct (row, col,
+    exponent); the (row, col) entries left with a nonzero count are reduced to
+    Q(zeta_m) coordinates, and every coordinate must be zero.
+    """
+    m, dim = field.order, combo[0][1][0].dim
+    den = math.lcm(*(q.denominator for q, _ in combo))
+    for rows, block in _row_blocks(combo):
+        codes, counts = [], []
+        for q, x in block:
+            c, k = np.unique(((rows * dim + x.cls) * m + x.e).ravel(), return_counts=True)
+            codes.append(c)
+            counts.append(int(q * den) * k)
+        codes, at = np.unique(np.concatenate(codes), return_inverse=True)
+        signed = np.zeros(len(codes), dtype=np.int64)
+        np.add.at(signed, at, np.concatenate(counts))
+        codes, signed = codes[signed != 0], signed[signed != 0]
+        entries, at = np.unique(codes // m, return_inverse=True)
+        hist = np.zeros((len(entries), m), dtype=np.int64)
+        hist[at, codes % m] = signed
+        if field.reduce_exponent_matrix(hist).any():
+            return False
+    return True
+
+
+def _trace(field: CyclotomicField, combo: list) -> Fraction:
+    """Exact trace of a combination; it must be rational."""
+    m = field.order
+    den = math.lcm(*(q.denominator for q, _ in combo))
+    hist = np.zeros(m, dtype=np.int64)
+    for rows, block in _row_blocks(combo):
+        for q, x in block:
+            hist += int(q * den) * np.bincount(x.e[x.cls == rows], minlength=m)
+    coords = field.reduce_exponent_matrix(hist)
+    if coords[1:].any():
+        raise AssertionError("operator trace landed outside Q")
+    return Fraction(int(coords[0]), den)
+
+
+def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict[str, list]:
+    """Exact proof that the nested Y-idempotents behave, plus the two extra
+    w-side projectors when the twist is trivial.
+
+    Returns the certified projectors, as combinations, keyed by component name.
     """
     p, n, r = rep.p, rep.n, rep.r
     lo = max(r, 1)
@@ -506,57 +456,45 @@ def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict
             op = op.concat(rep.piL_basis(f"y{j}"))
         yops[k] = op
 
-    Ymat = {k: CycMatrix.from_phase_perm(F, yops[k]) for k in yops}
-    Emat = {k: Fraction(1, p ** (n - k)) * Ymat[k] for k in yops}
-
     # Y_k Y_k = p^{n-k} Y_k and Y_k Y_{k-1} = Y_{k-1} Y_k = p^{n-k} Y_{k-1}
     for k in range(lo, n + 1):
+        Y, s = yops[k], p ** (n - k)
+        identities = [[(1, (Y, Y)), (-s, (Y,))]]
+        if k > lo:
+            Z = yops[k - 1]
+            identities += [[(1, (Y, Z)), (-s, (Z,))], [(1, (Z, Y)), (-s, (Z,))]]
         with timed() as t:
-            sq = CycMatrix.from_phase_perm(F, yops[k].compose(yops[k]))
-            ok = sq == (p ** (n - k)) * Ymat[k]
-            if k > lo:
-                ab = CycMatrix.from_phase_perm(F, yops[k].compose(yops[k - 1]))
-                ba = CycMatrix.from_phase_perm(F, yops[k - 1].compose(yops[k]))
-                want = (p ** (n - k)) * Ymat[k - 1]
-                ok = ok and ab == want and ba == want
+            ok = all(_vanishes(F, combo) for combo in identities)
         check_bool(report, f"{tag}.projcert.k{k}", ok, "formula", t.elapsed)
 
-    out: dict[str, CycMatrix] = {}
+    # E_k = Y_k / p^{n-k}; the components between consecutive levels are E_k - E_{k-1}
+    E = {k: [(Fraction(1, p ** (n - k)), (yops[k],))] for k in yops}
+    out = {f"i{k}": E[k] + [(-q, f) for q, f in E[k - 1]] for k in range(lo + 1, n + 1)}
     if r >= 1:
-        out[f"i{r}"] = Emat[r]
-        for k in range(r + 1, n + 1):
-            out[f"i{k}"] = Emat[k] - Emat[k - 1]
-        return out
+        return {f"i{r}": E[r], **out}
 
     # trivial twist: the bottom block splits once more under the w-operator
-    U = rep.piL_basis("w")
+    U, Y1 = rep.piL_basis("w"), yops[1]
     with timed() as t:
-        Umat = CycMatrix.from_phase_perm(F, U)
-        Usq = CycMatrix.from_phase_perm(F, U.compose(U))
-        okU = Usq == (p ** (n - 1) * (p - 1)) * Umat + (p ** (2 * n - 1)) * Emat[1]
-        UY = CycMatrix.from_phase_perm(F, U.compose(yops[1]))
-        YU = CycMatrix.from_phase_perm(F, yops[1].compose(U))
-        okUY = UY == (p ** (n - 1)) * Umat and YU == (p ** (n - 1)) * Umat
+        okU = _vanishes(F, [(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
+        okUY = all(_vanishes(F, [(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
     check_bool(report, f"{tag}.projcert.w", okU and okUY, "formula", t.elapsed)
 
-    scale = Fraction(1, p**n + p ** (n - 1))
-    out["w+"] = scale * (Umat + (p ** (n - 1)) * Emat[1])
-    out["w-"] = scale * ((p**n) * Emat[1] - Umat)
-    for k in range(2, n + 1):
-        out[f"i{k}"] = Emat[k] - Emat[k - 1]
-    return out
+    # w+ = (U + p^{n-1} E_1) / (p^n + p^{n-1}),  w- = (p^n E_1 - U) / (p^n + p^{n-1})
+    s = Fraction(1, p**n + p ** (n - 1))
+    return {"w+": [(s, (U,)), (s, (Y1,))], "w-": [(p * s, (Y1,)), (-s, (U,))], **out}
 
 
-def _rank_mod_q(mat: CycMatrix, mord: int) -> int:
-    """Rank of the matrix specialized at a root of unity in a prime field
-    F_q with q = 1 (mod m); a lower bound on the true rank, used as an
-    independent confirmation at small cells."""
+def _rank_mod_q(combo: list, mord: int) -> int:
+    """Rank of a combination specialized at a root of unity in a prime field
+    F_q with q = 1 (mod m) dividing no coefficient's denominator.  The F_q
+    matrix is built straight from the phase perms, zeta -> z_q.  A lower
+    bound on the true rank, used as an independent confirmation at small
+    cells."""
     q = mord + 1
-    while True:
-        while q < 2 or any(q % t == 0 for t in range(2, int(math.isqrt(q)) + 1)):
-            q += mord
-        if mat.scale.denominator % q != 0 and mat.scale.numerator % q != 0:
-            break
+    while any(q % t == 0 for t in range(2, math.isqrt(q) + 1)) or any(
+        c.denominator % q == 0 for c, _ in combo
+    ):
         q += mord
     # an element of exact order m in F_q^x
     zq = None
@@ -575,12 +513,14 @@ def _rank_mod_q(mat: CycMatrix, mord: int) -> int:
                 break
     if zq is None:
         raise AssertionError("no element of the right order found")
-    pows = np.array([pow(zq, i, q) for i in range(mat.field.degree)], dtype=np.int64)
-    num = mat.scale.numerator % q
-    den_inv = pow(mat.scale.denominator % q, -1, q)
-    M = (mat.coords % q) @ pows % q
-    M = M * num % q * den_inv % q
-    dim = M.shape[0]
+    zpow = np.array([pow(zq, e, q) for e in range(mord)], dtype=np.int64)
+    dim = combo[0][1][0].dim
+    M = np.zeros((dim, dim), dtype=np.int64)
+    for rows, block in _row_blocks(combo):
+        for c, x in block:
+            w = c.numerator * pow(c.denominator, -1, q) % q
+            np.add.at(M, (np.broadcast_to(rows, x.cls.shape), x.cls), zpow[x.e] * w % q)
+    M %= q
     rank = 0
     row = 0
     for col in range(dim):
@@ -618,11 +558,11 @@ def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> di
     # trace)
     projs = _certify_projector_family(rep, report, tag)
     by_rank: dict[str, int] = {}
-    for name, mat in projs.items():
-        tr = mat.trace()
-        if not tr.is_rational() or tr.as_rational().denominator != 1:
-            raise AssertionError(f"projector trace not integral: {tr!r}")
-        by_rank[name] = int(tr.as_rational())
+    for name, combo in projs.items():
+        tr = _trace(rep.field, combo)
+        if tr.denominator != 1:
+            raise AssertionError(f"projector trace not integral: {tr}")
+        by_rank[name] = int(tr)
 
     if p**n <= 27:
         with timed() as t:
@@ -640,12 +580,8 @@ def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> di
         # w blocks: the y-side acts through the bottom slot
         return table_eigenvalue(kind, p, n, 1, j)
 
-    def trace_of(pps: PhasePermSum) -> Fraction:
-        coords = _reduce_counts(rep.field, pps.trace_counts())
-        val = CycNum(rep.field, tuple(Fraction(int(x)) for x in coords))
-        if not val.is_rational():
-            raise AssertionError("operator trace landed outside Q")
-        return val.as_rational()
+    def trace_of(*factors: PhasePermSum) -> Fraction:
+        return _trace(rep.field, [(1, factors)])
 
     for j in range(lo, n):
         rows.append([Fraction(scalar_on(cn, "V", j)) for cn in comp_names])
@@ -661,7 +597,7 @@ def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> di
         rows.append([uvals.get(cn, Fraction(0)) for cn in comp_names])
         rhs.append(trace_of(U))
         rows.append([uvals.get(cn, Fraction(0)) ** 2 for cn in comp_names])
-        rhs.append(trace_of(U.compose(U)))
+        rhs.append(trace_of(U, U))
 
     k = len(comp_names)
     sol = _solve_fraction_system([row[:] for row in rows[:k]], rhs[:k])

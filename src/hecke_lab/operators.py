@@ -313,7 +313,7 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
     chi = space.char
     for j in range(r, n):
         c = p**j * M
-        for s in unit_lifts(p, n - j, n):
+        for s in unit_lifts(p, n - j):
             d = p ** (n - j) - s * M
             a = pow(d % c, -1, c) if c > 1 else 0
             b = (a * d - 1) // c

@@ -1,11 +1,23 @@
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hecke_lab import induced
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import MatPn
-from hecke_lab.induced import build_In, fixed_subspace, verify_induced
+from hecke_lab.cyclotomic import get_field
+from hecke_lab.induced import (
+    PhasePermSum,
+    _trace,
+    _vanishes,
+    build_In,
+    component_dimensions,
+    fixed_subspace,
+    verify_induced,
+)
 from tests.conftest import GRID
 
 
@@ -86,3 +98,96 @@ def test_iwahori_components():
     assert sp.tables["Y"][(1, 1)] == 1
     assert sp.dim == 4
     assert sp.component_dims["by_formula"] == {"w+": 1, "w-": 3}
+
+
+def _y_operator(rep, k):
+    """Y_k as one phase-perm sum: the basis operators of levels k..n."""
+    op = rep.piL_basis(f"y{k}")
+    for j in range(k + 1, rep.n + 1):
+        op = op.concat(rep.piL_basis(f"y{j}"))
+    return op
+
+
+def _dense(pps):
+    """Complex matrix of a phase-perm sum, as a reference."""
+    out = np.zeros((pps.dim, pps.dim), dtype=complex)
+    rows = np.broadcast_to(np.arange(pps.dim), pps.cls.shape)
+    np.add.at(out, (rows, pps.cls), np.exp(2j * np.pi * pps.e / pps.m))
+    return out
+
+
+def test_products_and_traces_match_dense_matrices(monkeypatch):
+    rng = np.random.default_rng(7)
+    dim = 6
+    for m in (7, 2):
+        A, B, C = (
+            PhasePermSum(rng.integers(dim, size=(3, dim)), rng.integers(m, size=(3, dim)), m)
+            for _ in range(3)
+        )
+        assert np.allclose(_dense(A.compose(B).compose(C)), _dense(A) @ _dense(B) @ _dense(C))
+    # Q(zeta_2) = Q, so every trace is rational; one-row blocks split the product
+    monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
+    combo = [(Fraction(1, 3), (A, B, C)), (2, (C,))]
+    want = np.trace(_dense(A) @ _dense(B) @ _dense(C)) / 3 + 2 * np.trace(_dense(C))
+    assert abs(float(_trace(get_field(2), combo)) - want.real) < 1e-9
+
+
+def test_vanishes_needs_cyclotomic_reduction():
+    # I + zeta I + zeta^2 I = 0 over Q(zeta_3), though no two (row, col,
+    # exponent) entries cancel before reduction mod Phi_3
+    dim = 4
+    cls = np.tile(np.arange(dim), (3, 1))
+    e = np.repeat(np.arange(3)[:, None], dim, axis=1)
+    F = get_field(3)
+    assert _vanishes(F, [(1, (PhasePermSum(cls, e, 3),))])
+    assert not _vanishes(F, [(1, (PhasePermSum(cls[:2], e[:2], 3),))])
+
+
+@pytest.mark.parametrize("block_entries", [None, 1])  # default blocks, then one row each
+def test_vanishes_rejects_one_perturbed_exponent(monkeypatch, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(induced, "_BLOCK_ENTRIES", block_entries)
+    p, n, k = 3, 2, 1
+    rep = build_In(p, n, PChar.trivial(p, n))
+    Y, s = _y_operator(rep, k), p ** (n - k)
+    assert _vanishes(rep.field, [(1, (Y, Y)), (-s, (Y,))])
+    for a, c in np.ndindex(*Y.cls.shape):
+        e = Y.e.copy()
+        e[a, c] += 1
+        Yp = PhasePermSum(Y.cls, e, Y.m)
+        assert not _vanishes(rep.field, [(1, (Yp, Yp)), (-s, (Yp,))]), (a, c)
+
+
+def test_one_row_blocks_give_same_verdicts(monkeypatch):
+    p, n = 3, 2
+
+    def verdicts():
+        out = []
+        for chi in PChar.all_characters(p, n):
+            res = component_dimensions(build_In(p, n, chi))
+            checks = [(a.id, a.status) for a in res["report"].assertions]
+            out.append((res["by_rank"], res["by_system"], res["agree"], checks))
+        return out
+
+    blocked = verdicts()
+    assert any("projcert" in cid for *_, checks in blocked for cid, _ in checks)
+    assert any("rank-specialization" in cid for *_, checks in blocked for cid, _ in checks)
+    monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
+    assert verdicts() == blocked
+
+
+def test_component_dimensions_memory():
+    """Certification stays sparse: one dense (dim, dim, m) int64 count tensor
+    is 18 MB at (5,3), and the identities would need several at once."""
+    p, n = 5, 3
+    rep = build_In(p, n, PChar.trivial(p, n))
+    for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
+        rep.piL_basis(lab)  # the cached basis operators are not part of the budget
+    tracemalloc.start()
+    try:
+        res = component_dimensions(rep)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert res["agree"]
+    assert peak_mb < 48, peak_mb
