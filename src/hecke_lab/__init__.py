@@ -12,6 +12,7 @@ from .characters import (
     unit_generators,
 )
 from .cosets import (
+    MatArray,
     MatPn,
     coset_decompose,
     double_coset_label,
@@ -69,6 +70,7 @@ __all__ = [
     "CyclotomicField",
     "DirChar",
     "HeckeElem",
+    "MatArray",
     "MatPn",
     "OpMatrix",
     "PChar",

@@ -228,13 +228,6 @@ class PChar:
     def __call__(self, u: int) -> CycNum:
         return self.field.zeta(self.exponent(u))
 
-    def value_on_matrix(self, g) -> CycNum:
-        """Extension to matrices with lower-left entry divisible by p^n, via the
-        lower-right entry."""
-        if int(g.c) % self.modulus != 0:
-            raise ValueError("matrix is not upper triangular mod p^n")
-        return self(int(g.d))
-
     def conrey_index(self) -> int:
         pn = self.modulus
         gens, orders = unit_group_structure(self.p, self.n)
@@ -314,6 +307,15 @@ def _vp(x: int, p: int) -> int:
     while x % p == 0:
         x //= p
         v += 1
+    return v
+
+
+def _vp_array(x, p: int, cap: int) -> np.ndarray:
+    """Elementwise p-adic valuation capped at cap, so 0 maps to cap."""
+    x = np.asarray(x, dtype=np.int64)
+    v = np.zeros(x.shape, dtype=np.int64)
+    for k in range(1, cap + 1):
+        v += x % p**k == 0
     return v
 
 

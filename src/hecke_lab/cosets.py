@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .characters import _vp
 
@@ -46,6 +48,8 @@ class MatPn:
         return (self.a * self.d - self.b * self.c) % self.pn
 
     def __matmul__(self, other: "MatPn") -> "MatPn":
+        if not isinstance(other, MatPn):
+            return NotImplemented
         if (self.p, self.n) != (other.p, other.n):
             raise ValueError("mixed moduli")
         return MatPn(
@@ -66,6 +70,97 @@ class MatPn:
 
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.p}^{self.n}"
+
+
+@lru_cache(maxsize=None)
+def _unit_inverses(p: int, n: int) -> np.ndarray:
+    """u -> u^{-1} mod p^n on the units, 0 on the non-units."""
+    pn = p**n
+    return np.array([pow(u, -1, pn) if u % p else 0 for u in range(pn)], dtype=np.int64)
+
+
+class MatArray:
+    """Many 2x2 matrices over Z/p^n as one struct of int64 entry arrays.
+
+    The vectorized counterpart of MatPn: a, b, c, d are reduced mod p^n and
+    share one shape.  The constructor does not ask for unit determinants
+    (filter with det() first); inv() raises if any matrix is singular.  A
+    MatPn on either side of @ is broadcast against every matrix.  Indexing
+    by a mask, a slice or an index array gives a MatArray, by an integer the
+    MatPn at that place.
+    """
+
+    __slots__ = ("p", "n", "a", "b", "c", "d")
+
+    def __init__(self, p: int, n: int, a, b, c, d):
+        pn = p**n
+        self.p = p
+        self.n = n
+        self.a, self.b, self.c, self.d = np.broadcast_arrays(
+            *(np.asarray(x, dtype=np.int64) % pn for x in (a, b, c, d))
+        )
+
+    @classmethod
+    def stack(cls, p: int, n: int, mats) -> "MatArray":
+        """The MatPn of a sequence, in order."""
+        ent = np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
+        return cls(p, n, *ent.T)
+
+    @classmethod
+    def concat(cls, p: int, n: int, parts: list["MatArray"]) -> "MatArray":
+        return cls(p, n, *(np.concatenate(x) for x in zip(*(g.entries() for g in parts))))
+
+    @property
+    def pn(self) -> int:
+        return self.p**self.n
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return MatPn(self.p, self.n, *(int(x[key]) for x in self.entries()))
+        return MatArray(self.p, self.n, *(x[key] for x in self.entries()))
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return (self.a, self.b, self.c, self.d)
+
+    def det(self) -> np.ndarray:
+        return (self.a * self.d - self.b * self.c) % self.pn
+
+    def __matmul__(self, other) -> "MatArray":
+        if not isinstance(other, (MatArray, MatPn)):
+            return NotImplemented
+        return _product(self, other)
+
+    def __rmatmul__(self, other) -> "MatArray":
+        if not isinstance(other, MatPn):
+            return NotImplemented
+        return _product(other, self)
+
+    def inv(self) -> "MatArray":
+        det = self.det()
+        if np.any(det % self.p == 0):
+            raise ValueError(f"a determinant is not a unit mod {self.p}^{self.n}")
+        di = _unit_inverses(self.p, self.n)[det]
+        return MatArray(self.p, self.n, di * self.d, -di * self.b, -di * self.c, di * self.a)
+
+    def __repr__(self):
+        return f"MatArray({len(self)} matrices mod {self.p}^{self.n})"
+
+
+def _product(x, y) -> MatArray:
+    """Entrywise matrix product of two MatArray, or of a MatArray and a MatPn."""
+    if (x.p, x.n) != (y.p, y.n):
+        raise ValueError("mixed moduli")
+    return MatArray(
+        x.p,
+        x.n,
+        x.a * y.a + x.b * y.c,
+        x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c,
+        x.c * y.b + x.d * y.d,
+    )
 
 
 def identity(p: int, n: int) -> MatPn:
@@ -93,7 +188,8 @@ def zmat(p: int, n: int, s: int) -> MatPn:
 
 
 def in_K0(g: MatPn) -> bool:
-    """Membership in K0(p^n): lower-left entry divisible by p^n."""
+    """Membership in K0(p^n): lower-left entry divisible by p^n (elementwise
+    for a MatArray)."""
     return g.c % g.pn == 0
 
 
@@ -117,7 +213,7 @@ class CosetIndex:
 
 class CosetTable:
     """Coset bookkeeping for one (p, n): representatives, index lookup,
-    decomposition, and double-coset labels."""
+    decomposition, and double-coset labels, for one MatPn or a MatArray."""
 
     def __init__(self, p: int, n: int):
         self.p = p
@@ -136,7 +232,13 @@ class CosetTable:
         self.reps = [self.rep_of(ix) for ix in idx]
         self.labels = [self.label_of_index(ix) for ix in idx]
         self.dim = len(idx)
-        assert self.dim == pn + pn // p
+        if self.dim != pn + pn // p:
+            raise AssertionError(f"{self.dim} cosets, expected {pn + pn // p}")
+        self.rep_array = MatArray.stack(p, n, self.reps)
+        self._rep_inv_array = self.rep_array.inv()
+        # position of (c : 1) by c; (1 : d) sits at position d
+        self._c1_position = np.full(pn, -1, dtype=np.int64)
+        self._c1_position[cs] = np.arange(pn, self.dim)
 
     def rep_of(self, ix: CosetIndex) -> MatPn:
         if ix.kind == "1d":
@@ -157,8 +259,29 @@ class CosetTable:
         ix = self.canonical_index(g)
         rep = self.reps[self.position[ix]]
         k0 = g @ rep.inv()
-        assert in_K0(k0)
+        if not in_K0(k0):
+            raise ValueError(f"{g!r} = k0 * rep left K0(p^n): k0 = {k0!r}")
         return ix, k0
+
+    def positions_of(self, g: MatArray) -> np.ndarray:
+        """Vectorized canonical_index -> position."""
+        if np.any(g.det() % self.p == 0):
+            raise ValueError(f"a determinant is not a unit mod {self.p}^{self.n}")
+        inv = _unit_inverses(self.p, self.n)
+        # a unit determinant with p | c forces d to be a unit
+        return np.where(
+            g.c % self.p != 0,
+            inv[g.c] * g.d % self.pn,
+            self._c1_position[inv[g.d] * g.c % self.pn],
+        )
+
+    def decompose_array(self, g: MatArray) -> tuple[np.ndarray, MatArray]:
+        """Vectorized decompose: positions, and k0 with g = k0 * reps[position]."""
+        pos = self.positions_of(g)
+        k0 = g @ self._rep_inv_array[pos]
+        if np.any(k0.c != 0):
+            raise ValueError("a factor k0 = g * rep^-1 left K0(p^n)")
+        return pos, k0
 
     def label_of_index(self, ix: CosetIndex) -> str:
         if ix.kind == "1d":
@@ -258,87 +381,82 @@ def single_cosets_of_double(p: int, n: int, j: int) -> list[MatPn]:
 # K0 enumeration and the K_g subgroup
 # ---------------------------------------------------------------------------
 
-K0_MATERIALIZE_LIMIT = 128
+# The one size guard on enumeration: elements of K0(p^m) mod p^n.  At m = n
+# it admits exactly the cells with p^n <= 128 (K0(125) has 1.25M elements,
+# K0(343) 29.6M).
+K0_ENUMERATION_LIMIT = 2**21
+# Matrices per enumeration block: the transient arrays of one conjugated
+# block stay near 2 MB, so walking K_g adds little to a process's peak.
+_BLOCK_ELEMENTS = 2**14
 
 
-def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> list[MatPn]:
-    """All elements of K0(p^m) inside GL2(Z/p^n), for 1 <= m <= n.
+def k0_order(p: int, n: int, m: Optional[int] = None) -> int:
+    """|K0(p^m)| inside GL2(Z/p^n): a and d units, b free, c in p^m Z/p^n."""
+    m = n if m is None else m
+    phi = p**n - p ** (n - 1)
+    return phi * phi * p**n * p ** (n - m)
+
+
+def _K0_blocks(p: int, n: int, m: int) -> Iterator[MatArray]:
+    """K0(p^m) mod p^n in blocks of a-values, ordered by (a, d, b, c).
 
     With the lower-left entry divisible by p (m >= 1), the determinant is a
     unit exactly when both diagonal entries are units, so no filtering is
-    needed.  Size-guarded; meant for small p^n only.
+    needed.  The size guard raises here, before any block is built.
     """
-    if m is None:
-        m = n
-    if m < 1:
-        raise ValueError("enumerate_K0 needs m >= 1 (m = 0 is the full group)")
+    if not 1 <= m <= n:
+        raise ValueError(f"K0 enumeration needs 1 <= m <= {n} (m = 0 is the full group)")
+    count = k0_order(p, n, m)
+    if count > K0_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"K0(p^{m}) mod {p}^{n} has {count} elements; the limit is {K0_ENUMERATION_LIMIT}"
+        )
     pn = p**n
-    if pn > K0_MATERIALIZE_LIMIT:
-        raise ValueError(f"refusing to materialize K0 for p^n = {pn} > {K0_MATERIALIZE_LIMIT}")
-    units = [u for u in range(pn) if u % p != 0]
-    count = len(units) ** 2 * pn * (pn // p**m)
-    if count > 600_000:
-        raise ValueError(f"K0(p^{m}) mod p^{n} has {count} elements; too many to materialize")
-    out = []
-    step = p**m
-    for a in units:
-        for d in units:
-            for b in range(pn):
-                for c0 in range(0, pn, step):
-                    out.append(MatPn(p, n, a, b, c0, d))
-    return out
+    units = np.flatnonzero(np.arange(pn) % p)
+    b, c = np.arange(pn), np.arange(0, pn, p**m)
+    step = max(1, _BLOCK_ELEMENTS // (len(units) * pn * len(c)))
+
+    def block(lo: int) -> MatArray:
+        a, d, bb, cc = np.meshgrid(units[lo : lo + step], units, b, c, indexing="ij")
+        return MatArray(p, n, a.ravel(), bb.ravel(), cc.ravel(), d.ravel())
+
+    return map(block, range(0, len(units), step))
 
 
-def enumerate_Kg(g: MatPn) -> list[MatPn]:
-    """K_g = g^{-1} K0(p^n) g  intersect  K0(p^n), by direct enumeration when
-    p^n <= 128, else by the closed-form parametrization (cross-checked by
-    random sampling)."""
-    p, n = g.p, g.n
-    pn = p**n
+def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> MatArray:
+    """All elements of K0(p^m) inside GL2(Z/p^n), for 1 <= m <= n; refused
+    with ValueError above K0_ENUMERATION_LIMIT elements."""
+    return MatArray.concat(p, n, list(_K0_blocks(p, n, n if m is None else m)))
+
+
+def Kg_blocks(g: MatPn) -> Iterator[tuple[MatArray, MatArray]]:
+    """Pairs (k, g k g^{-1}) over k in K_g = g^{-1} K0(p^n) g  intersect
+    K0(p^n), one block of K0(p^n) at a time; same guard as enumerate_K0."""
     gi = g.inv()
-    if pn <= K0_MATERIALIZE_LIMIT:
-        return [k for k in enumerate_K0(p, n) if in_K0(g @ k @ gi)]
-    return _Kg_closed_form(g)
+    for k in _K0_blocks(g.p, g.n, g.n):
+        conj = g @ k @ gi
+        keep = in_K0(conj)
+        yield k[keep], conj[keep]
 
 
-def _Kg_closed_form(g: MatPn) -> list[MatPn]:
-    """Closed form for the standard representatives.
+def enumerate_Kg(g: MatPn) -> MatArray:
+    """K_g = g^{-1} K0(p^n) g  intersect  K0(p^n), by conjugating K0(p^n)."""
+    return MatArray.concat(g.p, g.n, [k for k, _ in Kg_blocks(g)])
+
+
+def Kg_condition_closed_form(g: MatPn, k):
+    """Membership test for K_g without enumeration (g a standard rep); k a
+    MatPn, or a MatArray for an elementwise mask.
 
     For g = y(p^m) with m < n, conjugating k = (a, b; c, d) gives lower-left
     c + p^m (a - d - p^m b), so k is in K_g iff a - d - p^m b = 0 mod p^{n-m}.
     For g = w(1) the condition is b = 0 mod p^n; the identity gives all of K0.
     """
     p, n = g.p, g.n
-    pn = p**n
     lab = double_coset_label(g)
-    units = [u for u in range(pn) if u % p != 0]
-    out = []
     if lab == f"y{n}":
-        raise ValueError("K_g for the identity class is all of K0; enumerate_K0 covers it")
+        return in_K0(k)
     if lab == "w":
-        for a in units:
-            for d in units:
-                out.append(MatPn(p, n, a, 0, 0, d))
-        return out
+        return in_K0(k) & (k.b % k.pn == 0)
     m = int(lab[1:])
-    q = p ** (n - m)
-    for a in units:
-        for d in units:
-            for b in range(pn):
-                if (a - d - p**m * b) % q == 0:
-                    out.append(MatPn(p, n, a, b, 0, d))
-    return out
-
-
-def Kg_condition_closed_form(g: MatPn, k: MatPn) -> bool:
-    """Membership test for K_g without enumeration (g a standard rep)."""
-    p, n = g.p, g.n
-    lab = double_coset_label(g)
-    if not in_K0(k):
-        return False
-    if lab == f"y{n}":
-        return True
-    if lab == "w":
-        return k.b % k.pn == 0
-    m = int(lab[1:])
-    return (k.a - k.d - p**m * k.b) % p ** (n - m) == 0
+    return in_K0(k) & ((k.a - k.d - p**m * k.b) % p ** (n - m) == 0)

@@ -7,7 +7,9 @@ memory, so convolution can be computed from its definition,
 
 with no coset theory at all.  Values are tracked as root-of-unity exponents
 and accumulated with a histogram, which keeps everything exact.  This module
-deliberately shares no logic with the coset-sum route it checks.
+deliberately shares no logic with the coset-sum route it checks: it takes
+only group arithmetic (MatArray products and inverses) from cosets, never
+canonical forms, decompositions or labels.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import PChar
-from .cosets import MatPn, all_labels, label_rep
+from .characters import PChar, _vp_array
+from .cosets import MatArray, MatPn, all_labels, label_rep
 from .cyclotomic import CycNum
 from .report import Report, check, timed
 
@@ -34,52 +36,24 @@ class GroupTable:
             raise ValueError(f"brute-force table capped at modulus {BRUTE_LIMIT}")
         self.p, self.n, self.q = p, n, q
         rng = np.arange(q, dtype=np.int64)
-        a, b, c, d = np.meshgrid(rng, rng, rng, rng, indexing="ij")
-        a, b, c, d = (x.ravel() for x in (a, b, c, d))
-        det = (a * d - b * c) % q
-        keep = det % p != 0
-        self.a, self.b, self.c, self.d = a[keep], b[keep], c[keep], d[keep]
-        self.size = int(self.a.shape[0])
-        self.codes = self.a + q * (self.b + q * (self.c + q * self.d))
+        every = MatArray(p, n, *(x.ravel() for x in np.meshgrid(rng, rng, rng, rng, indexing="ij")))
+        self.elements = every[every.det() % p != 0]
+        self.inverses = self.elements.inv()
+        self.size = len(self.elements)
         self.code_to_idx = np.full(q**4, -1, dtype=np.int64)
-        self.code_to_idx[self.codes] = np.arange(self.size)
-
-        unit_inv = np.zeros(q, dtype=np.int64)
-        for u in range(q):
-            if u % p != 0:
-                unit_inv[u] = pow(u, -1, q)
-        det = (self.a * self.d - self.b * self.c) % q
-        dinv = unit_inv[det]
-        # adjugate times inverse determinant
-        self.ia = (self.d * dinv) % q
-        self.ib = (-self.b * dinv) % q
-        self.ic = (-self.c * dinv) % q
-        self.id = (self.a * dinv) % q
-
-        vpc = np.zeros(q, dtype=np.int64)
-        for x in range(q):
-            if x == 0:
-                vpc[x] = n
-            else:
-                v = 0
-                y = x
-                while y % p == 0:
-                    y //= p
-                    v += 1
-                vpc[x] = min(v, n)
-        self.vpc = vpc[self.c]
+        self.code_to_idx[self._code(self.elements)] = np.arange(self.size)
+        # double-coset label per element, as v_p(c) capped at n (0 = w class)
+        self.vpc = _vp_array(self.elements.c, p, n)
         self.K0_size = q * (q - q // p) ** 2  # b free, a and d units, c = 0
 
         self._target_cache: dict[str, np.ndarray] = {}
 
-    def label_array(self) -> np.ndarray:
-        """Double-coset label per element, as vpc with 0 meaning the w class."""
-        return self.vpc
+    def _code(self, g):
+        q = self.q
+        return g.a + q * (g.b + q * (g.c + q * g.d))
 
     def index_of(self, g: MatPn) -> int:
-        q = self.q
-        code = g.a + q * (g.b + q * (g.c + q * g.d))
-        idx = int(self.code_to_idx[code])
+        idx = int(self.code_to_idx[self._code(g)])
         if idx < 0:
             raise ValueError("matrix not invertible mod q")
         return idx
@@ -90,12 +64,7 @@ class GroupTable:
         hit = self._target_cache.get(key)
         if hit is not None:
             return hit
-        q = self.q
-        pa = (self.ia * h.a + self.ib * h.c) % q
-        pb = (self.ia * h.b + self.ib * h.d) % q
-        pc = (self.ic * h.a + self.id * h.c) % q
-        pd = (self.ic * h.b + self.id * h.d) % q
-        idx = self.code_to_idx[pa + q * (pb + q * (pc + q * pd))]
+        idx = self.code_to_idx[self._code(self.inverses @ h)]
         self._target_cache[key] = idx
         return idx
 
@@ -120,11 +89,11 @@ def _value_exponents(t: GroupTable, chi: PChar, lab: str):
     vexp = chi.exponent_table()
     if lab == "w":
         mask = t.vpc == 0
-        expo = np.where(mask, vexp[t.c], 0)
+        expo = np.where(mask, vexp[t.elements.c], 0)
     else:
         j = int(lab[1:])
         mask = t.vpc == j
-        expo = np.where(mask, vexp[t.d], 0)
+        expo = np.where(mask, vexp[t.elements.d], 0)
     if np.any(expo[mask] < 0):
         raise AssertionError("twist evaluated at a non-unit entry")
     return mask, expo

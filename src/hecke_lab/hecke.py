@@ -19,12 +19,14 @@ import numpy as np
 
 from .characters import PChar
 from .cosets import (
+    K0_ENUMERATION_LIMIT,
+    Kg_blocks,
     MatPn,
     all_labels,
     class_left_reps,
     class_right_reps,
     double_coset_label,
-    enumerate_Kg,
+    k0_order,
     label_rep,
 )
 from .cyclotomic import CycNum
@@ -35,27 +37,47 @@ class AlgebraError(ValueError):
     pass
 
 
-EXHAUSTIVE_SUPPORT_LIMIT = 27
-
-
 def is_supported(g: MatPn, chi: PChar) -> bool:
     """Does the chi-twisted indicator extend to the double coset of g?
 
     The criterion: chi(g k g^{-1}) = chi(k) for every k in
-    K_g = g^{-1} K0 g  intersect  K0.  Checked by direct enumeration of K_g at
-    small size and through the closed-form parametrization of K_g otherwise
-    (the lower-right entry of g k g^{-1} is d + p^m b for g = y(p^m)).
+    K_g = g^{-1} K0 g  intersect  K0.  Checked by definition, walking all of
+    K_g, on every cell with p^n <= 128 (the cells the K0 enumeration guard
+    admits); through the closed-form parametrization of K_g above that.
     """
+    p, n = g.p, g.n
+    if double_coset_label(g) == f"y{n}":
+        return True  # g in K0: g k g^{-1} and k share their lower-right entry
+    if k0_order(p, n) <= K0_ENUMERATION_LIMIT:
+        return _supported_by_definition(g, chi)
+    return _supported_by_closed_form(g, chi)
+
+
+@lru_cache(maxsize=256)
+def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs (d_k, d_{g k g^-1}) over k in K_g: the lower-right
+    entries the twist reads on both sides, at most p^{2n} of them.  K_g is
+    walked block by block and never held whole."""
+    pn = g.pn
+    codes = [np.unique(k.d * pn + conj.d) for k, conj in Kg_blocks(g)]
+    pairs = np.unique(np.concatenate(codes))
+    return pairs // pn, pairs % pn
+
+
+def _supported_by_definition(g: MatPn, chi: PChar) -> bool:
+    d, d_conj = _Kg_twist_pairs(g)
+    vexp = chi.exponent_table()
+    return bool(np.all(vexp[d_conj] == vexp[d]))
+
+
+def _supported_by_closed_form(g: MatPn, chi: PChar) -> bool:
+    """K_g as parametrized in cosets.Kg_condition_closed_form (g a standard
+    rep): the lower-right entry of g k g^{-1} is d + p^m b for g = y(p^m),
+    and the diagonal entries trade places for g = w."""
     p, n = g.p, g.n
     pn = p**n
     lab = double_coset_label(g)
     if lab == f"y{n}":
-        return True
-    if pn <= EXHAUSTIVE_SUPPORT_LIMIT:
-        gi = g.inv()
-        for k in enumerate_Kg(g):
-            if chi.value_on_matrix(g @ k @ gi) != chi.value_on_matrix(k):
-                return False
         return True
     vexp = chi.exponent_table()
     units = np.arange(pn)[np.arange(pn) % p != 0]
@@ -75,18 +97,19 @@ def supported_basis(p: int, n: int, chi: PChar) -> list[str]:
     return [f"y{j}" for j in range(r, n + 1)]
 
 
-def basis_value(chi: PChar, lab: str, g: MatPn) -> CycNum:
-    """Closed-form value of the basis function for `lab` at g.
+def basis_exponent(vexp: np.ndarray, lab: str, g: MatPn) -> Optional[int]:
+    """Closed-form value of the basis function for `lab` at g, as the
+    exponent of zeta in chi's value table vexp; None off the double coset.
 
     Writing g = k0 * rep(coset of g) puts the lower-right (for y classes) or
-    lower-left (for the w class) entry of g into the chi slot; elements off
-    the double coset give 0.
+    lower-left (for the w class) entry of g into the chi slot.
     """
     if double_coset_label(g) != lab:
-        return chi.field.zero
-    if lab == "w":
-        return chi(g.c)
-    return chi(g.d)
+        return None
+    e = int(vexp[g.c if lab == "w" else g.d])
+    if e < 0:
+        raise AssertionError("twist evaluated at a non-unit entry")
+    return e
 
 
 class HeckeElem:
@@ -250,26 +273,33 @@ def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
 
 def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     """Same convolution through the mirrored sum over left-coset
-    representatives of the support of f2; used as a consistency check."""
+    representatives of the support of f2; used as a consistency check.
+
+    Terms are accumulated as one exponent histogram per pair of basis
+    labels (l2, label of h b^{-1}) and collapsed once per pair."""
     f1._require_same(f2)
     p, n, chi = f1.p, f1.n, f1.chi
+    vexp, field = chi.exponent_table(), chi.field
     out: dict[str, CycNum] = {}
     supported = set(supported_basis(p, n, chi))
     for lab_h in all_labels(p, n):
         h = label_rep(p, n, lab_h)
-        total = chi.field.zero
-        for l2, c2 in f2.coeffs.items():
+        hists: dict[tuple[str, str], np.ndarray] = {}
+        for l2 in f2.coeffs:
             for b in class_left_reps(p, n, l2):
-                v2 = basis_value(chi, l2, b)
-                if v2.is_zero():
+                e2 = basis_exponent(vexp, l2, b)
+                if e2 is None:
                     continue
                 x = h @ b.inv()
                 lab_x = double_coset_label(x)
-                c1 = f1.coeffs.get(lab_x)
-                if c1 is None:
+                if lab_x not in f1.coeffs:
                     continue
-                v1 = basis_value(chi, lab_x, x)
-                total = total + c1 * v1 * c2 * v2
+                e1 = basis_exponent(vexp, lab_x, x)
+                hist = hists.setdefault((l2, lab_x), np.zeros(field.order, dtype=np.int64))
+                hist[(e1 + e2) % field.order] += 1
+        total = field.zero
+        for (l2, lab_x), hist in hists.items():
+            total = total + f1.coeffs[lab_x] * f2.coeffs[l2] * field.from_exponent_counts(hist)
         if total.is_zero():
             continue
         if lab_h not in supported:

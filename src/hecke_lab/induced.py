@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .characters import PChar, unit_generators
 from .cosets import (
+    MatArray,
     MatPn,
     all_labels,
     class_right_reps,
@@ -114,16 +115,11 @@ def _left_transport(p: int, n: int) -> dict:
     dim = table.dim
     out = {}
     for lab in all_labels(p, n):
-        reps = class_right_reps(p, n, lab)
-        cls = np.empty((len(reps), dim), dtype=np.int64)
-        d0 = np.empty((len(reps), dim), dtype=np.int64)
-        for ai, a in enumerate(reps):
-            ainv = a.inv()
-            for c, repc in enumerate(table.reps):
-                ix, k0 = table.decompose(ainv @ repc)
-                cls[ai, c] = table.position[ix]
-                d0[ai, c] = k0.d
-        out[lab] = (cls, d0)
+        ainv = MatArray.stack(p, n, class_right_reps(p, n, lab)).inv()
+        rows = len(ainv)
+        prod = ainv[np.repeat(np.arange(rows), dim)] @ table.rep_array[np.tile(np.arange(dim), rows)]
+        cls, k0 = table.decompose_array(prod)
+        out[lab] = (cls.reshape(rows, dim), k0.d.reshape(rows, dim))
     return out
 
 
@@ -133,13 +129,8 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
     with cls[c] = c' and d0[c] the lower-right entry of k0.  Cached because
     the congruence-subgroup words recur across every character of a cell."""
     table = coset_table(p, n)
-    cls = np.empty(table.dim, dtype=np.int64)
-    d0 = np.empty(table.dim, dtype=np.int64)
-    for c, repc in enumerate(table.reps):
-        ix, k0 = table.decompose(repc @ k)
-        cls[c] = table.position[ix]
-        d0[c] = k0.d
-    return cls, d0
+    cls, k0 = table.decompose_array(table.rep_array @ k)
+    return cls, k0.d
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from hecke_lab.newspace import characterize
 from hecke_lab.spaces import load_families
 
 GRID = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
+
+# Property tests draw the same examples on every run and stay within tier-1 time.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

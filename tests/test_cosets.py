@@ -1,6 +1,11 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from hecke_lab.cosets import (
+    K0_ENUMERATION_LIMIT,
+    Kg_condition_closed_form,
     MatPn,
     all_labels,
     class_right_reps,
@@ -11,6 +16,7 @@ from hecke_lab.cosets import (
     enumerate_Kg,
     identity,
     in_K0,
+    k0_order,
     label_rep,
     right_coset_reps,
     single_cosets_of_double,
@@ -18,6 +24,7 @@ from hecke_lab.cosets import (
     xmat,
     ymat,
 )
+from tests.conftest import GRID
 
 CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -76,13 +83,43 @@ def test_decompose_partition():
         assert k0 @ table.rep_of(idx) == g
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("p,n", GRID)
 def test_Kg_index(p, n):
     # |K_g| * [number of single cosets in the class] = |K0|
     k0_size = len(enumerate_K0(p, n, n))
+    assert k0_size == k0_order(p, n)
     for lab in all_labels(p, n):
         g = label_rep(p, n, lab)
         assert len(enumerate_Kg(g)) * len(class_right_reps(p, n, lab)) == k0_size
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_Kg_enumeration_matches_closed_form(p, n):
+    # conjugating every element of K0 and keeping those that stay in K0
+    # gives, element for element, the closed-form parametrization
+    K0 = enumerate_K0(p, n)
+    assert np.all(K0.det() % p != 0) and np.all(in_K0(K0))
+    for lab in all_labels(p, n):
+        g = label_rep(p, n, lab)
+        want = K0[Kg_condition_closed_form(g, K0)]
+        got = enumerate_Kg(g)
+        assert all(np.array_equal(x, y) for x, y in zip(got.entries(), want.entries())), lab
+
+
+def test_enumeration_refused_before_allocating():
+    assert k0_order(7, 3) > K0_ENUMERATION_LIMIT >= k0_order(5, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_K0(7, 3)
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_Kg(ymat(7, 3, 7))
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_K0(5, 3, 2)  # K0(5^2) mod 5^3 is five times K0(5^3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_matrix_arithmetic():

@@ -1,8 +1,10 @@
 import pytest
 
 from hecke_lab.characters import PChar
-from hecke_lab.cosets import label_rep, w1, ymat
+from hecke_lab.cosets import all_labels, label_rep, w1, ymat
 from hecke_lab.hecke import (
+    _supported_by_closed_form,
+    _supported_by_definition,
     convolve,
     is_supported,
     structure_table,
@@ -10,6 +12,7 @@ from hecke_lab.hecke import (
     verify_relations,
     y_element,
 )
+from tests.conftest import GRID
 
 SMALL_CELLS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 
@@ -28,6 +31,18 @@ def test_support_law(p, n):
         for j in range(1, n + 1):
             g = ymat(p, n, p**j % p**n) if j < n else label_rep(p, n, f"y{n}")
             assert is_supported(g, chi) == (j >= r)
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_support_definition_matches_closed_form(p, n):
+    # K_g enumerated and conjugated, against the closed-form parametrization
+    # of K_g, for every character and every class
+    for chi in PChar.all_characters(p, n):
+        for lab in all_labels(p, n):
+            g = label_rep(p, n, lab)
+            by_definition = _supported_by_definition(g, chi)
+            assert by_definition == _supported_by_closed_form(g, chi), (chi.conrey_index(), lab)
+            assert is_supported(g, chi) == by_definition
 
 
 def test_convolution_bilinear():

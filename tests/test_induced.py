@@ -7,7 +7,7 @@ import pytest
 
 from hecke_lab import induced
 from hecke_lab.characters import PChar
-from hecke_lab.cosets import MatPn
+from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
 from hecke_lab.cyclotomic import get_field
 from hecke_lab.induced import (
     PhasePermSum,
@@ -191,3 +191,22 @@ def test_component_dimensions_memory():
         tracemalloc.stop()
     assert res["agree"]
     assert peak_mb < 48, peak_mb
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+def test_transport_tables_match_matpn_loop(p, n):
+    # reference: decompose one MatPn per (representative, coset)
+    table = coset_table(p, n)
+
+    def reference(products):
+        pairs = [table.decompose(g) for g in products]
+        return [table.position[ix] for ix, _ in pairs], [k0.d for _, k0 in pairs]
+
+    left = induced._left_transport(p, n)
+    for lab in all_labels(p, n):
+        for ai, a in enumerate(class_right_reps(p, n, lab)):
+            cls, d0 = reference([a.inv() @ repc for repc in table.reps])
+            assert list(left[lab][0][ai]) == cls and list(left[lab][1][ai]) == d0, (lab, ai)
+    for k in [xmat(p, n, 1), ymat(p, n, p), MatPn(p, n, 2, 1, p, 1), ymat(p, n, 1) @ xmat(p, n, 2)]:
+        cls, d0 = induced._right_transport(p, n, k)
+        assert (list(cls), list(d0)) == reference([repc @ k for repc in table.reps]), k
