@@ -6,20 +6,15 @@ from .campaign import Campaign, run_verify
 from .characters import (
     DirChar,
     PChar,
-    char_eval,
-    conductor,
     crt_decompose,
     unit_generators,
 )
 from .cosets import (
     MatArray,
     MatPn,
-    coset_decompose,
     double_coset_label,
     enumerate_Kg,
     in_K0,
-    right_coset_reps,
-    single_cosets_of_double,
 )
 from .cyclotomic import CycNum, CyclotomicField
 from .dimoracle import dim_cusp, dim_new, oldspace_dimensions
@@ -33,10 +28,8 @@ from .hecke import (
     y_element,
 )
 from .induced import (
-    build_In,
     component_dimensions,
     eigenvalue_tables,
-    eigenvector_basis,
     fixed_subspace,
     verify_induced,
 )
@@ -56,7 +49,7 @@ from .operators import (
     quad_ratio,
     slash_evaluate,
 )
-from .qexp import QExpansion, evaluate, op_Up, op_Utilde, op_Vp
+from .qexp import QExpansion, op_Up, op_Utilde, op_Vp
 from .report import Assertion, Report
 from .spaces import CuspSpace, SpaceFormatError, load_space
 
@@ -78,21 +71,15 @@ __all__ = [
     "Report",
     "SpaceFormatError",
     "atkin_lehner_matrix",
-    "build_In",
-    "char_eval",
     "component_dimensions",
-    "conductor",
     "convolve",
-    "coset_decompose",
     "crt_decompose",
     "dim_cusp",
     "dim_new",
     "double_coset_label",
     "eigenspace",
     "eigenvalue_tables",
-    "eigenvector_basis",
     "enumerate_Kg",
-    "evaluate",
     "fixed_subspace",
     "in_K0",
     "is_supported",
@@ -112,9 +99,7 @@ __all__ = [
     "placement_checks",
     "qualifying_primes",
     "quad_ratio",
-    "right_coset_reps",
     "run_verify",
-    "single_cosets_of_double",
     "slash_evaluate",
     "structure_table",
     "supported_basis",

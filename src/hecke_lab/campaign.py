@@ -124,8 +124,8 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
             if sp.dim == 0:
                 continue
             with timed() as t:
-                Us = op_U(sp, p, normalized=True, route="sampled")
-                Uc = op_U(sp, p, normalized=True, route="coeff")
+                Us = op_U(sp, p, route="sampled")
+                Uc = op_U(sp, p, route="coeff")
                 dev = float(
                     np.linalg.norm(Us.matrix - Uc.matrix)
                     / max(1.0, float(np.linalg.norm(Uc.matrix)))

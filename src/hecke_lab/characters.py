@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cyclotomic import CycNum, CyclotomicField, euler_phi, get_field
+from .cyclotomic import CycNum, _factorize, euler_phi, get_field
 
 
 def _is_prime(p: int) -> bool:
@@ -127,10 +127,10 @@ class PChar:
 
     `exps[i]` is a_i with chi(g_i) = e(a_i / ord(g_i)) on the canonical
     generators.  Values are returned in the shared field Q(zeta_m) with m the
-    exponent of the unit group (or a larger multiple passed explicitly).
+    exponent of the unit group.
     """
 
-    def __init__(self, p: int, n: int, exps, field_order: Optional[int] = None):
+    def __init__(self, p: int, n: int, exps):
         self.p = p
         self.n = n
         self.modulus = p**n
@@ -142,9 +142,7 @@ class PChar:
         self.order = 1
         for a, d in zip(exps, orders):
             self.order = math.lcm(self.order, d // math.gcd(a, d))
-        m = field_order if field_order is not None else group_exponent(p, n)
-        if m % self.order != 0:
-            raise ValueError("field order must be a multiple of the character order")
+        m = group_exponent(p, n)
         self.field = get_field(m)
         self._vexp = self._build_value_table(m)
         self.conductor_exponent = self._min_conductor_exponent()
@@ -183,29 +181,29 @@ class PChar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def trivial(cls, p: int, n: int, field_order: Optional[int] = None) -> "PChar":
+    def trivial(cls, p: int, n: int) -> "PChar":
         gens, _ = unit_group_structure(p, n)
-        return cls(p, n, (0,) * len(gens), field_order)
+        return cls(p, n, (0,) * len(gens))
 
     @classmethod
-    def from_conrey(cls, p: int, n: int, index: int, field_order: Optional[int] = None) -> "PChar":
+    def from_conrey(cls, p: int, n: int, index: int) -> "PChar":
         pn = p**n
         index %= pn
         if math.gcd(index, pn) != 1:
             raise ValueError("Conrey index must be a unit")
         tables = _dlog_tables(p, n)
         exps = tuple(int(t[index]) for t in tables)
-        return cls(p, n, exps, field_order)
+        return cls(p, n, exps)
 
     @classmethod
-    def all_characters(cls, p: int, n: int, field_order: Optional[int] = None) -> Iterator["PChar"]:
+    def all_characters(cls, p: int, n: int) -> Iterator["PChar"]:
         gens, orders = unit_group_structure(p, n)
         if not gens:
-            yield cls(p, n, (), field_order)
+            yield cls(p, n, ())
             return
         idx = [0] * len(orders)
         while True:
-            yield cls(p, n, tuple(idx), field_order)
+            yield cls(p, n, tuple(idx))
             i = 0
             while i < len(orders):
                 idx[i] += 1
@@ -257,45 +255,6 @@ class PChar:
         return hash((self.p, self.n, self.exps))
 
 
-def conductor(chi) -> int:
-    """Conductor exponent r of a character of (Z/p^n)^x.
-
-    Accepts a PChar or a full value table {u: CycNum-or-exponent}; a value
-    table is first validated to be multiplicative on units.
-    """
-    if isinstance(chi, PChar):
-        return chi.conductor_exponent
-    raise TypeError("conductor expects a PChar; build one with PChar/pchar_from_values")
-
-
-def pchar_from_values(p: int, n: int, values: dict) -> PChar:
-    """Build a PChar from an explicit value table {unit -> CycNum}, rejecting
-    non-multiplicative tables."""
-    pn = p**n
-    units = [u for u in range(pn) if math.gcd(u, p) == 1]
-    if set(values.keys()) != set(units):
-        raise ValueError("value table must cover exactly the units")
-    for u in units[: min(len(units), 64)]:
-        for v in units[: min(len(units), 64)]:
-            if values[u * v % pn] != values[u] * values[v]:
-                raise ValueError("value table is not multiplicative")
-    gens, orders = unit_group_structure(p, n)
-    m = group_exponent(p, n)
-    field = get_field(m)
-    exps = []
-    for g, d in zip(gens, orders):
-        val = values[g % pn]
-        a = next((e for e in range(d) if field.zeta(e * (m // d)) == val), None)
-        if a is None:
-            raise ValueError("generator value is not a root of unity of the right order")
-        exps.append(a)
-    cand = PChar(p, n, tuple(exps))
-    for u in units:
-        if cand(u) != values[u]:
-            raise ValueError("value table is not a character")
-    return cand
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet characters mod N
 # ---------------------------------------------------------------------------
@@ -317,23 +276,6 @@ def _vp_array(x, p: int, cap: int) -> np.ndarray:
     for k in range(1, cap + 1):
         v += x % p**k == 0
     return v
-
-
-def _factorize(N: int) -> list[tuple[int, int]]:
-    out = []
-    m = N
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            a = 0
-            while m % d == 0:
-                m //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 class DirChar:
@@ -409,9 +351,7 @@ class DirChar:
             pa = p**chi_p.n
             j = chi_p.conrey_index()
             # CRT combine rem mod mod with j mod pa
-            g, inv = math.gcd(mod, pa), pow(mod, -1, pa)
-            assert g == 1
-            t = (j - rem) * inv % pa
+            t = (j - rem) * pow(mod, -1, pa) % pa
             rem, mod = rem + mod * t, mod * pa
         return rem % self.modulus
 
@@ -497,56 +437,25 @@ class DirChar:
 
 
 def _pchar_change_level(chi: PChar, new_n: int) -> PChar:
-    """Same primitive character, viewed mod p^new_n (new_n >= conductor exponent)."""
+    """Same primitive character, viewed mod p^new_n (new_n >= conductor exponent).
+
+    A generator g of order d at the new level has chi(g) = e(e_g/m) with m
+    the old field order, so its new exponent a solves a/d = e_g/m: a = e_g d/m.
+    """
     p = chi.p
     if new_n < chi.conductor_exponent:
         raise ValueError("target level below conductor")
-    gens_new, orders_new = unit_group_structure(p, new_n)
-    m_new = group_exponent(p, new_n)
-    field = get_field(m_new)
+    m = chi.field.order
     exps = []
-    for g, d in zip(gens_new, orders_new):
-        val = chi(g % chi.modulus) if chi.modulus > 1 else chi.field.one
-        target = next(
-            (a for a in range(d) if _same_root(val, a, d)),
-            None,
-        )
-        if target is None:
+    for g, d in zip(*unit_group_structure(p, new_n)):
+        a, rem = divmod(chi.exponent(g) * d, m)
+        if rem:
             raise AssertionError("generator value not representable at new level")
-        exps.append(target)
+        exps.append(a)
     return PChar(p, new_n, tuple(exps))
-
-
-def _same_root(val: CycNum, a: int, d: int) -> bool:
-    """Does val equal e(a/d)?  Compared inside a common field."""
-    m = math.lcm(val.field.order, d)
-    f = get_field(m)
-    lhs = _lift(val, f)
-    return lhs == f.zeta(a * (m // d))
-
-
-def _lift(val: CycNum, f: CyclotomicField) -> CycNum:
-    src = val.field
-    if src.order == f.order:
-        return val
-    scale = f.order // src.order
-    out = f.zero
-    for e, c in enumerate(val.coeffs):
-        if c:
-            out = out + f.zeta(e * scale) * c
-    return out
 
 
 def crt_decompose(chi: DirChar) -> list[DirChar]:
     """CRT components of chi, each lifted to a Dirichlet character of its own
     prime-power modulus.  Their pointwise product (lifted back mod N) is chi."""
     return [DirChar(p**c.n, {p: c}) for p, c in chi.components.items()]
-
-
-def char_eval(chi, u: int) -> CycNum:
-    """Evaluate a DirChar (0 on non-units) or PChar (error on non-units)."""
-    if isinstance(chi, DirChar):
-        return chi(u)
-    if isinstance(chi, PChar):
-        return chi(u)
-    raise TypeError(f"cannot evaluate {type(chi)!r}")

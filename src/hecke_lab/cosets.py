@@ -183,19 +183,10 @@ def dmat(p: int, n: int, s: int) -> MatPn:
     return MatPn(p, n, s, 0, 0, 1)
 
 
-def zmat(p: int, n: int, s: int) -> MatPn:
-    return MatPn(p, n, s, 0, 0, s)
-
-
 def in_K0(g: MatPn) -> bool:
     """Membership in K0(p^n): lower-left entry divisible by p^n (elementwise
     for a MatArray)."""
     return g.c % g.pn == 0
-
-
-def in_K0m(g: MatPn, m: int) -> bool:
-    """Membership in the coarser K0(p^m), 0 <= m <= n."""
-    return g.c % g.p**m == 0
 
 
 @dataclass(frozen=True)
@@ -292,23 +283,10 @@ class CosetTable:
     def label(self, g: MatPn) -> str:
         return self.label_of_index(self.canonical_index(g))
 
-    def positions_with_label(self, lab: str) -> list[int]:
-        return [k for k, L in enumerate(self.labels) if L == lab]
-
 
 @lru_cache(maxsize=None)
 def coset_table(p: int, n: int) -> CosetTable:
     return CosetTable(p, n)
-
-
-def right_coset_reps(p: int, n: int) -> list[MatPn]:
-    """One representative per right coset K0(p^n) g; length p^{n-1}(p+1)."""
-    return list(coset_table(p, n).reps)
-
-
-def coset_decompose(g: MatPn) -> tuple[CosetIndex, MatPn]:
-    """g = k0 * rep(index) with k0 in K0(p^n); deterministic."""
-    return coset_table(g.p, g.n).decompose(g)
 
 
 def double_coset_label(g: MatPn) -> str:
@@ -341,19 +319,21 @@ def unit_lifts(p: int, modulus_exp: int) -> list[int]:
     return [s for s in range(1, pm + 1) if s % p != 0]
 
 
-def class_right_reps(p: int, n: int, lab: str) -> list[MatPn]:
+def class_right_reps(p: int, n: int, lab: str) -> MatArray:
     """Representatives a_i with the double coset of `lab` equal to the disjoint
-    union of the right cosets a_i K0(p^n).
+    union of the right cosets a_i K0(p^n), in closed form.
 
-    y(p^j) class: d(s) y(p^j) over unit classes s mod p^{n-j};
-    w class: x(t) w over t mod p^n; identity class: [I].
+    y(p^j) class: d(s) y(p^j) = (s, 0; p^j, 1) over unit classes s mod
+    p^{n-j}; w class: x(t) w = (t, -1; 1, 0) over t mod p^n; identity
+    class: [I].  Each has twist 1: its lower-right entry (lower-left for w)
+    is 1.
     """
     if lab == f"y{n}":
-        return [identity(p, n)]
+        return MatArray(p, n, [1], [0], [0], [1])
     if lab == "w":
-        return [xmat(p, n, t) @ w1(p, n) for t in range(p**n)]
+        return MatArray(p, n, np.arange(p**n), -1, 1, 0)
     j = int(lab[1:])
-    return [dmat(p, n, s) @ ymat(p, n, p**j) for s in unit_lifts(p, n - j)]
+    return MatArray(p, n, unit_lifts(p, n - j), 0, p**j, 1)
 
 
 def class_left_reps(p: int, n: int, lab: str) -> list[MatPn]:
@@ -369,12 +349,25 @@ def class_left_reps(p: int, n: int, lab: str) -> list[MatPn]:
     return [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j)]
 
 
-def single_cosets_of_double(p: int, n: int, j: int) -> list[MatPn]:
-    """The d(s) y(p^j) representatives decomposing the y(p^j) double coset into
-    right cosets, for 1 <= j <= n-1; count p^{n-j-1}(p-1)."""
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"j = {j} out of range [1, {n - 1}]")
-    return class_right_reps(p, n, f"y{j}")
+@lru_cache(maxsize=None)
+def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """How the class representatives move the cosets: for each label, with a
+    running over class_right_reps(p, n, label), a^{-1} rep_c = k0 rep_{cls[a, c]}
+    and d0[a, c] is the lower-right entry of k0.
+
+    Character-independent, shared by every chi at this cell: the coset sum of
+    the algebra and its left action on the induced model both read it.
+    """
+    table = coset_table(p, n)
+    dim = table.dim
+    out = {}
+    for lab in all_labels(p, n):
+        ainv = class_right_reps(p, n, lab).inv()
+        rows = len(ainv)
+        prod = ainv[np.repeat(np.arange(rows), dim)] @ table.rep_array[np.tile(np.arange(dim), rows)]
+        cls, k0 = table.decompose_array(prod)
+        out[lab] = (cls.reshape(rows, dim), k0.d.reshape(rows, dim))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,28 +17,24 @@ from sympy import Poly, cyclotomic_poly, symbols
 
 
 def euler_phi(m: int) -> int:
-    out = 1
-    mm = m
-    for p in _prime_factors(mm):
-        a = 0
-        while mm % p == 0:
-            mm //= p
-            a += 1
-        out *= p ** (a - 1) * (p - 1)
-    return out
+    return math.prod(p ** (a - 1) * (p - 1) for p, a in _factorize(m))
 
 
-def _prime_factors(m: int) -> list[int]:
+def _factorize(m: int) -> list[tuple[int, int]]:
+    """Prime factorization of m >= 1 as (prime, exponent) pairs, by trial
+    division."""
     out = []
     d = 2
     while d * d <= m:
         if m % d == 0:
-            out.append(d)
+            a = 0
             while m % d == 0:
                 m //= d
+                a += 1
+            out.append((d, a))
         d += 1
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return out
 
 
@@ -135,11 +131,9 @@ class CyclotomicField:
             return np.rint(out).astype(np.int64)
         return counts @ red
 
-    def embed_powers(self, conjugate_exp: int = 1) -> np.ndarray:
-        """Complex values of the basis monomials under zeta -> exp(2*pi*i*t/m)."""
-        d = self.degree
-        ang = 2.0 * math.pi * conjugate_exp / self.order
-        return np.exp(1j * ang * np.arange(d))
+    def embed_powers(self) -> np.ndarray:
+        """Complex values of the basis monomials under zeta -> exp(2*pi*i/m)."""
+        return np.exp(2j * math.pi / self.order * np.arange(self.degree))
 
 
 class CycNum:
@@ -287,10 +281,6 @@ class CycNum:
 
     def to_complex(self) -> complex:
         return complex(sum(complex(c) * w for c, w in zip(self.coeffs, self.field.embed_powers())))
-
-
-def embed_complex(a: CycNum) -> complex:
-    return a.to_complex()
 
 
 def _solve_fraction_system(mat, rhs):

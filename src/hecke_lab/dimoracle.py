@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .characters import DirChar, _factorize
+from .characters import DirChar
+from .cyclotomic import _factorize
 
 
 def _mu0(n: int) -> int:

@@ -52,12 +52,6 @@ class GroupTable:
         q = self.q
         return g.a + q * (g.b + q * (g.c + q * g.d))
 
-    def index_of(self, g: MatPn) -> int:
-        idx = int(self.code_to_idx[self._code(g)])
-        if idx < 0:
-            raise ValueError("matrix not invertible mod q")
-        return idx
-
     def inv_times(self, h: MatPn) -> np.ndarray:
         """Index array of g^{-1} h over all g, cached per target."""
         key = f"{h.a},{h.b},{h.c},{h.d}"

@@ -22,14 +22,16 @@ from .cosets import (
     K0_ENUMERATION_LIMIT,
     Kg_blocks,
     MatPn,
+    _left_transport,
     all_labels,
     class_left_reps,
-    class_right_reps,
+    coset_table,
     double_coset_label,
     k0_order,
     label_rep,
 )
 from .cyclotomic import CycNum
+from .groupconv import BRUTE_LIMIT, cross_check_structure
 from .report import Report, check, check_bool, timed
 
 
@@ -139,10 +141,6 @@ class HeckeElem:
         return cls(p, n, chi, {lab: chi.field.one})
 
     @classmethod
-    def zero(cls, p: int, n: int, chi: PChar) -> "HeckeElem":
-        return cls(p, n, chi, {})
-
-    @classmethod
     def identity(cls, p: int, n: int, chi: PChar) -> "HeckeElem":
         return cls.basis(p, n, chi, f"y{n}")
 
@@ -186,9 +184,6 @@ class HeckeElem:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, lab: str) -> CycNum:
-        return self.coeffs.get(lab, self.chi.field.zero)
-
     def __repr__(self):
         if not self.coeffs:
             return "HeckeElem(0)"
@@ -224,31 +219,30 @@ def _basis_product_cached(p: int, n: int, chi: PChar, lab1: str, lab2: str) -> t
 
 def _basis_product(p: int, n: int, chi: PChar, lab1: str, lab2: str) -> dict[str, CycNum]:
     """Convolution of two basis functions, evaluated at every double-coset
-    representative via the right-coset sum; off-support values must vanish.
+    representative h via the right-coset sum over the class representatives
+    a of lab1; off-support values must vanish.
 
-    Each nonzero term is a root of unity, so the sum is accumulated as an
-    exponent histogram and collapsed to a field element once per target.
+    Each a has twist 1, and a^{-1} h = k0 rep_c puts the lower-right entry of
+    k0 into the twist slot of lab2 (for either kind of class), so the value
+    at h is the exponent histogram of chi at the transport table's d0 over
+    the rows whose coset c lies in lab2's class, collapsed to a field
+    element once per target.
     """
-    reps1 = class_right_reps(p, n, lab1)
+    table = coset_table(p, n)
+    cls, d0 = _left_transport(p, n)[lab1]
+    in_lab2 = np.array(table.labels) == lab2
     vexp = chi.exponent_table()
-    m = chi.field.order
     out: dict[str, CycNum] = {}
     supported = set(supported_basis(p, n, chi))
     for lab_h in all_labels(p, n):
-        h = label_rep(p, n, lab_h)
-        hist = np.zeros(m, dtype=np.int64)
-        for a in reps1:
-            e1 = int(vexp[a.c if lab1 == "w" else a.d])
-            x = a.inv() @ h
-            if double_coset_label(x) != lab2:
-                continue
-            e2 = int(vexp[x.c if lab2 == "w" else x.d])
-            if e1 < 0 or e2 < 0:
-                raise AssertionError("twist evaluated at a non-unit entry")
-            hist[(e1 + e2) % m] += 1
-        if not hist.any():
+        # the standard representative of each class is its own coset's rep
+        c_h = table.position[table.canonical_index(label_rep(p, n, lab_h))]
+        e = vexp[d0[in_lab2[cls[:, c_h]], c_h]]
+        if not len(e):
             continue
-        total = chi.field.from_exponent_counts(hist)
+        if np.any(e < 0):
+            raise AssertionError("twist evaluated at a non-unit entry")
+        total = chi.field.from_exponent_counts(np.bincount(e, minlength=chi.field.order))
         if total.is_zero():
             continue
         if lab_h not in supported:
@@ -321,9 +315,6 @@ class StructTable:
     labels: list[str]
     constants: dict  # (lab_i, lab_j) -> {lab_k: CycNum}
 
-    def product(self, li: str, lj: str) -> dict:
-        return self.constants[(li, lj)]
-
     def is_commutative(self) -> bool:
         for li in self.labels:
             for lj in self.labels:
@@ -347,11 +338,10 @@ def structure_table(p: int, n: int, chi: PChar) -> StructTable:
 # ---------------------------------------------------------------------------
 
 
-def verify_relations(p: int, n: int, chi: PChar, cross_check: Optional[bool] = None) -> Report:
-    """Audit every algebra identity by exact convolution.
-
-    cross_check: also compare against the brute-force whole-group convolution
-    oracle (defaults to on when p^n <= 27).
+def verify_relations(p: int, n: int, chi: PChar) -> Report:
+    """Audit every algebra identity by exact convolution, and on every cell
+    with p^n <= groupconv.BRUTE_LIMIT compare each basis product against the
+    brute-force whole-group convolution oracle.
     """
     rep = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": chi.conductor_exponent})
     r = chi.conductor_exponent
@@ -467,11 +457,7 @@ def verify_relations(p: int, n: int, chi: PChar, cross_check: Optional[bool] = N
             check_bool(rep, f"{tag}.Uquadratic.n1", quad.is_zero(), "formula", t.elapsed,
                        expected="0", computed=quad.pretty())
 
-    if cross_check is None:
-        cross_check = p**n <= 27
-    if cross_check:
-        from .groupconv import cross_check_structure
-
+    if p**n <= BRUTE_LIMIT:
         cross_check_structure(rep, p, n, chi, tag)
 
     return rep

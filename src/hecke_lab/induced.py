@@ -24,15 +24,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .characters import PChar, unit_generators
-from .cosets import (
-    MatArray,
-    MatPn,
-    all_labels,
-    class_right_reps,
-    coset_table,
-    xmat,
-    ymat,
-)
+from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
 from .cyclotomic import CyclotomicField, _solve_fraction_system
 from .report import Report, check, check_bool, timed
 
@@ -99,28 +91,8 @@ class PhasePermSum:
 
 
 # ---------------------------------------------------------------------------
-# Transport data: how group elements move the canonical cosets around
+# Right transport: how one group element moves the canonical cosets
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _left_transport(p: int, n: int) -> dict:
-    """For each double-coset label, arrays describing a |-> (a^{-1} rep_c
-    decomposed) over the class representatives a of that label.
-
-    cls[a, c] = coset index of a^{-1} rep_c, d0[a, c] = lower-right entry of
-    the K0 factor.  Character-independent, shared by every chi at this cell.
-    """
-    table = coset_table(p, n)
-    dim = table.dim
-    out = {}
-    for lab in all_labels(p, n):
-        ainv = MatArray.stack(p, n, class_right_reps(p, n, lab)).inv()
-        rows = len(ainv)
-        prod = ainv[np.repeat(np.arange(rows), dim)] @ table.rep_array[np.tile(np.arange(dim), rows)]
-        cls, k0 = table.decompose_array(prod)
-        out[lab] = (cls.reshape(rows, dim), k0.d.reshape(rows, dim))
-    return out
 
 
 @lru_cache(maxsize=4096)
@@ -155,6 +127,7 @@ class InducedRep:
             [0 if lab == "w" else int(lab[1:]) for lab in self.table.labels], dtype=np.int64
         )
         self._piL_cache: dict[str, PhasePermSum] = {}
+        self._y_cache: dict[int, PhasePermSum] = {}
 
     # -- operators ---------------------------------------------------------
 
@@ -172,6 +145,17 @@ class InducedRep:
         pps = PhasePermSum(cls, e, self.field.order)
         self._piL_cache[lab] = pps
         return pps
+
+    def y_operator(self, k: int) -> PhasePermSum:
+        """Y_k = sum of the basis operators of levels k..n, as one phase-perm
+        sum, built once per k."""
+        hit = self._y_cache.get(k)
+        if hit is None:
+            hit = self.piL_basis(f"y{k}")
+            if k < self.n:
+                hit = hit.concat(self.y_operator(k + 1))
+            self._y_cache[k] = hit
+        return hit
 
     def piR(self, k: MatPn) -> PhasePermSum:
         """Right translation by one group element (a single phase perm)."""
@@ -210,10 +194,6 @@ class InducedRep:
         out = np.zeros((self.dim, self.field.degree), dtype=np.int64)
         out[:, 0] = v
         return out
-
-
-def build_In(p: int, n: int, chi: PChar) -> InducedRep:
-    return InducedRep(p, n, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +304,6 @@ def table_eigenvalue(kind: str, p: int, n: int, i: int, j: int) -> int:
     return 0
 
 
-def eigenvector_basis(rep: InducedRep) -> dict[int, np.ndarray]:
-    lo = max(rep.r, 1)
-    return {i: rep.eigenvector(i) for i in range(lo, rep.n + 1)}
-
-
 def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
     """Computed scalars lambda(v_i, V_j) and lambda(v_i, Y_j), checked
     entrywise against the tabulated closed form."""
@@ -348,10 +323,7 @@ def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
                 okV = bool(np.array_equal(img, expect))
                 vtab[(i, j)] = lam
 
-                yop = rep.piL_basis(f"y{j}")
-                for jj in range(j + 1, n + 1):
-                    yop = yop.concat(rep.piL_basis(f"y{jj}"))
-                imgY = rep.act(yop, v)
+                imgY = rep.act(rep.y_operator(j), v)
                 lamY = table_eigenvalue("Y", p, n, i, j)
                 okY = bool(np.array_equal(imgY, rep.embed_int_vector(lamY * v)))
                 ytab[(i, j)] = lamY
@@ -440,12 +412,7 @@ def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict
     lo = max(r, 1)
     F = rep.field
 
-    yops: dict[int, PhasePermSum] = {}
-    for k in range(lo, n + 1):
-        op = rep.piL_basis(f"y{k}")
-        for j in range(k + 1, n + 1):
-            op = op.concat(rep.piL_basis(f"y{j}"))
-        yops[k] = op
+    yops = {k: rep.y_operator(k) for k in range(lo, n + 1)}
 
     # Y_k Y_k = p^{n-k} Y_k and Y_k Y_{k-1} = Y_{k-1} Y_k = p^{n-k} Y_{k-1}
     for k in range(lo, n + 1):
@@ -645,38 +612,15 @@ class SpectralReport:
     tables: dict
     component_dims: dict
     fixed_dims: dict
-    flags: dict
     report: Report
 
     def ok(self) -> bool:
         return self.report.ok
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "conrey": self.conrey,
-            "r": self.r,
-            "dim": self.dim,
-            "tables": {
-                kind: {f"{i},{j}": int(v) for (i, j), v in tab.items()}
-                for kind, tab in self.tables.items()
-                if kind in ("V", "Y")
-            },
-            "component_dims": {
-                route: dict(vals)
-                for route, vals in self.component_dims.items()
-                if route in ("by_rank", "by_system", "by_formula")
-            },
-            "fixed_dims": dict(self.fixed_dims),
-            "flags": dict(self.flags),
-            "checks": self.report.to_dict(),
-        }
-
 
 def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
     """Run the full induced-side audit for one character."""
-    rep = build_In(p, n, chi)
+    rep = InducedRep(p, n, chi)
     report = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": rep.r})
     tag = f"p{p}.n{n}.chi{chi.conrey_index()}"
 
@@ -705,12 +649,6 @@ def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
     )
     check_bool(report, f"{tag}.fixed-chain", incr_ok, "formula", 0.0)
 
-    flags = {
-        "row_index_convention": "absolute index i in [max(r,1), n]; v_r = Y_r, "
-        "v_i = Y_{i-1} - p*Y_i for i > r",
-        "trivial_twist_refinement": rep.r == 0,
-    }
-
     return SpectralReport(
         p=p,
         n=n,
@@ -720,6 +658,5 @@ def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
         tables=tables,
         component_dims=comp,
         fixed_dims=fixed_dims,
-        flags=flags,
         report=report,
     )

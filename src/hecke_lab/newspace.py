@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import _factorize, _vp
+from .characters import _vp
+from .cyclotomic import _factorize
 from .dimoracle import dim_new
 from .operators import (
     OpMatrix,
@@ -113,7 +114,7 @@ def _op_report(op: OpMatrix, target: complex, roots) -> OpReport:
     )
 
 
-def characterize(space: CuspSpace, rtol: float = 1e-7) -> CharacterizeResult:
+def characterize(space: CuspSpace) -> CharacterizeResult:
     """Cut out the newspace as the joint eigenspace of the characterizing
     operators and compare its dimension with the trace-formula count."""
     expected = dim_new(space.level, space.weight, space.char)
@@ -133,7 +134,7 @@ def characterize(space: CuspSpace, rtol: float = 1e-7) -> CharacterizeResult:
             math.inf, np.eye(d, dtype=np.complex128), reports,
         )
     blocks = [op.matrix - lam * np.eye(d) for op, lam, _ in suite]
-    basis, gap, _ = nullspace(np.vstack(blocks), rtol)
+    basis, gap, _ = nullspace(np.vstack(blocks))
     return CharacterizeResult(
         space.level, space.weight, conrey, d, basis.shape[1], expected,
         gap, basis, reports,

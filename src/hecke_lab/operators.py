@@ -17,13 +17,16 @@ from scipy.stats import qmc
 
 from .characters import _vp
 from .cosets import unit_lifts
-from .qexp import QExpansion, evaluate_many, op_Up, op_Utilde
+from .qexp import QExpansion, evaluate_many, op_Utilde
 from .spaces import CuspSpace
 
 CONDITION_LIMIT = 1e8
 RESIDUAL_TOL = 1e-6
 IMAG_FLOOR = 0.02
 SAMPLE_BAND = (0.08, 0.6)
+SAMPLE_ATTEMPTS = 5
+# singular values at or below RANK_RTOL * max(sigma_max, 1) count as zero
+RANK_RTOL = 1e-7
 
 
 class SamplingError(RuntimeError):
@@ -90,17 +93,13 @@ def _feasible(z: np.ndarray, mats: list[np.ndarray], t: float) -> np.ndarray:
     return ok
 
 
-def sample_points(
-    mats: list[np.ndarray],
-    count: int,
-    t_img: float = IMAG_FLOOR,
-    band: tuple[float, float] = SAMPLE_BAND,
-    skip: int = 0,
-) -> np.ndarray:
-    """Deterministic low-discrepancy points z with Im(Az) >= t_img for every
-    matrix A.  Starts from the standard band; if the constraints leave no
-    room there, the floor is relaxed toward t_img and finally the search is
-    recentred on the tightest feasibility disk."""
+def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarray:
+    """Deterministic low-discrepancy points z with Im(Az) >= IMAG_FLOOR for
+    every matrix A.  Starts from SAMPLE_BAND; if the constraints leave no
+    room there, the floor is relaxed toward IMAG_FLOOR and finally the search
+    is recentred on the tightest feasibility disk."""
+    t_img = IMAG_FLOOR
+    band_lo, band_hi = SAMPLE_BAND
     y_floor = t_img
     for A in mats:
         (a, b), (c, d) = A
@@ -108,8 +107,8 @@ def sample_points(
             det = int(a) * int(d)
             y_floor = max(y_floor, t_img * int(d) ** 2 / det)
     boxes = [
-        (-0.5, 0.5, max(band[0], y_floor), band[1]),
-        (-0.5, 0.5, y_floor, band[1]),
+        (-0.5, 0.5, max(band_lo, y_floor), band_hi),
+        (-0.5, 0.5, y_floor, band_hi),
     ]
     tight = None
     for A in mats:
@@ -149,9 +148,6 @@ def op_matrix(
     terms: list[tuple[complex, np.ndarray]],
     label: str = "",
     codomain: CuspSpace | None = None,
-    t_img: float = IMAG_FLOOR,
-    count: int | None = None,
-    max_attempts: int = 5,
 ) -> OpMatrix:
     """Matrix of sum(coef * |_k A) as a map from space to codomain
     (default: space itself).  Columns are codomain coordinates of the
@@ -163,13 +159,12 @@ def op_matrix(
             0.0, 1.0, False, label,
         )
     k = space.weight
-    if count is None:
-        count = max(2 * target.dim, target.dim + 3)
+    count = max(2 * target.dim, target.dim + 3)
     mats = [np.asarray(A) for _, A in terms]
 
     best = None
-    for attempt in range(max_attempts):
-        pts = sample_points(mats, count, t_img=t_img, skip=attempt)
+    for attempt in range(SAMPLE_ATTEMPTS):
+        pts = sample_points(mats, count, skip=attempt)
         V = evaluate_many(target.basis, pts)
         condV = float(np.linalg.cond(V))
         if best is None or condV < best[2]:
@@ -236,18 +231,13 @@ def w_square_scalar(space: CuspSpace, p: int) -> complex:
     return local_value(chi, q, -1) * complement_value(chi, q, q)
 
 
-def op_U(space: CuspSpace, p: int, normalized: bool = True, route: str = "coeff") -> OpMatrix:
-    """Matrix of the p-th coefficient-shift operator.  normalized=True gives
-    the variant with b_n = p^(1-k/2) a_{pn}, else b_n = p^(k/2) a_{pn}.
+def op_U(space: CuspSpace, p: int, route: str = "coeff") -> OpMatrix:
+    """Matrix of the normalized p-th coefficient shift b_n = p^(1-k/2) a_{pn}.
     route='coeff' solves against stored coefficients; route='sampled' uses
     the slash decomposition sum_s f|(1, s; 0, p)."""
-    k = space.weight
     if route == "sampled":
-        coef = 1.0 if normalized else float(p) ** (k - 1)
-        terms = [
-            (coef, np.array([[1, s], [0, p]], dtype=np.int64)) for s in range(p)
-        ]
-        return op_matrix(space, terms, label=f"U[{p}]{'~' if normalized else ''}")
+        terms = [(1.0, np.array([[1, s], [0, p]], dtype=np.int64)) for s in range(p)]
+        return op_matrix(space, terms, label=f"U[{p}]~")
     if route != "coeff":
         raise ValueError(f"unknown route {route!r}")
     if space.dim == 0:
@@ -255,7 +245,7 @@ def op_U(space: CuspSpace, p: int, normalized: bool = True, route: str = "coeff"
     cols = []
     worst = 0.0
     for f in space.basis:
-        g = op_Utilde(f, p) if normalized else op_Up(f, p)
+        g = op_Utilde(f, p)
         x, mis = space.coordinates(g.coeffs)
         cols.append(x)
         worst = max(worst, mis / max(float(np.linalg.norm(g.coeffs)), 1.0))
@@ -263,8 +253,7 @@ def op_U(space: CuspSpace, p: int, normalized: bool = True, route: str = "coeff"
     condA = float(np.linalg.cond(A))
     mat = np.stack(cols, axis=1)
     return OpMatrix(
-        mat, worst, condA, condA >= CONDITION_LIMIT or worst > RESIDUAL_TOL,
-        f"U[{p}]{'~' if normalized else ''}",
+        mat, worst, condA, condA >= CONDITION_LIMIT or worst > RESIDUAL_TOL, f"U[{p}]~"
     )
 
 
@@ -280,7 +269,7 @@ def op_Q(space: CuspSpace, p: int) -> OpMatrix:
         raise ValueError(f"character has a nontrivial factor at {p}")
     scalar = np.conj(complement_value(space.char, p, p))
     Wop = op_W(space, p)
-    Ut = op_U(space, p, normalized=True, route="coeff")
+    Ut = op_U(space, p)
     return _combine(scalar * (Ut.matrix @ Wop.matrix), [Ut, Wop], f"Q[{p}]")
 
 
@@ -362,7 +351,7 @@ class Eigenspace:
     eigenvalue: complex
 
 
-def nullspace(A: np.ndarray, rtol: float = 1e-7) -> tuple[np.ndarray, float, np.ndarray]:
+def nullspace(A: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Orthonormal numerical null space of a (possibly stacked) matrix.
     Returns (basis, gap, singular values); gap is the ratio between the
     smallest retained and largest discarded singular values, with safe
@@ -373,15 +362,15 @@ def nullspace(A: np.ndarray, rtol: float = 1e-7) -> tuple[np.ndarray, float, np.
         return np.zeros((0, 0), dtype=np.complex128), math.inf, np.zeros(0)
     _, s, Vh = np.linalg.svd(A)
     scale = max(float(s[0]), 1.0) if len(s) else 1.0
-    t = int(np.sum(s <= rtol * scale)) + max(0, d - len(s))
+    t = int(np.sum(s <= RANK_RTOL * scale)) + max(0, d - len(s))
     asc = np.sort(s)
     num = float(asc[t]) if t < len(asc) else max(scale, 1.0)
-    den = float(asc[min(t, len(asc)) - 1]) if t > 0 else rtol * scale
+    den = float(asc[min(t, len(asc)) - 1]) if t > 0 else RANK_RTOL * scale
     basis = Vh[d - t :].conj().T if t else np.zeros((d, 0), dtype=np.complex128)
     return basis, num / max(den, 1e-300), s
 
 
-def eigenspace(op, lam: complex, rtol: float = 1e-7) -> Eigenspace:
+def eigenspace(op, lam: complex) -> Eigenspace:
     """Orthonormal numerical eigenspace of an operator matrix, via the SVD
     null space of (A - lam I).  gap is the separation ratio between the
     smallest retained and largest discarded singular values."""
@@ -389,7 +378,7 @@ def eigenspace(op, lam: complex, rtol: float = 1e-7) -> Eigenspace:
     d = A.shape[0]
     if d == 0:
         return Eigenspace(np.zeros((0, 0), dtype=np.complex128), math.inf, np.zeros(0), lam)
-    basis, gap, s = nullspace(A - lam * np.eye(d), rtol)
+    basis, gap, s = nullspace(A - lam * np.eye(d))
     return Eigenspace(basis, gap, s, lam)
 
 

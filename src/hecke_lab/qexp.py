@@ -70,24 +70,6 @@ class QExpansion:
         return c * (B + 1) ** (k / 2) * x ** (B + 1) / (1 - rho)
 
 
-def evaluate(f: QExpansion, points) -> np.ndarray:
-    """Values of f at one or more upper half-plane points."""
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    ymin = float(pts.imag.min())
-    if ymin <= 0:
-        raise PrecisionError("evaluation point not in the upper half-plane")
-    bound = f.tail_bound(ymin)
-    if bound > 1e-10:
-        raise PrecisionError(
-            f"tail bound {bound:.3g} at Im z = {ymin:.4f} too large for B = {f.prec}"
-        )
-    n = np.arange(1, f.prec + 1)
-    # (S, B) phase matrix; S and B stay small enough to hold in memory
-    q_pow = np.exp(2j * np.pi * np.outer(pts, n))
-    out = q_pow @ f.coeffs
-    return out if np.ndim(points) else out[0]
-
-
 def evaluate_many(forms: list[QExpansion], points) -> np.ndarray:
     """Matrix of values, points along rows and forms along columns."""
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))

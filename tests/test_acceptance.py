@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hecke_lab.characters import PChar
-from hecke_lab.cosets import all_labels, class_right_reps, label_rep, right_coset_reps
+from hecke_lab.cosets import all_labels, class_right_reps, coset_table, k0_order, label_rep
+from hecke_lab.groupconv import BRUTE_LIMIT, double_coset_census
 from hecke_lab.hecke import is_supported, structure_table, supported_basis, verify_relations
 from hecke_lab.induced import verify_induced
 from hecke_lab.newspace import placement_checks, qualifying_primes
@@ -42,7 +43,7 @@ def induced_suite():
 def test_c1_double_coset_census():
     t0 = time.perf_counter()
     for p, n in GRID:
-        total = len(right_coset_reps(p, n))
+        total = len(coset_table(p, n).reps)
         assert total == p ** (n - 1) * (p + 1), (p, n)
         sizes = {lab: len(class_right_reps(p, n, lab)) for lab in all_labels(p, n)}
         assert sizes["w"] == p**n, (p, n)
@@ -50,6 +51,11 @@ def test_c1_double_coset_census():
         for j in range(1, n):
             assert sizes[f"y{j}"] == p ** (n - j - 1) * (p - 1), (p, n, j)
         assert sum(sizes.values()) == total, (p, n)
+        if p**n <= BRUTE_LIMIT:
+            # second route: element counts of each double coset in all of GL2(Z/p^n)
+            census = double_coset_census(p, n)
+            for lab, size in sizes.items():
+                assert census[lab] == k0_order(p, n) * size, (p, n, lab)
     elapsed = time.perf_counter() - t0
     assert elapsed < CENSUS_BUDGET, f"census took {elapsed:.1f}s"
 
@@ -151,8 +157,8 @@ def test_operator_engine_cross_checks(families):
             continue
         for q in qualifying_primes(sp.level, sp.char):
             p = q["p"]
-            Us = op_U(sp, p, normalized=True, route="sampled")
-            Uc = op_U(sp, p, normalized=True, route="coeff")
+            Us = op_U(sp, p, route="sampled")
+            Uc = op_U(sp, p, route="coeff")
             dev = float(np.linalg.norm(Us.matrix - Uc.matrix))
             dev /= max(1.0, float(np.linalg.norm(Uc.matrix)))
             assert dev <= DUAL_ROUTE_TOL, (fam["name"], p, dev)

@@ -1,10 +1,10 @@
+import math
+
 import pytest
 
 from hecke_lab.characters import (
     DirChar,
     PChar,
-    char_eval,
-    conductor,
     crt_decompose,
     unit_generators,
 )
@@ -57,8 +57,8 @@ def test_quadratic_character_values(modulus, conrey):
 
 def test_nonunit_vanishes():
     chi = DirChar.from_conrey(21, 13)
-    assert char_eval(chi, 7).is_zero()
-    assert char_eval(chi, 3).is_zero()
+    assert chi(7).is_zero()
+    assert chi(3).is_zero()
     assert chi.value_complex(14) == 0
 
 
@@ -68,8 +68,8 @@ def test_conductors():
     assert DirChar.from_conrey(16, 15).conductor == 4
     assert DirChar.trivial(12).conductor == 1
     # exponent form for local characters: the mod-9 Conrey-2 character is primitive
-    assert conductor(PChar.from_conrey(3, 2, 2)) == 2
-    assert conductor(PChar.from_conrey(3, 2, 1)) == 0
+    assert PChar.from_conrey(3, 2, 2).conductor_exponent == 2
+    assert PChar.from_conrey(3, 2, 1).conductor_exponent == 0
 
 
 def test_conrey_round_trip():
@@ -89,6 +89,22 @@ def test_at_modulus_restriction():
     assert chi14.modulus == 14
     assert chi14.conrey_index() == 13
     assert chi14.conductor == 7
+
+
+@pytest.mark.parametrize("modulus,lower", [(16, 8), (27, 9), (25, 5)])
+def test_at_modulus_changes_level(modulus, lower):
+    # every character whose conductor divides the lower level, taken down and
+    # back up, keeps its values on the units
+    units = [u for u in range(1, modulus) if math.gcd(u, modulus) == 1]
+    for conrey in units:
+        chi = DirChar.from_conrey(modulus, conrey)
+        if lower % chi.conductor:
+            continue
+        down = chi.at_modulus(lower)
+        assert down.conductor == chi.conductor
+        assert down.at_modulus(modulus) == chi, conrey
+        for u in units:
+            assert abs(down.value_complex(u % lower) - chi.value_complex(u)) < 1e-12, (conrey, u)
 
 
 def test_bar_involution():

@@ -9,8 +9,8 @@ from hecke_lab.cosets import (
     MatPn,
     all_labels,
     class_right_reps,
-    coset_decompose,
     coset_table,
+    dmat,
     double_coset_label,
     enumerate_K0,
     enumerate_Kg,
@@ -18,8 +18,7 @@ from hecke_lab.cosets import (
     in_K0,
     k0_order,
     label_rep,
-    right_coset_reps,
-    single_cosets_of_double,
+    unit_lifts,
     w1,
     xmat,
     ymat,
@@ -31,7 +30,7 @@ CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 @pytest.mark.parametrize("p,n", CELLS)
 def test_right_coset_count(p, n):
-    assert len(right_coset_reps(p, n)) == p ** (n - 1) * (p + 1)
+    assert len(coset_table(p, n).reps) == p ** (n - 1) * (p + 1)
 
 
 @pytest.mark.parametrize("p,n", CELLS)
@@ -56,10 +55,17 @@ def test_class_sizes(p, n):
     assert sum(sizes.values()) == p ** (n - 1) * (p + 1)
 
 
-def test_single_cosets_of_double_matches_class():
-    for p, n in [(2, 2), (2, 3), (3, 2)]:
-        for j in range(1, n):
-            assert len(single_cosets_of_double(p, n, j)) == p ** (n - j - 1) * (p - 1)
+@pytest.mark.parametrize("p,n", GRID + [(7, 3)])
+def test_class_reps_closed_form(p, n):
+    # the MatArray closed forms are, entry for entry and in order, the MatPn
+    # products d(s) y(p^j), x(t) w and I
+    want = {f"y{j}": [dmat(p, n, s) @ ymat(p, n, p**j) for s in unit_lifts(p, n - j)]
+            for j in range(1, n)}
+    want["w"] = [xmat(p, n, t) @ w1(p, n) for t in range(p**n)]
+    want[f"y{n}"] = [identity(p, n)]
+    for lab in all_labels(p, n):
+        got = class_right_reps(p, n, lab)
+        assert [got[i] for i in range(len(got))] == want[lab], lab
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (3, 2)])
@@ -68,7 +74,7 @@ def test_decompose_reconstructs(p, n):
     samples = [w1(p, n), xmat(p, n, 1), ymat(p, n, p), identity(p, n),
                w1(p, n) @ xmat(p, n, 1), ymat(p, n, 1) @ w1(p, n)]
     for g in samples:
-        idx, k0 = coset_decompose(g)
+        idx, k0 = table.decompose(g)
         assert in_K0(k0)
         assert k0 @ table.rep_of(idx) == g
 

@@ -1,7 +1,9 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every definition in the package is reached from somewhere.
 
-No linter runs on this repository, so this AST scan (stdlib only) is the
-guard against imports left behind when the code that used them goes.
+No linter runs on this repository, so these AST scans (stdlib only) are the
+guard against imports and definitions left behind when the code that used
+them goes.
 """
 
 import ast
@@ -9,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hecke_lab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hecke_lab"
+# where a mention keeps a package definition alive
+CALLER_DIRS = [PACKAGE, ROOT / "tests", ROOT / "tools", ROOT / "perfbench"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +57,78 @@ def test_scanner_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """Module-level functions and classes, and the non-dunder methods of
+    module-level classes, as (name, line)."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    out.append((item.name, item.lineno))
+    return out
+
+
+def mentions(source: str) -> set[str]:
+    """Identifiers a source file mentions: names, attributes and imported names.
+
+    Strings do not count, so a definition reached only through a string of
+    the same spelling is still reported.
+    """
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return used
+
+
+def callerless(defined: dict[str, str], callers: list[str]) -> list[str]:
+    """Keys of `defined` (a file name per source) whose definitions no source
+    in `callers` mentions."""
+    used = set().union(*(mentions(src) for src in callers))
+    return [
+        f"{name} line {line}: {fn}"
+        for name, src in defined.items()
+        for fn, line in definitions(src)
+        if fn not in used
+    ]
+
+
+def test_scanner_finds_callerless_definitions():
+    lib = (
+        "class A:\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "    def __repr__(self): pass\n"
+        "def helper(): pass\n"
+        "def orphan():\n"
+        "    def inner(): pass\n"
+        "    return inner\n"
+    )
+    caller = "from lib import A as B, helper\nB().used()\nx = 'orphan'\n"
+    assert callerless({"lib.py": lib}, [lib, caller]) == [
+        "lib.py line 3: unused",
+        "lib.py line 6: orphan",
+    ]
+
+
+def test_no_callerless_definitions():
+    # re-exports in __init__.py do not count as callers
+    callers = [
+        path.read_text()
+        for base in CALLER_DIRS
+        for path in sorted(base.rglob("*.py"))
+        if path != PACKAGE / "__init__.py"
+    ]
+    defined = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert callerless(defined, callers) == []

@@ -5,15 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hecke_lab import induced
+from hecke_lab import cosets, induced
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
 from hecke_lab.cyclotomic import get_field
 from hecke_lab.induced import (
+    InducedRep,
     PhasePermSum,
     _trace,
     _vanishes,
-    build_In,
     component_dimensions,
     fixed_subspace,
     verify_induced,
@@ -23,14 +23,14 @@ from tests.conftest import GRID
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_dimension_formula(p, n):
-    rep = build_In(p, n, PChar.trivial(p, n))
+    rep = InducedRep(p, n, PChar.trivial(p, n))
     assert rep.dim == p ** (n - 1) * (p + 1)
 
 
 def test_fixed_chain_trivial_character():
     # (2, 3): the unit group mod 8 needs two generators
     for p, n in [(3, 2), (2, 3)]:
-        rep = build_In(p, n, PChar.trivial(p, n))
+        rep = InducedRep(p, n, PChar.trivial(p, n))
         dims = [fixed_subspace(rep, m).dim for m in range(n + 1)]
         assert dims == list(range(1, n + 2))  # one new dimension per level, from m = 0
 
@@ -39,7 +39,7 @@ def test_fixed_chain_primitive_character():
     for p, n, conrey in [(3, 2, 2), (2, 3, 3)]:  # conductors 9 and 8
         chi = PChar.from_conrey(p, n, conrey)
         assert chi.conductor_exponent == n
-        rep = build_In(p, n, chi)
+        rep = InducedRep(p, n, chi)
         dims = [fixed_subspace(rep, m).dim for m in range(n + 1)]
         assert dims == [0] * n + [1]
 
@@ -64,7 +64,7 @@ def test_fixed_vectors_are_eigenvectors_of_sampled_K0m(p, n):
     # one sample per level, shared by every character of the cell
     samples = {m: _sample_K0m(p, n, m, rng) for m in range(n + 1)}
     for chi in PChar.all_characters(p, n):
-        rep = build_In(p, n, chi)
+        rep = InducedRep(p, n, chi)
         r, mord, vexp = rep.r, rep.field.order, chi.exponent_table()
         for m in range(r, n + 1):
             basis = fixed_subspace(rep, m).basis_exponents
@@ -98,14 +98,6 @@ def test_iwahori_components():
     assert sp.tables["Y"][(1, 1)] == 1
     assert sp.dim == 4
     assert sp.component_dims["by_formula"] == {"w+": 1, "w-": 3}
-
-
-def _y_operator(rep, k):
-    """Y_k as one phase-perm sum: the basis operators of levels k..n."""
-    op = rep.piL_basis(f"y{k}")
-    for j in range(k + 1, rep.n + 1):
-        op = op.concat(rep.piL_basis(f"y{j}"))
-    return op
 
 
 def _dense(pps):
@@ -148,8 +140,8 @@ def test_vanishes_rejects_one_perturbed_exponent(monkeypatch, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(induced, "_BLOCK_ENTRIES", block_entries)
     p, n, k = 3, 2, 1
-    rep = build_In(p, n, PChar.trivial(p, n))
-    Y, s = _y_operator(rep, k), p ** (n - k)
+    rep = InducedRep(p, n, PChar.trivial(p, n))
+    Y, s = rep.y_operator(k), p ** (n - k)
     assert _vanishes(rep.field, [(1, (Y, Y)), (-s, (Y,))])
     for a, c in np.ndindex(*Y.cls.shape):
         e = Y.e.copy()
@@ -164,7 +156,7 @@ def test_one_row_blocks_give_same_verdicts(monkeypatch):
     def verdicts():
         out = []
         for chi in PChar.all_characters(p, n):
-            res = component_dimensions(build_In(p, n, chi))
+            res = component_dimensions(InducedRep(p, n, chi))
             checks = [(a.id, a.status) for a in res["report"].assertions]
             out.append((res["by_rank"], res["by_system"], res["agree"], checks))
         return out
@@ -180,7 +172,7 @@ def test_component_dimensions_memory():
     """Certification stays sparse: one dense (dim, dim, m) int64 count tensor
     is 18 MB at (5,3), and the identities would need several at once."""
     p, n = 5, 3
-    rep = build_In(p, n, PChar.trivial(p, n))
+    rep = InducedRep(p, n, PChar.trivial(p, n))
     for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
         rep.piL_basis(lab)  # the cached basis operators are not part of the budget
     tracemalloc.start()
@@ -202,7 +194,7 @@ def test_transport_tables_match_matpn_loop(p, n):
         pairs = [table.decompose(g) for g in products]
         return [table.position[ix] for ix, _ in pairs], [k0.d for _, k0 in pairs]
 
-    left = induced._left_transport(p, n)
+    left = cosets._left_transport(p, n)
     for lab in all_labels(p, n):
         for ai, a in enumerate(class_right_reps(p, n, lab)):
             cls, d0 = reference([a.inv() @ repc for repc in table.reps])

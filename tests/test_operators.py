@@ -92,7 +92,7 @@ def test_slash_identity(sp11):
 
 def test_gamma0_automorphy(sp21):
     # f |_k gamma = chi(d) f for gamma in Gamma_0(N); chi(5) = -1 here
-    from hecke_lab.qexp import evaluate
+    from hecke_lab.qexp import evaluate_many
 
     f = sp21.basis[2]
     gamma = np.array([[17, 4], [21, 5]])
@@ -101,7 +101,7 @@ def test_gamma0_automorphy(sp21):
     lhs = slash_evaluate(f, gamma, z)
     chi_d = complex(sp21.char.value_complex(5))
     assert abs(chi_d + 1) < 1e-12
-    assert np.allclose(lhs, chi_d * evaluate(f, z), atol=1e-9)
+    assert np.allclose(lhs, chi_d * evaluate_many([f], z)[:, 0], atol=1e-9)
 
 
 def test_w_square_is_scalar(sp21):
@@ -113,8 +113,8 @@ def test_w_square_is_scalar(sp21):
 
 
 def test_dual_route_shift(sp21):
-    Us = op_U(sp21, 3, normalized=True, route="sampled")
-    Uc = op_U(sp21, 3, normalized=True, route="coeff")
+    Us = op_U(sp21, 3, route="sampled")
+    Uc = op_U(sp21, 3, route="coeff")
     assert np.linalg.norm(Us.matrix - Uc.matrix) < 1e-8
     assert not Us.poisoned and not Uc.poisoned
 

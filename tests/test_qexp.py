@@ -6,7 +6,6 @@ import pytest
 from hecke_lab.qexp import (
     PrecisionError,
     QExpansion,
-    evaluate,
     evaluate_many,
     op_Up,
     op_Utilde,
@@ -22,20 +21,20 @@ def _single_q(weight, prec):
 
 def test_evaluate_q_at_i():
     f = _single_q(2, 512)
-    val = evaluate(f, np.array([1j]))[0]
+    val = evaluate_many([f], np.array([1j]))[0, 0]
     assert abs(val - math.exp(-2 * math.pi)) < 1e-14
 
 
 def test_periodicity():
     f = QExpansion(2, np.arange(1, 257, dtype=np.complex128))
     z = np.array([0.13 + 0.3j])
-    assert abs(evaluate(f, z)[0] - evaluate(f, z + 1)[0]) < 1e-12
+    assert abs(evaluate_many([f], z)[0, 0] - evaluate_many([f], z + 1)[0, 0]) < 1e-12
 
 
 def test_tail_refusal():
     f = _single_q(2, 4)
     with pytest.raises(PrecisionError):
-        evaluate(f, np.array([0.5j]))
+        evaluate_many([f], np.array([0.5j]))
 
 
 def test_evaluate_many_matches_single():
@@ -47,7 +46,7 @@ def test_evaluate_many_matches_single():
     pts = np.array([0.1 + 0.4j, -0.2 + 0.55j])
     block = evaluate_many(forms, pts)
     for j, f in enumerate(forms):
-        assert np.allclose(block[:, j], evaluate(f, pts))
+        assert np.allclose(block[:, j], evaluate_many([f], pts)[:, 0])
 
 
 def test_shift_normalization():

@@ -23,7 +23,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hecke_lab.characters import DirChar, _factorize
+from hecke_lab.characters import DirChar
+from hecke_lab.cyclotomic import _factorize
 from hecke_lab.dimoracle import dim_cusp, dim_new, _divisors
 
 PREC = 2048
