@@ -19,6 +19,13 @@ import numpy as np
 
 from .characters import _vp
 
+# The one size budget, on the matrices a cell builds at once.  Enumerating
+# K0(p^m) mod p^n: at m = n it admits exactly the cells with p^n <= 128
+# (K0(125) has 1.25M elements, K0(343) 29.6M).  The transport tables, dim^2
+# matrices in all: it admits every cell up to (5, 4) (562,500) and refuses
+# (7, 4) (7.5M).
+K0_ENUMERATION_LIMIT = 2**21
+
 
 @dataclass(frozen=True)
 class MatPn:
@@ -356,10 +363,17 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     and d0[a, c] is the lower-right entry of k0.
 
     Character-independent, shared by every chi at this cell: the coset sum of
-    the algebra and its left action on the induced model both read it.
+    the algebra and its left action on the induced model both read it.  The
+    class sizes add up to dim, so the tables hold dim^2 products; a cell over
+    the size budget is refused before any is built.
     """
+    dim = p**n + p ** (n - 1)
+    if dim * dim > K0_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"transport tables mod {p}^{n} hold {dim * dim} matrices; "
+            f"the limit is {K0_ENUMERATION_LIMIT}"
+        )
     table = coset_table(p, n)
-    dim = table.dim
     out = {}
     for lab in all_labels(p, n):
         ainv = class_right_reps(p, n, lab).inv()
@@ -374,10 +388,6 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 # K0 enumeration and the K_g subgroup
 # ---------------------------------------------------------------------------
 
-# The one size guard on enumeration: elements of K0(p^m) mod p^n.  At m = n
-# it admits exactly the cells with p^n <= 128 (K0(125) has 1.25M elements,
-# K0(343) 29.6M).
-K0_ENUMERATION_LIMIT = 2**21
 # Matrices per enumeration block: the transient arrays of one conjugated
 # block stay near 2 MB, so walking K_g adds little to a process's peak.
 _BLOCK_ELEMENTS = 2**14

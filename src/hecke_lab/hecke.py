@@ -4,8 +4,14 @@ Basis functions are chi-twisted indicators of supported double cosets: V_j on
 the y(p^j) class (j = r, ..., n where r is the conductor exponent of chi) and,
 for trivial chi only, U0 on the w class.  V_n is the indicator of K0(p^n)
 itself and is the identity of the algebra.  Convolution is the finite coset
-sum with K0(p^n) normalized to mass 1, so all structure constants are exact
-cyclotomic integers (plain integers on this basis).
+sum with K0(p^n) normalized to mass 1.
+
+The structure constants on this basis are counts.  A y(p^j) class
+representative a moves every coset with a factor k0 whose lower-right entry
+is 1 mod p^j (the lemma in _basis_product), and j >= r on the supported
+basis, so every term of the coset sum is chi(1) = 1; on the w class chi is
+trivial.  The algebra therefore runs over Q: coefficients are Fractions and
+the integer constants are shared by every character of a cell.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .cosets import (
     k0_order,
     label_rep,
 )
-from .cyclotomic import CycNum
 from .groupconv import BRUTE_LIMIT, cross_check_structure
 from .report import Report, check, check_bool, timed
 
@@ -115,11 +120,11 @@ def basis_exponent(vexp: np.ndarray, lab: str, g: MatPn) -> Optional[int]:
 
 
 class HeckeElem:
-    """Element of the algebra: exact coefficients over supported labels."""
+    """Element of the algebra: rational coefficients over supported labels."""
 
     __slots__ = ("p", "n", "chi", "coeffs")
 
-    def __init__(self, p: int, n: int, chi: PChar, coeffs: dict[str, CycNum]):
+    def __init__(self, p: int, n: int, chi: PChar, coeffs: dict[str, Fraction]):
         self.p = p
         self.n = n
         self.chi = chi
@@ -128,17 +133,15 @@ class HeckeElem:
         for lab, c in coeffs.items():
             if lab not in allowed:
                 raise AlgebraError(f"label {lab} is not supported for this character")
-            if isinstance(c, (int, Fraction)):
-                c = chi.field.from_rational(c)
-            if not c.is_zero():
-                clean[lab] = c
+            if c:
+                clean[lab] = Fraction(c)
         self.coeffs = clean
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def basis(cls, p: int, n: int, chi: PChar, lab: str) -> "HeckeElem":
-        return cls(p, n, chi, {lab: chi.field.one})
+        return cls(p, n, chi, {lab: 1})
 
     @classmethod
     def identity(cls, p: int, n: int, chi: PChar) -> "HeckeElem":
@@ -161,7 +164,7 @@ class HeckeElem:
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "HeckeElem":
-        if isinstance(scalar, (int, Fraction, CycNum)):
+        if isinstance(scalar, (int, Fraction)):
             return HeckeElem(
                 self.p, self.n, self.chi, {lab: c * scalar for lab, c in self.coeffs.items()}
             )
@@ -187,18 +190,13 @@ class HeckeElem:
     def __repr__(self):
         if not self.coeffs:
             return "HeckeElem(0)"
-        parts = [f"{c!r}*{lab}" for lab, c in sorted(self.coeffs.items())]
+        parts = [f"{c}*{lab}" for lab, c in sorted(self.coeffs.items())]
         return "HeckeElem(" + " + ".join(parts) + ")"
 
     def pretty(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for lab in sorted(self.coeffs):
-            c = self.coeffs[lab]
-            cs = str(c.as_rational()) if c.is_rational() else repr(c)
-            parts.append(f"({cs})*{lab}")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*{lab}" for lab, c in sorted(self.coeffs.items()))
 
 
 def y_element(p: int, n: int, chi: PChar, ell: int) -> HeckeElem:
@@ -207,61 +205,61 @@ def y_element(p: int, n: int, chi: PChar, ell: int) -> HeckeElem:
     r = max(chi.conductor_exponent, 1)
     if not r <= ell <= n:
         raise AlgebraError(f"Y_{ell} undefined: need {r} <= ell <= {n}")
-    one = chi.field.one
-    return HeckeElem(p, n, chi, {f"y{i}": one for i in range(ell, n + 1)})
+    return HeckeElem(p, n, chi, {f"y{i}": 1 for i in range(ell, n + 1)})
 
 
 @lru_cache(maxsize=None)
-def _basis_product_cached(p: int, n: int, chi: PChar, lab1: str, lab2: str) -> tuple:
-    prod = _basis_product(p, n, chi, lab1, lab2)
-    return tuple(sorted(prod.items()))
+def _basis_product_cached(p: int, n: int, lab1: str, lab2: str) -> tuple:
+    return tuple(sorted(_basis_product(p, n, lab1, lab2).items()))
 
 
-def _basis_product(p: int, n: int, chi: PChar, lab1: str, lab2: str) -> dict[str, CycNum]:
-    """Convolution of two basis functions, evaluated at every double-coset
-    representative h via the right-coset sum over the class representatives
-    a of lab1; off-support values must vanish.
+def _basis_product(p: int, n: int, lab1: str, lab2: str) -> dict[str, int]:
+    """Structure constants of V_lab1 * V_lab2: its value at every double-coset
+    representative h, by the right-coset sum over the class representatives
+    a of lab1.
 
-    Each a has twist 1, and a^{-1} h = k0 rep_c puts the lower-right entry of
-    k0 into the twist slot of lab2 (for either kind of class), so the value
-    at h is the exponent histogram of chi at the transport table's d0 over
-    the rows whose coset c lies in lab2's class, collapsed to a field
-    element once per target.
+    Each a has twist 1, and a^{-1} h = k0 rep_c puts the lower-right entry d0
+    of k0 into the twist slot of lab2 (for either kind of class), so the
+    value at h is the sum of chi(d0) over the transport table's rows whose
+    coset c lies in lab2's class.  Every such term is 1:
+
+    Lemma.  For lab1 = y(p^j), every d0 in the table is 1 mod p^j.
+    Proof.  For j = n the only representative is a = I, so k0 = I.  For
+    j < n, a = (s, 0; p^j, 1) with s a unit, and
+    a^{-1} = (s^-1, 0; -p^j s^-1, 1) = diag(s^-1, 1) y(u) with u = -p^j s^-1.
+    As p | u, y(u) = (1, 0; u, 1) maps each coset representative exactly
+    onto another: y(u) (0, -1; 1, d) = (0, -1; 1, d - u) and
+    y(u) y(c) = y(c + u).  So a^{-1} rep_c = diag(s^-1, 1) rep_c' and
+    d0 = 1.
+
+    On the supported basis j >= r, so chi(d0) = 1; lab1 = w is supported
+    only for trivial chi.  The value at h is therefore the count of those
+    rows, the same for every character of the cell: which labels a given
+    chi admits is left to HeckeElem's label check.  The congruence is
+    checked on the table read here, and a failure raises AlgebraError.
     """
     table = coset_table(p, n)
     cls, d0 = _left_transport(p, n)[lab1]
+    if lab1 != "w":
+        pj = p ** int(lab1[1:])
+        if np.any(d0 % pj != 1):
+            raise AlgebraError(f"the {lab1} transport has a d0 off 1 mod {pj}: not a count")
     in_lab2 = np.array(table.labels) == lab2
-    vexp = chi.exponent_table()
-    out: dict[str, CycNum] = {}
-    supported = set(supported_basis(p, n, chi))
-    for lab_h in all_labels(p, n):
-        # the standard representative of each class is its own coset's rep
-        c_h = table.position[table.canonical_index(label_rep(p, n, lab_h))]
-        e = vexp[d0[in_lab2[cls[:, c_h]], c_h]]
-        if not len(e):
-            continue
-        if np.any(e < 0):
-            raise AssertionError("twist evaluated at a non-unit entry")
-        total = chi.field.from_exponent_counts(np.bincount(e, minlength=chi.field.order))
-        if total.is_zero():
-            continue
-        if lab_h not in supported:
-            raise AlgebraError(
-                f"convolution {lab1}*{lab2} leaks onto unsupported class {lab_h}: {total!r}"
-            )
-        out[lab_h] = total
-    return out
+    labels = all_labels(p, n)
+    # the standard representative of each class is its own coset's rep
+    c_h = [table.position[table.canonical_index(label_rep(p, n, lab))] for lab in labels]
+    counts = np.count_nonzero(in_lab2[cls[:, c_h]], axis=0)
+    return {lab: int(c) for lab, c in zip(labels, counts) if c}
 
 
 def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     """Exact convolution via cached basis products; bilinear."""
     f1._require_same(f2)
-    acc: dict[str, CycNum] = {}
+    acc: dict[str, Fraction] = {}
     for l1, c1 in f1.coeffs.items():
         for l2, c2 in f2.coeffs.items():
-            c12 = c1 * c2
-            for lab, c in _basis_product_cached(f1.p, f1.n, f1.chi, l1, l2):
-                acc[lab] = acc[lab] + c12 * c if lab in acc else c12 * c
+            for lab, count in _basis_product_cached(f1.p, f1.n, l1, l2):
+                acc[lab] = acc.get(lab, 0) + c1 * c2 * count
     return HeckeElem(f1.p, f1.n, f1.chi, acc)
 
 
@@ -269,13 +267,13 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     """Same convolution through the mirrored sum over left-coset
     representatives of the support of f2; used as a consistency check.
 
-    Terms are accumulated as one exponent histogram per pair of basis
-    labels (l2, label of h b^{-1}) and collapsed once per pair."""
+    Roots of unity do cancel here: terms are accumulated as one exponent
+    histogram per pair of basis labels (l2, label of h b^{-1}), and each
+    histogram must collapse to a rational (ValueError otherwise)."""
     f1._require_same(f2)
     p, n, chi = f1.p, f1.n, f1.chi
     vexp, field = chi.exponent_table(), chi.field
-    out: dict[str, CycNum] = {}
-    supported = set(supported_basis(p, n, chi))
+    out: dict[str, Fraction] = {}
     for lab_h in all_labels(p, n):
         h = label_rep(p, n, lab_h)
         hists: dict[tuple[str, str], np.ndarray] = {}
@@ -291,14 +289,12 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
                 e1 = basis_exponent(vexp, lab_x, x)
                 hist = hists.setdefault((l2, lab_x), np.zeros(field.order, dtype=np.int64))
                 hist[(e1 + e2) % field.order] += 1
-        total = field.zero
-        for (l2, lab_x), hist in hists.items():
-            total = total + f1.coeffs[lab_x] * f2.coeffs[l2] * field.from_exponent_counts(hist)
-        if total.is_zero():
-            continue
-        if lab_h not in supported:
-            raise AlgebraError(f"mirrored convolution leaks onto {lab_h}")
-        out[lab_h] = total
+        total = sum(
+            f1.coeffs[lab_x] * f2.coeffs[l2] * field.from_exponent_counts(hist).as_rational()
+            for (l2, lab_x), hist in hists.items()
+        )
+        if total:
+            out[lab_h] = total
     return HeckeElem(p, n, chi, out)
 
 
@@ -313,7 +309,7 @@ class StructTable:
     n: int
     char_spec: dict
     labels: list[str]
-    constants: dict  # (lab_i, lab_j) -> {lab_k: CycNum}
+    constants: dict  # (lab_i, lab_j) -> {lab_k: Fraction}
 
     def is_commutative(self) -> bool:
         for li in self.labels:
@@ -324,11 +320,13 @@ class StructTable:
 
 
 def structure_table(p: int, n: int, chi: PChar) -> StructTable:
-    """Structure constants over the supported basis."""
+    """Structure constants over the supported basis, each product through
+    convolve and so through HeckeElem's label check."""
     char_spec = {"modulus": p**n, "conrey": chi.conrey_index()}
     labels = supported_basis(p, n, chi)
+    basis = {lab: HeckeElem.basis(p, n, chi, lab) for lab in labels}
     constants = {
-        (li, lj): dict(_basis_product_cached(p, n, chi, li, lj)) for li in labels for lj in labels
+        (li, lj): convolve(basis[li], basis[lj]).coeffs for li in labels for lj in labels
     }
     return StructTable(p=p, n=n, char_spec=char_spec, labels=labels, constants=constants)
 
@@ -345,7 +343,6 @@ def verify_relations(p: int, n: int, chi: PChar) -> Report:
     """
     rep = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": chi.conductor_exponent})
     r = chi.conductor_exponent
-    field = chi.field
     basis = supported_basis(p, n, chi)
     tag = f"p{p}.n{n}.chi{chi.conrey_index()}"
 
@@ -377,7 +374,12 @@ def verify_relations(p: int, n: int, chi: PChar) -> Report:
         for a in basis:
             for b in basis:
                 lhs = convolve(B(a), B(b))
-                rhs = convolve_mirrored(B(a), B(b))
+                try:
+                    rhs = convolve_mirrored(B(a), B(b))
+                except ValueError as exc:  # a non-rational collapse or a leak
+                    ok = False
+                    detail = f"mirror at {a}*{b}: {exc}"
+                    continue
                 if lhs != rhs:
                     ok = False
                     detail = f"mirror mismatch at {a}*{b}"
@@ -391,8 +393,8 @@ def verify_relations(p: int, n: int, chi: PChar) -> Report:
             got = convolve(B(f"y{ell}"), B(f"y{ell}"))
             want = HeckeElem(
                 p, n, chi,
-                {f"y{i}": field.from_rational(c * (p - 1)) for i in range(ell + 1, n + 1)}
-                | {f"y{ell}": field.from_rational(c * (p - 2))},
+                {f"y{i}": c * (p - 1) for i in range(ell + 1, n + 1)}
+                | {f"y{ell}": c * (p - 2)},
             )
         check(
             rep, f"{tag}.Vsquare.l{ell}", want.pretty(), got.pretty(), "formula", t.elapsed

@@ -26,6 +26,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .characters import PChar, unit_generators
 from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
 from .cyclotomic import CyclotomicField, _solve_fraction_system
+from .groupconv import BRUTE_LIMIT
 from .report import Report, check, check_bool, timed
 
 
@@ -522,7 +523,7 @@ def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> di
             raise AssertionError(f"projector trace not integral: {tr}")
         by_rank[name] = int(tr)
 
-    if p**n <= 27:
+    if p**n <= BRUTE_LIMIT:
         with timed() as t:
             ok = all(_rank_mod_q(projs[name], rep.field.order) == by_rank[name] for name in projs)
         check_bool(report, f"{tag}.rank-specialization", ok, "oracle", t.elapsed)

@@ -35,6 +35,14 @@ def test_verify_small_campaign(tmp_path):
         assert a["provenance"] in ("formula", "definition", "oracle")
 
 
+def test_verify_refuses_oversized_cell(tmp_path, capsys):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [{"p": 7, "n": 4}], "fixture_dirs": []}))
+    code = main(["verify", "--campaign", str(campaign)])
+    assert code == 2
+    assert "limit" in capsys.readouterr().err
+
+
 def test_classical_single_operator(tmp_path):
     report = tmp_path / "out.json"
     code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "11",

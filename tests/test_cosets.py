@@ -7,6 +7,7 @@ from hecke_lab.cosets import (
     K0_ENUMERATION_LIMIT,
     Kg_condition_closed_form,
     MatPn,
+    _left_transport,
     all_labels,
     class_right_reps,
     coset_table,
@@ -122,6 +123,25 @@ def test_enumeration_refused_before_allocating():
             enumerate_Kg(ymat(7, 3, 7))
         with pytest.raises(ValueError, match="limit"):
             enumerate_K0(5, 3, 2)  # K0(5^2) mod 5^3 is five times K0(5^3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_transport_refused_before_allocating():
+    # the tables hold dim^2 products: every cell of the large campaign fits
+    # the budget, up to (5, 4) with 562,500; (7, 4) needs 7.5M
+    def products(p, n):
+        return (p ** (n - 1) * (p + 1)) ** 2
+
+    large = [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (5, 4), (7, 2), (7, 3), (11, 2)]
+    assert max(products(p, n) for p, n in large) == products(5, 4) <= K0_ENUMERATION_LIMIT
+    assert products(7, 4) > K0_ENUMERATION_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            _left_transport(7, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,4 +1,7 @@
-from fractions import Fraction
+import cmath
+
+import numpy as np
+import pytest
 
 from hecke_lab.cyclotomic import euler_phi, get_field
 
@@ -9,45 +12,51 @@ def test_euler_phi():
 
 def test_fourth_root():
     f = get_field(4)
-    z = f.zeta()
-    assert z * z == f.from_rational(Fraction(-1))
-    assert z * z * z * z == f.one
+    assert f.zeta(2).as_rational() == -1
+    assert f.zeta(4) == f.zeta(0) == f.from_exponent_counts([1, 0, 0, 0])
+    assert f.zeta(1) + f.zeta(3) == f.zero
+    assert f.from_exponent_counts([1, 0, 1, 0]) == f.zero
 
 
 def test_third_root_minimal_polynomial():
     f = get_field(3)
-    z = f.zeta()
-    assert z * z + z + f.one == f.zero
+    assert f.from_exponent_counts([1, 1, 1]) == f.zero
+    assert f.zeta(0) + f.zeta(1) + f.zeta(2) == f.zero
+    assert f.from_exponent_counts([0, 2, 2]).as_rational() == -2
 
 
 def test_rational_detection():
     f = get_field(8)
-    z = f.zeta()
-    w = z * z  # a fourth root of unity, not rational
-    assert not w.is_rational()
-    assert (w * w).is_rational()
-    assert (w * w).as_rational() == Fraction(-1)
-
-
-def test_inverse_and_conj():
-    f = get_field(5)
-    z = f.zeta()
-    a = f.one + z
-    assert a * a.inverse() == f.one
-    assert a.conj().conj() == a
-    # conjugation is complex conjugation under the standard embedding
-    assert abs(a.conj().to_complex() - a.to_complex().conjugate()) < 1e-12
-
-
-def test_complex_embedding():
-    import cmath
-
-    f = get_field(12)
-    z = f.zeta()
-    assert abs(z.to_complex() - cmath.exp(2j * cmath.pi / 12)) < 1e-12
+    assert not f.zeta(2).is_rational()
+    assert f.zeta(4).is_rational()
+    assert f.zeta(4).as_rational() == -1
+    # the counts (0, 0, 1, 0, 0, 0, 1, 0) are zeta^2 + zeta^6 = 0
+    assert f.from_exponent_counts([0, 0, 1, 0, 0, 0, 1, 0]).as_rational() == 0
+    with pytest.raises(ValueError, match="not rational"):
+        f.from_exponent_counts([3, 0, 1, 0, 0, 0, 0, 0]).as_rational()
+    with pytest.raises(ValueError, match="length"):
+        f.from_exponent_counts([1, 0, 0])
 
 
 def test_zeta_power_reduction():
     f = get_field(12)
-    z6 = f.zeta(6)  # power of the primitive root landing at -1
-    assert z6 == f.from_rational(Fraction(-1))
+    assert f.zeta(6).as_rational() == -1
+    # every row of the reduction table is zeta^e written on the power basis:
+    # check it under the embedding zeta -> exp(2 pi i / m)
+    for m in (1, 2, 5, 9, 12, 20, 98):
+        f = get_field(m)
+        assert f.reduction.shape == (m, euler_phi(m))
+        powers = np.exp(2j * cmath.pi / m * np.arange(f.degree))
+        for e in range(m):
+            assert abs(f.reduction[e] @ powers - cmath.exp(2j * cmath.pi * e / m)) < 1e-9, (m, e)
+
+
+def test_exponent_counts_match_zeta_sums():
+    f = get_field(20)
+    rng = np.random.default_rng(5)
+    counts = rng.integers(-3, 4, size=20)
+    total = f.zero
+    for e, c in enumerate(counts):
+        for _ in range(abs(int(c))):
+            total = total + (f.zeta(e) if c > 0 else f.zeta(e + 10))  # -zeta^e = zeta^(e+10)
+    assert f.from_exponent_counts(counts) == total
