@@ -98,17 +98,19 @@ class CyclotomicField:
             raise ValueError("count vector must have length m")
         return CycNum(self, self.reduce_exponent_matrix(counts).tolist())
 
-    def reduce_exponent_matrix(self, counts: np.ndarray) -> np.ndarray:
-        """Vectorized reduction: (..., m) integer counts -> (..., degree) coords.
+    def reduce_exponent_matrix(self, counts: np.ndarray, exps=None) -> np.ndarray:
+        """Vectorized reduction: (..., k) integer counts -> (..., degree) coords,
+        counts[..., i] the multiplicity of zeta^exps[i] (default: k = m and
+        exps = 0..m-1).
 
         Routed through BLAS in float64 when every intermediate integer provably
-        fits in the 2^53 mantissa (m * max|count| * max|table entry| < 2^52),
+        fits in the 2^53 mantissa (k * max|count| * max|table entry| < 2^52),
         which is a large speedup on the big cells; int64 otherwise.
         """
-        red = self.reduction
+        red = self.reduction if exps is None else self.reduction[exps]
         cmax = int(np.abs(counts).max(initial=0))
         rmax = int(np.abs(red).max(initial=0))
-        if cmax * rmax * self.order < 2**52:
+        if cmax * rmax * len(red) < 2**52:
             out = counts.astype(np.float64) @ red.astype(np.float64)
             return np.rint(out).astype(np.int64)
         return counts @ red

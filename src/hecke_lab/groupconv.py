@@ -92,24 +92,25 @@ def _value_exponents(t: GroupTable, chi: PChar, lab: str):
     return mask, expo
 
 
-def brute_convolve_labels(p: int, n: int, chi: PChar, lab1: str, lab2: str) -> dict[str, Fraction]:
-    """Structure constants of one basis product from the whole-group sum.
+def brute_convolve_labels(t: GroupTable, chi: PChar, f1: tuple, f2: tuple) -> dict[str, Fraction]:
+    """Structure constants of one basis product from the whole-group sum,
+    f1 and f2 the (mask, exponent) arrays of the two basis functions.  Only
+    the g in the support of f1 are visited.
 
     Roots of unity do cancel here: the twisted terms at each target are an
     exponent histogram, which must collapse to a rational (ValueError
     otherwise)."""
-    t = group_table(p, n)
     m = chi.field.order
-    mask1, e1 = _value_exponents(t, chi, lab1)
-    mask2, e2 = _value_exponents(t, chi, lab2)
+    (mask1, e1), (mask2, e2) = f1, f2
+    support = np.flatnonzero(mask1)
+    e1 = e1[support]
     out: dict[str, Fraction] = {}
-    for lab_h in all_labels(p, n):
-        h = label_rep(p, n, lab_h)
-        idx = t.inv_times(h)
-        both = mask1 & mask2[idx]
+    for lab_h in all_labels(t.p, t.n):
+        idx = t.inv_times(label_rep(t.p, t.n, lab_h))[support]
+        both = mask2[idx]
         if not np.any(both):
             continue
-        te = (e1[both] + e2[idx][both]) % m
+        te = (e1[both] + e2[idx[both]]) % m
         counts = np.bincount(te, minlength=m)
         val = chi.field.from_exponent_counts(counts).as_rational() / t.K0_size
         if val:
@@ -122,12 +123,14 @@ def cross_check_structure(rep: Report, p: int, n: int, chi: PChar, tag: str) -> 
     from .hecke import _basis_product_cached, supported_basis
 
     basis = supported_basis(p, n, chi)
+    table = group_table(p, n)
+    values = {lab: _value_exponents(table, chi, lab) for lab in basis}
     for l1 in basis:
         for l2 in basis:
             with timed() as t:
                 want = dict(_basis_product_cached(p, n, l1, l2))
                 try:
-                    got = brute_convolve_labels(p, n, chi, l1, l2)
+                    got = brute_convolve_labels(table, chi, values[l1], values[l2])
                     detail = "" if got == want else f"coset {want} vs group {got}"
                 except ValueError as exc:  # a non-rational collapse
                     detail = f"group sum: {exc}"

@@ -3,12 +3,12 @@
 I(n) is realized on coordinate vectors indexed by the canonical coset
 representatives of K0(p^n)\\GL2(Z/p^n) (dimension p^{n-1}(p+1)).  Every
 operator that appears here - right translation by one group element, or the
-convolution action of one algebra basis element - is a sum of "phase
-permutations": matrices with at most one nonzero entry per row, each a root
-of unity.  Sums, products and traces of such operators are therefore exact
-integer bookkeeping on (permutation, exponent) arrays, which is what makes
-the p^n = 125 cell affordable; nothing is ever evaluated in floating point
-except on explicit request.
+convolution action of one algebra basis element - is built as a sum of
+"phase permutations": matrices with at most one nonzero entry per row, each a
+root of unity.  Products, traces and vanishing checks hold an operator as
+integer count matrices, one per root-of-unity exponent that occurs (a live
+bucket), and multiply them with BLAS: in float64 only under a proven bound
+that keeps every integer exact, in int64 otherwise.  Every verdict is exact.
 """
 
 from __future__ import annotations
@@ -39,16 +39,18 @@ class PhasePermSum:
     """Sum of A operators, each a twisted permutation of the dim coordinates.
 
     cls[a, c] is the source coordinate feeding row c under operator a, and
-    e[a, c] the root-of-unity exponent (mod m) attached to that entry, i.e.
-    (T_a v)[c] = zeta^e[a,c] * v[cls[a,c]].
+    e[a, c] the root-of-unity exponent attached to that entry, i.e.
+    (T_a v)[c] = zeta^e[a,c] * v[cls[a,c]].  This is the construction format;
+    products, traces and vanishing are computed on `buckets`.
     """
 
-    __slots__ = ("cls", "e", "m")
+    __slots__ = ("cls", "e", "m", "_buckets")
 
     def __init__(self, cls: np.ndarray, e: np.ndarray, m: int):
         self.cls = np.atleast_2d(np.asarray(cls, dtype=np.int64))
-        self.e = np.atleast_2d(np.asarray(e, dtype=np.int64)) % m
+        self.e = np.atleast_2d(np.asarray(e, dtype=np.int64))
         self.m = m
+        self._buckets = None
         if self.cls.shape != self.e.shape:
             raise ValueError("cls/e shape mismatch")
 
@@ -60,35 +62,19 @@ class PhasePermSum:
     def dim(self) -> int:
         return self.cls.shape[1]
 
-    def compose(self, other: "PhasePermSum") -> "PhasePermSum":
-        """Operator product (sum_a T_a)(sum_b S_b), expanded term by term.
-
-        self may hold only a block of rows of the left operator (cls of shape
-        (A, rows)); the product then holds the same rows."""
-        if self.m != other.m or self.dim > other.dim:
-            raise ValueError("mismatched operators")
-        ci = self.cls  # (A, rows)
-        cls_out = other.cls[:, ci]  # (B, A, rows)
-        e_out = self.e[None, :, :] + other.e[:, ci]  # reduced mod m by the constructor
-        return PhasePermSum(
-            cls_out.reshape(-1, self.dim), e_out.reshape(-1, self.dim), self.m
-        )
-
-    def concat(self, other: "PhasePermSum") -> "PhasePermSum":
-        return PhasePermSum(
-            np.concatenate([self.cls, other.cls]),
-            np.concatenate([self.e, other.e]),
-            self.m,
-        )
-
-    def act_int_vector(self, v: np.ndarray) -> np.ndarray:
-        """Image of an integer vector, as a (dim, m) exponent-count array."""
-        a, dim = self.cls.shape
-        gathered = np.asarray(v, dtype=np.int64)[self.cls]
-        hist = np.zeros((dim, self.m), dtype=np.int64)
-        rows = np.broadcast_to(np.arange(dim, dtype=np.int64), (a, dim))
-        np.add.at(hist, (rows.ravel(), self.e.ravel()), gathered.ravel())
-        return hist
+    @property
+    def buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exps, counts): the distinct exponents mod m of the operator's
+        entries, and counts[b, c, c'] the number of terms a with
+        cls[a, c] = c' and e[a, c] = exps[b] mod m.  The operator is then
+        sum_b zeta^exps[b] counts[b]; built once, on first use."""
+        if self._buckets is None:
+            dim = self.dim
+            exps, at = np.unique(self.e % self.m, return_inverse=True)
+            flat = (at.reshape(self.e.shape) * dim + np.arange(dim)) * dim + self.cls
+            counts = np.bincount(flat.ravel(), minlength=len(exps) * dim * dim)
+            self._buckets = (exps, counts.reshape(-1, dim, dim).astype(np.float64))
+        return self._buckets
 
 
 # ---------------------------------------------------------------------------
@@ -132,40 +118,34 @@ class InducedRep:
 
     # -- operators ---------------------------------------------------------
 
+    def _twisted(self, cls: np.ndarray, d0: np.ndarray) -> PhasePermSum:
+        """The phase-perm sum with sources cls and phases chi(d0); exponents
+        come from the character's table, already reduced mod m."""
+        e = self.chi.exponent_table()[d0]
+        if np.any(e < 0):
+            raise AssertionError("twist evaluated at a non-unit entry")
+        return PhasePermSum(cls, e, self.field.order)
+
     def piL_basis(self, lab: str) -> PhasePermSum:
         """Convolution action of one algebra basis function, as a phase-perm
         sum (one term per class representative)."""
         hit = self._piL_cache.get(lab)
-        if hit is not None:
-            return hit
-        cls, d0 = _left_transport(self.p, self.n)[lab]
-        vexp = self.chi.exponent_table()
-        e = vexp[d0]
-        if np.any(e < 0):
-            raise AssertionError("twist evaluated at a non-unit entry")
-        pps = PhasePermSum(cls, e, self.field.order)
-        self._piL_cache[lab] = pps
-        return pps
+        if hit is None:
+            hit = self._piL_cache[lab] = self._twisted(*_left_transport(self.p, self.n)[lab])
+        return hit
 
     def y_operator(self, k: int) -> PhasePermSum:
         """Y_k = sum of the basis operators of levels k..n, as one phase-perm
         sum, built once per k."""
-        hit = self._y_cache.get(k)
-        if hit is None:
-            hit = self.piL_basis(f"y{k}")
-            if k < self.n:
-                hit = hit.concat(self.y_operator(k + 1))
-            self._y_cache[k] = hit
-        return hit
+        if k not in self._y_cache:
+            parts = [self.piL_basis(f"y{j}") for j in range(k, self.n + 1)]
+            cls, e = (np.vstack([getattr(f, x) for f in parts]) for x in ("cls", "e"))
+            self._y_cache[k] = PhasePermSum(cls, e, self.field.order)
+        return self._y_cache[k]
 
     def piR(self, k: MatPn) -> PhasePermSum:
         """Right translation by one group element (a single phase perm)."""
-        cls, d0 = _right_transport(self.p, self.n, k)
-        vexp = self.chi.exponent_table()
-        e = vexp[d0]
-        if np.any(e < 0):
-            raise AssertionError("twist evaluated at a non-unit entry")
-        return PhasePermSum(cls[None, :], e[None, :], self.field.order)
+        return self._twisted(*_right_transport(self.p, self.n, k))
 
     # -- vectors -----------------------------------------------------------
 
@@ -188,8 +168,13 @@ class InducedRep:
     # -- exact helpers -----------------------------------------------------
 
     def act(self, pps: PhasePermSum, v: np.ndarray) -> np.ndarray:
-        """Apply an operator to an integer vector; (dim, degree) coordinates."""
-        return self.field.reduce_exponent_matrix(pps.act_int_vector(v))
+        """Apply an operator to an integer vector, one matrix-vector product
+        per bucket; (dim, degree) coordinates."""
+        exps, counts = pps.buckets
+        # each row of the buckets added up sums to the number of terms
+        dt = _exact_dtype(pps.terms * float(np.abs(v).max(initial=0)))
+        img = counts.astype(dt, copy=False) @ np.asarray(v, dtype=dt)
+        return self.field.reduce_exponent_matrix(img.T.astype(np.int64), exps)
 
     def embed_int_vector(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros((self.dim, self.field.degree), dtype=np.int64)
@@ -338,66 +323,99 @@ def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
 
 
 # A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
-# over its terms, each factor a PhasePermSum.  Products are never expanded in
-# full: _row_blocks expands them one block of rows at a time.
+# over its terms, each factor a PhasePermSum.  Products are formed on the
+# factors' count matrices, one block of rows at a time (_row_blocks).
 
-_BLOCK_ENTRIES = 2**18  # expanded (term, row) entries held per row block
+_BLOCK_ENTRIES = 2**18  # (bucket, row, col) product entries held per row block
+_FLOAT_EXACT = 2**52  # float64 arithmetic is exact on integers below this
+
+
+def _exact_dtype(bound: float) -> type:
+    """dtype for an integer computation whose values and partial sums are at
+    most `bound` in absolute value: float64 (BLAS) below _FLOAT_EXACT, int64
+    below 2^62 (a margin for the rounding of the bound itself), else refused."""
+    if bound < _FLOAT_EXACT:
+        return np.float64
+    if bound < 2**62:
+        return np.int64
+    raise OverflowError(f"integer bound {bound:.3g} does not fit int64")
+
+
+def _times(left: tuple, right: PhasePermSum) -> tuple[np.ndarray, np.ndarray]:
+    """Product of a bucketed operator (exps, counts), counts of shape
+    (buckets, rows, dim), with a phase-perm sum: bucket e1 of the left times
+    bucket e2 of the right adds into bucket (e1 + e2) mod m.
+
+    The left holds nonnegative counts and every entry of the right's buckets
+    added up is at most its number of terms, so no entry or partial sum
+    exceeds (max row sum of the left's buckets added up) * right.terms;
+    _exact_dtype picks from that bound."""
+    (e1, a), (e2, b) = left, right.buckets
+    dt = _exact_dtype(a.sum(axis=(0, 2), dtype=np.float64).max(initial=0) * right.terms)
+    a, b = a.astype(dt, copy=False), b.astype(dt, copy=False)
+    target = (e1[:, None] + e2[None, :]) % right.m
+    exps = np.unique(target)
+    out = np.zeros((len(exps), a.shape[1], b.shape[2]), dtype=dt)
+    for (i, j), e in np.ndenumerate(target):
+        out[np.searchsorted(exps, e)] += a[i] @ b[j]
+    return exps, out
 
 
 def _row_blocks(combo: list) -> Iterator[tuple[np.ndarray, list]]:
-    """Yield (rows, [(q, product restricted to rows)]) over blocks of rows,
-    each product expanded term by term.  A block holds at most
-    _BLOCK_ENTRIES expanded entries, or a single row."""
-    dim = combo[0][1][0].dim
-    per_row = sum(math.prod(f.terms for f in factors) for _, factors in combo)
-    step = max(1, _BLOCK_ENTRIES // per_row)
+    """Yield (rows, [(q, (exps, counts))]) over blocks of rows, counts those of
+    each product restricted to the rows.  A product has at most
+    min(m, product of its factors' bucket counts) buckets, and a block holds
+    at most _BLOCK_ENTRIES (bucket, row, col) entries, or a single row."""
+    m, dim = combo[0][1][0].m, combo[0][1][0].dim
+    if any(f.m != m or f.dim != dim for _, factors in combo for f in factors):
+        raise ValueError("mismatched operators")
+    live = sum(min(m, math.prod(len(f.buckets[0]) for f in factors)) for _, factors in combo)
+    step = max(1, _BLOCK_ENTRIES // (dim * live))
     for lo in range(0, dim, step):
-        rows = slice(lo, min(lo + step, dim))
         block = []
         for q, (head, *tail) in combo:
-            prod = PhasePermSum(head.cls[:, rows], head.e[:, rows], head.m)
+            exps, counts = head.buckets
+            prod = (exps, counts[:, lo : lo + step])
             for f in tail:
-                prod = prod.compose(f)
+                prod = _times(prod, f)
             block.append((q, prod))
-        yield np.arange(rows.start, rows.stop), block
+        yield np.arange(lo, min(lo + step, dim)), block
 
 
 def _vanishes(field: CyclotomicField, combo: list) -> bool:
     """Exact certificate that a combination is the zero operator.
 
-    Each block collapses to one signed count per distinct (row, col,
-    exponent); the (row, col) entries left with a nonzero count are reduced to
-    Q(zeta_m) coordinates, and every coordinate must be zero.
+    Each block adds up its weighted products bucket by bucket; the (row, col)
+    entries left with a nonzero bucket are reduced to Q(zeta_m) coordinates,
+    and every coordinate must be zero.
     """
-    m, dim = field.order, combo[0][1][0].dim
     den = math.lcm(*(q.denominator for q, _ in combo))
-    for rows, block in _row_blocks(combo):
-        codes, counts = [], []
-        for q, x in block:
-            c, k = np.unique(((rows * dim + x.cls) * m + x.e).ravel(), return_counts=True)
-            codes.append(c)
-            counts.append(int(q * den) * k)
-        codes, at = np.unique(np.concatenate(codes), return_inverse=True)
-        signed = np.zeros(len(codes), dtype=np.int64)
-        np.add.at(signed, at, np.concatenate(counts))
-        codes, signed = codes[signed != 0], signed[signed != 0]
-        entries, at = np.unique(codes // m, return_inverse=True)
-        hist = np.zeros((len(entries), m), dtype=np.int64)
-        hist[at, codes % m] = signed
-        if field.reduce_exponent_matrix(hist).any():
+    for _, block in _row_blocks(combo):
+        terms = [(int(q * den), exps, prod) for q, (exps, prod) in block]
+        # products of counts are nonnegative
+        dt = _exact_dtype(sum(abs(w) * float(x.max(initial=0)) for w, _, x in terms))
+        live = np.unique(np.concatenate([exps for _, exps, _ in terms]))
+        acc = np.zeros((len(live),) + terms[0][2].shape[1:], dtype=dt)
+        for w, exps, prod in terms:
+            acc[np.searchsorted(live, exps)] += w * prod.astype(dt, copy=False)
+        entries = acc[:, acc.any(axis=0)].T.astype(np.int64)
+        if field.reduce_exponent_matrix(entries, live).any():
             return False
     return True
 
 
 def _trace(field: CyclotomicField, combo: list) -> Fraction:
-    """Exact trace of a combination; it must be rational."""
-    m = field.order
+    """Exact trace of a combination, from the diagonals of its buckets; it
+    must be rational."""
     den = math.lcm(*(q.denominator for q, _ in combo))
-    hist = np.zeros(m, dtype=np.int64)
+    hist = [0] * field.order
     for rows, block in _row_blocks(combo):
-        for q, x in block:
-            hist += int(q * den) * np.bincount(x.e[x.cls == rows], minlength=m)
-    coords = field.reduce_exponent_matrix(hist)
+        for q, (exps, prod) in block:
+            diag = prod[:, np.arange(len(rows)), rows]
+            sums = diag.sum(axis=1, dtype=_exact_dtype(len(rows) * float(diag.max(initial=0))))
+            for e, s in zip(exps.tolist(), sums.tolist()):
+                hist[e] += int(q * den) * int(s)
+    coords = field.reduce_exponent_matrix(np.array(hist, dtype=np.int64))
     if coords[1:].any():
         raise AssertionError("operator trace landed outside Q")
     return Fraction(int(coords[0]), den)
@@ -447,7 +465,7 @@ def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict
 def _rank_mod_q(combo: list, mord: int) -> int:
     """Rank of a combination specialized at a root of unity in a prime field
     F_q with q = 1 (mod m) dividing no coefficient's denominator.  The F_q
-    matrix is built straight from the phase perms, zeta -> z_q.  A lower
+    matrix is sum_e w z_q^e C_e over the buckets C_e of the products.  A lower
     bound on the true rank, used as an independent confirmation at small
     cells."""
     q = mord + 1
@@ -455,51 +473,31 @@ def _rank_mod_q(combo: list, mord: int) -> int:
         c.denominator % q == 0 for c, _ in combo
     ):
         q += mord
-    # an element of exact order m in F_q^x
-    zq = None
-    if mord == 1:
-        zq = 1
-    else:
-        for h in range(2, q):
-            g = pow(h, (q - 1) // mord, q)
-            x = g
-            order = 1
-            while x != 1:
-                order += 1
-                x = x * g % q
-            if order == mord:
-                zq = g
-                break
-    if zq is None:
-        raise AssertionError("no element of the right order found")
+    # an element of exact order m in F_q^x: q is prime, so one exists
+    divisors = [d for d in range(2, mord + 1) if mord % d == 0]
+    zq = next(g for g in (pow(h, (q - 1) // mord, q) for h in range(1, q))
+              if all(pow(g, mord // d, q) != 1 for d in divisors))
     zpow = np.array([pow(zq, e, q) for e in range(mord)], dtype=np.int64)
     dim = combo[0][1][0].dim
     M = np.zeros((dim, dim), dtype=np.int64)
     for rows, block in _row_blocks(combo):
-        for c, x in block:
+        for c, (exps, prod) in block:
             w = c.numerator * pow(c.denominator, -1, q) % q
-            np.add.at(M, (np.broadcast_to(rows, x.cls.shape), x.cls), zpow[x.e] * w % q)
-    M %= q
-    rank = 0
+            for e, x in zip(exps, prod):
+                M[rows] = (M[rows] + w * zpow[e] % q * (x.astype(np.int64) % q)) % q
+    # Gauss-Jordan elimination mod q; `row` counts the pivots found
     row = 0
     for col in range(dim):
-        piv = None
-        for rr in range(row, dim):
-            if M[rr, col] % q:
-                piv = rr
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(M[row:, col])
+        if not len(nonzero):
             continue
+        piv = row + nonzero[0]
         M[[row, piv]] = M[[piv, row]]
-        inv = pow(int(M[row, col]), -1, q)
-        M[row] = M[row] * inv % q
+        M[row] = M[row] * pow(int(M[row, col]), -1, q) % q
         mask = np.arange(dim) != row
         M[mask] = (M[mask] - np.outer(M[mask, col], M[row])) % q
-        rank += 1
         row += 1
-        if row == dim:
-            break
-    return rank
+    return row
 
 
 def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> dict:

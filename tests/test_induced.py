@@ -1,17 +1,27 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hecke_lab import cosets, induced
+from hecke_lab.campaign import Campaign
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
 from hecke_lab.cyclotomic import get_field
 from hecke_lab.induced import (
     InducedRep,
     PhasePermSum,
+    _times,
     _trace,
     _vanishes,
     component_dimensions,
@@ -116,7 +126,9 @@ def test_products_and_traces_match_dense_matrices(monkeypatch):
             PhasePermSum(rng.integers(dim, size=(3, dim)), rng.integers(m, size=(3, dim)), m)
             for _ in range(3)
         )
-        assert np.allclose(_dense(A.compose(B).compose(C)), _dense(A) @ _dense(B) @ _dense(C))
+        exps, counts = _times(_times(A.buckets, B), C)
+        product = np.tensordot(np.exp(2j * np.pi * exps / m), counts, axes=1)
+        assert np.allclose(product, _dense(A) @ _dense(B) @ _dense(C))
     # Q(zeta_2) = Q, so every trace is rational; one-row blocks split the product
     monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
     combo = [(Fraction(1, 3), (A, B, C)), (2, (C,))]
@@ -169,8 +181,9 @@ def test_one_row_blocks_give_same_verdicts(monkeypatch):
 
 
 def test_component_dimensions_memory():
-    """Certification stays sparse: one dense (dim, dim, m) int64 count tensor
-    is 18 MB at (5,3), and the identities would need several at once."""
+    """Certification holds one (dim, dim) count matrix per live bucket of each
+    operator and one block of rows of each product, far below the 18 MB of a
+    single dense (dim, dim, m) int64 tensor at (5,3)."""
     p, n = 5, 3
     rep = InducedRep(p, n, PChar.trivial(p, n))
     for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
@@ -183,6 +196,117 @@ def test_component_dimensions_memory():
         tracemalloc.stop()
     assert res["agree"]
     assert peak_mb < 48, peak_mb
+
+
+def test_component_dimensions_large_operator():
+    """The trivial character at (7,3), dimension 392: all three routes agree
+    within the (5,3) memory budget."""
+    p, n = 7, 3
+    rep = InducedRep(p, n, PChar.trivial(p, n))
+    for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
+        rep.piL_basis(lab)  # the cached basis operators are not part of the budget
+    tracemalloc.start()
+    try:
+        res = component_dimensions(rep)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert res["agree"] and res["by_rank"] == res["by_system"] == res["by_formula"]
+    assert peak_mb < 48, peak_mb
+
+
+ORDERS = [1, 2, 3, 4, 6, 7, 12]
+
+
+@st.composite
+def combinations(draw):
+    """A random combination [(q, (A, ...))] of phase-perm sums: dim 1-8,
+    1-4 terms of 1-3 factors, each factor 1-3 phase perms whose exponents
+    run over two periods, so that building the buckets must reduce them."""
+    dim, m = draw(st.integers(1, 8)), draw(st.sampled_from(ORDERS))
+
+    def factor():
+        perms = draw(st.integers(1, 3))
+        cls = draw(arrays(np.int64, (perms, dim), elements=st.integers(0, dim - 1)))
+        e = draw(arrays(np.int64, (perms, dim), elements=st.integers(0, 2 * m - 1)))
+        return PhasePermSum(cls, e, m)
+
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    terms = draw(st.integers(1, 4))
+    return m, [(draw(weight), tuple(factor() for _ in range(draw(st.integers(1, 3)))))
+               for _ in range(terms)]
+
+
+def _dense_combo(combo):
+    return sum(complex(q) * reduce(np.matmul, map(_dense, factors)) for q, factors in combo)
+
+
+def _galois(pps, a):
+    """The conjugate zeta -> zeta^a of a phase-perm sum."""
+    return PhasePermSum(pps.cls, a * pps.e, pps.m)
+
+
+@given(combinations(), st.sampled_from([induced._FLOAT_EXACT, 0]), st.data())
+def test_vanishes_and_trace_match_dense_matrices(drawn, float_exact, data):
+    """Against the complex reference, on both product routes (a float64 bound
+    of 0 sends every product through int64)."""
+    m, combo = drawn
+    F = get_field(m)
+    dense = _dense_combo(combo)
+    with mock.patch.object(induced, "_FLOAT_EXACT", float_exact):
+        assert _vanishes(F, combo) == np.allclose(dense, 0, atol=1e-9)
+        # specializing zeta into F_q can only lower the rank
+        assert induced._rank_mod_q(combo, m) <= np.linalg.matrix_rank(dense, tol=1e-8)
+        # a full cycle of d-th roots cancels only after reduction mod Phi_m
+        if m > 1:
+            d = min(t for t in range(2, m + 1) if m % t == 0)
+            cycle = [(q, (PhasePermSum(f.cls, f.e + k * m // d, m), *rest))
+                     for q, (f, *rest) in combo for k in range(d)]
+            assert _vanishes(F, cycle) and induced._rank_mod_q(cycle, m) == 0
+        # one operator on an integer vector, read back as a complex vector
+        f = combo[0][1][0]
+        v = data.draw(arrays(np.int64, f.dim, elements=st.integers(-3, 3)))
+        coords = InducedRep.act(SimpleNamespace(dim=f.dim, field=F), f, v)
+        zeta = np.exp(2j * np.pi * np.arange(F.degree) / m)
+        assert np.allclose(coords @ zeta, _dense(f) @ v, atol=1e-9)
+        # the sum of the Galois conjugates has a rational trace
+        conj = [(q, tuple(_galois(f, a) for f in factors))
+                for q, factors in combo for a in range(1, m + 1) if math.gcd(a, m) == 1]
+        want = np.trace(_dense_combo(conj))
+        assert abs(want.imag) < 1e-9
+        assert abs(float(_trace(F, conj)) - want.real) < 1e-9
+
+
+def test_int64_products_give_same_verdicts(monkeypatch):
+    p, n = 3, 2
+
+    def verdicts():
+        out = []
+        for chi in PChar.all_characters(p, n):
+            res = component_dimensions(InducedRep(p, n, chi))
+            checks = [(a.id, a.status) for a in res["report"].assertions]
+            out.append((res["by_rank"], res["by_system"], res["agree"], checks))
+        return out
+
+    floated = verdicts()
+    monkeypatch.setattr(induced, "_FLOAT_EXACT", 0)
+    assert induced._exact_dtype(1) is np.int64
+    assert verdicts() == floated
+    with pytest.raises(OverflowError):
+        induced._exact_dtype(2**63)
+
+
+def test_large_campaign_cells_fit_the_transport_budget():
+    """Every cell of the shipped large campaign passes the size check of
+    cosets._left_transport (dim^2 products), read without building a table."""
+    path = Path(__file__).resolve().parents[1] / "campaigns" / "large.json"
+    campaign = Campaign.from_file(path)
+    cells = [(c["p"], c["n"]) for c in campaign.grid]
+    assert cells == [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (5, 4), (7, 2), (7, 3), (11, 2)]
+    assert all(set(cell) == {"p", "n"} for cell in campaign.grid)  # every character
+    for p, n in cells:
+        dim = p**n + p ** (n - 1)
+        assert dim * dim <= cosets.K0_ENUMERATION_LIMIT, (p, n)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
