@@ -7,6 +7,9 @@ before they can be compared: the mirrored and whole-group convolution
 oracles, the induced model's exponent histograms and the dimension oracle's
 point counts.  Elements are only ever added, compared and tested for being
 rational; the Hecke algebra itself runs over Q.
+
+The modulus Phi_m comes from `cyclotomic_coeffs`, which divides x^m - 1 by
+Phi_d for every proper divisor d of m in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from sympy import Poly, cyclotomic_poly, symbols
 
 
 def euler_phi(m: int) -> int:
@@ -42,6 +44,40 @@ def _factorize(m: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
+def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m, leading coefficient first.
+
+    x^m - 1 is the product of Phi_d over d | m, so Phi_m is x^m - 1 divided
+    exactly by Phi_d for each proper divisor d; every division is checked to
+    leave no remainder.  Dividing by the largest d first shortens the
+    dividend soonest.
+    """
+    if m < 1:
+        raise ValueError("cyclotomic order must be >= 1")
+    num = [1] + [0] * (m - 1) + [-1]  # x^m - 1
+    for d in range(m - 1, 0, -1):
+        if m % d == 0:
+            num = _divide_monic(num, cyclotomic_coeffs(d))
+    return tuple(num)
+
+
+def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Exact quotient num / den of integer polynomials (leading coefficient
+    first, den monic); raises ArithmeticError on a nonzero remainder."""
+    rem = list(num)
+    q = len(rem) - len(den) + 1
+    terms = [(j, a) for j, a in enumerate(den) if a and j]
+    for i in range(q):
+        c = rem[i]
+        if c:
+            for j, a in terms:
+                rem[i + j] -= c * a
+    if any(rem[q:]):
+        raise ArithmeticError("cyclotomic division left a remainder")
+    return rem[:q]
+
+
+@lru_cache(maxsize=None)
 def get_field(order: int) -> "CyclotomicField":
     return CyclotomicField(order)
 
@@ -54,12 +90,8 @@ class CyclotomicField:
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
         self.order = order
-        self.degree = euler_phi(order) if order > 1 else 1
-        x = symbols("x")
-        if order == 1:
-            mod_coeffs = [1, -1]  # x - 1
-        else:
-            mod_coeffs = [int(c) for c in Poly(cyclotomic_poly(order, x), x).all_coeffs()]
+        self.degree = euler_phi(order)
+        mod_coeffs = cyclotomic_coeffs(order)
         d = self.degree
         table = np.zeros((order, d), dtype=np.int64)
         for e in range(d):

@@ -20,8 +20,6 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .characters import PChar, unit_generators
 from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
@@ -221,7 +219,8 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
 
     Each word is a phase permutation, so its equation links coordinate c to
     cls[c] by a root of unity: the solutions are one vector per connected
-    component of the word graph whose cycles all carry phase 0.
+    component of the word graph whose cycles all carry phase 0, found by
+    `_live_components`.
     """
     p, n = rep.p, rep.n
     if not 0 <= m_level <= n:
@@ -243,27 +242,46 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
         src.append(np.arange(dim))
         dst.append(pps.cls[0])
         delta.append((vexp[k.d] - pps.e[0]) % mord)
-    src, dst, delta = np.concatenate(src), np.concatenate(dst), np.concatenate(delta)
-    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(dim, dim)).tocsr()
-    ncomp, labels = connected_components(graph, directed=False)
+    basis = _live_components(
+        dim, mord, np.concatenate(src), np.concatenate(dst), np.concatenate(delta)
+    )
+    return FixedSubspace(p, n, m_level, len(basis), basis)
 
-    # phases along a BFS spanning tree of each component, rooted at its
-    # first coordinate; step[a, b] is the phase carried from a to b
-    step = np.zeros((dim, dim), dtype=np.int64)
-    step[dst, src] = -delta % mord
-    step[src, dst] = delta
-    ph = np.zeros(dim, dtype=np.int64)
-    for root in np.unique(labels, return_index=True)[1]:
-        order, pred = breadth_first_order(graph, root, directed=False, return_predecessors=True)
-        for c in order[1:]:
-            ph[c] = (ph[pred[c]] + step[pred[c], c]) % mord
 
-    # a component is dead when any of its edges disagrees with the tree phases
+def _live_components(dim: int, mord: int, src, dst, delta) -> list[np.ndarray]:
+    """Solutions of v[dst] = zeta_mord^delta v[src] on dim coordinates, one
+    per live connected component of the graph of these edges, as exponent
+    vectors (-1 off the component).
+
+    Each component is walked from its lowest coordinate, which gets phase 0;
+    every coordinate reached gets the phase forced along the edge that first
+    reaches it.  Components are numbered by their lowest coordinate.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for a, b, e in zip(src.tolist(), dst.tolist(), delta.tolist()):
+        adj[a].append((b, e))
+        adj[b].append((a, -e))
+    labels, ph = [-1] * dim, [0] * dim
+    ncomp = 0
+    for root in range(dim):
+        if labels[root] >= 0:
+            continue
+        labels[root] = ncomp
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for b, e in adj[a]:
+                if labels[b] < 0:
+                    labels[b] = ncomp
+                    ph[b] = (ph[a] + e) % mord
+                    stack.append(b)
+        ncomp += 1
+    labels, ph = np.array(labels, dtype=np.int64), np.array(ph, dtype=np.int64)
+
+    # a component is dead when any of its edges disagrees with the walk phases
     dead = np.zeros(ncomp, dtype=bool)
     dead[labels[src[(ph[src] + delta - ph[dst]) % mord != 0]]] = True
-    live = np.flatnonzero(~dead)
-    basis = [np.where(labels == comp, ph, -1) for comp in live]
-    return FixedSubspace(p, n, m_level, len(basis), basis)
+    return [np.where(labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from .characters import _vp
 from .cosets import unit_lifts
@@ -25,6 +25,9 @@ RESIDUAL_TOL = 1e-6
 IMAG_FLOOR = 0.02
 SAMPLE_BAND = (0.08, 0.6)
 SAMPLE_ATTEMPTS = 5
+HALTON_BATCH = 512
+HALTON_POINTS = 40960  # points searched per box before giving up on it
+HALTON_STRIDE = 65537  # Halton index at which attempt `skip` starts, per unit of skip
 # singular values at or below RANK_RTOL * max(sigma_max, 1) count as zero
 RANK_RTOL = 1e-7
 
@@ -93,11 +96,39 @@ def _feasible(z: np.ndarray, mats: list[np.ndarray], t: float) -> np.ndarray:
     return ok
 
 
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput points: the base-b digits of each index mirrored about
+    the radix point.  The float operations run in the usual order (least
+    significant digit first, add digit * b^-k, then divide b^-k by b), so the
+    points are bit for bit those of the common unscrambled Halton generators
+    (tests/test_operators.py compares one)."""
+    out = np.zeros(len(index))
+    q = index.copy()
+    b2r = 1.0 / base
+    while q.any():
+        out += (q % base) * b2r
+        b2r /= base
+        q //= base
+    return out
+
+
+@lru_cache(maxsize=None)
+def _halton(skip: int) -> np.ndarray:
+    """The HALTON_POINTS unscrambled 2-d Halton points (bases 2 and 3) that
+    start at index skip * HALTON_STRIDE, shape (HALTON_POINTS, 2)."""
+    index = np.arange(skip * HALTON_STRIDE, skip * HALTON_STRIDE + HALTON_POINTS)
+    pts = np.column_stack([_radical_inverse(index, 2), _radical_inverse(index, 3)])
+    pts.flags.writeable = False
+    return pts
+
+
 def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarray:
     """Deterministic low-discrepancy points z with Im(Az) >= IMAG_FLOOR for
     every matrix A.  Starts from SAMPLE_BAND; if the constraints leave no
     room there, the floor is relaxed toward IMAG_FLOOR and finally the search
-    is recentred on the tightest feasibility disk."""
+    is recentred on the tightest feasibility disk.  Each box is searched in
+    HALTON_BATCH-point batches of the same Halton points, which `skip`
+    shifts to a later stretch of the sequence."""
     t_img = IMAG_FLOOR
     band_lo, band_hi = SAMPLE_BAND
     y_floor = t_img
@@ -122,23 +153,20 @@ def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarr
         x0, R = tight
         boxes.append((x0 - R, x0 + R, max(y_floor, 0.02 * R), 2 * R))
 
+    unit = _halton(skip)
     for x_lo, x_hi, y_lo, y_hi in boxes:
         if y_lo >= y_hi or x_lo >= x_hi:
             continue
-        engine = qmc.Halton(d=2, scramble=False)
-        if skip:
-            engine.fast_forward(skip * 65537)
+        lo, hi = np.array([x_lo, y_lo]), np.array([x_hi, y_hi])
         found: list[np.ndarray] = []
         total = 0
-        while total < 40960:
-            raw = engine.random(512)
-            total += 512
-            pts = qmc.scale(raw, [x_lo, y_lo], [x_hi, y_hi])
+        for start in range(0, HALTON_POINTS, HALTON_BATCH):
+            pts = lo + unit[start:start + HALTON_BATCH] * (hi - lo)
             z = pts[:, 0] + 1j * pts[:, 1]
             z = z[_feasible(z, mats, t_img)]
-            if len(z):
-                found.append(z)
-            if sum(len(c) for c in found) >= count:
+            found.append(z)
+            total += len(z)
+            if total >= count:
                 return np.concatenate(found)[:count]
     raise SamplingError(f"no feasible sample region for {len(mats)} constraints")
 

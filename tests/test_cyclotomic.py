@@ -3,7 +3,9 @@ import cmath
 import numpy as np
 import pytest
 
-from hecke_lab.cyclotomic import euler_phi, get_field
+from hecke_lab.cyclotomic import _divide_monic, cyclotomic_coeffs, euler_phi, get_field
+
+CYC_RANGE = range(1, 1201)  # every field order of the grid and of campaigns/large.json (max 500)
 
 
 def test_euler_phi():
@@ -60,3 +62,39 @@ def test_exponent_counts_match_zeta_sums():
         for _ in range(abs(int(c))):
             total = total + (f.zeta(e) if c > 0 else f.zeta(e + 10))  # -zeta^e = zeta^(e+10)
     assert f.from_exponent_counts(counts) == total
+
+
+def _poly_mul(a, b):
+    """Product of integer polynomials, leading coefficient first."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomial_identities():
+    # deg Phi_m = phi(m), and the Phi_d over d | m multiply to x^m - 1
+    for m in CYC_RANGE:
+        assert len(cyclotomic_coeffs(m)) - 1 == euler_phi(m), m
+        prod = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                prod = _poly_mul(prod, cyclotomic_coeffs(d))
+        assert prod == [1] + [0] * (m - 1) + [-1], m
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for m in CYC_RANGE:
+        ref = [int(c) for c in sympy.cyclotomic_poly(m, x, polys=True).all_coeffs()]
+        assert list(cyclotomic_coeffs(m)) == ref, m
+
+
+def test_inexact_division_raises():
+    assert _divide_monic([1, 0, 0, -1], (1, -1)) == [1, 1, 1]  # (x^3 - 1) / (x - 1)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        _divide_monic([1, 0, 1], (1, -1))  # x^2 + 1 at x = 1 is 2

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every definition in the package is reached from somewhere.
+"""Every module-level import in the package is used by its module, every
+definition in the package is reached from somewhere, and importing the
+package loads only numpy and the standard library.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -7,6 +8,8 @@ them goes.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hecke_lab"
 # where a mention keeps a package definition alive
 CALLER_DIRS = [PACKAGE, ROOT / "tests", ROOT / "tools", ROOT / "perfbench"]
+# test oracles only: the package must neither import nor mention them
+ORACLE_PACKAGES = ("scipy", "sympy")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -132,3 +137,53 @@ def test_no_callerless_definitions():
     ]
     defined = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert callerless(defined, callers) == []
+
+
+def oracle_mentions(source: str) -> list[str]:
+    """Lines where an import, a name, an attribute or a string constant
+    (docstrings included) names one of ORACLE_PACKAGES, at any depth."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            words = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            words = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = [node.value]
+        else:
+            continue
+        if any(pkg in word for word in words for pkg in ORACLE_PACKAGES):
+            out.append(f"line {node.lineno}")
+    return out
+
+
+def test_scanner_finds_oracle_mentions():
+    source = (
+        '"""Docstring naming sympy."""\n'
+        "import numpy as np\n"
+        "def f():\n"
+        "    from scipy.stats import qmc\n"
+        "    return __import__('scipy.sparse')\n"
+    )
+    assert oracle_mentions(source) == ["line 1", "line 4", "line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_mentions_oracle_packages(path):
+    assert oracle_mentions(path.read_text()) == []
+
+
+def test_import_loads_no_oracle_package():
+    code = (
+        "import sys, hecke_lab, hecke_lab.cli\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {ORACLE_PACKAGES!r}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

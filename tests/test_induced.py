@@ -91,6 +91,100 @@ def test_fixed_vectors_are_eigenvectors_of_sampled_K0m(p, n):
                     assert np.array_equal(lhs, (xk + ph[live]) % mord), (chi, m, k)
 
 
+@st.composite
+def phase_systems(draw):
+    """1-4 phase permutations on 1-12 coordinates: word k sends v to
+    (zeta^e[c] v[cls[c]])_c and asks for the eigenvalue zeta^x."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    dim = draw(st.integers(1, 12))
+    words = [
+        (
+            np.array(draw(st.permutations(range(dim))), dtype=np.int64),
+            draw(arrays(np.int64, dim, elements=st.integers(0, m - 1))),
+            draw(st.integers(0, m - 1)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return m, dim, words
+
+
+@given(phase_systems())
+def test_live_components_span_the_solution_space(system):
+    """The walk returns as many solutions as the stacked (P_k - zeta^x_k I)
+    has null dimension, with disjoint supports, each solving every equation
+    exactly."""
+    m, dim, words = system
+    src = np.tile(np.arange(dim), len(words))
+    dst = np.concatenate([cls for cls, _, _ in words])
+    delta = np.concatenate([(x - e) % m for _, e, x in words])
+    basis = induced._live_components(dim, m, src, dst, delta)
+
+    def root(e):
+        return np.exp(2j * np.pi * np.asarray(e) / m)
+
+    stacked = []
+    for cls, e, x in words:
+        P = np.zeros((dim, dim), dtype=complex)
+        P[np.arange(dim), cls] = root(e)
+        stacked.append(P - root(x) * np.eye(dim))
+    sv = np.linalg.svd(np.vstack(stacked), compute_uv=False)
+    assert len(basis) == dim - int(np.sum(sv > 1e-8))
+
+    support = np.zeros(dim, dtype=np.int64)
+    for ph in basis:
+        live = ph >= 0
+        assert live.any()
+        support += live
+        for cls, e, x in words:
+            assert np.array_equal(live[cls], live)
+            assert np.array_equal((e[live] + ph[cls[live]]) % m, (x + ph[live]) % m)
+    assert support.max(initial=0) <= 1
+
+
+def _scipy_live_components(dim, mord, src, dst, delta):
+    """Reference route: scipy connected components, phases along a
+    breadth-first tree rooted at each component's first coordinate."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(dim, dim)).tocsr()
+    ncomp, labels = connected_components(graph, directed=False)
+    step = np.zeros((dim, dim), dtype=np.int64)
+    step[dst, src] = -delta % mord
+    step[src, dst] = delta
+    ph = np.zeros(dim, dtype=np.int64)
+    for root in np.unique(labels, return_index=True)[1]:
+        order, pred = breadth_first_order(graph, root, directed=False, return_predecessors=True)
+        for c in order[1:]:
+            ph[c] = (ph[pred[c]] + step[pred[c], c]) % mord
+    dead = np.zeros(ncomp, dtype=bool)
+    dead[labels[src[(ph[src] + delta - ph[dst]) % mord != 0]]] = True
+    return [np.where(labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
+
+
+def test_fixed_subspace_matches_scipy_components(monkeypatch):
+    """On every grid character and level, the component walk returns the
+    same basis as the scipy graph route on the same edges."""
+    pytest.importorskip("scipy.sparse.csgraph")
+    walk, calls = induced._live_components, []
+
+    def recorded(*args):
+        calls.append((args, walk(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(induced, "_live_components", recorded)
+    for p, n in GRID:
+        for chi in PChar.all_characters(p, n):
+            rep = InducedRep(p, n, chi)
+            for m in range(n + 1):
+                fixed_subspace(rep, m)
+    assert len(calls) == 586
+    for args, basis in calls:
+        ref = _scipy_live_components(*args)
+        assert len(basis) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(basis, ref))
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_spectral_audit(p, n):
     for chi in PChar.all_characters(p, n):

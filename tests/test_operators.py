@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from hecke_lab.operators import (
+    IMAG_FLOOR,
+    SAMPLE_BAND,
     SamplingError,
+    _feasible,
+    _halton,
     atkin_lehner_matrix,
     eigenspace,
     nullspace,
@@ -65,14 +69,37 @@ def test_atkin_lehner_rejects_inexact():
 
 def test_sample_points_deterministic_and_feasible():
     mats = [atkin_lehner_matrix(11, 1, 22)]
-    pts1 = sample_points(mats, 8)
-    pts2 = sample_points(mats, 8)
-    assert np.array_equal(pts1, pts2)
-    for A in mats:
-        (a, b), (c, d) = A
-        det = int(a) * int(d) - int(b) * int(c)
-        im = det * pts1.imag / np.abs(c * pts1 + d) ** 2
-        assert np.all(im >= 0.02)
+    # skip = 1 is the first retry of op_matrix: a later stretch of the sequence
+    for skip in (0, 1):
+        pts1 = sample_points(mats, 8, skip=skip)
+        pts2 = sample_points(mats, 8, skip=skip)
+        assert np.array_equal(pts1, pts2)
+        for A in mats:
+            (a, b), (c, d) = A
+            det = int(a) * int(d) - int(b) * int(c)
+            im = det * pts1.imag / np.abs(c * pts1 + d) ** 2
+            assert np.all(im >= 0.02)
+    assert not np.array_equal(sample_points(mats, 8, skip=1), sample_points(mats, 8))
+
+
+def test_sample_points_match_scipy_halton():
+    """The unit points of attempts 0-2 are scipy's unscrambled 2-d Halton
+    points bit for bit over three 512-point batches, and so are the points
+    sample_points keeps from them after scaling to the first box and
+    filtering."""
+    qmc = pytest.importorskip("scipy.stats").qmc
+    mats = [np.array([[1, 0], [3, 1]])]  # cuts off part of the first box
+    for skip in (0, 1, 2):
+        engine = qmc.Halton(d=2, scramble=False)
+        if skip:
+            engine.fast_forward(skip * 65537)
+        raw = np.concatenate([engine.random(512) for _ in range(3)])
+        assert _halton(skip)[: len(raw)].tobytes() == raw.tobytes(), skip
+        pts = qmc.scale(raw, [-0.5, SAMPLE_BAND[0]], [0.5, SAMPLE_BAND[1]])
+        z = pts[:, 0] + 1j * pts[:, 1]
+        z = z[_feasible(z, mats, IMAG_FLOOR)]
+        assert len(z) > 1024  # the third batch is reached
+        assert sample_points(mats, len(z), skip=skip).tobytes() == z.tobytes(), skip
 
 
 def test_sample_points_infeasible():
