@@ -34,7 +34,8 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification campaign")
     v.add_argument("--campaign", help="campaign JSON file (default: built-in grid)")
-    v.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+    v.add_argument("--seed", type=int, help="seed recorded in the report (default: the "
+                   "campaign file's, else 0)")
     v.add_argument("--report", help="write the JSON report to this path")
 
     c = sub.add_parser("classical", help="operator diagnostics on fixture spaces")
@@ -48,11 +49,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    if args.campaign:
-        campaign = Campaign.from_file(args.campaign)
+    campaign = Campaign.from_file(args.campaign) if args.campaign else Campaign.default()
+    if args.seed is not None:
         campaign.seed = args.seed
-    else:
-        campaign = Campaign.default(seed=args.seed)
     rep = run_verify(campaign)
     _emit(rep, args.report)
     return 0 if rep.ok else 1

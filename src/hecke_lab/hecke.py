@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -104,17 +103,16 @@ def supported_basis(p: int, n: int, chi: PChar) -> list[str]:
     return [f"y{j}" for j in range(r, n + 1)]
 
 
-def basis_exponent(vexp: np.ndarray, lab: str, g: MatPn) -> Optional[int]:
-    """Closed-form value of the basis function for `lab` at g, as the
-    exponent of zeta in chi's value table vexp; None off the double coset.
+def basis_exponent(vexp: np.ndarray, lab: str, entries: np.ndarray) -> np.ndarray:
+    """Closed-form values of the basis function for `lab` at elements of its
+    double coset, as exponents of zeta in chi's value table vexp, from the
+    entries of those elements that its twist reads.
 
     Writing g = k0 * rep(coset of g) puts the lower-right (for y classes) or
     lower-left (for the w class) entry of g into the chi slot.
     """
-    if double_coset_label(g) != lab:
-        return None
-    e = int(vexp[g.c if lab == "w" else g.d])
-    if e < 0:
+    e = vexp[entries]
+    if np.any(e < 0):
         raise AssertionError("twist evaluated at a non-unit entry")
     return e
 
@@ -263,36 +261,53 @@ def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     return HeckeElem(f1.p, f1.n, f1.chi, acc)
 
 
+def _twist_slot(lab: str, g: MatPn) -> int:
+    """The entry of g that a basis function of `lab` reads chi at."""
+    return g.c if lab == "w" else g.d
+
+
+@lru_cache(maxsize=None)
+def _mirror_geometry(p: int, n: int, lab_h: str, l2: str) -> dict[str, tuple]:
+    """The character-free part of the mirrored sum at the target of `lab_h`
+    over the left-coset representatives b of l2's class: b's twist entry,
+    and the twist entry of x = h b^{-1}, grouped by the label of x.  Built
+    once per cell from MatPn arithmetic and canonical labels."""
+    h = label_rep(p, n, lab_h)
+    rows: dict[str, list[tuple[int, int]]] = {}
+    for b in class_left_reps(p, n, l2):
+        if double_coset_label(b) != l2:
+            continue
+        x = h @ b.inv()
+        lab_x = double_coset_label(x)
+        rows.setdefault(lab_x, []).append((_twist_slot(l2, b), _twist_slot(lab_x, x)))
+    return {
+        lab_x: tuple(np.array(col, dtype=np.int64) for col in zip(*pairs))
+        for lab_x, pairs in rows.items()
+    }
+
+
 def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     """Same convolution through the mirrored sum over left-coset
     representatives of the support of f2; used as a consistency check.
 
-    Roots of unity do cancel here: terms are accumulated as one exponent
-    histogram per pair of basis labels (l2, label of h b^{-1}), and each
-    histogram must collapse to a rational (ValueError otherwise)."""
+    The matrix work, which reads no character, is done once per cell in
+    `_mirror_geometry`.  Roots of unity do cancel here: terms are
+    accumulated as one exponent histogram per pair of basis labels (l2,
+    label of h b^{-1}), and each histogram must collapse to a rational
+    (ValueError otherwise)."""
     f1._require_same(f2)
     p, n, chi = f1.p, f1.n, f1.chi
     vexp, field = chi.exponent_table(), chi.field
     out: dict[str, Fraction] = {}
     for lab_h in all_labels(p, n):
-        h = label_rep(p, n, lab_h)
-        hists: dict[tuple[str, str], np.ndarray] = {}
-        for l2 in f2.coeffs:
-            for b in class_left_reps(p, n, l2):
-                e2 = basis_exponent(vexp, l2, b)
-                if e2 is None:
-                    continue
-                x = h @ b.inv()
-                lab_x = double_coset_label(x)
+        total = Fraction(0)
+        for l2, c2 in f2.coeffs.items():
+            for lab_x, (e_b, e_x) in _mirror_geometry(p, n, lab_h, l2).items():
                 if lab_x not in f1.coeffs:
                     continue
-                e1 = basis_exponent(vexp, lab_x, x)
-                hist = hists.setdefault((l2, lab_x), np.zeros(field.order, dtype=np.int64))
-                hist[(e1 + e2) % field.order] += 1
-        total = sum(
-            f1.coeffs[lab_x] * f2.coeffs[l2] * field.from_exponent_counts(hist).as_rational()
-            for (l2, lab_x), hist in hists.items()
-        )
+                te = (basis_exponent(vexp, lab_x, e_x) + basis_exponent(vexp, l2, e_b)) % field.order
+                hist = np.bincount(te, minlength=field.order)
+                total += f1.coeffs[lab_x] * c2 * field.from_exponent_counts(hist).as_rational()
         if total:
             out[lab_h] = total
     return HeckeElem(p, n, chi, out)

@@ -9,6 +9,14 @@ root of unity.  Products, traces and vanishing checks hold an operator as
 integer count matrices, one per root-of-unity exponent that occurs (a live
 bucket), and multiply them with BLAS: in float64 only under a proven bound
 that keeps every integer exact, in int64 otherwise.  Every verdict is exact.
+
+The algebra's operators read chi only at transport factors whose lower-right
+entry is 1 mod p^j (the lemma in hecke._basis_product), or, for the w class,
+only for trivial chi: on the supported basis every phase is 0.  So the basis
+operators, the Y_k, the projector certificates, the traces and the
+eigenvalue-table images are built once per cell (p, n) or per (p, n, r), and
+each character records them under its own assertion ids.  Right translation,
+and with it the fixed-vector chain, reads chi and runs per character.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .characters import PChar, unit_generators
+from .characters import PChar, group_exponent, unit_generators
 from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
-from .cyclotomic import CyclotomicField, _solve_fraction_system
+from .cyclotomic import CyclotomicField, _solve_fraction_system, get_field
 from .groupconv import BRUTE_LIMIT
+from .hecke import AlgebraError, supported_basis
 from .report import Report, check, check_bool, timed
 
 
@@ -91,8 +100,38 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The induced representation
+# The algebra's operators: character-free, one per cell
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _basis_operator(p: int, n: int, lab: str) -> PhasePermSum:
+    """Convolution action of one algebra basis function (one term per class
+    representative), with every phase 0: the action for every character
+    that supports `lab`.
+
+    The phase of a term is chi(d0) for the transport factor's lower-right
+    entry d0.  On a y(p^j) class every d0 is 1 mod p^j (the lemma in
+    hecke._basis_product), so chi(d0) = 1 whenever j >= r; the w class is
+    supported only by the trivial character, where chi(d0) = 1 on units.
+    Both facts are checked on the table read here.
+    """
+    cls, d0 = _left_transport(p, n)[lab]
+    if lab == "w":
+        if np.any(d0 % p == 0):
+            raise AssertionError("twist evaluated at a non-unit entry")
+    else:
+        pj = p ** int(lab[1:])
+        if np.any(d0 % pj != 1):
+            raise AlgebraError(f"the {lab} transport has a d0 off 1 mod {pj}: phases depend on chi")
+    return PhasePermSum(cls, np.zeros_like(cls), group_exponent(p, n))
+
+
+@lru_cache(maxsize=None)
+def _y_operator(p: int, n: int, k: int) -> PhasePermSum:
+    """Y_k = sum of the basis operators of levels k..n, as one phase-perm sum."""
+    cls = np.vstack([_basis_operator(p, n, f"y{j}").cls for j in range(k, n + 1)])
+    return PhasePermSum(cls, np.zeros_like(cls), group_exponent(p, n))
 
 
 class InducedRep:
@@ -104,80 +143,55 @@ class InducedRep:
         self.chi = chi
         self.r = chi.conductor_exponent
         self.field = chi.field
-        self.table = coset_table(p, n)
-        self.dim = self.table.dim
-        # valuation of the canonical lower-left entry per coordinate
-        # (0 on the w stratum, j on the y(p^j) stratum)
-        self.jval = np.array(
-            [0 if lab == "w" else int(lab[1:]) for lab in self.table.labels], dtype=np.int64
-        )
-        self._piL_cache: dict[str, PhasePermSum] = {}
-        self._y_cache: dict[int, PhasePermSum] = {}
+        self.dim = coset_table(p, n).dim
 
-    # -- operators ---------------------------------------------------------
+    def piL_basis(self, lab: str) -> PhasePermSum:
+        """Convolution action of one supported basis function: the cell's
+        character-free operator."""
+        if lab not in supported_basis(self.p, self.n, self.chi):
+            raise ValueError(f"label {lab} is not supported for this character")
+        return _basis_operator(self.p, self.n, lab)
 
-    def _twisted(self, cls: np.ndarray, d0: np.ndarray) -> PhasePermSum:
-        """The phase-perm sum with sources cls and phases chi(d0); exponents
-        come from the character's table, already reduced mod m."""
+    def y_operator(self, k: int) -> PhasePermSum:
+        """Y_k for max(r, 1) <= k <= n: the cell's character-free operator."""
+        if not max(self.r, 1) <= k <= self.n:
+            raise ValueError(f"Y_{k} undefined for this character")
+        return _y_operator(self.p, self.n, k)
+
+    def piR(self, k: MatPn) -> PhasePermSum:
+        """Right translation by one group element (a single phase perm),
+        twisted by chi."""
+        cls, d0 = _right_transport(self.p, self.n, k)
         e = self.chi.exponent_table()[d0]
         if np.any(e < 0):
             raise AssertionError("twist evaluated at a non-unit entry")
         return PhasePermSum(cls, e, self.field.order)
 
-    def piL_basis(self, lab: str) -> PhasePermSum:
-        """Convolution action of one algebra basis function, as a phase-perm
-        sum (one term per class representative)."""
-        hit = self._piL_cache.get(lab)
-        if hit is None:
-            hit = self._piL_cache[lab] = self._twisted(*_left_transport(self.p, self.n)[lab])
-        return hit
 
-    def y_operator(self, k: int) -> PhasePermSum:
-        """Y_k = sum of the basis operators of levels k..n, as one phase-perm
-        sum, built once per k."""
-        if k not in self._y_cache:
-            parts = [self.piL_basis(f"y{j}") for j in range(k, self.n + 1)]
-            cls, e = (np.vstack([getattr(f, x) for f in parts]) for x in ("cls", "e"))
-            self._y_cache[k] = PhasePermSum(cls, e, self.field.order)
-        return self._y_cache[k]
+def _y_vector(p: int, n: int, ell: int) -> np.ndarray:
+    """Y_ell viewed inside I(n): indicator of the v_p >= ell strata (the
+    canonical lower-left entry of a coordinate has valuation 0 on the w
+    stratum and j on the y(p^j) stratum)."""
+    jval = np.array([0 if lab == "w" else int(lab[1:]) for lab in coset_table(p, n).labels])
+    return (jval >= ell).astype(np.int64)
 
-    def piR(self, k: MatPn) -> PhasePermSum:
-        """Right translation by one group element (a single phase perm)."""
-        return self._twisted(*_right_transport(self.p, self.n, k))
 
-    # -- vectors -----------------------------------------------------------
+def _eigenvector(p: int, n: int, r: int, i: int) -> np.ndarray:
+    """Row-i table vector: the bottom row is Y_lo itself and row i above it
+    is Y_{i-1} - p Y_i (absolute index i, lo = max(r,1) <= i <= n)."""
+    if i == max(r, 1):
+        return _y_vector(p, n, i)
+    return _y_vector(p, n, i - 1) - p * _y_vector(p, n, i)
 
-    def y_vector(self, ell: int) -> np.ndarray:
-        """Y_ell viewed inside I(n): indicator of the v_p >= ell strata."""
-        if not 1 <= ell <= self.n:
-            raise ValueError("ell out of range")
-        return (self.jval >= ell).astype(np.int64)
 
-    def eigenvector(self, i: int) -> np.ndarray:
-        """Row-i table vector: the bottom row is Y_lo itself and row i above
-        it is Y_{i-1} - p Y_i (absolute index i, lo = max(r,1) <= i <= n)."""
-        lo = max(self.r, 1)
-        if not lo <= i <= self.n:
-            raise ValueError("eigenvector index out of range")
-        if i == lo:
-            return self.y_vector(i)
-        return self.y_vector(i - 1) - self.p * self.y_vector(i)
-
-    # -- exact helpers -----------------------------------------------------
-
-    def act(self, pps: PhasePermSum, v: np.ndarray) -> np.ndarray:
-        """Apply an operator to an integer vector, one matrix-vector product
-        per bucket; (dim, degree) coordinates."""
-        exps, counts = pps.buckets
-        # each row of the buckets added up sums to the number of terms
-        dt = _exact_dtype(pps.terms * float(np.abs(v).max(initial=0)))
-        img = counts.astype(dt, copy=False) @ np.asarray(v, dtype=dt)
-        return self.field.reduce_exponent_matrix(img.T.astype(np.int64), exps)
-
-    def embed_int_vector(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.field.degree), dtype=np.int64)
-        out[:, 0] = v
-        return out
+def _act(field: CyclotomicField, pps: PhasePermSum, v: np.ndarray) -> np.ndarray:
+    """Apply an operator to an integer vector, one matrix-vector product per
+    bucket; (dim, degree) coordinates in Q(zeta_m)."""
+    exps, counts = pps.buckets
+    # each row of the buckets added up sums to the number of terms
+    dt = _exact_dtype(pps.terms * float(np.abs(v).max(initial=0)))
+    img = counts.astype(dt, copy=False) @ np.asarray(v, dtype=dt)
+    return field.reduce_exponent_matrix(img.T.astype(np.int64), exps)
 
 
 # ---------------------------------------------------------------------------
@@ -308,35 +322,47 @@ def table_eigenvalue(kind: str, p: int, n: int, i: int, j: int) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
+def _table_images(p: int, n: int, r: int) -> dict[tuple[int, int], tuple[bool, bool]]:
+    """For each table entry (i, j): do V_j and Y_j map the row-i vector to
+    its tabulated multiple?  Character-free, so computed once per (p, n, r)."""
+    field = get_field(group_exponent(p, n))
+    lo = max(r, 1)
+    out = {}
+    for i in range(lo, n + 1):
+        v = _eigenvector(p, n, r, i)
+        for j in range(lo, n + 1):
+            verdicts = []
+            for kind, op in (("V", _basis_operator(p, n, f"y{j}")), ("Y", _y_operator(p, n, j))):
+                want = np.zeros((len(v), field.degree), dtype=np.int64)
+                want[:, 0] = table_eigenvalue(kind, p, n, i, j) * v
+                verdicts.append(bool(np.array_equal(_act(field, op, v), want)))
+            out[(i, j)] = tuple(verdicts)
+    return out
+
+
 def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
     """Computed scalars lambda(v_i, V_j) and lambda(v_i, Y_j), checked
-    entrywise against the tabulated closed form."""
+    entrywise against the tabulated closed form.
+
+    The images come from the (p, n, r) certificate; each assertion's runtime
+    is its share of the time this character spent getting it."""
     p, n = rep.p, rep.n
-    lo = max(rep.r, 1)
     tag = f"p{p}.n{n}.chi{rep.chi.conrey_index()}"
+    with timed() as t:
+        images = _table_images(p, n, rep.r)
     vtab: dict[tuple[int, int], int] = {}
     ytab: dict[tuple[int, int], int] = {}
     ok_all = True
-    for i in range(lo, n + 1):
-        v = rep.eigenvector(i)
-        for j in range(lo, n + 1):
-            with timed() as t:
-                img = rep.act(rep.piL_basis(f"y{j}"), v)
-                lam = table_eigenvalue("V", p, n, i, j)
-                expect = rep.embed_int_vector(lam * v)
-                okV = bool(np.array_equal(img, expect))
-                vtab[(i, j)] = lam
-
-                imgY = rep.act(rep.y_operator(j), v)
-                lamY = table_eigenvalue("Y", p, n, i, j)
-                okY = bool(np.array_equal(imgY, rep.embed_int_vector(lamY * v)))
-                ytab[(i, j)] = lamY
-            ok_all = ok_all and okV and okY
-            if report is not None:
-                check_bool(
-                    report, f"{tag}.table.i{i}.j{j}", okV and okY, "formula", t.elapsed,
-                    detail="" if okV and okY else f"V ok={okV} Y ok={okY}",
-                )
+    for (i, j), (okV, okY) in images.items():
+        vtab[(i, j)] = table_eigenvalue("V", p, n, i, j)
+        ytab[(i, j)] = table_eigenvalue("Y", p, n, i, j)
+        ok_all = ok_all and okV and okY
+        if report is not None:
+            check_bool(
+                report, f"{tag}.table.i{i}.j{j}", okV and okY, "formula",
+                t.elapsed / len(images), detail="" if okV and okY else f"V ok={okV} Y ok={okY}",
+            )
     return {"V": vtab, "Y": ytab, "entrywise_ok": ok_all}
 
 
@@ -439,17 +465,16 @@ def _trace(field: CyclotomicField, combo: list) -> Fraction:
     return Fraction(int(coords[0]), den)
 
 
-def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict[str, list]:
+def _certify_projector_family(p: int, n: int, r: int, F: CyclotomicField) -> tuple[list, dict]:
     """Exact proof that the nested Y-idempotents behave, plus the two extra
     w-side projectors when the twist is trivial.
 
-    Returns the certified projectors, as combinations, keyed by component name.
+    Returns the verdicts, as (assertion suffix, ok), and the certified
+    projectors, as combinations, keyed by component name.
     """
-    p, n, r = rep.p, rep.n, rep.r
     lo = max(r, 1)
-    F = rep.field
-
-    yops = {k: rep.y_operator(k) for k in range(lo, n + 1)}
+    yops = {k: _y_operator(p, n, k) for k in range(lo, n + 1)}
+    verdicts = []
 
     # Y_k Y_k = p^{n-k} Y_k and Y_k Y_{k-1} = Y_{k-1} Y_k = p^{n-k} Y_{k-1}
     for k in range(lo, n + 1):
@@ -458,26 +483,88 @@ def _certify_projector_family(rep: InducedRep, report: Report, tag: str) -> dict
         if k > lo:
             Z = yops[k - 1]
             identities += [[(1, (Y, Z)), (-s, (Z,))], [(1, (Z, Y)), (-s, (Z,))]]
-        with timed() as t:
-            ok = all(_vanishes(F, combo) for combo in identities)
-        check_bool(report, f"{tag}.projcert.k{k}", ok, "formula", t.elapsed)
+        verdicts.append((f"k{k}", all(_vanishes(F, combo) for combo in identities)))
 
     # E_k = Y_k / p^{n-k}; the components between consecutive levels are E_k - E_{k-1}
     E = {k: [(Fraction(1, p ** (n - k)), (yops[k],))] for k in yops}
     out = {f"i{k}": E[k] + [(-q, f) for q, f in E[k - 1]] for k in range(lo + 1, n + 1)}
     if r >= 1:
-        return {f"i{r}": E[r], **out}
+        return verdicts, {f"i{r}": E[r], **out}
 
     # trivial twist: the bottom block splits once more under the w-operator
-    U, Y1 = rep.piL_basis("w"), yops[1]
-    with timed() as t:
-        okU = _vanishes(F, [(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
-        okUY = all(_vanishes(F, [(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
-    check_bool(report, f"{tag}.projcert.w", okU and okUY, "formula", t.elapsed)
+    U, Y1 = _basis_operator(p, n, "w"), yops[1]
+    okU = _vanishes(F, [(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
+    okUY = all(_vanishes(F, [(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
+    verdicts.append(("w", okU and okUY))
 
     # w+ = (U + p^{n-1} E_1) / (p^n + p^{n-1}),  w- = (p^n E_1 - U) / (p^n + p^{n-1})
     s = Fraction(1, p**n + p ** (n - 1))
-    return {"w+": [(s, (U,)), (s, (Y1,))], "w-": [(p * s, (Y1,)), (-s, (U,))], **out}
+    return verdicts, {"w+": [(s, (U,)), (s, (Y1,))], "w-": [(p * s, (Y1,)), (-s, (U,))], **out}
+
+
+@dataclass(frozen=True)
+class _SpectralCertificate:
+    """The character-free spectral data of one (p, n, r)."""
+
+    projcert: list  # (assertion suffix, verdict) of the projector identities
+    projectors: dict  # component name -> certified projector, as a combination
+    by_rank: dict  # component name -> trace (= rank) of its projector
+    traces: list  # (j, trace of V_j) for the rows of the trace system
+    by_system: dict  # component name -> dimension solved from traces alone
+
+
+@lru_cache(maxsize=None)
+def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
+    """Component dimensions by two routes: ranks of certified spectral
+    projectors (the rank of a certified projector is its trace), and the
+    exact linear system driven by operator traces."""
+    F = get_field(group_exponent(p, n))
+    lo = max(r, 1)
+    projcert, projs = _certify_projector_family(p, n, r, F)
+    by_rank: dict[str, int] = {}
+    for name, combo in projs.items():
+        tr = _trace(F, combo)
+        if tr.denominator != 1:
+            raise AssertionError(f"projector trace not integral: {tr}")
+        by_rank[name] = int(tr)
+
+    comp_names = list(projs.keys())
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    traces = []
+
+    def scalar_on(comp: str, kind: str, j: int) -> int:
+        if comp.startswith("i"):
+            return table_eigenvalue(kind, p, n, int(comp[1:]), j)
+        # w blocks: the y-side acts through the bottom slot
+        return table_eigenvalue(kind, p, n, 1, j)
+
+    def trace_of(*factors: PhasePermSum) -> Fraction:
+        return _trace(F, [(1, factors)])
+
+    for j in range(lo, n):
+        rows.append([Fraction(scalar_on(cn, "V", j)) for cn in comp_names])
+        tr = trace_of(_basis_operator(p, n, f"y{j}"))
+        rhs.append(tr)
+        traces.append((j, tr))
+    rows.append([Fraction(1)] * len(comp_names))
+    rhs.append(Fraction(coset_table(p, n).dim))
+    if r == 0:
+        U = _basis_operator(p, n, "w")
+        uvals = {"w+": Fraction(p**n), "w-": Fraction(-(p ** (n - 1)))}
+        rows.append([uvals.get(cn, Fraction(0)) for cn in comp_names])
+        rhs.append(trace_of(U))
+        rows.append([uvals.get(cn, Fraction(0)) ** 2 for cn in comp_names])
+        rhs.append(trace_of(U, U))
+
+    k = len(comp_names)
+    sol = _solve_fraction_system([row[:] for row in rows[:k]], rhs[:k])
+    if not all(sum(c * s for c, s in zip(row, sol)) == b for row, b in zip(rows, rhs)):
+        raise AssertionError("trace system inconsistent with its extra rows")
+    if any(s.denominator != 1 for s in sol):
+        raise AssertionError("non-integral component dimension from trace system")
+    by_system = {cn: int(s) for cn, s in zip(comp_names, sol)}
+    return _SpectralCertificate(projcert, projs, by_rank, traces, by_system)
 
 
 def _rank_mod_q(combo: list, mord: int) -> int:
@@ -519,72 +606,36 @@ def _rank_mod_q(combo: list, mord: int) -> int:
 
 
 def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> dict:
-    """Dimensions of the irreducible components, by two routes that must
-    agree: ranks of certified spectral projectors, and the exact linear
-    system driven by operator traces."""
+    """Dimensions of the irreducible components, by three routes that must
+    agree: ranks of certified spectral projectors and the trace system (both
+    from the (p, n, r) certificate), and the closed forms.  On small cells
+    each projector's rank is confirmed again in a prime field, per character.
+
+    Each projector-identity assertion's runtime is its share of the time
+    this character spent getting the certificate."""
     p, n, r = rep.p, rep.n, rep.r
-    lo = max(r, 1)
     own_report = report is None
     if own_report:
         report = Report(meta={"p": p, "n": n, "conrey": rep.chi.conrey_index()})
     tag = f"p{p}.n{n}.chi{rep.chi.conrey_index()}"
 
-    # route one: projector ranks (exact; rank of a certified projector is its
-    # trace)
-    projs = _certify_projector_family(rep, report, tag)
-    by_rank: dict[str, int] = {}
-    for name, combo in projs.items():
-        tr = _trace(rep.field, combo)
-        if tr.denominator != 1:
-            raise AssertionError(f"projector trace not integral: {tr}")
-        by_rank[name] = int(tr)
+    with timed() as t:
+        cert = _spectral_certificate(p, n, r)
+    for suffix, ok in cert.projcert:
+        check_bool(report, f"{tag}.projcert.{suffix}", ok, "formula", t.elapsed / len(cert.projcert))
+    by_rank = dict(cert.by_rank)
 
     if p**n <= BRUTE_LIMIT:
         with timed() as t:
-            ok = all(_rank_mod_q(projs[name], rep.field.order) == by_rank[name] for name in projs)
+            ok = all(
+                _rank_mod_q(combo, rep.field.order) == by_rank[name]
+                for name, combo in cert.projectors.items()
+            )
         check_bool(report, f"{tag}.rank-specialization", ok, "oracle", t.elapsed)
 
-    # route two: solve for the dims from traces alone
-    comp_names = list(projs.keys())
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def scalar_on(comp: str, kind: str, j: int) -> int:
-        if comp.startswith("i"):
-            return table_eigenvalue(kind, p, n, int(comp[1:]), j)
-        # w blocks: the y-side acts through the bottom slot
-        return table_eigenvalue(kind, p, n, 1, j)
-
-    def trace_of(*factors: PhasePermSum) -> Fraction:
-        return _trace(rep.field, [(1, factors)])
-
-    for j in range(lo, n):
-        rows.append([Fraction(scalar_on(cn, "V", j)) for cn in comp_names])
-        tr = trace_of(rep.piL_basis(f"y{j}"))
-        rhs.append(tr)
-        if report is not None:
-            check(report, f"{tag}.trace.y{j}", "0", str(tr), "formula", 0.0)
-    rows.append([Fraction(1)] * len(comp_names))
-    rhs.append(Fraction(rep.dim))
-    if r == 0:
-        U = rep.piL_basis("w")
-        uvals = {"w+": Fraction(p**n), "w-": Fraction(-(p ** (n - 1)))}
-        rows.append([uvals.get(cn, Fraction(0)) for cn in comp_names])
-        rhs.append(trace_of(U))
-        rows.append([uvals.get(cn, Fraction(0)) ** 2 for cn in comp_names])
-        rhs.append(trace_of(U, U))
-
-    k = len(comp_names)
-    sol = _solve_fraction_system([row[:] for row in rows[:k]], rhs[:k])
-    consistent = all(
-        sum(c * s for c, s in zip(row, sol)) == b for row, b in zip(rows, rhs)
-    )
-    by_system = {cn: sol[idx] for idx, cn in enumerate(comp_names)}
-    if not consistent:
-        raise AssertionError("trace system inconsistent with its extra rows")
-    if any(s.denominator != 1 for s in by_system.values()):
-        raise AssertionError("non-integral component dimension from trace system")
-    by_system = {cn: int(s) for cn, s in by_system.items()}
+    for j, tr in cert.traces:
+        check(report, f"{tag}.trace.y{j}", "0", str(tr), "formula", 0.0)
+    by_system = dict(cert.by_system)
 
     # the closed forms
     by_formula: dict[str, int] = {}

@@ -35,6 +35,17 @@ def test_verify_small_campaign(tmp_path):
         assert a["provenance"] in ("formula", "definition", "oracle")
 
 
+def test_verify_keeps_campaign_seed_unless_given(tmp_path):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [], "seed": 5}))
+    report = tmp_path / "out.json"
+    assert main(["verify", "--campaign", str(campaign), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["seed"] == 5
+    assert main(["verify", "--campaign", str(campaign), "--seed", "9",
+                 "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["seed"] == 9
+
+
 def test_verify_refuses_oversized_cell(tmp_path, capsys):
     campaign = tmp_path / "c.json"
     campaign.write_text(json.dumps({"grid": [{"p": 7, "n": 4}], "fixture_dirs": []}))

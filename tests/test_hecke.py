@@ -110,14 +110,7 @@ def test_transport_lemma(p, n):
         assert np.all(d0 == 1), (p, n, lab)
 
 
-@pytest.fixture
-def fresh_products():
-    hecke._basis_product_cached.cache_clear()
-    yield
-    hecke._basis_product_cached.cache_clear()
-
-
-def test_basis_product_refuses_transport_off_the_lemma(monkeypatch, fresh_products):
+def test_basis_product_refuses_transport_off_the_lemma(monkeypatch, fresh_caches):
     p, n = 3, 2
     assert _basis_product(p, n, "y1", "y1") == {"y1": 1, "y2": 2}
     table = dict(_left_transport(p, n))
@@ -137,17 +130,17 @@ def _assertion(rep, suffix):
     return a
 
 
-def test_mirrored_route_fails_on_a_non_rational_collapse(monkeypatch):
-    # shift the mirrored route's w-class terms by one root of unity: a
-    # w * y1 histogram becomes zeta * (a count), not rational in Q(zeta_4)
+def test_mirrored_route_fails_on_a_non_rational_collapse(monkeypatch, fresh_caches):
+    # shift the mirrored route's w-class terms by one root of unity in the
+    # per-character stage: a w * y1 histogram becomes zeta * (a count), not
+    # rational in Q(zeta_4)
     p, n = 5, 1
     chi = PChar.trivial(p, n)
     assert chi.field.order >= 3
     exact = hecke.basis_exponent
 
-    def shifted(vexp, lab, g):
-        e = exact(vexp, lab, g)
-        return e + 1 if e is not None and lab == "w" else e
+    def shifted(vexp, lab, entries):
+        return exact(vexp, lab, entries) + (lab == "w")
 
     monkeypatch.setattr(hecke, "basis_exponent", shifted)
     rep = verify_relations(p, n, chi)
@@ -157,14 +150,14 @@ def test_mirrored_route_fails_on_a_non_rational_collapse(monkeypatch):
     assert [a.id for a in rep.failures()] == [mirrored.id]
 
 
-def test_brute_route_fails_on_a_non_rational_collapse(monkeypatch):
+def test_brute_route_fails_on_a_non_rational_collapse(monkeypatch, fresh_caches):
+    # the same shift in the whole-group oracle's per-character stage
     p, n = 5, 1
     chi = PChar.trivial(p, n)
     exact = groupconv._value_exponents
 
-    def shifted(t, chi, lab):
-        mask, expo = exact(t, chi, lab)
-        return mask, expo + (lab == "w")
+    def shifted(vexp, lab, entries):
+        return exact(vexp, lab, entries) + (lab == "w")
 
     monkeypatch.setattr(groupconv, "_value_exponents", shifted)
     rep = verify_relations(p, n, chi)

@@ -4,7 +4,6 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +17,7 @@ from hecke_lab.campaign import Campaign
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
 from hecke_lab.cyclotomic import get_field
+from hecke_lab.hecke import AlgebraError
 from hecke_lab.induced import (
     InducedRep,
     PhasePermSum,
@@ -28,7 +28,7 @@ from hecke_lab.induced import (
     fixed_subspace,
     verify_induced,
 )
-from tests.conftest import GRID
+from tests.conftest import GRID, clear_cell_caches
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
@@ -212,7 +212,7 @@ def _dense(pps):
     return out
 
 
-def test_products_and_traces_match_dense_matrices(monkeypatch):
+def test_products_and_traces_match_dense_matrices(monkeypatch, fresh_caches):
     rng = np.random.default_rng(7)
     dim = 6
     for m in (7, 2):
@@ -242,7 +242,7 @@ def test_vanishes_needs_cyclotomic_reduction():
 
 
 @pytest.mark.parametrize("block_entries", [None, 1])  # default blocks, then one row each
-def test_vanishes_rejects_one_perturbed_exponent(monkeypatch, block_entries):
+def test_vanishes_rejects_one_perturbed_exponent(monkeypatch, fresh_caches, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(induced, "_BLOCK_ENTRIES", block_entries)
     p, n, k = 3, 2, 1
@@ -256,25 +256,36 @@ def test_vanishes_rejects_one_perturbed_exponent(monkeypatch, block_entries):
         assert not _vanishes(rep.field, [(1, (Yp, Yp)), (-s, (Yp,))]), (a, c)
 
 
-def test_one_row_blocks_give_same_verdicts(monkeypatch):
+def _component_verdicts(p, n):
+    """component_dimensions of every character of a cell, computed afresh."""
+    clear_cell_caches()
+    out = []
+    for chi in PChar.all_characters(p, n):
+        res = component_dimensions(InducedRep(p, n, chi))
+        checks = [(a.id, a.status) for a in res["report"].assertions]
+        out.append((res["by_rank"], res["by_system"], res["agree"], checks))
+    return out
+
+
+def test_one_row_blocks_give_same_verdicts(monkeypatch, fresh_caches):
     p, n = 3, 2
-
-    def verdicts():
-        out = []
-        for chi in PChar.all_characters(p, n):
-            res = component_dimensions(InducedRep(p, n, chi))
-            checks = [(a.id, a.status) for a in res["report"].assertions]
-            out.append((res["by_rank"], res["by_system"], res["agree"], checks))
-        return out
-
-    blocked = verdicts()
+    blocked = _component_verdicts(p, n)
     assert any("projcert" in cid for *_, checks in blocked for cid, _ in checks)
     assert any("rank-specialization" in cid for *_, checks in blocked for cid, _ in checks)
     monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
-    assert verdicts() == blocked
+    blocks, row_blocks = [], induced._row_blocks
+
+    def recorded(combo):
+        for rows, block in row_blocks(combo):
+            blocks.append(len(rows))
+            yield rows, block
+
+    monkeypatch.setattr(induced, "_row_blocks", recorded)
+    assert _component_verdicts(p, n) == blocked
+    assert blocks and set(blocks) == {1}  # the certificates were built on one-row blocks
 
 
-def test_component_dimensions_memory():
+def test_component_dimensions_memory(fresh_caches):
     """Certification holds one (dim, dim) count matrix per live bucket of each
     operator and one block of rows of each product, far below the 18 MB of a
     single dense (dim, dim, m) int64 tensor at (5,3)."""
@@ -292,7 +303,7 @@ def test_component_dimensions_memory():
     assert peak_mb < 48, peak_mb
 
 
-def test_component_dimensions_large_operator():
+def test_component_dimensions_large_operator(fresh_caches):
     """The trivial character at (7,3), dimension 392: all three routes agree
     within the (5,3) memory budget."""
     p, n = 7, 3
@@ -345,6 +356,7 @@ def test_vanishes_and_trace_match_dense_matrices(drawn, float_exact, data):
     """Against the complex reference, on both product routes (a float64 bound
     of 0 sends every product through int64)."""
     m, combo = drawn
+    clear_cell_caches()
     F = get_field(m)
     dense = _dense_combo(combo)
     with mock.patch.object(induced, "_FLOAT_EXACT", float_exact):
@@ -360,7 +372,7 @@ def test_vanishes_and_trace_match_dense_matrices(drawn, float_exact, data):
         # one operator on an integer vector, read back as a complex vector
         f = combo[0][1][0]
         v = data.draw(arrays(np.int64, f.dim, elements=st.integers(-3, 3)))
-        coords = InducedRep.act(SimpleNamespace(dim=f.dim, field=F), f, v)
+        coords = induced._act(F, f, v)
         zeta = np.exp(2j * np.pi * np.arange(F.degree) / m)
         assert np.allclose(coords @ zeta, _dense(f) @ v, atol=1e-9)
         # the sum of the Galois conjugates has a rational trace
@@ -371,21 +383,20 @@ def test_vanishes_and_trace_match_dense_matrices(drawn, float_exact, data):
         assert abs(float(_trace(F, conj)) - want.real) < 1e-9
 
 
-def test_int64_products_give_same_verdicts(monkeypatch):
+def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
     p, n = 3, 2
-
-    def verdicts():
-        out = []
-        for chi in PChar.all_characters(p, n):
-            res = component_dimensions(InducedRep(p, n, chi))
-            checks = [(a.id, a.status) for a in res["report"].assertions]
-            out.append((res["by_rank"], res["by_system"], res["agree"], checks))
-        return out
-
-    floated = verdicts()
+    floated = _component_verdicts(p, n)
     monkeypatch.setattr(induced, "_FLOAT_EXACT", 0)
     assert induced._exact_dtype(1) is np.int64
-    assert verdicts() == floated
+    dtypes, exact_dtype = [], induced._exact_dtype
+
+    def recorded(bound):
+        dtypes.append(exact_dtype(bound))
+        return dtypes[-1]
+
+    monkeypatch.setattr(induced, "_exact_dtype", recorded)
+    assert _component_verdicts(p, n) == floated
+    assert dtypes and set(dtypes) == {np.int64}  # the certificates were built in int64
     with pytest.raises(OverflowError):
         induced._exact_dtype(2**63)
 
@@ -420,3 +431,37 @@ def test_transport_tables_match_matpn_loop(p, n):
     for k in [xmat(p, n, 1), ymat(p, n, p), MatPn(p, n, 2, 1, p, 1), ymat(p, n, 1) @ xmat(p, n, 2)]:
         cls, d0 = induced._right_transport(p, n, k)
         assert (list(cls), list(d0)) == reference([repc @ k for repc in table.reps]), k
+
+
+def test_induced_refuses_transport_off_the_lemma(monkeypatch, fresh_caches):
+    """One y1 transport factor with d0 = 2 at (3,2): every character that
+    supports y1 (r <= 1) must refuse, not read a clean cell certificate; a
+    character with r = 2 never reads the y1 operator."""
+    p, n = 3, 2
+    chars = {chi.conductor_exponent: chi for chi in PChar.all_characters(p, n)}
+    assert set(chars) == {0, 1, 2}
+    assert all(verify_induced(p, n, chi).ok() for chi in chars.values())
+    table = dict(cosets._left_transport(p, n))
+    cls, d0 = table["y1"]
+    d0 = d0.copy()
+    d0[1, 2] = 2  # a unit, but not 1 mod 3
+    table["y1"] = (cls, d0)
+    monkeypatch.setattr(induced, "_left_transport", lambda p, n: table)
+    clear_cell_caches()
+    for r in (0, 1):
+        with pytest.raises(AlgebraError, match="y1"):
+            verify_induced(p, n, chars[r])
+    assert verify_induced(p, n, chars[2]).ok()
+
+
+def test_operators_only_for_supported_labels():
+    p, n = 3, 2
+    chi = PChar.from_conrey(p, n, 2)  # conductor 9
+    rep = InducedRep(p, n, chi)
+    assert rep.r == 2
+    for lab in ("w", "y1"):
+        with pytest.raises(ValueError):
+            rep.piL_basis(lab)
+    with pytest.raises(ValueError):
+        rep.y_operator(1)
+    assert rep.piL_basis("y2") is InducedRep(p, n, PChar.trivial(p, n)).piL_basis("y2")
