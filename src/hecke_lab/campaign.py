@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cellcache import clear_cell_caches
 from .characters import PChar
 from .hecke import verify_relations
 from .induced import verify_induced
@@ -77,8 +78,13 @@ def _grid_characters(cell: dict) -> list[PChar]:
 def run_verify(campaign: Campaign) -> Report:
     """Execute every campaign cell and return the merged report."""
     rep = Report(seed=campaign.seed, meta={"campaign": campaign.to_dict()})
+    current = None
     for cell in campaign.grid:
         p, n = int(cell["p"]), int(cell["n"])
+        if (p, n) != current:
+            # the cell caches are unbounded: hold one cell's work at a time
+            clear_cell_caches()
+            current = (p, n)
         for chi in _grid_characters(cell):
             rep.extend(verify_relations(p, n, chi).assertions)
             rep.extend(verify_induced(p, n, chi).report.assertions)

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cellcache import cell_cache
 from .characters import PChar, _vp_array
 from .cosets import MatArray, all_labels, label_rep
 from .report import Report, check, timed
@@ -61,7 +62,7 @@ def double_coset_census(p: int, n: int) -> dict[str, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
     """The whole-group sum with the character taken out, for every support
     label l1 and target label h: over the g in l1's double coset, the

@@ -11,17 +11,19 @@ representative a moves every coset with a factor k0 whose lower-right entry
 is 1 mod p^j (the lemma in _basis_product), and j >= r on the supported
 basis, so every term of the coset sum is chi(1) = 1; on the w class chi is
 trivial.  The algebra therefore runs over Q: coefficients are Fractions and
-the integer constants are shared by every character of a cell.
+the integer constants are shared by every character of a cell, and the
+relation audit on them by every character of one conductor exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from .cellcache import cell_cache
 from .characters import PChar
 from .cosets import (
     K0_ENUMERATION_LIMIT,
@@ -36,7 +38,7 @@ from .cosets import (
     label_rep,
 )
 from .groupconv import BRUTE_LIMIT, cross_check_structure
-from .report import Report, check, check_bool, timed
+from .report import Assertion, Report, check, check_bool, timed
 
 
 class AlgebraError(ValueError):
@@ -206,7 +208,7 @@ def y_element(p: int, n: int, chi: PChar, ell: int) -> HeckeElem:
     return HeckeElem(p, n, chi, {f"y{i}": 1 for i in range(ell, n + 1)})
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _basis_product_cached(p: int, n: int, lab1: str, lab2: str) -> tuple:
     return tuple(sorted(_basis_product(p, n, lab1, lab2).items()))
 
@@ -266,7 +268,7 @@ def _twist_slot(lab: str, g: MatPn) -> int:
     return g.c if lab == "w" else g.d
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _mirror_geometry(p: int, n: int, lab_h: str, l2: str) -> dict[str, tuple]:
     """The character-free part of the mirrored sum at the target of `lab_h`
     over the left-coset representatives b of l2's class: b's twist entry,
@@ -351,15 +353,25 @@ def structure_table(p: int, n: int, chi: PChar) -> StructTable:
 # ---------------------------------------------------------------------------
 
 
-def verify_relations(p: int, n: int, chi: PChar) -> Report:
-    """Audit every algebra identity by exact convolution, and on every cell
-    with p^n <= groupconv.BRUTE_LIMIT compare each basis product against the
-    brute-force whole-group convolution oracle.
-    """
-    rep = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": chi.conductor_exponent})
-    r = chi.conductor_exponent
+@dataclass(frozen=True)
+class _Conductor:
+    """Stands for every character of conductor exponent r in HeckeElem
+    arithmetic: labels and structure constants read chi only through r
+    (supported_basis), and anything that reads chi's values fails on it."""
+
+    conductor_exponent: int
+
+
+@cell_cache
+def _relation_verdicts(p: int, n: int, r: int) -> tuple[tuple[Assertion, ...], tuple[Assertion, ...]]:
+    """Every algebra identity for conductor exponent r, by exact convolution
+    on the count constants: (axioms, identities), with ids relative to a
+    character's tag.  The axioms are the dimension, the identity element and
+    commutativity; the identities are the closed-form relations.  They read
+    nothing of chi beyond r, so they are computed once per (p, n, r)."""
+    chi = _Conductor(r)
     basis = supported_basis(p, n, chi)
-    tag = f"p{p}.n{n}.chi{chi.conrey_index()}"
+    axioms, rels = Report(), Report()
 
     def B(lab):
         return HeckeElem.basis(p, n, chi, lab)
@@ -369,110 +381,106 @@ def verify_relations(p: int, n: int, chi: PChar) -> Report:
 
     e = HeckeElem.identity(p, n, chi)
 
-    with timed() as t:
-        expected_dim = (n - r + 1) if r > 0 else n + 1
-    check(rep, f"{tag}.dimension", expected_dim, len(basis), "formula", t.elapsed)
-
-    with timed() as t:
-        ok = all(convolve(e, B(l)) == B(l) and convolve(B(l), e) == B(l) for l in basis)
-    check_bool(rep, f"{tag}.identity", ok, "definition", t.elapsed)
-
-    with timed() as t:
-        sym = all(
-            convolve(B(a), B(b)) == convolve(B(b), B(a)) for a in basis for b in basis
-        )
-    check_bool(rep, f"{tag}.commutative", sym, "formula", t.elapsed)
-
-    with timed() as t:
-        ok = True
-        detail = ""
-        for a in basis:
-            for b in basis:
-                lhs = convolve(B(a), B(b))
-                try:
-                    rhs = convolve_mirrored(B(a), B(b))
-                except ValueError as exc:  # a non-rational collapse or a leak
-                    ok = False
-                    detail = f"mirror at {a}*{b}: {exc}"
-                    continue
-                if lhs != rhs:
-                    ok = False
-                    detail = f"mirror mismatch at {a}*{b}"
-    check_bool(rep, f"{tag}.mirrored-convolution", ok, "oracle", t.elapsed, detail=detail)
+    expected_dim = (n - r + 1) if r > 0 else n + 1
+    check(axioms, "dimension", expected_dim, len(basis), "formula")
+    ok = all(convolve(e, B(l)) == B(l) and convolve(B(l), e) == B(l) for l in basis)
+    check_bool(axioms, "identity", ok, "definition")
+    sym = all(convolve(B(a), B(b)) == convolve(B(b), B(a)) for a in basis for b in basis)
+    check_bool(axioms, "commutative", sym, "formula")
 
     lo = max(r, 1)
     # V_l * V_l and the quadratic consequence
     for ell in range(lo, n):
         c = p ** (n - ell - 1)
-        with timed() as t:
-            got = convolve(B(f"y{ell}"), B(f"y{ell}"))
-            want = HeckeElem(
-                p, n, chi,
-                {f"y{i}": c * (p - 1) for i in range(ell + 1, n + 1)}
-                | {f"y{ell}": c * (p - 2)},
-            )
-        check(
-            rep, f"{tag}.Vsquare.l{ell}", want.pretty(), got.pretty(), "formula", t.elapsed
+        got = convolve(B(f"y{ell}"), B(f"y{ell}"))
+        want = HeckeElem(
+            p, n, chi,
+            {f"y{i}": c * (p - 1) for i in range(ell + 1, n + 1)} | {f"y{ell}": c * (p - 2)},
         )
-        with timed() as t:
-            lhs = convolve(
-                B(f"y{ell}") - c * (p - 1) * e, B(f"y{ell}") + Y(ell + 1)
-            )
-        check_bool(
-            rep, f"{tag}.Vquadratic.l{ell}", lhs.is_zero(), "formula", t.elapsed,
-            expected="0", computed=lhs.pretty(),
-        )
+        check(rels, f"Vsquare.l{ell}", want.pretty(), got.pretty(), "formula")
+        lhs = convolve(B(f"y{ell}") - c * (p - 1) * e, B(f"y{ell}") + Y(ell + 1))
+        check_bool(rels, f"Vquadratic.l{ell}", lhs.is_zero(), "formula",
+                   expected="0", computed=lhs.pretty())
 
     # V_l * V_j = p^{n-j-1}(p-1) V_l for l < j < n, both orders
     for ell in range(lo, n):
         for j in range(ell + 1, n):
-            cj = p ** (n - j - 1) * (p - 1)
-            with timed() as t:
-                got1 = convolve(B(f"y{ell}"), B(f"y{j}"))
-                got2 = convolve(B(f"y{j}"), B(f"y{ell}"))
-                want = cj * B(f"y{ell}")
+            want = p ** (n - j - 1) * (p - 1) * B(f"y{ell}")
+            got1 = convolve(B(f"y{ell}"), B(f"y{j}"))
+            got2 = convolve(B(f"y{j}"), B(f"y{ell}"))
             check_bool(
-                rep, f"{tag}.Vmixed.l{ell}.j{j}", got1 == want and got2 == want,
-                "formula", t.elapsed, expected=want.pretty(),
-                computed=f"{got1.pretty()} / {got2.pretty()}",
+                rels, f"Vmixed.l{ell}.j{j}", got1 == want and got2 == want, "formula",
+                expected=want.pretty(), computed=f"{got1.pretty()} / {got2.pretty()}",
             )
 
     # Y_j * Y_l = p^{n-j} Y_l for max(r,1) <= l <= j <= n, both orders
     for ell in range(lo, n + 1):
         for j in range(ell, n + 1):
-            with timed() as t:
-                want = p ** (n - j) * Y(ell)
-                ok = convolve(Y(j), Y(ell)) == want and convolve(Y(ell), Y(j)) == want
-            check_bool(rep, f"{tag}.Yproduct.j{j}.l{ell}", ok, "formula", t.elapsed,
-                       expected=want.pretty())
+            want = p ** (n - j) * Y(ell)
+            ok = convolve(Y(j), Y(ell)) == want and convolve(Y(ell), Y(j)) == want
+            check_bool(rels, f"Yproduct.j{j}.l{ell}", ok, "formula", expected=want.pretty())
 
     # idempotents
     for ell in range(lo, n + 1):
-        with timed() as t:
-            el = Fraction(1, p ** (n - ell)) * Y(ell)
-            ok = convolve(el, el) == el
-        check_bool(rep, f"{tag}.idempotent.l{ell}", ok, "formula", t.elapsed)
+        el = Fraction(1, p ** (n - ell)) * Y(ell)
+        check_bool(rels, f"idempotent.l{ell}", convolve(el, el) == el, "formula")
 
     if r == 0:
         U = B("w")
-        with timed() as t:
-            want = p ** (n - 1) * (p - 1) * U + p**n * Y(1)
-            got = convolve(U, U)
-        check(rep, f"{tag}.Usquare", want.pretty(), got.pretty(), "formula", t.elapsed)
+        want = p ** (n - 1) * (p - 1) * U + p**n * Y(1)
+        check(rels, "Usquare", want.pretty(), convolve(U, U).pretty(), "formula")
         for ell in range(1, n + 1):
-            with timed() as t:
-                want = p ** (n - ell) * U
-                ok = convolve(U, Y(ell)) == want and convolve(Y(ell), U) == want
-            check_bool(rep, f"{tag}.UY.l{ell}", ok, "formula", t.elapsed, expected=want.pretty())
-        with timed() as t:
-            cubic = convolve(convolve(U, U - p**n * e), U + p ** (n - 1) * e)
-        check_bool(rep, f"{tag}.Ucubic", cubic.is_zero(), "formula", t.elapsed,
-                   expected="0", computed=cubic.pretty())
+            want = p ** (n - ell) * U
+            ok = convolve(U, Y(ell)) == want and convolve(Y(ell), U) == want
+            check_bool(rels, f"UY.l{ell}", ok, "formula", expected=want.pretty())
+        cubic = convolve(convolve(U, U - p**n * e), U + p ** (n - 1) * e)
+        check_bool(rels, "Ucubic", cubic.is_zero(), "formula", expected="0", computed=cubic.pretty())
         if n == 1:
-            with timed() as t:
-                quad = convolve(U + e, U - p * e)
-            check_bool(rep, f"{tag}.Uquadratic.n1", quad.is_zero(), "formula", t.elapsed,
+            quad = convolve(U + e, U - p * e)
+            check_bool(rels, "Uquadratic.n1", quad.is_zero(), "formula",
                        expected="0", computed=quad.pretty())
+
+    return tuple(axioms.assertions), tuple(rels.assertions)
+
+
+def verify_relations(p: int, n: int, chi: PChar) -> Report:
+    """Audit every algebra identity by exact convolution, check the
+    convolution against the mirrored sum, and on every cell with
+    p^n <= groupconv.BRUTE_LIMIT compare each basis product against the
+    brute-force whole-group convolution oracle.
+
+    The identities come from the (p, n, r) verdicts; each such assertion's
+    runtime is its share of the time this character spent getting them.
+    The mirrored sum and the whole-group oracle read chi and run here.
+    """
+    rep = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": chi.conductor_exponent})
+    tag = f"p{p}.n{n}.chi{chi.conrey_index()}"
+    with timed() as t:
+        axioms, identities = _relation_verdicts(p, n, chi.conductor_exponent)
+    share = t.elapsed / (len(axioms) + len(identities))
+
+    def record(assertions):
+        rep.extend(replace(a, id=f"{tag}.{a.id}", runtime=share) for a in assertions)
+
+    record(axioms)
+    basis = supported_basis(p, n, chi)
+    with timed() as t:
+        ok = True
+        detail = ""
+        for a in basis:
+            for b in basis:
+                fa, fb = HeckeElem.basis(p, n, chi, a), HeckeElem.basis(p, n, chi, b)
+                try:
+                    mirrored = convolve_mirrored(fa, fb).coeffs
+                except ValueError as exc:  # a non-rational collapse or a leak
+                    ok = False
+                    detail = f"mirror at {a}*{b}: {exc}"
+                    continue
+                if mirrored != dict(_basis_product_cached(p, n, a, b)):
+                    ok = False
+                    detail = f"mirror mismatch at {a}*{b}"
+    check_bool(rep, f"{tag}.mirrored-convolution", ok, "oracle", t.elapsed, detail=detail)
+    record(identities)
 
     if p**n <= BRUTE_LIMIT:
         cross_check_structure(rep, p, n, chi, tag)

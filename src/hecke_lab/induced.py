@@ -13,14 +13,17 @@ that keeps every integer exact, in int64 otherwise.  Every verdict is exact.
 The algebra's operators read chi only at transport factors whose lower-right
 entry is 1 mod p^j (the lemma in hecke._basis_product), or, for the w class,
 only for trivial chi: on the supported basis every phase is 0.  So the basis
-operators, the Y_k, the projector certificates, the traces and the
-eigenvalue-table images are built once per cell (p, n) or per (p, n, r), and
-each character records them under its own assertion ids.  Right translation,
-and with it the fixed-vector chain, reads chi and runs per character.
+operators, the Y_k, the projector certificates, the prime-field ranks, the
+traces and the eigenvalue-table images are built once per cell (p, n) or per
+(p, n, r), and each character records them under its own assertion ids.
+Right translation reads chi, but only at entries it fixes: the fixed-vector
+chain's graph and path counts are built once per (p, n, level, witness word),
+and each character reads chi at their entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +32,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .cellcache import cell_cache
 from .characters import PChar, group_exponent, unit_generators
 from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
 from .cyclotomic import CyclotomicField, _solve_fraction_system, get_field
@@ -104,7 +108,7 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _basis_operator(p: int, n: int, lab: str) -> PhasePermSum:
     """Convolution action of one algebra basis function (one term per class
     representative), with every phase 0: the action for every character
@@ -127,7 +131,7 @@ def _basis_operator(p: int, n: int, lab: str) -> PhasePermSum:
     return PhasePermSum(cls, np.zeros_like(cls), group_exponent(p, n))
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _y_operator(p: int, n: int, k: int) -> PhasePermSum:
     """Y_k = sum of the basis operators of levels k..n, as one phase-perm sum."""
     cls = np.vstack([_basis_operator(p, n, f"y{j}").cls for j in range(k, n + 1)])
@@ -233,69 +237,121 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
 
     Each word is a phase permutation, so its equation links coordinate c to
     cls[c] by a root of unity: the solutions are one vector per connected
-    component of the word graph whose cycles all carry phase 0, found by
-    `_live_components`.
+    component of the word graph whose cycles all carry phase 0.  The graph
+    and its path counts are built once per (p, n, m_level, t) in
+    `_fixed_geometry`; this character only reads chi at their entries
+    (`_live_basis`).
     """
     p, n = rep.p, rep.n
     if not 0 <= m_level <= n:
         raise ValueError("level exponent out of range")
-    pn, mord, dim = p**n, rep.field.order, rep.dim
     vexp = rep.chi.exponent_table()
-    words = _k0m_generators(p, n, m_level)
+    t = None
     if m_level < rep.r:
-        t = next(t for t in range(pn) if vexp[(1 + p**m_level * t) % pn] > 0)
-        words.append(ymat(p, n, p**m_level) @ xmat(p, n, t))
-    if any(k.d % p == 0 for k in words):
-        raise AssertionError("word with a non-unit lower-right entry")
-
-    # edge c -> cls[c] with v[cls[c]] = zeta^delta v[c], since
-    # (pi_R(k) v)[c] = zeta^e[c] v[cls[c]] must equal zeta^x_k v[c]
-    src, dst, delta = [], [], []
-    for k in words:
-        pps = rep.piR(k)
-        src.append(np.arange(dim))
-        dst.append(pps.cls[0])
-        delta.append((vexp[k.d] - pps.e[0]) % mord)
-    basis = _live_components(
-        dim, mord, np.concatenate(src), np.concatenate(dst), np.concatenate(delta)
-    )
+        pn = p**n
+        t = next((t for t in range(pn) if vexp[(1 + p**m_level * t) % pn] > 0), None)
+        if t is None:
+            raise AlgebraError(
+                f"no witness word at p={p}, n={n}, conrey {rep.chi.conrey_index()}, m={m_level}: "
+                f"chi is trivial on 1 + p^{m_level} Z, against conductor exponent {rep.r}"
+            )
+    basis = _live_basis(_fixed_geometry(p, n, m_level, t), vexp, rep.field.order)
     return FixedSubspace(p, n, m_level, len(basis), basis)
 
 
-def _live_components(dim: int, mord: int, src, dst, delta) -> list[np.ndarray]:
-    """Solutions of v[dst] = zeta_mord^delta v[src] on dim coordinates, one
-    per live connected component of the graph of these edges, as exponent
-    vectors (-1 off the component).
+@dataclass(frozen=True)
+class _WordGeometry:
+    """The character-free part of a fixed-vector system.
 
-    Each component is walked from its lowest coordinate, which gets phase 0;
-    every coordinate reached gets the phase forced along the edge that first
-    reaches it.  Components are numbered by their lowest coordinate.
+    Edge i links c = src[i] to dst[i] = cls[c] of one word k, with
+    v[dst] = zeta^delta v[src] for delta = chi(k.d) - chi(d0[c]) as
+    exponents: the two entries it reads are entries[word_at[i]] and
+    entries[coset_at[i]].  Components are numbered by their lowest
+    coordinate.  Walking a spanning forest from each component's lowest
+    coordinate, the phase forced on coordinate c is paths[c] @ chi(entries)
+    mod m: paths[c] counts, with sign, the entries read along c's path.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    for a, b, e in zip(src.tolist(), dst.tolist(), delta.tolist()):
-        adj[a].append((b, e))
-        adj[b].append((a, -e))
-    labels, ph = [-1] * dim, [0] * dim
-    ncomp = 0
-    for root in range(dim):
-        if labels[root] >= 0:
-            continue
-        labels[root] = ncomp
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b, e in adj[a]:
-                if labels[b] < 0:
-                    labels[b] = ncomp
-                    ph[b] = (ph[a] + e) % mord
-                    stack.append(b)
-        ncomp += 1
-    labels, ph = np.array(labels, dtype=np.int64), np.array(ph, dtype=np.int64)
 
-    # a component is dead when any of its edges disagrees with the walk phases
-    dead = np.zeros(ncomp, dtype=bool)
-    dead[labels[src[(ph[src] + delta - ph[dst]) % mord != 0]]] = True
-    return [np.where(labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
+    entries: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    word_at: np.ndarray
+    coset_at: np.ndarray
+    labels: np.ndarray
+    paths: np.ndarray
+
+
+def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]]) -> _WordGeometry:
+    """Geometry of the words given as (cls, d0, word entry), cls a map of the
+    coordinates and d0[c] the entry read at c.
+
+    The forest is breadth-first, grown one level at a time over the edges
+    taken both ways (sign -1 backwards).  A path changes each count by at
+    most 1 per edge, so `paths` takes the smallest integer dtype that holds
+    the longest path."""
+    dim = len(words[0][0])
+    src = np.tile(np.arange(dim), len(words))
+    dst = np.concatenate([cls for cls, _, _ in words])
+    read = np.concatenate([np.full(dim, kd) for _, _, kd in words] + [d0 for _, d0, _ in words])
+    entries, at = np.unique(read, return_inverse=True)
+    word_at, coset_at = at[: len(src)], at[len(src) :]
+
+    tail, head = np.concatenate([src, dst]), np.concatenate([dst, src])
+    edge, sign = np.tile(np.arange(len(src)), 2), np.repeat([1, -1], len(src))
+    labels = np.full(dim, -1)
+    paths = np.zeros((dim, len(entries)), dtype=np.int64)
+    ncomp, longest = 0, 0
+    while (labels < 0).any():
+        front = np.flatnonzero(labels < 0)[:1]  # the component's lowest coordinate
+        labels[front] = ncomp
+        for depth in itertools.count():
+            on = np.zeros(dim, dtype=bool)
+            on[front] = True
+            hit = np.flatnonzero(on[tail] & (labels[head] < 0))
+            if not len(hit):
+                break
+            # each coordinate reached joins the forest along its first edge
+            front, first = np.unique(head[hit], return_index=True)
+            a, i, s = tail[hit[first]], edge[hit[first]], sign[hit[first]]
+            labels[front] = ncomp
+            paths[front] = paths[a]
+            paths[front, word_at[i]] += s
+            paths[front, coset_at[i]] -= s
+        longest = max(longest, depth)
+        ncomp += 1
+    paths = paths.astype(np.min_scalar_type(-max(longest, 1)))
+    return _WordGeometry(entries, src, dst, word_at, coset_at, labels, paths)
+
+
+@cell_cache
+def _fixed_geometry(p: int, n: int, m_level: int, t: Optional[int]) -> _WordGeometry:
+    """Geometry of the K0(p^m_level) generators, plus the witness word
+    y(p^m) x(t) when t is given.  Every entry it reads is checked to be a
+    unit here, once."""
+    words = _k0m_generators(p, n, m_level)
+    if t is not None:
+        words.append(ymat(p, n, p**m_level) @ xmat(p, n, t))
+    if any(k.d % p == 0 for k in words):
+        raise AssertionError("word with a non-unit lower-right entry")
+    geo = _word_geometry([(*_right_transport(p, n, k), k.d) for k in words])
+    if np.any(geo.entries % p == 0):
+        raise AssertionError("twist evaluated at a non-unit entry")
+    return geo
+
+
+def _live_basis(geo: _WordGeometry, vexp: np.ndarray, mord: int) -> list[np.ndarray]:
+    """Solutions for one exponent table vexp (chi = zeta_mord^vexp), one per
+    live component, as exponent vectors (-1 off the component).
+
+    The walk phases solve every forest edge; a component is dead when any of
+    its edges disagrees with them, and then it carries only the zero vector.
+    """
+    vals = vexp[geo.entries]
+    ph = geo.paths @ vals % mord
+    delta = vals[geo.word_at] - vals[geo.coset_at]
+    dead = np.zeros(geo.labels.max() + 1, dtype=bool)
+    dead[geo.labels[geo.src[(ph[geo.src] + delta - ph[geo.dst]) % mord != 0]]] = True
+    return [np.where(geo.labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +378,7 @@ def table_eigenvalue(kind: str, p: int, n: int, i: int, j: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _table_images(p: int, n: int, r: int) -> dict[tuple[int, int], tuple[bool, bool]]:
     """For each table entry (i, j): do V_j and Y_j map the row-i vector to
     its tabulated multiple?  Character-free, so computed once per (p, n, r)."""
@@ -507,17 +563,18 @@ class _SpectralCertificate:
     """The character-free spectral data of one (p, n, r)."""
 
     projcert: list  # (assertion suffix, verdict) of the projector identities
-    projectors: dict  # component name -> certified projector, as a combination
     by_rank: dict  # component name -> trace (= rank) of its projector
     traces: list  # (j, trace of V_j) for the rows of the trace system
     by_system: dict  # component name -> dimension solved from traces alone
+    ranks_mod_q: Optional[dict]  # component name -> prime-field rank; None above BRUTE_LIMIT
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     """Component dimensions by two routes: ranks of certified spectral
     projectors (the rank of a certified projector is its trace), and the
-    exact linear system driven by operator traces."""
+    exact linear system driven by operator traces.  On small cells each
+    projector's rank is confirmed again in a prime field."""
     F = get_field(group_exponent(p, n))
     lo = max(r, 1)
     projcert, projs = _certify_projector_family(p, n, r, F)
@@ -564,7 +621,10 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     if any(s.denominator != 1 for s in sol):
         raise AssertionError("non-integral component dimension from trace system")
     by_system = {cn: int(s) for cn, s in zip(comp_names, sol)}
-    return _SpectralCertificate(projcert, projs, by_rank, traces, by_system)
+    ranks = None
+    if p**n <= BRUTE_LIMIT:
+        ranks = {name: _rank_mod_q(combo, F.order) for name, combo in projs.items()}
+    return _SpectralCertificate(projcert, by_rank, traces, by_system, ranks)
 
 
 def _rank_mod_q(combo: list, mord: int) -> int:
@@ -609,10 +669,10 @@ def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> di
     """Dimensions of the irreducible components, by three routes that must
     agree: ranks of certified spectral projectors and the trace system (both
     from the (p, n, r) certificate), and the closed forms.  On small cells
-    each projector's rank is confirmed again in a prime field, per character.
+    the certificate also confirms each projector's rank in a prime field.
 
-    Each projector-identity assertion's runtime is its share of the time
-    this character spent getting the certificate."""
+    Each projector-identity and rank assertion's runtime is its share of the
+    time this character spent getting the certificate."""
     p, n, r = rep.p, rep.n, rep.r
     own_report = report is None
     if own_report:
@@ -621,17 +681,12 @@ def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> di
 
     with timed() as t:
         cert = _spectral_certificate(p, n, r)
+    share = t.elapsed / (len(cert.projcert) + (cert.ranks_mod_q is not None))
     for suffix, ok in cert.projcert:
-        check_bool(report, f"{tag}.projcert.{suffix}", ok, "formula", t.elapsed / len(cert.projcert))
+        check_bool(report, f"{tag}.projcert.{suffix}", ok, "formula", share)
     by_rank = dict(cert.by_rank)
-
-    if p**n <= BRUTE_LIMIT:
-        with timed() as t:
-            ok = all(
-                _rank_mod_q(combo, rep.field.order) == by_rank[name]
-                for name, combo in cert.projectors.items()
-            )
-        check_bool(report, f"{tag}.rank-specialization", ok, "oracle", t.elapsed)
+    if cert.ranks_mod_q is not None:
+        check_bool(report, f"{tag}.rank-specialization", cert.ranks_mod_q == by_rank, "oracle", share)
 
     for j, tr in cert.traces:
         check(report, f"{tag}.trace.y{j}", "0", str(tr), "formula", 0.0)

@@ -1,28 +1,11 @@
 import pytest
 from hypothesis import settings
 
-from hecke_lab import groupconv, hecke, induced
+from hecke_lab.cellcache import clear_cell_caches
 from hecke_lab.newspace import characterize
 from hecke_lab.spaces import load_families
 
 GRID = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
-
-# Character-free work, cached per cell (p, n) or per (p, n, r) and shared by
-# every character there.
-CELL_CACHES = (
-    hecke._basis_product_cached,
-    hecke._mirror_geometry,
-    groupconv._pair_counts,
-    induced._basis_operator,
-    induced._y_operator,
-    induced._table_images,
-    induced._spectral_certificate,
-)
-
-
-def clear_cell_caches():
-    for cached in CELL_CACHES:
-        cached.cache_clear()
 
 
 @pytest.fixture
@@ -32,6 +15,7 @@ def fresh_caches():
     clear_cell_caches()
     yield
     clear_cell_caches()
+
 
 # Property tests draw the same examples on every run and stay within tier-1 time.
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60)

@@ -4,6 +4,8 @@ passes."""
 
 import random
 
+from hecke_lab import campaign, hecke, induced
+from hecke_lab.cellcache import CELL_CACHES
 from hecke_lab.characters import PChar
 from hecke_lab.hecke import verify_relations
 from hecke_lab.induced import verify_induced
@@ -28,3 +30,27 @@ def test_cached_cell_work_matches_a_cold_run(fresh_caches):
     random.Random(9).shuffle(chars)
     for p, n, chi in chars:
         assert _reports(p, n, chi) == cold[(p, n, chi)], (p, n, chi.conrey_index())
+
+
+def test_registry_holds_every_cell_cache():
+    assert {f.__wrapped__.__qualname__ for f in CELL_CACHES} >= {
+        "_basis_product_cached", "_mirror_geometry", "_relation_verdicts", "_pair_counts",
+        "_basis_operator", "_y_operator", "_table_images", "_spectral_certificate",
+        "_fixed_geometry",
+    }
+
+
+def test_campaign_holds_one_cell_at_a_time(monkeypatch, fresh_caches):
+    clears = []
+
+    def recorded():
+        clears.append(True)
+        clear_cell_caches()
+
+    monkeypatch.setattr(campaign, "clear_cell_caches", recorded)
+    grid = [{"p": 2, "n": 2}, {"p": 2, "n": 2, "conrey": 3}, {"p": 3, "n": 1}]
+    assert campaign.run_verify(campaign.Campaign(grid=grid)).ok
+    assert len(clears) == 2
+    # only (3, 1) is left: its conductor exponents 0 and 1
+    assert hecke._relation_verdicts.cache_info().currsize == 2
+    assert induced._spectral_certificate.cache_info().currsize == 2

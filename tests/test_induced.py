@@ -93,40 +93,41 @@ def test_fixed_vectors_are_eigenvectors_of_sampled_K0m(p, n):
 
 @st.composite
 def phase_systems(draw):
-    """1-4 phase permutations on 1-12 coordinates: word k sends v to
-    (zeta^e[c] v[cls[c]])_c and asks for the eigenvalue zeta^x."""
+    """1-4 phase permutations on 1-12 coordinates over an exponent table of
+    1-6 entries: word k sends v to (zeta^vexp[d0[c]] v[cls[c]])_c and asks
+    for the eigenvalue zeta^vexp[kd]."""
     m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
     dim = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 6))
+    vexp = draw(arrays(np.int64, size, elements=st.integers(0, m - 1)))
     words = [
         (
             np.array(draw(st.permutations(range(dim))), dtype=np.int64),
-            draw(arrays(np.int64, dim, elements=st.integers(0, m - 1))),
-            draw(st.integers(0, m - 1)),
+            draw(arrays(np.int64, dim, elements=st.integers(0, size - 1))),
+            draw(st.integers(0, size - 1)),
         )
         for _ in range(draw(st.integers(1, 4)))
     ]
-    return m, dim, words
+    return m, vexp, words
 
 
 @given(phase_systems())
 def test_live_components_span_the_solution_space(system):
-    """The walk returns as many solutions as the stacked (P_k - zeta^x_k I)
-    has null dimension, with disjoint supports, each solving every equation
-    exactly."""
-    m, dim, words = system
-    src = np.tile(np.arange(dim), len(words))
-    dst = np.concatenate([cls for cls, _, _ in words])
-    delta = np.concatenate([(x - e) % m for _, e, x in words])
-    basis = induced._live_components(dim, m, src, dst, delta)
+    """The phases read through the path-count matrix give as many solutions
+    as the stacked (P_k - zeta^x_k I) has null dimension, with disjoint
+    supports, each solving every equation exactly."""
+    m, vexp, words = system
+    dim = len(words[0][0])
+    basis = induced._live_basis(induced._word_geometry(words), vexp, m)
 
     def root(e):
         return np.exp(2j * np.pi * np.asarray(e) / m)
 
     stacked = []
-    for cls, e, x in words:
+    for cls, d0, kd in words:
         P = np.zeros((dim, dim), dtype=complex)
-        P[np.arange(dim), cls] = root(e)
-        stacked.append(P - root(x) * np.eye(dim))
+        P[np.arange(dim), cls] = root(vexp[d0])
+        stacked.append(P - root(vexp[kd]) * np.eye(dim))
     sv = np.linalg.svd(np.vstack(stacked), compute_uv=False)
     assert len(basis) == dim - int(np.sum(sv > 1e-8))
 
@@ -135,9 +136,9 @@ def test_live_components_span_the_solution_space(system):
         live = ph >= 0
         assert live.any()
         support += live
-        for cls, e, x in words:
+        for cls, d0, kd in words:
             assert np.array_equal(live[cls], live)
-            assert np.array_equal((e[live] + ph[cls[live]]) % m, (x + ph[live]) % m)
+            assert np.array_equal((vexp[d0][live] + ph[cls[live]]) % m, (vexp[kd] + ph[live]) % m)
     assert support.max(initial=0) <= 1
 
 
@@ -162,27 +163,57 @@ def _scipy_live_components(dim, mord, src, dst, delta):
     return [np.where(labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
 
 
+def _piR_edges(rep, m):
+    """The fixed-vector system of K0(p^m), and of the witness word below the
+    conductor, as (src, dst, delta) edges read off rep.piR."""
+    p, n, mord, vexp = rep.p, rep.n, rep.field.order, rep.chi.exponent_table()
+    words = induced._k0m_generators(p, n, m)
+    if m < rep.r:
+        t = next(t for t in range(p**n) if vexp[(1 + p**m * t) % p**n] > 0)
+        words.append(ymat(p, n, p**m) @ xmat(p, n, t))
+    edges = [(np.arange(rep.dim), pps.cls[0], (vexp[k.d] - pps.e[0]) % mord)
+             for k, pps in ((k, rep.piR(k)) for k in words)]
+    return [np.concatenate(col) for col in zip(*edges)]
+
+
 def test_fixed_subspace_matches_scipy_components(monkeypatch):
-    """On every grid character and level, the component walk returns the
-    same basis as the scipy graph route on the same edges."""
+    """On every grid character and level, the chain solves exactly the edges
+    of right translation, and fixed_subspace returns the same basis as the
+    scipy graph route on them."""
     pytest.importorskip("scipy.sparse.csgraph")
-    walk, calls = induced._live_components, []
+    live_basis, solved = induced._live_basis, []
 
-    def recorded(*args):
-        calls.append((args, walk(*args)))
-        return calls[-1][1]
+    def recorded(geo, vexp, mord):
+        solved.append(geo)
+        return live_basis(geo, vexp, mord)
 
-    monkeypatch.setattr(induced, "_live_components", recorded)
+    monkeypatch.setattr(induced, "_live_basis", recorded)
+    calls = 0
     for p, n in GRID:
         for chi in PChar.all_characters(p, n):
             rep = InducedRep(p, n, chi)
+            vexp, mord = chi.exponent_table(), rep.field.order
             for m in range(n + 1):
-                fixed_subspace(rep, m)
-    assert len(calls) == 586
-    for args, basis in calls:
-        ref = _scipy_live_components(*args)
-        assert len(basis) == len(ref)
-        assert all(np.array_equal(a, b) for a, b in zip(basis, ref))
+                src, dst, delta = _piR_edges(rep, m)
+                basis = fixed_subspace(rep, m).basis_exponents
+                geo = solved.pop()
+                read = vexp[geo.entries[geo.word_at]] - vexp[geo.entries[geo.coset_at]]
+                assert np.array_equal(geo.src, src) and np.array_equal(geo.dst, dst)
+                assert np.array_equal(read % mord, delta), (p, n, chi.conrey_index(), m)
+                ref = _scipy_live_components(rep.dim, mord, src, dst, delta)
+                assert len(basis) == len(ref), (p, n, chi.conrey_index(), m)
+                assert all(np.array_equal(a, b) for a, b in zip(basis, ref))
+                calls += 1
+    assert calls == 586
+
+
+def test_fixed_subspace_refuses_a_missing_witness(monkeypatch):
+    # a trivial character posing as conductor p^n has no witness word below it
+    p, n = 3, 2
+    chi = PChar.trivial(p, n)
+    monkeypatch.setattr(chi, "conductor_exponent", n)
+    with pytest.raises(AlgebraError, match=r"p=3, n=2, conrey 1, m=0"):
+        fixed_subspace(InducedRep(p, n, chi), 0)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
