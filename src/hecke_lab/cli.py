@@ -119,11 +119,9 @@ def _cmd_classical(args) -> int:
 
 
 def _emit(rep: Report, path: str | None) -> None:
-    text = rep.to_json()
     if path:
-        Path(path).write_text(text + "\n")
-    summary = rep.to_dict()["summary"]
-    print(f"assertions: {summary['pass']} pass, {summary['fail']} fail")
+        Path(path).write_text(rep.to_json() + "\n")
+    print(f"assertions: {rep.n_pass} pass, {rep.n_fail} fail")
     for a in rep.failures():
         print(f"  FAIL {a.id}: expected {a.expected}, computed {a.computed}")
 

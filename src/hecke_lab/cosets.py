@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .cellcache import cell_cache
 from .characters import _vp
 
 # The one size budget, on the matrices a cell builds at once.  Enumerating
@@ -291,7 +292,7 @@ class CosetTable:
         return self.label_of_index(self.canonical_index(g))
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def coset_table(p: int, n: int) -> CosetTable:
     return CosetTable(p, n)
 
@@ -356,7 +357,7 @@ def class_left_reps(p: int, n: int, lab: str) -> list[MatPn]:
     return [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j)]
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """How the class representatives move the cosets: for each label, with a
     running over class_right_reps(p, n, label), a^{-1} rep_c = k0 rep_{cls[a, c]}

@@ -3,9 +3,10 @@
 Elements are coordinate vectors of exact rationals over the power basis
 1, z, ..., z^{phi(m)-1} modulo the m-th cyclotomic polynomial.  Character
 values live here, and so do sums of roots of unity that must be reduced
-before they can be compared: the mirrored and whole-group convolution
-oracles, the induced model's exponent histograms and the dimension oracle's
-point counts.  Elements are only ever added, compared and tested for being
+before they can be compared: the exponent histograms of the mirrored and
+whole-group convolution oracles, each reduced to one integer row and read
+as a rational (`rational_from_counts`), and the dimension oracle's point
+counts.  Elements are only ever added, compared and tested for being
 rational; the Hecke algebra itself runs over Q.
 
 The modulus Phi_m comes from `cyclotomic_coeffs`, which divides x^m - 1 by
@@ -125,21 +126,28 @@ class CyclotomicField:
 
     def from_exponent_counts(self, counts) -> "CycNum":
         """Sum of roots of unity given as a length-m integer count vector."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (self.order,):
-            raise ValueError("count vector must have length m")
         return CycNum(self, self.reduce_exponent_matrix(counts).tolist())
 
-    def reduce_exponent_matrix(self, counts: np.ndarray, exps=None) -> np.ndarray:
-        """Vectorized reduction: (..., k) integer counts -> (..., degree) coords,
-        counts[..., i] the multiplicity of zeta^exps[i] (default: k = m and
-        exps = 0..m-1).
+    def rational_from_counts(self, counts) -> Fraction:
+        """The same sum when it is rational, as one Fraction; ValueError if
+        any coordinate past the first is nonzero."""
+        coords = self.reduce_exponent_matrix(counts)
+        if coords[1:].any():
+            raise ValueError(f"coordinates {coords.tolist()} in Q(zeta_{self.order}) are not rational")
+        return Fraction(int(coords[0]))
+
+    def reduce_exponent_matrix(self, counts) -> np.ndarray:
+        """Vectorized reduction: (..., m) integer counts -> (..., degree) coords,
+        counts[..., e] the multiplicity of zeta^e.
 
         Routed through BLAS in float64 when every intermediate integer provably
-        fits in the 2^53 mantissa (k * max|count| * max|table entry| < 2^52),
+        fits in the 2^53 mantissa (m * max|count| * max|table entry| < 2^52),
         which is a large speedup on the big cells; int64 otherwise.
         """
-        red = self.reduction if exps is None else self.reduction[exps]
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape[-1:] != (self.order,):
+            raise ValueError("count vector must have length m")
+        red = self.reduction
         cmax = int(np.abs(counts).max(initial=0))
         rmax = int(np.abs(red).max(initial=0))
         if cmax * rmax * len(red) < 2**52:

@@ -18,7 +18,6 @@ cosets, never canonical forms, decompositions or labels.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class GroupTable:
         self.K0_size = q * (q - q // p) ** 2  # b free, a and d units, c = 0
 
 
-@lru_cache(maxsize=None)
+@cell_cache
 def group_table(p: int, n: int) -> GroupTable:
     return GroupTable(p, n)
 
@@ -124,7 +123,7 @@ def brute_convolve_labels(p: int, n: int, chi: PChar, l1: str, l2: str) -> dict[
         a, b, count = hit
         te = (_value_exponents(vexp, l1, a) + _value_exponents(vexp, l2, b)) % field.order
         hist = np.bincount(te, weights=count, minlength=field.order).astype(np.int64)
-        val = field.from_exponent_counts(hist).as_rational() / k0_size
+        val = field.rational_from_counts(hist) / k0_size
         if val:
             out[lab_h] = val
     return out

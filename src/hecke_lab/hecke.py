@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +60,7 @@ def is_supported(g: MatPn, chi: PChar) -> bool:
     return _supported_by_closed_form(g, chi)
 
 
-@lru_cache(maxsize=256)
+@cell_cache
 def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs (d_k, d_{g k g^-1}) over k in K_g: the lower-right
     entries the twist reads on both sides, at most p^{2n} of them.  K_g is
@@ -309,7 +308,7 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
                     continue
                 te = (basis_exponent(vexp, lab_x, e_x) + basis_exponent(vexp, l2, e_b)) % field.order
                 hist = np.bincount(te, minlength=field.order)
-                total += f1.coeffs[lab_x] * c2 * field.from_exponent_counts(hist).as_rational()
+                total += f1.coeffs[lab_x] * c2 * field.rational_from_counts(hist)
         if total:
             out[lab_h] = total
     return HeckeElem(p, n, chi, out)

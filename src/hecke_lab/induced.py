@@ -1,24 +1,25 @@
 """The induced representation I(n) = Ind_{K0}^{G} chi and its spectral data.
 
 I(n) is realized on coordinate vectors indexed by the canonical coset
-representatives of K0(p^n)\\GL2(Z/p^n) (dimension p^{n-1}(p+1)).  Every
-operator that appears here - right translation by one group element, or the
-convolution action of one algebra basis element - is built as a sum of
-"phase permutations": matrices with at most one nonzero entry per row, each a
-root of unity.  Products, traces and vanishing checks hold an operator as
-integer count matrices, one per root-of-unity exponent that occurs (a live
-bucket), and multiply them with BLAS: in float64 only under a proven bound
-that keeps every integer exact, in int64 otherwise.  Every verdict is exact.
+representatives of K0(p^n)\\GL2(Z/p^n) (dimension p^{n-1}(p+1)).  The
+convolution action of one algebra basis element is a sum of one operator per
+class representative: each reads every coordinate from one other coset and
+multiplies it by the twist chi(d0) of the transport factor between them.
 
-The algebra's operators read chi only at transport factors whose lower-right
-entry is 1 mod p^j (the lemma in hecke._basis_product), or, for the w class,
-only for trivial chi: on the supported basis every phase is 0.  So the basis
+That twist is always 1 on the algebra's operators.  Every d0 is 1 mod p^j on
+a y(p^j) class (the lemma in hecke._basis_product), and the w class is
+supported only by the trivial chi.  `_basis_operator` checks both facts on
+each transport table it reads.  So an operator is held as one integer
+(dim, dim) count matrix, and products, traces and vanishing checks multiply
+count matrices with BLAS: in float64 only under a proven bound that keeps
+every integer exact, in int64 otherwise.  Every verdict is exact.  The basis
 operators, the Y_k, the projector certificates, the prime-field ranks, the
 traces and the eigenvalue-table images are built once per cell (p, n) or per
 (p, n, r), and each character records them under its own assertion ids.
-Right translation reads chi, but only at entries it fixes: the fixed-vector
-chain's graph and path counts are built once per (p, n, level, witness word),
-and each character reads chi at their entries.
+
+Right translation does read chi, but only at entries it fixes: the
+fixed-vector chain's graph and path counts are built once per
+(p, n, level, witness word), and each character reads chi at their entries.
 """
 
 from __future__ import annotations
@@ -27,43 +28,37 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import PChar, group_exponent, unit_generators
+from .characters import PChar, unit_generators
 from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
-from .cyclotomic import CyclotomicField, _solve_fraction_system, get_field
+from .cyclotomic import _solve_fraction_system
 from .groupconv import BRUTE_LIMIT
 from .hecke import AlgebraError, supported_basis
 from .report import Report, check, check_bool, timed
 
 
 # ---------------------------------------------------------------------------
-# Phase-permutation machinery
+# Operators as count matrices
 # ---------------------------------------------------------------------------
 
 
-class PhasePermSum:
-    """Sum of A operators, each a twisted permutation of the dim coordinates.
+class PermSum:
+    """Sum of A operators, each a map of the dim coordinates.
 
-    cls[a, c] is the source coordinate feeding row c under operator a, and
-    e[a, c] the root-of-unity exponent attached to that entry, i.e.
-    (T_a v)[c] = zeta^e[a,c] * v[cls[a,c]].  This is the construction format;
-    products, traces and vanishing are computed on `buckets`.
+    cls[a, c] is the source coordinate feeding row c under operator a, i.e.
+    (T_a v)[c] = v[cls[a, c]].  This is the construction format; products,
+    traces and vanishing are computed on `counts`.
     """
 
-    __slots__ = ("cls", "e", "m", "_buckets")
+    __slots__ = ("cls", "_counts")
 
-    def __init__(self, cls: np.ndarray, e: np.ndarray, m: int):
+    def __init__(self, cls: np.ndarray):
         self.cls = np.atleast_2d(np.asarray(cls, dtype=np.int64))
-        self.e = np.atleast_2d(np.asarray(e, dtype=np.int64))
-        self.m = m
-        self._buckets = None
-        if self.cls.shape != self.e.shape:
-            raise ValueError("cls/e shape mismatch")
+        self._counts = None
 
     @property
     def terms(self) -> int:
@@ -74,18 +69,16 @@ class PhasePermSum:
         return self.cls.shape[1]
 
     @property
-    def buckets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, counts): the distinct exponents mod m of the operator's
-        entries, and counts[b, c, c'] the number of terms a with
-        cls[a, c] = c' and e[a, c] = exps[b] mod m.  The operator is then
-        sum_b zeta^exps[b] counts[b]; built once, on first use."""
-        if self._buckets is None:
+    def counts(self) -> np.ndarray:
+        """counts[c, c'] = the number of terms a with cls[a, c] = c': the
+        operator's matrix, held in float64 for BLAS; built once, on first
+        use.  Each row sums to the number of terms."""
+        if self._counts is None:
             dim = self.dim
-            exps, at = np.unique(self.e % self.m, return_inverse=True)
-            flat = (at.reshape(self.e.shape) * dim + np.arange(dim)) * dim + self.cls
-            counts = np.bincount(flat.ravel(), minlength=len(exps) * dim * dim)
-            self._buckets = (exps, counts.reshape(-1, dim, dim).astype(np.float64))
-        return self._buckets
+            flat = np.arange(dim) * dim + self.cls
+            counts = np.bincount(flat.ravel(), minlength=dim * dim)
+            self._counts = counts.reshape(dim, dim).astype(np.float64)
+        return self._counts
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +86,7 @@ class PhasePermSum:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
+@cell_cache
 def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
     """Arrays for right translation: rep_c k = k0 rep_{c'}; returns (cls, d0)
     with cls[c] = c' and d0[c] the lower-right entry of k0.  Cached because
@@ -109,12 +102,12 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cell_cache
-def _basis_operator(p: int, n: int, lab: str) -> PhasePermSum:
+def _basis_operator(p: int, n: int, lab: str) -> PermSum:
     """Convolution action of one algebra basis function (one term per class
-    representative), with every phase 0: the action for every character
+    representative), with every twist 1: the action for every character
     that supports `lab`.
 
-    The phase of a term is chi(d0) for the transport factor's lower-right
+    The twist of a term is chi(d0) for the transport factor's lower-right
     entry d0.  On a y(p^j) class every d0 is 1 mod p^j (the lemma in
     hecke._basis_product), so chi(d0) = 1 whenever j >= r; the w class is
     supported only by the trivial character, where chi(d0) = 1 on units.
@@ -127,15 +120,14 @@ def _basis_operator(p: int, n: int, lab: str) -> PhasePermSum:
     else:
         pj = p ** int(lab[1:])
         if np.any(d0 % pj != 1):
-            raise AlgebraError(f"the {lab} transport has a d0 off 1 mod {pj}: phases depend on chi")
-    return PhasePermSum(cls, np.zeros_like(cls), group_exponent(p, n))
+            raise AlgebraError(f"the {lab} transport has a d0 off 1 mod {pj}: twists depend on chi")
+    return PermSum(cls)
 
 
 @cell_cache
-def _y_operator(p: int, n: int, k: int) -> PhasePermSum:
-    """Y_k = sum of the basis operators of levels k..n, as one phase-perm sum."""
-    cls = np.vstack([_basis_operator(p, n, f"y{j}").cls for j in range(k, n + 1)])
-    return PhasePermSum(cls, np.zeros_like(cls), group_exponent(p, n))
+def _y_operator(p: int, n: int, k: int) -> PermSum:
+    """Y_k = sum of the basis operators of levels k..n, as one sum."""
+    return PermSum(np.vstack([_basis_operator(p, n, f"y{j}").cls for j in range(k, n + 1)]))
 
 
 class InducedRep:
@@ -149,27 +141,27 @@ class InducedRep:
         self.field = chi.field
         self.dim = coset_table(p, n).dim
 
-    def piL_basis(self, lab: str) -> PhasePermSum:
+    def piL_basis(self, lab: str) -> PermSum:
         """Convolution action of one supported basis function: the cell's
         character-free operator."""
         if lab not in supported_basis(self.p, self.n, self.chi):
             raise ValueError(f"label {lab} is not supported for this character")
         return _basis_operator(self.p, self.n, lab)
 
-    def y_operator(self, k: int) -> PhasePermSum:
+    def y_operator(self, k: int) -> PermSum:
         """Y_k for max(r, 1) <= k <= n: the cell's character-free operator."""
         if not max(self.r, 1) <= k <= self.n:
             raise ValueError(f"Y_{k} undefined for this character")
         return _y_operator(self.p, self.n, k)
 
-    def piR(self, k: MatPn) -> PhasePermSum:
-        """Right translation by one group element (a single phase perm),
-        twisted by chi."""
+    def piR(self, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
+        """Right translation by one group element, twisted by chi: (cls, e)
+        with (pi_R(k) v)[c] = zeta^e[c] v[cls[c]], zeta of order field.order."""
         cls, d0 = _right_transport(self.p, self.n, k)
         e = self.chi.exponent_table()[d0]
         if np.any(e < 0):
             raise AssertionError("twist evaluated at a non-unit entry")
-        return PhasePermSum(cls, e, self.field.order)
+        return cls, e
 
 
 def _y_vector(p: int, n: int, ell: int) -> np.ndarray:
@@ -188,14 +180,11 @@ def _eigenvector(p: int, n: int, r: int, i: int) -> np.ndarray:
     return _y_vector(p, n, i - 1) - p * _y_vector(p, n, i)
 
 
-def _act(field: CyclotomicField, pps: PhasePermSum, v: np.ndarray) -> np.ndarray:
-    """Apply an operator to an integer vector, one matrix-vector product per
-    bucket; (dim, degree) coordinates in Q(zeta_m)."""
-    exps, counts = pps.buckets
-    # each row of the buckets added up sums to the number of terms
-    dt = _exact_dtype(pps.terms * float(np.abs(v).max(initial=0)))
-    img = counts.astype(dt, copy=False) @ np.asarray(v, dtype=dt)
-    return field.reduce_exponent_matrix(img.T.astype(np.int64), exps)
+def _act(op: PermSum, v: np.ndarray) -> np.ndarray:
+    """Apply an operator to an integer vector; the image is an integer vector."""
+    # each row of the counts sums to the number of terms
+    dt = _exact_dtype(op.terms * float(np.abs(v).max(initial=0)))
+    return (op.counts.astype(dt, copy=False) @ np.asarray(v, dtype=dt)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +371,15 @@ def table_eigenvalue(kind: str, p: int, n: int, i: int, j: int) -> int:
 def _table_images(p: int, n: int, r: int) -> dict[tuple[int, int], tuple[bool, bool]]:
     """For each table entry (i, j): do V_j and Y_j map the row-i vector to
     its tabulated multiple?  Character-free, so computed once per (p, n, r)."""
-    field = get_field(group_exponent(p, n))
     lo = max(r, 1)
     out = {}
     for i in range(lo, n + 1):
         v = _eigenvector(p, n, r, i)
         for j in range(lo, n + 1):
-            verdicts = []
-            for kind, op in (("V", _basis_operator(p, n, f"y{j}")), ("Y", _y_operator(p, n, j))):
-                want = np.zeros((len(v), field.degree), dtype=np.int64)
-                want[:, 0] = table_eigenvalue(kind, p, n, i, j) * v
-                verdicts.append(bool(np.array_equal(_act(field, op, v), want)))
-            out[(i, j)] = tuple(verdicts)
+            out[(i, j)] = tuple(
+                bool(np.array_equal(_act(op, v), table_eigenvalue(kind, p, n, i, j) * v))
+                for kind, op in (("V", _basis_operator(p, n, f"y{j}")), ("Y", _y_operator(p, n, j)))
+            )
     return out
 
 
@@ -423,11 +409,12 @@ def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
 
 
 # A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
-# over its terms, each factor a PhasePermSum.  Products are formed on the
-# factors' count matrices, one block of rows at a time (_row_blocks).
+# over its terms, each factor a PermSum.  Products are formed on the factors'
+# count matrices, one block of rows at a time (_row_blocks).
 
-_BLOCK_ENTRIES = 2**18  # (bucket, row, col) product entries held per row block
+_BLOCK_ENTRIES = 2**18  # (row, col) product entries held per row block, over all terms
 _FLOAT_EXACT = 2**52  # float64 arithmetic is exact on integers below this
+_RANK_PRIME = 2**31 - 1  # a prime: products of two residues stay below 2^62
 
 
 def _exact_dtype(bound: float) -> type:
@@ -441,87 +428,63 @@ def _exact_dtype(bound: float) -> type:
     raise OverflowError(f"integer bound {bound:.3g} does not fit int64")
 
 
-def _times(left: tuple, right: PhasePermSum) -> tuple[np.ndarray, np.ndarray]:
-    """Product of a bucketed operator (exps, counts), counts of shape
-    (buckets, rows, dim), with a phase-perm sum: bucket e1 of the left times
-    bucket e2 of the right adds into bucket (e1 + e2) mod m.
+def _times(left: np.ndarray, right: PermSum) -> np.ndarray:
+    """Product of a block of count rows, shape (rows, dim), with a sum.
 
-    The left holds nonnegative counts and every entry of the right's buckets
-    added up is at most its number of terms, so no entry or partial sum
-    exceeds (max row sum of the left's buckets added up) * right.terms;
-    _exact_dtype picks from that bound."""
-    (e1, a), (e2, b) = left, right.buckets
-    dt = _exact_dtype(a.sum(axis=(0, 2), dtype=np.float64).max(initial=0) * right.terms)
-    a, b = a.astype(dt, copy=False), b.astype(dt, copy=False)
-    target = (e1[:, None] + e2[None, :]) % right.m
-    exps = np.unique(target)
-    out = np.zeros((len(exps), a.shape[1], b.shape[2]), dtype=dt)
-    for (i, j), e in np.ndenumerate(target):
-        out[np.searchsorted(exps, e)] += a[i] @ b[j]
-    return exps, out
+    The left holds nonnegative counts and every row of the right's counts
+    sums to its number of terms, so no entry or partial sum exceeds (max row
+    sum of the left) * right.terms; _exact_dtype picks from that bound."""
+    dt = _exact_dtype(left.sum(axis=1, dtype=np.float64).max(initial=0) * right.terms)
+    return left.astype(dt, copy=False) @ right.counts.astype(dt, copy=False)
 
 
 def _row_blocks(combo: list) -> Iterator[tuple[np.ndarray, list]]:
-    """Yield (rows, [(q, (exps, counts))]) over blocks of rows, counts those of
-    each product restricted to the rows.  A product has at most
-    min(m, product of its factors' bucket counts) buckets, and a block holds
-    at most _BLOCK_ENTRIES (bucket, row, col) entries, or a single row."""
-    m, dim = combo[0][1][0].m, combo[0][1][0].dim
-    if any(f.m != m or f.dim != dim for _, factors in combo for f in factors):
+    """Yield (rows, [(q, counts)]) over blocks of rows, counts those of each
+    product restricted to the rows.  A block holds at most _BLOCK_ENTRIES
+    (term, row, col) entries, or a single row."""
+    dim = combo[0][1][0].dim
+    if any(f.dim != dim for _, factors in combo for f in factors):
         raise ValueError("mismatched operators")
-    live = sum(min(m, math.prod(len(f.buckets[0]) for f in factors)) for _, factors in combo)
-    step = max(1, _BLOCK_ENTRIES // (dim * live))
+    step = max(1, _BLOCK_ENTRIES // (dim * len(combo)))
     for lo in range(0, dim, step):
         block = []
         for q, (head, *tail) in combo:
-            exps, counts = head.buckets
-            prod = (exps, counts[:, lo : lo + step])
+            prod = head.counts[lo : lo + step]
             for f in tail:
                 prod = _times(prod, f)
             block.append((q, prod))
         yield np.arange(lo, min(lo + step, dim)), block
 
 
-def _vanishes(field: CyclotomicField, combo: list) -> bool:
-    """Exact certificate that a combination is the zero operator.
-
-    Each block adds up its weighted products bucket by bucket; the (row, col)
-    entries left with a nonzero bucket are reduced to Q(zeta_m) coordinates,
-    and every coordinate must be zero.
-    """
+def _vanishes(combo: list) -> bool:
+    """Exact certificate that a combination is the zero operator: each block
+    adds up its weighted products, and every entry must be zero."""
     den = math.lcm(*(q.denominator for q, _ in combo))
     for _, block in _row_blocks(combo):
-        terms = [(int(q * den), exps, prod) for q, (exps, prod) in block]
+        terms = [(int(q * den), prod) for q, prod in block]
         # products of counts are nonnegative
-        dt = _exact_dtype(sum(abs(w) * float(x.max(initial=0)) for w, _, x in terms))
-        live = np.unique(np.concatenate([exps for _, exps, _ in terms]))
-        acc = np.zeros((len(live),) + terms[0][2].shape[1:], dtype=dt)
-        for w, exps, prod in terms:
-            acc[np.searchsorted(live, exps)] += w * prod.astype(dt, copy=False)
-        entries = acc[:, acc.any(axis=0)].T.astype(np.int64)
-        if field.reduce_exponent_matrix(entries, live).any():
+        dt = _exact_dtype(sum(abs(w) * float(x.max(initial=0)) for w, x in terms))
+        acc = np.zeros(terms[0][1].shape, dtype=dt)
+        for w, prod in terms:
+            acc += w * prod.astype(dt, copy=False)
+        if acc.any():
             return False
     return True
 
 
-def _trace(field: CyclotomicField, combo: list) -> Fraction:
-    """Exact trace of a combination, from the diagonals of its buckets; it
-    must be rational."""
+def _trace(combo: list) -> Fraction:
+    """Exact trace of a combination, from the diagonals of its products."""
     den = math.lcm(*(q.denominator for q, _ in combo))
-    hist = [0] * field.order
+    total = 0
     for rows, block in _row_blocks(combo):
-        for q, (exps, prod) in block:
-            diag = prod[:, np.arange(len(rows)), rows]
-            sums = diag.sum(axis=1, dtype=_exact_dtype(len(rows) * float(diag.max(initial=0))))
-            for e, s in zip(exps.tolist(), sums.tolist()):
-                hist[e] += int(q * den) * int(s)
-    coords = field.reduce_exponent_matrix(np.array(hist, dtype=np.int64))
-    if coords[1:].any():
-        raise AssertionError("operator trace landed outside Q")
-    return Fraction(int(coords[0]), den)
+        for q, prod in block:
+            diag = prod[np.arange(len(rows)), rows]
+            s = diag.sum(dtype=_exact_dtype(len(rows) * float(diag.max(initial=0))))
+            total += int(q * den) * int(s)
+    return Fraction(total, den)
 
 
-def _certify_projector_family(p: int, n: int, r: int, F: CyclotomicField) -> tuple[list, dict]:
+def _certify_projector_family(p: int, n: int, r: int) -> tuple[list, dict]:
     """Exact proof that the nested Y-idempotents behave, plus the two extra
     w-side projectors when the twist is trivial.
 
@@ -539,7 +502,7 @@ def _certify_projector_family(p: int, n: int, r: int, F: CyclotomicField) -> tup
         if k > lo:
             Z = yops[k - 1]
             identities += [[(1, (Y, Z)), (-s, (Z,))], [(1, (Z, Y)), (-s, (Z,))]]
-        verdicts.append((f"k{k}", all(_vanishes(F, combo) for combo in identities)))
+        verdicts.append((f"k{k}", all(_vanishes(combo) for combo in identities)))
 
     # E_k = Y_k / p^{n-k}; the components between consecutive levels are E_k - E_{k-1}
     E = {k: [(Fraction(1, p ** (n - k)), (yops[k],))] for k in yops}
@@ -549,8 +512,8 @@ def _certify_projector_family(p: int, n: int, r: int, F: CyclotomicField) -> tup
 
     # trivial twist: the bottom block splits once more under the w-operator
     U, Y1 = _basis_operator(p, n, "w"), yops[1]
-    okU = _vanishes(F, [(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
-    okUY = all(_vanishes(F, [(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
+    okU = _vanishes([(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
+    okUY = all(_vanishes([(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
     verdicts.append(("w", okU and okUY))
 
     # w+ = (U + p^{n-1} E_1) / (p^n + p^{n-1}),  w- = (p^n E_1 - U) / (p^n + p^{n-1})
@@ -575,12 +538,11 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     projectors (the rank of a certified projector is its trace), and the
     exact linear system driven by operator traces.  On small cells each
     projector's rank is confirmed again in a prime field."""
-    F = get_field(group_exponent(p, n))
     lo = max(r, 1)
-    projcert, projs = _certify_projector_family(p, n, r, F)
+    projcert, projs = _certify_projector_family(p, n, r)
     by_rank: dict[str, int] = {}
     for name, combo in projs.items():
-        tr = _trace(F, combo)
+        tr = _trace(combo)
         if tr.denominator != 1:
             raise AssertionError(f"projector trace not integral: {tr}")
         by_rank[name] = int(tr)
@@ -596,8 +558,8 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
         # w blocks: the y-side acts through the bottom slot
         return table_eigenvalue(kind, p, n, 1, j)
 
-    def trace_of(*factors: PhasePermSum) -> Fraction:
-        return _trace(F, [(1, factors)])
+    def trace_of(*factors: PermSum) -> Fraction:
+        return _trace([(1, factors)])
 
     for j in range(lo, n):
         rows.append([Fraction(scalar_on(cn, "V", j)) for cn in comp_names])
@@ -623,33 +585,22 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     by_system = {cn: int(s) for cn, s in zip(comp_names, sol)}
     ranks = None
     if p**n <= BRUTE_LIMIT:
-        ranks = {name: _rank_mod_q(combo, F.order) for name, combo in projs.items()}
+        ranks = {name: _rank_mod_q(combo) for name, combo in projs.items()}
     return _SpectralCertificate(projcert, by_rank, traces, by_system, ranks)
 
 
-def _rank_mod_q(combo: list, mord: int) -> int:
-    """Rank of a combination specialized at a root of unity in a prime field
-    F_q with q = 1 (mod m) dividing no coefficient's denominator.  The F_q
-    matrix is sum_e w z_q^e C_e over the buckets C_e of the products.  A lower
-    bound on the true rank, used as an independent confirmation at small
-    cells."""
-    q = mord + 1
-    while any(q % t == 0 for t in range(2, math.isqrt(q) + 1)) or any(
-        c.denominator % q == 0 for c, _ in combo
-    ):
-        q += mord
-    # an element of exact order m in F_q^x: q is prime, so one exists
-    divisors = [d for d in range(2, mord + 1) if mord % d == 0]
-    zq = next(g for g in (pow(h, (q - 1) // mord, q) for h in range(1, q))
-              if all(pow(g, mord // d, q) != 1 for d in divisors))
-    zpow = np.array([pow(zq, e, q) for e in range(mord)], dtype=np.int64)
+def _rank_mod_q(combo: list) -> int:
+    """Rank of a combination reduced into the prime field F_q, q =
+    _RANK_PRIME (a coefficient whose denominator q divides has no image:
+    `pow` refuses it).  A lower bound on the true rank, used as an
+    independent confirmation at small cells."""
+    q = _RANK_PRIME
     dim = combo[0][1][0].dim
     M = np.zeros((dim, dim), dtype=np.int64)
     for rows, block in _row_blocks(combo):
-        for c, (exps, prod) in block:
+        for c, prod in block:
             w = c.numerator * pow(c.denominator, -1, q) % q
-            for e, x in zip(exps, prod):
-                M[rows] = (M[rows] + w * zpow[e] % q * (x.astype(np.int64) % q)) % q
+            M[rows] = (M[rows] + w * (prod.astype(np.int64) % q)) % q
     # Gauss-Jordan elimination mod q; `row` counts the pivots found
     row = 0
     for col in range(dim):

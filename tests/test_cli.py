@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hecke_lab.cli import main
+from hecke_lab.report import Report
 from hecke_lab.spaces import fixture_dir
 
 
@@ -44,6 +45,18 @@ def test_verify_keeps_campaign_seed_unless_given(tmp_path):
     assert main(["verify", "--campaign", str(campaign), "--seed", "9",
                  "--report", str(report)]) == 0
     assert json.loads(report.read_text())["seed"] == 9
+
+
+def test_verify_builds_no_json_without_report(tmp_path, monkeypatch, capsys):
+    def refused(self, include_runtime=True):
+        raise AssertionError("to_json ran without --report")
+
+    monkeypatch.setattr(Report, "to_json", refused)
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [{"p": 2, "n": 1}], "fixture_dirs": []}))
+    assert main(["verify", "--campaign", str(campaign)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("assertions: ") and out.endswith(" pass, 0 fail\n")
 
 
 def test_verify_refuses_oversized_cell(tmp_path, capsys):

@@ -38,6 +38,11 @@ def test_rational_detection():
         f.from_exponent_counts([3, 0, 1, 0, 0, 0, 0, 0]).as_rational()
     with pytest.raises(ValueError, match="length"):
         f.from_exponent_counts([1, 0, 0])
+    # the same sums read straight off their integer rows
+    assert f.rational_from_counts([0, 0, 1, 0, 0, 0, 1, 0]) == 0
+    assert f.rational_from_counts([1, 0, 0, 0, 3, 0, 0, 0]) == -2
+    with pytest.raises(ValueError, match="not rational"):
+        f.rational_from_counts([3, 0, 1, 0, 0, 0, 0, 0])
 
 
 def test_zeta_power_reduction():

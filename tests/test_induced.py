@@ -16,11 +16,10 @@ from hecke_lab import cosets, induced
 from hecke_lab.campaign import Campaign
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
-from hecke_lab.cyclotomic import get_field
 from hecke_lab.hecke import AlgebraError
 from hecke_lab.induced import (
     InducedRep,
-    PhasePermSum,
+    PermSum,
     _times,
     _trace,
     _vanishes,
@@ -80,8 +79,7 @@ def test_fixed_vectors_are_eigenvectors_of_sampled_K0m(p, n):
             basis = fixed_subspace(rep, m).basis_exponents
             assert len(basis) == m - r + 1
             for k in samples[m]:
-                pps = rep.piR(k)
-                cls, e = pps.cls[0], pps.e[0]
+                cls, e = rep.piR(k)
                 # conductor 1: eigenvalue 1 on all of GL2, where d_k may be a non-unit
                 xk = 0 if r == 0 else int(vexp[k.d])
                 for ph in basis:
@@ -171,8 +169,8 @@ def _piR_edges(rep, m):
     if m < rep.r:
         t = next(t for t in range(p**n) if vexp[(1 + p**m * t) % p**n] > 0)
         words.append(ymat(p, n, p**m) @ xmat(p, n, t))
-    edges = [(np.arange(rep.dim), pps.cls[0], (vexp[k.d] - pps.e[0]) % mord)
-             for k, pps in ((k, rep.piR(k)) for k in words)]
+    edges = [(np.arange(rep.dim), cls, (vexp[k.d] - e) % mord)
+             for k, (cls, e) in ((k, rep.piR(k)) for k in words)]
     return [np.concatenate(col) for col in zip(*edges)]
 
 
@@ -235,56 +233,41 @@ def test_iwahori_components():
     assert sp.component_dims["by_formula"] == {"w+": 1, "w-": 3}
 
 
-def _dense(pps):
-    """Complex matrix of a phase-perm sum, as a reference."""
-    out = np.zeros((pps.dim, pps.dim), dtype=complex)
-    rows = np.broadcast_to(np.arange(pps.dim), pps.cls.shape)
-    np.add.at(out, (rows, pps.cls), np.exp(2j * np.pi * pps.e / pps.m))
+def _dense(op):
+    """Integer matrix of a sum, as a reference."""
+    out = np.zeros((op.dim, op.dim), dtype=np.int64)
+    np.add.at(out, (np.broadcast_to(np.arange(op.dim), op.cls.shape), op.cls), 1)
     return out
 
 
 def test_products_and_traces_match_dense_matrices(monkeypatch, fresh_caches):
     rng = np.random.default_rng(7)
     dim = 6
-    for m in (7, 2):
-        A, B, C = (
-            PhasePermSum(rng.integers(dim, size=(3, dim)), rng.integers(m, size=(3, dim)), m)
-            for _ in range(3)
-        )
-        exps, counts = _times(_times(A.buckets, B), C)
-        product = np.tensordot(np.exp(2j * np.pi * exps / m), counts, axes=1)
-        assert np.allclose(product, _dense(A) @ _dense(B) @ _dense(C))
-    # Q(zeta_2) = Q, so every trace is rational; one-row blocks split the product
+    A, B, C = (PermSum(rng.integers(dim, size=(3, dim))) for _ in range(3))
+    ABC = _dense(A) @ _dense(B) @ _dense(C)
+    assert np.array_equal(_times(_times(A.counts, B), C), ABC)
+    # one-row blocks split the product
     monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
     combo = [(Fraction(1, 3), (A, B, C)), (2, (C,))]
-    want = np.trace(_dense(A) @ _dense(B) @ _dense(C)) / 3 + 2 * np.trace(_dense(C))
-    assert abs(float(_trace(get_field(2), combo)) - want.real) < 1e-9
-
-
-def test_vanishes_needs_cyclotomic_reduction():
-    # I + zeta I + zeta^2 I = 0 over Q(zeta_3), though no two (row, col,
-    # exponent) entries cancel before reduction mod Phi_3
-    dim = 4
-    cls = np.tile(np.arange(dim), (3, 1))
-    e = np.repeat(np.arange(3)[:, None], dim, axis=1)
-    F = get_field(3)
-    assert _vanishes(F, [(1, (PhasePermSum(cls, e, 3),))])
-    assert not _vanishes(F, [(1, (PhasePermSum(cls[:2], e[:2], 3),))])
+    assert _trace(combo) == Fraction(int(np.trace(ABC)), 3) + 2 * int(np.trace(_dense(C)))
+    q = induced._RANK_PRIME  # the prime field of the rank confirmation
+    assert all(q % t for t in range(2, math.isqrt(q) + 1))
 
 
 @pytest.mark.parametrize("block_entries", [None, 1])  # default blocks, then one row each
-def test_vanishes_rejects_one_perturbed_exponent(monkeypatch, fresh_caches, block_entries):
+def test_vanishes_rejects_one_perturbed_entry(monkeypatch, fresh_caches, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(induced, "_BLOCK_ENTRIES", block_entries)
     p, n, k = 3, 2, 1
     rep = InducedRep(p, n, PChar.trivial(p, n))
     Y, s = rep.y_operator(k), p ** (n - k)
-    assert _vanishes(rep.field, [(1, (Y, Y)), (-s, (Y,))])
+    assert Y.cls.size == 36
+    assert _vanishes([(1, (Y, Y)), (-s, (Y,))])
     for a, c in np.ndindex(*Y.cls.shape):
-        e = Y.e.copy()
-        e[a, c] += 1
-        Yp = PhasePermSum(Y.cls, e, Y.m)
-        assert not _vanishes(rep.field, [(1, (Yp, Yp)), (-s, (Yp,))]), (a, c)
+        cls = Y.cls.copy()
+        cls[a, c] = (cls[a, c] + 1) % Y.dim  # one term sends row c elsewhere
+        Yp = PermSum(cls)
+        assert not _vanishes([(1, (Yp, Yp)), (-s, (Yp,))]), (a, c)
 
 
 def _component_verdicts(p, n):
@@ -317,9 +300,9 @@ def test_one_row_blocks_give_same_verdicts(monkeypatch, fresh_caches):
 
 
 def test_component_dimensions_memory(fresh_caches):
-    """Certification holds one (dim, dim) count matrix per live bucket of each
-    operator and one block of rows of each product, far below the 18 MB of a
-    single dense (dim, dim, m) int64 tensor at (5,3)."""
+    """Certification holds one (dim, dim) count matrix per operator and one
+    block of rows of each product, far below the 18 MB of a single dense
+    (dim, dim, m) int64 tensor at (5,3)."""
     p, n = 5, 3
     rep = InducedRep(p, n, PChar.trivial(p, n))
     for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
@@ -351,67 +334,47 @@ def test_component_dimensions_large_operator(fresh_caches):
     assert peak_mb < 48, peak_mb
 
 
-ORDERS = [1, 2, 3, 4, 6, 7, 12]
-
-
 @st.composite
 def combinations(draw):
-    """A random combination [(q, (A, ...))] of phase-perm sums: dim 1-8,
-    1-4 terms of 1-3 factors, each factor 1-3 phase perms whose exponents
-    run over two periods, so that building the buckets must reduce them."""
-    dim, m = draw(st.integers(1, 8)), draw(st.sampled_from(ORDERS))
+    """A random combination [(q, (A, ...))] of sums: dim 1-8, 1-4 terms of
+    1-3 factors, each factor a sum of 1-3 maps of the coordinates."""
+    dim = draw(st.integers(1, 8))
 
     def factor():
-        perms = draw(st.integers(1, 3))
-        cls = draw(arrays(np.int64, (perms, dim), elements=st.integers(0, dim - 1)))
-        e = draw(arrays(np.int64, (perms, dim), elements=st.integers(0, 2 * m - 1)))
-        return PhasePermSum(cls, e, m)
+        maps = draw(st.integers(1, 3))
+        return PermSum(draw(arrays(np.int64, (maps, dim), elements=st.integers(0, dim - 1))))
 
     weight = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     terms = draw(st.integers(1, 4))
-    return m, [(draw(weight), tuple(factor() for _ in range(draw(st.integers(1, 3)))))
-               for _ in range(terms)]
+    return [(draw(weight), tuple(factor() for _ in range(draw(st.integers(1, 3)))))
+            for _ in range(terms)]
 
 
 def _dense_combo(combo):
-    return sum(complex(q) * reduce(np.matmul, map(_dense, factors)) for q, factors in combo)
-
-
-def _galois(pps, a):
-    """The conjugate zeta -> zeta^a of a phase-perm sum."""
-    return PhasePermSum(pps.cls, a * pps.e, pps.m)
+    """The combination as a matrix of exact Fractions."""
+    return sum(Fraction(q) * reduce(np.matmul, map(_dense, factors)).astype(object)
+               for q, factors in combo)
 
 
 @given(combinations(), st.sampled_from([induced._FLOAT_EXACT, 0]), st.data())
-def test_vanishes_and_trace_match_dense_matrices(drawn, float_exact, data):
-    """Against the complex reference, on both product routes (a float64 bound
-    of 0 sends every product through int64)."""
-    m, combo = drawn
-    clear_cell_caches()
-    F = get_field(m)
+def test_vanishes_and_trace_match_dense_matrices(combo, float_exact, data):
+    """Against the exact dense reference, on both product routes (a float64
+    bound of 0 sends every product through int64)."""
     dense = _dense_combo(combo)
     with mock.patch.object(induced, "_FLOAT_EXACT", float_exact):
-        assert _vanishes(F, combo) == np.allclose(dense, 0, atol=1e-9)
-        # specializing zeta into F_q can only lower the rank
-        assert induced._rank_mod_q(combo, m) <= np.linalg.matrix_rank(dense, tol=1e-8)
-        # a full cycle of d-th roots cancels only after reduction mod Phi_m
-        if m > 1:
-            d = min(t for t in range(2, m + 1) if m % t == 0)
-            cycle = [(q, (PhasePermSum(f.cls, f.e + k * m // d, m), *rest))
-                     for q, (f, *rest) in combo for k in range(d)]
-            assert _vanishes(F, cycle) and induced._rank_mod_q(cycle, m) == 0
-        # one operator on an integer vector, read back as a complex vector
+        assert _vanishes(combo) == (not any(dense.flat))
+        assert _trace(combo) == sum(dense.diagonal())
+        # scaled by the lcm of its weights, the combination is a small integer matrix
+        den = math.lcm(*(q.denominator for q, _ in combo))
+        assert induced._rank_mod_q(combo) == np.linalg.matrix_rank((dense * den).astype(np.float64))
+        # the combination minus itself cancels
+        zero = combo + [(-q, factors) for q, factors in combo]
+        assert _vanishes(zero) and _trace(zero) == 0 and induced._rank_mod_q(zero) == 0
+        # one operator on an integer vector
         f = combo[0][1][0]
         v = data.draw(arrays(np.int64, f.dim, elements=st.integers(-3, 3)))
-        coords = induced._act(F, f, v)
-        zeta = np.exp(2j * np.pi * np.arange(F.degree) / m)
-        assert np.allclose(coords @ zeta, _dense(f) @ v, atol=1e-9)
-        # the sum of the Galois conjugates has a rational trace
-        conj = [(q, tuple(_galois(f, a) for f in factors))
-                for q, factors in combo for a in range(1, m + 1) if math.gcd(a, m) == 1]
-        want = np.trace(_dense_combo(conj))
-        assert abs(want.imag) < 1e-9
-        assert abs(float(_trace(F, conj)) - want.real) < 1e-9
+        img = induced._act(f, v)
+        assert img.dtype == np.int64 and np.array_equal(img, _dense(f) @ v)
 
 
 def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
