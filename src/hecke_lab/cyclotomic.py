@@ -106,6 +106,9 @@ class CyclotomicField:
             shifted[1:] = prev[:-1]
             table[e] = shifted + prev[-1] * tail
         self.reduction = table
+        # fixed per field: reduce_exponent_matrix's BLAS copy and exactness bound
+        self._reduction_f64 = table.astype(np.float64)
+        self._reduction_bound = int(np.abs(table).max(initial=0)) * order
         self._zeta_cache: dict[int, CycNum] = {}
 
     def __repr__(self):
@@ -124,13 +127,10 @@ class CyclotomicField:
             self._zeta_cache[e] = hit
         return hit
 
-    def from_exponent_counts(self, counts) -> "CycNum":
-        """Sum of roots of unity given as a length-m integer count vector."""
-        return CycNum(self, self.reduce_exponent_matrix(counts).tolist())
-
     def rational_from_counts(self, counts) -> Fraction:
-        """The same sum when it is rational, as one Fraction; ValueError if
-        any coordinate past the first is nonzero."""
+        """The sum of roots of unity given as a length-m integer count vector,
+        as one Fraction; ValueError if it is not rational (any coordinate past
+        the first is nonzero)."""
         coords = self.reduce_exponent_matrix(counts)
         if coords[1:].any():
             raise ValueError(f"coordinates {coords.tolist()} in Q(zeta_{self.order}) are not rational")
@@ -142,18 +142,17 @@ class CyclotomicField:
 
         Routed through BLAS in float64 when every intermediate integer provably
         fits in the 2^53 mantissa (m * max|count| * max|table entry| < 2^52),
-        which is a large speedup on the big cells; int64 otherwise.
+        which is a large speedup on the big cells; int64 otherwise.  The
+        float64 table and m * max|table entry| are built once per field.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape[-1:] != (self.order,):
             raise ValueError("count vector must have length m")
-        red = self.reduction
         cmax = int(np.abs(counts).max(initial=0))
-        rmax = int(np.abs(red).max(initial=0))
-        if cmax * rmax * len(red) < 2**52:
-            out = counts.astype(np.float64) @ red.astype(np.float64)
+        if cmax * self._reduction_bound < 2**52:
+            out = counts.astype(np.float64) @ self._reduction_f64
             return np.rint(out).astype(np.int64)
-        return counts @ red
+        return counts @ self.reduction
 
 
 class CycNum:

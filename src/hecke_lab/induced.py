@@ -257,8 +257,11 @@ class _WordGeometry:
     exponents: the two entries it reads are entries[word_at[i]] and
     entries[coset_at[i]].  Components are numbered by their lowest
     coordinate.  Walking a spanning forest from each component's lowest
-    coordinate, the phase forced on coordinate c is paths[c] @ chi(entries)
-    mod m: paths[c] counts, with sign, the entries read along c's path.
+    coordinate, the phase forced on coordinate c is the sum of
+    path_count[i] * chi(entries[path_entry[i]]) over the i with
+    path_row[i] = c, mod m: the entries read along c's path, counted with
+    sign.  These (row, entry, count) triples are the nonzero entries of the
+    path count matrix.
     """
 
     entries: np.ndarray
@@ -267,7 +270,9 @@ class _WordGeometry:
     word_at: np.ndarray
     coset_at: np.ndarray
     labels: np.ndarray
-    paths: np.ndarray
+    path_row: np.ndarray
+    path_entry: np.ndarray
+    path_count: np.ndarray
 
 
 def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]]) -> _WordGeometry:
@@ -276,8 +281,9 @@ def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]]) -> _WordGeom
 
     The forest is breadth-first, grown one level at a time over the edges
     taken both ways (sign -1 backwards).  A path changes each count by at
-    most 1 per edge, so `paths` takes the smallest integer dtype that holds
-    the longest path."""
+    most 1 per edge, so `path_count` takes the smallest integer dtype that
+    holds the longest path, and `path_row` and `path_entry` the smallest
+    that index the coordinates and the entries."""
     dim = len(words[0][0])
     src = np.tile(np.arange(dim), len(words))
     dst = np.concatenate([cls for cls, _, _ in words])
@@ -308,8 +314,12 @@ def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]]) -> _WordGeom
             paths[front, coset_at[i]] -= s
         longest = max(longest, depth)
         ncomp += 1
-    paths = paths.astype(np.min_scalar_type(-max(longest, 1)))
-    return _WordGeometry(entries, src, dst, word_at, coset_at, labels, paths)
+    rows, cols = np.nonzero(paths)
+    return _WordGeometry(
+        entries, src, dst, word_at, coset_at, labels,
+        rows.astype(np.min_scalar_type(dim)), cols.astype(np.min_scalar_type(len(entries))),
+        paths[rows, cols].astype(np.min_scalar_type(-max(longest, 1))),
+    )
 
 
 @cell_cache
@@ -336,7 +346,9 @@ def _live_basis(geo: _WordGeometry, vexp: np.ndarray, mord: int) -> list[np.ndar
     its edges disagrees with them, and then it carries only the zero vector.
     """
     vals = vexp[geo.entries]
-    ph = geo.paths @ vals % mord
+    ph = np.zeros(len(geo.labels), dtype=np.int64)
+    np.add.at(ph, geo.path_row, geo.path_count * vals[geo.path_entry])
+    ph %= mord
     delta = vals[geo.word_at] - vals[geo.coset_at]
     dead = np.zeros(geo.labels.max() + 1, dtype=bool)
     dead[geo.labels[geo.src[(ph[geo.src] + delta - ph[geo.dst]) % mord != 0]]] = True

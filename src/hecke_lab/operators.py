@@ -4,7 +4,8 @@ Operators act through the weight-k slash action.  A matrix is recovered by
 evaluating the basis at well-conditioned sample points in the upper half
 plane and solving a least-squares system; columns are coordinates of the
 transformed basis vectors.  Every matrix carries its solve residual and
-conditioning so downstream checks can refuse unreliable data.
+conditioning so downstream checks can refuse unreliable data.  Each
+slash-operator matrix is built once per space and then shared (`op_matrix`).
 """
 
 from __future__ import annotations
@@ -179,16 +180,32 @@ def op_matrix(
 ) -> OpMatrix:
     """Matrix of sum(coef * |_k A) as a map from space to codomain
     (default: space itself).  Columns are codomain coordinates of the
-    transformed domain basis."""
+    transformed domain basis.
+
+    Each operator is built once per space: the result is memoized on the
+    domain, keyed by the codomain's identity, every term's coefficient and
+    integer matrix, and the label, so a repeated call returns the same
+    object.  Its matrix and sample points are read-only."""
     target = codomain if codomain is not None else space
+    terms = [(coef, np.asarray(A, dtype=np.int64)) for coef, A in terms]
+    key = (id(target), tuple((complex(coef), A.tobytes()) for coef, A in terms), label)
+    hit = space._op_memo.get(key)
+    if hit is None:
+        # the entry holds the codomain, so its id is not reused while it lives
+        hit = space._op_memo[key] = (target, _build_op_matrix(space, terms, label, target))
+    return hit[1]
+
+
+def _build_op_matrix(
+    space: CuspSpace, terms: list[tuple[complex, np.ndarray]], label: str, target: CuspSpace
+) -> OpMatrix:
     if space.dim == 0 or target.dim == 0:
-        return OpMatrix(
-            np.zeros((target.dim, space.dim), dtype=np.complex128),
-            0.0, 1.0, False, label,
-        )
+        X = np.zeros((target.dim, space.dim), dtype=np.complex128)
+        X.flags.writeable = False
+        return OpMatrix(X, 0.0, 1.0, False, label)
     k = space.weight
     count = max(2 * target.dim, target.dim + 3)
-    mats = [np.asarray(A) for _, A in terms]
+    mats = [A for _, A in terms]
 
     best = None
     for attempt in range(SAMPLE_ATTEMPTS):
@@ -203,7 +220,7 @@ def op_matrix(
 
     W = np.zeros((len(pts), space.dim), dtype=np.complex128)
     for coef, A in terms:
-        (a, b), (c, d) = np.asarray(A)
+        (a, b), (c, d) = A
         det = int(a) * int(d) - int(b) * int(c)
         if det <= 0:
             raise ValueError("operator term has nonpositive determinant")
@@ -216,6 +233,8 @@ def op_matrix(
     scale = max(np.linalg.norm(W), np.linalg.norm(V), 1e-30)
     res = float(np.linalg.norm(V @ X - W) / scale)
     poisoned = condV >= CONDITION_LIMIT or res > RESIDUAL_TOL
+    X.flags.writeable = False
+    pts.flags.writeable = False
     return OpMatrix(X, res, condV, poisoned, label, {"points": pts})
 
 

@@ -8,8 +8,9 @@ is not far below the working tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,7 @@ class QExpansion:
     weight: int
     coeffs: np.ndarray
     label: str = ""
+    _growth: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
@@ -32,6 +34,8 @@ class QExpansion:
             raise ValueError("coefficient array must be one-dimensional")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
+        n = np.arange(1, self.prec + 1, dtype=np.float64)
+        self._growth = float(np.max(np.abs(self.coeffs) / n ** (self.weight / 2), initial=0.0))
 
     @property
     def prec(self) -> int:
@@ -44,16 +48,24 @@ class QExpansion:
 
     @classmethod
     def from_pairs(cls, weight: int, pairs, label: str = "") -> "QExpansion":
-        arr = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-        return cls(weight, arr, label)
+        """From B [re, im] pairs: 2B float64 values read as B complex128, so
+        every coefficient keeps its exact bits (a -0.0 part included).
+        ValueError when a row is not a pair of numbers."""
+        try:
+            if not set(map(len, pairs)) <= {2}:
+                raise ValueError
+            arr = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+        except (TypeError, ValueError):
+            raise ValueError("coefficients must be [re, im] pairs of numbers") from None
+        return cls(weight, arr.view(np.complex128), label)
 
     def to_pairs(self) -> list[list[float]]:
         return [[float(c.real), float(c.imag)] for c in self.coeffs]
 
     def growth_constant(self) -> float:
-        """Smallest C with |a_n| <= C n^(k/2) over the stored range."""
-        n = np.arange(1, self.prec + 1, dtype=np.float64)
-        return float(np.max(np.abs(self.coeffs) / n ** (self.weight / 2)))
+        """Smallest C with |a_n| <= C n^(k/2) over the stored range (0 when
+        nothing is stored), computed once on construction."""
+        return self._growth
 
     def tail_bound(self, y: float) -> float:
         """Upper bound for |sum_{n>B} a_n q^n| at Im z = y, assuming the

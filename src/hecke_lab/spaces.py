@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ class CuspSpace:
     basis: list[QExpansion]
     prec: int
     provenance: str = ""
+    # operators.op_matrix results with this space as domain, built once each
+    _op_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -128,16 +130,21 @@ def fixture_dir() -> Path:
 
 def load_families(directory: Path | None = None) -> list[dict]:
     """Family manifest entries, each with 'space' and 'lower' resolved to
-    loaded CuspSpace objects."""
+    loaded CuspSpace objects; a fixture named by several entries is loaded
+    once per call and shared by them."""
     base = Path(directory) if directory is not None else fixture_dir()
     manifest = json.loads((base / "families.json").read_text())
+    loaded: dict[str, CuspSpace] = {}
+
+    def space(stem: str) -> CuspSpace:
+        if stem not in loaded:
+            loaded[stem] = load_space(base / (stem + ".json"))
+        return loaded[stem]
+
     out = []
     for fam in manifest["families"]:
         entry = dict(fam)
-        entry["space"] = load_space(base / (fam["space"] + ".json"))
-        entry["lower"] = {
-            int(lv): load_space(base / (stem + ".json"))
-            for lv, stem in fam.get("lower", {}).items()
-        }
+        entry["space"] = space(fam["space"])
+        entry["lower"] = {int(lv): space(stem) for lv, stem in fam.get("lower", {}).items()}
         out.append(entry)
     return out

@@ -15,16 +15,17 @@ def test_euler_phi():
 def test_fourth_root():
     f = get_field(4)
     assert f.zeta(2).as_rational() == -1
-    assert f.zeta(4) == f.zeta(0) == f.from_exponent_counts([1, 0, 0, 0])
+    assert f.zeta(4) == f.zeta(0)
+    assert f.reduce_exponent_matrix([1, 0, 0, 0]).tolist() == list(f.zeta(0).coeffs)
     assert f.zeta(1) + f.zeta(3) == f.zero
-    assert f.from_exponent_counts([1, 0, 1, 0]) == f.zero
+    assert f.rational_from_counts([1, 0, 1, 0]) == 0
 
 
 def test_third_root_minimal_polynomial():
     f = get_field(3)
-    assert f.from_exponent_counts([1, 1, 1]) == f.zero
+    assert f.reduce_exponent_matrix([1, 1, 1]).tolist() == list(f.zero.coeffs)
     assert f.zeta(0) + f.zeta(1) + f.zeta(2) == f.zero
-    assert f.from_exponent_counts([0, 2, 2]).as_rational() == -2
+    assert f.rational_from_counts([0, 2, 2]) == -2
 
 
 def test_rational_detection():
@@ -33,11 +34,14 @@ def test_rational_detection():
     assert f.zeta(4).is_rational()
     assert f.zeta(4).as_rational() == -1
     # the counts (0, 0, 1, 0, 0, 0, 1, 0) are zeta^2 + zeta^6 = 0
-    assert f.from_exponent_counts([0, 0, 1, 0, 0, 0, 1, 0]).as_rational() == 0
+    assert f.reduce_exponent_matrix([0, 0, 1, 0, 0, 0, 1, 0]).tolist() == [0, 0, 0, 0]
+    assert (f.zeta(0) + f.zeta(0) + f.zeta(0) + f.zeta(2)).coeffs == tuple(
+        f.reduce_exponent_matrix([3, 0, 1, 0, 0, 0, 0, 0])
+    )
     with pytest.raises(ValueError, match="not rational"):
-        f.from_exponent_counts([3, 0, 1, 0, 0, 0, 0, 0]).as_rational()
+        (f.zeta(0) + f.zeta(0) + f.zeta(0) + f.zeta(2)).as_rational()
     with pytest.raises(ValueError, match="length"):
-        f.from_exponent_counts([1, 0, 0])
+        f.reduce_exponent_matrix([1, 0, 0])
     # the same sums read straight off their integer rows
     assert f.rational_from_counts([0, 0, 1, 0, 0, 0, 1, 0]) == 0
     assert f.rational_from_counts([1, 0, 0, 0, 3, 0, 0, 0]) == -2
@@ -66,7 +70,22 @@ def test_exponent_counts_match_zeta_sums():
     for e, c in enumerate(counts):
         for _ in range(abs(int(c))):
             total = total + (f.zeta(e) if c > 0 else f.zeta(e + 10))  # -zeta^e = zeta^(e+10)
-    assert f.from_exponent_counts(counts) == total
+    assert f.reduce_exponent_matrix(counts).tolist() == list(total.coeffs)
+
+
+def test_reduction_routes_are_exact():
+    """Counts just below the float64 bound m * max|count| * max|table entry|
+    < 2^52 take the BLAS route, those at it and far above it the int64 route;
+    every route gives the exact integer product."""
+    rng = np.random.default_rng(12)
+    for m in (12, 500):
+        f = get_field(m)
+        rmax = int(np.abs(f.reduction).max())
+        for cmax in ((2**52 - 1) // (m * rmax), -(-(2**52) // (m * rmax)), 2**52 // rmax - 1):
+            counts = cmax * rng.choice([-1, 1], size=m)
+            exact = [sum(int(c) * int(r) for c, r in zip(counts, col)) for col in f.reduction.T]
+            assert f.reduce_exponent_matrix(counts).tolist() == exact, (m, cmax)
+            assert f.reduce_exponent_matrix(counts[None, :]).tolist() == [exact]
 
 
 def _poly_mul(a, b):

@@ -140,6 +140,33 @@ def test_live_components_span_the_solution_space(system):
     assert support.max(initial=0) <= 1
 
 
+def test_coboundary_systems_have_every_component_live():
+    """Words whose phases are the differences phi[cls[c]] - phi[c] of one
+    potential phi: every component is live, and its solution is phi minus
+    phi at the component's lowest coordinate, on the component only.  Long
+    random forests read each coordinate's phase off many path counts."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        dim, m = int(rng.integers(1, 40)), int(rng.integers(2, 13))
+        phi = rng.integers(0, m, dim)
+        vexp, words = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            cls = rng.permutation(dim)
+            kd = int(rng.integers(0, m))
+            # one entry per (word, coordinate), then the word's own entry
+            d0 = np.arange(len(vexp), len(vexp) + dim)
+            vexp += list((kd - phi[cls] + phi) % m) + [kd]
+            words.append((cls, d0, len(vexp) - 1))
+        geo = induced._word_geometry(words)
+        basis = induced._live_basis(geo, np.array(vexp), m)
+        assert len(basis) == geo.labels.max() + 1
+        for comp, ph in enumerate(basis):
+            on = geo.labels == comp
+            root = np.flatnonzero(on)[0]
+            assert np.array_equal(ph[on], (phi[on] - phi[root]) % m)
+            assert np.all(ph[~on] == -1)
+
+
 def _scipy_live_components(dim, mord, src, dst, delta):
     """Reference route: scipy connected components, phases along a
     breadth-first tree rooted at each component's first coordinate."""
@@ -203,6 +230,35 @@ def test_fixed_subspace_matches_scipy_components(monkeypatch):
                 assert all(np.array_equal(a, b) for a, b in zip(basis, ref))
                 calls += 1
     assert calls == 586
+
+
+def test_path_counts_fit_in_the_dense_int8_matrix(monkeypatch):
+    """On every grid character and level, the (row, entry, count) triples of
+    the forest's path counts take no more bytes than a dim x entries int8
+    matrix, hold nonzero counts only, at most one per (row, entry), and none
+    on a component's root."""
+    live_basis, seen = induced._live_basis, {}
+
+    def recorded(geo, vexp, mord):
+        seen[id(geo)] = geo
+        return live_basis(geo, vexp, mord)
+
+    monkeypatch.setattr(induced, "_live_basis", recorded)
+    clear_cell_caches()
+    for p, n in GRID:
+        for chi in PChar.all_characters(p, n):
+            for m in range(n + 1):
+                fixed_subspace(InducedRep(p, n, chi), m)
+    assert len(seen) > len(GRID)
+    for geo in seen.values():
+        dim, size = len(geo.labels), len(geo.entries)
+        stored = geo.path_row.nbytes + geo.path_entry.nbytes + geo.path_count.nbytes
+        assert stored <= dim * size, (dim, size, stored)
+        assert geo.path_count.dtype == np.int8 and geo.path_count.all()
+        cells = geo.path_row.astype(np.int64) * size + geo.path_entry
+        assert len(np.unique(cells)) == len(cells)
+        roots = np.unique(geo.labels, return_index=True)[1]
+        assert not np.isin(geo.path_row, roots).any()
 
 
 def test_fixed_subspace_refuses_a_missing_witness(monkeypatch):

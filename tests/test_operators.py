@@ -213,3 +213,75 @@ def test_op_matrix_residual_tracking(sp11):
     assert np.allclose(op.matrix, np.eye(1))
     assert op.residual < 1e-10
     assert not op.poisoned
+
+
+def _same_op(a, b):
+    return (
+        a.matrix.tobytes() == b.matrix.tobytes()
+        and a.meta["points"].tobytes() == b.meta["points"].tobytes()
+        and (a.residual, a.conditioning, a.poisoned, a.label)
+        == (b.residual, b.conditioning, b.poisoned, b.label)
+    )
+
+
+def test_op_matrix_is_memoized_on_the_space():
+    """A repeated W or S returns the same object, bit for bit a cold build on
+    a freshly loaded copy, with read-only arrays; another codomain, term list
+    or label builds anew."""
+    sp = load_space(fixture_dir() / "N21k3c13.json")
+    sp16 = load_space(fixture_dir() / "N16k3c7.json")
+    W = op_W(sp, 3)
+    S = op_S(sp16, 2)
+    assert op_W(sp, 3) is W and op_S(sp16, 2) is S
+    assert _same_op(W, op_W(load_space(fixture_dir() / "N21k3c13.json"), 3))
+    assert _same_op(S, op_S(load_space(fixture_dir() / "N16k3c7.json"), 2))
+    for op in (W, S):
+        for arr in (op.matrix, op.meta["points"]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    A = atkin_lehner_matrix(3, 1, 21)
+    assert op_matrix(sp, [(1.0, A)], label=W.label) is W
+    assert op_matrix(sp, [(1 + 0j, A.astype(np.int32))], label=W.label) is W
+    copy = load_space(fixture_dir() / "N21k3c13.json")
+    misses = [
+        op_W(sp, 3, codomain=copy),
+        op_matrix(sp, [(2.0, A)], label=W.label),
+        op_matrix(sp, [(1.0, A), (1.0, np.eye(2, dtype=np.int64))], label=W.label),
+        op_matrix(sp, [(1.0, atkin_lehner_matrix(7, 1, 21))], label=W.label),
+        op_matrix(sp, [(1.0, A)], label="W[3] again"),
+    ]
+    assert all(op is not W for op in misses)
+    assert len({id(op) for op in misses}) == len(misses)
+    assert _same_op(misses[0], W)  # the same operator into an equal space
+    assert np.allclose(misses[1].matrix, 2 * W.matrix, atol=1e-9)
+
+
+def test_classical_suite_builds_each_operator_once(monkeypatch):
+    """The classical suite over the shipped families asks for 141 operator
+    matrices, 42 of them distinct; each distinct one is sampled and solved
+    once (one first sampling attempt per build)."""
+    from hecke_lab import operators
+    from hecke_lab.campaign import Campaign, run_verify
+
+    op_matrix_, sample_points_ = operators.op_matrix, operators.sample_points
+    calls, distinct, builds = [], set(), []
+
+    def counted_op_matrix(space, terms, label="", codomain=None):
+        target = codomain if codomain is not None else space
+        calls.append(label)
+        distinct.add((id(space), id(target), label, tuple(
+            (complex(c), np.asarray(A, dtype=np.int64).tobytes()) for c, A in terms)))
+        return op_matrix_(space, terms, label, codomain)
+
+    def counted_sample_points(mats, count, skip=0):
+        if skip == 0:
+            builds.append(mats)
+        return sample_points_(mats, count, skip)
+
+    monkeypatch.setattr(operators, "op_matrix", counted_op_matrix)
+    monkeypatch.setattr(operators, "sample_points", counted_sample_points)
+    rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
+    assert rep.n_fail == 0
+    assert (len(calls), len(distinct), len(builds)) == (141, 42, 42)

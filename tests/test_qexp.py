@@ -88,6 +88,39 @@ def test_pairs_round_trip():
     assert QExpansion.from_pairs(3, f.to_pairs()).coeffs.tolist() == f.coeffs.tolist()
 
 
+def test_pairs_keep_negative_zero():
+    f = QExpansion.from_pairs(2, [[-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [0.0, 0.0]])
+    assert f.coeffs.dtype == np.complex128 and f.prec == 4
+    assert np.signbit(f.coeffs.real).tolist() == [True, True, False, False]
+    assert np.signbit(f.coeffs.imag).tolist() == [True, False, True, False]
+    assert f.to_pairs() == [[-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [0.0, 0.0]]
+    assert [str(x) for x in np.ravel(f.to_pairs())][:2] == ["-0.0", "-0.0"]
+    assert QExpansion.from_pairs(2, []).prec == 0
+
+
+@pytest.mark.parametrize("pairs", [
+    [[1.0, 2.0], [3.0]],  # ragged
+    [[1.0, 2.0, 3.0]],  # a triple
+    [[1.0]],  # a single number
+    [1.0, 2.0],  # no pairs at all
+    [[[1.0, 2.0]]],  # nested one level too deep
+    [[1.0, "x"]],  # not a number
+    [[1.0, [2.0]]],  # a list in place of a number
+    [1.0, [2.0, 3.0]],  # a bare number in place of a pair
+])
+def test_pairs_reject_malformed_rows(pairs):
+    with pytest.raises(ValueError):
+        QExpansion.from_pairs(2, pairs)
+
+
+def test_growth_constant():
+    f = QExpansion(4, np.array([3.0, -8.0 + 0j, 1j, 0.0]))
+    assert f.growth_constant() == 3.0  # |a_n| / n^2 = 3, 2, 1/9, 0
+    x = math.exp(-math.pi)  # Im z = 1/2
+    assert f.tail_bound(0.5) == pytest.approx(2 * 3.0 * 5**2 * x**5 / (1 - x * math.exp(4 / 10)))
+    assert QExpansion(2, np.zeros(0)).growth_constant() == 0.0
+
+
 def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         QExpansion(2, np.array([1.0, np.inf]))

@@ -84,6 +84,33 @@ def test_ragged_basis_rejected():
         load_space(doc)
 
 
+def test_non_pair_coefficient_rejected():
+    for bad in ([1.0], [1.0, 2.0, 3.0], 1.0):
+        doc = _doc(nforms=1)
+        doc["basis"][0][5] = bad
+        with pytest.raises(SpaceFormatError, match="form 0"):
+            load_space(doc)
+
+
+def test_load_families_parses_each_fixture_once(monkeypatch):
+    from hecke_lab import spaces
+
+    loaded = []
+    load = spaces.load_space
+    monkeypatch.setattr(spaces, "load_space", lambda path: loaded.append(path.stem) or load(path))
+    families = spaces.load_families()
+    manifest = json.loads((fixture_dir() / "families.json").read_text())["families"]
+    by_stem: dict[str, list] = {}
+    for doc, fam in zip(manifest, families, strict=True):
+        by_stem.setdefault(doc["space"], []).append(fam["space"])
+        for lv, stem in doc.get("lower", {}).items():
+            by_stem.setdefault(stem, []).append(fam["lower"][int(lv)])
+    assert sorted(loaded) == sorted(by_stem)
+    shared = {stem: group for stem, group in by_stem.items() if len(group) > 1}
+    assert sorted(shared) == ["N11k2c1", "N15k2c1", "N7k3c6"]
+    assert all(sp is group[0] for group in shared.values() for sp in group)
+
+
 def test_nonfinite_rejected():
     doc = _doc(nforms=1)
     doc["basis"][0][3] = [float("nan"), 0.0]
