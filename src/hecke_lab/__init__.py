@@ -16,7 +16,7 @@ from .cosets import (
     enumerate_Kg,
     in_K0,
 )
-from .cyclotomic import CycNum, CyclotomicField
+from .cyclotomic import CyclotomicField
 from .dimoracle import dim_cusp, dim_new, oldspace_dimensions
 from .hecke import (
     HeckeElem,
@@ -59,7 +59,6 @@ __all__ = [
     "Assertion",
     "Campaign",
     "CuspSpace",
-    "CycNum",
     "CyclotomicField",
     "DirChar",
     "HeckeElem",

@@ -1,9 +1,10 @@
 """Characters of (Z/p^n)^x and Dirichlet characters mod N.
 
 Characters are stored by exponents on a fixed generating set of the unit
-group, with values realized as exact roots of unity (CycNum).  The ambient
-cyclotomic order for a modulus is the exponent of its unit group, so every
-character of that modulus shares one field.  Conrey's labeling of characters
+group, and a value chi(u) = zeta_m^e is read as its exponent e (or as a
+complex number on the numerical side).  The ambient cyclotomic order m for a
+modulus is the exponent of its unit group, so every character of that
+modulus shares one field.  Conrey's labeling of characters
 (as used by public modular-forms datasets) is supported at the interfaces.
 """
 
@@ -15,18 +16,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .cyclotomic import CycNum, _factorize, euler_phi, get_field
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+from .cyclotomic import _factorize, euler_phi, get_field
 
 
 def _order_mod(a: int, mod: int) -> int:
@@ -48,7 +38,7 @@ def unit_generators(p: int, n: int) -> tuple[int, ...]:
     primitive mod p^2 (hence mod every power).  For p = 2: empty for n = 1,
     (-1,) for n = 2, and (-1 mod 2^n, 5) for n >= 3.
     """
-    if not _is_prime(p):
+    if _factorize(p) != [(p, 1)]:
         raise ValueError(f"p = {p} is not prime")
     if n < 1:
         raise ValueError("need n >= 1")
@@ -126,7 +116,7 @@ class PChar:
     matrices through the lower-right entry.
 
     `exps[i]` is a_i with chi(g_i) = e(a_i / ord(g_i)) on the canonical
-    generators.  Values are returned in the shared field Q(zeta_m) with m the
+    generators.  Values are exponents in the shared field Q(zeta_m) with m the
     exponent of the unit group.
     """
 
@@ -165,16 +155,11 @@ class PChar:
 
     def _min_conductor_exponent(self) -> int:
         # smallest r with chi trivial on every unit congruent to 1 mod p^r,
-        # checked exhaustively mod p^n
-        pn = self.modulus
+        # read off the whole exponent table
+        units = self._vexp >= 0
+        u = np.arange(self.modulus)
         for r in range(self.n + 1):
-            pr = self.p**r
-            ok = all(
-                self._vexp[u] == 0
-                for u in range(1, pn)
-                if u % pr == 1 % pr and self._vexp[u] >= 0
-            )
-            if ok:
+            if not self._vexp[units & ((u - 1) % self.p**r == 0)].any():
                 return r
         raise AssertionError("unreachable: r = n always works")
 
@@ -222,9 +207,6 @@ class PChar:
         if e < 0:
             raise ValueError(f"{u} is not a unit mod {self.modulus}")
         return e
-
-    def __call__(self, u: int) -> CycNum:
-        return self.field.zeta(self.exponent(u))
 
     def conrey_index(self) -> int:
         pn = self.modulus
@@ -281,8 +263,9 @@ def _vp_array(x, p: int, cap: int) -> np.ndarray:
 class DirChar:
     """Dirichlet character mod N as a CRT product of prime-power components.
 
-    Values are exact roots of unity in Q(zeta_m) with m the lcm of the
-    component field orders; chi(u) = 0 for non-units (classical convention).
+    Values are exponents in Q(zeta_m) with m the lcm of the component field
+    orders; chi(u) = 0 for non-units (classical convention), which `exponent`
+    reads as None.
     """
 
     def __init__(self, modulus: int, components: dict[int, PChar]):
@@ -355,36 +338,29 @@ class DirChar:
             rem, mod = rem + mod * t, mod * pa
         return rem % self.modulus
 
-    def exponent(self, u: int) -> Optional[int]:
-        """chi(u) = zeta_m^e, or None for non-units."""
-        if self.modulus == 1:
-            return 0
-        if math.gcd(u, self.modulus) != 1:
-            return None
+    def exponent(self, u: int, primes=None) -> Optional[int]:
+        """chi(u) = zeta_m^e, or None for non-units.  With `primes`, the
+        product of the components at those primes only (the p-part of chi
+        for primes=(p,)), still as an exponent of zeta_m."""
         m = self.field.order
         e = 0
-        for chi_p in self.components.values():
-            mp = chi_p.field.order
-            e = (e + chi_p.exponent(u % chi_p.modulus) * (m // mp)) % m
+        for p, chi_p in self.components.items():
+            if primes is not None and p not in primes:
+                continue
+            if u % p == 0:
+                return None
+            e = (e + chi_p.exponent(u % chi_p.modulus) * (m // chi_p.field.order)) % m
         return e
 
-    def __call__(self, u: int) -> CycNum:
-        e = self.exponent(u)
-        if e is None:
-            return self.field.zero
-        return self.field.zeta(e)
-
-    def value_complex(self, u: int) -> complex:
-        e = self.exponent(u)
+    def value_complex(self, u: int, primes=None) -> complex:
+        e = self.exponent(u, primes)
         if e is None:
             return 0j
         return complex(np.exp(2j * np.pi * e / self.field.order))
 
     def parity(self) -> int:
-        """chi(-1) as +1 or -1."""
-        v = self(-1 % self.modulus if self.modulus > 1 else 1)
-        q = v.as_rational()
-        return int(q)
+        """chi(-1) as +1 or -1: its exponent is 0 or m/2."""
+        return -1 if self.exponent(-1) else 1
 
     def is_trivial(self) -> bool:
         return all(c.is_trivial() for c in self.components.values())

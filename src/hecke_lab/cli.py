@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .campaign import DEFAULT_TOLERANCE, Campaign, run_verify
-from .characters import _vp
 from .newspace import characterize, qualifying_primes
 from .operators import OpMatrix, op_Q, op_Qprime, op_S, op_Sprime, quad_ratio
 from .report import Report, check, check_bool, timed
@@ -76,17 +75,13 @@ def _cmd_classical(args) -> int:
         quals = {q["p"]: q for q in qualifying_primes(sp.level, sp.char)}
         if args.op:
             builder, need_kind, (target, _) = _OP_BUILDERS[args.op]
-            n = _vp(sp.level, p)
-            if (need_kind == "Q") != (n == 1):
-                rep.meta["operators"].append(
-                    {"space": tag, "op": args.op, "skipped": f"level has p-exponent {n}"}
-                )
-                continue
-            if _vp(sp.char.conductor, p) > n - 1:
-                # character primitive at p: no admissible operator of this kind
-                rep.meta["operators"].append(
-                    {"space": tag, "op": args.op, "skipped": "character primitive at p"}
-                )
+            if quals.get(p, {}).get("kind") != need_kind:
+                # no admissible operator of this kind: the level's exponent at
+                # p is wrong for it, or the character is primitive at p
+                n = sp.char.components[p].n
+                wrong_level = (need_kind == "Q") != (n == 1)
+                skipped = f"level has p-exponent {n}" if wrong_level else "character primitive at p"
+                rep.meta["operators"].append({"space": tag, "op": args.op, "skipped": skipped})
                 continue
             with timed() as t:
                 op: OpMatrix = builder(sp, p)
@@ -97,13 +92,12 @@ def _cmd_classical(args) -> int:
                 "residual": op.residual, "conditioning": op.conditioning,
                 "poisoned": op.poisoned, "quad": quad, "runtime": t.elapsed,
             })
-            if p in quals and quals[p]["kind"] == need_kind:
-                check_bool(
-                    rep, f"{tag}.{op.label}.quad",
-                    quad <= DEFAULT_TOLERANCE["quad"], "formula", t.elapsed,
-                    expected=f"<= {DEFAULT_TOLERANCE['quad']:g}",
-                    computed=f"{quad:.3g}",
-                )
+            check_bool(
+                rep, f"{tag}.{op.label}.quad",
+                quad <= DEFAULT_TOLERANCE["quad"], "formula", t.elapsed,
+                expected=f"<= {DEFAULT_TOLERANCE['quad']:g}",
+                computed=f"{quad:.3g}",
+            )
         if args.characterize:
             with timed() as t:
                 res = characterize(sp)

@@ -1,13 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are coordinate vectors of exact rationals over the power basis
-1, z, ..., z^{phi(m)-1} modulo the m-th cyclotomic polynomial.  Character
-values live here, and so do sums of roots of unity that must be reduced
-before they can be compared: the exponent histograms of the mirrored and
-whole-group convolution oracles, each reduced to one integer row and read
-as a rational (`rational_from_counts`), and the dimension oracle's point
-counts.  Elements are only ever added, compared and tested for being
-rational; the Hecke algebra itself runs over Q.
+A root of unity zeta^e is named by its exponent e; a sum of roots of unity
+is a length-m integer count vector (counts[e] copies of zeta^e).  The field
+reduces such vectors to coordinates over the power basis
+1, z, ..., z^{phi(m)-1} modulo the m-th cyclotomic polynomial, which is how
+sums are compared and read as rationals (`rational_from_counts`): the
+exponent histograms of the mirrored and whole-group convolution oracles and
+the dimension oracle's point counts.  There is no multiplication; the Hecke
+algebra itself runs over Q.
 
 The modulus Phi_m comes from `cyclotomic_coeffs`, which divides x^m - 1 by
 Phi_d for every proper divisor d of m in exact integer arithmetic.
@@ -109,23 +109,9 @@ class CyclotomicField:
         # fixed per field: reduce_exponent_matrix's BLAS copy and exactness bound
         self._reduction_f64 = table.astype(np.float64)
         self._reduction_bound = int(np.abs(table).max(initial=0)) * order
-        self._zeta_cache: dict[int, CycNum] = {}
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"
-
-    @property
-    def zero(self) -> "CycNum":
-        return CycNum(self, (Fraction(0),) * self.degree)
-
-    def zeta(self, e: int = 1) -> "CycNum":
-        e %= self.order
-        hit = self._zeta_cache.get(e)
-        if hit is None:
-            row = self.reduction[e]
-            hit = CycNum(self, tuple(Fraction(int(c)) for c in row))
-            self._zeta_cache[e] = hit
-        return hit
 
     def rational_from_counts(self, counts) -> Fraction:
         """The sum of roots of unity given as a length-m integer count vector,
@@ -153,59 +139,6 @@ class CyclotomicField:
             out = counts.astype(np.float64) @ self._reduction_f64
             return np.rint(out).astype(np.int64)
         return counts @ self.reduction
-
-
-class CycNum:
-    """Element of Q(zeta_m): immutable tuple of Fractions over the power basis."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: CyclotomicField, coeffs):
-        self.field = field
-        if len(coeffs) != field.degree:
-            raise ValueError("coefficient vector has wrong length")
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*z")
-            else:
-                terms.append(f"{c}*z^{i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"Cyc({self.field.order}; {body})"
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
-    def _coerce(self, other):
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        if other.field.order != self.field.order:
-            raise ValueError("mixed cyclotomic orders")
-        return other
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
 
 def _solve_fraction_system(mat, rhs):

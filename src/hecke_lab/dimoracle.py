@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .characters import DirChar
 from .cyclotomic import _factorize
 
@@ -37,18 +39,12 @@ def _lambda_factor(r: int, s: int, p: int) -> int:
 
 
 def _eps_points(n: int, chi: DirChar, a: int, b: int, c: int) -> Fraction:
-    """sum of chi(x) over roots of a x^2 + b x + c mod n; provably rational
-    for the characters this package feeds it (the roots pair off)."""
-    total = None
-    for x in range(n):
-        if (a * x * x + b * x + c) % n == 0:
-            v = chi(x)
-            total = v if total is None else total + v
-    if total is None:
-        return Fraction(0)
-    if not total.is_rational():
-        raise ValueError("character point-count is not rational")
-    return total.as_rational()
+    """sum of chi(x) over roots of a x^2 + b x + c mod n, as the histogram of
+    chi's exponents at the unit roots; provably rational for the characters
+    this package feeds it (the roots pair off)."""
+    exps = [chi.exponent(x) for x in range(n) if (a * x * x + b * x + c) % n == 0]
+    counts = np.bincount([e for e in exps if e is not None], minlength=chi.field.order)
+    return chi.field.rational_from_counts(counts)
 
 
 def dim_cusp(n: int, k: int, chi: DirChar | None = None) -> int:
@@ -65,14 +61,8 @@ def dim_cusp(n: int, k: int, chi: DirChar | None = None) -> int:
     total = Fraction(k - 1, 12) * _mu0(n)
 
     lam = 1
-    cond = chi.conductor
-    for p, r in _factorize(n):
-        s = 0
-        c = cond
-        while c % p == 0:
-            c //= p
-            s += 1
-        lam *= _lambda_factor(r, s, p)
+    for p, chi_p in chi.components.items():
+        lam *= _lambda_factor(chi_p.n, chi_p.conductor_exponent, p)
     total -= Fraction(lam, 2)
 
     if k % 2 == 0:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import _vp
 from .cyclotomic import _factorize
 from .dimoracle import dim_new
 from .operators import (
@@ -32,16 +31,17 @@ from .qexp import op_Vp
 from .spaces import CuspSpace
 
 PLACEMENT_TOL = 1e-6
-QUAD_TOL = 1e-6
 
 
 def qualifying_primes(N: int, chi) -> list[dict]:
     """Prime data at which the characterizing operators exist: exact prime
     divisors with trivial local factor ('Q') and higher powers p^n || N with
     imprimitive local factor ('S')."""
+    if chi.modulus != N:
+        raise ValueError("character modulus must equal the level")
     out = []
     for p, e in _factorize(N):
-        c = _vp(chi.conductor, p)
+        c = chi.components[p].conductor_exponent
         if e == 1 and c == 0:
             out.append({"p": p, "n": 1, "kind": "Q"})
         elif e >= 2 and c < e:

@@ -245,37 +245,17 @@ def op_W(space: CuspSpace, p: int, codomain: CuspSpace | None = None) -> OpMatri
     return op_matrix(space, [(1.0, A)], label=f"W[{p**n}]", codomain=codomain)
 
 
-def _crt_lift(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Unit u with u = r1 (mod m1) and u = r2 (mod m2), coprime moduli."""
-    if m1 == 1:
-        return r2 % m2 if m2 > 1 else 1
-    if m2 == 1:
-        return r1 % m1
-    u = r1 + m1 * (((r2 - r1) * pow(m1, -1, m2)) % m2)
-    return u % (m1 * m2)
-
-
-def local_value(chi, q: int, x: int) -> complex:
-    """Value at x of the modulus-q local factor of chi."""
-    M = chi.modulus // q
-    if math.gcd(q, M) != 1:
-        raise ValueError(f"{q} is not an exact modulus factor of {chi.modulus}")
-    return complex(chi.value_complex(_crt_lift(x % q, q, 1, M)))
-
-
-def complement_value(chi, q: int, x: int) -> complex:
-    """Value at x of the away-from-q factor of chi (modulus N/q)."""
-    M = chi.modulus // q
-    if math.gcd(q, M) != 1:
-        raise ValueError(f"{q} is not an exact modulus factor of {chi.modulus}")
-    return complex(chi.value_complex(_crt_lift(1, q, x % M, M)))
-
-
 def w_square_scalar(space: CuspSpace, p: int) -> complex:
-    """Scalar by which W_{p^n} applied twice acts: chi_p(-1) chi_M(p^n)."""
-    q = p ** _vp(space.level, p)
+    """Scalar by which W_{p^n} applied twice acts: chi_p(-1) chi_M(p^n),
+    with chi_p the p-part of chi and chi_M the part away from p."""
     chi = space.char
-    return local_value(chi, q, -1) * complement_value(chi, q, q)
+    q = p ** _vp(space.level, p)
+    return chi.value_complex(-1, (p,)) * chi.value_complex(q, _away(chi, p))
+
+
+def _away(chi, p: int) -> list[int]:
+    """The primes of chi's modulus other than p."""
+    return [ell for ell in chi.components if ell != p]
 
 
 def op_U(space: CuspSpace, p: int, route: str = "coeff") -> OpMatrix:
@@ -312,9 +292,9 @@ def op_Q(space: CuspSpace, p: int) -> OpMatrix:
     N = space.level
     if _vp(N, p) != 1:
         raise ValueError(f"p = {p} must exactly divide the level {N}")
-    if _vp(space.char.conductor, p) != 0:
+    if space.char.components[p].conductor_exponent != 0:
         raise ValueError(f"character has a nontrivial factor at {p}")
-    scalar = np.conj(complement_value(space.char, p, p))
+    scalar = np.conj(space.char.value_complex(p, _away(space.char, p)))
     Wop = op_W(space, p)
     Ut = op_U(space, p)
     return _combine(scalar * (Ut.matrix @ Wop.matrix), [Ut, Wop], f"Q[{p}]")
@@ -340,7 +320,7 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
         r = n - 1
     q = p**n
     M = N // q
-    c_exp = _vp(space.char.conductor, p)
+    c_exp = space.char.components[p].conductor_exponent
     if not c_exp <= r <= n - 1:
         raise ValueError(f"need conductor exponent {c_exp} <= r <= {n - 1}, got r = {r}")
     terms: list[tuple[complex, np.ndarray]] = [

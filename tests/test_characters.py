@@ -1,5 +1,7 @@
 import math
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from hecke_lab.characters import (
@@ -8,6 +10,7 @@ from hecke_lab.characters import (
     crt_decompose,
     unit_generators,
 )
+from hecke_lab.cyclotomic import _factorize
 
 # quadratic character values on the units, frozen by hand from the
 # Kronecker symbols of the corresponding fundamental discriminants
@@ -41,6 +44,12 @@ def test_unit_generators_generate():
         assert seen == units, (p, n)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 12, 25])
+def test_unit_generators_reject_non_primes(p):
+    with pytest.raises(ValueError, match="not prime"):
+        unit_generators(p, 1)
+
+
 def test_character_count():
     assert len(list(PChar.all_characters(3, 2))) == 6
     assert len(list(PChar.all_characters(2, 3))) == 4
@@ -57,8 +66,8 @@ def test_quadratic_character_values(modulus, conrey):
 
 def test_nonunit_vanishes():
     chi = DirChar.from_conrey(21, 13)
-    assert chi(7) == chi.field.zero
-    assert chi(3) == chi.field.zero
+    assert chi.exponent(7) is None
+    assert chi.exponent(3) is None
     assert chi.value_complex(14) == 0
 
 
@@ -81,6 +90,11 @@ def test_parity():
     assert DirChar.from_conrey(21, 13).parity() == -1  # odd, pairs with weight 3
     assert DirChar.from_conrey(15, 4).parity() == 1
     assert DirChar.trivial(30).parity() == 1
+    for N in range(1, 40):
+        for j in range(1, max(N, 2)):
+            if math.gcd(j, N) == 1:
+                chi = DirChar.from_conrey(N, j)
+                assert chi.parity() == round(chi.value_complex(-1).real), (N, j)
 
 
 def test_at_modulus_restriction():
@@ -133,3 +147,61 @@ def test_flip_at():
     assert chi.flip_at(3) == chi  # the 3-part is trivial, flipping is a no-op
     psi = DirChar.from_conrey(9, 2)
     assert psi.flip_at(3) == psi.bar()
+
+
+def _conductor_exponent_by_definition(chi: PChar) -> int:
+    """Least r with chi(u) = 1 for every unit u = 1 mod p^r, one unit at a time."""
+    for r in range(chi.n + 1):
+        units = [u for u in range(1, chi.modulus) if u % chi.p and (u - 1) % chi.p**r == 0]
+        if all(chi.exponent(u) == 0 for u in units):
+            return r
+    raise AssertionError("no conductor exponent")
+
+
+@pytest.mark.parametrize("p,n", [(2, k) for k in range(1, 8)] + [(3, k) for k in range(1, 5)]
+                         + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 2), (13, 2)])
+def test_conductor_exponent_by_definition(p, n):
+    for chi in PChar.all_characters(p, n):
+        assert chi.conductor_exponent == _conductor_exponent_by_definition(chi), chi
+
+
+def _crt_lift(r1: int, m1: int, r2: int, m2: int) -> int:
+    """Unit u with u = r1 (mod m1) and u = r2 (mod m2), coprime moduli."""
+    if m1 == 1:
+        return r2 % m2 if m2 > 1 else 1
+    if m2 == 1:
+        return r1 % m1
+    u = r1 + m1 * (((r2 - r1) * pow(m1, -1, m2)) % m2)
+    return u % (m1 * m2)
+
+
+@lru_cache(maxsize=None)
+def _pchar(p: int, a: int, j: int) -> PChar:
+    return PChar.from_conrey(p, a, j)
+
+
+def test_prime_parts_match_crt_lifts():
+    """The p-part of chi at x is chi at the unit = x mod q, = 1 mod N/q, and
+    the away-part is chi at the unit = 1 mod q, = x mod N/q (q = p^n || N).
+    Reading them from the components is bit for bit that, for every p | N and
+    every character mod N < 400, at the values the operators use: the p-part
+    at -1, the away-part at q and at p."""
+    count = 0
+    for N in range(2, 400):
+        fact = _factorize(N)
+        for j in range(1, N):
+            if math.gcd(j, N) != 1:
+                continue
+            chi = DirChar(N, {p: _pchar(p, a, j % p**a) for p, a in fact})
+            for p, a in fact:
+                q, M = p**a, N // p**a
+                away = [ell for ell, _ in fact if ell != p]
+                pairs = [
+                    (chi.value_complex(-1, (p,)), chi.value_complex(_crt_lift(-1 % q, q, 1, M))),
+                    (chi.value_complex(q, away), chi.value_complex(_crt_lift(1, q, q % M, M))),
+                    (chi.value_complex(p, away), chi.value_complex(_crt_lift(1, q, p % M, M))),
+                ]
+                for got, want in pairs:
+                    assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), (N, j, p)
+                count += len(pairs)
+    assert count == 267249

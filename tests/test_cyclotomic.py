@@ -12,34 +12,37 @@ def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 3, 4, 8, 9, 12, 100)] == [1, 1, 2, 2, 4, 6, 4, 40]
 
 
+def _embed(f, coords):
+    """Complex value of power-basis coordinates under zeta -> exp(2 pi i / m)."""
+    return np.asarray(coords) @ np.exp(2j * cmath.pi / f.order * np.arange(f.degree))
+
+
 def test_fourth_root():
     f = get_field(4)
-    assert f.zeta(2).as_rational() == -1
-    assert f.zeta(4) == f.zeta(0)
-    assert f.reduce_exponent_matrix([1, 0, 0, 0]).tolist() == list(f.zeta(0).coeffs)
-    assert f.zeta(1) + f.zeta(3) == f.zero
+    assert f.rational_from_counts([0, 0, 1, 0]) == -1  # zeta^2
+    assert f.reduce_exponent_matrix([1, 0, 0, 0]).tolist() == [1, 0]  # zeta^0 = 1
+    assert f.reduce_exponent_matrix([0, 1, 0, 1]).tolist() == [0, 0]  # zeta + zeta^3 = 0
     assert f.rational_from_counts([1, 0, 1, 0]) == 0
 
 
 def test_third_root_minimal_polynomial():
     f = get_field(3)
-    assert f.reduce_exponent_matrix([1, 1, 1]).tolist() == list(f.zero.coeffs)
-    assert f.zeta(0) + f.zeta(1) + f.zeta(2) == f.zero
+    assert f.reduce_exponent_matrix([1, 1, 1]).tolist() == [0, 0]
+    assert f.rational_from_counts([1, 1, 1]) == 0
     assert f.rational_from_counts([0, 2, 2]) == -2
 
 
 def test_rational_detection():
     f = get_field(8)
-    assert not f.zeta(2).is_rational()
-    assert f.zeta(4).is_rational()
-    assert f.zeta(4).as_rational() == -1
+    with pytest.raises(ValueError, match="not rational"):
+        f.rational_from_counts([0, 0, 1, 0, 0, 0, 0, 0])  # zeta^2 = i
+    assert f.rational_from_counts([0, 0, 0, 0, 1, 0, 0, 0]) == -1  # zeta^4
     # the counts (0, 0, 1, 0, 0, 0, 1, 0) are zeta^2 + zeta^6 = 0
     assert f.reduce_exponent_matrix([0, 0, 1, 0, 0, 0, 1, 0]).tolist() == [0, 0, 0, 0]
-    assert (f.zeta(0) + f.zeta(0) + f.zeta(0) + f.zeta(2)).coeffs == tuple(
-        f.reduce_exponent_matrix([3, 0, 1, 0, 0, 0, 0, 0])
-    )
-    with pytest.raises(ValueError, match="not rational"):
-        (f.zeta(0) + f.zeta(0) + f.zeta(0) + f.zeta(2)).as_rational()
+    # 3 + zeta^2 = 3 + i
+    three_plus_i = f.reduce_exponent_matrix([3, 0, 1, 0, 0, 0, 0, 0])
+    assert three_plus_i.tolist() == [3, 0, 1, 0]
+    assert abs(_embed(f, three_plus_i) - (3 + 1j)) < 1e-12
     with pytest.raises(ValueError, match="length"):
         f.reduce_exponent_matrix([1, 0, 0])
     # the same sums read straight off their integer rows
@@ -50,27 +53,34 @@ def test_rational_detection():
 
 
 def test_zeta_power_reduction():
-    f = get_field(12)
-    assert f.zeta(6).as_rational() == -1
+    assert get_field(12).rational_from_counts(np.eye(12, dtype=np.int64)[6]) == -1  # zeta^6
     # every row of the reduction table is zeta^e written on the power basis:
     # check it under the embedding zeta -> exp(2 pi i / m)
     for m in (1, 2, 5, 9, 12, 20, 98):
         f = get_field(m)
         assert f.reduction.shape == (m, euler_phi(m))
-        powers = np.exp(2j * cmath.pi / m * np.arange(f.degree))
         for e in range(m):
-            assert abs(f.reduction[e] @ powers - cmath.exp(2j * cmath.pi * e / m)) < 1e-9, (m, e)
+            assert abs(_embed(f, f.reduction[e]) - cmath.exp(2j * cmath.pi * e / m)) < 1e-9, (m, e)
+        # one more power wraps around: zeta * zeta^(m-1) = zeta^0, exactly
+        shifted = [0] + f.reduction[-1].tolist()  # zeta^m on 1, ..., z^degree
+        phi = cyclotomic_coeffs(m)[::-1]  # Phi_m, constant term first
+        wrapped = [c - shifted[-1] * a for c, a in zip(shifted[:-1], phi)]
+        assert wrapped == f.reduction[0].tolist(), m
 
 
 def test_exponent_counts_match_zeta_sums():
     f = get_field(20)
     rng = np.random.default_rng(5)
     counts = rng.integers(-3, 4, size=20)
-    total = f.zero
+    # -zeta^e = zeta^(e+10): the same sum with only nonnegative counts
+    positive = np.where(counts > 0, counts, 0)
     for e, c in enumerate(counts):
-        for _ in range(abs(int(c))):
-            total = total + (f.zeta(e) if c > 0 else f.zeta(e + 10))  # -zeta^e = zeta^(e+10)
-    assert f.reduce_exponent_matrix(counts).tolist() == list(total.coeffs)
+        if c < 0:
+            positive[(e + 10) % 20] -= c
+    coords = f.reduce_exponent_matrix(counts)
+    assert coords.tolist() == f.reduce_exponent_matrix(positive).tolist()
+    want = sum(int(c) * cmath.exp(2j * cmath.pi * e / 20) for e, c in enumerate(counts))
+    assert abs(_embed(f, coords) - want) < 1e-9
 
 
 def test_reduction_routes_are_exact():

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from hecke_lab.characters import DirChar
-from hecke_lab.dimoracle import dim_cusp, dim_new, oldspace_dimensions
+from hecke_lab.dimoracle import _eps_points, dim_cusp, dim_new, oldspace_dimensions
 
 # cusp-space dimensions frozen from independent hand evaluations of the
 # trace-formula closed form (Cohen-Oesterle / Stein, Modular Forms: A
@@ -70,3 +72,21 @@ def test_old_plus_new_consistency(N, k):
         _sigma0(N // M) * nd for M, nd in oldspace_dimensions(N, k, chi).items()
     )
     assert total == dim_cusp(N, k, chi)
+
+def test_point_counts_on_every_character_up_to_64():
+    """The exact point counts equal the complex sums of chi over the roots of
+    x^2 + 1 and x^2 + x + 1, on every character mod N <= 64, non-real ones
+    included."""
+    seen = nonreal = 0
+    for N in range(1, 65):
+        for j in range(1, max(N, 2)):
+            if math.gcd(j, N) != 1:
+                continue
+            chi = DirChar.from_conrey(N, j)
+            seen += 1
+            nonreal += chi.order > 2
+            for a, b, c in ((1, 0, 1), (1, 1, 1)):
+                roots = [x for x in range(N) if (a * x * x + b * x + c) % N == 0]
+                want = sum(chi.value_complex(x) for x in roots)
+                assert abs(_eps_points(N, chi, a, b, c) - want) < 1e-9, (N, j, (a, b, c))
+    assert (seen, nonreal) == (1260, 1060)

@@ -10,6 +10,9 @@ def test_qualifying_primes_squarefree():
     chi = DirChar.trivial(30)
     quals = qualifying_primes(30, chi)
     assert [(q["p"], q["kind"]) for q in quals] == [(2, "Q"), (3, "Q"), (5, "Q")]
+    # the local data at each p is read from the character's p-component
+    with pytest.raises(ValueError, match="modulus must equal the level"):
+        qualifying_primes(30, DirChar.from_conrey(7, 3).at_modulus(14))
 
 
 def test_qualifying_primes_character_blocks():
