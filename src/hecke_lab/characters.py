@@ -19,17 +19,6 @@ import numpy as np
 from .cyclotomic import _factorize, euler_phi, get_field
 
 
-def _order_mod(a: int, mod: int) -> int:
-    t = a % mod
-    k = 1
-    while t != 1:
-        t = t * a % mod
-        k += 1
-        if k > mod:
-            raise ArithmeticError("not a unit")
-    return k
-
-
 @lru_cache(maxsize=None)
 def unit_generators(p: int, n: int) -> tuple[int, ...]:
     """Generators of (Z/p^n)^x.
@@ -55,11 +44,16 @@ def unit_generators(p: int, n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _least_stable_primitive_root(p: int) -> int:
-    phi = p - 1
+    """The least g in [2, p^2) of order p - 1 mod p and p(p - 1) mod p^2.
+
+    g has order p - 1 mod p exactly when g^((p-1)/q) != 1 mod p for every
+    prime q | p - 1.  Its order mod p^2 is then p - 1 or p(p - 1), and the
+    latter exactly when g^(p-1) != 1 mod p^2."""
+    cofactors = [(p - 1) // q for q, _ in _factorize(p - 1)]
     for g in range(2, p**2):
-        if math.gcd(g, p) != 1:
+        if g % p == 0:
             continue
-        if _order_mod(g, p) == phi and _order_mod(g, p * p) == phi * p:
+        if all(pow(g, e, p) != 1 for e in cofactors) and pow(g, p - 1, p * p) != 1:
             return g
     raise ArithmeticError("no primitive root found")  # unreachable for prime p
 

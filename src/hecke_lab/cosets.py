@@ -344,17 +344,21 @@ def class_right_reps(p: int, n: int, lab: str) -> MatArray:
     return MatArray(p, n, unit_lifts(p, n - j), 0, p**j, 1)
 
 
-def class_left_reps(p: int, n: int, lab: str) -> list[MatPn]:
-    """Mirrored decomposition into left cosets K0(p^n) b_i.
+def class_left_reps(p: int, n: int, lab: str) -> MatArray:
+    """Mirrored decomposition into left cosets K0(p^n) b_i, in closed form.
 
-    y(p^j) class: y(p^j) d(s); w class: w x(t); identity: [I].
+    y(p^j) class: y(p^j) d(s) = (s, 0; p^j s, 1) over unit classes s mod
+    p^{n-j}; w class: w x(t) = (0, -1; 1, t) over t mod p^n; identity
+    class: [I].
     """
     if lab == f"y{n}":
-        return [identity(p, n)]
+        return MatArray(p, n, [1], [0], [0], [1])
     if lab == "w":
-        return [w1(p, n) @ xmat(p, n, t) for t in range(p**n)]
+        return MatArray(p, n, 0, -1, 1, np.arange(p**n))
     j = int(lab[1:])
-    return [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j)]
+    s = np.array(unit_lifts(p, n - j), dtype=np.int64)
+    return MatArray(p, n, s, 0, p**j * s, 1)
+
 
 
 @cell_cache
@@ -390,7 +394,8 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 # Matrices per enumeration block: the transient arrays of one conjugated
-# block stay near 2 MB, so walking K_g adds little to a process's peak.
+# block stay near 2 MB, so walking K_g adds little to a process's peak.  The
+# support law's K_g walk (hecke._Kg_twist_pairs) uses the same cap.
 _BLOCK_ELEMENTS = 2**14
 
 
@@ -401,13 +406,9 @@ def k0_order(p: int, n: int, m: Optional[int] = None) -> int:
     return phi * phi * p**n * p ** (n - m)
 
 
-def _K0_blocks(p: int, n: int, m: int) -> Iterator[MatArray]:
-    """K0(p^m) mod p^n in blocks of a-values, ordered by (a, d, b, c).
-
-    With the lower-left entry divisible by p (m >= 1), the determinant is a
-    unit exactly when both diagonal entries are units, so no filtering is
-    needed.  The size guard raises here, before any block is built.
-    """
+def require_enumerable(p: int, n: int, m: int) -> None:
+    """The size guard of every walk over K0(p^m) mod p^n: ValueError above
+    K0_ENUMERATION_LIMIT elements, raised before anything is built."""
     if not 1 <= m <= n:
         raise ValueError(f"K0 enumeration needs 1 <= m <= {n} (m = 0 is the full group)")
     count = k0_order(p, n, m)
@@ -415,6 +416,16 @@ def _K0_blocks(p: int, n: int, m: int) -> Iterator[MatArray]:
         raise ValueError(
             f"K0(p^{m}) mod {p}^{n} has {count} elements; the limit is {K0_ENUMERATION_LIMIT}"
         )
+
+
+def _K0_blocks(p: int, n: int, m: int) -> Iterator[MatArray]:
+    """K0(p^m) mod p^n in blocks of a-values, ordered by (a, d, b, c).
+
+    With the lower-left entry divisible by p (m >= 1), the determinant is a
+    unit exactly when both diagonal entries are units, so no filtering is
+    needed.  The size guard raises here, before any block is built.
+    """
+    require_enumerable(p, n, m)
     pn = p**n
     units = np.flatnonzero(np.arange(pn) % p)
     b, c = np.arange(pn), np.arange(0, pn, p**m)
@@ -435,7 +446,9 @@ def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> MatArray:
 
 def Kg_blocks(g: MatPn) -> Iterator[tuple[MatArray, MatArray]]:
     """Pairs (k, g k g^{-1}) over k in K_g = g^{-1} K0(p^n) g  intersect
-    K0(p^n), one block of K0(p^n) at a time; same guard as enumerate_K0."""
+    K0(p^n), one block of K0(p^n) at a time; same guard as enumerate_K0.
+    The full-matrix conjugation: the reference for hecke._Kg_twist_pairs,
+    which computes only the conjugate's lower row."""
     gi = g.inv()
     for k in _K0_blocks(g.p, g.n, g.n):
         conj = g @ k @ gi

@@ -23,10 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import PChar
+from .characters import PChar, _vp_array
 from .cosets import (
+    _BLOCK_ELEMENTS,
     K0_ENUMERATION_LIMIT,
-    Kg_blocks,
     MatPn,
     _left_transport,
     all_labels,
@@ -35,6 +35,7 @@ from .cosets import (
     double_coset_label,
     k0_order,
     label_rep,
+    require_enumerable,
 )
 from .groupconv import BRUTE_LIMIT, cross_check_structure
 from .report import Assertion, Report, check, check_bool, timed
@@ -63,11 +64,31 @@ def is_supported(g: MatPn, chi: PChar) -> bool:
 @cell_cache
 def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs (d_k, d_{g k g^-1}) over k in K_g: the lower-right
-    entries the twist reads on both sides, at most p^{2n} of them.  K_g is
-    walked block by block and never held whole."""
-    pn = g.pn
-    codes = [np.unique(k.d * pn + conj.d) for k, conj in Kg_blocks(g)]
-    pairs = np.unique(np.concatenate(codes))
+    entries the twist reads on both sides, at most p^{2n} of them.
+
+    Every k = (a, b; 0, d) of K0(p^n) is walked, but only the lower row of
+    g k g^-1 is computed, the two entries the criterion reads.  With
+    g^-1 = (a', b'; c', d') that row is
+        (g_c a a' + (g_c b + g_d d) c',  g_c a b' + (g_c b + g_d d) d'),
+    linear forms in (a, b, d).  Their (a, b) planes are built once; d is
+    walked in blocks of at most _BLOCK_ELEMENTS elements, and k lies in K_g
+    exactly when the lower-left entry vanishes.  cosets.Kg_blocks is the
+    full-matrix reference."""
+    p, n, pn = g.p, g.n, g.pn
+    require_enumerable(p, n, n)
+    gi = g.inv()
+    units = np.flatnonzero(np.arange(pn) % p)
+    a, b = units[:, None], np.arange(pn)[None, :]
+    c_plane = ((g.c * gi.a * a + g.c * gi.c * b) % pn).ravel()
+    d_plane = ((g.c * gi.b * a + g.c * gi.d * b) % pn).ravel()
+    seen = np.zeros(pn * pn, dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // len(c_plane))
+    for lo in range(0, len(units), step):
+        d = units[lo : lo + step]
+        rows, cols = np.nonzero((c_plane + g.d * gi.c * d[:, None]) % pn == 0)
+        d = d[rows]
+        seen[d * pn + (d_plane[cols] + g.d * gi.d * d) % pn] = True
+    pairs = np.flatnonzero(seen)
     return pairs // pn, pairs % pn
 
 
@@ -262,29 +283,25 @@ def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     return HeckeElem(f1.p, f1.n, f1.chi, acc)
 
 
-def _twist_slot(lab: str, g: MatPn) -> int:
-    """The entry of g that a basis function of `lab` reads chi at."""
-    return g.c if lab == "w" else g.d
-
-
 @cell_cache
 def _mirror_geometry(p: int, n: int, lab_h: str, l2: str) -> dict[str, tuple]:
     """The character-free part of the mirrored sum at the target of `lab_h`
     over the left-coset representatives b of l2's class: b's twist entry,
-    and the twist entry of x = h b^{-1}, grouped by the label of x.  Built
-    once per cell from MatPn arithmetic and canonical labels."""
-    h = label_rep(p, n, lab_h)
-    rows: dict[str, list[tuple[int, int]]] = {}
-    for b in class_left_reps(p, n, l2):
-        if double_coset_label(b) != l2:
-            continue
-        x = h @ b.inv()
-        lab_x = double_coset_label(x)
-        rows.setdefault(lab_x, []).append((_twist_slot(l2, b), _twist_slot(lab_x, x)))
-    return {
-        lab_x: tuple(np.array(col, dtype=np.int64) for col in zip(*pairs))
-        for lab_x, pairs in rows.items()
-    }
+    and the twist entry of x = h b^{-1}, grouped by the label of x in the
+    order the labels first occur.  A twist entry is the lower-left entry
+    for the w class and the lower-right one otherwise.  Built once per cell
+    as one MatArray product; x's label is v_p of its lower-left entry
+    capped at n (0 for w), as d is a unit whenever p | c."""
+    b = class_left_reps(p, n, l2)
+    x = label_rep(p, n, lab_h) @ b.inv()
+    e_b = b.c if l2 == "w" else b.d
+    v_x = _vp_array(x.c, p, n)
+    _, first = np.unique(v_x, return_index=True)
+    out = {}
+    for v in v_x[np.sort(first)]:
+        rows = v_x == v
+        out["w" if v == 0 else f"y{v}"] = (e_b[rows], (x.d if v else x.c)[rows])
+    return out
 
 
 def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:

@@ -260,15 +260,27 @@ def _away(chi, p: int) -> list[int]:
 
 def op_U(space: CuspSpace, p: int, route: str = "coeff") -> OpMatrix:
     """Matrix of the normalized p-th coefficient shift b_n = p^(1-k/2) a_{pn}.
-    route='coeff' solves against stored coefficients; route='sampled' uses
-    the slash decomposition sum_s f|(1, s; 0, p)."""
+    route='coeff' solves against stored coefficients, once per space and p
+    (memoized on the space like op_matrix, its matrix read-only);
+    route='sampled' uses the slash decomposition sum_s f|(1, s; 0, p)."""
     if route == "sampled":
         terms = [(1.0, np.array([[1, s], [0, p]], dtype=np.int64)) for s in range(p)]
         return op_matrix(space, terms, label=f"U[{p}]~")
     if route != "coeff":
         raise ValueError(f"unknown route {route!r}")
+    # memoized next to op_matrix's results; keys of op_matrix are 3-tuples
+    key = ("U coeff", p)
+    hit = space._op_memo.get(key)
+    if hit is None:
+        hit = space._op_memo[key] = _build_op_U_coeff(space, p)
+    return hit
+
+
+def _build_op_U_coeff(space: CuspSpace, p: int) -> OpMatrix:
     if space.dim == 0:
-        return OpMatrix(np.zeros((0, 0), dtype=np.complex128), 0.0, 1.0, False, f"U[{p}]")
+        mat = np.zeros((0, 0), dtype=np.complex128)
+        mat.flags.writeable = False
+        return OpMatrix(mat, 0.0, 1.0, False, f"U[{p}]")
     cols = []
     worst = 0.0
     for f in space.basis:
@@ -279,6 +291,7 @@ def op_U(space: CuspSpace, p: int, route: str = "coeff") -> OpMatrix:
     A = space.coeff_matrix()[:, : space.prec // p].T
     condA = float(np.linalg.cond(A))
     mat = np.stack(cols, axis=1)
+    mat.flags.writeable = False
     return OpMatrix(
         mat, worst, condA, condA >= CONDITION_LIMIT or worst > RESIDUAL_TOL, f"U[{p}]~"
     )

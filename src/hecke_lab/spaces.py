@@ -27,7 +27,8 @@ class CuspSpace:
     basis: list[QExpansion]
     prec: int
     provenance: str = ""
-    # operators.op_matrix results with this space as domain, built once each
+    # operators.op_matrix and op_U(route="coeff") results with this space as
+    # domain, built once each
     _op_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -7,6 +7,7 @@ import pytest
 from hecke_lab.characters import (
     DirChar,
     PChar,
+    _least_stable_primitive_root,
     crt_decompose,
     unit_generators,
 )
@@ -42,6 +43,39 @@ def test_unit_generators_generate():
                     frontier.append(y)
         units = {u for u in range(1, m) if u % p != 0} or {1}
         assert seen == units, (p, n)
+
+
+def _order_by_multiplication(g: int, mod: int) -> int:
+    t, k = g % mod, 1
+    while t != 1:
+        t, k = t * g % mod, k + 1
+    return k
+
+
+def test_stable_primitive_root_matches_order_search():
+    """The power test finds, for every prime below 400, the least g whose
+    order is p - 1 mod p and p(p - 1) mod p^2, found by multiplying out."""
+    for p in (q for q in range(2, 400) if _factorize(q) == [(q, 1)]):
+        want = next(
+            g for g in range(2, p * p) if g % p
+            and _order_by_multiplication(g, p) == p - 1
+            and _order_by_multiplication(g, p * p) == p * (p - 1)
+        )
+        assert _least_stable_primitive_root(p) == want, p
+
+
+def test_stable_primitive_root_skips_roots_that_fall_mod_p_squared():
+    # 40487 is the least prime whose least primitive root, 5, is not one mod
+    # p^2; there the orders are checked on the prime divisors of p(p - 1)
+    p = 40487
+    g = _least_stable_primitive_root(p)
+
+    def order_is(x, mod, order):
+        return pow(x, order, mod) == 1 and all(
+            pow(x, order // q, mod) != 1 for q, _ in _factorize(order))
+
+    assert order_is(5, p, p - 1) and not order_is(5, p * p, p * (p - 1))
+    assert g == 10 and order_is(g, p * p, p * (p - 1))
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 12, 25])

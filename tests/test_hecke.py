@@ -1,18 +1,34 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hecke_lab import groupconv, hecke
 from hecke_lab.characters import PChar
-from hecke_lab.cosets import _left_transport, all_labels, label_rep, w1, ymat
+from hecke_lab.cosets import (
+    Kg_blocks,
+    MatPn,
+    _left_transport,
+    all_labels,
+    dmat,
+    double_coset_label,
+    identity,
+    label_rep,
+    unit_lifts,
+    w1,
+    xmat,
+    ymat,
+)
 from hecke_lab.groupconv import BRUTE_LIMIT
 from hecke_lab.hecke import (
     AlgebraError,
     HeckeElem,
     _basis_product,
+    _Kg_twist_pairs,
+    _mirror_geometry,
     _supported_by_closed_form,
     _supported_by_definition,
     convolve,
@@ -68,6 +84,106 @@ def test_support_definition_matches_closed_form(p, n):
             by_definition = _supported_by_definition(g, chi)
             assert by_definition == _supported_by_closed_form(g, chi), (chi.conrey_index(), lab)
             assert is_supported(g, chi) == by_definition
+
+
+def _pairs_by_full_conjugation(g):
+    """The reference for _Kg_twist_pairs: the distinct (d_k, d_{g k g^-1})
+    read off the full conjugates of cosets.Kg_blocks."""
+    pn = g.pn
+    codes = np.unique(np.concatenate([k.d * pn + conj.d for k, conj in Kg_blocks(g)]))
+    return codes // pn, codes % pn
+
+
+def _same_arrays(got, want):
+    return len(got) == len(want) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_Kg_twist_pairs_match_full_conjugation(p, n):
+    # the lower-row walk gives, bit for bit, the pairs of the full products
+    for lab in all_labels(p, n):
+        g = label_rep(p, n, lab)
+        assert _same_arrays(_Kg_twist_pairs.__wrapped__(g), _pairs_by_full_conjugation(g)), lab
+
+
+@st.composite
+def invertible(draw) -> MatPn:
+    """Any g in GL2(Z/p^n) on a grid cell."""
+    p, n = draw(st.sampled_from(GRID))
+    entries = [draw(st.integers(0, p**n - 1)) for _ in range(4)]
+    assume((entries[0] * entries[3] - entries[1] * entries[2]) % p != 0)
+    return MatPn(p, n, *entries)
+
+
+@given(invertible())
+def test_Kg_twist_pairs_match_full_conjugation_at_any_g(g):
+    assert _same_arrays(_Kg_twist_pairs.__wrapped__(g), _pairs_by_full_conjugation(g))
+
+
+def test_definition_walk_refused_before_allocating():
+    # K0(7^3) has 29.6M elements: the walk is refused by the enumeration guard
+    chi = PChar.trivial(7, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            _supported_by_definition(ymat(7, 3, 7), chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_definition_walk_memory_at_5_3():
+    # the largest cell walked by definition: 1.25M elements of K0(125) per
+    # label, in blocks, under 2 MB traced
+    for lab in all_labels(5, 3):
+        g = label_rep(5, 3, lab)
+        tracemalloc.start()
+        try:
+            _Kg_twist_pairs.__wrapped__(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (lab, peak)
+
+
+def _mirror_geometry_by_matpn(p, n, lab_h, l2):
+    """_mirror_geometry one scalar MatPn at a time, through the left-coset
+    representatives y(p^j) d(s), w x(t), I and canonical labels."""
+    h = label_rep(p, n, lab_h)
+    if l2 == f"y{n}":
+        reps = [identity(p, n)]
+    elif l2 == "w":
+        reps = [w1(p, n) @ xmat(p, n, t) for t in range(p**n)]
+    else:
+        j = int(l2[1:])
+        reps = [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j)]
+
+    def slot(lab, g):
+        return g.c if lab == "w" else g.d
+
+    rows = {}
+    for b in reps:
+        assert double_coset_label(b) == l2
+        x = h @ b.inv()
+        lab_x = double_coset_label(x)
+        rows.setdefault(lab_x, []).append((slot(l2, b), slot(lab_x, x)))
+    return {
+        lab_x: tuple(np.array(col, dtype=np.int64) for col in zip(*pairs))
+        for lab_x, pairs in rows.items()
+    }
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_mirror_geometry_matches_scalar_products(p, n):
+    for lab_h in all_labels(p, n):
+        for l2 in all_labels(p, n):
+            got = _mirror_geometry(p, n, lab_h, l2)
+            want = _mirror_geometry_by_matpn(p, n, lab_h, l2)
+            assert list(got) == list(want), (lab_h, l2)
+            assert all(_same_arrays(got[lab], want[lab]) for lab in want), (lab_h, l2)
 
 
 @given(elements(3), RATIONALS, RATIONALS)

@@ -146,6 +146,21 @@ def test_dual_route_shift(sp21):
     assert not Us.poisoned and not Uc.poisoned
 
 
+def test_coeff_shift_is_memoized_on_the_space():
+    """A repeated coefficient-route U returns the same object, bit for bit a
+    cold build on a freshly loaded copy, with a read-only matrix."""
+    sp = load_space(fixture_dir() / "N21k3c13.json")
+    U = op_U(sp, 3)
+    assert op_U(sp, 3, route="coeff") is U and op_U(sp, 7) is not U
+    cold = op_U(load_space(fixture_dir() / "N21k3c13.json"), 3)
+    assert U.matrix.tobytes() == cold.matrix.tobytes()
+    assert (U.residual, U.conditioning, U.poisoned, U.label) == \
+        (cold.residual, cold.conditioning, cold.poisoned, cold.label)
+    assert not U.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        U.matrix[0, 0] = 0
+
+
 def test_involution_quadratic(sp11):
     Q = op_Q(sp11, 11)
     assert quad_ratio(Q, -1, 11) < 1e-6
@@ -261,12 +276,14 @@ def test_op_matrix_is_memoized_on_the_space():
 def test_classical_suite_builds_each_operator_once(monkeypatch):
     """The classical suite over the shipped families asks for 141 operator
     matrices, 42 of them distinct; each distinct one is sampled and solved
-    once (one first sampling attempt per build)."""
+    once (one first sampling attempt per build).  The coefficient route of
+    op_U is built once for each of its 18 (space, p)."""
     from hecke_lab import operators
     from hecke_lab.campaign import Campaign, run_verify
 
     op_matrix_, sample_points_ = operators.op_matrix, operators.sample_points
-    calls, distinct, builds = [], set(), []
+    build_op_U_coeff_ = operators._build_op_U_coeff
+    calls, distinct, builds, coeff_builds = [], set(), [], []
 
     def counted_op_matrix(space, terms, label="", codomain=None):
         target = codomain if codomain is not None else space
@@ -280,8 +297,14 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
             builds.append(mats)
         return sample_points_(mats, count, skip)
 
+    def counted_build_op_U_coeff(space, p):
+        coeff_builds.append((id(space), p))
+        return build_op_U_coeff_(space, p)
+
     monkeypatch.setattr(operators, "op_matrix", counted_op_matrix)
     monkeypatch.setattr(operators, "sample_points", counted_sample_points)
+    monkeypatch.setattr(operators, "_build_op_U_coeff", counted_build_op_U_coeff)
     rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
     assert rep.n_fail == 0
     assert (len(calls), len(distinct), len(builds)) == (141, 42, 42)
+    assert (len(coeff_builds), len(set(coeff_builds))) == (18, 18)
