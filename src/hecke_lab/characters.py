@@ -360,12 +360,11 @@ class DirChar:
         return all(c.is_trivial() for c in self.components.values())
 
     def bar(self) -> "DirChar":
-        """Complex-conjugate character."""
-        comps = {}
-        for p, chi_p in self.components.items():
-            _, orders = unit_group_structure(p, chi_p.n)
-            comps[p] = PChar(p, chi_p.n, tuple((-a) % d for a, d in zip(chi_p.exps, orders)))
-        return DirChar(self.modulus, comps)
+        """Complex-conjugate character: every component flipped."""
+        out = self
+        for p in self.components:
+            out = out.flip_at(p)
+        return out
 
     def at_modulus(self, M: int) -> "DirChar":
         """The character mod M attached to the same primitive character.

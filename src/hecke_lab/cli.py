@@ -14,16 +14,16 @@ import sys
 from pathlib import Path
 
 from .campaign import DEFAULT_TOLERANCE, Campaign, run_verify
-from .newspace import characterize, qualifying_primes
+from .newspace import characterize, operator_spectrum, qualifying_primes
 from .operators import OpMatrix, op_Q, op_Qprime, op_S, op_Sprime, quad_ratio
 from .report import Report, check, check_bool, timed
 from .spaces import SpaceFormatError, load_space
 
 _OP_BUILDERS = {
-    "q": (op_Q, "Q", (-1.0, None)),
-    "qprime": (op_Qprime, "Q", (-1.0, None)),
-    "s": (op_S, "S", (0.0, None)),
-    "sprime": (op_Sprime, "S", (0.0, None)),
+    "q": (op_Q, "Q"),
+    "qprime": (op_Qprime, "Q"),
+    "s": (op_S, "S"),
+    "sprime": (op_Sprime, "S"),
 }
 
 
@@ -74,7 +74,7 @@ def _cmd_classical(args) -> int:
         tag = f"{path.stem}"
         quals = {q["p"]: q for q in qualifying_primes(sp.level, sp.char)}
         if args.op:
-            builder, need_kind, (target, _) = _OP_BUILDERS[args.op]
+            builder, need_kind = _OP_BUILDERS[args.op]
             if quals.get(p, {}).get("kind") != need_kind:
                 # no admissible operator of this kind: the level's exponent at
                 # p is wrong for it, or the character is primitive at p
@@ -85,7 +85,7 @@ def _cmd_classical(args) -> int:
                 continue
             with timed() as t:
                 op: OpMatrix = builder(sp, p)
-            roots = (target, float(p))
+            _, roots = operator_spectrum(need_kind, p)
             quad = quad_ratio(op, *roots)
             rep.meta["operators"].append({
                 "space": tag, "op": op.label, "dim": op.dim,

@@ -4,8 +4,10 @@ subgroup K0(p^n), and its single/double coset geometry.
 Right cosets K0 g are classified by the bottom row of g up to unit scaling,
 i.e. by points of P^1(Z/p^n) in the canonical form (1 : d) (unit lower-left)
 or (c : 1) with c in pZ/p^n.  Double cosets are classified by the p-adic
-valuation of the canonical c: valuation 0 -> the w class, valuation j in
-[1, n-1] -> the y(p^j) class, valuation n -> the identity class y(p^n) = K0.
+valuation of the canonical c capped at n, its stratum: stratum 0 -> the w
+class, j in [1, n-1] -> the y(p^j) class, n -> the identity class
+y(p^n) = K0.  Only this module turns strata into the labels "w", "y{j}" and
+back.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import _vp
+from .characters import _vp, _vp_array
 
 # The one size budget, on the matrices a cell builds at once.  Enumerating
 # K0(p^m) mod p^n: at m = n it admits exactly the cells with p^n <= 128
@@ -197,73 +199,55 @@ def in_K0(g: MatPn) -> bool:
     return g.c % g.pn == 0
 
 
-@dataclass(frozen=True)
-class CosetIndex:
-    """Canonical point of P^1(Z/p^n): ("1d", d) for (1 : d) or ("c1", c) for
-    (c : 1) with c in pZ/p^n."""
-
-    kind: str
-    value: int
-
-    def __post_init__(self):
-        if self.kind not in ("1d", "c1"):
-            raise ValueError("kind must be '1d' or 'c1'")
-
-
 class CosetTable:
-    """Coset bookkeeping for one (p, n): representatives, index lookup,
-    decomposition, and double-coset labels, for one MatPn or a MatArray."""
+    """Coset bookkeeping for one (p, n), as numpy arrays.
+
+    Position k holds one canonical representative (rep_array[k]) and its
+    double-coset stratum (stratum[k]).  The (1 : d) classes come first, at
+    position d, with representative w(1) x(d) = (0, -1; 1, d) and stratum 0;
+    then the (c : 1) classes for c in pZ/p^n, ordered by (v_p(c), c), with
+    representative y(c) and stratum v_p(c) (n for c = 0).  Positions and
+    decompositions are computed for a MatArray; position_of and decompose
+    do one MatPn at a time, as the scalar reference.
+    """
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.pn = p**n
-        pn = self.pn
-        idx: list[CosetIndex] = []
-        # (1 : d)-classes first, then (c : 1) by increasing valuation of c
-        for d in range(pn):
-            idx.append(CosetIndex("1d", d))
-        cs = sorted((c for c in range(pn) if c % p == 0), key=lambda c: (_vp(c or pn, p), c))
-        for c in cs:
-            idx.append(CosetIndex("c1", c))
-        self.indices = idx
-        self.position = {ix: k for k, ix in enumerate(idx)}
-        self.reps = [self.rep_of(ix) for ix in idx]
-        self.labels = [self.label_of_index(ix) for ix in idx]
-        self.dim = len(idx)
-        if self.dim != pn + pn // p:
-            raise AssertionError(f"{self.dim} cosets, expected {pn + pn // p}")
-        self.rep_array = MatArray.stack(p, n, self.reps)
+        self.pn = pn = p**n
+        c = np.arange(0, pn, p)
+        v = _vp_array(c, p, n)
+        order = np.lexsort((c, v))
+        c, v = c[order], v[order]
+        self.dim = pn + len(c)
+        self.rep_array = MatArray.concat(p, n, [
+            MatArray(p, n, 0, -1, 1, np.arange(pn)),  # w(1) x(d)
+            MatArray(p, n, 1, 0, c, 1),  # y(c)
+        ])
+        self.stratum = np.concatenate([np.zeros(pn, dtype=np.int64), v])
         self._rep_inv_array = self.rep_array.inv()
         # position of (c : 1) by c; (1 : d) sits at position d
         self._c1_position = np.full(pn, -1, dtype=np.int64)
-        self._c1_position[cs] = np.arange(pn, self.dim)
+        self._c1_position[c] = np.arange(pn, self.dim)
 
-    def rep_of(self, ix: CosetIndex) -> MatPn:
-        if ix.kind == "1d":
-            # w(1) x(d): bottom row (1, d)
-            return MatPn(self.p, self.n, 0, -1, 1, ix.value)
-        return ymat(self.p, self.n, ix.value)
+    def position_of(self, g: MatPn) -> int:
+        """Position of the right coset K0 g, from g's bottom row scaled to
+        (1 : d) or (c : 1) with `pow`."""
+        if g.c % self.p != 0:
+            return pow(g.c, -1, self.pn) * g.d % self.pn
+        # a unit determinant with p | c forces d to be a unit
+        return int(self._c1_position[pow(g.d, -1, self.pn) * g.c % self.pn])
 
-    def canonical_index(self, g: MatPn) -> CosetIndex:
-        c, d = g.c, g.d
-        if c % self.p != 0:
-            ci = pow(c, -1, self.pn)
-            return CosetIndex("1d", ci * d % self.pn)
-        # determinant a unit forces d to be a unit here
-        di = pow(d, -1, self.pn)
-        return CosetIndex("c1", di * c % self.pn)
-
-    def decompose(self, g: MatPn) -> tuple[CosetIndex, MatPn]:
-        ix = self.canonical_index(g)
-        rep = self.reps[self.position[ix]]
-        k0 = g @ rep.inv()
+    def decompose(self, g: MatPn) -> tuple[int, MatPn]:
+        """g = k0 * rep_array[position]: (position, k0)."""
+        pos = self.position_of(g)
+        k0 = g @ self.rep_array[pos].inv()
         if not in_K0(k0):
             raise ValueError(f"{g!r} = k0 * rep left K0(p^n): k0 = {k0!r}")
-        return ix, k0
+        return pos, k0
 
     def positions_of(self, g: MatArray) -> np.ndarray:
-        """Vectorized canonical_index -> position."""
+        """Vectorized position_of."""
         if np.any(g.det() % self.p == 0):
             raise ValueError(f"a determinant is not a unit mod {self.p}^{self.n}")
         inv = _unit_inverses(self.p, self.n)
@@ -275,21 +259,12 @@ class CosetTable:
         )
 
     def decompose_array(self, g: MatArray) -> tuple[np.ndarray, MatArray]:
-        """Vectorized decompose: positions, and k0 with g = k0 * reps[position]."""
+        """Vectorized decompose: positions, and k0 with g = k0 * rep_array[position]."""
         pos = self.positions_of(g)
         k0 = g @ self._rep_inv_array[pos]
         if np.any(k0.c != 0):
             raise ValueError("a factor k0 = g * rep^-1 left K0(p^n)")
         return pos, k0
-
-    def label_of_index(self, ix: CosetIndex) -> str:
-        if ix.kind == "1d":
-            return "w"
-        # canonical c lies in [0, p^n); c = 0 is the valuation-n class
-        return f"y{_vp(ix.value or self.pn, self.p)}"
-
-    def label(self, g: MatPn) -> str:
-        return self.label_of_index(self.canonical_index(g))
 
 
 @cell_cache
@@ -297,25 +272,43 @@ def coset_table(p: int, n: int) -> CosetTable:
     return CosetTable(p, n)
 
 
-def double_coset_label(g: MatPn) -> str:
-    """Label in {"w"} | {"y1", ..., "yn"}; "yn" is the K0(p^n) class itself."""
-    return coset_table(g.p, g.n).label(g)
-
-
-def label_rep(p: int, n: int, lab: str) -> MatPn:
-    """The standard double-coset representative for a label."""
+def label_stratum(n: int, lab: str) -> int:
+    """The stratum a label names: 0 for "w", j for "y{j}" with 1 <= j <= n."""
     if lab == "w":
-        return w1(p, n)
+        return 0
     if lab.startswith("y"):
         j = int(lab[1:])
         if not 1 <= j <= n:
             raise ValueError(f"label {lab} out of range")
-        return ymat(p, n, p**j)
+        return j
     raise ValueError(f"unknown label {lab}")
 
 
+def stratum_label(j: int) -> str:
+    """The label of stratum j."""
+    return f"y{j}" if j else "w"
+
+
+def stratum_of(g: MatPn) -> int:
+    """The double-coset stratum of g, read off its lower-left entry c: 0 when
+    p does not divide c, else min(v_p(c), n)."""
+    return _vp(g.c or g.pn, g.p)
+
+
+def double_coset_label(g: MatPn) -> str:
+    """Label in {"w"} | {"y1", ..., "yn"}; "yn" is the K0(p^n) class itself."""
+    return stratum_label(stratum_of(g))
+
+
+def label_rep(p: int, n: int, lab: str) -> MatPn:
+    """The standard double-coset representative for a label: w(1), or
+    y(p^j) (the identity for j = n)."""
+    j = label_stratum(n, lab)
+    return ymat(p, n, p**j) if j else w1(p, n)
+
+
 def all_labels(p: int, n: int) -> list[str]:
-    return ["w"] + [f"y{j}" for j in range(1, n + 1)]
+    return [stratum_label(j) for j in range(n + 1)]
 
 
 def unit_lifts(p: int, modulus_exp: int) -> list[int]:
@@ -336,11 +329,11 @@ def class_right_reps(p: int, n: int, lab: str) -> MatArray:
     class: [I].  Each has twist 1: its lower-right entry (lower-left for w)
     is 1.
     """
-    if lab == f"y{n}":
+    j = label_stratum(n, lab)
+    if j == n:
         return MatArray(p, n, [1], [0], [0], [1])
-    if lab == "w":
+    if j == 0:
         return MatArray(p, n, np.arange(p**n), -1, 1, 0)
-    j = int(lab[1:])
     return MatArray(p, n, unit_lifts(p, n - j), 0, p**j, 1)
 
 
@@ -351,14 +344,13 @@ def class_left_reps(p: int, n: int, lab: str) -> MatArray:
     p^{n-j}; w class: w x(t) = (0, -1; 1, t) over t mod p^n; identity
     class: [I].
     """
-    if lab == f"y{n}":
+    j = label_stratum(n, lab)
+    if j == n:
         return MatArray(p, n, [1], [0], [0], [1])
-    if lab == "w":
+    if j == 0:
         return MatArray(p, n, 0, -1, 1, np.arange(p**n))
-    j = int(lab[1:])
     s = np.array(unit_lifts(p, n - j), dtype=np.int64)
     return MatArray(p, n, s, 0, p**j * s, 1)
-
 
 
 @cell_cache
@@ -470,10 +462,9 @@ def Kg_condition_closed_form(g: MatPn, k):
     For g = w(1) the condition is b = 0 mod p^n; the identity gives all of K0.
     """
     p, n = g.p, g.n
-    lab = double_coset_label(g)
-    if lab == f"y{n}":
+    m = stratum_of(g)
+    if m == n:
         return in_K0(k)
-    if lab == "w":
+    if m == 0:
         return in_K0(k) & (k.b % k.pn == 0)
-    m = int(lab[1:])
     return in_K0(k) & ((k.a - k.d - p**m * k.b) % p ** (n - m) == 0)

@@ -21,6 +21,19 @@ from functools import lru_cache
 
 import numpy as np
 
+_FLOAT_EXACT = 2**52  # float64 arithmetic is exact on integers below this
+
+
+def _exact_dtype(bound: float) -> type:
+    """dtype for an integer computation whose values and partial sums are at
+    most `bound` in absolute value: float64 (BLAS) below _FLOAT_EXACT, int64
+    below 2^62 (a margin for the rounding of the bound itself), else refused."""
+    if bound < _FLOAT_EXACT:
+        return np.float64
+    if bound < 2**62:
+        return np.int64
+    raise OverflowError(f"integer bound {bound:.3g} does not fit int64")
+
 
 def euler_phi(m: int) -> int:
     return math.prod(p ** (a - 1) * (p - 1) for p, a in _factorize(m))
@@ -126,16 +139,16 @@ class CyclotomicField:
         """Vectorized reduction: (..., m) integer counts -> (..., degree) coords,
         counts[..., e] the multiplicity of zeta^e.
 
-        Routed through BLAS in float64 when every intermediate integer provably
-        fits in the 2^53 mantissa (m * max|count| * max|table entry| < 2^52),
-        which is a large speedup on the big cells; int64 otherwise.  The
-        float64 table and m * max|table entry| are built once per field.
+        Every partial sum is at most m * max|count| * max|table entry|, and
+        _exact_dtype picks from that bound: BLAS in float64, which is a large
+        speedup on the big cells, or int64, or OverflowError.  The float64
+        table and m * max|table entry| are built once per field.
         """
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape[-1:] != (self.order,):
             raise ValueError("count vector must have length m")
         cmax = int(np.abs(counts).max(initial=0))
-        if cmax * self._reduction_bound < 2**52:
+        if _exact_dtype(cmax * self._reduction_bound) is np.float64:
             out = counts.astype(np.float64) @ self._reduction_f64
             return np.rint(out).astype(np.int64)
         return counts @ self.reduction

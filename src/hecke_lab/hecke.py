@@ -8,7 +8,7 @@ sum with K0(p^n) normalized to mass 1.
 
 The structure constants on this basis are counts.  A y(p^j) class
 representative a moves every coset with a factor k0 whose lower-right entry
-is 1 mod p^j (the lemma in _basis_product), and j >= r on the supported
+is 1 mod p^j (the lemma in _checked_transport), and j >= r on the supported
 basis, so every term of the coset sum is chi(1) = 1; on the w class chi is
 trivial.  The algebra therefore runs over Q: coefficients are Fractions and
 the integer constants are shared by every character of a cell, and the
@@ -32,10 +32,12 @@ from .cosets import (
     all_labels,
     class_left_reps,
     coset_table,
-    double_coset_label,
     k0_order,
     label_rep,
+    label_stratum,
     require_enumerable,
+    stratum_label,
+    stratum_of,
 )
 from .groupconv import BRUTE_LIMIT, cross_check_structure
 from .report import Assertion, Report, check, check_bool, timed
@@ -54,7 +56,7 @@ def is_supported(g: MatPn, chi: PChar) -> bool:
     admits); through the closed-form parametrization of K_g above that.
     """
     p, n = g.p, g.n
-    if double_coset_label(g) == f"y{n}":
+    if stratum_of(g) == n:
         return True  # g in K0: g k g^{-1} and k share their lower-right entry
     if k0_order(p, n) <= K0_ENUMERATION_LIMIT:
         return _supported_by_definition(g, chi)
@@ -104,14 +106,11 @@ def _supported_by_closed_form(g: MatPn, chi: PChar) -> bool:
     and the diagonal entries trade places for g = w."""
     p, n = g.p, g.n
     pn = p**n
-    lab = double_coset_label(g)
-    if lab == f"y{n}":
-        return True
+    m = stratum_of(g)
     vexp = chi.exponent_table()
     units = np.arange(pn)[np.arange(pn) % p != 0]
-    if lab == "w":
+    if m == 0:
         return bool(np.all(vexp[units] == 0))
-    m = int(lab[1:])
     b = np.arange(pn)
     shifted = (units[:, None] + p**m * b[None, :]) % pn
     return bool(np.all(vexp[shifted] == vexp[units][:, None]))
@@ -119,10 +118,7 @@ def _supported_by_closed_form(g: MatPn, chi: PChar) -> bool:
 
 def supported_basis(p: int, n: int, chi: PChar) -> list[str]:
     """Labels of supported double cosets, in canonical order."""
-    r = chi.conductor_exponent
-    if r == 0:
-        return ["w"] + [f"y{j}" for j in range(1, n + 1)]
-    return [f"y{j}" for j in range(r, n + 1)]
+    return all_labels(p, n)[chi.conductor_exponent :]
 
 
 def basis_exponent(vexp: np.ndarray, lab: str, entries: np.ndarray) -> np.ndarray:
@@ -225,12 +221,37 @@ def y_element(p: int, n: int, chi: PChar, ell: int) -> HeckeElem:
     r = max(chi.conductor_exponent, 1)
     if not r <= ell <= n:
         raise AlgebraError(f"Y_{ell} undefined: need {r} <= ell <= {n}")
-    return HeckeElem(p, n, chi, {f"y{i}": 1 for i in range(ell, n + 1)})
+    return HeckeElem(p, n, chi, {lab: 1 for lab in all_labels(p, n)[ell:]})
 
 
 @cell_cache
 def _basis_product_cached(p: int, n: int, lab1: str, lab2: str) -> tuple:
     return tuple(sorted(_basis_product(p, n, lab1, lab2).items()))
+
+
+def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
+    """The coset map cls of lab's transport table (cosets._left_transport),
+    after checking on its factors d0 that every twist chi(d0) is 1 for each
+    character that supports lab: d0 is 1 mod p^j on a y(p^j) class, by the
+    lemma below, and a unit on the w class, which only the trivial
+    character supports.  A failure raises AlgebraError.
+
+    Lemma.  For lab = y(p^j), every d0 in the table is 1 mod p^j.
+    Proof.  For j = n the only representative is a = I, so k0 = I.  For
+    j < n, a = (s, 0; p^j, 1) with s a unit, and
+    a^{-1} = (s^-1, 0; -p^j s^-1, 1) = diag(s^-1, 1) y(u) with u = -p^j s^-1.
+    As p | u, y(u) = (1, 0; u, 1) maps each coset representative exactly
+    onto another: y(u) (0, -1; 1, d) = (0, -1; 1, d - u) and
+    y(u) y(c) = y(c + u).  So a^{-1} rep_c = diag(s^-1, 1) rep_c' and
+    d0 = 1.
+    """
+    cls, d0 = _left_transport(p, n)[lab]
+    j = label_stratum(n, lab)
+    if j == 0 and np.any(d0 % p == 0):
+        raise AlgebraError("the w transport has a non-unit d0")
+    if j and np.any(d0 % p**j != 1):
+        raise AlgebraError(f"the {lab} transport has a d0 off 1 mod {p**j}: twists depend on chi")
+    return cls
 
 
 def _basis_product(p: int, n: int, lab1: str, lab2: str) -> dict[str, int]:
@@ -241,33 +262,17 @@ def _basis_product(p: int, n: int, lab1: str, lab2: str) -> dict[str, int]:
     Each a has twist 1, and a^{-1} h = k0 rep_c puts the lower-right entry d0
     of k0 into the twist slot of lab2 (for either kind of class), so the
     value at h is the sum of chi(d0) over the transport table's rows whose
-    coset c lies in lab2's class.  Every such term is 1:
-
-    Lemma.  For lab1 = y(p^j), every d0 in the table is 1 mod p^j.
-    Proof.  For j = n the only representative is a = I, so k0 = I.  For
-    j < n, a = (s, 0; p^j, 1) with s a unit, and
-    a^{-1} = (s^-1, 0; -p^j s^-1, 1) = diag(s^-1, 1) y(u) with u = -p^j s^-1.
-    As p | u, y(u) = (1, 0; u, 1) maps each coset representative exactly
-    onto another: y(u) (0, -1; 1, d) = (0, -1; 1, d - u) and
-    y(u) y(c) = y(c + u).  So a^{-1} rep_c = diag(s^-1, 1) rep_c' and
-    d0 = 1.
-
-    On the supported basis j >= r, so chi(d0) = 1; lab1 = w is supported
-    only for trivial chi.  The value at h is therefore the count of those
-    rows, the same for every character of the cell: which labels a given
-    chi admits is left to HeckeElem's label check.  The congruence is
-    checked on the table read here, and a failure raises AlgebraError.
+    coset c lies in lab2's class.  Every such term is 1 (_checked_transport),
+    so the value at h is the count of those rows, the same for every
+    character of the cell: which labels a given chi admits is left to
+    HeckeElem's label check.
     """
     table = coset_table(p, n)
-    cls, d0 = _left_transport(p, n)[lab1]
-    if lab1 != "w":
-        pj = p ** int(lab1[1:])
-        if np.any(d0 % pj != 1):
-            raise AlgebraError(f"the {lab1} transport has a d0 off 1 mod {pj}: not a count")
-    in_lab2 = np.array(table.labels) == lab2
+    cls = _checked_transport(p, n, lab1)
+    in_lab2 = table.stratum == label_stratum(n, lab2)
     labels = all_labels(p, n)
     # the standard representative of each class is its own coset's rep
-    c_h = [table.position[table.canonical_index(label_rep(p, n, lab))] for lab in labels]
+    c_h = [table.position_of(label_rep(p, n, lab)) for lab in labels]
     counts = np.count_nonzero(in_lab2[cls[:, c_h]], axis=0)
     return {lab: int(c) for lab, c in zip(labels, counts) if c}
 
@@ -294,13 +299,13 @@ def _mirror_geometry(p: int, n: int, lab_h: str, l2: str) -> dict[str, tuple]:
     capped at n (0 for w), as d is a unit whenever p | c."""
     b = class_left_reps(p, n, l2)
     x = label_rep(p, n, lab_h) @ b.inv()
-    e_b = b.c if l2 == "w" else b.d
+    e_b = b.d if label_stratum(n, l2) else b.c
     v_x = _vp_array(x.c, p, n)
     _, first = np.unique(v_x, return_index=True)
     out = {}
     for v in v_x[np.sort(first)]:
         rows = v_x == v
-        out["w" if v == 0 else f"y{v}"] = (e_b[rows], (x.d if v else x.c)[rows])
+        out[stratum_label(v)] = (e_b[rows], (x.d if v else x.c)[rows])
     return out
 
 

@@ -7,9 +7,10 @@ class representative: each reads every coordinate from one other coset and
 multiplies it by the twist chi(d0) of the transport factor between them.
 
 That twist is always 1 on the algebra's operators.  Every d0 is 1 mod p^j on
-a y(p^j) class (the lemma in hecke._basis_product), and the w class is
-supported only by the trivial chi.  `_basis_operator` checks both facts on
-each transport table it reads.  So an operator is held as one integer
+a y(p^j) class, and a unit on the w class, which is supported only by the
+trivial chi; `_basis_operator` reads each transport table through
+hecke._checked_transport, which holds the lemma and checks both facts on the
+table.  So an operator is held as one integer
 (dim, dim) count matrix, and products, traces and vanishing checks multiply
 count matrices with BLAS: in float64 only under a proven bound that keeps
 every integer exact, in int64 otherwise.  Every verdict is exact.  The basis
@@ -34,10 +35,10 @@ import numpy as np
 
 from .cellcache import cell_cache
 from .characters import PChar, unit_generators
-from .cosets import MatPn, _left_transport, coset_table, xmat, ymat
-from .cyclotomic import _solve_fraction_system
+from .cosets import MatPn, coset_table, xmat, ymat
+from .cyclotomic import _exact_dtype, _solve_fraction_system
 from .groupconv import BRUTE_LIMIT
-from .hecke import AlgebraError, supported_basis
+from .hecke import AlgebraError, _checked_transport, supported_basis
 from .report import Report, check, check_bool, timed
 
 
@@ -105,23 +106,10 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
 def _basis_operator(p: int, n: int, lab: str) -> PermSum:
     """Convolution action of one algebra basis function (one term per class
     representative), with every twist 1: the action for every character
-    that supports `lab`.
-
-    The twist of a term is chi(d0) for the transport factor's lower-right
-    entry d0.  On a y(p^j) class every d0 is 1 mod p^j (the lemma in
-    hecke._basis_product), so chi(d0) = 1 whenever j >= r; the w class is
-    supported only by the trivial character, where chi(d0) = 1 on units.
-    Both facts are checked on the table read here.
-    """
-    cls, d0 = _left_transport(p, n)[lab]
-    if lab == "w":
-        if np.any(d0 % p == 0):
-            raise AssertionError("twist evaluated at a non-unit entry")
-    else:
-        pj = p ** int(lab[1:])
-        if np.any(d0 % pj != 1):
-            raise AlgebraError(f"the {lab} transport has a d0 off 1 mod {pj}: twists depend on chi")
-    return PermSum(cls)
+    that supports `lab`.  The twist of a term is chi(d0) for the transport
+    factor's lower-right entry d0, which hecke._checked_transport proves and
+    checks to be 1."""
+    return PermSum(_checked_transport(p, n, lab))
 
 
 @cell_cache
@@ -165,11 +153,10 @@ class InducedRep:
 
 
 def _y_vector(p: int, n: int, ell: int) -> np.ndarray:
-    """Y_ell viewed inside I(n): indicator of the v_p >= ell strata (the
+    """Y_ell viewed inside I(n): indicator of the strata ell and above (the
     canonical lower-left entry of a coordinate has valuation 0 on the w
     stratum and j on the y(p^j) stratum)."""
-    jval = np.array([0 if lab == "w" else int(lab[1:]) for lab in coset_table(p, n).labels])
-    return (jval >= ell).astype(np.int64)
+    return (coset_table(p, n).stratum >= ell).astype(np.int64)
 
 
 def _eigenvector(p: int, n: int, r: int, i: int) -> np.ndarray:
@@ -425,19 +412,7 @@ def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
 # count matrices, one block of rows at a time (_row_blocks).
 
 _BLOCK_ENTRIES = 2**18  # (row, col) product entries held per row block, over all terms
-_FLOAT_EXACT = 2**52  # float64 arithmetic is exact on integers below this
 _RANK_PRIME = 2**31 - 1  # a prime: products of two residues stay below 2^62
-
-
-def _exact_dtype(bound: float) -> type:
-    """dtype for an integer computation whose values and partial sums are at
-    most `bound` in absolute value: float64 (BLAS) below _FLOAT_EXACT, int64
-    below 2^62 (a margin for the rounding of the bound itself), else refused."""
-    if bound < _FLOAT_EXACT:
-        return np.float64
-    if bound < 2**62:
-        return np.int64
-    raise OverflowError(f"integer bound {bound:.3g} does not fit int64")
 
 
 def _times(left: np.ndarray, right: PermSum) -> np.ndarray:

@@ -79,21 +79,28 @@ class CharacterizeResult:
         return self.new_dim == self.expected_new
 
 
+# The newspace eigenvalue lam of each kind of characterizing operator; every
+# operator of the kind satisfies (A - lam)(A - p) = 0 (for S the eigenvalues
+# are 0 and p^(n-r) with r = n - 1).
+_NEW_EIGENVALUE = {"Q": -1.0, "S": 0.0}
+
+
+def operator_spectrum(kind: str, p: int) -> tuple[float, tuple[float, float]]:
+    """The newspace eigenvalue of the operators of a kind at p, and the roots
+    of their quadratic relation."""
+    lam = _NEW_EIGENVALUE[kind]
+    return lam, (lam, float(p))
+
+
 def _operator_suite(space: CuspSpace) -> list[tuple[OpMatrix, complex, tuple[complex, complex]]]:
     """The characterizing operators with their newspace eigenvalue and the
     roots of their quadratic relation."""
     suite = []
     for q in qualifying_primes(space.level, space.char):
-        p = q["p"]
-        if q["kind"] == "Q":
-            roots = (-1.0, float(p))
-            suite.append((op_Q(space, p), -1.0, roots))
-            suite.append((op_Qprime(space, p), -1.0, roots))
-        else:
-            n = q["n"]
-            roots = (0.0, float(p))  # eigenvalues 0 and p^(n-r) with r = n-1
-            suite.append((op_S(space, p, n - 1), 0.0, roots))
-            suite.append((op_Sprime(space, p, n - 1), 0.0, roots))
+        p, kind = q["p"], q["kind"]
+        lam, roots = operator_spectrum(kind, p)
+        builders = (op_Q, op_Qprime) if kind == "Q" else (op_S, op_Sprime)
+        suite += [(build(space, p), lam, roots) for build in builders]
     return suite
 
 

@@ -64,16 +64,6 @@ class CuspSpace:
             scale = max(float(np.linalg.norm(vec[: self.prec])), 1.0)
         return mis / max(scale, 1e-300)
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "weight": self.weight,
-            "character": self.char.to_spec(),
-            "precision": self.prec,
-            "basis": [f.to_pairs() for f in self.basis],
-            "provenance": self.provenance,
-        }
-
 
 def load_space(source) -> CuspSpace:
     """Build a CuspSpace from a fixture path, JSON string, or dict."""

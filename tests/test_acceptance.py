@@ -43,7 +43,7 @@ def induced_suite():
 def test_c1_double_coset_census():
     t0 = time.perf_counter()
     for p, n in GRID:
-        total = len(coset_table(p, n).reps)
+        total = len(coset_table(p, n).rep_array)
         assert total == p ** (n - 1) * (p + 1), (p, n)
         sizes = {lab: len(class_right_reps(p, n, lab)) for lab in all_labels(p, n)}
         assert sizes["w"] == p**n, (p, n)

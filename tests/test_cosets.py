@@ -31,7 +31,35 @@ CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
 @pytest.mark.parametrize("p,n", CELLS)
 def test_right_coset_count(p, n):
-    assert len(coset_table(p, n).reps) == p ** (n - 1) * (p + 1)
+    assert len(coset_table(p, n).rep_array) == p ** (n - 1) * (p + 1)
+
+
+def _valuation(c, p, n):
+    """v_p(c) for c in [0, p^n), with v_p(0) = n, by trial division."""
+    v = 0
+    while v < n and c % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p,n", GRID + [(7, 3), (2, 9), (37, 2)])
+def test_coset_table_matches_matpn_reconstruction(p, n):
+    # the cosets rebuilt one MatPn at a time: w(1) x(d) for d mod p^n, then
+    # y(c) for c in pZ/p^n ordered by (v_p(c), c)
+    pn = p**n
+    cs = sorted(range(0, pn, p), key=lambda c: (_valuation(c, p, n), c))
+    reps = [w1(p, n) @ xmat(p, n, d) for d in range(pn)] + [ymat(p, n, c) for c in cs]
+    strata = [0] * pn + [_valuation(c, p, n) for c in cs]
+    c1_position = [-1] * pn
+    for k, c in enumerate(cs):
+        c1_position[c] = pn + k
+    table = coset_table(p, n)
+    assert table.dim == len(reps) == p ** (n - 1) * (p + 1)
+    assert np.stack(table.rep_array.entries(), axis=1).tolist() == [list(g.entries()) for g in reps]
+    assert table.stratum.tolist() == strata
+    assert table._c1_position.tolist() == c1_position
+    assert [table.position_of(g) for g in reps] == list(range(table.dim))
+    assert [double_coset_label(g) for g in reps] == [f"y{j}" if j else "w" for j in strata]
 
 
 @pytest.mark.parametrize("p,n", CELLS)
@@ -75,9 +103,9 @@ def test_decompose_reconstructs(p, n):
     samples = [w1(p, n), xmat(p, n, 1), ymat(p, n, p), identity(p, n),
                w1(p, n) @ xmat(p, n, 1), ymat(p, n, 1) @ w1(p, n)]
     for g in samples:
-        idx, k0 = table.decompose(g)
+        pos, k0 = table.decompose(g)
         assert in_K0(k0)
-        assert k0 @ table.rep_of(idx) == g
+        assert k0 @ table.rep_array[pos] == g
 
 
 def test_decompose_partition():
@@ -85,9 +113,9 @@ def test_decompose_partition():
     p, n = 3, 2
     table = coset_table(p, n)
     for g in enumerate_K0(p, n, 1):
-        idx, k0 = table.decompose(g)
+        pos, k0 = table.decompose(g)
         assert in_K0(k0)
-        assert k0 @ table.rep_of(idx) == g
+        assert k0 @ table.rep_array[pos] == g
 
 
 @pytest.mark.parametrize("p,n", GRID)

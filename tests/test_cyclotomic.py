@@ -98,6 +98,17 @@ def test_reduction_routes_are_exact():
             assert f.reduce_exponent_matrix(counts[None, :]).tolist() == [exact]
 
 
+def test_reduction_refuses_counts_past_int64():
+    # in Q(zeta_12), zeta^4 = zeta^2 - 1, so 2^62 (1 + zeta^2 + zeta^4) has
+    # z^2 coordinate 2^63, one past int64: refused, not wrapped to -2^63
+    f = get_field(12)
+    counts = np.zeros(12, dtype=np.int64)
+    counts[[0, 2, 4]] = 2**62
+    with pytest.raises(OverflowError):
+        f.reduce_exponent_matrix(counts)
+    assert f.reduce_exponent_matrix(counts // 2**40).tolist() == [0, 0, 2**23, 0]
+
+
 def _poly_mul(a, b):
     """Product of integer polynomials, leading coefficient first."""
     out = [0] * (len(a) + len(b) - 1)

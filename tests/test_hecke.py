@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from hecke_lab import groupconv, hecke
+from hecke_lab import groupconv, hecke, induced
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import (
     Kg_blocks,
@@ -239,6 +239,22 @@ def test_basis_product_refuses_transport_off_the_lemma(monkeypatch, fresh_caches
         _basis_product(p, n, "y1", "y1")
     with pytest.raises(AlgebraError, match="y1"):
         verify_relations(p, n, PChar.trivial(p, n))
+
+
+def test_transport_refuses_a_non_unit_w_factor(monkeypatch, fresh_caches):
+    # the w class reads its twist at d0, which must be a unit: both the coset
+    # sum and the induced operator read the table through one check
+    p, n = 3, 1
+    table = dict(_left_transport(p, n))
+    cls, d0 = table["w"]
+    d0 = d0.copy()
+    d0[0, 0] = p
+    table["w"] = (cls, d0)
+    monkeypatch.setattr(hecke, "_left_transport", lambda p, n: table)
+    with pytest.raises(AlgebraError, match="non-unit"):
+        _basis_product(p, n, "w", "w")
+    with pytest.raises(AlgebraError, match="non-unit"):
+        induced._basis_operator(p, n, "w")
 
 
 def _assertion(rep, suffix):

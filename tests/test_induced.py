@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hecke_lab import cosets, induced
+from hecke_lab import cosets, cyclotomic, hecke, induced
 from hecke_lab.campaign import Campaign
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
@@ -412,12 +412,12 @@ def _dense_combo(combo):
                for q, factors in combo)
 
 
-@given(combinations(), st.sampled_from([induced._FLOAT_EXACT, 0]), st.data())
+@given(combinations(), st.sampled_from([cyclotomic._FLOAT_EXACT, 0]), st.data())
 def test_vanishes_and_trace_match_dense_matrices(combo, float_exact, data):
     """Against the exact dense reference, on both product routes (a float64
     bound of 0 sends every product through int64)."""
     dense = _dense_combo(combo)
-    with mock.patch.object(induced, "_FLOAT_EXACT", float_exact):
+    with mock.patch.object(cyclotomic, "_FLOAT_EXACT", float_exact):
         assert _vanishes(combo) == (not any(dense.flat))
         assert _trace(combo) == sum(dense.diagonal())
         # scaled by the lcm of its weights, the combination is a small integer matrix
@@ -436,7 +436,7 @@ def test_vanishes_and_trace_match_dense_matrices(combo, float_exact, data):
 def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
     p, n = 3, 2
     floated = _component_verdicts(p, n)
-    monkeypatch.setattr(induced, "_FLOAT_EXACT", 0)
+    monkeypatch.setattr(cyclotomic, "_FLOAT_EXACT", 0)
     assert induced._exact_dtype(1) is np.int64
     dtypes, exact_dtype = [], induced._exact_dtype
 
@@ -471,16 +471,17 @@ def test_transport_tables_match_matpn_loop(p, n):
 
     def reference(products):
         pairs = [table.decompose(g) for g in products]
-        return [table.position[ix] for ix, _ in pairs], [k0.d for _, k0 in pairs]
+        return [pos for pos, _ in pairs], [k0.d for _, k0 in pairs]
 
+    reps = [table.rep_array[i] for i in range(table.dim)]
     left = cosets._left_transport(p, n)
     for lab in all_labels(p, n):
         for ai, a in enumerate(class_right_reps(p, n, lab)):
-            cls, d0 = reference([a.inv() @ repc for repc in table.reps])
+            cls, d0 = reference([a.inv() @ repc for repc in reps])
             assert list(left[lab][0][ai]) == cls and list(left[lab][1][ai]) == d0, (lab, ai)
     for k in [xmat(p, n, 1), ymat(p, n, p), MatPn(p, n, 2, 1, p, 1), ymat(p, n, 1) @ xmat(p, n, 2)]:
         cls, d0 = induced._right_transport(p, n, k)
-        assert (list(cls), list(d0)) == reference([repc @ k for repc in table.reps]), k
+        assert (list(cls), list(d0)) == reference([repc @ k for repc in reps]), k
 
 
 def test_induced_refuses_transport_off_the_lemma(monkeypatch, fresh_caches):
@@ -496,7 +497,7 @@ def test_induced_refuses_transport_off_the_lemma(monkeypatch, fresh_caches):
     d0 = d0.copy()
     d0[1, 2] = 2  # a unit, but not 1 mod 3
     table["y1"] = (cls, d0)
-    monkeypatch.setattr(induced, "_left_transport", lambda p, n: table)
+    monkeypatch.setattr(hecke, "_left_transport", lambda p, n: table)
     clear_cell_caches()
     for r in (0, 1):
         with pytest.raises(AlgebraError, match="y1"):

@@ -13,6 +13,7 @@ from hecke_lab.cosets import (
     double_coset_label,
     identity,
     in_K0,
+    stratum_label,
 )
 from tests.conftest import GRID
 
@@ -70,7 +71,7 @@ def test_positions_and_decompose_match_matpn(data):
     table = coset_table(p, n)
     X = MatArray.stack(p, n, xs)
     pos = table.positions_of(X)
-    assert list(pos) == [table.position[table.canonical_index(x)] for x in xs]
+    assert list(pos) == [table.position_of(x) for x in xs]
     pos2, k0 = table.decompose_array(X)
     assert np.array_equal(pos, pos2)
     assert np.all(in_K0(k0))
@@ -82,13 +83,12 @@ def test_positions_and_decompose_match_matpn(data):
 def test_labels_invariant_under_K0_on_both_sides(data, draw):
     p, n, xs, ks = data
     table = coset_table(p, n)
-    labels = np.array(table.labels)
     X, K = MatArray.stack(p, n, xs), MatArray.stack(p, n, ks)
     k = draw.draw(_matrices(p, n, in_k0=True))
-    base = labels[table.positions_of(X)]
-    assert list(base) == [double_coset_label(x) for x in xs]
-    assert np.array_equal(labels[table.positions_of(K @ X @ k)], base)
-    assert np.array_equal(labels[table.positions_of(k @ X @ K)], base)
+    base = table.stratum[table.positions_of(X)]
+    assert [stratum_label(j) for j in base] == [double_coset_label(x) for x in xs]
+    assert np.array_equal(table.stratum[table.positions_of(K @ X @ k)], base)
+    assert np.array_equal(table.stratum[table.positions_of(k @ X @ K)], base)
     # left multiplication by K0 keeps the right coset itself
     assert np.array_equal(table.positions_of(K @ X), table.positions_of(X))
 
