@@ -270,7 +270,7 @@ class DirChar:
         for p, chi_p in components.items():
             if chi_p.p != p or chi_p.n != fact[p]:
                 raise ValueError("component modulus mismatch")
-        self.components = dict(sorted(components.items()))
+        self.components: dict[int, PChar] = dict(sorted(components.items()))
         m = 1
         for chi_p in self.components.values():
             m = math.lcm(m, chi_p.field.order)

@@ -22,12 +22,18 @@ import numpy as np
 from .cellcache import cell_cache
 from .characters import _vp, _vp_array
 
-# The one size budget, on the matrices a cell builds at once.  Enumerating
-# K0(p^m) mod p^n: at m = n it admits exactly the cells with p^n <= 128
-# (K0(125) has 1.25M elements, K0(343) 29.6M).  The transport tables, dim^2
-# matrices in all: it admits every cell up to (5, 4) (562,500) and refuses
-# (7, 4) (7.5M).
+# The one size budget, on the elements a cell walks.  Enumerating K0(p^m)
+# mod p^n: at m = n it admits exactly the cells with p^n <= 128 (K0(125) has
+# 1.25M elements, K0(343) 29.6M).  The transport tables hold dim^2 entries
+# each, computed a block of lower rows at a time: it admits every cell up to
+# (5, 4) (562,500) and refuses (7, 4) (7.5M).
 K0_ENUMERATION_LIMIT = 2**21
+
+# Elements per block of a walk: the transient arrays of one block stay near
+# 2 MB, so a walk adds little to a process's peak.  The K0 enumeration, the
+# transport build and the support law's K_g walk (hecke._Kg_twist_pairs)
+# share it.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -206,9 +212,9 @@ class CosetTable:
     double-coset stratum (stratum[k]).  The (1 : d) classes come first, at
     position d, with representative w(1) x(d) = (0, -1; 1, d) and stratum 0;
     then the (c : 1) classes for c in pZ/p^n, ordered by (v_p(c), c), with
-    representative y(c) and stratum v_p(c) (n for c = 0).  Positions and
-    decompositions are computed for a MatArray; position_of and decompose
-    do one MatPn at a time, as the scalar reference.
+    representative y(c) and stratum v_p(c) (n for c = 0).  decompose_rows
+    decomposes many elements at once from their lower rows; position_of and
+    decompose do one MatPn at a time, as the scalar reference.
     """
 
     def __init__(self, p: int, n: int):
@@ -246,25 +252,28 @@ class CosetTable:
             raise ValueError(f"{g!r} = k0 * rep left K0(p^n): k0 = {k0!r}")
         return pos, k0
 
-    def positions_of(self, g: MatArray) -> np.ndarray:
-        """Vectorized position_of."""
-        if np.any(g.det() % self.p == 0):
-            raise ValueError(f"a determinant is not a unit mod {self.p}^{self.n}")
-        inv = _unit_inverses(self.p, self.n)
-        # a unit determinant with p | c forces d to be a unit
-        return np.where(
-            g.c % self.p != 0,
-            inv[g.c] * g.d % self.pn,
-            self._c1_position[inv[g.d] * g.c % self.pn],
-        )
+    def decompose_rows(self, c, d) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized decompose, read from the lower rows (c, d) alone:
+        positions, and the lower-right entry d0 of k0 with g = k0 *
+        rep_array[position].
 
-    def decompose_array(self, g: MatArray) -> tuple[np.ndarray, MatArray]:
-        """Vectorized decompose: positions, and k0 with g = k0 * rep_array[position]."""
-        pos = self.positions_of(g)
-        k0 = g @ self._rep_inv_array[pos]
-        if np.any(k0.c != 0):
+        The lower row of k0 * rep is k0's lower-right entry times rep's lower
+        row, so (c, d) fixes the coset, and the lower row of k0 is (c, d)
+        times rep^-1.  A row that is not primitive mod p (g without a unit
+        determinant) and a k0 whose lower-left entry is not 0 (k0 outside
+        K0(p^n)) raise ValueError."""
+        p, pn = self.p, self.pn
+        c, d = np.asarray(c, dtype=np.int64) % pn, np.asarray(d, dtype=np.int64) % pn
+        unit_c = c % p != 0
+        if np.any(~unit_c & (d % p == 0)):
+            raise ValueError(f"a lower row is not primitive mod {p}: no unit determinant")
+        inv = _unit_inverses(p, self.n)
+        # a unit determinant with p | c forces d to be a unit
+        pos = np.where(unit_c, inv[c] * d % pn, self._c1_position[inv[d] * c % pn])
+        ri = self._rep_inv_array
+        if np.any((c * ri.a[pos] + d * ri.c[pos]) % pn):
             raise ValueError("a factor k0 = g * rep^-1 left K0(p^n)")
-        return pos, k0
+        return pos, (c * ri.b[pos] + d * ri.d[pos]) % pn
 
 
 @cell_cache
@@ -360,35 +369,39 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     and d0[a, c] is the lower-right entry of k0.
 
     Character-independent, shared by every chi at this cell: the coset sum of
-    the algebra and its left action on the induced model both read it.  The
-    class sizes add up to dim, so the tables hold dim^2 products; a cell over
-    the size budget is refused before any is built.
+    the algebra and its left action on the induced model both read it.  Only
+    the lower row of a^{-1} rep_c is computed, the two entries
+    CosetTable.decompose_rows reads, over blocks of about _BLOCK_ELEMENTS
+    products.  Both tables take the smallest unsigned dtype that holds dim,
+    and so p^n.  The class sizes add up to dim, so each table holds dim^2
+    entries; a cell over the size budget is refused before any is built.
     """
     dim = p**n + p ** (n - 1)
     if dim * dim > K0_ENUMERATION_LIMIT:
         raise ValueError(
-            f"transport tables mod {p}^{n} hold {dim * dim} matrices; "
+            f"transport tables mod {p}^{n} hold {dim * dim} entries each; "
             f"the limit is {K0_ENUMERATION_LIMIT}"
         )
     table = coset_table(p, n)
+    rep = table.rep_array
+    step = max(1, _BLOCK_ELEMENTS // dim)
     out = {}
     for lab in all_labels(p, n):
         ainv = class_right_reps(p, n, lab).inv()
-        rows = len(ainv)
-        prod = ainv[np.repeat(np.arange(rows), dim)] @ table.rep_array[np.tile(np.arange(dim), rows)]
-        cls, k0 = table.decompose_array(prod)
-        out[lab] = (cls.reshape(rows, dim), k0.d.reshape(rows, dim))
+        cls = np.empty((len(ainv), dim), dtype=np.min_scalar_type(dim))
+        d0 = np.empty_like(cls)
+        for lo in range(0, len(ainv), step):
+            c, d = ainv.c[lo : lo + step, None], ainv.d[lo : lo + step, None]
+            cls[lo : lo + step], d0[lo : lo + step] = table.decompose_rows(
+                c * rep.a + d * rep.c, c * rep.b + d * rep.d
+            )
+        out[lab] = (cls, d0)
     return out
 
 
 # ---------------------------------------------------------------------------
 # K0 enumeration and the K_g subgroup
 # ---------------------------------------------------------------------------
-
-# Matrices per enumeration block: the transient arrays of one conjugated
-# block stay near 2 MB, so walking K_g adds little to a process's peak.  The
-# support law's K_g walk (hecke._Kg_twist_pairs) uses the same cap.
-_BLOCK_ELEMENTS = 2**14
 
 
 def k0_order(p: int, n: int, m: Optional[int] = None) -> int:

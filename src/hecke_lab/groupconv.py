@@ -97,9 +97,9 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
     return out
 
 
-def _value_exponents(vexp: np.ndarray, lab: str, entries: np.ndarray) -> np.ndarray:
-    """Exponents of the twisted indicator of `lab` at elements of its double
-    coset, from the entries it reads there."""
+def _value_exponents(vexp: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Exponents of a twisted indicator at elements of its double coset,
+    from the entries it reads there."""
     expo = vexp[entries]
     if np.any(expo < 0):
         raise AssertionError("twist evaluated at a non-unit entry")
@@ -121,7 +121,7 @@ def brute_convolve_labels(p: int, n: int, chi: PChar, l1: str, l2: str) -> dict[
         if hit is None:
             continue
         a, b, count = hit
-        te = (_value_exponents(vexp, l1, a) + _value_exponents(vexp, l2, b)) % field.order
+        te = (_value_exponents(vexp, a) + _value_exponents(vexp, b)) % field.order
         hist = np.bincount(te, weights=count, minlength=field.order).astype(np.int64)
         val = field.rational_from_counts(hist) / k0_size
         if val:

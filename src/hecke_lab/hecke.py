@@ -121,13 +121,14 @@ def supported_basis(p: int, n: int, chi: PChar) -> list[str]:
     return all_labels(p, n)[chi.conductor_exponent :]
 
 
-def basis_exponent(vexp: np.ndarray, lab: str, entries: np.ndarray) -> np.ndarray:
-    """Closed-form values of the basis function for `lab` at elements of its
-    double coset, as exponents of zeta in chi's value table vexp, from the
-    entries of those elements that its twist reads.
+def basis_exponent(vexp: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Closed-form values of a basis function at elements of its double
+    coset, as exponents of zeta in chi's value table vexp, from the entries
+    of those elements that its twist reads.
 
     Writing g = k0 * rep(coset of g) puts the lower-right (for y classes) or
-    lower-left (for the w class) entry of g into the chi slot.
+    lower-left (for the w class) entry of g into the chi slot; the caller
+    passes the entry its class reads.
     """
     e = vexp[entries]
     if np.any(e < 0):
@@ -247,6 +248,7 @@ def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
     """
     cls, d0 = _left_transport(p, n)[lab]
     j = label_stratum(n, lab)
+    # d0 is unsigned and its dtype holds p^n: these remainders cannot wrap
     if j == 0 and np.any(d0 % p == 0):
         raise AlgebraError("the w transport has a non-unit d0")
     if j and np.any(d0 % p**j != 1):
@@ -328,7 +330,7 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
             for lab_x, (e_b, e_x) in _mirror_geometry(p, n, lab_h, l2).items():
                 if lab_x not in f1.coeffs:
                     continue
-                te = (basis_exponent(vexp, lab_x, e_x) + basis_exponent(vexp, l2, e_b)) % field.order
+                te = (basis_exponent(vexp, e_x) + basis_exponent(vexp, e_b)) % field.order
                 hist = np.bincount(te, minlength=field.order)
                 total += f1.coeffs[lab_x] * c2 * field.rational_from_counts(hist)
         if total:

@@ -10,13 +10,16 @@ That twist is always 1 on the algebra's operators.  Every d0 is 1 mod p^j on
 a y(p^j) class, and a unit on the w class, which is supported only by the
 trivial chi; `_basis_operator` reads each transport table through
 hecke._checked_transport, which holds the lemma and checks both facts on the
-table.  So an operator is held as one integer
-(dim, dim) count matrix, and products, traces and vanishing checks multiply
-count matrices with BLAS: in float64 only under a proven bound that keeps
-every integer exact, in int64 otherwise.  Every verdict is exact.  The basis
-operators, the Y_k, the projector certificates, the prime-field ranks, the
-traces and the eigenvalue-table images are built once per cell (p, n) or per
-(p, n, r), and each character records them under its own assertion ids.
+table.  So an operator is held as one (dim, dim) count matrix, in the
+smallest unsigned dtype that holds its number of terms (no entry exceeds
+it), over the transport table's coordinate map, kept in that table's own
+compact dtype.  Products, traces and vanishing checks widen each factor once
+per combination and multiply with BLAS: in float64 only under a proven bound
+that keeps every integer exact, in int64 otherwise.  Every verdict is
+exact.  The basis operators, the Y_k, the projector certificates, the
+prime-field ranks, the traces and the eigenvalue-table images are built once
+per cell (p, n) or per (p, n, r), and each character records them under its
+own assertion ids.
 
 Right translation does read chi, but only at entries it fixes: the
 fixed-vector chain's graph and path counts are built once per
@@ -51,14 +54,16 @@ class PermSum:
     """Sum of A operators, each a map of the dim coordinates.
 
     cls[a, c] is the source coordinate feeding row c under operator a, i.e.
-    (T_a v)[c] = v[cls[a, c]].  This is the construction format; products,
-    traces and vanishing are computed on `counts`.
+    (T_a v)[c] = v[cls[a, c]], in whatever integer dtype it is given (a
+    transport table is kept as it is, without a copy).  This is the
+    construction format; products, traces and vanishing are computed on
+    `counts`.
     """
 
     __slots__ = ("cls", "_counts")
 
     def __init__(self, cls: np.ndarray):
-        self.cls = np.atleast_2d(np.asarray(cls, dtype=np.int64))
+        self.cls = np.atleast_2d(np.asarray(cls))
         self._counts = None
 
     @property
@@ -72,13 +77,20 @@ class PermSum:
     @property
     def counts(self) -> np.ndarray:
         """counts[c, c'] = the number of terms a with cls[a, c] = c': the
-        operator's matrix, held in float64 for BLAS; built once, on first
-        use.  Each row sums to the number of terms."""
+        operator's matrix, built once, on first use, a block of rows at a
+        time.  Each row sums to the number of terms, so no entry exceeds it,
+        and the matrix is held in the smallest unsigned dtype that holds
+        `terms`; _row_blocks widens it for BLAS."""
         if self._counts is None:
             dim = self.dim
-            flat = np.arange(dim) * dim + self.cls
-            counts = np.bincount(flat.ravel(), minlength=dim * dim)
-            self._counts = counts.reshape(dim, dim).astype(np.float64)
+            counts = np.empty((dim, dim), dtype=np.min_scalar_type(self.terms))
+            step = _block_rows(dim, dim + self.terms)
+            for lo in range(0, dim, step):
+                src = self.cls[:, lo : lo + step]
+                rows = src.shape[1]
+                flat = (np.arange(rows) * dim + src).ravel()
+                counts[lo : lo + rows] = np.bincount(flat, minlength=rows * dim).reshape(rows, dim)
+            self._counts = counts
         return self._counts
 
 
@@ -93,8 +105,8 @@ def _right_transport(p: int, n: int, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
     with cls[c] = c' and d0[c] the lower-right entry of k0.  Cached because
     the congruence-subgroup words recur across every character of a cell."""
     table = coset_table(p, n)
-    cls, k0 = table.decompose_array(table.rep_array @ k)
-    return cls, k0.d
+    rep = table.rep_array
+    return table.decompose_rows(rep.c * k.a + rep.d * k.c, rep.c * k.b + rep.d * k.d)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +180,11 @@ def _eigenvector(p: int, n: int, r: int, i: int) -> np.ndarray:
 
 
 def _act(op: PermSum, v: np.ndarray) -> np.ndarray:
-    """Apply an operator to an integer vector; the image is an integer vector."""
-    # each row of the counts sums to the number of terms
+    """Apply an operator to an integer vector, one term per map of the
+    coordinates; the image is an integer vector."""
+    # each image coordinate sums one entry of v per term
     dt = _exact_dtype(op.terms * float(np.abs(v).max(initial=0)))
-    return (op.counts.astype(dt, copy=False) @ np.asarray(v, dtype=dt)).astype(np.int64)
+    return np.asarray(v, dtype=dt)[op.cls].sum(axis=0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -411,34 +424,51 @@ def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
 # over its terms, each factor a PermSum.  Products are formed on the factors'
 # count matrices, one block of rows at a time (_row_blocks).
 
-_BLOCK_ENTRIES = 2**18  # (row, col) product entries held per row block, over all terms
+_BLOCK_ENTRIES = 2**14  # the fewest entries a row block holds, unless it is one row
 _RANK_PRIME = 2**31 - 1  # a prime: products of two residues stay below 2^62
 
 
-def _times(left: np.ndarray, right: PermSum) -> np.ndarray:
-    """Product of a block of count rows, shape (rows, dim), with a sum.
+def _block_rows(dim: int, width: int) -> int:
+    """Rows per block, for rows of `width` entries: a block holds about an
+    eighth of a (dim, dim) matrix, and at least _BLOCK_ENTRIES entries, or a
+    single row.
 
-    The left holds nonnegative counts and every row of the right's counts
-    sums to its number of terms, so no entry or partial sum exceeds (max row
-    sum of the left) * right.terms; _exact_dtype picks from that bound."""
-    dt = _exact_dtype(left.sum(axis=1, dtype=np.float64).max(initial=0) * right.terms)
-    return left.astype(dt, copy=False) @ right.counts.astype(dt, copy=False)
+    A product already holds its later factors widened to (dim, dim), so
+    blocks an eighth of that size keep its transient arrays small beside
+    them: the allocator reuses their memory from block to block instead of
+    returning it to the system and faulting it back in.  The floor keeps the
+    blocks of small operators whole."""
+    return max(1, max(_BLOCK_ENTRIES, dim * dim // 8) // width)
 
 
 def _row_blocks(combo: list) -> Iterator[tuple[np.ndarray, list]]:
-    """Yield (rows, [(q, counts)]) over blocks of rows, counts those of each
-    product restricted to the rows.  A block holds at most _BLOCK_ENTRIES
-    (term, row, col) entries, or a single row."""
+    """Yield (rows, [(q, counts)]) over blocks of rows (_block_rows), counts
+    those of each term restricted to the rows: a product in float64 or
+    int64, a single factor as stored, unsigned, for the caller to widen
+    before any arithmetic.
+
+    Counts are nonnegative and every row of a factor's counts sums to its
+    number of terms, so no entry or partial sum of a product exceeds the
+    product of its factors' terms; _exact_dtype picks each step's dtype from
+    the terms of the factors up to it.  Each later factor is widened to its
+    dtype once per combination, the first factor one block at a time."""
     dim = combo[0][1][0].dim
     if any(f.dim != dim for _, factors in combo for f in factors):
         raise ValueError("mismatched operators")
-    step = max(1, _BLOCK_ENTRIES // (dim * len(combo)))
+    terms = []
+    for q, (head, *tail) in combo:
+        bound, rights = head.terms, []
+        for f in tail:
+            bound *= f.terms
+            rights.append(f.counts.astype(_exact_dtype(bound)))
+        terms.append((q, head, rights))
+    step = _block_rows(dim, dim * len(combo))
     for lo in range(0, dim, step):
         block = []
-        for q, (head, *tail) in combo:
+        for q, head, rights in terms:
             prod = head.counts[lo : lo + step]
-            for f in tail:
-                prod = _times(prod, f)
+            for right in rights:
+                prod = prod.astype(right.dtype, copy=False) @ right
             block.append((q, prod))
         yield np.arange(lo, min(lo + step, dim)), block
 

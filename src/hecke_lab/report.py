@@ -36,10 +36,6 @@ class Assertion:
         if self.status not in ("pass", "fail", "error"):
             raise ValueError(f"unknown status {self.status!r}")
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
     def to_dict(self) -> dict:
         return {
             "id": self.id,

@@ -26,7 +26,6 @@ class CuspSpace:
     char: DirChar
     basis: list[QExpansion]
     prec: int
-    provenance: str = ""
     # operators.op_matrix and op_U(route="coeff") results with this space as
     # domain, built once each
     _op_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -111,7 +110,7 @@ def load_space(source) -> CuspSpace:
         if sv[-1] <= _INDEPENDENCE_TOL * sv[0]:
             raise SpaceFormatError(f"near-dependent basis: singular values {sv}")
 
-    return CuspSpace(level, weight, chi, basis, prec, str(doc.get("provenance", "")))
+    return CuspSpace(level, weight, chi, basis, prec)
 
 
 def fixture_dir() -> Path:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -262,17 +263,25 @@ def _assertion(rep, suffix):
     return a
 
 
+def _second_read_shifted(exact):
+    """`exact` with every second call's exponents shifted by one: a term
+    reads two twists, so each term moves by one root of unity."""
+    calls = itertools.count()
+
+    def shifted(vexp, entries):
+        return exact(vexp, entries) + next(calls) % 2
+
+    return shifted
+
+
 def test_mirrored_route_fails_on_a_non_rational_collapse(monkeypatch, fresh_caches):
-    # shift the mirrored route's w-class terms by one root of unity in the
+    # shift the mirrored route's terms by one root of unity in the
     # per-character stage: a w * y1 histogram becomes zeta * (a count), not
     # rational in Q(zeta_4)
     p, n = 5, 1
     chi = PChar.trivial(p, n)
     assert chi.field.order >= 3
-    exact = hecke.basis_exponent
-
-    def shifted(vexp, lab, entries):
-        return exact(vexp, lab, entries) + (lab == "w")
+    shifted = _second_read_shifted(hecke.basis_exponent)
 
     monkeypatch.setattr(hecke, "basis_exponent", shifted)
     rep = verify_relations(p, n, chi)
@@ -286,10 +295,7 @@ def test_brute_route_fails_on_a_non_rational_collapse(monkeypatch, fresh_caches)
     # the same shift in the whole-group oracle's per-character stage
     p, n = 5, 1
     chi = PChar.trivial(p, n)
-    exact = groupconv._value_exponents
-
-    def shifted(vexp, lab, entries):
-        return exact(vexp, lab, entries) + (lab == "w")
+    shifted = _second_read_shifted(groupconv._value_exponents)
 
     monkeypatch.setattr(groupconv, "_value_exponents", shifted)
     rep = verify_relations(p, n, chi)

@@ -20,7 +20,7 @@ from hecke_lab.hecke import AlgebraError
 from hecke_lab.induced import (
     InducedRep,
     PermSum,
-    _times,
+    _row_blocks,
     _trace,
     _vanishes,
     component_dimensions,
@@ -301,7 +301,8 @@ def test_products_and_traces_match_dense_matrices(monkeypatch, fresh_caches):
     dim = 6
     A, B, C = (PermSum(rng.integers(dim, size=(3, dim))) for _ in range(3))
     ABC = _dense(A) @ _dense(B) @ _dense(C)
-    assert np.array_equal(_times(_times(A.counts, B), C), ABC)
+    [(rows, [(q, prod)])] = _row_blocks([(1, (A, B, C))])
+    assert q == 1 and np.array_equal(rows, np.arange(dim)) and np.array_equal(prod, ABC)
     # one-row blocks split the product
     monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
     combo = [(Fraction(1, 3), (A, B, C)), (2, (C,))]
@@ -390,6 +391,41 @@ def test_component_dimensions_large_operator(fresh_caches):
     assert peak_mb < 48, peak_mb
 
 
+def test_exact_tables_are_compact(fresh_caches):
+    """The transport tables are unsigned in the smallest dtype that holds
+    dim (and so p^n), the operators keep them without a copy, and every
+    count matrix is unsigned and no wider than its number of terms needs."""
+    for p, n in GRID + [(7, 3)]:
+        dim = coset_table(p, n).dim
+        for lab, (cls, d0) in cosets._left_transport(p, n).items():
+            assert cls.dtype == d0.dtype == np.min_scalar_type(dim), (p, n, lab)
+            assert induced._basis_operator(p, n, lab).cls is cls
+        ops = [induced._basis_operator(p, n, lab) for lab in all_labels(p, n)]
+        for op in ops + [induced._y_operator(p, n, k) for k in range(1, n + 1)]:
+            assert op.counts.dtype.kind == "u" and op.counts.dtype == np.min_scalar_type(op.terms)
+            assert np.array_equal(op.counts.sum(axis=1), np.full(dim, op.terms))
+    assert induced._basis_operator(7, 3, "w").counts.dtype == np.uint16  # 343 terms
+    assert induced._basis_operator(7, 3, "y1").counts.dtype == np.uint8  # 42 terms
+
+
+def test_transport_and_counts_build_under_8_mb(fresh_caches):
+    """At (7,3), dim 392: the transport tables, walked a block of lower rows
+    at a time, and the basis operators' count matrices, built a block of
+    rows at a time, peak under 8 MB together (full int64 products of the
+    153,664 pairs took 17.5 MB alone)."""
+    p, n = 7, 3
+    coset_table(p, n)  # the coset table is not part of the budget
+    tracemalloc.start()
+    try:
+        cosets._left_transport(p, n)
+        for lab in all_labels(p, n):
+            induced._basis_operator(p, n, lab).counts
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 8, peak_mb
+
+
 @st.composite
 def combinations(draw):
     """A random combination [(q, (A, ...))] of sums: dim 1-8, 1-4 terms of
@@ -453,7 +489,8 @@ def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
 
 def test_large_campaign_cells_fit_the_transport_budget():
     """Every cell of the shipped large campaign passes the size check of
-    cosets._left_transport (dim^2 products), read without building a table."""
+    cosets._left_transport (dim^2 entries per table), read without building a
+    table."""
     path = Path(__file__).resolve().parents[1] / "campaigns" / "large.json"
     campaign = Campaign.from_file(path)
     cells = [(c["p"], c["n"]) for c in campaign.grid]
@@ -464,7 +501,7 @@ def test_large_campaign_cells_fit_the_transport_budget():
         assert dim * dim <= cosets.K0_ENUMERATION_LIMIT, (p, n)
 
 
-@pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 3), (7, 2)])
 def test_transport_tables_match_matpn_loop(p, n):
     # reference: decompose one MatPn per (representative, coset)
     table = coset_table(p, n)
@@ -479,7 +516,7 @@ def test_transport_tables_match_matpn_loop(p, n):
         for ai, a in enumerate(class_right_reps(p, n, lab)):
             cls, d0 = reference([a.inv() @ repc for repc in reps])
             assert list(left[lab][0][ai]) == cls and list(left[lab][1][ai]) == d0, (lab, ai)
-    for k in [xmat(p, n, 1), ymat(p, n, p), MatPn(p, n, 2, 1, p, 1), ymat(p, n, 1) @ xmat(p, n, 2)]:
+    for k in [xmat(p, n, 1), ymat(p, n, p), MatPn(p, n, -1, 1, p, 1), ymat(p, n, 1) @ xmat(p, n, 2)]:
         cls, d0 = induced._right_transport(p, n, k)
         assert (list(cls), list(d0)) == reference([repc @ k for repc in reps]), k
 

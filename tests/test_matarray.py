@@ -65,18 +65,22 @@ def test_product_and_inverse_match_matpn(data):
     assert np.array_equal(X.det(), [x.det() for x in xs])
 
 
+def positions(table: CosetTable, g: MatArray) -> np.ndarray:
+    return table.decompose_rows(g.c, g.d)[0]
+
+
 @given(cell_and_mats())
 def test_positions_and_decompose_match_matpn(data):
+    # the decomposition read from lower rows alone equals the full MatPn one
     p, n, xs = data
     table = coset_table(p, n)
     X = MatArray.stack(p, n, xs)
-    pos = table.positions_of(X)
-    assert list(pos) == [table.position_of(x) for x in xs]
-    pos2, k0 = table.decompose_array(X)
-    assert np.array_equal(pos, pos2)
-    assert np.all(in_K0(k0))
-    assert_same(k0 @ table.rep_array[pos], xs)
-    assert_same(k0, [table.decompose(x)[1] for x in xs])
+    pos, d0 = table.decompose_rows(X.c, X.d)
+    reference = [table.decompose(x) for x in xs]
+    assert pos.tolist() == [i for i, _ in reference]
+    assert d0.tolist() == [k0.d for _, k0 in reference]
+    assert all(in_K0(k0) for _, k0 in reference)
+    assert_same(MatArray.stack(p, n, [k0 for _, k0 in reference]) @ table.rep_array[pos], xs)
 
 
 @given(cell_and_mats(count=1, in_k0=True), st.data())
@@ -85,12 +89,12 @@ def test_labels_invariant_under_K0_on_both_sides(data, draw):
     table = coset_table(p, n)
     X, K = MatArray.stack(p, n, xs), MatArray.stack(p, n, ks)
     k = draw.draw(_matrices(p, n, in_k0=True))
-    base = table.stratum[table.positions_of(X)]
+    base = table.stratum[positions(table, X)]
     assert [stratum_label(j) for j in base] == [double_coset_label(x) for x in xs]
-    assert np.array_equal(table.stratum[table.positions_of(K @ X @ k)], base)
-    assert np.array_equal(table.stratum[table.positions_of(k @ X @ K)], base)
+    assert np.array_equal(table.stratum[positions(table, K @ X @ k)], base)
+    assert np.array_equal(table.stratum[positions(table, k @ X @ K)], base)
     # left multiplication by K0 keeps the right coset itself
-    assert np.array_equal(table.positions_of(K @ X), table.positions_of(X))
+    assert np.array_equal(positions(table, K @ X), positions(table, X))
 
 
 def test_indexing_and_len():
@@ -106,17 +110,17 @@ def test_singular_and_mixed_inputs_raise():
     X = MatArray(3, 2, [1, 3], [0, 0], [0, 0], [1, 3])  # second matrix singular mod 3
     with pytest.raises(ValueError):
         X.inv()
-    with pytest.raises(ValueError):
-        coset_table(3, 2).positions_of(X)
+    with pytest.raises(ValueError, match="primitive"):
+        positions(coset_table(3, 2), X)
     with pytest.raises(ValueError):
         X[:1] @ MatPn(3, 1, 1, 0, 0, 1)
 
 
-def test_decompose_array_rejects_a_factor_outside_K0():
+def test_decompose_rows_rejects_a_factor_outside_K0():
     # a table whose representatives are all replaced by the identity leaves
     # k0 = g, which is outside K0 off the identity class
     table = CosetTable(3, 2)
     table._rep_inv_array = MatArray.stack(3, 2, [identity(3, 2)] * table.dim)
     g = MatArray.stack(3, 2, [MatPn(3, 2, 0, -1, 1, 0)])
-    with pytest.raises(ValueError):
-        table.decompose_array(g)
+    with pytest.raises(ValueError, match="left K0"):
+        table.decompose_rows(g.c, g.d)
