@@ -38,7 +38,6 @@ from .newspace import placement_checks, qualifying_primes
 from .operators import (
     OpMatrix,
     atkin_lehner_matrix,
-    eigenspace,
     op_matrix,
     op_Q,
     op_Qprime,
@@ -76,7 +75,6 @@ __all__ = [
     "dim_cusp",
     "dim_new",
     "double_coset_label",
-    "eigenspace",
     "eigenvalue_tables",
     "enumerate_Kg",
     "fixed_subspace",

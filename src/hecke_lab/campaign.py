@@ -126,7 +126,7 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
             )
 
         for q in quals:
-            p = q["p"]
+            p = q.p
             if sp.dim == 0:
                 continue
             with timed() as t:
@@ -152,15 +152,14 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
 
         for level, lower in fam["lower"].items():
             for q in quals:
-                if sp.level // q["p"] != level:
+                if sp.level // q.p != level:
                     continue
                 with timed() as t:
-                    checks = placement_checks(sp, q["p"], q["kind"], lower,
-                                              tol["placement"])
+                    checks = placement_checks(sp, q.p, lower, tol["placement"])
                 worst = max((c.residual for c in checks), default=0.0)
                 bad = [c.name for c in checks if not c.ok]
                 check_bool(
-                    rep, f"{tag}.placement.p{q['p']}",
+                    rep, f"{tag}.placement.p{q.p}",
                     not bad, "formula", t.elapsed,
                     expected=f"{len(checks)} placements <= {tol['placement']:g}",
                     computed=f"worst {worst:.3g}" + (f", failed {bad}" if bad else ""),

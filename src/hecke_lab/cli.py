@@ -14,17 +14,14 @@ import sys
 from pathlib import Path
 
 from .campaign import DEFAULT_TOLERANCE, Campaign, run_verify
-from .newspace import characterize, operator_spectrum, qualifying_primes
-from .operators import OpMatrix, op_Q, op_Qprime, op_S, op_Sprime, quad_ratio
+from .newspace import characterize, operator_kind, qualifying_primes
+from .operators import OpMatrix, quad_ratio
 from .report import Report, check, check_bool, timed
 from .spaces import SpaceFormatError, load_space
 
-_OP_BUILDERS = {
-    "q": (op_Q, "Q"),
-    "qprime": (op_Qprime, "Q"),
-    "s": (op_S, "S"),
-    "sprime": (op_Sprime, "S"),
-}
+# --op -> (operator kind, index into the qualifying prime's builders:
+# 0 the main operator, 1 its W-conjugate)
+_OP_BUILDERS = {"q": ("Q", 0), "qprime": ("Q", 1), "s": ("S", 0), "sprime": ("S", 1)}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -72,21 +69,20 @@ def _cmd_classical(args) -> int:
             continue
         touched += 1
         tag = f"{path.stem}"
-        quals = {q["p"]: q for q in qualifying_primes(sp.level, sp.char)}
         if args.op:
-            builder, need_kind = _OP_BUILDERS[args.op]
-            if quals.get(p, {}).get("kind") != need_kind:
+            need_kind, which = _OP_BUILDERS[args.op]
+            q = next((q for q in qualifying_primes(sp.level, sp.char) if q.p == p), None)
+            if q is None or q.kind != need_kind:
                 # no admissible operator of this kind: the level's exponent at
                 # p is wrong for it, or the character is primitive at p
                 n = sp.char.components[p].n
-                wrong_level = (need_kind == "Q") != (n == 1)
+                wrong_level = operator_kind(n) != need_kind
                 skipped = f"level has p-exponent {n}" if wrong_level else "character primitive at p"
                 rep.meta["operators"].append({"space": tag, "op": args.op, "skipped": skipped})
                 continue
             with timed() as t:
-                op: OpMatrix = builder(sp, p)
-            _, roots = operator_spectrum(need_kind, p)
-            quad = quad_ratio(op, *roots)
+                op: OpMatrix = q.builders[which](sp, p)
+            quad = quad_ratio(op, *q.roots)
             rep.meta["operators"].append({
                 "space": tag, "op": op.label, "dim": op.dim,
                 "residual": op.residual, "conditioning": op.conditioning,

@@ -230,12 +230,14 @@ def _basis_product_cached(p: int, n: int, lab1: str, lab2: str) -> tuple:
     return tuple(sorted(_basis_product(p, n, lab1, lab2).items()))
 
 
+@cell_cache
 def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
     """The coset map cls of lab's transport table (cosets._left_transport),
     after checking on its factors d0 that every twist chi(d0) is 1 for each
     character that supports lab: d0 is 1 mod p^j on a y(p^j) class, by the
     lemma below, and a unit on the w class, which only the trivial
-    character supports.  A failure raises AlgebraError.
+    character supports.  A failure raises AlgebraError, and is not cached;
+    a passing table is checked once per (p, n, lab).
 
     Lemma.  For lab = y(p^j), every d0 in the table is 1 mod p^j.
     Proof.  For j = n the only representative is a = I, so k0 = I.  For
@@ -347,7 +349,6 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
 class StructTable:
     p: int
     n: int
-    char_spec: dict
     labels: list[str]
     constants: dict  # (lab_i, lab_j) -> {lab_k: Fraction}
 
@@ -362,13 +363,12 @@ class StructTable:
 def structure_table(p: int, n: int, chi: PChar) -> StructTable:
     """Structure constants over the supported basis, each product through
     convolve and so through HeckeElem's label check."""
-    char_spec = {"modulus": p**n, "conrey": chi.conrey_index()}
     labels = supported_basis(p, n, chi)
     basis = {lab: HeckeElem.basis(p, n, chi, lab) for lab in labels}
     constants = {
         (li, lj): convolve(basis[li], basis[lj]).coeffs for li in labels for lj in labels
     }
-    return StructTable(p=p, n=n, char_spec=char_spec, labels=labels, constants=constants)
+    return StructTable(p=p, n=n, labels=labels, constants=constants)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,6 @@ class FixedSubspace:
 
     p: int
     n: int
-    m_level: int
     dim: int
     basis_exponents: list[np.ndarray]  # per vector: exponent of zeta, -1 for zero
 
@@ -245,7 +244,7 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
                 f"chi is trivial on 1 + p^{m_level} Z, against conductor exponent {rep.r}"
             )
     basis = _live_basis(_fixed_geometry(p, n, m_level, t), vexp, rep.field.order)
-    return FixedSubspace(p, n, m_level, len(basis), basis)
+    return FixedSubspace(p, n, len(basis), basis)
 
 
 @dataclass(frozen=True)
@@ -376,6 +375,18 @@ def table_eigenvalue(kind: str, p: int, n: int, i: int, j: int) -> int:
         return p ** (n - j - 1) * (p - 1)
     if j == i - 1:
         return -(p ** (n - j - 1))
+    return 0
+
+
+def u_eigenvalue(comp: str, p: int, n: int) -> int:
+    """Scalar of U, the basis function of the w class, on one component of
+    the trivial twist: p^n on "w+" and -p^(n-1) on "w-", the two roots of
+    U U = p^(n-1)(p-1) U + p^n Y_1 (certified in _certify_projector_family),
+    and 0 on the components "i2".."in" above the bottom block."""
+    if comp == "w+":
+        return p**n
+    if comp == "w-":
+        return -(p ** (n - 1))
     return 0
 
 
@@ -587,10 +598,10 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     rhs.append(Fraction(coset_table(p, n).dim))
     if r == 0:
         U = _basis_operator(p, n, "w")
-        uvals = {"w+": Fraction(p**n), "w-": Fraction(-(p ** (n - 1)))}
-        rows.append([uvals.get(cn, Fraction(0)) for cn in comp_names])
+        uvals = [Fraction(u_eigenvalue(cn, p, n)) for cn in comp_names]
+        rows.append(uvals)
         rhs.append(trace_of(U))
-        rows.append([uvals.get(cn, Fraction(0)) ** 2 for cn in comp_names])
+        rows.append([u * u for u in uvals])
         rhs.append(trace_of(U, U))
 
     k = len(comp_names)
@@ -697,7 +708,6 @@ class SpectralReport:
 
     p: int
     n: int
-    conrey: int
     r: int
     dim: int
     tables: dict
@@ -743,7 +753,6 @@ def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
     return SpectralReport(
         p=p,
         n=n,
-        conrey=chi.conrey_index(),
         r=rep.r,
         dim=rep.dim,
         tables=tables,

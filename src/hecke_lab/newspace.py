@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .cyclotomic import _factorize
 from .dimoracle import dim_new
+from .induced import table_eigenvalue, u_eigenvalue
 from .operators import (
     OpMatrix,
-    eigenspace,
     nullspace,
     op_Q,
     op_Qprime,
@@ -33,40 +34,70 @@ from .spaces import CuspSpace
 PLACEMENT_TOL = 1e-6
 
 
-def qualifying_primes(N: int, chi) -> list[dict]:
-    """Prime data at which the characterizing operators exist: exact prime
-    divisors with trivial local factor ('Q') and higher powers p^n || N with
-    imprimitive local factor ('S')."""
+@dataclass(frozen=True)
+class QualifyingPrime:
+    """A prime power p^n || N at which the characterizing operators exist.
+
+    builders holds the main operator and its W-conjugate, each called as
+    build(space, p); both satisfy (A - roots[0])(A - roots[1]) = 0, with
+    roots[0] their eigenvalue on the newspace and roots[1] on the old forms."""
+
+    p: int
+    n: int
+    kind: str
+    builders: tuple[Callable[[CuspSpace, int], OpMatrix], Callable[[CuspSpace, int], OpMatrix]]
+    roots: tuple[float, float]
+
+
+def operator_kind(n: int) -> str:
+    """The kind of characterizing operator at p^n || N: "Q" at an exact
+    divisor, "S" (the survey operator at r = n - 1) at a higher power."""
+    return "Q" if n == 1 else "S"
+
+
+def qualifying_primes(N: int, chi) -> list[QualifyingPrime]:
+    """The prime powers p^n || N whose local character factor is imprimitive
+    (conductor exponent c < n).  Their spectra are read from the closed
+    forms that the exact side's certificates check (induced):
+
+    Q (n = 1, c = 0) is the classical form of U on I(1) for the trivial
+    twist: -1 on w- (new) and p on w+ (old);
+    S at r = n - 1 (n >= 2) is the classical form of Y_r: 0 on the top
+    component i = n (new) and p^(n-r) on the bottom one i = max(c, 1) (old).
+    """
     if chi.modulus != N:
         raise ValueError("character modulus must equal the level")
     out = []
-    for p, e in _factorize(N):
+    for p, n in _factorize(N):
         c = chi.components[p].conductor_exponent
-        if e == 1 and c == 0:
-            out.append({"p": p, "n": 1, "kind": "Q"})
-        elif e >= 2 and c < e:
-            out.append({"p": p, "n": e, "kind": "S"})
+        if c >= n:
+            continue
+        kind = operator_kind(n)
+        if kind == "Q":
+            builders = (op_Q, op_Qprime)
+            spectrum = (u_eigenvalue("w-", p, n), u_eigenvalue("w+", p, n))
+        else:
+            builders = (op_S, op_Sprime)
+            spectrum = tuple(table_eigenvalue("Y", p, n, i, n - 1) for i in (n, max(c, 1)))
+        out.append(QualifyingPrime(p, n, kind, builders, tuple(float(v) for v in spectrum)))
     return out
 
 
 @dataclass
 class OpReport:
     label: str
-    target: complex
-    roots: tuple[complex, complex]
+    roots: tuple[float, float]
     quad: float
     eig_dist: float
     residual: float
     conditioning: float
     poisoned: bool
-    eigen_dim: int
 
 
 @dataclass
 class CharacterizeResult:
     level: int
     weight: int
-    conrey: int
     dim: int
     new_dim: int
     expected_new: int
@@ -79,45 +110,24 @@ class CharacterizeResult:
         return self.new_dim == self.expected_new
 
 
-# The newspace eigenvalue lam of each kind of characterizing operator; every
-# operator of the kind satisfies (A - lam)(A - p) = 0 (for S the eigenvalues
-# are 0 and p^(n-r) with r = n - 1).
-_NEW_EIGENVALUE = {"Q": -1.0, "S": 0.0}
+def _operator_suite(space: CuspSpace) -> list[tuple[OpMatrix, tuple[float, float]]]:
+    """The characterizing operators with the roots of their quadratic
+    relation, the newspace eigenvalue first."""
+    return [
+        (build(space, q.p), q.roots)
+        for q in qualifying_primes(space.level, space.char)
+        for build in q.builders
+    ]
 
 
-def operator_spectrum(kind: str, p: int) -> tuple[float, tuple[float, float]]:
-    """The newspace eigenvalue of the operators of a kind at p, and the roots
-    of their quadratic relation."""
-    lam = _NEW_EIGENVALUE[kind]
-    return lam, (lam, float(p))
-
-
-def _operator_suite(space: CuspSpace) -> list[tuple[OpMatrix, complex, tuple[complex, complex]]]:
-    """The characterizing operators with their newspace eigenvalue and the
-    roots of their quadratic relation."""
-    suite = []
-    for q in qualifying_primes(space.level, space.char):
-        p, kind = q["p"], q["kind"]
-        lam, roots = operator_spectrum(kind, p)
-        builders = (op_Q, op_Qprime) if kind == "Q" else (op_S, op_Sprime)
-        suite += [(build(space, p), lam, roots) for build in builders]
-    return suite
-
-
-def _op_report(op: OpMatrix, target: complex, roots) -> OpReport:
+def _op_report(op: OpMatrix, roots: tuple[float, float]) -> OpReport:
     quad = quad_ratio(op, *roots)
+    eig_dist = 0.0
     if op.dim:
         eigs = np.linalg.eigvals(op.matrix)
-        eig_dist = float(
-            max(min(abs(e - r) for r in roots) for e in eigs)
-        )
-        eigen_dim = eigenspace(op, target).basis.shape[1]
-    else:
-        eig_dist = 0.0
-        eigen_dim = 0
+        eig_dist = float(max(min(abs(e - r) for r in roots) for e in eigs))
     return OpReport(
-        op.label, target, tuple(roots), quad, eig_dist,
-        op.residual, op.conditioning, op.poisoned, eigen_dim,
+        op.label, roots, quad, eig_dist, op.residual, op.conditioning, op.poisoned,
     )
 
 
@@ -125,25 +135,24 @@ def characterize(space: CuspSpace) -> CharacterizeResult:
     """Cut out the newspace as the joint eigenspace of the characterizing
     operators and compare its dimension with the trace-formula count."""
     expected = dim_new(space.level, space.weight, space.char)
-    conrey = space.char.conrey_index()
     suite = _operator_suite(space)
-    reports = [_op_report(op, lam, roots) for op, lam, roots in suite]
+    reports = [_op_report(op, roots) for op, roots in suite]
     d = space.dim
     if d == 0:
         return CharacterizeResult(
-            space.level, space.weight, conrey, 0, 0, expected,
+            space.level, space.weight, 0, 0, expected,
             math.inf, np.zeros((0, 0), dtype=np.complex128), reports,
         )
     if not suite:
         # no qualifying primes: every form is new
         return CharacterizeResult(
-            space.level, space.weight, conrey, d, d, expected,
+            space.level, space.weight, d, d, expected,
             math.inf, np.eye(d, dtype=np.complex128), reports,
         )
-    blocks = [op.matrix - lam * np.eye(d) for op, lam, _ in suite]
-    basis, gap, _ = nullspace(np.vstack(blocks))
+    blocks = [op.matrix - roots[0] * np.eye(d) for op, roots in suite]
+    basis, gap = nullspace(np.vstack(blocks))
     return CharacterizeResult(
-        space.level, space.weight, conrey, d, basis.shape[1], expected,
+        space.level, space.weight, d, basis.shape[1], expected,
         gap, basis, reports,
     )
 
@@ -170,45 +179,43 @@ def _eig_residual(mat: np.ndarray, x: np.ndarray, lam: float) -> float:
 def placement_checks(
     space: CuspSpace,
     p: int,
-    kind: str,
     lower: CuspSpace,
     tol: float = PLACEMENT_TOL,
 ) -> list[Placement]:
-    """Old-form placement: where images from the lower level land.
-
-    kind 'Q' (lower level N/p): direct embeddings are p-eigenvectors of the
-    main operator, dilation images are p-eigenvectors of the conjugated one.
-    kind 'S' (lower level p^(n-1) M, r = n-1): direct embeddings are
-    p-eigenvectors of the survey operator, dilation images p-eigenvectors of
-    its conjugate, and every survey image falls back into the embedded span.
+    """Old-form placement at a qualifying prime p, against the lower level
+    N/p: direct embeddings are eigenvectors of the main operator, and
+    dilation images of its W-conjugate, with the old eigenvalue roots[1]
+    (p at both kinds).  Where the main operator kills the newspace (the
+    survey operator: roots 0 and p), A (A - p) = 0 makes A/p a projection
+    onto its old eigenspace, so every image of A falls back into the
+    embedded span.  A p that does not qualify raises ValueError.
     """
-    out: list[Placement] = []
+    q = next((q for q in qualifying_primes(space.level, space.char) if q.p == p), None)
+    if q is None:
+        raise ValueError(f"no characterizing operator at p = {p} for level {space.level}")
     if lower.level * p != space.level:
         raise ValueError(
             f"lower level {lower.level} is not level/{p} = {space.level // p}"
         )
-    if kind == "Q":
-        main, conj = op_Q(space, p), op_Qprime(space, p)
-    elif kind == "S":
-        main, conj = op_S(space, p), op_Sprime(space, p)
-    else:
-        raise ValueError(f"unknown placement kind {kind!r}")
+    out: list[Placement] = []
+    main, conj = (build(space, p) for build in q.builders)
+    old = q.roots[1]
 
     for i, g in enumerate(lower.basis):
         scale = float(np.linalg.norm(g.coeffs))
         x, emb_res = _embed_coords(space, g.coeffs, scale)
         out.append(Placement(f"embed[{i}]", emb_res, emb_res <= tol))
-        r = _eig_residual(main.matrix, x, float(p))
+        r = _eig_residual(main.matrix, x, old)
         out.append(Placement(f"{main.label} embed[{i}] eig {p}", r, r <= tol))
 
         vg = op_Vp(g, p)
         xv, emb_res_v = _embed_coords(space, vg.coeffs, float(np.linalg.norm(vg.coeffs)))
         out.append(Placement(f"dilate[{i}]", emb_res_v, emb_res_v <= tol))
-        r = _eig_residual(conj.matrix, xv, float(p))
+        r = _eig_residual(conj.matrix, xv, old)
         out.append(Placement(f"{conj.label} dilate[{i}] eig {p}", r, r <= tol))
 
-    if kind == "S":
-        # survey images land in the span of the embedded lower level
+    if q.roots[0] == 0.0:
+        # the main operator kills the newspace: its images are old forms
         C = space.coeff_matrix()
         lowmat = lower.coeff_matrix()[:, : space.prec]
         for j in range(space.dim):

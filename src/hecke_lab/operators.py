@@ -75,8 +75,9 @@ def atkin_lehner_matrix(p: int, n: int, N: int) -> np.ndarray:
     return np.array([[q * beta, 1], [N * gamma, q]], dtype=np.int64)
 
 
-def slash_evaluate(f: QExpansion, A, points: np.ndarray) -> np.ndarray:
-    """Values of f|_k A at the given points (det A > 0)."""
+def slash_evaluate(forms: list[QExpansion], A, points: np.ndarray) -> np.ndarray:
+    """Values det(A)^(k/2) (cz + d)^(-k) f(Az) of f|_k A at the given points
+    (det A > 0), one column per form of weight k."""
     (a, b), (c, d) = np.asarray(A)
     det = int(a) * int(d) - int(b) * int(c)
     if det <= 0:
@@ -84,8 +85,8 @@ def slash_evaluate(f: QExpansion, A, points: np.ndarray) -> np.ndarray:
     z = np.asarray(points, dtype=np.complex128)
     den = c * z + d
     w = (a * z + b) / den
-    vals = evaluate_many([f], w)[:, 0]
-    return det ** (f.weight / 2) * den ** (-f.weight) * vals
+    k = forms[0].weight
+    return evaluate_many(forms, w) * (det ** (k / 2) * den ** (-k))[:, None]
 
 
 def _feasible(z: np.ndarray, mats: list[np.ndarray], t: float) -> np.ndarray:
@@ -125,9 +126,9 @@ def _halton(skip: int) -> np.ndarray:
 
 def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarray:
     """Deterministic low-discrepancy points z with Im(Az) >= IMAG_FLOOR for
-    every matrix A.  Starts from SAMPLE_BAND; if the constraints leave no
-    room there, the floor is relaxed toward IMAG_FLOOR and finally the search
-    is recentred on the tightest feasibility disk.  Each box is searched in
+    every matrix A, in the strip |Re z| <= 1/2.  Starts from SAMPLE_BAND; if
+    the constraints leave no room there, the floor is relaxed to IMAG_FLOOR
+    (or to the floor an upper-triangular A sets).  Each box is searched in
     HALTON_BATCH-point batches of the same Halton points, which `skip`
     shifts to a later stretch of the sequence."""
     t_img = IMAG_FLOOR
@@ -138,27 +139,12 @@ def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarr
         if c == 0:
             det = int(a) * int(d)
             y_floor = max(y_floor, t_img * int(d) ** 2 / det)
-    boxes = [
-        (-0.5, 0.5, max(band_lo, y_floor), band_hi),
-        (-0.5, 0.5, y_floor, band_hi),
-    ]
-    tight = None
-    for A in mats:
-        (a, b), (c, d) = A
-        if c != 0:
-            det = int(a) * int(d) - int(b) * int(c)
-            R = det / (2 * t_img * int(c) ** 2)
-            if tight is None or R < tight[1]:
-                tight = (-d / c, R)
-    if tight is not None:
-        x0, R = tight
-        boxes.append((x0 - R, x0 + R, max(y_floor, 0.02 * R), 2 * R))
 
     unit = _halton(skip)
-    for x_lo, x_hi, y_lo, y_hi in boxes:
-        if y_lo >= y_hi or x_lo >= x_hi:
+    for y_lo in (max(band_lo, y_floor), y_floor):
+        if y_lo >= band_hi:
             continue
-        lo, hi = np.array([x_lo, y_lo]), np.array([x_hi, y_hi])
+        lo, hi = np.array([-0.5, y_lo]), np.array([0.5, band_hi])
         found: list[np.ndarray] = []
         total = 0
         for start in range(0, HALTON_POINTS, HALTON_BATCH):
@@ -203,7 +189,6 @@ def _build_op_matrix(
         X = np.zeros((target.dim, space.dim), dtype=np.complex128)
         X.flags.writeable = False
         return OpMatrix(X, 0.0, 1.0, False, label)
-    k = space.weight
     count = max(2 * target.dim, target.dim + 3)
     mats = [A for _, A in terms]
 
@@ -220,14 +205,7 @@ def _build_op_matrix(
 
     W = np.zeros((len(pts), space.dim), dtype=np.complex128)
     for coef, A in terms:
-        (a, b), (c, d) = A
-        det = int(a) * int(d) - int(b) * int(c)
-        if det <= 0:
-            raise ValueError("operator term has nonpositive determinant")
-        den = c * pts + d
-        w = (a * pts + b) / den
-        jac = det ** (k / 2) * den ** (-k)
-        W += coef * (evaluate_many(space.basis, w) * jac[:, None])
+        W += coef * slash_evaluate(space.basis, A, pts)
 
     X, *_ = np.linalg.lstsq(V, W, rcond=None)
     scale = max(np.linalg.norm(W), np.linalg.norm(V), 1e-30)
@@ -383,23 +361,15 @@ def op_Sprime(
     return _combine(mat, [W_in, S_in, W_out], f"S'[{p**n},{r}]")
 
 
-@dataclass
-class Eigenspace:
-    basis: np.ndarray
-    gap: float
-    sigmas: np.ndarray
-    eigenvalue: complex
-
-
-def nullspace(A: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def nullspace(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Orthonormal numerical null space of a (possibly stacked) matrix.
-    Returns (basis, gap, singular values); gap is the ratio between the
+    Returns (basis, gap); gap is the ratio between the
     smallest retained and largest discarded singular values, with safe
     conventions when either side is empty."""
     A = np.asarray(A)
     d = A.shape[1]
     if d == 0:
-        return np.zeros((0, 0), dtype=np.complex128), math.inf, np.zeros(0)
+        return np.zeros((0, 0), dtype=np.complex128), math.inf
     _, s, Vh = np.linalg.svd(A)
     scale = max(float(s[0]), 1.0) if len(s) else 1.0
     t = int(np.sum(s <= RANK_RTOL * scale)) + max(0, d - len(s))
@@ -407,19 +377,7 @@ def nullspace(A: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     num = float(asc[t]) if t < len(asc) else max(scale, 1.0)
     den = float(asc[min(t, len(asc)) - 1]) if t > 0 else RANK_RTOL * scale
     basis = Vh[d - t :].conj().T if t else np.zeros((d, 0), dtype=np.complex128)
-    return basis, num / max(den, 1e-300), s
-
-
-def eigenspace(op, lam: complex) -> Eigenspace:
-    """Orthonormal numerical eigenspace of an operator matrix, via the SVD
-    null space of (A - lam I).  gap is the separation ratio between the
-    smallest retained and largest discarded singular values."""
-    A = op.matrix if isinstance(op, OpMatrix) else np.asarray(op)
-    d = A.shape[0]
-    if d == 0:
-        return Eigenspace(np.zeros((0, 0), dtype=np.complex128), math.inf, np.zeros(0), lam)
-    basis, gap, s = nullspace(A - lam * np.eye(d))
-    return Eigenspace(basis, gap, s, lam)
+    return basis, num / max(den, 1e-300)
 
 
 def quad_ratio(op, root_a: complex, root_b: complex) -> float:

@@ -54,15 +54,6 @@ class CuspSpace:
         mis = float(np.linalg.norm(A @ x - b))
         return x, mis
 
-    def membership_residual(self, coeffs: np.ndarray, scale: float | None = None) -> float:
-        """Distance of a coefficient vector from the span, relative to scale
-        (default: the vector's own norm, floored at 1)."""
-        vec = np.asarray(coeffs, dtype=np.complex128)
-        _, mis = self.coordinates(vec)
-        if scale is None:
-            scale = max(float(np.linalg.norm(vec[: self.prec])), 1.0)
-        return mis / max(scale, 1e-300)
-
 
 def load_space(source) -> CuspSpace:
     """Build a CuspSpace from a fixture path, JSON string, or dict."""

@@ -156,7 +156,7 @@ def test_operator_engine_cross_checks(families):
         if sp.dim == 0:
             continue
         for q in qualifying_primes(sp.level, sp.char):
-            p = q["p"]
+            p = q.p
             Us = op_U(sp, p, route="sampled")
             Uc = op_U(sp, p, route="coeff")
             dev = float(np.linalg.norm(Us.matrix - Uc.matrix))
@@ -175,9 +175,9 @@ def test_c9_oldspace_placement(families):
         quals = qualifying_primes(sp.level, sp.char)
         for level, lower in fam["lower"].items():
             for q in quals:
-                if sp.level // q["p"] != level:
+                if sp.level // q.p != level:
                     continue
-                checks = placement_checks(sp, q["p"], q["kind"], lower, PLACEMENT_TOL)
+                checks = placement_checks(sp, q.p, lower, PLACEMENT_TOL)
                 for c in checks:
                     assert c.ok, (fam["name"], c.name, c.residual)
                 checked += len(checks)

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hecke_lab import groupconv, hecke, induced
+from hecke_lab.cellcache import clear_cell_caches
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import (
     Kg_blocks,
@@ -230,6 +231,7 @@ def test_transport_lemma(p, n):
 def test_basis_product_refuses_transport_off_the_lemma(monkeypatch, fresh_caches):
     p, n = 3, 2
     assert _basis_product(p, n, "y1", "y1") == {"y1": 1, "y2": 2}
+    clear_cell_caches()  # the checked table is cached; check the patched one
     table = dict(_left_transport(p, n))
     cls, d0 = table["y1"]
     d0 = d0.copy()

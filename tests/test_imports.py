@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
-definition in the package is reached from somewhere, and importing the
-package loads only numpy and the standard library.
+definition in the package is reached from somewhere, every dataclass field
+is read somewhere, and importing the package loads only numpy and the
+standard library.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -342,6 +343,71 @@ def test_no_callerless_definitions():
     ]
     defined = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert callerless(defined, callers) == []
+
+
+def dataclass_fields(source: str) -> list[tuple[str, int]]:
+    """The fields of module-level dataclasses as ("Class.field", line)."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                 for d in node.decorator_list}
+        if "dataclass" not in names:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                out.append((f"{node.name}.{item.target.id}", item.lineno))
+    return out
+
+
+def unread_fields(defined: dict[str, str], callers: list[str]) -> list[str]:
+    """Dataclass fields of `defined` (a file name per source) whose name no
+    source in `callers` reads as an attribute.  Matching is by bare name:
+    a write, a keyword argument or a string of the same spelling is not a
+    read."""
+    reads = set()
+    for src in callers:
+        reads |= {node.attr for node in ast.walk(ast.parse(src))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} line {line}: {fld}" for name, src in defined.items()
+            for fld, line in dataclass_fields(src) if fld.split(".")[1] not in reads]
+
+
+def test_scanner_finds_unread_fields():
+    lib = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    named: int\n"
+        "    LIMIT = 3\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    kept: int\n"
+        "class Plain:\n"
+        "    ignored: int\n"
+    )
+    caller = (
+        "def f(a, b):\n"
+        "    b.written = a.read + b.kept\n"
+        "    return A(read=1, written=2, named=3), getattr(a, 'named')\n"
+    )
+    assert unread_fields({"lib.py": lib}, [lib, caller]) == [
+        "lib.py line 5: A.written",
+        "lib.py line 6: A.named",
+    ]
+
+
+def test_no_unread_dataclass_fields():
+    callers = [
+        path.read_text()
+        for base in CALLER_DIRS
+        for path in sorted(base.rglob("*.py"))
+    ]
+    defined = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(defined, callers) == []
 
 
 def oracle_mentions(source: str) -> list[str]:

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from hecke_lab.characters import DirChar
+from hecke_lab.induced import u_eigenvalue
 from hecke_lab.newspace import characterize, placement_checks, qualifying_primes
+from hecke_lab.operators import op_Q, op_Qprime, op_S, op_Sprime
 from hecke_lab.spaces import fixture_dir, load_space
 
 
 def test_qualifying_primes_squarefree():
     chi = DirChar.trivial(30)
     quals = qualifying_primes(30, chi)
-    assert [(q["p"], q["kind"]) for q in quals] == [(2, "Q"), (3, "Q"), (5, "Q")]
+    assert [(q.p, q.kind) for q in quals] == [(2, "Q"), (3, "Q"), (5, "Q")]
+    assert all(q.builders == (op_Q, op_Qprime) for q in quals)
     # the local data at each p is read from the character's p-component
     with pytest.raises(ValueError, match="modulus must equal the level"):
         qualifying_primes(30, DirChar.from_conrey(7, 3).at_modulus(14))
@@ -18,12 +21,11 @@ def test_qualifying_primes_squarefree():
 def test_qualifying_primes_character_blocks():
     # primitive local factor at 7 disqualifies that prime
     chi = DirChar.from_conrey(21, 13)
-    assert [(q["p"], q["kind"]) for q in qualifying_primes(21, chi)] == [(3, "Q")]
+    assert [(q.p, q.kind) for q in qualifying_primes(21, chi)] == [(3, "Q")]
     # conductor 8 inside modulus 16: imprimitive, survey operator applies
     chi16 = DirChar.from_conrey(16, 7)
-    assert [(q["p"], q["n"], q["kind"]) for q in qualifying_primes(16, chi16)] == [
-        (2, 4, "S")
-    ]
+    [q] = qualifying_primes(16, chi16)
+    assert (q.p, q.n, q.kind, q.builders) == (2, 4, "S", (op_S, op_Sprime))
     # primitive at full level: nothing qualifies
     chi7 = DirChar.from_conrey(7, 6)
     assert qualifying_primes(7, chi7) == []
@@ -60,13 +62,22 @@ def test_placement_requires_matching_level():
     sp = load_space(fixture_dir() / "N22k2c1.json")
     lower = load_space(fixture_dir() / "N7k3c6.json")
     with pytest.raises(ValueError):
-        placement_checks(sp, 2, "Q", lower)
+        placement_checks(sp, 2, lower)
+
+
+def test_placement_requires_a_qualifying_prime():
+    # 7 exactly divides 21, but the character is primitive there
+    sp = load_space(fixture_dir() / "N21k3c13.json")
+    lower = load_space(fixture_dir() / "N7k3c6.json")
+    for p in (7, 5):
+        with pytest.raises(ValueError, match="no characterizing operator"):
+            placement_checks(sp, p, lower)
 
 
 def test_placement_dilation_images():
     sp = load_space(fixture_dir() / "N16k3c7.json")
     lower = load_space(fixture_dir() / "N8k3c3.json")
-    checks = placement_checks(sp, 2, "S", lower)
+    checks = placement_checks(sp, 2, lower)
     assert len(checks) == 6
     assert all(c.ok for c in checks), [(c.name, c.residual) for c in checks]
 
@@ -77,5 +88,23 @@ def test_placement_survey_images_vanish_into_lower():
     sp = load_space(fixture_dir() / "N27k2c1.json")
     lower = load_space(fixture_dir() / "N9k2c1.json")
     assert lower.dim == 0
-    checks = placement_checks(sp, 3, "S", lower)
+    checks = placement_checks(sp, 3, lower)
     assert all(c.ok for c in checks)
+
+
+def test_spectra_are_the_exact_side_closed_forms(families):
+    # the roots read from induced's closed forms are the table they replaced,
+    # as the floats the reports print
+    kinds = set()
+    for fam in families:
+        sp = fam["space"]
+        for q in qualifying_primes(sp.level, sp.char):
+            lam = {"Q": -1.0, "S": 0.0}[q.kind]
+            assert repr(q.roots) == repr((lam, float(q.p))), (fam["name"], q)
+            kinds.add(q.kind)
+    assert kinds == {"Q", "S"}
+    # at n = 1, U is -1 on w- and p on w+
+    for p in (2, 3, 5, 7, 11):
+        assert (u_eigenvalue("w-", p, 1), u_eigenvalue("w+", p, 1), u_eigenvalue("i1", p, 1)) == (
+            -1, p, 0,
+        )
