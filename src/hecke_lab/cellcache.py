@@ -1,7 +1,7 @@
 """The one registry of caches that hold character-free cell work.
 
 Work that reads no character (coset and transport tables, whole-group
-enumerations, K_g twist pairs, structure constants, operators, certificates,
+pair counts, K_g twist pairs, structure constants, operators, certificates,
 relation verdicts, the fixed-vector chain's graph) is cached per cell
 (p, n), per (p, n, r), per (p, n, group element) or per (p, n, level,
 witness word) and shared by every character there.  The caches are

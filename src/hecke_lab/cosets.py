@@ -195,10 +195,6 @@ def ymat(p: int, n: int, s: int) -> MatPn:
     return MatPn(p, n, 1, 0, s, 1)
 
 
-def dmat(p: int, n: int, s: int) -> MatPn:
-    return MatPn(p, n, s, 0, 0, 1)
-
-
 def in_K0(g: MatPn) -> bool:
     """Membership in K0(p^n): lower-left entry divisible by p^n (elementwise
     for a MatArray)."""

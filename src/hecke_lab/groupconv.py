@@ -1,64 +1,59 @@
 """Brute-force convolution oracle over the full finite group.
 
-For small moduli (p^n <= 27) the whole of GL2(Z/p^n) fits comfortably in
-memory, so convolution can be computed from its definition,
+For small moduli (p^n <= 27) convolution can be computed from its
+definition,
 
     (f1 * f2)(h) = (1/|K0|) * sum over g in G of f1(g) f2(g^{-1} h),
 
-with no coset theory at all.  Values are tracked as root-of-unity exponents
+with no coset theory at all.  The group GL2(Z/p^n) is walked in blocks of
+candidate matrices, never held whole: each block keeps its unit-determinant
+matrices and inverts them.  Values are tracked as root-of-unity exponents
 and accumulated with a histogram, which keeps everything exact.  f1(g) and
 f2(g^{-1} h) read chi at one matrix entry each, so the sum is regrouped: the
-pairs of entries are counted over the group once per cell, and each
-character only weights its exponent sums by those counts.  This module
-deliberately shares no logic with the coset-sum route it checks: it takes
-only group arithmetic (the MatArray enumeration and its inverses) from
-cosets, never canonical forms, decompositions or labels.
+pairs of entries are counted over the group once per cell, block by block,
+and a cell keeps only those pair counts; each character only weights its
+exponent sums by them.  This module deliberately shares no logic with the
+coset-sum route it checks: it takes only group arithmetic (MatArray
+determinants and inverses) from cosets, never canonical forms,
+decompositions or labels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .cellcache import cell_cache
 from .characters import PChar, _vp_array
-from .cosets import MatArray, all_labels, label_rep
+from .cosets import _BLOCK_ELEMENTS, MatArray, all_labels, k0_order, label_rep
 from .report import Report, check, timed
 
 BRUTE_LIMIT = 27
 
 
-class GroupTable:
-    """Flat enumeration of GL2(Z/q) and of the elements' inverses."""
+def _group_blocks(p: int, n: int) -> Iterator[MatArray]:
+    """GL2(Z/p^n) in blocks: the candidates (a, b, c, d) in order, about
+    _BLOCK_ELEMENTS at a time, each block kept where its determinant is a
+    unit.  The size guard raises here, before any block is built."""
+    q = p**n
+    if q > BRUTE_LIMIT:
+        raise ValueError(f"brute-force enumeration capped at modulus {BRUTE_LIMIT}")
+    total, step = q**4, _BLOCK_ELEMENTS
 
-    def __init__(self, p: int, n: int):
-        q = p**n
-        if q > BRUTE_LIMIT:
-            raise ValueError(f"brute-force table capped at modulus {BRUTE_LIMIT}")
-        self.p, self.n, self.q = p, n, q
-        rng = np.arange(q, dtype=np.int64)
-        every = MatArray(p, n, *(x.ravel() for x in np.meshgrid(rng, rng, rng, rng, indexing="ij")))
-        self.elements = every[every.det() % p != 0]
-        self.inverses = self.elements.inv()
-        # double-coset label per element, as v_p(c) capped at n (0 = w class)
-        self.vpc = _vp_array(self.elements.c, p, n)
-        self.K0_size = q * (q - q // p) ** 2  # b free, a and d units, c = 0
+    def block(lo: int) -> MatArray:
+        g = MatArray(p, n, *np.unravel_index(np.arange(lo, min(lo + step, total)), (q,) * 4))
+        return g[g.det() % p != 0]
 
-
-@cell_cache
-def group_table(p: int, n: int) -> GroupTable:
-    return GroupTable(p, n)
+    return map(block, range(0, total, step))
 
 
 def double_coset_census(p: int, n: int) -> dict[str, int]:
-    """Element count of each double coset, straight off the enumeration."""
-    t = group_table(p, n)
-    counts = np.bincount(t.vpc, minlength=n + 1)
-    out = {"w": int(counts[0])}
-    for j in range(1, n + 1):
-        out[f"y{j}"] = int(counts[j])
-    return out
+    """Element count of each double coset, by v_p(c) capped at n (label
+    index; 0 = w class) over the group blocks."""
+    counts = sum(np.bincount(_vp_array(g.c, p, n), minlength=n + 1) for g in _group_blocks(p, n))
+    return {lab: int(k) for lab, k in zip(all_labels(p, n), counts)}
 
 
 @cell_cache
@@ -69,10 +64,11 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
     g^{-1} h) with their counts, bucketed by the label l2 of g^{-1} h.
 
     Keyed (l1, h, l2) to (a, b, count) arrays; at most q^2 pairs each.
-    Character-free, so built once per cell.
+    Character-free, so built once per cell, from per-target histograms
+    summed over the group blocks.
     """
-    t = group_table(p, n)
-    q, labels = t.q, all_labels(p, n)  # label index = v_p(c) capped at n
+    blocks = _group_blocks(p, n)  # refused past BRUTE_LIMIT before anything is built
+    q, labels = p**n, all_labels(p, n)  # label index = v_p(c) capped at n
     width = len(labels) * q
     # what a twisted indicator sees of a matrix with lower row (c, d), packed
     # c * q + d: its label and the entry it reads (c on the w class, d on the
@@ -80,15 +76,18 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
     c, d = np.divmod(np.arange(q * q), q)
     vp = _vp_array(c, p, n)
     seen = vp * q + np.where(vp == 0, c, d)
-    own = seen[t.elements.c * q + t.elements.d] * width
-    gc, gd = t.inverses.c, t.inverses.d
+    targets = [label_rep(p, n, lab) for lab in labels]
+    hist = np.zeros((len(labels), width * width), dtype=np.int64)
+    for g in blocks:
+        own = seen[g.c * q + g.d] * width
+        gi = g.inv()
+        for acc, h in zip(hist, targets):
+            # the lower row of g^{-1} h
+            other = seen[(gi.c * h.a + gi.d * h.c) % q * q + (gi.c * h.b + gi.d * h.d) % q]
+            acc += np.bincount(own + other, minlength=width * width)
     out = {}
-    for lab_h in labels:
-        h = label_rep(p, n, lab_h)
-        # the lower row of g^{-1} h
-        other = seen[(gc * h.a + gd * h.c) % q * q + (gc * h.b + gd * h.d) % q]
-        counts = np.bincount(own + other, minlength=width * width)
-        counts = counts.reshape(len(labels), q, len(labels), q)
+    for lab_h, acc in zip(labels, hist):
+        counts = acc.reshape(len(labels), q, len(labels), q)
         for j1, l1 in enumerate(labels):
             for j2, l2 in enumerate(labels):
                 a, b = np.nonzero(counts[j1, :, j2])
@@ -114,7 +113,7 @@ def brute_convolve_labels(p: int, n: int, chi: PChar, l1: str, l2: str) -> dict[
     Roots of unity do cancel here: each histogram must collapse to a
     rational (ValueError otherwise)."""
     vexp, field = chi.exponent_table(), chi.field
-    pairs, k0_size = _pair_counts(p, n), group_table(p, n).K0_size
+    pairs, k0_size = _pair_counts(p, n), k0_order(p, n)
     out: dict[str, Fraction] = {}
     for lab_h in all_labels(p, n):
         hit = pairs.get((l1, lab_h, l2))

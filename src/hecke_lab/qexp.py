@@ -59,9 +59,6 @@ class QExpansion:
             raise ValueError("coefficients must be [re, im] pairs of numbers") from None
         return cls(weight, arr.view(np.complex128), label)
 
-    def to_pairs(self) -> list[list[float]]:
-        return [[float(c.real), float(c.imag)] for c in self.coeffs]
-
     def growth_constant(self) -> float:
         """Smallest C with |a_n| <= C n^(k/2) over the stored range (0 when
         nothing is stored), computed once on construction."""

@@ -2,10 +2,16 @@ import pytest
 from hypothesis import settings
 
 from hecke_lab.cellcache import clear_cell_caches
+from hecke_lab.cosets import MatPn
 from hecke_lab.newspace import characterize
 from hecke_lab.spaces import load_families
 
 GRID = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
+
+
+def dmat(p, n, s):
+    """diag(s, 1) mod p^n."""
+    return MatPn(p, n, s, 0, 0, 1)
 
 
 @pytest.fixture

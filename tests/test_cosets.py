@@ -11,7 +11,6 @@ from hecke_lab.cosets import (
     all_labels,
     class_right_reps,
     coset_table,
-    dmat,
     double_coset_label,
     enumerate_K0,
     enumerate_Kg,
@@ -24,7 +23,7 @@ from hecke_lab.cosets import (
     xmat,
     ymat,
 )
-from tests.conftest import GRID
+from tests.conftest import GRID, dmat
 
 CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 

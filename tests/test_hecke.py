@@ -15,7 +15,6 @@ from hecke_lab.cosets import (
     MatPn,
     _left_transport,
     all_labels,
-    dmat,
     double_coset_label,
     identity,
     label_rep,
@@ -40,7 +39,7 @@ from hecke_lab.hecke import (
     supported_basis,
     verify_relations,
 )
-from tests.conftest import GRID
+from tests.conftest import GRID, dmat
 
 SMALL_CELLS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 BRUTE_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]

@@ -14,8 +14,19 @@ from hypothesis.extra.numpy import arrays
 
 from hecke_lab import cosets, cyclotomic, hecke, induced
 from hecke_lab.campaign import Campaign
-from hecke_lab.characters import PChar
-from hecke_lab.cosets import MatPn, all_labels, class_right_reps, coset_table, xmat, ymat
+from hecke_lab.characters import PChar, unit_generators
+from hecke_lab.cosets import (
+    MatArray,
+    MatPn,
+    all_labels,
+    class_right_reps,
+    coset_table,
+    identity,
+    k0_order,
+    xmat,
+    ymat,
+)
+from hecke_lab.groupconv import BRUTE_LIMIT, _group_blocks
 from hecke_lab.hecke import AlgebraError
 from hecke_lab.induced import (
     InducedRep,
@@ -51,6 +62,45 @@ def test_fixed_chain_primitive_character():
         rep = InducedRep(p, n, chi)
         dims = [fixed_subspace(rep, m).dim for m in range(n + 1)]
         assert dims == [0] * n + [1]
+
+
+def _packed(g):
+    """A MatArray's entries packed as ((a q + b) q + c) q + d, q = p^n."""
+    q = g.pn
+    return ((g.a * q + g.b) * q + g.c) * q + g.d
+
+
+def _closure(p, n, gens):
+    """The subgroup of GL2(Z/p^n) that gens generate, as a mask over the
+    packed entries: right multiplication from the identity, a breadth-first
+    front at a time."""
+    seen = np.zeros(p ** (4 * n), dtype=bool)
+    front = MatArray.stack(p, n, [identity(p, n)])
+    seen[_packed(front)] = True
+    while len(front):
+        step = MatArray.concat(p, n, [front @ k for k in gens])
+        keys, first = np.unique(_packed(step), return_index=True)
+        new = ~seen[keys]
+        seen[keys[new]] = True
+        front = step[first[new]]
+    return seen
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT])
+def test_k0m_generators_generate_K0m(p, n):
+    """With the scalars u*I, the words of `_k0m_generators` generate all of
+    K0(p^m) at every level of the fixed chain (GL2(Z/p^n) at m = 0): the
+    closure is the set of c = 0 mod p^m in the whole-group walk, and for
+    m >= 1 it has k0_order(p, n, m) elements."""
+    scalars = [MatPn(p, n, u, 0, 0, u) for u in unit_generators(p, n)]
+    for m in range(n + 1):
+        member = np.zeros(p ** (4 * n), dtype=bool)
+        for g in _group_blocks(p, n):
+            member[_packed(g[g.c % p**m == 0])] = True
+        closure = _closure(p, n, induced._k0m_generators(p, n, m) + scalars)
+        assert np.array_equal(closure, member), (p, n, m)
+        if m:
+            assert member.sum() == k0_order(p, n, m), (p, n, m)
 
 
 def _sample_K0m(p, n, m, rng, size=8):
