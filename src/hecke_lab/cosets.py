@@ -312,8 +312,13 @@ def label_rep(p: int, n: int, lab: str) -> MatPn:
     return ymat(p, n, p**j) if j else w1(p, n)
 
 
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(stratum_label(j) for j in range(n + 1))
+
+
 def all_labels(p: int, n: int) -> list[str]:
-    return [stratum_label(j) for j in range(n + 1)]
+    return list(_labels(n))
 
 
 def unit_lifts(p: int, modulus_exp: int) -> list[int]:
@@ -401,8 +406,11 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 
 
 def k0_order(p: int, n: int, m: Optional[int] = None) -> int:
-    """|K0(p^m)| inside GL2(Z/p^n): a and d units, b free, c in p^m Z/p^n."""
+    """|K0(p^m)| inside GL2(Z/p^n): for m >= 1, a and d units, b free, c in
+    p^m Z/p^n; for m = 0, all of GL2(Z/p^n), p^(4n) (1 - 1/p)(1 - 1/p^2)."""
     m = n if m is None else m
+    if m == 0:
+        return p ** (4 * n - 3) * (p - 1) * (p * p - 1)
     phi = p**n - p ** (n - 1)
     return phi * phi * p**n * p ** (n - m)
 

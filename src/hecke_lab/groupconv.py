@@ -5,17 +5,20 @@ definition,
 
     (f1 * f2)(h) = (1/|K0|) * sum over g in G of f1(g) f2(g^{-1} h),
 
-with no coset theory at all.  The group GL2(Z/p^n) is walked in blocks of
-candidate matrices, never held whole: each block keeps its unit-determinant
-matrices and inverts them.  Values are tracked as root-of-unity exponents
-and accumulated with a histogram, which keeps everything exact.  f1(g) and
-f2(g^{-1} h) read chi at one matrix entry each, so the sum is regrouped: the
-pairs of entries are counted over the group once per cell, block by block,
-and a cell keeps only those pair counts; each character only weights its
-exponent sums by them.  This module deliberately shares no logic with the
-coset-sum route it checks: it takes only group arithmetic (MatArray
-determinants and inverses) from cosets, never canonical forms,
-decompositions or labels.
+with no coset theory at all.  The group GL2(Z/p^n) is walked in slices,
+never held whole: a slice fixes a few upper-left entries a, broadcasts the
+determinant ad - bc over every (b, c, d) and inverts it where it is a
+unit.  Values are tracked as root-of-unity exponents and accumulated with a
+histogram, which keeps everything exact.  f1(g) reads chi at one entry of
+the lower row of g, and f2(g^{-1} h) at one entry of the lower row of
+g^{-1} h, which is the lower row of g^{-1} times h.  So the sum is
+regrouped: one walk per cell counts the group by (what f1 reads at g, lower
+row of g^{-1}), that row being delta * (-c, a) with delta = det^{-1}; each
+target h maps the rows through h, and a cell keeps only the resulting pair
+counts; each character only weights its exponent sums by them.  This module deliberately shares no
+logic with the coset-sum route it checks: it takes only group arithmetic
+(unit inverses, the group's order) and label names from cosets, never
+canonical forms, decompositions or transport.
 """
 
 from __future__ import annotations
@@ -27,33 +30,40 @@ import numpy as np
 
 from .cellcache import cell_cache
 from .characters import PChar, _vp_array
-from .cosets import _BLOCK_ELEMENTS, MatArray, all_labels, k0_order, label_rep
+from .cosets import _BLOCK_ELEMENTS, _unit_inverses, all_labels, k0_order, label_rep
 from .report import Report, check, timed
 
 BRUTE_LIMIT = 27
 
 
-def _group_blocks(p: int, n: int) -> Iterator[MatArray]:
-    """GL2(Z/p^n) in blocks: the candidates (a, b, c, d) in order, about
-    _BLOCK_ELEMENTS at a time, each block kept where its determinant is a
-    unit.  The size guard raises here, before any block is built."""
+def _group_slices(p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """GL2(Z/p^n) in slices of upper-left entries a, about _BLOCK_ELEMENTS
+    candidates at a time.  A slice is (a, delta): a holds its entries a,
+    shaped (k, 1, 1, 1), and delta = det^{-1} of every candidate (a, b, c, d)
+    with a in the slice, shaped (k, q, q, q) over (a, b, c, d), and 0 where
+    det = ad - bc is not a unit: the group elements are the places where
+    delta is not 0.  The size guard raises here, before any slice is built."""
     q = p**n
     if q > BRUTE_LIMIT:
         raise ValueError(f"brute-force enumeration capped at modulus {BRUTE_LIMIT}")
-    total, step = q**4, _BLOCK_ELEMENTS
+    inverse, r = _unit_inverses(p, n), np.arange(q)
+    bc = r[:, None, None] * r[:, None] % q  # over (b, c, 1)
+    step = max(1, _BLOCK_ELEMENTS // q**3)
 
-    def block(lo: int) -> MatArray:
-        g = MatArray(p, n, *np.unravel_index(np.arange(lo, min(lo + step, total)), (q,) * 4))
-        return g[g.det() % p != 0]
+    def group_slice(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        a = np.arange(lo, min(lo + step, q))[:, None, None, None]
+        return a, inverse[(a * r - bc) % q]
 
-    return map(block, range(0, total, step))
+    return map(group_slice, range(0, q, step))
 
 
 def double_coset_census(p: int, n: int) -> dict[str, int]:
     """Element count of each double coset, by v_p(c) capped at n (label
-    index; 0 = w class) over the group blocks."""
-    counts = sum(np.bincount(_vp_array(g.c, p, n), minlength=n + 1) for g in _group_blocks(p, n))
-    return {lab: int(k) for lab, k in zip(all_labels(p, n), counts)}
+    index; 0 = w class): the group slices' elements counted by their
+    lower-left entry c, then grouped by v_p(c)."""
+    by_c = sum(np.count_nonzero(delta, axis=(0, 1, 3)) for _, delta in _group_slices(p, n))
+    vp = _vp_array(np.arange(p**n), p, n)
+    return {lab: int(by_c[vp == j].sum()) for j, lab in enumerate(all_labels(p, n))}
 
 
 @cell_cache
@@ -64,30 +74,42 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
     g^{-1} h) with their counts, bucketed by the label l2 of g^{-1} h.
 
     Keyed (l1, h, l2) to (a, b, count) arrays; at most q^2 pairs each.
-    Character-free, so built once per cell, from per-target histograms
-    summed over the group blocks.
+    Character-free, so built once per cell.  One walk over the group slices
+    fills one joint histogram over (label of g and the entry f1 reads there,
+    lower row of g^{-1}); it must count |GL2(Z/p^n)| elements
+    (AssertionError otherwise).  The lower row of g^{-1} h is the lower row
+    of g^{-1} times h, so each target maps every lower row through h with a
+    q^2-entry table and sums the histogram into its pairs with one weighted
+    bincount.
     """
-    blocks = _group_blocks(p, n)  # refused past BRUTE_LIMIT before anything is built
+    slices = _group_slices(p, n)  # refused past BRUTE_LIMIT before anything is built
     q, labels = p**n, all_labels(p, n)  # label index = v_p(c) capped at n
-    width = len(labels) * q
+    width, rows = len(labels) * q, q * q
     # what a twisted indicator sees of a matrix with lower row (c, d), packed
     # c * q + d: its label and the entry it reads (c on the w class, d on the
     # y classes), packed label * q + entry
-    c, d = np.divmod(np.arange(q * q), q)
-    vp = _vp_array(c, p, n)
-    seen = vp * q + np.where(vp == 0, c, d)
-    targets = [label_rep(p, n, lab) for lab in labels]
-    hist = np.zeros((len(labels), width * width), dtype=np.int64)
-    for g in blocks:
-        own = seen[g.c * q + g.d] * width
-        gi = g.inv()
-        for acc, h in zip(hist, targets):
-            # the lower row of g^{-1} h
-            other = seen[(gi.c * h.a + gi.d * h.c) % q * q + (gi.c * h.b + gi.d * h.d) % q]
-            acc += np.bincount(own + other, minlength=width * width)
+    r0, r1 = np.divmod(np.arange(rows), q)
+    vp = _vp_array(r0, p, n)
+    seen = vp * q + np.where(vp == 0, r0, r1)
+    own = (seen * rows).reshape(q, q)  # over (c, d), a slice's last two axes
+    c = np.arange(q)[:, None]
+    hist = np.zeros(width * rows, dtype=np.int64)
+    for a, delta in slices:
+        # the lower row of g^{-1}, delta * (-c, a), packed
+        low = (-delta * c) % q * q + delta * a % q
+        hist += np.bincount((own + low)[delta != 0], minlength=width * rows)
+    if hist.sum() != k0_order(p, n, 0):
+        raise AssertionError(f"the walk counted {hist.sum()} elements, not |GL2(Z/{q})|")
+    filled = np.flatnonzero(hist)
+    first, row = np.divmod(filled, rows)  # what f1 sees at g, lower row of g^{-1}
+    weight = hist[filled]  # below 2^53, so exact as float64 weights
     out = {}
-    for lab_h, acc in zip(labels, hist):
-        counts = acc.reshape(len(labels), q, len(labels), q)
+    for lab_h in labels:
+        h = label_rep(p, n, lab_h)
+        # what f2 sees at g^{-1} h, for each lower row of g^{-1}
+        other = seen[(r0 * h.a + r1 * h.c) % q * q + (r0 * h.b + r1 * h.d) % q]
+        acc = np.bincount(first * width + other[row], weights=weight, minlength=width * width)
+        counts = acc.astype(np.int64).reshape(len(labels), q, len(labels), q)
         for j1, l1 in enumerate(labels):
             for j2, l2 in enumerate(labels):
                 a, b = np.nonzero(counts[j1, :, j2])

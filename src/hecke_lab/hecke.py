@@ -145,13 +145,13 @@ class HeckeElem:
         self.p = p
         self.n = n
         self.chi = chi
-        allowed = set(supported_basis(p, n, chi))
+        allowed = supported_basis(p, n, chi)
         clean = {}
         for lab, c in coeffs.items():
             if lab not in allowed:
                 raise AlgebraError(f"label {lab} is not supported for this character")
             if c:
-                clean[lab] = Fraction(c)
+                clean[lab] = c if type(c) is Fraction else Fraction(c)
         self.coeffs = clean
 
     # -- construction ------------------------------------------------------
@@ -282,13 +282,18 @@ def _basis_product(p: int, n: int, lab1: str, lab2: str) -> dict[str, int]:
 
 
 def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
-    """Exact convolution via cached basis products; bilinear."""
+    """Exact convolution via cached basis products; bilinear.  Integral
+    coefficients multiply the integer counts as ints."""
     f1._require_same(f2)
-    acc: dict[str, Fraction] = {}
+    acc: dict[str, Fraction | int] = {}
     for l1, c1 in f1.coeffs.items():
         for l2, c2 in f2.coeffs.items():
+            if c1.denominator == c2.denominator == 1:
+                c = c1.numerator * c2.numerator
+            else:
+                c = c1 * c2
             for lab, count in _basis_product_cached(f1.p, f1.n, l1, l2):
-                acc[lab] = acc.get(lab, 0) + c1 * c2 * count
+                acc[lab] = acc.get(lab, 0) + c * count
     return HeckeElem(f1.p, f1.n, f1.chi, acc)
 
 
@@ -490,11 +495,11 @@ def verify_relations(p: int, n: int, chi: PChar) -> Report:
     with timed() as t:
         ok = True
         detail = ""
+        elems = {lab: HeckeElem.basis(p, n, chi, lab) for lab in basis}
         for a in basis:
             for b in basis:
-                fa, fb = HeckeElem.basis(p, n, chi, a), HeckeElem.basis(p, n, chi, b)
                 try:
-                    mirrored = convolve_mirrored(fa, fb).coeffs
+                    mirrored = convolve_mirrored(elems[a], elems[b]).coeffs
                 except ValueError as exc:  # a non-rational collapse or a leak
                     ok = False
                     detail = f"mirror at {a}*{b}: {exc}"

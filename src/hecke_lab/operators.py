@@ -105,12 +105,12 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
     points are bit for bit those of the common unscrambled Halton generators
     (tests/test_operators.py compares one)."""
     out = np.zeros(len(index))
-    q = index.copy()
+    q, digit = index.copy(), np.empty_like(index)
     b2r = 1.0 / base
     while q.any():
-        out += (q % base) * b2r
+        np.divmod(q, base, out=(q, digit))
+        out += digit * b2r
         b2r /= base
-        q //= base
     return out
 
 

@@ -219,6 +219,37 @@ def test_mirrored_convolution_on_elements(fg):
     assert convolve(f, g) == convolve_mirrored(f, g)
 
 
+# cells whose algebras have three or four basis labels
+PRODUCT_CELLS = [(2, 2), (3, 2), (2, 3)]
+
+
+@st.composite
+def label_coefficients(draw, count: int):
+    """A cell of PRODUCT_CELLS, and `count` maps from all its labels to
+    rationals: integers, 1/p^k multiples, and small fractions."""
+    p, n = draw(st.sampled_from(PRODUCT_CELLS))
+    power = st.builds(lambda s, k: Fraction(s, p**k), st.integers(-3, 3), st.integers(1, n + 1))
+    coefficient = st.one_of(st.integers(-4, 4), power, RATIONALS)
+    labels = all_labels(p, n)
+    return p, n, [{lab: draw(coefficient) for lab in labels} for _ in range(count)]
+
+
+@given(label_coefficients(3), RATIONALS, RATIONALS)
+def test_convolve_on_every_character(cell, a, b):
+    """Integral and 1/p^k coefficients alike: convolve is bilinear, agrees
+    with the mirrored sum for every character of the cell, and keeps its
+    coefficients Fractions."""
+    p, n, maps = cell
+    for chi in PChar.all_characters(p, n):
+        basis = supported_basis(p, n, chi)
+        f, g, h = (HeckeElem(p, n, chi, {lab: m[lab] for lab in basis}) for m in maps)
+        fh, gh = convolve(f, h), convolve(g, h)
+        assert convolve(a * f + b * g, h) == a * fh + b * gh
+        assert convolve(h, a * f + b * g) == a * convolve(h, f) + b * convolve(h, g)
+        assert fh == convolve_mirrored(f, h)
+        assert all(type(c) is Fraction for c in fh.coeffs.values())
+
+
 @pytest.mark.parametrize("p,n", GRID)
 def test_transport_lemma(p, n):
     # a y(p^j) class representative moves every coset with k0 = diag(s^-1, 1)

@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its module, every
 definition in the package is reached from somewhere, every dataclass field
-is read somewhere, and importing the package loads only numpy and the
-standard library.
+is read somewhere, the whole-group oracle imports nothing of the routes it
+checks, and importing the package loads only numpy and the standard library.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -21,6 +21,13 @@ PACKAGE = ROOT / "src" / "hecke_lab"
 CALLER_DIRS = [PACKAGE, ROOT / "tests", ROOT / "tools", ROOT / "perfbench"]
 # test oracles only: the package must neither import nor mention them
 ORACLE_PACKAGES = ("scipy", "sympy")
+# what groupconv, the whole-group oracle, may import at module level from
+# cosets: group arithmetic and label naming, never canonical forms,
+# decompositions or transport; from hecke and induced it imports nothing
+GROUPCONV_FROM_COSETS = {
+    "MatArray", "_BLOCK_ELEMENTS", "_unit_inverses", "all_labels", "k0_order", "label_rep",
+}
+CHECKED_ROUTES = ("hecke", "induced")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -408,6 +415,55 @@ def test_no_unread_dataclass_fields():
     ]
     defined = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_fields(defined, callers) == []
+
+
+def route_imports(source: str) -> list[str]:
+    """Module-level imports by which groupconv would lean on the routes it
+    checks: a name from cosets outside GROUPCONV_FROM_COSETS, or any import
+    from CHECKED_ROUTES, relative or absolute.  Imports inside functions are
+    not scanned."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name.split(".")[-1], None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "hecke_lab"):  # `from . import cosets`
+                pairs = [(alias.name, None) for alias in node.names]
+            else:
+                pairs = [(module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in pairs:
+            if module in CHECKED_ROUTES or (
+                module == "cosets" and name not in GROUPCONV_FROM_COSETS
+            ):
+                out.append(f"line {node.lineno}: {module}.{name or '*'}")
+    return out
+
+
+def test_scanner_finds_route_imports():
+    source = (
+        "from .cosets import MatArray, coset_table\n"
+        "from .hecke import supported_basis\n"
+        "from hecke_lab.cosets import label_rep, _left_transport\n"
+        "from . import induced\n"
+        "import hecke_lab.cosets\n"
+        "from .characters import PChar\n"
+        "def f():\n"
+        "    from .hecke import _basis_product_cached\n"
+    )
+    assert route_imports(source) == [
+        "line 1: cosets.coset_table",
+        "line 2: hecke.supported_basis",
+        "line 3: cosets._left_transport",
+        "line 4: induced.*",
+        "line 5: cosets.*",
+    ]
+
+
+def test_groupconv_imports_only_group_arithmetic():
+    assert route_imports((PACKAGE / "groupconv.py").read_text()) == []
 
 
 def oracle_mentions(source: str) -> list[str]:
