@@ -18,26 +18,16 @@ from .cellcache import clear_cell_caches
 from .characters import PChar
 from .hecke import verify_relations
 from .induced import verify_induced
-from .newspace import characterize, placement_checks, qualifying_primes
+from .newspace import TOLERANCE, characterize, placement_checks, qualifying_primes
 from .operators import op_U, op_W, w_square_scalar
 from .report import Report, check, check_bool, timed
 from .spaces import fixture_dir, load_families
-
-DEFAULT_TOLERANCE = {
-    "quad": 1e-6,
-    "placement": 1e-6,
-    "dual_route": 1e-8,
-    "w_square": 1e-8,
-    "eig_dist": 1e-6,
-    "gap_min": 1e3,
-}
 
 
 @dataclass
 class Campaign:
     grid: list[dict] = field(default_factory=list)
     fixture_dirs: list[str] = field(default_factory=list)
-    tolerance: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCE))
     seed: int = 0
 
     @classmethod
@@ -50,12 +40,14 @@ class Campaign:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
             raise ValueError("campaign file must hold a JSON object")
-        tol = dict(DEFAULT_TOLERANCE)
-        tol.update(doc.get("tolerance", {}))
+        if "tolerance" in doc:
+            raise ValueError(
+                "campaign files cannot set tolerances: the pass thresholds are "
+                "fixed in newspace.TOLERANCE"
+            )
         return cls(
             grid=list(doc.get("grid", [])),
             fixture_dirs=list(doc.get("fixture_dirs", [])),
-            tolerance=tol,
             seed=int(doc.get("seed", 0)),
         )
 
@@ -63,7 +55,6 @@ class Campaign:
         return {
             "grid": self.grid,
             "fixture_dirs": self.fixture_dirs,
-            "tolerance": self.tolerance,
             "seed": self.seed,
         }
 
@@ -89,11 +80,11 @@ def run_verify(campaign: Campaign) -> Report:
             rep.extend(verify_relations(p, n, chi).assertions)
             rep.extend(verify_induced(p, n, chi).report.assertions)
     for directory in campaign.fixture_dirs:
-        _classical_suite(rep, Path(directory), campaign.tolerance)
+        _classical_suite(rep, Path(directory))
     return rep
 
 
-def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
+def _classical_suite(rep: Report, base: Path) -> None:
     families = load_families(base)
     for fam in families:
         sp = fam["space"]
@@ -104,19 +95,19 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
             res = characterize(sp)
         check(rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
               t.elapsed, detail=f"gap {res.gap:.3g}, dim {res.dim}")
-        check_bool(rep, f"{tag}.gap", res.gap >= tol["gap_min"], "definition",
-                   expected=f">= {tol['gap_min']:g}", computed=f"{res.gap:.3g}")
+        check_bool(rep, f"{tag}.gap", res.gap >= TOLERANCE["gap_min"], "definition",
+                   expected=f">= {TOLERANCE['gap_min']:g}", computed=f"{res.gap:.3g}")
 
         for op_rep in res.ops:
             check_bool(
                 rep, f"{tag}.{op_rep.label}.quad",
-                op_rep.quad <= tol["quad"], "formula",
-                expected=f"<= {tol['quad']:g}", computed=f"{op_rep.quad:.3g}",
+                op_rep.quad <= TOLERANCE["quad"], "formula",
+                expected=f"<= {TOLERANCE['quad']:g}", computed=f"{op_rep.quad:.3g}",
             )
             check_bool(
                 rep, f"{tag}.{op_rep.label}.eigset",
-                op_rep.eig_dist <= tol["eig_dist"], "formula",
-                expected=f"within {tol['eig_dist']:g} of {op_rep.roots}",
+                op_rep.eig_dist <= TOLERANCE["eig_dist"], "formula",
+                expected=f"within {TOLERANCE['eig_dist']:g} of {op_rep.roots}",
                 computed=f"{op_rep.eig_dist:.3g}",
             )
             check_bool(
@@ -137,8 +128,8 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
                     / max(1.0, float(np.linalg.norm(Uc.matrix)))
                 )
             check_bool(
-                rep, f"{tag}.U[{p}].routes", dev <= tol["dual_route"], "oracle",
-                t.elapsed, expected=f"<= {tol['dual_route']:g}", computed=f"{dev:.3g}",
+                rep, f"{tag}.U[{p}].routes", dev <= TOLERANCE["dual_route"], "oracle",
+                t.elapsed, expected=f"<= {TOLERANCE['dual_route']:g}", computed=f"{dev:.3g}",
             )
             W = op_W(sp, p)
             s = w_square_scalar(sp, p)
@@ -146,7 +137,7 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
                 np.linalg.norm(W.matrix @ W.matrix - s * np.eye(sp.dim))
             )
             check_bool(
-                rep, f"{tag}.W.square", dev <= tol["w_square"], "formula",
+                rep, f"{tag}.W.square", dev <= TOLERANCE["w_square"], "formula",
                 expected=f"scalar {s:.3g}", computed=f"deviation {dev:.3g}",
             )
 
@@ -155,12 +146,12 @@ def _classical_suite(rep: Report, base: Path, tol: dict) -> None:
                 if sp.level // q.p != level:
                     continue
                 with timed() as t:
-                    checks = placement_checks(sp, q.p, lower, tol["placement"])
+                    checks = placement_checks(sp, q.p, lower)
                 worst = max((c.residual for c in checks), default=0.0)
                 bad = [c.name for c in checks if not c.ok]
                 check_bool(
                     rep, f"{tag}.placement.p{q.p}",
                     not bad, "formula", t.elapsed,
-                    expected=f"{len(checks)} placements <= {tol['placement']:g}",
+                    expected=f"{len(checks)} placements <= {TOLERANCE['placement']:g}",
                     computed=f"worst {worst:.3g}" + (f", failed {bad}" if bad else ""),
                 )

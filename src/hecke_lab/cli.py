@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import DEFAULT_TOLERANCE, Campaign, run_verify
-from .newspace import characterize, operator_kind, qualifying_primes
+from .campaign import Campaign, run_verify
+from .newspace import TOLERANCE, characterize, operator_kind, qualifying_primes
 from .operators import OpMatrix, quad_ratio
 from .report import Report, check, check_bool, timed
 from .spaces import SpaceFormatError, load_space
@@ -90,8 +90,8 @@ def _cmd_classical(args) -> int:
             })
             check_bool(
                 rep, f"{tag}.{op.label}.quad",
-                quad <= DEFAULT_TOLERANCE["quad"], "formula", t.elapsed,
-                expected=f"<= {DEFAULT_TOLERANCE['quad']:g}",
+                quad <= TOLERANCE["quad"], "formula", t.elapsed,
+                expected=f"<= {TOLERANCE['quad']:g}",
                 computed=f"{quad:.3g}",
             )
         if args.characterize:

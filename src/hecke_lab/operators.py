@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -293,10 +294,7 @@ def op_Q(space: CuspSpace, p: int) -> OpMatrix:
 
 def op_Qprime(space: CuspSpace, p: int) -> OpMatrix:
     """Conjugate of op_Q by the Atkin-Lehner involution."""
-    Q = op_Q(space, p)
-    Wop = op_W(space, p)
-    w_inv = np.conj(w_square_scalar(space, p)) * Wop.matrix
-    return _combine(Wop.matrix @ Q.matrix @ w_inv, [Q, Wop], f"Q'[{p}]")
+    return w_conjugate(space, p, lambda inner: op_Q(inner, p))
 
 
 def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
@@ -335,9 +333,23 @@ def op_Sprime(
     space: CuspSpace, p: int, r: int | None = None,
     flipped_space: CuspSpace | None = None,
 ) -> OpMatrix:
-    """Conjugate of op_S by the Atkin-Lehner involution.  When the character
-    has a non-real factor at p the conjugation passes through the space with
-    that factor inverted; it must then be supplied as flipped_space."""
+    """Conjugate of op_S by the Atkin-Lehner involution (w_conjugate says
+    when flipped_space is needed)."""
+    return w_conjugate(space, p, lambda inner: op_S(inner, p, r), flipped_space)
+
+
+def w_conjugate(
+    space: CuspSpace, p: int, build: Callable[[CuspSpace], OpMatrix],
+    flipped_space: CuspSpace | None = None,
+) -> OpMatrix:
+    """The Atkin-Lehner conjugate of X = build(inner), labelled X's label
+    primed.  W_in maps the space to inner, the space whose character has its
+    p-factor inverted, and W_out maps back; W_out W_in = s (w_square_scalar),
+    so the conjugate W_out X W_out^(-1) is W_out X W_in conj(s).  When inner
+    is not the space itself (a non-real factor at p) it must be supplied as
+    flipped_space, and is checked before anything is built.  The residual
+    is one solve residual per factor of the product, counted as often as the
+    factor appears."""
     chi = space.char
     flip = chi.flip_at(p)
     if flip == chi:
@@ -351,14 +363,11 @@ def op_Sprime(
             raise ValueError("flipped_space carries the wrong character")
         inner = flipped_space
     W_in = op_W(space, p, codomain=inner)
-    S_in = op_S(inner, p, r)
+    X = build(inner)
     W_out = op_W(inner, p, codomain=space)
     w_inv = np.conj(w_square_scalar(space, p)) * W_in.matrix
-    mat = W_out.matrix @ S_in.matrix @ w_inv
-    n = _vp(space.level, p)
-    if r is None:
-        r = n - 1
-    return _combine(mat, [W_in, S_in, W_out], f"S'[{p**n},{r}]")
+    mat = W_out.matrix @ X.matrix @ w_inv
+    return _combine(mat, [W_in, X, W_out], X.label.replace("[", "'[", 1))
 
 
 def nullspace(A: np.ndarray) -> tuple[np.ndarray, float]:

@@ -177,8 +177,8 @@ def test_c9_oldspace_placement(families):
             for q in quals:
                 if sp.level // q.p != level:
                     continue
-                checks = placement_checks(sp, q.p, lower, PLACEMENT_TOL)
+                checks = placement_checks(sp, q.p, lower)
                 for c in checks:
-                    assert c.ok, (fam["name"], c.name, c.residual)
+                    assert c.ok and c.residual <= PLACEMENT_TOL, (fam["name"], c.name, c.residual)
                 checked += len(checks)
     assert checked >= 20

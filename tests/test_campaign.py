@@ -8,10 +8,12 @@ left out."""
 import hashlib
 import json
 
+import pytest
+
 from hecke_lab.campaign import Campaign, run_verify
 
 FIELDS = ("id", "status", "expected", "computed", "provenance", "detail")
-DEFAULT_VERDICTS_SHA256 = "ba0b627a17b19035f3214ac69a779023cb5c3fa5d86f450caa6fcbd855bf7315"
+DEFAULT_VERDICTS_SHA256 = "da4f6628c46de66e7b72c6188dfd66745284079ecd2e54769118099aee4c5e24"
 
 
 def test_default_campaign_verdicts_are_pinned(fresh_caches):
@@ -19,3 +21,12 @@ def test_default_campaign_verdicts_are_pinned(fresh_caches):
     assert rep.ok and len(rep.assertions) == 3202
     rows = [[getattr(a, f) for f in FIELDS] for a in rep.assertions]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_VERDICTS_SHA256
+
+
+def test_campaign_file_cannot_set_tolerances(tmp_path):
+    """The pass thresholds are fixed (newspace.TOLERANCE): a campaign file
+    that names them is refused rather than read."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": [], "fixture_dirs": [], "tolerance": {"quad": 1.0}}))
+    with pytest.raises(ValueError, match="cannot set tolerances"):
+        Campaign.from_file(path)

@@ -67,6 +67,13 @@ def test_verify_refuses_oversized_cell(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_verify_refuses_campaign_tolerances(tmp_path, capsys):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [], "tolerance": {}}))
+    assert main(["verify", "--campaign", str(campaign)]) == 2
+    assert "cannot set tolerances" in capsys.readouterr().err
+
+
 def test_classical_single_operator(tmp_path):
     report = tmp_path / "out.json"
     code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "11",

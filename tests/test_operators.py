@@ -184,6 +184,38 @@ def test_survey_operator(sp16):
     assert S.label == "S[16,3]"
 
 
+def _synthetic_space(level, weight, conrey, rows=1):
+    """A space read from a dict: the form q + O(q^64) when rows = 1."""
+    basis = [[[1.0, 0.0]] + [[0.0, 0.0]] * 63] * rows
+    return load_space({
+        "level": level, "weight": weight, "precision": 64, "basis": basis,
+        "character": {"modulus": level, "conrey": conrey},
+    })
+
+
+def test_w_conjugate_checks_the_flipped_space_first(monkeypatch):
+    """Conrey 8 mod 27 is non-real and imprimitive (conductor 9), so S' at 3
+    passes through the space whose character has its 3-factor inverted.
+    Each wrong flipped_space is refused before any operator is sampled."""
+    from hecke_lab import operators
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the flipped space was checked")
+
+    monkeypatch.setattr(operators, "sample_points", no_sampling)
+    sp = _synthetic_space(27, 3, 8)
+    chi = sp.char
+    assert sp.dim == 1 and chi.components[3].conductor_exponent == 2
+    assert chi.flip_at(3) != chi and chi.flip_at(3).conrey_index() == 17
+    with pytest.raises(ValueError, match="flipped_space is required"):
+        op_Sprime(sp, 3)
+    with pytest.raises(ValueError, match="mismatched level"):
+        op_Sprime(sp, 3, flipped_space=_synthetic_space(54, 3, 1, rows=0))
+    with pytest.raises(ValueError, match="wrong character"):
+        op_Sprime(sp, 3, flipped_space=sp)
+    assert not sp._op_memo
+
+
 def test_survey_rejects_bad_r(sp16):
     with pytest.raises(ValueError):
         op_S(sp16, 2, r=1)  # below the conductor exponent of the 2-part
@@ -274,7 +306,7 @@ def test_op_matrix_is_memoized_on_the_space():
 
 
 def test_classical_suite_builds_each_operator_once(monkeypatch):
-    """The classical suite over the shipped families asks for 141 operator
+    """The classical suite over the shipped families asks for 160 operator
     matrices, 42 of them distinct; each distinct one is sampled and solved
     once (one first sampling attempt per build).  The coefficient route of
     op_U is built once for each of its 18 (space, p)."""
@@ -306,5 +338,5 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
     monkeypatch.setattr(operators, "_build_op_U_coeff", counted_build_op_U_coeff)
     rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
     assert rep.n_fail == 0
-    assert (len(calls), len(distinct), len(builds)) == (141, 42, 42)
+    assert (len(calls), len(distinct), len(builds)) == (160, 42, 42)
     assert (len(coeff_builds), len(set(coeff_builds))) == (18, 18)
