@@ -92,7 +92,7 @@ def _classical_suite(rep: Report, base: Path) -> None:
         quals = qualifying_primes(sp.level, sp.char)
 
         with timed() as t:
-            res = characterize(sp)
+            res = characterize(sp, fam["flipped"])
         check(rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
               t.elapsed, detail=f"gap {res.gap:.3g}, dim {res.dim}")
         check_bool(rep, f"{tag}.gap", res.gap >= TOLERANCE["gap_min"], "definition",
@@ -146,7 +146,7 @@ def _classical_suite(rep: Report, base: Path) -> None:
                 if sp.level // q.p != level:
                     continue
                 with timed() as t:
-                    checks = placement_checks(sp, q.p, lower)
+                    checks = placement_checks(sp, q.p, lower, fam["flipped"])
                 worst = max((c.residual for c in checks), default=0.0)
                 bad = [c.name for c in checks if not c.ok]
                 check_bool(

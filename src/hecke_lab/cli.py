@@ -60,6 +60,14 @@ def _cmd_classical(args) -> int:
         return 2
     p = args.prime
     rep = Report(meta={"fixture": str(base), "prime": p, "operators": []})
+    manifest = base / "families.json"
+    # fixture stem -> the stem of its conjugate-character twin, where a
+    # family names one
+    twins = {
+        fam["space"]: fam["flipped"]
+        for fam in (json.loads(manifest.read_text())["families"] if manifest.exists() else [])
+        if "flipped" in fam
+    }
     touched = 0
     for path in sorted(base.glob("*.json")):
         if path.name == "families.json":
@@ -69,6 +77,7 @@ def _cmd_classical(args) -> int:
             continue
         touched += 1
         tag = f"{path.stem}"
+        flipped = load_space(base / f"{twins[tag]}.json") if tag in twins else None
         if args.op:
             need_kind, which = _OP_BUILDERS[args.op]
             q = next((q for q in qualifying_primes(sp.level, sp.char) if q.p == p), None)
@@ -81,7 +90,7 @@ def _cmd_classical(args) -> int:
                 rep.meta["operators"].append({"space": tag, "op": args.op, "skipped": skipped})
                 continue
             with timed() as t:
-                op: OpMatrix = q.builders[which](sp, p)
+                op: OpMatrix = q.operator(which, sp, flipped)
             quad = quad_ratio(op, *q.roots)
             rep.meta["operators"].append({
                 "space": tag, "op": op.label, "dim": op.dim,
@@ -96,7 +105,7 @@ def _cmd_classical(args) -> int:
             )
         if args.characterize:
             with timed() as t:
-                res = characterize(sp)
+                res = characterize(sp, flipped)
             check(
                 rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
                 t.elapsed, detail=f"gap {res.gap:.3g}",

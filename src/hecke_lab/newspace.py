@@ -48,15 +48,25 @@ TOLERANCE = {
 class QualifyingPrime:
     """A prime power p^n || N at which the characterizing operators exist.
 
-    builders holds the main operator and its W-conjugate, each called as
-    build(space, p); both satisfy (A - roots[0])(A - roots[1]) = 0, with
+    builders holds the main operator and its W-conjugate, called through
+    operator(); each satisfies (A - roots[0])(A - roots[1]) = 0, with
     roots[0] their eigenvalue on the newspace and roots[1] on the old forms."""
 
     p: int
     n: int
     kind: str
-    builders: tuple[Callable[[CuspSpace, int], OpMatrix], Callable[[CuspSpace, int], OpMatrix]]
+    builders: tuple[Callable[..., OpMatrix], Callable[..., OpMatrix]]
     roots: tuple[float, float]
+
+    def operator(
+        self, which: int, space: CuspSpace, flipped_space: CuspSpace | None = None,
+    ) -> OpMatrix:
+        """builders[which] on space: 0 the main operator, 1 its W-conjugate,
+        which passes through flipped_space, the twin whose character has its
+        p-factor inverted (required where that factor is non-real)."""
+        if which == 0:
+            return self.builders[0](space, self.p)
+        return self.builders[1](space, self.p, flipped_space=flipped_space)
 
 
 def operator_kind(n: int) -> str:
@@ -120,13 +130,15 @@ class CharacterizeResult:
         return self.new_dim == self.expected_new
 
 
-def _operator_suite(space: CuspSpace) -> list[tuple[OpMatrix, tuple[float, float]]]:
+def _operator_suite(
+    space: CuspSpace, flipped_space: CuspSpace | None,
+) -> list[tuple[OpMatrix, tuple[float, float]]]:
     """The characterizing operators with the roots of their quadratic
     relation, the newspace eigenvalue first."""
     return [
-        (build(space, q.p), q.roots)
+        (q.operator(which, space, flipped_space), q.roots)
         for q in qualifying_primes(space.level, space.char)
-        for build in q.builders
+        for which in (0, 1)
     ]
 
 
@@ -141,11 +153,13 @@ def _op_report(op: OpMatrix, roots: tuple[float, float]) -> OpReport:
     )
 
 
-def characterize(space: CuspSpace) -> CharacterizeResult:
+def characterize(space: CuspSpace, flipped_space: CuspSpace | None = None) -> CharacterizeResult:
     """Cut out the newspace as the joint eigenspace of the characterizing
-    operators and compare its dimension with the trace-formula count."""
+    operators and compare its dimension with the trace-formula count.
+    flipped_space is the conjugate-character twin the W-conjugates pass
+    through (QualifyingPrime.operator)."""
     expected = dim_new(space.level, space.weight, space.char)
-    suite = _operator_suite(space)
+    suite = _operator_suite(space, flipped_space)
     reports = [_op_report(op, roots) for op, roots in suite]
     d = space.dim
     if d == 0 or not suite:
@@ -181,7 +195,9 @@ def _eig_residual(mat: np.ndarray, x: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(mat @ x - lam * x)) / nx
 
 
-def placement_checks(space: CuspSpace, p: int, lower: CuspSpace) -> list[Placement]:
+def placement_checks(
+    space: CuspSpace, p: int, lower: CuspSpace, flipped_space: CuspSpace | None = None,
+) -> list[Placement]:
     """Old-form placement at a qualifying prime p, against the lower level
     N/p: direct embeddings are eigenvectors of the main operator, and
     dilation images of its W-conjugate, with the old eigenvalue roots[1]
@@ -189,7 +205,8 @@ def placement_checks(space: CuspSpace, p: int, lower: CuspSpace) -> list[Placeme
     survey operator: roots 0 and p), A (A - p) = 0 makes A/p a projection
     onto its old eigenspace, so every image of A falls back into the
     embedded span.  Each check passes at residual TOLERANCE["placement"].
-    A p that does not qualify raises ValueError.
+    A p that does not qualify raises ValueError.  flipped_space is handed
+    to the W-conjugate as in characterize.
     """
     q = next((q for q in qualifying_primes(space.level, space.char) if q.p == p), None)
     if q is None:
@@ -199,7 +216,7 @@ def placement_checks(space: CuspSpace, p: int, lower: CuspSpace) -> list[Placeme
             f"lower level {lower.level} is not level/{p} = {space.level // p}"
         )
     out: list[Placement] = []
-    main, conj = (build(space, p) for build in q.builders)
+    main, conj = (q.operator(which, space, flipped_space) for which in (0, 1))
     old = q.roots[1]
     tol = TOLERANCE["placement"]
 

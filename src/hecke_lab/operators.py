@@ -292,9 +292,10 @@ def op_Q(space: CuspSpace, p: int) -> OpMatrix:
     return _combine(scalar * (Ut.matrix @ Wop.matrix), [Ut, Wop], f"Q[{p}]")
 
 
-def op_Qprime(space: CuspSpace, p: int) -> OpMatrix:
-    """Conjugate of op_Q by the Atkin-Lehner involution."""
-    return w_conjugate(space, p, lambda inner: op_Q(inner, p))
+def op_Qprime(space: CuspSpace, p: int, flipped_space: CuspSpace | None = None) -> OpMatrix:
+    """Conjugate of op_Q by the Atkin-Lehner involution (op_Q needs a
+    trivial factor at p, so w_conjugate never needs flipped_space here)."""
+    return w_conjugate(space, p, lambda inner: op_Q(inner, p), flipped_space)
 
 
 def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:

@@ -1,9 +1,11 @@
 """Truncated q-expansions and coefficient-level operators.
 
 A cusp form is carried as the vector (a_1, ..., a_B) of its q-expansion
-coefficients.  Evaluation at a point z in the upper half-plane sums the
-truncated series and refuses to proceed when the geometric tail estimate
-is not far below the working tolerances.
+coefficients.  Evaluation at a point z in the upper half-plane refuses to
+proceed when the geometric tail estimate past the stored coefficients is
+not far below the working tolerances, and otherwise sums only as many terms
+as float64 can resolve: the sum stops where the same estimate falls to
+RESOLVED_TAIL.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# evaluate_many refuses when the tail past the stored coefficients may
+# exceed REFUSE_TAIL, and drops the terms past the least count whose tail
+# bound is at most RESOLVED_TAIL.  That is far below the last bit of every
+# value the classical suite takes: its evaluations are bit for bit the full
+# sums (tests/test_qexp.py), while at 1e-30 some already differ.  Fixed on
+# purpose; nothing sets it.
+REFUSE_TAIL = 1e-10
+RESOLVED_TAIL = 1e-60
 
 
 class PrecisionError(ValueError):
@@ -64,34 +75,62 @@ class QExpansion:
         nothing is stored), computed once on construction."""
         return self._growth
 
-    def tail_bound(self, y: float) -> float:
-        """Upper bound for |sum_{n>B} a_n q^n| at Im z = y, assuming the
-        Deligne-type growth |a_n| <= C n^(k/2) with C from the stored range."""
+    def tail_bound(self, y: float, m: int | None = None) -> float:
+        """Upper bound for |sum_{n>m} a_n q^n| at Im z = y (m defaults to
+        the precision B), assuming the Deligne-type growth
+        |a_n| <= C n^(k/2) with C from the stored range.  It never
+        increases in m."""
         if y <= 0:
             return math.inf
-        B, k = self.prec, self.weight
+        m = self.prec if m is None else m
+        k = self.weight
         x = math.exp(-2 * math.pi * y)
-        # (n/(B+1))^(k/2) <= exp(k (n-B-1) / (2 (B+1))) for n > B
-        rho = x * math.exp(k / (2 * (B + 1)))
+        # (n/(m+1))^(k/2) <= exp(k (n-m-1) / (2 (m+1))) for n > m
+        rho = x * math.exp(k / (2 * (m + 1)))
         if rho >= 1:
             return math.inf
         c = 2.0 * max(self.growth_constant(), 1.0)
-        return c * (B + 1) ** (k / 2) * x ** (B + 1) / (1 - rho)
+        return c * (m + 1) ** (k / 2) * x ** (m + 1) / (1 - rho)
+
+    def terms_needed(self, y: float) -> int:
+        """The least m <= B whose tail bound at Im z = y is at most
+        RESOLVED_TAIL (B when none is, or when y is NaN)."""
+        B = self.prec
+        if not self.tail_bound(y, B) <= RESOLVED_TAIL:
+            return B
+        # start near the root of log(bound) = log(RESOLVED_TAIL) in t = m + 1,
+        # with 1 - rho taken as 1 - x, then step to the least m: the bound
+        # never increases in m, so the steps find it from any start
+        log_x = -2 * math.pi * y
+        rhs = math.log(RESOLVED_TAIL / (2.0 * max(self.growth_constant(), 1.0)))
+        rhs += math.log1p(-math.exp(log_x))
+        t = 1.0
+        for _ in range(3):
+            t = max((rhs - self.weight / 2 * math.log(t)) / log_x, 1.0)
+        m = min(max(math.ceil(t) - 1, 0), B)
+        while self.tail_bound(y, m) > RESOLVED_TAIL:
+            m += 1
+        while m > 0 and self.tail_bound(y, m - 1) <= RESOLVED_TAIL:
+            m -= 1
+        return m
 
 
 def evaluate_many(forms: list[QExpansion], points) -> np.ndarray:
-    """Matrix of values, points along rows and forms along columns."""
+    """Matrix of values, points along rows and forms along columns.  Every
+    sum stops at the least m at which each form's tail bound at the lowest
+    point is at most RESOLVED_TAIL; PrecisionError when the tail past the
+    stored coefficients may exceed REFUSE_TAIL there."""
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     if not forms:
         return np.zeros((len(pts), 0), dtype=np.complex128)
-    prec = min(f.prec for f in forms)
     ymin = float(pts.imag.min())
     for f in forms:
-        if f.tail_bound(ymin) > 1e-10:
+        if f.tail_bound(ymin) > REFUSE_TAIL:
             raise PrecisionError(f"tail bound too large at Im z = {ymin:.4f}")
-    n = np.arange(1, prec + 1)
+    terms = min(min(f.prec for f in forms), max(f.terms_needed(ymin) for f in forms))
+    n = np.arange(1, terms + 1)
     q_pow = np.exp(2j * np.pi * np.outer(pts, n))
-    mat = np.stack([f.coeffs[:prec] for f in forms], axis=1)
+    mat = np.stack([f.coeffs[:terms] for f in forms], axis=1)
     return q_pow @ mat
 
 

@@ -110,9 +110,10 @@ def fixture_dir() -> Path:
 
 
 def load_families(directory: Path | None = None) -> list[dict]:
-    """Family manifest entries, each with 'space' and 'lower' resolved to
-    loaded CuspSpace objects; a fixture named by several entries is loaded
-    once per call and shared by them."""
+    """Family manifest entries, each with 'space', 'lower' and 'flipped'
+    (the optional conjugate-character twin of 'space', None when not named)
+    resolved to loaded CuspSpace objects; a fixture named by several entries
+    is loaded once per call and shared by them."""
     base = Path(directory) if directory is not None else fixture_dir()
     manifest = json.loads((base / "families.json").read_text())
     loaded: dict[str, CuspSpace] = {}
@@ -127,5 +128,6 @@ def load_families(directory: Path | None = None) -> list[dict]:
         entry = dict(fam)
         entry["space"] = space(fam["space"])
         entry["lower"] = {int(lv): space(stem) for lv, stem in fam.get("lower", {}).items()}
+        entry["flipped"] = space(fam["flipped"]) if "flipped" in fam else None
         out.append(entry)
     return out

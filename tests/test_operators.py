@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from hecke_lab.campaign import Campaign, run_verify
+from hecke_lab.cli import main
+from hecke_lab.newspace import characterize, placement_checks
 from hecke_lab.operators import (
     IMAG_FLOOR,
     SAMPLE_BAND,
@@ -184,25 +189,35 @@ def test_survey_operator(sp16):
     assert S.label == "S[16,3]"
 
 
-def _synthetic_space(level, weight, conrey, rows=1):
-    """A space read from a dict: the form q + O(q^64) when rows = 1."""
+def _synthetic_doc(level, weight, conrey, rows=1):
+    """A fixture document: the form q + O(q^64) when rows = 1."""
     basis = [[[1.0, 0.0]] + [[0.0, 0.0]] * 63] * rows
-    return load_space({
+    return {
         "level": level, "weight": weight, "precision": 64, "basis": basis,
         "character": {"modulus": level, "conrey": conrey},
-    })
+    }
 
 
-def test_w_conjugate_checks_the_flipped_space_first(monkeypatch):
+def _synthetic_space(level, weight, conrey, rows=1):
+    """A space read from a dict (_synthetic_doc)."""
+    return load_space(_synthetic_doc(level, weight, conrey, rows))
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """sample_points fails: for tests that must decide before any sampling."""
+    from hecke_lab import operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled where no sample point is needed")
+
+    monkeypatch.setattr(operators, "sample_points", refuse)
+
+
+def test_w_conjugate_checks_the_flipped_space_first(no_sampling):
     """Conrey 8 mod 27 is non-real and imprimitive (conductor 9), so S' at 3
     passes through the space whose character has its 3-factor inverted.
     Each wrong flipped_space is refused before any operator is sampled."""
-    from hecke_lab import operators
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the flipped space was checked")
-
-    monkeypatch.setattr(operators, "sample_points", no_sampling)
     sp = _synthetic_space(27, 3, 8)
     chi = sp.char
     assert sp.dim == 1 and chi.components[3].conductor_exponent == 2
@@ -214,6 +229,65 @@ def test_w_conjugate_checks_the_flipped_space_first(monkeypatch):
     with pytest.raises(ValueError, match="wrong character"):
         op_Sprime(sp, 3, flipped_space=sp)
     assert not sp._op_memo
+
+
+def test_characterize_passes_the_twin_through(no_sampling):
+    """Conrey 8 and 17 mod 27 are each other's flip at 3.  With the twin,
+    every W-conjugate reaches it; without, S' refuses as op_Sprime does."""
+    sp, twin = _synthetic_space(27, 3, 8, rows=0), _synthetic_space(27, 3, 17, rows=0)
+    lower = _synthetic_space(9, 3, 8, rows=0)
+    assert sp.char.flip_at(3) == twin.char
+    res = characterize(sp, twin)
+    assert [op.label for op in res.ops] == ["S[27,2]", "S'[27,2]"]
+    assert (res.dim, res.new_dim, res.expected_new) == (0, 0, 1)
+    assert placement_checks(sp, 3, lower, twin) == []
+    with pytest.raises(ValueError, match="flipped_space is required"):
+        characterize(sp)
+    with pytest.raises(ValueError, match="flipped_space is required"):
+        placement_checks(sp, 3, lower)
+
+
+def _twin_directory(base, name_twin=True):
+    """Two families over the Conrey 8 / 17 mod 27 pair, each naming the
+    other as its twin when name_twin is set."""
+    pair = {"N27k3c8": 8, "N27k3c17": 17}
+    for stem, conrey in pair.items():
+        (base / f"{stem}.json").write_text(json.dumps(_synthetic_doc(27, 3, conrey, rows=0)))
+    families = [
+        {"name": f"c{conrey}", "kind": "c", "space": stem, "lower": {}, "expected_new": 1}
+        for stem, conrey in pair.items()
+    ]
+    if name_twin:
+        families[0]["flipped"], families[1]["flipped"] = "N27k3c17", "N27k3c8"
+    (base / "families.json").write_text(json.dumps({"families": families}))
+    return base
+
+
+def test_load_families_shares_the_named_twin(tmp_path, monkeypatch, no_sampling):
+    from hecke_lab import spaces
+
+    loaded = []
+    load = spaces.load_space
+    monkeypatch.setattr(spaces, "load_space", lambda path: loaded.append(path.stem) or load(path))
+    c8, c17 = spaces.load_families(_twin_directory(tmp_path))
+    assert sorted(loaded) == ["N27k3c17", "N27k3c8"]
+    assert c8["flipped"] is c17["space"] and c17["flipped"] is c8["space"]
+    assert all(fam["flipped"] is None for fam in spaces.load_families())
+    # the campaign hands each family its twin: S' is built for both, not refused
+    rep = run_verify(Campaign(fixture_dirs=[str(tmp_path)]))
+    assert {a.id for a in rep.assertions} >= {
+        "classical.c8.S'[27,2].quad", "classical.c17.S'[27,2].quad",
+    }
+
+
+@pytest.mark.parametrize("name_twin", [True, False])
+def test_classical_cli_passes_the_named_twin(tmp_path, no_sampling, name_twin):
+    """Without the twin both runs stop on the refusal (exit 2).  With it S'
+    is built and passes, and characterize runs to its verdict: the empty
+    fixtures miss the oracle's new dimension 1 (exit 1)."""
+    cmd = ["classical", "--fixture", str(_twin_directory(tmp_path, name_twin)), "--prime", "3"]
+    assert main([*cmd, "--op", "sprime"]) == (0 if name_twin else 2)
+    assert main([*cmd, "--characterize"]) == (1 if name_twin else 2)
 
 
 def test_survey_rejects_bad_r(sp16):

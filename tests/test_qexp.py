@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hecke_lab.cyclotomic import _factorize
+from hecke_lab.operators import IMAG_FLOOR, atkin_lehner_matrix
 from hecke_lab.qexp import (
+    RESOLVED_TAIL,
     PrecisionError,
     QExpansion,
     evaluate_many,
@@ -11,6 +16,10 @@ from hecke_lab.qexp import (
     op_Utilde,
     op_Vp,
 )
+from hecke_lab.spaces import fixture_dir, load_space
+
+HEIGHTS = (IMAG_FLOOR, 0.05, 0.08, 0.3, 0.6)
+SPACES = sorted(p.stem for p in fixture_dir().glob("N*.json") if load_space(p).dim)
 
 
 def _pairs(f):
@@ -122,9 +131,124 @@ def test_growth_constant():
     assert f.growth_constant() == 3.0  # |a_n| / n^2 = 3, 2, 1/9, 0
     x = math.exp(-math.pi)  # Im z = 1/2
     assert f.tail_bound(0.5) == pytest.approx(2 * 3.0 * 5**2 * x**5 / (1 - x * math.exp(4 / 10)))
+    assert f.tail_bound(0.5) == f.tail_bound(0.5, 4) == _tail_past_B(f, 0.5)
     assert QExpansion(2, np.zeros(0)).growth_constant() == 0.0
 
 
 def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         QExpansion(2, np.array([1.0, np.inf]))
+
+def _tail_past_B(f, y):
+    """The bound on the tail past the precision B, written out with B in
+    place of the count: tail_bound's default must keep every bit of it."""
+    if y <= 0:
+        return math.inf
+    B, k = f.prec, f.weight
+    x = math.exp(-2 * math.pi * y)
+    rho = x * math.exp(k / (2 * (B + 1)))
+    if rho >= 1:
+        return math.inf
+    c = 2.0 * max(f.growth_constant(), 1.0)
+    return c * (B + 1) ** (k / 2) * x ** (B + 1) / (1 - rho)
+
+
+def _refused_past_B(forms, y):
+    return any(_tail_past_B(f, y) > 1e-10 for f in forms)
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_default_tail_bound_is_the_bound_past_B(name):
+    sp = load_space(fixture_dir() / f"{name}.json")
+    for f in sp.basis:
+        for y in (-1.0, 0.0, 1e-4, *HEIGHTS, 1.0, 5.0):
+            assert f.tail_bound(y) == f.tail_bound(y, f.prec) == _tail_past_B(f, y)
+
+
+@given(
+    weight=st.integers(1, 12),
+    y=st.floats(1e-3, 30.0),
+    growth=st.floats(0.0, 1e6),
+    prec=st.integers(1, 400),
+)
+def test_tail_bound_never_increases_in_m(weight, y, growth, prec):
+    coeffs = np.zeros(prec, dtype=np.complex128)
+    coeffs[0] = growth
+    f = QExpansion(weight, coeffs)
+    bounds = [f.tail_bound(y, m) for m in range(600)]
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    x = math.exp(-2 * math.pi * y)
+    for m, bound in enumerate(bounds):
+        # infinite exactly where the geometric ratio reaches 1
+        assert math.isinf(bound) == (x * math.exp(weight / (2 * (m + 1))) >= 1)
+    assert f.tail_bound(0.0, 10) == f.tail_bound(-y, 10) == math.inf
+    # the term count is the least m whose bound is resolved, by a scan
+    least = next((m for m in range(prec + 1) if bounds[m] <= RESOLVED_TAIL), prec)
+    assert f.terms_needed(y) == least
+    assert f.terms_needed(math.nan) == prec
+
+
+def _evaluation_points(sp):
+    """Points at each height of HEIGHTS, and their images under the
+    Atkin-Lehner matrix of every prime power exactly dividing the level."""
+    base = [np.linspace(-0.5, 0.5, 7) + 1j * y for y in HEIGHTS]
+    images = []
+    for p, n in _factorize(sp.level):
+        (a, b), (c, d) = atkin_lehner_matrix(p, n, sp.level)
+        images += [(a * z + b) / (c * z + d) for z in base]
+    return base + images
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_truncated_sums_are_the_full_sums_bit_for_bit(name):
+    """Each point set is evaluated as one block (its sum length set by the
+    lowest point) and point by point; every value must be the full sum
+    over all B stored coefficients, compared by bytes.  Where the block
+    is refused, the rule past B refuses it too."""
+    sp = load_space(fixture_dir() / f"{name}.json")
+    # C-ordered (B, forms), as evaluate_many stacks it: BLAS sums in one order
+    coeffs = np.stack([f.coeffs for f in sp.basis], axis=1)
+    n = np.arange(1, sp.prec + 1)
+    compared = 0
+    for pts in _evaluation_points(sp):
+        for block in (pts, *pts[:, None]):
+            ymin = float(block.imag.min())
+            if _refused_past_B(sp.basis, ymin):
+                with pytest.raises(PrecisionError):
+                    evaluate_many(sp.basis, block)
+                continue
+            full = np.exp(2j * np.pi * np.outer(block, n)) @ coeffs
+            assert evaluate_many(sp.basis, block).tobytes() == full.tobytes()
+            compared += 1
+    assert compared >= 5 * 8  # every base height, as a block and point by point
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_term_count_falls_with_height(name):
+    sp = load_space(fixture_dir() / f"{name}.json")
+    heights = sorted({*HEIGHTS, *np.linspace(IMAG_FLOOR, 3.0, 60)})
+    for f in sp.basis:
+        counts = [f.terms_needed(y) for y in heights]
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert f.terms_needed(0.3) < f.prec
+        for y, m in zip(heights, counts):
+            # the least resolved count (the bound never increases in m)
+            assert f.tail_bound(y, m) <= RESOLVED_TAIL or m == f.prec
+            assert m == 0 or f.tail_bound(y, m - 1) > RESOLVED_TAIL
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_refusal_heights_are_unchanged(name):
+    """Each form is refused below the height at which its bound past B
+    reaches 1e-10 and evaluated above it, to the last float."""
+    sp = load_space(fixture_dir() / f"{name}.json")
+    for f in sp.basis:
+        lo, hi = 1e-6, 1.0
+        assert _refused_past_B([f], lo) and not _refused_past_B([f], hi)
+        while np.nextafter(lo, hi) < hi:
+            mid = max(lo + (hi - lo) / 2, np.nextafter(lo, hi))
+            lo, hi = (mid, hi) if _refused_past_B([f], mid) else (lo, mid)
+        with pytest.raises(PrecisionError):
+            evaluate_many([f], np.array([1j * lo]))
+        evaluate_many([f], np.array([1j * hi]))
+        assert IMAG_FLOOR > hi

@@ -105,6 +105,8 @@ def test_load_families_parses_each_fixture_once(monkeypatch):
         by_stem.setdefault(doc["space"], []).append(fam["space"])
         for lv, stem in doc.get("lower", {}).items():
             by_stem.setdefault(stem, []).append(fam["lower"][int(lv)])
+        if "flipped" in doc:
+            by_stem.setdefault(doc["flipped"], []).append(fam["flipped"])
     assert sorted(loaded) == sorted(by_stem)
     shared = {stem: group for stem, group in by_stem.items() if len(group) > 1}
     assert sorted(shared) == ["N11k2c1", "N15k2c1", "N7k3c6"]
