@@ -7,7 +7,7 @@ from .characters import (
     DirChar,
     PChar,
     crt_decompose,
-    unit_generators,
+    unit_group,
 )
 from .cosets import (
     MatArray,
@@ -100,7 +100,7 @@ __all__ = [
     "slash_evaluate",
     "structure_table",
     "supported_basis",
-    "unit_generators",
+    "unit_group",
     "verify_induced",
     "verify_relations",
     "y_element",

@@ -10,7 +10,9 @@ modulus shares one field.  Conrey's labeling of characters
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -19,27 +21,54 @@ import numpy as np
 from .cyclotomic import _factorize, euler_phi, get_field
 
 
+@dataclass(frozen=True, eq=False)
+class UnitGroup:
+    """(Z/p^n)^x as arrays over the residues mod p^n, all read-only.
+
+    `units`: the units in increasing order (their smallest positive lifts).
+    `inverse[u]`: u^-1 mod p^n, 0 at non-units.  `generators`, `orders`: the
+    canonical generators g_i and their orders.  `dlog[u]`: the exponents e
+    with u = prod g_i^e_i, 0 <= e_i < orders[i], -1 at non-units.
+    `exponent`: the exponent of the group.
+    """
+
+    units: np.ndarray
+    inverse: np.ndarray
+    generators: tuple[int, ...]
+    orders: tuple[int, ...]
+    dlog: np.ndarray
+    exponent: int
+
+
 @lru_cache(maxsize=None)
-def unit_generators(p: int, n: int) -> tuple[int, ...]:
-    """Generators of (Z/p^n)^x.
+def unit_group(p: int, n: int) -> UnitGroup:
+    """The unit group mod p^n on its canonical generators.
 
     For odd p: one generator, the least primitive root mod p that stays
-    primitive mod p^2 (hence mod every power).  For p = 2: empty for n = 1,
-    (-1,) for n = 2, and (-1 mod 2^n, 5) for n >= 3.
+    primitive mod p^2 (hence mod every power).  For p = 2: none for n = 1,
+    3 of order 2 for n = 2, and -1 of order 2 with 5 of order 2^(n-2) for
+    n >= 3.
     """
     if _factorize(p) != [(p, 1)]:
         raise ValueError(f"p = {p} is not prime")
     if n < 1:
         raise ValueError("need n >= 1")
     pn = p**n
-    if p == 2:
-        if n == 1:
-            return ()
-        if n == 2:
-            return (3,)
-        return (pn - 1, 5)
-    g = _least_stable_primitive_root(p)
-    return (g % pn,)
+    if p != 2:
+        gens, orders = (_least_stable_primitive_root(p) % pn,), (euler_phi(pn),)
+    elif n >= 3:
+        gens, orders = (pn - 1, 5), (2, pn // 4)
+    else:
+        gens, orders = ((3,), (2,)) if n == 2 else ((), ())
+    units = np.flatnonzero(np.arange(pn) % p)
+    inverse = np.zeros(pn, dtype=np.int64)
+    inverse[units] = [pow(int(u), -1, pn) for u in units]
+    dlog = np.full((pn, len(gens)), -1, dtype=np.int64)
+    for exps in itertools.product(*map(range, orders)):
+        dlog[math.prod(pow(g, e, pn) for g, e in zip(gens, exps)) % pn] = exps
+    for table in (units, inverse, dlog):
+        table.flags.writeable = False
+    return UnitGroup(units, inverse, gens, orders, dlog, math.lcm(*orders))
 
 
 @lru_cache(maxsize=None)
@@ -58,53 +87,6 @@ def _least_stable_primitive_root(p: int) -> int:
     raise ArithmeticError("no primitive root found")  # unreachable for prime p
 
 
-@lru_cache(maxsize=None)
-def unit_group_structure(p: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(generators, their orders) for (Z/p^n)^x."""
-    gens = unit_generators(p, n)
-    pn = p**n
-    if p == 2:
-        if n == 1:
-            return (), ()
-        if n == 2:
-            return gens, (2,)
-        return gens, (2, pn // 4)
-    return gens, (euler_phi(pn),)
-
-
-@lru_cache(maxsize=None)
-def _dlog_tables(p: int, n: int) -> tuple[np.ndarray, ...]:
-    """Per-generator discrete-log tables indexed by residue mod p^n (-1 at non-units)."""
-    pn = p**n
-    gens, orders = unit_group_structure(p, n)
-    tables = tuple(np.full(pn, -1, dtype=np.int64) for _ in gens)
-    if not gens:
-        return tables
-    if p == 2 and n >= 3:
-        neg, five = gens
-        t_eps, t_x = tables
-        for eps in range(2):
-            base = pow(neg, eps, pn)
-            val = base
-            for x in range(orders[1]):
-                t_eps[val] = eps
-                t_x[val] = x
-                val = val * five % pn
-        return tables
-    g = gens[0]
-    t = tables[0]
-    val = 1
-    for k in range(orders[0]):
-        t[val] = k
-        val = val * g % pn
-    return tables
-
-
-def group_exponent(p: int, n: int) -> int:
-    _, orders = unit_group_structure(p, n)
-    return math.lcm(*orders) if orders else 1
-
-
 class PChar:
     """Character of (Z/p^n)^x, to be extended to upper-triangular-mod-p^n
     matrices through the lower-right entry.
@@ -118,34 +100,20 @@ class PChar:
         self.p = p
         self.n = n
         self.modulus = p**n
-        gens, orders = unit_group_structure(p, n)
-        exps = tuple(int(e) % d for e, d in zip(exps, orders))
-        if len(exps) != len(gens):
+        group = unit_group(p, n)
+        if len(exps) != len(group.orders):
             raise ValueError("exponent vector does not match generator count")
-        self.exps = exps
+        self.exps = exps = tuple(int(e) % d for e, d in zip(exps, group.orders))
         self.order = 1
-        for a, d in zip(exps, orders):
+        for a, d in zip(exps, group.orders):
             self.order = math.lcm(self.order, d // math.gcd(a, d))
-        m = group_exponent(p, n)
+        m = group.exponent
         self.field = get_field(m)
-        self._vexp = self._build_value_table(m)
+        # chi(u) = zeta_m^(sum_i a_i dlog_i(u) m / ord(g_i)) on the units
+        weights = np.array([a * (m // d) for a, d in zip(exps, group.orders)], dtype=np.int64)
+        self._vexp = np.full(self.modulus, -1, dtype=np.int64)
+        self._vexp[group.units] = group.dlog[group.units] @ weights % m
         self.conductor_exponent = self._min_conductor_exponent()
-
-    def _build_value_table(self, m: int) -> np.ndarray:
-        pn = self.modulus
-        gens, orders = unit_group_structure(self.p, self.n)
-        vexp = np.full(pn, -1, dtype=np.int64)
-        if not gens:
-            units = np.arange(pn) % 2 == 1 if self.p == 2 else np.ones(pn, bool)
-            vexp[units] = 0
-            return vexp
-        tables = _dlog_tables(self.p, self.n)
-        units = tables[0] >= 0
-        acc = np.zeros(pn, dtype=np.int64)
-        for a, d, tab in zip(self.exps, orders, tables):
-            acc[units] += (a * tab[units]) * (m // d)
-        vexp[units] = acc[units] % m
-        return vexp
 
     def _min_conductor_exponent(self) -> int:
         # smallest r with chi trivial on every unit congruent to 1 mod p^r,
@@ -161,8 +129,7 @@ class PChar:
 
     @classmethod
     def trivial(cls, p: int, n: int) -> "PChar":
-        gens, _ = unit_group_structure(p, n)
-        return cls(p, n, (0,) * len(gens))
+        return cls(p, n, (0,) * len(unit_group(p, n).orders))
 
     @classmethod
     def from_conrey(cls, p: int, n: int, index: int) -> "PChar":
@@ -170,28 +137,15 @@ class PChar:
         index %= pn
         if math.gcd(index, pn) != 1:
             raise ValueError("Conrey index must be a unit")
-        tables = _dlog_tables(p, n)
-        exps = tuple(int(t[index]) for t in tables)
-        return cls(p, n, exps)
+        return cls(p, n, unit_group(p, n).dlog[index].tolist())
 
     @classmethod
     def all_characters(cls, p: int, n: int) -> Iterator["PChar"]:
-        gens, orders = unit_group_structure(p, n)
-        if not gens:
-            yield cls(p, n, ())
-            return
-        idx = [0] * len(orders)
-        while True:
-            yield cls(p, n, tuple(idx))
-            i = 0
-            while i < len(orders):
-                idx[i] += 1
-                if idx[i] < orders[i]:
-                    break
-                idx[i] = 0
-                i += 1
-            else:
-                return
+        """Every character mod p^n, the first generator's exponent running
+        fastest."""
+        orders = unit_group(p, n).orders
+        for exps in itertools.product(*map(range, reversed(orders))):
+            yield cls(p, n, exps[::-1])
 
     # -- evaluation --------------------------------------------------------
 
@@ -204,13 +158,8 @@ class PChar:
 
     def conrey_index(self) -> int:
         pn = self.modulus
-        gens, orders = unit_group_structure(self.p, self.n)
-        if not gens:
-            return 1 % pn if pn > 1 else 1
-        j = 1
-        for g, a in zip(gens, self.exps):
-            j = j * pow(g, a, pn) % pn
-        return j
+        gens = unit_group(self.p, self.n).generators
+        return math.prod(pow(g, a, pn) for g, a in zip(gens, self.exps)) % pn
 
     def is_trivial(self) -> bool:
         return all(a == 0 for a in self.exps)
@@ -236,22 +185,10 @@ class PChar:
 # ---------------------------------------------------------------------------
 
 
-def _vp(x: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer x."""
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _vp_array(x, p: int, cap: int) -> np.ndarray:
-    """Elementwise p-adic valuation capped at cap, so 0 maps to cap."""
-    x = np.asarray(x, dtype=np.int64)
-    v = np.zeros(x.shape, dtype=np.int64)
-    for k in range(1, cap + 1):
-        v += x % p**k == 0
-    return v
+def _vp_array(x, p: int, cap: int):
+    """Elementwise p-adic valuation capped at cap >= 1, so 0 maps to cap:
+    an int for an int x, an int64 array for an integer array x."""
+    return sum((x % p**k == 0 for k in range(1, cap + 1)), 0)
 
 
 class DirChar:
@@ -300,22 +237,10 @@ class DirChar:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "DirChar":
-        """Character from the interchange form {"modulus": N, "conrey": j} or
-        {"modulus": N, "exponents": {"p": [a, ...], ...}}."""
-        N = int(spec["modulus"])
-        if "conrey" in spec:
-            return cls.from_conrey(N, int(spec["conrey"]))
-        if "exponents" in spec:
-            fact = _factorize(N)
-            comps = {}
-            for p, a in fact:
-                exps = spec["exponents"].get(str(p), None)
-                if exps is None:
-                    comps[p] = PChar.trivial(p, a)
-                else:
-                    comps[p] = PChar(p, a, tuple(int(e) for e in exps))
-            return cls(N, comps)
-        raise ValueError("character spec needs 'conrey' or 'exponents'")
+        """Character from the interchange form {"modulus": N, "conrey": j}."""
+        if "conrey" not in spec:
+            raise ValueError("character spec needs 'conrey'")
+        return cls.from_conrey(int(spec["modulus"]), int(spec["conrey"]))
 
     def to_spec(self) -> dict:
         return {"modulus": self.modulus, "conrey": self.conrey_index()}
@@ -387,7 +312,7 @@ class DirChar:
         """Replace the p-component by its conjugate: conj(chi^(p^a)) * chi^(M)."""
         comps = dict(self.components)
         src = comps[p]
-        _, orders = unit_group_structure(p, src.n)
+        orders = unit_group(p, src.n).orders
         comps[p] = PChar(p, src.n, tuple((-a) % d for a, d in zip(src.exps, orders)))
         return DirChar(self.modulus, comps)
 
@@ -416,7 +341,8 @@ def _pchar_change_level(chi: PChar, new_n: int) -> PChar:
         raise ValueError("target level below conductor")
     m = chi.field.order
     exps = []
-    for g, d in zip(*unit_group_structure(p, new_n)):
+    group = unit_group(p, new_n)
+    for g, d in zip(group.generators, group.orders):
         a, rem = divmod(chi.exponent(g) * d, m)
         if rem:
             raise AssertionError("generator value not representable at new level")

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import _vp, _vp_array
+from .characters import _vp_array, unit_group
 
 # The one size budget, on the elements a cell walks.  Enumerating K0(p^m)
 # mod p^n: at m = n it admits exactly the cells with p^n <= 128 (K0(125) has
@@ -88,13 +88,6 @@ class MatPn:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.p}^{self.n}"
 
 
-@lru_cache(maxsize=None)
-def _unit_inverses(p: int, n: int) -> np.ndarray:
-    """u -> u^{-1} mod p^n on the units, 0 on the non-units."""
-    pn = p**n
-    return np.array([pow(u, -1, pn) if u % p else 0 for u in range(pn)], dtype=np.int64)
-
-
 class MatArray:
     """Many 2x2 matrices over Z/p^n as one struct of int64 entry arrays.
 
@@ -158,7 +151,7 @@ class MatArray:
         det = self.det()
         if np.any(det % self.p == 0):
             raise ValueError(f"a determinant is not a unit mod {self.p}^{self.n}")
-        di = _unit_inverses(self.p, self.n)[det]
+        di = unit_group(self.p, self.n).inverse[det]
         return MatArray(self.p, self.n, di * self.d, -di * self.b, -di * self.c, di * self.a)
 
     def __repr__(self):
@@ -263,7 +256,7 @@ class CosetTable:
         unit_c = c % p != 0
         if np.any(~unit_c & (d % p == 0)):
             raise ValueError(f"a lower row is not primitive mod {p}: no unit determinant")
-        inv = _unit_inverses(p, self.n)
+        inv = unit_group(p, self.n).inverse
         # a unit determinant with p | c forces d to be a unit
         pos = np.where(unit_c, inv[c] * d % pn, self._c1_position[inv[d] * c % pn])
         ri = self._rep_inv_array
@@ -297,7 +290,7 @@ def stratum_label(j: int) -> str:
 def stratum_of(g: MatPn) -> int:
     """The double-coset stratum of g, read off its lower-left entry c: 0 when
     p does not divide c, else min(v_p(c), n)."""
-    return _vp(g.c or g.pn, g.p)
+    return _vp_array(g.c, g.p, g.n)
 
 
 def double_coset_label(g: MatPn) -> str:
@@ -321,15 +314,6 @@ def all_labels(p: int, n: int) -> list[str]:
     return list(_labels(n))
 
 
-def unit_lifts(p: int, modulus_exp: int) -> list[int]:
-    """Smallest positive lifts of (Z/p^modulus_exp)^x.
-    For modulus_exp = 0 the group is trivial: [1]."""
-    if modulus_exp == 0:
-        return [1]
-    pm = p**modulus_exp
-    return [s for s in range(1, pm + 1) if s % p != 0]
-
-
 def class_right_reps(p: int, n: int, lab: str) -> MatArray:
     """Representatives a_i with the double coset of `lab` equal to the disjoint
     union of the right cosets a_i K0(p^n), in closed form.
@@ -344,7 +328,7 @@ def class_right_reps(p: int, n: int, lab: str) -> MatArray:
         return MatArray(p, n, [1], [0], [0], [1])
     if j == 0:
         return MatArray(p, n, np.arange(p**n), -1, 1, 0)
-    return MatArray(p, n, unit_lifts(p, n - j), 0, p**j, 1)
+    return MatArray(p, n, unit_group(p, n - j).units, 0, p**j, 1)
 
 
 def class_left_reps(p: int, n: int, lab: str) -> MatArray:
@@ -359,7 +343,7 @@ def class_left_reps(p: int, n: int, lab: str) -> MatArray:
         return MatArray(p, n, [1], [0], [0], [1])
     if j == 0:
         return MatArray(p, n, 0, -1, 1, np.arange(p**n))
-    s = np.array(unit_lifts(p, n - j), dtype=np.int64)
+    s = unit_group(p, n - j).units
     return MatArray(p, n, s, 0, p**j * s, 1)
 
 
@@ -436,7 +420,7 @@ def _K0_blocks(p: int, n: int, m: int) -> Iterator[MatArray]:
     """
     require_enumerable(p, n, m)
     pn = p**n
-    units = np.flatnonzero(np.arange(pn) % p)
+    units = unit_group(p, n).units
     b, c = np.arange(pn), np.arange(0, pn, p**m)
     step = max(1, _BLOCK_ELEMENTS // (len(units) * pn * len(c)))
 

@@ -16,8 +16,8 @@ regrouped: one walk per cell counts the group by (what f1 reads at g, lower
 row of g^{-1}), that row being delta * (-c, a) with delta = det^{-1}; each
 target h maps the rows through h, and a cell keeps only the resulting pair
 counts; each character only weights its exponent sums by them.  This module deliberately shares no
-logic with the coset-sum route it checks: it takes only group arithmetic
-(unit inverses, the group's order) and label names from cosets, never
+logic with the coset-sum route it checks: it takes the unit inverses from
+characters, and only the group's order and label names from cosets, never
 canonical forms, decompositions or transport.
 """
 
@@ -29,8 +29,8 @@ from typing import Iterator
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import PChar, _vp_array
-from .cosets import _BLOCK_ELEMENTS, _unit_inverses, all_labels, k0_order, label_rep
+from .characters import PChar, _vp_array, unit_group
+from .cosets import _BLOCK_ELEMENTS, all_labels, k0_order, label_rep
 from .report import Report, check, timed
 
 BRUTE_LIMIT = 27
@@ -46,7 +46,7 @@ def _group_slices(p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     q = p**n
     if q > BRUTE_LIMIT:
         raise ValueError(f"brute-force enumeration capped at modulus {BRUTE_LIMIT}")
-    inverse, r = _unit_inverses(p, n), np.arange(q)
+    inverse, r = unit_group(p, n).inverse, np.arange(q)
     bc = r[:, None, None] * r[:, None] % q  # over (b, c, 1)
     step = max(1, _BLOCK_ELEMENTS // q**3)
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import PChar, _vp_array
+from .characters import PChar, _vp_array, unit_group
 from .cosets import (
     _BLOCK_ELEMENTS,
     K0_ENUMERATION_LIMIT,
@@ -79,7 +79,7 @@ def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
     p, n, pn = g.p, g.n, g.pn
     require_enumerable(p, n, n)
     gi = g.inv()
-    units = np.flatnonzero(np.arange(pn) % p)
+    units = unit_group(p, n).units
     a, b = units[:, None], np.arange(pn)[None, :]
     c_plane = ((g.c * gi.a * a + g.c * gi.c * b) % pn).ravel()
     d_plane = ((g.c * gi.b * a + g.c * gi.d * b) % pn).ravel()
@@ -108,7 +108,7 @@ def _supported_by_closed_form(g: MatPn, chi: PChar) -> bool:
     pn = p**n
     m = stratum_of(g)
     vexp = chi.exponent_table()
-    units = np.arange(pn)[np.arange(pn) % p != 0]
+    units = unit_group(p, n).units
     if m == 0:
         return bool(np.all(vexp[units] == 0))
     b = np.arange(pn)

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cellcache import cell_cache
-from .characters import PChar, unit_generators
+from .characters import PChar, unit_group
 from .cosets import MatPn, coset_table, xmat, ymat
 from .cyclotomic import _exact_dtype, _solve_fraction_system
 from .groupconv import BRUTE_LIMIT
@@ -200,7 +200,7 @@ def _k0m_generators(p: int, n: int, m: int) -> list[MatPn]:
     diag(u, 1) = (u*I) diag(1, u^-1) adds nothing once m >= r.
     """
     gens = [xmat(p, n, 1), ymat(p, n, p**m if m <= n else 0)]
-    return gens + [MatPn(p, n, 1, 0, 0, g) for g in unit_generators(p, n)]
+    return gens + [MatPn(p, n, 1, 0, 0, g) for g in unit_group(p, n).generators]
 
 
 @dataclass

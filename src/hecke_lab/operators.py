@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import _vp
-from .cosets import unit_lifts
+from .characters import unit_group
 from .qexp import QExpansion, evaluate_many, op_Utilde
 from .spaces import CuspSpace
 
@@ -219,7 +218,7 @@ def _build_op_matrix(
 
 def op_W(space: CuspSpace, p: int, codomain: CuspSpace | None = None) -> OpMatrix:
     """Atkin-Lehner involution at the full p-power part of the level."""
-    n = _vp(space.level, p)
+    n = _level_exponent(space, p)
     A = atkin_lehner_matrix(p, n, space.level)
     return op_matrix(space, [(1.0, A)], label=f"W[{p**n}]", codomain=codomain)
 
@@ -228,8 +227,16 @@ def w_square_scalar(space: CuspSpace, p: int) -> complex:
     """Scalar by which W_{p^n} applied twice acts: chi_p(-1) chi_M(p^n),
     with chi_p the p-part of chi and chi_M the part away from p."""
     chi = space.char
-    q = p ** _vp(space.level, p)
+    q = p ** _level_exponent(space, p)
     return chi.value_complex(-1, (p,)) * chi.value_complex(q, _away(chi, p))
+
+
+def _level_exponent(space: CuspSpace, p: int) -> int:
+    """The exponent n of p^n || level, read off the character's component
+    at p; ValueError when p does not divide the level."""
+    if p not in space.char.components:
+        raise ValueError(f"p = {p} does not divide the level {space.level}")
+    return space.char.components[p].n
 
 
 def _away(chi, p: int) -> list[int]:
@@ -282,7 +289,7 @@ def op_Q(space: CuspSpace, p: int) -> OpMatrix:
     composed with the Atkin-Lehner map, scaled by the conjugate away-part
     value at p."""
     N = space.level
-    if _vp(N, p) != 1:
+    if _level_exponent(space, p) != 1:
         raise ValueError(f"p = {p} must exactly divide the level {N}")
     if space.char.components[p].conductor_exponent != 0:
         raise ValueError(f"character has a nontrivial factor at {p}")
@@ -303,9 +310,7 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
     chi-twisted slash sum over lower-triangular-modulo-p^j matrices with
     left column divisible by p^j M, for j from r to n-1."""
     N = space.level
-    n = _vp(N, p)
-    if n < 1:
-        raise ValueError(f"p = {p} does not divide the level {N}")
+    n = _level_exponent(space, p)
     if r is None:
         r = n - 1
     q = p**n
@@ -319,7 +324,7 @@ def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
     chi = space.char
     for j in range(r, n):
         c = p**j * M
-        for s in unit_lifts(p, n - j):
+        for s in unit_group(p, n - j).units.tolist():
             d = p ** (n - j) - s * M
             a = pow(d % c, -1, c) if c > 1 else 0
             b = (a * d - 1) // c

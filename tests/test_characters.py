@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ from hecke_lab.characters import (
     PChar,
     _least_stable_primitive_root,
     crt_decompose,
-    unit_generators,
+    unit_group,
 )
 from hecke_lab.cyclotomic import _factorize
 
@@ -28,28 +29,42 @@ KRONECKER_TABLES = {
 }
 
 
-def test_unit_generators_generate():
-    for p, n in [(2, 1), (2, 2), (2, 3), (3, 2), (5, 1), (7, 1)]:
-        m = p**n
-        gens = unit_generators(p, n)
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = x * g % m
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        units = {u for u in range(1, m) if u % p != 0} or {1}
-        assert seen == units, (p, n)
-
-
 def _order_by_multiplication(g: int, mod: int) -> int:
     t, k = g % mod, 1
     while t != 1:
         t, k = t * g % mod, k + 1
     return k
+
+
+def test_unit_generators_generate():
+    """The unit-group record against the definitions, entry by entry, on
+    every p^n <= 4096 for p up to 13."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 13):
+            if p**n <= 4096:
+                _check_unit_group(p, n)
+
+
+def _check_unit_group(p: int, n: int) -> None:
+    m = p**n
+    group = unit_group(p, n)
+    units = [u for u in range(1, m) if u % p != 0]
+    assert group.units.tolist() == units, (p, n)
+    assert all(u * int(group.inverse[u]) % m == 1 for u in units), (p, n)
+    assert not group.inverse[np.arange(0, m, p)].any(), (p, n)
+    # dlog is a bijection onto the product of the ranges of the orders, and
+    # multiplying the generators out by it gives back the unit
+    assert group.dlog.shape == (m, len(group.generators)), (p, n)
+    assert (group.dlog[np.arange(0, m, p)] == -1).all(), (p, n)
+    logs = [tuple(row) for row in group.dlog[units].tolist()]
+    assert sorted(logs) == list(itertools.product(*map(range, group.orders))), (p, n)
+    for u, e in zip(units, logs):
+        assert math.prod(pow(g, a, m) for g, a in zip(group.generators, e)) % m == u, (p, n)
+    assert group.orders == tuple(_order_by_multiplication(g, m) for g in group.generators)
+    assert group.exponent == PChar.trivial(p, n).field.order, (p, n)
+    for table in (group.units, group.inverse, group.dlog):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
 
 
 def test_stable_primitive_root_matches_order_search():
@@ -81,7 +96,7 @@ def test_stable_primitive_root_skips_roots_that_fall_mod_p_squared():
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 12, 25])
 def test_unit_generators_reject_non_primes(p):
     with pytest.raises(ValueError, match="not prime"):
-        unit_generators(p, 1)
+        unit_group(p, 1)
 
 
 def test_character_count():

@@ -18,7 +18,6 @@ from hecke_lab.cosets import (
     double_coset_label,
     identity,
     label_rep,
-    unit_lifts,
     w1,
     xmat,
     ymat,
@@ -160,7 +159,7 @@ def _mirror_geometry_by_matpn(p, n, lab_h, l2):
         reps = [w1(p, n) @ xmat(p, n, t) for t in range(p**n)]
     else:
         j = int(l2[1:])
-        reps = [ymat(p, n, p**j) @ dmat(p, n, s) for s in unit_lifts(p, n - j)]
+        reps = [ymat(p, n, p**j) @ dmat(p, n, s) for s in range(1, p ** (n - j)) if s % p]
 
     def slot(lab, g):
         return g.c if lab == "w" else g.d

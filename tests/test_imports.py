@@ -25,7 +25,7 @@ ORACLE_PACKAGES = ("scipy", "sympy")
 # cosets: group arithmetic and label naming, never canonical forms,
 # decompositions or transport; from hecke and induced it imports nothing
 GROUPCONV_FROM_COSETS = {
-    "MatArray", "_BLOCK_ELEMENTS", "_unit_inverses", "all_labels", "k0_order", "label_rep",
+    "MatArray", "_BLOCK_ELEMENTS", "all_labels", "k0_order", "label_rep",
 }
 CHECKED_ROUTES = ("hecke", "induced")
 

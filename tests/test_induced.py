@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from hecke_lab import cosets, cyclotomic, hecke, induced
 from hecke_lab.campaign import Campaign
-from hecke_lab.characters import PChar, unit_generators
+from hecke_lab.characters import PChar, unit_group
 from hecke_lab.cosets import (
     MatArray,
     MatPn,
@@ -92,7 +92,7 @@ def test_k0m_generators_generate_K0m(p, n):
     K0(p^m) at every level of the fixed chain (GL2(Z/p^n) at m = 0): the
     closure is the set of c = 0 mod p^m in the whole-group walk, of
     k0_order(p, n, m) elements."""
-    scalars = [MatPn(p, n, u, 0, 0, u) for u in unit_generators(p, n)]
+    scalars = [MatPn(p, n, u, 0, 0, u) for u in unit_group(p, n).generators]
     for m in range(n + 1):
         member = np.zeros(p ** (4 * n), dtype=bool)
         for a, delta in _group_slices(p, n):

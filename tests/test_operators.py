@@ -143,6 +143,13 @@ def test_w_square_is_scalar(sp21):
     assert abs(abs(s) - 1) < 1e-12
 
 
+def test_operators_at_a_prime_off_the_level_raise(sp21):
+    # 5 does not divide the level 21
+    for build in (op_W, w_square_scalar, op_Q, op_S):
+        with pytest.raises(ValueError, match="does not divide the level 21"):
+            build(sp21, 5)
+
+
 def test_dual_route_shift(sp21):
     Us = op_U(sp21, 3, route="sampled")
     Uc = op_U(sp21, 3, route="coeff")

@@ -51,6 +51,14 @@ def test_wrong_character_modulus():
         load_space(doc)
 
 
+def test_exponents_character_spec_rejected():
+    # characters are exchanged by Conrey label only
+    doc = _doc(level=7)
+    doc["character"] = {"modulus": 7, "exponents": {"7": [1]}}
+    with pytest.raises(SpaceFormatError, match="conrey"):
+        load_space(doc)
+
+
 def test_parity_rejected():
     # odd character with even weight cannot carry a nonzero space
     doc = _doc(level=4, weight=2, conrey=3, nforms=1)
