@@ -18,10 +18,10 @@ from .cellcache import clear_cell_caches
 from .characters import PChar
 from .hecke import verify_relations
 from .induced import verify_induced
-from .newspace import TOLERANCE, characterize, placement_checks, qualifying_primes
+from .newspace import TOLERANCE, OpReport, characterize, placement_checks, qualifying_primes
 from .operators import op_U, op_W, w_square_scalar
 from .report import Report, check, check_bool, timed
-from .spaces import fixture_dir, load_families
+from .spaces import CuspSpace, fixture_dir, load_families
 
 
 @dataclass
@@ -85,62 +85,12 @@ def run_verify(campaign: Campaign) -> Report:
 
 
 def _classical_suite(rep: Report, base: Path) -> None:
-    families = load_families(base)
-    for fam in families:
+    """space_checks on each family's space, then placement at its lower levels."""
+    for fam in load_families(base):
         sp = fam["space"]
         tag = f"classical.{fam['name']}"
+        space_checks(rep, tag, sp, fam["flipped"])
         quals = qualifying_primes(sp.level, sp.char)
-
-        with timed() as t:
-            res = characterize(sp, fam["flipped"])
-        check(rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
-              t.elapsed, detail=f"gap {res.gap:.3g}, dim {res.dim}")
-        check_bool(rep, f"{tag}.gap", res.gap >= TOLERANCE["gap_min"], "definition",
-                   expected=f">= {TOLERANCE['gap_min']:g}", computed=f"{res.gap:.3g}")
-
-        for op_rep in res.ops:
-            check_bool(
-                rep, f"{tag}.{op_rep.label}.quad",
-                op_rep.quad <= TOLERANCE["quad"], "formula",
-                expected=f"<= {TOLERANCE['quad']:g}", computed=f"{op_rep.quad:.3g}",
-            )
-            check_bool(
-                rep, f"{tag}.{op_rep.label}.eigset",
-                op_rep.eig_dist <= TOLERANCE["eig_dist"], "formula",
-                expected=f"within {TOLERANCE['eig_dist']:g} of {op_rep.roots}",
-                computed=f"{op_rep.eig_dist:.3g}",
-            )
-            check_bool(
-                rep, f"{tag}.{op_rep.label}.healthy",
-                not op_rep.poisoned, "definition",
-                computed=f"residual {op_rep.residual:.3g}, cond {op_rep.conditioning:.3g}",
-            )
-
-        for q in quals:
-            p = q.p
-            if sp.dim == 0:
-                continue
-            with timed() as t:
-                Us = op_U(sp, p, route="sampled")
-                Uc = op_U(sp, p, route="coeff")
-                dev = float(
-                    np.linalg.norm(Us.matrix - Uc.matrix)
-                    / max(1.0, float(np.linalg.norm(Uc.matrix)))
-                )
-            check_bool(
-                rep, f"{tag}.U[{p}].routes", dev <= TOLERANCE["dual_route"], "oracle",
-                t.elapsed, expected=f"<= {TOLERANCE['dual_route']:g}", computed=f"{dev:.3g}",
-            )
-            W = op_W(sp, p)
-            s = w_square_scalar(sp, p)
-            dev = float(
-                np.linalg.norm(W.matrix @ W.matrix - s * np.eye(sp.dim))
-            )
-            check_bool(
-                rep, f"{tag}.W.square", dev <= TOLERANCE["w_square"], "formula",
-                expected=f"scalar {s:.3g}", computed=f"deviation {dev:.3g}",
-            )
-
         for level, lower in fam["lower"].items():
             for q in quals:
                 if sp.level // q.p != level:
@@ -155,3 +105,60 @@ def _classical_suite(rep: Report, base: Path) -> None:
                     expected=f"{len(checks)} placements <= {TOLERANCE['placement']:g}",
                     computed=f"worst {worst:.3g}" + (f", failed {bad}" if bad else ""),
                 )
+
+
+def space_checks(rep: Report, tag: str, sp: CuspSpace, flipped: CuspSpace | None) -> None:
+    """The classical verdicts on one space alone, under ids tag.*: the new
+    dimension against the oracle, the spectral gap, operator_checks on each
+    characterizing operator, and at each qualifying prime of a nonzero space
+    the two routes of U_p and W^2 against its scalar.  flipped is the twin
+    the W-conjugates pass through (characterize)."""
+    with timed() as t:
+        res = characterize(sp, flipped)
+    check(rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
+          t.elapsed, detail=f"gap {res.gap:.3g}, dim {res.dim}")
+    check_bool(rep, f"{tag}.gap", res.gap >= TOLERANCE["gap_min"], "definition",
+               expected=f">= {TOLERANCE['gap_min']:g}", computed=f"{res.gap:.3g}")
+    for op_rep in res.ops:
+        operator_checks(rep, f"{tag}.{op_rep.label}", op_rep)
+    if sp.dim == 0:
+        return
+    for q in qualifying_primes(sp.level, sp.char):
+        p = q.p
+        with timed() as t:
+            Us = op_U(sp, p, route="sampled")
+            Uc = op_U(sp, p, route="coeff")
+            dev = float(
+                np.linalg.norm(Us.matrix - Uc.matrix)
+                / max(1.0, float(np.linalg.norm(Uc.matrix)))
+            )
+        check_bool(
+            rep, f"{tag}.U[{p}].routes", dev <= TOLERANCE["dual_route"], "oracle",
+            t.elapsed, expected=f"<= {TOLERANCE['dual_route']:g}", computed=f"{dev:.3g}",
+        )
+        W = op_W(sp, p)
+        s = w_square_scalar(sp, p)
+        dev = float(np.linalg.norm(W.matrix @ W.matrix - s * np.eye(sp.dim)))
+        check_bool(
+            rep, f"{tag}.W.square", dev <= TOLERANCE["w_square"], "formula",
+            expected=f"scalar {s:.3g}", computed=f"deviation {dev:.3g}",
+        )
+
+
+def operator_checks(rep: Report, prefix: str, op_rep: OpReport) -> None:
+    """The verdicts on one characterizing operator, under ids prefix.*: its
+    quadratic relation, its eigenvalues against the two roots, and its
+    health (residual and conditioning under the limits of operators)."""
+    check_bool(
+        rep, f"{prefix}.quad", op_rep.quad <= TOLERANCE["quad"], "formula",
+        expected=f"<= {TOLERANCE['quad']:g}", computed=f"{op_rep.quad:.3g}",
+    )
+    check_bool(
+        rep, f"{prefix}.eigset", op_rep.eig_dist <= TOLERANCE["eig_dist"], "formula",
+        expected=f"within {TOLERANCE['eig_dist']:g} of {op_rep.roots}",
+        computed=f"{op_rep.eig_dist:.3g}",
+    )
+    check_bool(
+        rep, f"{prefix}.healthy", not op_rep.poisoned, "definition",
+        computed=f"residual {op_rep.residual:.3g}, cond {op_rep.conditioning:.3g}",
+    )

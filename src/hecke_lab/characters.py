@@ -113,6 +113,7 @@ class PChar:
         weights = np.array([a * (m // d) for a, d in zip(exps, group.orders)], dtype=np.int64)
         self._vexp = np.full(self.modulus, -1, dtype=np.int64)
         self._vexp[group.units] = group.dlog[group.units] @ weights % m
+        self._vexp.flags.writeable = False
         self.conductor_exponent = self._min_conductor_exponent()
 
     def _min_conductor_exponent(self) -> int:

@@ -13,11 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import Campaign, run_verify
-from .newspace import TOLERANCE, characterize, operator_kind, qualifying_primes
-from .operators import OpMatrix, quad_ratio
-from .report import Report, check, check_bool, timed
-from .spaces import SpaceFormatError, load_space
+from .campaign import Campaign, operator_checks, run_verify, space_checks
+from .newspace import op_report, operator_kind, qualifying_primes
+from .report import Report, timed
+from .spaces import SpaceFormatError, load_fixtures
 
 # --op -> (operator kind, index into the qualifying prime's builders:
 # 0 the main operator, 1 its W-conjugate)
@@ -37,9 +36,10 @@ def _parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classical", help="operator diagnostics on fixture spaces")
     c.add_argument("--fixture", required=True, help="directory of fixture JSON files")
     c.add_argument("--prime", required=True, type=int, help="prime p")
-    c.add_argument("--op", choices=sorted(_OP_BUILDERS), help="single operator to build")
+    c.add_argument("--op", choices=sorted(_OP_BUILDERS),
+                   help="build one operator per space and check it as the campaign does")
     c.add_argument("--characterize", action="store_true",
-                   help="cut out the newspace and compare with the dimension oracle")
+                   help="run the campaign's checks on each space (placement aside)")
     c.add_argument("--report", help="write the JSON report to this path")
     return ap
 
@@ -60,24 +60,11 @@ def _cmd_classical(args) -> int:
         return 2
     p = args.prime
     rep = Report(meta={"fixture": str(base), "prime": p, "operators": []})
-    manifest = base / "families.json"
-    # fixture stem -> the stem of its conjugate-character twin, where a
-    # family names one
-    twins = {
-        fam["space"]: fam["flipped"]
-        for fam in (json.loads(manifest.read_text())["families"] if manifest.exists() else [])
-        if "flipped" in fam
-    }
     touched = 0
-    for path in sorted(base.glob("*.json")):
-        if path.name == "families.json":
-            continue
-        sp = load_space(path)
+    for tag, sp, flipped in load_fixtures(base):
         if sp.level % p != 0:
             continue
         touched += 1
-        tag = f"{path.stem}"
-        flipped = load_space(base / f"{twins[tag]}.json") if tag in twins else None
         if args.op:
             need_kind, which = _OP_BUILDERS[args.op]
             q = next((q for q in qualifying_primes(sp.level, sp.char) if q.p == p), None)
@@ -90,26 +77,16 @@ def _cmd_classical(args) -> int:
                 rep.meta["operators"].append({"space": tag, "op": args.op, "skipped": skipped})
                 continue
             with timed() as t:
-                op: OpMatrix = q.operator(which, sp, flipped)
-            quad = quad_ratio(op, *q.roots)
+                op = q.operator(which, sp, flipped)
+            res = op_report(op, q.roots)
             rep.meta["operators"].append({
                 "space": tag, "op": op.label, "dim": op.dim,
                 "residual": op.residual, "conditioning": op.conditioning,
-                "poisoned": op.poisoned, "quad": quad, "runtime": t.elapsed,
+                "poisoned": op.poisoned, "quad": res.quad, "runtime": t.elapsed,
             })
-            check_bool(
-                rep, f"{tag}.{op.label}.quad",
-                quad <= TOLERANCE["quad"], "formula", t.elapsed,
-                expected=f"<= {TOLERANCE['quad']:g}",
-                computed=f"{quad:.3g}",
-            )
+            operator_checks(rep, f"{tag}.{op.label}", res)
         if args.characterize:
-            with timed() as t:
-                res = characterize(sp, flipped)
-            check(
-                rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
-                t.elapsed, detail=f"gap {res.gap:.3g}",
-            )
+            space_checks(rep, tag, sp, flipped)
     if touched == 0:
         print(f"no fixture in {base} has level divisible by {p}", file=sys.stderr)
         return 2
@@ -126,7 +103,10 @@ def _emit(rep: Report, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args = ap.parse_args(argv)
+    if args.command == "classical" and not (args.op or args.characterize):
+        ap.error("classical needs --op, --characterize or both")
     try:
         if args.command == "verify":
             return _cmd_verify(args)

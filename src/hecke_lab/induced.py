@@ -407,8 +407,8 @@ def _table_images(p: int, n: int, r: int) -> dict[tuple[int, int], tuple[bool, b
 
 
 def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
-    """Computed scalars lambda(v_i, V_j) and lambda(v_i, Y_j), checked
-    entrywise against the tabulated closed form.
+    """The closed forms lambda(v_i, V_j) and lambda(v_i, Y_j) (table_eigenvalue),
+    and whether the computed images match them entrywise, recorded in report.
 
     The images come from the (p, n, r) certificate; each assertion's runtime
     is its share of the time this character spent getting it."""

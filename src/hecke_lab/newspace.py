@@ -31,9 +31,9 @@ from .operators import (
 from .qexp import op_Vp
 from .spaces import CuspSpace
 
-# The pass thresholds of the classical checks, fixed: the campaign,
-# placement_checks and `hecke-lab classical` read them, and a campaign file
-# cannot set them.
+# The pass thresholds of the classical checks, fixed: the campaign and
+# placement_checks apply them (`hecke-lab classical` runs the campaign's
+# checks), and a campaign file cannot set them.
 TOLERANCE = {
     "quad": 1e-6,
     "placement": 1e-6,
@@ -125,10 +125,6 @@ class CharacterizeResult:
     basis: np.ndarray
     ops: list[OpReport] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.new_dim == self.expected_new
-
 
 def _operator_suite(
     space: CuspSpace, flipped_space: CuspSpace | None,
@@ -142,7 +138,10 @@ def _operator_suite(
     ]
 
 
-def _op_report(op: OpMatrix, roots: tuple[float, float]) -> OpReport:
+def op_report(op: OpMatrix, roots: tuple[float, float]) -> OpReport:
+    """What the verdicts on one operator read: its quadratic-relation ratio
+    for roots, the distance of its farthest eigenvalue from the nearer root,
+    and the health of its solve."""
     quad = quad_ratio(op, *roots)
     eig_dist = 0.0
     if op.dim:
@@ -160,7 +159,7 @@ def characterize(space: CuspSpace, flipped_space: CuspSpace | None = None) -> Ch
     through (QualifyingPrime.operator)."""
     expected = dim_new(space.level, space.weight, space.char)
     suite = _operator_suite(space, flipped_space)
-    reports = [_op_report(op, roots) for op, roots in suite]
+    reports = [op_report(op, roots) for op, roots in suite]
     d = space.dim
     if d == 0 or not suite:
         # an empty space, or no qualifying primes: every form is new

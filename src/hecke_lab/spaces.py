@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from .characters import DirChar
 from .qexp import QExpansion
 
 MIN_PRECISION = 64
+MANIFEST = "families.json"  # a fixture directory's family manifest
 _INDEPENDENCE_TOL = 1e-8
 
 
@@ -115,19 +117,28 @@ def load_families(directory: Path | None = None) -> list[dict]:
     resolved to loaded CuspSpace objects; a fixture named by several entries
     is loaded once per call and shared by them."""
     base = Path(directory) if directory is not None else fixture_dir()
-    manifest = json.loads((base / "families.json").read_text())
-    loaded: dict[str, CuspSpace] = {}
-
-    def space(stem: str) -> CuspSpace:
-        if stem not in loaded:
-            loaded[stem] = load_space(base / (stem + ".json"))
-        return loaded[stem]
-
+    space = cache(lambda stem: load_space(base / (stem + ".json")))
     out = []
-    for fam in manifest["families"]:
+    for fam in json.loads((base / MANIFEST).read_text())["families"]:
         entry = dict(fam)
         entry["space"] = space(fam["space"])
         entry["lower"] = {int(lv): space(stem) for lv, stem in fam.get("lower", {}).items()}
         entry["flipped"] = space(fam["flipped"]) if "flipped" in fam else None
         out.append(entry)
     return out
+
+
+def load_fixtures(directory: Path) -> list[tuple[str, CuspSpace, CuspSpace | None]]:
+    """Every fixture of a directory as (file stem, space, twin), in file-name
+    order; twin is the conjugate-character twin that a family of the
+    directory's manifest names for the space, None where none does or there
+    is no manifest.  Each file is loaded once per call."""
+    base = Path(directory)
+    manifest = base / MANIFEST
+    families = json.loads(manifest.read_text())["families"] if manifest.exists() else []
+    twins = {fam["space"]: fam["flipped"] for fam in families if "flipped" in fam}
+    space = cache(lambda stem: load_space(base / (stem + ".json")))
+    return [
+        (path.stem, space(path.stem), space(twins[path.stem]) if path.stem in twins else None)
+        for path in sorted(base.glob("*.json")) if path != manifest
+    ]

@@ -67,6 +67,16 @@ def _check_unit_group(p: int, n: int) -> None:
             table[0] = 1
 
 
+def test_exponent_table_is_read_only():
+    """A write into the table would change chi(u) behind exps and
+    is_trivial(): it is refused, and the character is left as it was."""
+    chi = PChar.from_conrey(5, 1, 2)
+    table = chi.exponent_table()
+    with pytest.raises(ValueError, match="read-only"):
+        table[2] = 0
+    assert chi.exponent(2) == table[2] != 0 and not chi.is_trivial()
+
+
 def test_stable_primitive_root_matches_order_search():
     """The power test finds, for every prime below 400, the least g whose
     order is p - 1 mod p and p(p - 1) mod p^2, found by multiplying out."""

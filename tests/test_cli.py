@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
 
+from hecke_lab import newspace, operators
+from hecke_lab.campaign import Campaign, run_verify
 from hecke_lab.cli import main
 from hecke_lab.report import Report
 from hecke_lab.spaces import fixture_dir
@@ -112,13 +115,74 @@ def test_classical_characterize(tmp_path):
 
 
 def test_classical_missing_directory(tmp_path):
-    code = main(["classical", "--fixture", str(tmp_path / "nope"), "--prime", "2"])
+    code = main(["classical", "--fixture", str(tmp_path / "nope"), "--prime", "2",
+                 "--characterize"])
     assert code == 2
 
 
 def test_classical_prime_without_fixture():
-    code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "13"])
+    code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "13",
+                 "--characterize"])
     assert code == 2
+
+
+def test_classical_refuses_a_run_without_checks(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "--fixture", str(fixture_dir()), "--prime", "3"])
+    assert exc.value.code == 2
+    assert "needs --op, --characterize or both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_classical_passes_every_check_choice(p, capsys):
+    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", str(p)]
+    for choice in (["--characterize"], *(["--op", op] for op in ("q", "qprime", "s", "sprime"))):
+        assert main([*cmd, *choice]) == 0, choice
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _failed_ids(cmd, report):
+    assert main([*cmd, "--report", str(report)]) == 1
+    return {a["id"] for a in json.loads(report.read_text())["assertions"] if a["status"] != "pass"}
+
+
+def test_classical_op_fails_a_poisoned_operator(tmp_path, monkeypatch):
+    """Every operator flagged poisoned: the healthy check fails, as in the
+    campaign."""
+    monkeypatch.setattr(operators, "CONDITION_LIMIT", 1.0)
+    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", "11", "--op", "q"]
+    assert _failed_ids(cmd, tmp_path / "out.json") == {
+        "N11k2c1.Q[11].healthy", "N22k2c1.Q[11].healthy",
+    }
+
+
+def test_classical_characterize_fails_below_the_gap_floor(tmp_path, monkeypatch):
+    monkeypatch.setitem(newspace.TOLERANCE, "gap_min", math.inf)
+    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", "3", "--characterize"]
+    failed = _failed_ids(cmd, tmp_path / "out.json")
+    assert failed and all(aid.endswith(".gap") for aid in failed)
+
+
+def test_classical_characterize_runs_the_campaign_checks(tmp_path):
+    """On N30k2c1 (family sq30) the command records the campaign's
+    assertions, placement aside, under the fixture stem for a tag."""
+    fields = ("status", "expected", "computed", "provenance")
+    report = tmp_path / "out.json"
+    assert main(["classical", "--fixture", str(fixture_dir()), "--prime", "5",
+                 "--characterize", "--report", str(report)]) == 0
+    cli = [
+        (a["id"].removeprefix("N30k2c1."), *(a[f] for f in fields))
+        for a in json.loads(report.read_text())["assertions"] if a["id"].startswith("N30k2c1.")
+    ]
+    suite = [
+        (a.id.removeprefix("classical.sq30."), *(getattr(a, f) for f in fields))
+        for a in run_verify(Campaign(fixture_dirs=[str(fixture_dir())])).assertions
+        if a.id.startswith("classical.sq30.") and ".placement." not in a.id
+    ]
+    assert cli == suite
+    assert {aid.rsplit(".", 1)[-1] for aid, *_ in cli} == {
+        "newdim", "gap", "quad", "eigset", "healthy", "routes", "square",
+    }
 
 
 def test_usage_error_exit_code():

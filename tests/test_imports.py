@@ -1,7 +1,9 @@
 """Every module-level import in the package is used by its module, every
 definition in the package is reached from somewhere, every dataclass field
 is read somewhere, the whole-group oracle imports nothing of the routes it
-checks, and importing the package loads only numpy and the standard library.
+checks, the fixture manifest and the pass thresholds are named only in the
+modules that own them, and importing the package loads only numpy and the
+standard library.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -28,6 +30,10 @@ GROUPCONV_FROM_COSETS = {
     "MatArray", "_BLOCK_ELEMENTS", "all_labels", "k0_order", "label_rep",
 }
 CHECKED_ROUTES = ("hecke", "induced")
+# words the package may name only in the modules given: the fixture
+# manifest's file name where it is parsed, the pass-threshold table where it
+# is held and where it is applied
+CONFINED = {"families.json": ("spaces.py",), "TOLERANCE": ("newspace.py", "campaign.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -466,24 +472,25 @@ def test_groupconv_imports_only_group_arithmetic():
     assert route_imports((PACKAGE / "groupconv.py").read_text()) == []
 
 
-def oracle_mentions(source: str) -> list[str]:
-    """Lines where an import, a name, an attribute or a string constant
-    (docstrings included) names one of ORACLE_PACKAGES, at any depth."""
+def word_mentions(source: str, words) -> list[str]:
+    """Lines where an import (its module or a name it imports), a name, an
+    attribute or a string constant (docstrings included) contains one of
+    `words`, at any depth."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            words = [alias.name for alias in node.names]
+            found = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            words = [node.module or ""]
+            found = [node.module or ""] + [alias.name for alias in node.names]
         elif isinstance(node, ast.Name):
-            words = [node.id]
+            found = [node.id]
         elif isinstance(node, ast.Attribute):
-            words = [node.attr]
+            found = [node.attr]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            words = [node.value]
+            found = [node.value]
         else:
             continue
-        if any(pkg in word for word in words for pkg in ORACLE_PACKAGES):
+        if any(word in text for text in found for word in words):
             out.append(f"line {node.lineno}")
     return out
 
@@ -496,12 +503,48 @@ def test_scanner_finds_oracle_mentions():
         "    from scipy.stats import qmc\n"
         "    return __import__('scipy.sparse')\n"
     )
-    assert oracle_mentions(source) == ["line 1", "line 4", "line 5"]
+    assert word_mentions(source, ORACLE_PACKAGES) == ["line 1", "line 4", "line 5"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_never_mentions_oracle_packages(path):
-    assert oracle_mentions(path.read_text()) == []
+    assert word_mentions(path.read_text(), ORACLE_PACKAGES) == []
+
+
+def confinement_breaches(sources: dict[str, str]) -> list[str]:
+    """Mentions (word_mentions) of a CONFINED word in a source, given per
+    file name, outside the modules that the word is confined to."""
+    return [
+        f"{name} {line}: {word}"
+        for word, homes in CONFINED.items()
+        for name, src in sources.items() if name not in homes
+        for line in word_mentions(src, [word])
+    ]
+
+
+def test_scanner_finds_confined_words_outside_their_modules():
+    sources = {
+        "spaces.py": "MANIFEST = 'families.json'\n",
+        "campaign.py": "from .newspace import TOLERANCE\n",
+        "cli.py": (
+            '"""Reads families.json."""\n'
+            "from . import newspace\n"
+            "def f(base, x):\n"
+            "    return base / f'{x}families.json', newspace.TOLERANCE['quad']\n"
+        ),
+        "report.py": "from .newspace import TOLERANCE as limits\n",
+    }
+    assert confinement_breaches(sources) == [
+        "cli.py line 1: families.json",
+        "cli.py line 4: families.json",
+        "cli.py line 4: TOLERANCE",
+        "report.py line 1: TOLERANCE",
+    ]
+
+
+def test_manifest_and_thresholds_stay_in_their_modules():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert confinement_breaches(sources) == []
 
 
 def test_import_loads_no_oracle_package():

@@ -35,7 +35,6 @@ def test_characterize_oldspace_only():
     sp = load_space(fixture_dir() / "N22k2c1.json")
     res = characterize(sp)
     assert (res.dim, res.new_dim, res.expected_new) == (2, 0, 0)
-    assert res.ok
     assert res.gap >= 1e3
     assert res.basis.shape == (2, 0)
 
