@@ -53,6 +53,32 @@ def _cmd_verify(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _check_op(rep: Report, choice: str, p: int, tag: str, sp, flipped) -> bool:
+    """Build the --op operator at p on one space and record its checks;
+    False, with the reason in the report's meta, where the space admits no
+    operator of that kind."""
+    need_kind, which = _OP_BUILDERS[choice]
+    q = next((q for q in qualifying_primes(sp.level, sp.char) if q.p == p), None)
+    if q is None or q.kind != need_kind:
+        # the level's exponent at p is wrong for it, or the character is
+        # primitive at p
+        n = sp.char.components[p].n
+        wrong_level = operator_kind(n) != need_kind
+        skipped = f"level has p-exponent {n}" if wrong_level else "character primitive at p"
+        rep.meta["operators"].append({"space": tag, "op": choice, "skipped": skipped})
+        return False
+    with timed() as t:
+        op = q.operator(which, sp, flipped)
+    res = op_report(op, q.roots)
+    rep.meta["operators"].append({
+        "space": tag, "op": op.label, "dim": op.dim,
+        "residual": op.residual, "conditioning": op.conditioning,
+        "poisoned": op.poisoned, "quad": res.quad, "runtime": t.elapsed,
+    })
+    operator_checks(rep, f"{tag}.{op.label}", res)
+    return True
+
+
 def _cmd_classical(args) -> int:
     base = Path(args.fixture)
     if not base.is_dir():
@@ -60,35 +86,21 @@ def _cmd_classical(args) -> int:
         return 2
     p = args.prime
     rep = Report(meta={"fixture": str(base), "prime": p, "operators": []})
-    touched = 0
+    touched = built = 0
     for tag, sp, flipped in load_fixtures(base):
         if sp.level % p != 0:
             continue
         touched += 1
         if args.op:
-            need_kind, which = _OP_BUILDERS[args.op]
-            q = next((q for q in qualifying_primes(sp.level, sp.char) if q.p == p), None)
-            if q is None or q.kind != need_kind:
-                # no admissible operator of this kind: the level's exponent at
-                # p is wrong for it, or the character is primitive at p
-                n = sp.char.components[p].n
-                wrong_level = operator_kind(n) != need_kind
-                skipped = f"level has p-exponent {n}" if wrong_level else "character primitive at p"
-                rep.meta["operators"].append({"space": tag, "op": args.op, "skipped": skipped})
-                continue
-            with timed() as t:
-                op = q.operator(which, sp, flipped)
-            res = op_report(op, q.roots)
-            rep.meta["operators"].append({
-                "space": tag, "op": op.label, "dim": op.dim,
-                "residual": op.residual, "conditioning": op.conditioning,
-                "poisoned": op.poisoned, "quad": res.quad, "runtime": t.elapsed,
-            })
-            operator_checks(rep, f"{tag}.{op.label}", res)
+            built += _check_op(rep, args.op, p, tag, sp, flipped)
         if args.characterize:
             space_checks(rep, tag, sp, flipped)
     if touched == 0:
         print(f"no fixture in {base} has level divisible by {p}", file=sys.stderr)
+        return 2
+    if args.op and built == 0 and not args.characterize:
+        # every space skipped the operator: the run would check nothing
+        print(f"no fixture in {base} admits --op {args.op} at p = {p}", file=sys.stderr)
         return 2
     _emit(rep, args.report)
     return 0 if rep.ok else 1

@@ -118,8 +118,15 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
 def _halton(skip: int) -> np.ndarray:
     """The HALTON_POINTS unscrambled 2-d Halton points (bases 2 and 3) that
     start at index skip * HALTON_STRIDE, shape (HALTON_POINTS, 2)."""
-    index = np.arange(skip * HALTON_STRIDE, skip * HALTON_STRIDE + HALTON_POINTS)
-    pts = np.column_stack([_radical_inverse(index, 2), _radical_inverse(index, 3)])
+    # filled 4096 indices at a time, so the temporaries stay small; each
+    # point depends on its own index only, so the chunks change no bit
+    pts = np.empty((HALTON_POINTS, 2))
+    first = skip * HALTON_STRIDE
+    for lo in range(0, HALTON_POINTS, 4096):
+        hi = min(lo + 4096, HALTON_POINTS)
+        index = np.arange(first + lo, first + hi)
+        pts[lo:hi, 0] = _radical_inverse(index, 2)
+        pts[lo:hi, 1] = _radical_inverse(index, 3)
     pts.flags.writeable = False
     return pts
 

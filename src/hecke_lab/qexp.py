@@ -10,7 +10,6 @@ RESOLVED_TAIL.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +39,10 @@ class QExpansion:
     _growth: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        # a read-only view: the caller's array stays writable, and a form
+        # cannot change under the operators memoized on its space
+        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128).view()
+        self.coeffs.flags.writeable = False
         if self.coeffs.ndim != 1:
             raise ValueError("coefficient array must be one-dimensional")
         if not np.all(np.isfinite(self.coeffs)):
@@ -56,19 +58,6 @@ class QExpansion:
         if not 1 <= n <= self.prec:
             raise IndexError(f"coefficient a_{n} beyond precision {self.prec}")
         return complex(self.coeffs[n - 1])
-
-    @classmethod
-    def from_pairs(cls, weight: int, pairs, label: str = "") -> "QExpansion":
-        """From B [re, im] pairs: 2B float64 values read as B complex128, so
-        every coefficient keeps its exact bits (a -0.0 part included).
-        ValueError when a row is not a pair of numbers."""
-        try:
-            if not set(map(len, pairs)) <= {2}:
-                raise ValueError
-            arr = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, 2 * len(pairs))
-        except (TypeError, ValueError):
-            raise ValueError("coefficients must be [re, im] pairs of numbers") from None
-        return cls(weight, arr.view(np.complex128), label)
 
     def growth_constant(self) -> float:
         """Smallest C with |a_n| <= C n^(k/2) over the stored range (0 when

@@ -1,4 +1,11 @@
-"""Cusp-form spaces backed by q-expansion fixture files."""
+"""Cusp-form spaces backed by q-expansion fixture files.
+
+Fixture format 2 stores each basis form as one ASCII string: standard base64
+(with padding) of its coefficients as little-endian complex128 (real and
+imaginary float64 parts interleaved), so every bit is kept, -0.0 included.
+This module is the one that writes it (`encode_coeffs`) and reads it
+(`load_space`).
+"""
 
 from __future__ import annotations
 
@@ -57,6 +64,15 @@ class CuspSpace:
         return x, mis
 
 
+def encode_coeffs(coeffs) -> str:
+    """A form's coefficients as a format-2 basis entry."""
+    # base64 is imported where it is used: importing it allocates about 50 KB,
+    # which a run that reads no fixture should not pay
+    import base64
+
+    return base64.b64encode(np.asarray(coeffs, "<c16").tobytes()).decode("ascii")
+
+
 def load_space(source) -> CuspSpace:
     """Build a CuspSpace from a fixture path, JSON string, or dict."""
     if isinstance(source, (str, Path)) and str(source).lstrip().startswith("{"):
@@ -88,12 +104,27 @@ def load_space(source) -> CuspSpace:
             f"parity violation: chi(-1) = {chi.parity()} with weight {weight}"
         )
 
+    import base64  # see encode_coeffs
+
     basis = []
-    for i, row in enumerate(rows):
-        if len(row) != prec:
-            raise SpaceFormatError(f"form {i} has {len(row)} coefficients, expected {prec}")
+    for i, entry in enumerate(rows):
+        if not isinstance(entry, str):
+            raise SpaceFormatError(
+                f"form {i} is not a format-2 entry (a base64 string of little-endian "
+                "complex128); [re, im] pair rows are no longer read: rebuild the "
+                "fixtures with tools/build_fixtures.py"
+            )
         try:
-            basis.append(QExpansion.from_pairs(weight, row, label=f"b{i}"))
+            raw = base64.b64decode(entry, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise SpaceFormatError(f"form {i}: not standard base64: {exc}") from exc
+        if len(raw) != 16 * prec:
+            raise SpaceFormatError(
+                f"form {i} holds {len(raw)} bytes, expected {prec} coefficients of 16 bytes"
+            )
+        try:
+            # a read-only view of the decoded bytes, no copy
+            basis.append(QExpansion(weight, np.frombuffer(raw, "<c16"), label=f"b{i}"))
         except ValueError as exc:
             raise SpaceFormatError(f"form {i}: {exc}") from exc
 

@@ -133,12 +133,37 @@ def test_classical_refuses_a_run_without_checks(capsys):
     assert "needs --op, --characterize or both" in capsys.readouterr().err
 
 
+# (p, --op) where every shipped fixture of level divisible by p skips the
+# operator: none has p^2 in its level and a character imprimitive at p
+NO_ADMISSIBLE_OP = [(p, op) for p in (5, 7, 11) for op in ("s", "sprime")]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_classical_passes_every_check_choice(p, capsys):
+    """Every check choice passes at p, except the --op runs that no shipped
+    fixture admits at p, which are refused (exit code 2)."""
     cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", str(p)]
     for choice in (["--characterize"], *(["--op", op] for op in ("q", "qprime", "s", "sprime"))):
-        assert main([*cmd, *choice]) == 0, choice
+        want = 2 if (p, choice[-1]) in NO_ADMISSIBLE_OP else 0
+        assert main([*cmd, *choice]) == want, choice
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, op", NO_ADMISSIBLE_OP)
+def test_classical_refuses_an_op_no_fixture_admits(p, op, tmp_path, capsys):
+    """An --op run in which every space skips the operator would check
+    nothing, so it is refused; with --characterize beside it the skips are
+    noted and the characterization runs on every space as it does alone."""
+    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", str(p)]
+    assert main([*cmd, "--op", op]) == 2
+    assert f"admits --op {op} at p = {p}" in capsys.readouterr().err
+    alone, both = tmp_path / "alone.json", tmp_path / "both.json"
+    assert main([*cmd, "--characterize", "--report", str(alone)]) == 0
+    assert main([*cmd, "--op", op, "--characterize", "--report", str(both)]) == 0
+    ids = [[a["id"] for a in json.loads(r.read_text())["assertions"]] for r in (alone, both)]
+    assert ids[0] and ids[1] == ids[0]
+    ops = json.loads(both.read_text())["meta"]["operators"]
+    assert ops and all("skipped" in o for o in ops)
 
 
 def _failed_ids(cmd, report):

@@ -7,11 +7,14 @@ from hecke_lab.campaign import Campaign, run_verify
 from hecke_lab.cli import main
 from hecke_lab.newspace import characterize, placement_checks
 from hecke_lab.operators import (
+    HALTON_POINTS,
+    HALTON_STRIDE,
     IMAG_FLOOR,
     SAMPLE_BAND,
     SamplingError,
     _feasible,
     _halton,
+    _radical_inverse,
     atkin_lehner_matrix,
     nullspace,
     op_matrix,
@@ -26,7 +29,7 @@ from hecke_lab.operators import (
     slash_evaluate,
     w_square_scalar,
 )
-from hecke_lab.spaces import fixture_dir, load_space
+from hecke_lab.spaces import encode_coeffs, fixture_dir, load_space
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,15 @@ def test_sample_points_match_scipy_halton():
         z = z[_feasible(z, mats, IMAG_FLOOR)]
         assert len(z) > 1024  # the third batch is reached
         assert sample_points(mats, len(z), skip=skip).tobytes() == z.tobytes(), skip
+
+
+@pytest.mark.parametrize("skip", [0, 3])
+def test_halton_table_matches_a_one_shot_build(skip):
+    """The table built in chunks is, over all HALTON_POINTS rows, the one
+    built from the whole index range at once, bit for bit."""
+    index = np.arange(skip * HALTON_STRIDE, skip * HALTON_STRIDE + HALTON_POINTS)
+    whole = np.column_stack([_radical_inverse(index, 2), _radical_inverse(index, 3)])
+    assert _halton(skip).tobytes() == whole.tobytes()
 
 
 def test_sample_points_infeasible():
@@ -198,7 +210,7 @@ def test_survey_operator(sp16):
 
 def _synthetic_doc(level, weight, conrey, rows=1):
     """A fixture document: the form q + O(q^64) when rows = 1."""
-    basis = [[[1.0, 0.0]] + [[0.0, 0.0]] * 63] * rows
+    basis = [encode_coeffs(np.eye(64)[0])] * rows
     return {
         "level": level, "weight": weight, "precision": 64, "basis": basis,
         "character": {"modulus": level, "conrey": conrey},

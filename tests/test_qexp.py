@@ -22,10 +22,6 @@ HEIGHTS = (IMAG_FLOOR, 0.05, 0.08, 0.3, 0.6)
 SPACES = sorted(p.stem for p in fixture_dir().glob("N*.json") if load_space(p).dim)
 
 
-def _pairs(f):
-    return [[float(c.real), float(c.imag)] for c in f.coeffs]
-
-
 def _single_q(weight, prec):
     coeffs = np.zeros(prec, dtype=np.complex128)
     coeffs[0] = 1.0
@@ -96,34 +92,15 @@ def test_dilation_layout():
     assert np.allclose(g.coeffs, [0, 1, 0, 2, 0, 3])
 
 
-def test_pairs_round_trip():
-    f = QExpansion(3, np.array([1 + 2j, -0.5j]))
-    assert QExpansion.from_pairs(3, _pairs(f)).coeffs.tolist() == f.coeffs.tolist()
-
-
-def test_pairs_keep_negative_zero():
-    f = QExpansion.from_pairs(2, [[-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [0.0, 0.0]])
-    assert f.coeffs.dtype == np.complex128 and f.prec == 4
-    assert np.signbit(f.coeffs.real).tolist() == [True, True, False, False]
-    assert np.signbit(f.coeffs.imag).tolist() == [True, False, True, False]
-    assert _pairs(f) == [[-0.0, -0.0], [-0.0, 1.5], [2.0, -0.0], [0.0, 0.0]]
-    assert [str(x) for x in np.ravel(_pairs(f))][:2] == ["-0.0", "-0.0"]
-    assert QExpansion.from_pairs(2, []).prec == 0
-
-
-@pytest.mark.parametrize("pairs", [
-    [[1.0, 2.0], [3.0]],  # ragged
-    [[1.0, 2.0, 3.0]],  # a triple
-    [[1.0]],  # a single number
-    [1.0, 2.0],  # no pairs at all
-    [[[1.0, 2.0]]],  # nested one level too deep
-    [[1.0, "x"]],  # not a number
-    [[1.0, [2.0]]],  # a list in place of a number
-    [1.0, [2.0, 3.0]],  # a bare number in place of a pair
-])
-def test_pairs_reject_malformed_rows(pairs):
-    with pytest.raises(ValueError):
-        QExpansion.from_pairs(2, pairs)
+def test_coeffs_are_a_read_only_view():
+    """A form keeps a read-only view of the coefficients it is given; the
+    caller's own array stays writable and is not copied."""
+    own = np.array([1.0, 2j, 3.0])
+    f = QExpansion(2, own)
+    assert own.flags.writeable and not f.coeffs.flags.writeable
+    assert np.shares_memory(own, f.coeffs)
+    with pytest.raises(ValueError, match="read-only"):
+        f.coeffs[0] = 5.0
 
 
 def test_growth_constant():

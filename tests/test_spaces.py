@@ -1,20 +1,43 @@
+import base64
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hecke_lab.dimoracle import dim_cusp
-from hecke_lab.spaces import SpaceFormatError, fixture_dir, load_space
+from hecke_lab.spaces import SpaceFormatError, encode_coeffs, fixture_dir, load_space
 
 REQUIRED_KEYS = {"level", "weight", "character", "precision", "basis", "provenance"}
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+# sha256 of each shipped space's basis coefficients, concatenated in basis
+# order as little-endian complex128, computed from the [re, im] pair rows of
+# the format the fixtures were first written in: the conversion to format 2
+# changed no bit
+SHIPPED_COEFF_SHA256 = {
+    "N11k2c1": "55e330701d1e0468d58d17d7aabb87ba4374be4d49eb99522de9abefabe8e35d",
+    "N14k2c1": "fc1fe2987d6ff8f45d62f23467cb8c7f14d6c1e099a36fe4dd30f8aef8e7deea",
+    "N14k3c13": "82ce7b0053d6d5da6c303268317f41e62f823227baedc779eb5abc06d9ba0fc7",
+    "N15k2c1": "5c6d71cbd85c6603f37070d1739e6de304a00e79c471a2f466567a73904fe1cf",
+    "N16k3c15": "6870794f43a0e1b599ba9a7ff2280c68e878a8f518adffc028d8e9af038d8898",
+    "N16k3c7": "0c6141b2a760bb0358d52ba2e2f137477c63940eb6bf84b57fc536e400b2351d",
+    "N21k3c13": "6c210d6157dd31ba5e01a94e6cb7998048f299f2841b67f656ce6e0a296d59d7",
+    "N22k2c1": "c0ca5845785884ab8b3cb6380685f092404daa6d0ffd7b145650604dfc62e62a",
+    "N27k2c1": "54f29e3488e242c37e6af5725fa1b0e9208a6a15edd0343cd4176bda2cfb50ea",
+    "N30k2c1": "d520e14ab613daa6892d117b9861dad657e2c926997941150828223e1a5cc657",
+    "N36k2c1": "53e9cd2df8554cf123b1c3ef44f70edd550f71944fc11bb36732657e6b3862f1",
+    "N7k3c6": "65000c51988887bedd44a5edc8a6d85c4f508ace04ee314377874dbfb2dd66a4",
+    "N8k3c3": "32fc69a1b3676634350afe09de3c42197411cb5ba7b9e7710f4c2f876917e9e3",
+    "N8k4c1": "1adbfb4c4b131d4a00c29126bf07980dc74c1a16ef2699923acfd03d427da3a1",
+}
 
 
 def _doc(level=11, weight=2, conrey=1, prec=256, nforms=0):
     rng = np.random.default_rng(0)
-    basis = []
-    for _ in range(nforms):
-        c = rng.standard_normal(prec)
-        basis.append([[float(x), 0.0] for x in c])
+    basis = [encode_coeffs(rng.standard_normal(prec)) for _ in range(nforms)]
     return {
         "level": level,
         "weight": weight,
@@ -86,18 +109,126 @@ def test_dependent_basis_rejected():
 
 
 def test_ragged_basis_rejected():
+    """An entry whose bytes are not precision complex128 values."""
+    coeffs = np.random.default_rng(0).standard_normal(256)
+    for bad in (coeffs[:-1], np.append(coeffs, 1.0), np.zeros(0)):
+        doc = _doc(nforms=1)
+        doc["basis"][0] = encode_coeffs(bad)
+        with pytest.raises(SpaceFormatError, match="form 0 holds .* expected 256 coefficients"):
+            load_space(doc)
     doc = _doc(nforms=1)
-    doc["basis"][0] = doc["basis"][0][:-1]
-    with pytest.raises(SpaceFormatError, match="coefficients"):
+    doc["basis"][0] = base64.b64encode(b"\0" * (16 * 256 - 8)).decode()  # half a value short
+    with pytest.raises(SpaceFormatError, match="expected 256 coefficients"):
         load_space(doc)
 
 
 def test_non_pair_coefficient_rejected():
-    for bad in ([1.0], [1.0, 2.0, 3.0], 1.0):
+    """An entry that is not a string: a number, None, an object, a list of
+    numbers or of strings."""
+    for bad in (1.0, None, {"re": 1.0}, [1.0, 2.0], [encode_coeffs(np.ones(256))]):
         doc = _doc(nforms=1)
-        doc["basis"][0][5] = bad
-        with pytest.raises(SpaceFormatError, match="form 0"):
+        doc["basis"][0] = bad
+        with pytest.raises(SpaceFormatError, match="form 0 is not a format-2 entry"):
             load_space(doc)
+
+
+@pytest.mark.parametrize("pairs", [
+    [[1.0, 2.0], [3.0]],  # ragged
+    [[1.0, 2.0, 3.0]],  # a triple
+    [[1.0]],  # a single number
+    [1.0, 2.0],  # no pairs at all
+    [[[1.0, 2.0]]],  # nested one level too deep
+    [[1.0, "x"]],  # not a number
+    [[1.0, [2.0]]],  # a list in place of a number
+    [1.0, [2.0, 3.0]],  # a bare number in place of a pair
+])
+def test_pair_rows_rejected(pairs):
+    """The [re, im] pair rows of the first fixture format, well formed or
+    not, are refused, naming format 2 and the tool that writes it."""
+    doc = _doc(nforms=1)
+    doc["basis"][0] = pairs
+    with pytest.raises(SpaceFormatError, match="format-2 .* tools/build_fixtures.py"):
+        load_space(doc)
+
+
+def test_shipped_fixture_as_pair_rows_rejected():
+    """A shipped space written back as the first format's pair rows (every
+    row the full precision long) is refused; there is no second reader."""
+    doc = json.loads((fixture_dir() / "N11k2c1.json").read_text())
+    coeffs = load_space(doc).basis[0].coeffs
+    doc["basis"] = [[[float(c.real), float(c.imag)] for c in coeffs]]
+    with pytest.raises(SpaceFormatError, match="pair rows are no longer read"):
+        load_space(doc)
+
+
+@pytest.mark.parametrize("char", ["*", "-", "_", " ", "\n", "\u00e9"], ids=[
+    "star", "minus", "underscore", "space", "newline", "non-ascii",
+])
+def test_non_base64_entry_rejected(char):
+    """Characters outside the standard alphabet (URL-safe ones, whitespace
+    and non-ASCII included) are refused, not skipped."""
+    doc = _doc(nforms=1)
+    good = doc["basis"][0]
+    doc["basis"][0] = good[:40] + char + good[41:]
+    with pytest.raises(SpaceFormatError, match="form 0: not standard base64"):
+        load_space(doc)
+
+
+def test_encoding_is_little_endian_complex128():
+    """An entry is base64 of re, im, re, im, ... as little-endian float64."""
+    raw = struct.pack("<4d", 1.0, -2.5, -0.0, 2.0**-1074)
+    assert encode_coeffs([1.0 - 2.5j, complex(-0.0, 2.0**-1074)]) == base64.b64encode(raw).decode()
+    assert encode_coeffs(np.array([1.0 - 2.5j]).astype(">c16")) == encode_coeffs([1.0 - 2.5j])
+    assert encode_coeffs([]) == ""
+
+
+# finite parts small enough that the independence check's norm of a form
+# stays finite (at 1e308 it overflows and the form is refused as dependent)
+_part = st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True)
+
+
+@given(st.lists(_part, min_size=128, max_size=160).filter(lambda v: len(v) % 2 == 0 and any(v)))
+@example([-0.0, -0.0, 5e-324, -2.0**-1030, 1 / 3, -0.1, 1e150, -2.0**-1022] + [0.0] * 120)
+@example([5e-324] + [-0.0] * 127)
+def test_codec_round_trip_keeps_every_bit(parts):
+    """encode_coeffs, JSON and load_space return the coefficients bit for
+    bit: -0.0, subnormals and non-integers included."""
+    coeffs = np.array(parts).view(np.complex128)
+    doc = {
+        "level": 11, "weight": 2, "character": {"modulus": 11, "conrey": 1},
+        "precision": len(coeffs), "basis": [encode_coeffs(coeffs)],
+    }
+    (form,) = load_space(json.dumps(doc)).basis
+    assert form.coeffs.tobytes() == coeffs.tobytes()
+
+
+def test_codec_keeps_negative_zero():
+    coeffs = np.zeros(64, dtype=np.complex128)
+    coeffs[:4] = [complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.0, -0.0), 0j]
+    doc = _doc(prec=64)
+    doc["basis"] = [encode_coeffs(coeffs)]
+    got = load_space(doc).basis[0].coeffs[:4]
+    assert np.signbit(got.real).tolist() == [True, True, False, False]
+    assert np.signbit(got.imag).tolist() == [True, False, True, False]
+
+
+def test_shipped_coefficients_are_pinned():
+    """Every shipped space's coefficient bytes match the digests taken from
+    the pair rows they were converted from."""
+    for path in sorted(fixture_dir().glob("N*.json")):
+        sp = load_space(path)
+        got = hashlib.sha256(b"".join(f.coeffs.astype("<c16").tobytes() for f in sp.basis))
+        assert got.hexdigest() == SHIPPED_COEFF_SHA256.get(path.stem, EMPTY_SHA256), path.stem
+    assert sum(load_space(fixture_dir() / f"{stem}.json").dim > 0 for stem in SHIPPED_COEFF_SHA256) == 14
+
+
+def test_loaded_coefficients_are_read_only():
+    """A form cannot change under the operators memoized on its space."""
+    sp = load_space(fixture_dir() / "N22k2c1.json")
+    for form in sp.basis:
+        assert not form.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            form.coeffs[0] = 0.0
 
 
 def test_load_families_parses_each_fixture_once(monkeypatch):
@@ -122,10 +253,13 @@ def test_load_families_parses_each_fixture_once(monkeypatch):
 
 
 def test_nonfinite_rejected():
-    doc = _doc(nforms=1)
-    doc["basis"][0][3] = [float("nan"), 0.0]
-    with pytest.raises(SpaceFormatError):
-        load_space(doc)
+    for bad in (complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(-float("inf"), 1.0)):
+        coeffs = np.ones(256, dtype=np.complex128)
+        coeffs[3] = bad
+        doc = _doc(nforms=1)
+        doc["basis"][0] = encode_coeffs(coeffs)
+        with pytest.raises(SpaceFormatError, match="form 0: non-finite"):
+            load_space(doc)
 
 
 def test_coordinates_and_membership():

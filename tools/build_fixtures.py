@@ -2,7 +2,8 @@
 """Builds the q-expansion fixture files shipped under hecke_lab/fixtures/.
 
 Every basis element is an eta quotient prod_d eta(d z)^{r_d}, expanded with
-exact integer arithmetic and only then rounded to floats.  Admissibility is
+exact integer arithmetic and only then rounded to floats, and written
+through hecke_lab.spaces.encode_coeffs (fixture format 2).  Admissibility is
 checked per Ligozat's criteria (see Ono, "The web of modularity", Thm 1.64):
 the two congruences mod 24, the Kronecker-symbol nebentypus, and positive
 order at every cusp.  Each space's basis is verified to be independent and
@@ -26,6 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hecke_lab.characters import DirChar
 from hecke_lab.cyclotomic import _factorize
 from hecke_lab.dimoracle import dim_cusp, dim_new, _divisors
+from hecke_lab.spaces import encode_coeffs
 
 PREC = 2048
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "hecke_lab" / "fixtures"
@@ -361,7 +363,7 @@ def build() -> None:
             "weight": k,
             "character": chi.to_spec(),
             "precision": PREC,
-            "basis": [[[float(c), 0.0] for c in row] for row in basis],
+            "basis": [encode_coeffs(row) for row in basis],
             "provenance": "; ".join(labels) if labels else "empty space",
         }
         name = stem(N, k, chi) + ".json"
@@ -377,7 +379,7 @@ def build() -> None:
         chi = DirChar.from_spec(sp["character"])
         if dim_new(sp["level"], sp["weight"], chi) != fam["expected_new"]:
             raise AssertionError(f"family {fam['name']}: frozen newdim disagrees with oracle")
-    manifest = {"format_version": 1, "precision": PREC, "families": fams}
+    manifest = {"format_version": 2, "precision": PREC, "families": fams}
     (OUT_DIR / "families.json").write_text(json.dumps(manifest, indent=1))
     print(f"wrote {len(written)} spaces + families.json to {OUT_DIR}")
 
