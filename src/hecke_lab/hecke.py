@@ -17,7 +17,7 @@ relation audit on them by every character of one conductor exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +40,7 @@ from .cosets import (
     stratum_of,
 )
 from .groupconv import BRUTE_LIMIT, cross_check_structure
-from .report import Assertion, Report, check, check_bool, timed
+from .report import Assertion, Report, character_tag, check, check_bool, timed
 
 
 class AlgebraError(ValueError):
@@ -477,40 +477,37 @@ def verify_relations(p: int, n: int, chi: PChar) -> Report:
     p^n <= groupconv.BRUTE_LIMIT compare each basis product against the
     brute-force whole-group convolution oracle.
 
-    The identities come from the (p, n, r) verdicts; each such assertion's
-    runtime is its share of the time this character spent getting them.
-    The mirrored sum and the whole-group oracle read chi and run here.
+    The identities come from the (p, n, r) verdicts, replayed with their
+    share of the time this character spent getting them.  The mirrored sum
+    and the whole-group oracle read chi and run here, both against the
+    coset route's products on chi's basis, built once.
     """
     rep = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": chi.conductor_exponent})
-    tag = f"p{p}.n{n}.chi{chi.conrey_index()}"
+    tag = character_tag(chi)
     with timed() as t:
         axioms, identities = _relation_verdicts(p, n, chi.conductor_exponent)
     share = t.elapsed / (len(axioms) + len(identities))
-
-    def record(assertions):
-        rep.extend(replace(a, id=f"{tag}.{a.id}", runtime=share) for a in assertions)
-
-    record(axioms)
+    rep.replay(tag, axioms, share * len(axioms))
     basis = supported_basis(p, n, chi)
     with timed() as t:
+        coset = {(a, b): dict(_basis_product_cached(p, n, a, b)) for a in basis for b in basis}
         ok = True
         detail = ""
         elems = {lab: HeckeElem.basis(p, n, chi, lab) for lab in basis}
-        for a in basis:
-            for b in basis:
-                try:
-                    mirrored = convolve_mirrored(elems[a], elems[b]).coeffs
-                except ValueError as exc:  # a non-rational collapse or a leak
-                    ok = False
-                    detail = f"mirror at {a}*{b}: {exc}"
-                    continue
-                if mirrored != dict(_basis_product_cached(p, n, a, b)):
-                    ok = False
-                    detail = f"mirror mismatch at {a}*{b}"
+        for (a, b), want in coset.items():
+            try:
+                mirrored = convolve_mirrored(elems[a], elems[b]).coeffs
+            except ValueError as exc:  # a non-rational collapse or a leak
+                ok = False
+                detail = f"mirror at {a}*{b}: {exc}"
+                continue
+            if mirrored != want:
+                ok = False
+                detail = f"mirror mismatch at {a}*{b}"
     check_bool(rep, f"{tag}.mirrored-convolution", ok, "oracle", t.elapsed, detail=detail)
-    record(identities)
+    rep.replay(tag, identities, share * len(identities))
 
     if p**n <= BRUTE_LIMIT:
-        cross_check_structure(rep, p, n, chi, tag)
+        cross_check_structure(rep, chi, tag, coset)
 
     return rep

@@ -16,14 +16,18 @@ it), over the transport table's coordinate map, kept in that table's own
 compact dtype.  Products, traces and vanishing checks widen each factor once
 per combination and multiply with BLAS: in float64 only under a proven bound
 that keeps every integer exact, in int64 otherwise.  Every verdict is
-exact.  The basis operators, the Y_k, the projector certificates, the
-prime-field ranks, the traces and the eigenvalue-table images are built once
-per cell (p, n) or per (p, n, r), and each character records them under its
-own assertion ids.
+exact.
 
-Right translation does read chi, but only at entries it fixes: the
-fixed-vector chain's graph and path counts are built once per
-(p, n, level, witness word), and each character reads chi at their entries.
+The basis operators and the Y_k are built once per cell (p, n).  The
+eigenvalue tables and the component dimensions read chi only through its
+conductor exponent r, so their verdicts (table images, projector
+identities, prime-field ranks, traces, and the routes' agreement with the
+closed forms) are certificates worked out once per (p, n, r), with ids
+relative to a character's tag, and each character replays them
+(Report.replay).  Only the fixed-vector chain is worked per character:
+right translation reads chi, but only at entries it fixes, so the chain's
+graph and path counts are built once per (p, n, level, witness word), and
+each character reads chi at their entries.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .cosets import MatPn, coset_table, xmat, ymat
 from .cyclotomic import _exact_dtype, _solve_fraction_system
 from .groupconv import BRUTE_LIMIT
 from .hecke import AlgebraError, _checked_transport, supported_basis
-from .report import Report, check, check_bool, timed
+from .report import Assertion, Report, character_tag, check, check_bool, timed
 
 
 # ---------------------------------------------------------------------------
@@ -391,44 +395,36 @@ def u_eigenvalue(comp: str, p: int, n: int) -> int:
 
 
 @cell_cache
-def _table_images(p: int, n: int, r: int) -> dict[tuple[int, int], tuple[bool, bool]]:
-    """For each table entry (i, j): do V_j and Y_j map the row-i vector to
-    its tabulated multiple?  Character-free, so computed once per (p, n, r)."""
-    lo = max(r, 1)
-    out = {}
-    for i in range(lo, n + 1):
+def _table_certificate(p: int, n: int, r: int) -> tuple[tuple[Assertion, ...], dict]:
+    """The eigenvalue tables of one (p, n, r): the verdicts, with ids
+    relative to a character's tag, on whether V_j and Y_j map each row-i
+    vector to its tabulated multiple, and the closed forms themselves, as
+    {"V": {(i, j): scalar}, "Y": ...}.  Character-free, so computed once."""
+    levels = range(max(r, 1), n + 1)
+    tables = {kind: {(i, j): table_eigenvalue(kind, p, n, i, j) for i in levels for j in levels}
+              for kind in ("V", "Y")}
+    rec = Report()
+    for i in levels:
         v = _eigenvector(p, n, r, i)
-        for j in range(lo, n + 1):
-            out[(i, j)] = tuple(
-                bool(np.array_equal(_act(op, v), table_eigenvalue(kind, p, n, i, j) * v))
+        for j in levels:
+            okV, okY = (
+                bool(np.array_equal(_act(op, v), tables[kind][(i, j)] * v))
                 for kind, op in (("V", _basis_operator(p, n, f"y{j}")), ("Y", _y_operator(p, n, j)))
             )
-    return out
+            check_bool(rec, f"table.i{i}.j{j}", okV and okY, "formula",
+                       detail="" if okV and okY else f"V ok={okV} Y ok={okY}")
+    return tuple(rec.assertions), tables
 
 
-def eigenvalue_tables(rep: InducedRep, report: Optional[Report] = None) -> dict:
+def eigenvalue_tables(rep: InducedRep, report: Report) -> dict:
     """The closed forms lambda(v_i, V_j) and lambda(v_i, Y_j) (table_eigenvalue),
-    and whether the computed images match them entrywise, recorded in report.
-
-    The images come from the (p, n, r) certificate; each assertion's runtime
-    is its share of the time this character spent getting it."""
-    p, n = rep.p, rep.n
-    tag = f"p{p}.n{n}.chi{rep.chi.conrey_index()}"
+    and whether the computed images match them entrywise, recorded in report
+    from the (p, n, r) certificate."""
     with timed() as t:
-        images = _table_images(p, n, rep.r)
-    vtab: dict[tuple[int, int], int] = {}
-    ytab: dict[tuple[int, int], int] = {}
-    ok_all = True
-    for (i, j), (okV, okY) in images.items():
-        vtab[(i, j)] = table_eigenvalue("V", p, n, i, j)
-        ytab[(i, j)] = table_eigenvalue("Y", p, n, i, j)
-        ok_all = ok_all and okV and okY
-        if report is not None:
-            check_bool(
-                report, f"{tag}.table.i{i}.j{j}", okV and okY, "formula",
-                t.elapsed / len(images), detail="" if okV and okY else f"V ok={okV} Y ok={okY}",
-            )
-    return {"V": vtab, "Y": ytab, "entrywise_ok": ok_all}
+        verdicts, tables = _table_certificate(rep.p, rep.n, rep.r)
+    report.replay(character_tag(rep.chi), verdicts, t.elapsed)
+    return {"V": dict(tables["V"]), "Y": dict(tables["Y"]),
+            "entrywise_ok": all(a.status == "pass" for a in verdicts)}
 
 
 # A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
@@ -512,16 +508,15 @@ def _trace(combo: list) -> Fraction:
     return Fraction(total, den)
 
 
-def _certify_projector_family(p: int, n: int, r: int) -> tuple[list, dict]:
+def _certify_projector_family(p: int, n: int, r: int, rec: Report) -> dict:
     """Exact proof that the nested Y-idempotents behave, plus the two extra
     w-side projectors when the twist is trivial.
 
-    Returns the verdicts, as (assertion suffix, ok), and the certified
+    Records the verdicts in rec, as `projcert.*`, and returns the certified
     projectors, as combinations, keyed by component name.
     """
     lo = max(r, 1)
     yops = {k: _y_operator(p, n, k) for k in range(lo, n + 1)}
-    verdicts = []
 
     # Y_k Y_k = p^{n-k} Y_k and Y_k Y_{k-1} = Y_{k-1} Y_k = p^{n-k} Y_{k-1}
     for k in range(lo, n + 1):
@@ -530,55 +525,60 @@ def _certify_projector_family(p: int, n: int, r: int) -> tuple[list, dict]:
         if k > lo:
             Z = yops[k - 1]
             identities += [[(1, (Y, Z)), (-s, (Z,))], [(1, (Z, Y)), (-s, (Z,))]]
-        verdicts.append((f"k{k}", all(_vanishes(combo) for combo in identities)))
+        check_bool(rec, f"projcert.k{k}", all(_vanishes(combo) for combo in identities), "formula")
 
     # E_k = Y_k / p^{n-k}; the components between consecutive levels are E_k - E_{k-1}
     E = {k: [(Fraction(1, p ** (n - k)), (yops[k],))] for k in yops}
     out = {f"i{k}": E[k] + [(-q, f) for q, f in E[k - 1]] for k in range(lo + 1, n + 1)}
     if r >= 1:
-        return verdicts, {f"i{r}": E[r], **out}
+        return {f"i{r}": E[r], **out}
 
     # trivial twist: the bottom block splits once more under the w-operator
     U, Y1 = _basis_operator(p, n, "w"), yops[1]
     okU = _vanishes([(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
     okUY = all(_vanishes([(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
-    verdicts.append(("w", okU and okUY))
+    check_bool(rec, "projcert.w", okU and okUY, "formula")
 
     # w+ = (U + p^{n-1} E_1) / (p^n + p^{n-1}),  w- = (p^n E_1 - U) / (p^n + p^{n-1})
     s = Fraction(1, p**n + p ** (n - 1))
-    return verdicts, {"w+": [(s, (U,)), (s, (Y1,))], "w-": [(p * s, (Y1,)), (-s, (U,))], **out}
+    return {"w+": [(s, (U,)), (s, (Y1,))], "w-": [(p * s, (Y1,)), (-s, (U,))], **out}
 
 
 @dataclass(frozen=True)
 class _SpectralCertificate:
-    """The character-free spectral data of one (p, n, r)."""
+    """The character-free spectral data of one (p, n, r): the component
+    dimensions by each route, and the verdicts on them, with ids relative to
+    a character's tag."""
 
-    projcert: list  # (assertion suffix, verdict) of the projector identities
+    verdicts: tuple  # the projector identities, ranks, traces and routes' agreement
     by_rank: dict  # component name -> trace (= rank) of its projector
-    traces: list  # (j, trace of V_j) for the rows of the trace system
     by_system: dict  # component name -> dimension solved from traces alone
-    ranks_mod_q: Optional[dict]  # component name -> prime-field rank; None above BRUTE_LIMIT
+    by_formula: dict  # component name -> closed-form dimension
+    agree: bool  # the three routes agree and the ranks sum to the dimension
 
 
 @cell_cache
 def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
-    """Component dimensions by two routes: ranks of certified spectral
-    projectors (the rank of a certified projector is its trace), and the
-    exact linear system driven by operator traces.  On small cells each
-    projector's rank is confirmed again in a prime field."""
+    """Component dimensions by three routes: ranks of certified spectral
+    projectors (the rank of a certified projector is its trace), the exact
+    linear system driven by operator traces, and the closed forms.  On small
+    cells each projector's rank is confirmed again in a prime field."""
     lo = max(r, 1)
-    projcert, projs = _certify_projector_family(p, n, r)
+    rec = Report()
+    projs = _certify_projector_family(p, n, r, rec)
     by_rank: dict[str, int] = {}
     for name, combo in projs.items():
         tr = _trace(combo)
         if tr.denominator != 1:
             raise AssertionError(f"projector trace not integral: {tr}")
         by_rank[name] = int(tr)
+    if p**n <= BRUTE_LIMIT:
+        ranks = {name: _rank_mod_q(combo) for name, combo in projs.items()}
+        check_bool(rec, "rank-specialization", ranks == by_rank, "oracle")
 
     comp_names = list(projs.keys())
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    traces = []
 
     def scalar_on(comp: str, kind: str, j: int) -> int:
         if comp.startswith("i"):
@@ -593,9 +593,10 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
         rows.append([Fraction(scalar_on(cn, "V", j)) for cn in comp_names])
         tr = trace_of(_basis_operator(p, n, f"y{j}"))
         rhs.append(tr)
-        traces.append((j, tr))
+        check(rec, f"trace.y{j}", "0", str(tr), "formula")
     rows.append([Fraction(1)] * len(comp_names))
-    rhs.append(Fraction(coset_table(p, n).dim))
+    dim = coset_table(p, n).dim
+    rhs.append(Fraction(dim))
     if r == 0:
         U = _basis_operator(p, n, "w")
         uvals = [Fraction(u_eigenvalue(cn, p, n)) for cn in comp_names]
@@ -611,10 +612,22 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     if any(s.denominator != 1 for s in sol):
         raise AssertionError("non-integral component dimension from trace system")
     by_system = {cn: int(s) for cn, s in zip(comp_names, sol)}
-    ranks = None
-    if p**n <= BRUTE_LIMIT:
-        ranks = {name: _rank_mod_q(combo) for name, combo in projs.items()}
-    return _SpectralCertificate(projcert, by_rank, traces, by_system, ranks)
+
+    # the closed forms
+    by_formula: dict[str, int] = {}
+    if r >= 1:
+        by_formula[f"i{r}"] = p ** (r - 1) * (p + 1)
+    else:
+        by_formula["w+"] = 1
+        by_formula["w-"] = p
+    for kk in range(lo + 1, n + 1):
+        by_formula[f"i{kk}"] = p ** (kk - 2) * (p * p - 1)
+
+    agree = by_rank == by_system == by_formula
+    ok = agree and sum(by_rank.values()) == dim
+    check_bool(rec, "component-dims", ok, "formula",
+               detail="" if agree else f"rank={by_rank} system={by_system} formula={by_formula}")
+    return _SpectralCertificate(tuple(rec.assertions), by_rank, by_system, by_formula, ok)
 
 
 def _rank_mod_q(combo: list) -> int:
@@ -644,61 +657,20 @@ def _rank_mod_q(combo: list) -> int:
     return row
 
 
-def component_dimensions(rep: InducedRep, report: Optional[Report] = None) -> dict:
+def component_dimensions(rep: InducedRep, report: Report) -> dict:
     """Dimensions of the irreducible components, by three routes that must
-    agree: ranks of certified spectral projectors and the trace system (both
-    from the (p, n, r) certificate), and the closed forms.  On small cells
-    the certificate also confirms each projector's rank in a prime field.
-
-    Each projector-identity and rank assertion's runtime is its share of the
-    time this character spent getting the certificate."""
-    p, n, r = rep.p, rep.n, rep.r
-    own_report = report is None
-    if own_report:
-        report = Report(meta={"p": p, "n": n, "conrey": rep.chi.conrey_index()})
-    tag = f"p{p}.n{n}.chi{rep.chi.conrey_index()}"
-
+    agree: ranks of certified spectral projectors, the trace system and the
+    closed forms, recorded in report from the (p, n, r) certificate.  On
+    small cells the certificate also confirms each projector's rank in a
+    prime field."""
     with timed() as t:
-        cert = _spectral_certificate(p, n, r)
-    share = t.elapsed / (len(cert.projcert) + (cert.ranks_mod_q is not None))
-    for suffix, ok in cert.projcert:
-        check_bool(report, f"{tag}.projcert.{suffix}", ok, "formula", share)
-    by_rank = dict(cert.by_rank)
-    if cert.ranks_mod_q is not None:
-        check_bool(report, f"{tag}.rank-specialization", cert.ranks_mod_q == by_rank, "oracle", share)
-
-    for j, tr in cert.traces:
-        check(report, f"{tag}.trace.y{j}", "0", str(tr), "formula", 0.0)
-    by_system = dict(cert.by_system)
-
-    # the closed forms
-    by_formula: dict[str, int] = {}
-    if r >= 1:
-        by_formula[f"i{r}"] = p ** (r - 1) * (p + 1)
-        for kk in range(r + 1, n + 1):
-            by_formula[f"i{kk}"] = p ** (kk - 2) * (p * p - 1)
-    else:
-        by_formula["w+"] = 1
-        by_formula["w-"] = p
-        for kk in range(2, n + 1):
-            by_formula[f"i{kk}"] = p ** (kk - 2) * (p * p - 1)
-
-    agree = by_rank == by_system == by_formula
-    total_ok = sum(by_rank.values()) == rep.dim
-    check_bool(
-        report,
-        f"{tag}.component-dims",
-        agree and total_ok,
-        "formula",
-        0.0,
-        detail="" if agree else f"rank={by_rank} system={by_system} formula={by_formula}",
-    )
+        cert = _spectral_certificate(rep.p, rep.n, rep.r)
+    report.replay(character_tag(rep.chi), cert.verdicts, t.elapsed)
     return {
-        "by_rank": by_rank,
-        "by_system": by_system,
-        "by_formula": by_formula,
-        "agree": agree and total_ok,
-        "report": report if own_report else None,
+        "by_rank": dict(cert.by_rank),
+        "by_system": dict(cert.by_system),
+        "by_formula": dict(cert.by_formula),
+        "agree": cert.agree,
     }
 
 
@@ -723,7 +695,7 @@ def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
     """Run the full induced-side audit for one character."""
     rep = InducedRep(p, n, chi)
     report = Report(meta={"p": p, "n": n, "conrey": chi.conrey_index(), "r": rep.r})
-    tag = f"p{p}.n{n}.chi{chi.conrey_index()}"
+    tag = character_tag(chi)
 
     check(report, f"{tag}.dim", p ** (n - 1) * (p + 1), rep.dim, "formula", 0.0)
 

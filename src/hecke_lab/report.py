@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +61,14 @@ class Report:
     def extend(self, assertions) -> None:
         self.assertions.extend(assertions)
 
+    def replay(self, tag: str, assertions, elapsed: float) -> None:
+        """Record verdicts worked out once for many characters, their ids
+        relative to a character's tag: copies with the tag prefixed, each
+        with an equal share of `elapsed`, the time this character spent
+        getting them."""
+        for a in assertions:
+            self.add(replace(a, id=f"{tag}.{a.id}", runtime=elapsed / len(assertions)))
+
     @property
     def n_pass(self) -> int:
         return sum(1 for a in self.assertions if a.status == "pass")
@@ -91,6 +99,12 @@ class Report:
 
     def to_json(self, include_runtime: bool = True) -> str:
         return json.dumps(self.to_dict(include_runtime=include_runtime), indent=2, sort_keys=True)
+
+
+def character_tag(chi) -> str:
+    """The prefix of the exact-side assertion ids of one character of
+    (Z/p^n)^x."""
+    return f"p{chi.p}.n{chi.n}.chi{chi.conrey_index()}"
 
 
 class timed:

@@ -129,7 +129,11 @@ def load_space(source) -> CuspSpace:
             raise SpaceFormatError(f"form {i}: {exc}") from exc
 
     if basis:
-        mat = np.stack([f.coeffs for f in basis])
+        # the real and imaginary parts, scaled by the largest, so that no norm
+        # in the SVD overflows; the ratio of singular values is unchanged
+        parts = np.stack([f.coeffs for f in basis]).view(np.float64)
+        scale = np.abs(parts).max()
+        mat = (parts / scale if scale else parts).view(np.complex128)
         sv = np.linalg.svd(mat, compute_uv=False)
         if sv[-1] <= _INDEPENDENCE_TOL * sv[0]:
             raise SpaceFormatError(f"near-dependent basis: singular values {sv}")

@@ -35,7 +35,7 @@ def test_cached_cell_work_matches_a_cold_run(fresh_caches):
 def test_registry_holds_every_cell_cache():
     assert {f.__wrapped__.__qualname__ for f in CELL_CACHES} >= {
         "_basis_product_cached", "_mirror_geometry", "_relation_verdicts", "_pair_counts",
-        "_basis_operator", "_y_operator", "_table_images", "_spectral_certificate",
+        "_basis_operator", "_y_operator", "_table_certificate", "_spectral_certificate",
         "_fixed_geometry", "coset_table", "_left_transport", "_right_transport",
         "_Kg_twist_pairs",
     }

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import tracemalloc
@@ -35,9 +36,11 @@ from hecke_lab.induced import (
     _trace,
     _vanishes,
     component_dimensions,
+    eigenvalue_tables,
     fixed_subspace,
     verify_induced,
 )
+from hecke_lab.report import Report
 from tests.conftest import GRID, clear_cell_caches
 
 
@@ -383,8 +386,9 @@ def _component_verdicts(p, n):
     clear_cell_caches()
     out = []
     for chi in PChar.all_characters(p, n):
-        res = component_dimensions(InducedRep(p, n, chi))
-        checks = [(a.id, a.status) for a in res["report"].assertions]
+        report = Report()
+        res = component_dimensions(InducedRep(p, n, chi), report)
+        checks = [(a.id, a.status) for a in report.assertions]
         out.append((res["by_rank"], res["by_system"], res["agree"], checks))
     return out
 
@@ -415,13 +419,14 @@ def test_component_dimensions_memory(fresh_caches):
     rep = InducedRep(p, n, PChar.trivial(p, n))
     for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
         rep.piL_basis(lab)  # the cached basis operators are not part of the budget
+    report = Report()
     tracemalloc.start()
     try:
-        res = component_dimensions(rep)
+        res = component_dimensions(rep, report)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert res["agree"]
+    assert res["agree"] and report.ok
     assert peak_mb < 48, peak_mb
 
 
@@ -432,14 +437,38 @@ def test_component_dimensions_large_operator(fresh_caches):
     rep = InducedRep(p, n, PChar.trivial(p, n))
     for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
         rep.piL_basis(lab)  # the cached basis operators are not part of the budget
+    report = Report()
     tracemalloc.start()
     try:
-        res = component_dimensions(rep)
+        res = component_dimensions(rep, report)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
     assert res["agree"] and res["by_rank"] == res["by_system"] == res["by_formula"]
+    assert report.ok and report.assertions[-1].id == "p7.n3.chi1.component-dims"
     assert peak_mb < 48, peak_mb
+
+
+def test_returned_data_does_not_alias_the_certificates(fresh_caches):
+    """What eigenvalue_tables and component_dimensions return is the
+    caller's to change: another character of the same (p, n, r) still gets
+    the closed forms."""
+    p, n = 3, 3
+    first, second = [InducedRep(p, n, chi) for chi in PChar.all_characters(p, n)
+                     if chi.conductor_exponent == 2][:2]
+
+    def fetch(rep):
+        report = Report()
+        return eigenvalue_tables(rep, report), component_dimensions(rep, report)
+
+    want = copy.deepcopy(fetch(first))
+    tables, dims = fetch(first)
+    assert dims["by_formula"] == {"i2": 12, "i3": 24}
+    for kind in ("V", "Y"):
+        tables[kind][(2, 2)] += 1
+    for route in ("by_rank", "by_system", "by_formula"):
+        dims[route]["i2"] = 0
+    assert fetch(second) == want
 
 
 def test_exact_tables_are_compact(fresh_caches):

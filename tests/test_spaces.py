@@ -106,6 +106,13 @@ def test_dependent_basis_rejected():
     doc["basis"][1] = doc["basis"][0]
     with pytest.raises(SpaceFormatError, match="dependent"):
         load_space(doc)
+    # scaling before the SVD refuses a zero form, and a dependent pair at
+    # the top of the float range
+    big = np.full(256, complex(np.finfo(float).max, -1.0))
+    for forms in ([np.zeros(256)], [big, big / 2], [big, np.zeros(256)]):
+        doc["basis"] = [encode_coeffs(f) for f in forms]
+        with pytest.raises(SpaceFormatError, match="dependent"):
+            load_space(doc)
 
 
 def test_ragged_basis_rejected():
@@ -182,14 +189,15 @@ def test_encoding_is_little_endian_complex128():
     assert encode_coeffs([]) == ""
 
 
-# finite parts small enough that the independence check's norm of a form
-# stays finite (at 1e308 it overflows and the form is refused as dependent)
-_part = st.floats(min_value=-1e150, max_value=1e150, allow_subnormal=True)
+# every finite part: the independence check scales the basis before its SVD
+_FMAX = float(np.finfo(float).max)
+_part = st.floats(min_value=-_FMAX, max_value=_FMAX, allow_subnormal=True)
 
 
 @given(st.lists(_part, min_size=128, max_size=160).filter(lambda v: len(v) % 2 == 0 and any(v)))
 @example([-0.0, -0.0, 5e-324, -2.0**-1030, 1 / 3, -0.1, 1e150, -2.0**-1022] + [0.0] * 120)
 @example([5e-324] + [-0.0] * 127)
+@example([_FMAX, -_FMAX] * 64)
 def test_codec_round_trip_keeps_every_bit(parts):
     """encode_coeffs, JSON and load_space return the coefficients bit for
     bit: -0.0, subnormals and non-integers included."""
