@@ -46,7 +46,7 @@ class Campaign:
                 "fixed in newspace.TOLERANCE"
             )
         return cls(
-            grid=list(doc.get("grid", [])),
+            grid=_checked_grid(doc.get("grid", [])),
             fixture_dirs=list(doc.get("fixture_dirs", [])),
             seed=int(doc.get("seed", 0)),
         )
@@ -57,6 +57,20 @@ class Campaign:
             "fixture_dirs": self.fixture_dirs,
             "seed": self.seed,
         }
+
+
+def _checked_grid(grid) -> list[dict]:
+    """A campaign file's grid: a list of objects with integer "p" and "n"
+    and, optionally, an integer "conrey"; ValueError otherwise."""
+    if not isinstance(grid, list):
+        raise ValueError(f"campaign grid must be a list of cells, not {grid!r}")
+    for cell in grid:
+        if not (isinstance(cell, dict) and "p" in cell and "n" in cell):
+            raise ValueError(f"grid cell {cell!r} must be an object with keys p and n")
+        for key in ("p", "n", "conrey"):
+            if key in cell and type(cell[key]) is not int:
+                raise ValueError(f"grid cell {cell!r}: {key} must be an integer")
+    return grid
 
 
 def _grid_characters(cell: dict) -> list[PChar]:

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .campaign import Campaign, operator_checks, run_verify, space_checks
+from .cyclotomic import _factorize
 from .newspace import op_report, operator_kind, qualifying_primes
 from .report import Report, timed
 from .spaces import SpaceFormatError, load_fixtures
@@ -21,6 +22,17 @@ from .spaces import SpaceFormatError, load_fixtures
 # --op -> (operator kind, index into the qualifying prime's builders:
 # 0 the main operator, 1 its W-conjugate)
 _OP_BUILDERS = {"q": ("Q", 0), "qprime": ("Q", 1), "s": ("S", 0), "sprime": ("S", 1)}
+
+
+def _prime(text: str) -> int:
+    """--prime's type: a prime, else argparse's usage error (exit 2)."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if _factorize(p) != [(p, 1)]:
+        raise argparse.ArgumentTypeError(f"{text} is not a prime")
+    return p
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -35,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classical", help="operator diagnostics on fixture spaces")
     c.add_argument("--fixture", required=True, help="directory of fixture JSON files")
-    c.add_argument("--prime", required=True, type=int, help="prime p")
+    c.add_argument("--prime", required=True, type=_prime, help="prime p")
     c.add_argument("--op", choices=sorted(_OP_BUILDERS),
                    help="build one operator per space and check it as the campaign does")
     c.add_argument("--characterize", action="store_true",

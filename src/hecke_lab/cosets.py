@@ -31,8 +31,9 @@ K0_ENUMERATION_LIMIT = 2**21
 
 # Elements per block of a walk: the transient arrays of one block stay near
 # 2 MB, so a walk adds little to a process's peak.  The K0 enumeration, the
-# transport build and the support law's K_g walk (hecke._Kg_twist_pairs)
-# share it.
+# transport build, the whole-group walk of groupconv and the support law's
+# pair table (hecke._Kg_twist_pairs, filled and read a block of a or d
+# values at a time) share it.
 _BLOCK_ELEMENTS = 2**14
 
 

@@ -32,10 +32,8 @@ from .cosets import (
     all_labels,
     class_left_reps,
     coset_table,
-    k0_order,
     label_rep,
     label_stratum,
-    require_enumerable,
     stratum_label,
     stratum_of,
 )
@@ -51,16 +49,23 @@ def is_supported(g: MatPn, chi: PChar) -> bool:
     """Does the chi-twisted indicator extend to the double coset of g?
 
     The criterion: chi(g k g^{-1}) = chi(k) for every k in
-    K_g = g^{-1} K0 g  intersect  K0.  Checked by definition, walking all of
-    K_g, on every cell with p^n <= 128 (the cells the K0 enumeration guard
-    admits); through the closed-form parametrization of K_g above that.
+    K_g = g^{-1} K0 g  intersect  K0.  Checked by definition, on every pair
+    of lower-right entries that K_g twists (_Kg_twist_pairs), on every cell
+    whose p^{2n} pair table fits K0_ENUMERATION_LIMIT: p^n <= 1448, the
+    whole large campaign among them; through the closed-form
+    parametrization of K_g above that, (7, 4) and (13, 3) among them.
     """
     p, n = g.p, g.n
     if stratum_of(g) == n:
         return True  # g in K0: g k g^{-1} and k share their lower-right entry
-    if k0_order(p, n) <= K0_ENUMERATION_LIMIT:
+    if _pair_table_fits(p, n):
         return _supported_by_definition(g, chi)
     return _supported_by_closed_form(g, chi)
+
+
+def _pair_table_fits(p: int, n: int) -> bool:
+    """The size guard of the K_g walk: its p^n x p^n pair table."""
+    return p ** (2 * n) <= K0_ENUMERATION_LIMIT
 
 
 @cell_cache
@@ -68,28 +73,41 @@ def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pairs (d_k, d_{g k g^-1}) over k in K_g: the lower-right
     entries the twist reads on both sides, at most p^{2n} of them.
 
-    Every k = (a, b; 0, d) of K0(p^n) is walked, but only the lower row of
-    g k g^-1 is computed, the two entries the criterion reads.  With
-    g^-1 = (a', b'; c', d') that row is
-        (g_c a a' + (g_c b + g_d d) c',  g_c a b' + (g_c b + g_d d) d'),
-    linear forms in (a, b, d).  Their (a, b) planes are built once; d is
-    walked in blocks of at most _BLOCK_ELEMENTS elements, and k lies in K_g
-    exactly when the lower-left entry vanishes.  cosets.Kg_blocks is the
-    full-matrix reference."""
+    Only the lower row of g k g^-1 is computed, the two entries the
+    criterion reads.  With g^-1 = (a', b'; c', d') and k = (a, b; 0, d) in
+    K0(p^n) that row is
+        (g_c a a' + g_c b c' + g_d d c',  g_c a b' + g_c b d' + g_d d d'),
+    a plane in (a, b) plus a multiple of d in each entry, and k lies in K_g
+    exactly when the lower-left entry vanishes.  So the walk is grouped by
+    the lower-left residue: a p^n x p^n table, filled from the (a, b) planes
+    in blocks of about _BLOCK_ELEMENTS elements, marks in row v the
+    lower-right values w of the plane where its lower-left value is v.  Each
+    unit d reads row -g_d c' d, and its pairs are (d, w + g_d d' d).  That is
+    |units| p^n + p^{2n} steps, where testing every d against the whole
+    plane took |units|^2 p^n.  Refused with ValueError, before anything is
+    built, when the table exceeds K0_ENUMERATION_LIMIT entries.
+    cosets.Kg_blocks is the full-matrix reference."""
     p, n, pn = g.p, g.n, g.pn
-    require_enumerable(p, n, n)
+    if not _pair_table_fits(p, n):
+        raise ValueError(
+            f"the K_g pair table mod {p}^{n} has {pn * pn} entries; "
+            f"the limit is {K0_ENUMERATION_LIMIT}"
+        )
     gi = g.inv()
     units = unit_group(p, n).units
-    a, b = units[:, None], np.arange(pn)[None, :]
-    c_plane = ((g.c * gi.a * a + g.c * gi.c * b) % pn).ravel()
-    d_plane = ((g.c * gi.b * a + g.c * gi.d * b) % pn).ravel()
+    b = np.arange(pn)
+    step = max(1, _BLOCK_ELEMENTS // pn)
+    table = np.zeros((pn, pn), dtype=bool)
+    for lo in range(0, len(units), step):
+        a = units[lo : lo + step, None]
+        lower_left = (g.c * gi.a * a + g.c * gi.c * b) % pn
+        table[lower_left, (g.c * gi.b * a + g.c * gi.d * b) % pn] = True
     seen = np.zeros(pn * pn, dtype=bool)
-    step = max(1, _BLOCK_ELEMENTS // len(c_plane))
     for lo in range(0, len(units), step):
         d = units[lo : lo + step]
-        rows, cols = np.nonzero((c_plane + g.d * gi.c * d[:, None]) % pn == 0)
+        rows, w = np.nonzero(table[(-g.d * gi.c * d) % pn])
         d = d[rows]
-        seen[d * pn + (d_plane[cols] + g.d * gi.d * d) % pn] = True
+        seen[d * pn + (w + g.d * gi.d * d) % pn] = True
     pairs = np.flatnonzero(seen)
     return pairs // pn, pairs % pn
 

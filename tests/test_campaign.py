@@ -30,3 +30,25 @@ def test_campaign_file_cannot_set_tolerances(tmp_path):
     path.write_text(json.dumps({"grid": [], "fixture_dirs": [], "tolerance": {"quad": 1.0}}))
     with pytest.raises(ValueError, match="cannot set tolerances"):
         Campaign.from_file(path)
+
+
+@pytest.mark.parametrize("grid", [
+    "abc", 5, {"p": 3, "n": 2}, [5], ["p"], [[3, 2]], [{"p": 3}], [{"n": 2}],
+    [{"p": 3, "n": 2.0}], [{"p": "3", "n": 2}], [{"p": 3, "n": True}],
+    [{"p": 3, "n": None}], [{"p": 3, "n": 2, "conrey": 2.5}],
+])
+def test_campaign_file_refuses_a_malformed_grid(grid, tmp_path):
+    """A grid is a list of objects with integer p and n and an optional
+    integer conrey; anything else is a ValueError (the CLI's exit 2), not a
+    KeyError or TypeError from the first cell that reads it."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": grid}))
+    with pytest.raises(ValueError, match="grid"):
+        Campaign.from_file(path)
+
+
+def test_campaign_file_reads_a_well_formed_grid(tmp_path):
+    grid = [{"p": 3, "n": 2}, {"p": 5, "n": 1, "conrey": 2}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": grid}))
+    assert Campaign.from_file(path).grid == grid

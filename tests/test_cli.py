@@ -210,6 +210,26 @@ def test_classical_characterize_runs_the_campaign_checks(tmp_path):
     }
 
 
+@pytest.mark.parametrize("prime", ["4", "0", "1", "-3", "9", "x"])
+def test_classical_refuses_a_non_prime(prime, capsys):
+    # --prime 4 --op q used to die with KeyError: 4, --prime 0 with
+    # ZeroDivisionError, and --prime 1 --characterize ran on every fixture
+    for checks in (["--op", "q"], ["--characterize"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["classical", "--fixture", str(fixture_dir()), "--prime", prime, *checks])
+        assert exc.value.code == 2
+        assert f"{prime} is not a prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [[{"p": 3}], "abc", [5], [{"p": 3, "n": 2.0}],
+                                  [{"p": 3, "n": 2, "conrey": "2"}]])
+def test_verify_refuses_a_malformed_grid(grid, tmp_path, capsys):
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": grid, "fixture_dirs": []}))
+    assert main(["verify", "--campaign", str(campaign)]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classical"])  # missing required --fixture/--prime

@@ -1,6 +1,8 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hecke_lab import groupconv, hecke, induced
+from hecke_lab.campaign import Campaign
 from hecke_lab.cellcache import clear_cell_caches
 from hecke_lab.characters import PChar
 from hecke_lab.cosets import (
@@ -29,6 +32,7 @@ from hecke_lab.hecke import (
     _basis_product,
     _Kg_twist_pairs,
     _mirror_geometry,
+    _pair_table_fits,
     _supported_by_closed_form,
     _supported_by_definition,
     convolve,
@@ -43,6 +47,8 @@ from tests.conftest import GRID, dmat
 SMALL_CELLS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 BRUTE_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
 CHARACTERS = {cell: list(PChar.all_characters(*cell)) for cell in BRUTE_CELLS}
+LARGE_CAMPAIGN = Path(__file__).resolve().parents[1] / "campaigns" / "large.json"
+LARGE_CELLS = [(c["p"], c["n"]) for c in Campaign.from_file(LARGE_CAMPAIGN).grid]
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -86,6 +92,29 @@ def test_support_definition_matches_closed_form(p, n):
             assert is_supported(g, chi) == by_definition
 
 
+@pytest.mark.parametrize("p,n", LARGE_CELLS)
+def test_support_definition_matches_closed_form_on_large_cells(p, n, monkeypatch):
+    # every cell of the large campaign fits the pair table, so is_supported
+    # answers there by definition and never reaches the closed form; (5, 4)
+    # is checked on a seeded sample of 25 of its 500 characters
+    assert _pair_table_fits(p, n)
+    closed_form = _supported_by_closed_form
+
+    def refused(g, chi):
+        raise AssertionError("is_supported took the closed form")
+
+    monkeypatch.setattr(hecke, "_supported_by_closed_form", refused)
+    characters = list(PChar.all_characters(p, n))
+    if (p, n) == (5, 4):
+        characters = random.Random(0).sample(characters, 25)
+    for chi in characters:
+        for lab in all_labels(p, n):
+            g = label_rep(p, n, lab)
+            by_definition = _supported_by_definition(g, chi)
+            assert by_definition == closed_form(g, chi), (chi.conrey_index(), lab)
+            assert is_supported(g, chi) == by_definition
+
+
 def _pairs_by_full_conjugation(g):
     """The reference for _Kg_twist_pairs: the distinct (d_k, d_{g k g^-1})
     read off the full conjugates of cosets.Kg_blocks."""
@@ -100,7 +129,7 @@ def _same_arrays(got, want):
     )
 
 
-@pytest.mark.parametrize("p,n", GRID)
+@pytest.mark.parametrize("p,n", GRID + [(2, 4), (2, 5), (2, 6), (3, 4), (7, 2), (11, 2)])
 def test_Kg_twist_pairs_match_full_conjugation(p, n):
     # the lower-row walk gives, bit for bit, the pairs of the full products
     for lab in all_labels(p, n):
@@ -123,21 +152,23 @@ def test_Kg_twist_pairs_match_full_conjugation_at_any_g(g):
 
 
 def test_definition_walk_refused_before_allocating():
-    # K0(7^3) has 29.6M elements: the walk is refused by the enumeration guard
-    chi = PChar.trivial(7, 3)
+    # the pair table mod 7^4 has 5.8M entries: the walk is refused by its
+    # own guard, and is_supported answers through the closed form
+    chi = PChar.trivial(7, 4)
+    assert not _pair_table_fits(7, 4)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="limit"):
-            _supported_by_definition(ymat(7, 3, 7), chi)
+            _supported_by_definition(ymat(7, 4, 7), chi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+    assert is_supported(ymat(7, 4, 7), chi)
 
 
 def test_definition_walk_memory_at_5_3():
-    # the largest cell walked by definition: 1.25M elements of K0(125) per
-    # label, in blocks, under 2 MB traced
+    # the largest grid cell: under 2 MB traced per label
     for lab in all_labels(5, 3):
         g = label_rep(5, 3, lab)
         tracemalloc.start()
@@ -147,6 +178,24 @@ def test_definition_walk_memory_at_5_3():
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, (lab, peak)
+
+
+def test_definition_walk_memory_at_the_largest_admitted_cell():
+    # 1447^2 is the largest p^{2n} within the guard.  Beyond the result
+    # and flatnonzero's index array (24 bytes a pair), the walk holds its
+    # two boolean p^n x p^n tables and blocks of about 16K elements: under
+    # 2 MB more.  The unblocked (a, b) planes alone would take 33 MB.
+    p, n = 1447, 1
+    assert _pair_table_fits(p, n) and not _pair_table_fits(1451, 1)
+    for lab in all_labels(p, n):
+        g = label_rep(p, n, lab)
+        tracemalloc.start()
+        try:
+            d, _ = _Kg_twist_pairs.__wrapped__(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * len(d) + 2 * p ** (2 * n) + (2 << 20), (lab, len(d), peak)
 
 
 def _mirror_geometry_by_matpn(p, n, lab_h, l2):
