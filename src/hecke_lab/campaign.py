@@ -45,11 +45,12 @@ class Campaign:
                 "campaign files cannot set tolerances: the pass thresholds are "
                 "fixed in newspace.TOLERANCE"
             )
-        return cls(
-            grid=_checked_grid(doc.get("grid", [])),
-            fixture_dirs=list(doc.get("fixture_dirs", [])),
-            seed=int(doc.get("seed", 0)),
-        )
+        dirs, seed = doc.get("fixture_dirs", []), doc.get("seed", 0)
+        if not (isinstance(dirs, list) and all(isinstance(d, str) for d in dirs)):
+            raise ValueError(f"campaign fixture_dirs must be a list of paths, not {dirs!r}")
+        if type(seed) is not int:
+            raise ValueError(f"campaign seed must be an integer, not {seed!r}")
+        return cls(grid=_checked_grid(doc.get("grid", [])), fixture_dirs=dirs, seed=seed)
 
     def to_dict(self) -> dict:
         return {

@@ -10,13 +10,13 @@ That twist is always 1 on the algebra's operators.  Every d0 is 1 mod p^j on
 a y(p^j) class, and a unit on the w class, which is supported only by the
 trivial chi; `_basis_operator` reads each transport table through
 hecke._checked_transport, which holds the lemma and checks both facts on the
-table.  So an operator is held as one (dim, dim) count matrix, in the
-smallest unsigned dtype that holds its number of terms (no entry exceeds
-it), over the transport table's coordinate map, kept in that table's own
-compact dtype.  Products, traces and vanishing checks widen each factor once
-per combination and multiply with BLAS: in float64 only under a proven bound
-that keeps every integer exact, in int64 otherwise.  Every verdict is
-exact.
+table.  So an operator is a permsum.PermSum over the transport table's
+coordinate map, in that table's own compact dtype.  It acts by left
+convolution, so it commutes with right translation, which moves any coset
+to any other: identities are proved, and traces read, off one column
+(permsum._ColumnRoute, which checks both premises).  Only the prime-field
+rank confirmation on small cells forms (dim, dim) count matrices.  Every
+verdict is exact.
 
 The basis operators and the Y_k are built once per cell (p, n).  The
 eigenvalue tables and the component dimensions read chi only through its
@@ -33,69 +33,20 @@ each character reads chi at their entries.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .cellcache import cell_cache
 from .characters import PChar, unit_group
 from .cosets import MatPn, coset_table, xmat, ymat
-from .cyclotomic import _exact_dtype, _solve_fraction_system
+from .cyclotomic import _solve_fraction_system
 from .groupconv import BRUTE_LIMIT
 from .hecke import AlgebraError, _checked_transport, supported_basis
+from .permsum import PermSum, _act, _ColumnRoute, _rank_mod_q
 from .report import Assertion, Report, character_tag, check, check_bool, timed
-
-
-# ---------------------------------------------------------------------------
-# Operators as count matrices
-# ---------------------------------------------------------------------------
-
-
-class PermSum:
-    """Sum of A operators, each a map of the dim coordinates.
-
-    cls[a, c] is the source coordinate feeding row c under operator a, i.e.
-    (T_a v)[c] = v[cls[a, c]], in whatever integer dtype it is given (a
-    transport table is kept as it is, without a copy).  This is the
-    construction format; products, traces and vanishing are computed on
-    `counts`.
-    """
-
-    __slots__ = ("cls", "_counts")
-
-    def __init__(self, cls: np.ndarray):
-        self.cls = np.atleast_2d(np.asarray(cls))
-        self._counts = None
-
-    @property
-    def terms(self) -> int:
-        return self.cls.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.cls.shape[1]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """counts[c, c'] = the number of terms a with cls[a, c] = c': the
-        operator's matrix, built once, on first use, a block of rows at a
-        time.  Each row sums to the number of terms, so no entry exceeds it,
-        and the matrix is held in the smallest unsigned dtype that holds
-        `terms`; _row_blocks widens it for BLAS."""
-        if self._counts is None:
-            dim = self.dim
-            counts = np.empty((dim, dim), dtype=np.min_scalar_type(self.terms))
-            step = _block_rows(dim, dim + self.terms)
-            for lo in range(0, dim, step):
-                src = self.cls[:, lo : lo + step]
-                rows = src.shape[1]
-                flat = (np.arange(rows) * dim + src).ravel()
-                counts[lo : lo + rows] = np.bincount(flat, minlength=rows * dim).reshape(rows, dim)
-            self._counts = counts
-        return self._counts
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +132,6 @@ def _eigenvector(p: int, n: int, r: int, i: int) -> np.ndarray:
     if i == max(r, 1):
         return _y_vector(p, n, i)
     return _y_vector(p, n, i - 1) - p * _y_vector(p, n, i)
-
-
-def _act(op: PermSum, v: np.ndarray) -> np.ndarray:
-    """Apply an operator to an integer vector, one term per map of the
-    coordinates; the image is an integer vector."""
-    # each image coordinate sums one entry of v per term
-    dt = _exact_dtype(op.terms * float(np.abs(v).max(initial=0)))
-    return np.asarray(v, dtype=dt)[op.cls].sum(axis=0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -427,85 +370,13 @@ def eigenvalue_tables(rep: InducedRep, report: Report) -> dict:
             "entrywise_ok": all(a.status == "pass" for a in verdicts)}
 
 
-# A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
-# over its terms, each factor a PermSum.  Products are formed on the factors'
-# count matrices, one block of rows at a time (_row_blocks).
-
-_BLOCK_ENTRIES = 2**14  # the fewest entries a row block holds, unless it is one row
-_RANK_PRIME = 2**31 - 1  # a prime: products of two residues stay below 2^62
-
-
-def _block_rows(dim: int, width: int) -> int:
-    """Rows per block, for rows of `width` entries: a block holds about an
-    eighth of a (dim, dim) matrix, and at least _BLOCK_ENTRIES entries, or a
-    single row.
-
-    A product already holds its later factors widened to (dim, dim), so
-    blocks an eighth of that size keep its transient arrays small beside
-    them: the allocator reuses their memory from block to block instead of
-    returning it to the system and faulting it back in.  The floor keeps the
-    blocks of small operators whole."""
-    return max(1, max(_BLOCK_ENTRIES, dim * dim // 8) // width)
-
-
-def _row_blocks(combo: list) -> Iterator[tuple[np.ndarray, list]]:
-    """Yield (rows, [(q, counts)]) over blocks of rows (_block_rows), counts
-    those of each term restricted to the rows: a product in float64 or
-    int64, a single factor as stored, unsigned, for the caller to widen
-    before any arithmetic.
-
-    Counts are nonnegative and every row of a factor's counts sums to its
-    number of terms, so no entry or partial sum of a product exceeds the
-    product of its factors' terms; _exact_dtype picks each step's dtype from
-    the terms of the factors up to it.  Each later factor is widened to its
-    dtype once per combination, the first factor one block at a time."""
-    dim = combo[0][1][0].dim
-    if any(f.dim != dim for _, factors in combo for f in factors):
-        raise ValueError("mismatched operators")
-    terms = []
-    for q, (head, *tail) in combo:
-        bound, rights = head.terms, []
-        for f in tail:
-            bound *= f.terms
-            rights.append(f.counts.astype(_exact_dtype(bound)))
-        terms.append((q, head, rights))
-    step = _block_rows(dim, dim * len(combo))
-    for lo in range(0, dim, step):
-        block = []
-        for q, head, rights in terms:
-            prod = head.counts[lo : lo + step]
-            for right in rights:
-                prod = prod.astype(right.dtype, copy=False) @ right
-            block.append((q, prod))
-        yield np.arange(lo, min(lo + step, dim)), block
-
-
-def _vanishes(combo: list) -> bool:
-    """Exact certificate that a combination is the zero operator: each block
-    adds up its weighted products, and every entry must be zero."""
-    den = math.lcm(*(q.denominator for q, _ in combo))
-    for _, block in _row_blocks(combo):
-        terms = [(int(q * den), prod) for q, prod in block]
-        # products of counts are nonnegative
-        dt = _exact_dtype(sum(abs(w) * float(x.max(initial=0)) for w, x in terms))
-        acc = np.zeros(terms[0][1].shape, dtype=dt)
-        for w, prod in terms:
-            acc += w * prod.astype(dt, copy=False)
-        if acc.any():
-            return False
-    return True
-
-
-def _trace(combo: list) -> Fraction:
-    """Exact trace of a combination, from the diagonals of its products."""
-    den = math.lcm(*(q.denominator for q, _ in combo))
-    total = 0
-    for rows, block in _row_blocks(combo):
-        for q, prod in block:
-            diag = prod[np.arange(len(rows)), rows]
-            s = diag.sum(dtype=_exact_dtype(len(rows) * float(diag.max(initial=0))))
-            total += int(q * den) * int(s)
-    return Fraction(total, den)
+@cell_cache
+def _column_route(p: int, n: int) -> _ColumnRoute:
+    """The cell's route over right translation by x(1) and y(1), the first
+    words of _k0m_generators(p, n, 0).  They generate SL2(Z/p^n), which
+    moves any coset to any other, and left convolution commutes with right
+    translation.  The route checks both on the maps and the operators."""
+    return _ColumnRoute([_right_transport(p, n, k)[0] for k in _k0m_generators(p, n, 0)[:2]])
 
 
 def _certify_projector_family(p: int, n: int, r: int, rec: Report) -> dict:
@@ -515,7 +386,7 @@ def _certify_projector_family(p: int, n: int, r: int, rec: Report) -> dict:
     Records the verdicts in rec, as `projcert.*`, and returns the certified
     projectors, as combinations, keyed by component name.
     """
-    lo = max(r, 1)
+    lo, route = max(r, 1), _column_route(p, n)
     yops = {k: _y_operator(p, n, k) for k in range(lo, n + 1)}
 
     # Y_k Y_k = p^{n-k} Y_k and Y_k Y_{k-1} = Y_{k-1} Y_k = p^{n-k} Y_{k-1}
@@ -525,7 +396,7 @@ def _certify_projector_family(p: int, n: int, r: int, rec: Report) -> dict:
         if k > lo:
             Z = yops[k - 1]
             identities += [[(1, (Y, Z)), (-s, (Z,))], [(1, (Z, Y)), (-s, (Z,))]]
-        check_bool(rec, f"projcert.k{k}", all(_vanishes(combo) for combo in identities), "formula")
+        check_bool(rec, f"projcert.k{k}", all(route.vanishes(combo) for combo in identities), "formula")
 
     # E_k = Y_k / p^{n-k}; the components between consecutive levels are E_k - E_{k-1}
     E = {k: [(Fraction(1, p ** (n - k)), (yops[k],))] for k in yops}
@@ -535,8 +406,8 @@ def _certify_projector_family(p: int, n: int, r: int, rec: Report) -> dict:
 
     # trivial twist: the bottom block splits once more under the w-operator
     U, Y1 = _basis_operator(p, n, "w"), yops[1]
-    okU = _vanishes([(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
-    okUY = all(_vanishes([(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
+    okU = route.vanishes([(1, (U, U)), (-(p ** (n - 1)) * (p - 1), (U,)), (-(p**n), (Y1,))])
+    okUY = all(route.vanishes([(1, f), (-(p ** (n - 1)), (U,))]) for f in [(U, Y1), (Y1, U)])
     check_bool(rec, "projcert.w", okU and okUY, "formula")
 
     # w+ = (U + p^{n-1} E_1) / (p^n + p^{n-1}),  w- = (p^n E_1 - U) / (p^n + p^{n-1})
@@ -563,12 +434,12 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     projectors (the rank of a certified projector is its trace), the exact
     linear system driven by operator traces, and the closed forms.  On small
     cells each projector's rank is confirmed again in a prime field."""
-    lo = max(r, 1)
+    lo, route = max(r, 1), _column_route(p, n)
     rec = Report()
     projs = _certify_projector_family(p, n, r, rec)
     by_rank: dict[str, int] = {}
     for name, combo in projs.items():
-        tr = _trace(combo)
+        tr = route.trace(combo)
         if tr.denominator != 1:
             raise AssertionError(f"projector trace not integral: {tr}")
         by_rank[name] = int(tr)
@@ -586,12 +457,9 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
         # w blocks: the y-side acts through the bottom slot
         return table_eigenvalue(kind, p, n, 1, j)
 
-    def trace_of(*factors: PermSum) -> Fraction:
-        return _trace([(1, factors)])
-
     for j in range(lo, n):
         rows.append([Fraction(scalar_on(cn, "V", j)) for cn in comp_names])
-        tr = trace_of(_basis_operator(p, n, f"y{j}"))
+        tr = route.trace([(1, (_basis_operator(p, n, f"y{j}"),))])
         rhs.append(tr)
         check(rec, f"trace.y{j}", "0", str(tr), "formula")
     rows.append([Fraction(1)] * len(comp_names))
@@ -601,9 +469,9 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
         U = _basis_operator(p, n, "w")
         uvals = [Fraction(u_eigenvalue(cn, p, n)) for cn in comp_names]
         rows.append(uvals)
-        rhs.append(trace_of(U))
+        rhs.append(route.trace([(1, (U,))]))
         rows.append([u * u for u in uvals])
-        rhs.append(trace_of(U, U))
+        rhs.append(route.trace([(1, (U, U))]))
 
     k = len(comp_names)
     sol = _solve_fraction_system([row[:] for row in rows[:k]], rhs[:k])
@@ -628,33 +496,6 @@ def _spectral_certificate(p: int, n: int, r: int) -> _SpectralCertificate:
     check_bool(rec, "component-dims", ok, "formula",
                detail="" if agree else f"rank={by_rank} system={by_system} formula={by_formula}")
     return _SpectralCertificate(tuple(rec.assertions), by_rank, by_system, by_formula, ok)
-
-
-def _rank_mod_q(combo: list) -> int:
-    """Rank of a combination reduced into the prime field F_q, q =
-    _RANK_PRIME (a coefficient whose denominator q divides has no image:
-    `pow` refuses it).  A lower bound on the true rank, used as an
-    independent confirmation at small cells."""
-    q = _RANK_PRIME
-    dim = combo[0][1][0].dim
-    M = np.zeros((dim, dim), dtype=np.int64)
-    for rows, block in _row_blocks(combo):
-        for c, prod in block:
-            w = c.numerator * pow(c.denominator, -1, q) % q
-            M[rows] = (M[rows] + w * (prod.astype(np.int64) % q)) % q
-    # Gauss-Jordan elimination mod q; `row` counts the pivots found
-    row = 0
-    for col in range(dim):
-        nonzero = np.flatnonzero(M[row:, col])
-        if not len(nonzero):
-            continue
-        piv = row + nonzero[0]
-        M[[row, piv]] = M[[piv, row]]
-        M[row] = M[row] * pow(int(M[row, col]), -1, q) % q
-        mask = np.arange(dim) != row
-        M[mask] = (M[mask] - np.outer(M[mask, col], M[row])) % q
-        row += 1
-    return row
 
 
 def component_dimensions(rep: InducedRep, report: Report) -> dict:

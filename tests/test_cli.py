@@ -234,3 +234,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["classical"])  # missing required --fixture/--prime
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("doc", [{"fixture_dirs": 5}, {"fixture_dirs": [5]}, {"fixture_dirs": "src"},
+                                 {"fixture_dirs": {"a": "b"}}])
+def test_verify_refuses_malformed_fixture_dirs(doc, tmp_path, capsys):
+    # 5 and [5] used to die with a TypeError traceback, and "src" was read
+    # one character at a time, as s/families.json
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [], **doc}))
+    assert main(["verify", "--campaign", str(campaign)]) == 2
+    assert "fixture_dirs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [[1], 1.9, True, "3", None])
+def test_verify_refuses_a_non_integer_seed(seed, tmp_path, capsys):
+    # [1] used to die with a TypeError traceback, and 1.9 and true were
+    # truncated to an int without a word
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [], "seed": seed}))
+    assert main(["verify", "--campaign", str(campaign)]) == 2
+    assert "seed" in capsys.readouterr().err

@@ -620,3 +620,19 @@ def test_import_loads_no_oracle_package():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_default_campaign_never_loads_numpy_ma():
+    """numpy 2.4's bare `np.unique` imports `numpy.ma` (about 6 ms and
+    0.4 MB); no route of the default campaign may reach it."""
+    code = (
+        "import sys\n"
+        "from hecke_lab.campaign import Campaign, run_verify\n"
+        "assert run_verify(Campaign.default()).ok\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

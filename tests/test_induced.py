@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hecke_lab import cosets, cyclotomic, hecke, induced
+from hecke_lab import cosets, cyclotomic, hecke, induced, permsum
 from hecke_lab.campaign import Campaign
 from hecke_lab.characters import PChar, unit_group
 from hecke_lab.cosets import (
@@ -31,15 +31,12 @@ from hecke_lab.groupconv import BRUTE_LIMIT, _group_slices
 from hecke_lab.hecke import AlgebraError
 from hecke_lab.induced import (
     InducedRep,
-    PermSum,
-    _row_blocks,
-    _trace,
-    _vanishes,
     component_dimensions,
     eigenvalue_tables,
     fixed_subspace,
     verify_induced,
 )
+from hecke_lab.permsum import PermSum, _row_blocks
 from hecke_lab.report import Report
 from tests.conftest import GRID, clear_cell_caches
 
@@ -350,6 +347,35 @@ def _dense(op):
     return out
 
 
+def _dense_vanishes(combo):
+    """The dense oracle: each block of rows adds up its weighted products
+    (permsum._row_blocks, BLAS under a proven exactness bound), and every
+    entry must be zero."""
+    den = math.lcm(*(q.denominator for q, _ in combo))
+    for _, block in permsum._row_blocks(combo):
+        terms = [(int(q * den), prod) for q, prod in block]
+        # products of counts are nonnegative
+        dt = cyclotomic._exact_dtype(sum(abs(w) * float(x.max(initial=0)) for w, x in terms))
+        acc = np.zeros(terms[0][1].shape, dtype=dt)
+        for w, prod in terms:
+            acc += w * prod.astype(dt, copy=False)
+        if acc.any():
+            return False
+    return True
+
+
+def _dense_trace(combo):
+    """The dense oracle's trace, from the diagonals of the products."""
+    den = math.lcm(*(q.denominator for q, _ in combo))
+    total = 0
+    for rows, block in permsum._row_blocks(combo):
+        for q, prod in block:
+            diag = prod[np.arange(len(rows)), rows]
+            s = diag.sum(dtype=cyclotomic._exact_dtype(len(rows) * float(diag.max(initial=0))))
+            total += int(q * den) * int(s)
+    return Fraction(total, den)
+
+
 def test_products_and_traces_match_dense_matrices(monkeypatch, fresh_caches):
     rng = np.random.default_rng(7)
     dim = 6
@@ -358,27 +384,113 @@ def test_products_and_traces_match_dense_matrices(monkeypatch, fresh_caches):
     [(rows, [(q, prod)])] = _row_blocks([(1, (A, B, C))])
     assert q == 1 and np.array_equal(rows, np.arange(dim)) and np.array_equal(prod, ABC)
     # one-row blocks split the product
-    monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", 1)
     combo = [(Fraction(1, 3), (A, B, C)), (2, (C,))]
-    assert _trace(combo) == Fraction(int(np.trace(ABC)), 3) + 2 * int(np.trace(_dense(C)))
-    q = induced._RANK_PRIME  # the prime field of the rank confirmation
+    assert _dense_trace(combo) == Fraction(int(np.trace(ABC)), 3) + 2 * int(np.trace(_dense(C)))
+    q = permsum._RANK_PRIME  # the prime field of the rank confirmation
     assert all(q % t for t in range(2, math.isqrt(q) + 1))
 
 
-@pytest.mark.parametrize("block_entries", [None, 1])  # default blocks, then one row each
+@pytest.mark.parametrize("block_entries", [None, 1])  # the oracle's default blocks, then one row each
 def test_vanishes_rejects_one_perturbed_entry(monkeypatch, fresh_caches, block_entries):
+    """Every single-entry perturbation of Y_1 at (3,2) breaks its
+    commutation with right translation: the column route refuses it (no
+    vanishing, no trace), and the dense oracle finds the identity false."""
     if block_entries is not None:
-        monkeypatch.setattr(induced, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", block_entries)
     p, n, k = 3, 2, 1
     rep = InducedRep(p, n, PChar.trivial(p, n))
+    route = induced._column_route(p, n)
     Y, s = rep.y_operator(k), p ** (n - k)
     assert Y.cls.size == 36
-    assert _vanishes([(1, (Y, Y)), (-s, (Y,))])
+    assert route.vanishes([(1, (Y, Y)), (-s, (Y,))]) and _dense_vanishes([(1, (Y, Y)), (-s, (Y,))])
     for a, c in np.ndindex(*Y.cls.shape):
         cls = Y.cls.copy()
         cls[a, c] = (cls[a, c] + 1) % Y.dim  # one term sends row c elsewhere
         Yp = PermSum(cls)
-        assert not _vanishes([(1, (Yp, Yp)), (-s, (Yp,))]), (a, c)
+        identity = [(1, (Yp, Yp)), (-s, (Yp,))]
+        assert not route.commutes(Yp) and not route.vanishes(identity), (a, c)
+        with pytest.raises(AlgebraError, match="commute"):
+            route.trace(identity)
+        assert not _dense_vanishes(identity), (a, c)
+
+
+SMALL_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
+
+
+def _cell_operators(p, n):
+    """Every basis operator of a cell, and the Y_k."""
+    return ([induced._basis_operator(p, n, lab) for lab in all_labels(p, n)]
+            + [induced._y_operator(p, n, k) for k in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("p,n", GRID + [(7, 3)])
+def test_right_translation_is_transitive_and_commutes_with_every_operator(p, n):
+    route = induced._column_route(p, n)
+    assert len(route.perms) == 2
+    assert route.transitive and all(route.commutes(op) for op in _cell_operators(p, n))
+
+
+@st.composite
+def cell_combinations(draw):
+    """A cell with p^n <= 27 and a weighted combination of 1-4 products of
+    1-3 of its operators, and whether each term is followed by its factors
+    reversed, negated: the algebra is commutative, so that one vanishes."""
+    p, n = draw(st.sampled_from(SMALL_CELLS))
+    weight = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    factors = st.lists(st.sampled_from(_cell_operators(p, n)), min_size=1, max_size=3).map(tuple)
+    combo = draw(st.lists(st.tuples(weight, factors), min_size=1, max_size=4))
+    mirrored = draw(st.booleans())
+    if mirrored:
+        combo += [(-q, f[::-1]) for q, f in combo]
+    return p, n, combo, mirrored
+
+
+@given(cell_combinations())
+def test_column_route_matches_the_dense_oracle(drawn):
+    p, n, combo, mirrored = drawn
+    route = induced._column_route(p, n)
+    vanishes = route.vanishes(combo)
+    assert vanishes == _dense_vanishes(combo) and (vanishes or not mirrored)
+    assert route.trace(combo) == _dense_trace(combo)
+
+
+@given(st.sampled_from(SMALL_CELLS), st.data())
+def test_column_route_refuses_non_equivariant_sums(cell, data):
+    """A random sum of coordinate maps passes the premise exactly when its
+    dense matrix commutes with every right translation; otherwise the route
+    refuses it, even a combination that cancels to zero."""
+    route = induced._column_route(*cell)
+    terms = data.draw(st.integers(1, 3))
+    T = PermSum(data.draw(arrays(np.int64, (terms, route.dim), elements=st.integers(0, route.dim - 1))))
+    dense = _dense(T)
+    moves = [np.eye(route.dim, dtype=np.int64)[perm] for perm in route.perms]
+    commutes = all(np.array_equal(dense @ P, P @ dense) for P in moves)
+    assert route.commutes(T) == commutes
+    if not commutes:
+        Y = induced._y_operator(*cell, 1)
+        assert not route.vanishes([(1, (T,)), (-1, (T,))])
+        assert not route.vanishes([(1, (Y, T)), (-1, (Y, T))])
+        with pytest.raises(AlgebraError, match="commute"):
+            route.trace([(1, (T,))])
+
+
+def test_dropping_y1_from_the_translations_fails_the_certificates(monkeypatch, fresh_caches):
+    """Without y(1) every word is upper triangular, and right translation by
+    an upper triangular matrix keeps the valuation of a coset's lower-left
+    entry: the orbit of coordinate 0 is not every coordinate.  Every
+    projector identity then fails, and the traces raise."""
+    k0m = induced._k0m_generators
+    monkeypatch.setattr(induced, "_k0m_generators",
+                        lambda p, n, m: [k for k in k0m(p, n, m) if k != ymat(p, n, p**m)])
+    p, n = 3, 2
+    assert not induced._column_route(p, n).transitive
+    for r in range(n + 1):
+        rec = Report()
+        induced._certify_projector_family(p, n, r, rec)
+        assert rec.assertions and {a.status for a in rec.assertions} == {"fail"}, r
+    with pytest.raises(AlgebraError, match="commute"):
+        component_dimensions(InducedRep(p, n, PChar.trivial(p, n)), Report())
 
 
 def _component_verdicts(p, n):
@@ -394,27 +506,29 @@ def _component_verdicts(p, n):
 
 
 def test_one_row_blocks_give_same_verdicts(monkeypatch, fresh_caches):
+    """The prime-field rank confirmation, the one certificate route that
+    forms dense products, gives the same verdicts on one-row blocks."""
     p, n = 3, 2
     blocked = _component_verdicts(p, n)
     assert any("projcert" in cid for *_, checks in blocked for cid, _ in checks)
     assert any("rank-specialization" in cid for *_, checks in blocked for cid, _ in checks)
-    monkeypatch.setattr(induced, "_BLOCK_ENTRIES", 1)
-    blocks, row_blocks = [], induced._row_blocks
+    monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", 1)
+    blocks, row_blocks = [], permsum._row_blocks
 
     def recorded(combo):
         for rows, block in row_blocks(combo):
             blocks.append(len(rows))
             yield rows, block
 
-    monkeypatch.setattr(induced, "_row_blocks", recorded)
+    monkeypatch.setattr(permsum, "_row_blocks", recorded)
     assert _component_verdicts(p, n) == blocked
-    assert blocks and set(blocks) == {1}  # the certificates were built on one-row blocks
+    assert blocks and set(blocks) == {1}  # the ranks were confirmed on one-row blocks
 
 
 def test_component_dimensions_memory(fresh_caches):
-    """Certification holds one (dim, dim) count matrix per operator and one
-    block of rows of each product, far below the 18 MB of a single dense
-    (dim, dim, m) int64 tensor at (5,3)."""
+    """Certification holds the operators' coordinate maps and one column at
+    a time, far below the 18 MB of a single dense (dim, dim, m) int64 tensor
+    at (5,3)."""
     p, n = 5, 3
     rep = InducedRep(p, n, PChar.trivial(p, n))
     for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
@@ -447,6 +561,25 @@ def test_component_dimensions_large_operator(fresh_caches):
     assert res["agree"] and res["by_rank"] == res["by_system"] == res["by_formula"]
     assert report.ok and report.assertions[-1].id == "p7.n3.chi1.component-dims"
     assert peak_mb < 48, peak_mb
+
+
+def test_component_dimensions_at_5_4_under_6_mb(fresh_caches):
+    """The trivial character at (5,4), dimension 750: the column route
+    certifies every component within 6 MB traced (the dense (dim, dim)
+    products peaked at 10.95 MB)."""
+    p, n = 5, 4
+    rep = InducedRep(p, n, PChar.trivial(p, n))
+    for lab in ["w"] + [f"y{j}" for j in range(1, n + 1)]:
+        rep.piL_basis(lab)  # the cached basis operators are not part of the budget
+    report = Report()
+    tracemalloc.start()
+    try:
+        res = component_dimensions(rep, report)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert res["agree"] and report.ok
+    assert peak_mb < 6, peak_mb
 
 
 def test_returned_data_does_not_alias_the_certificates(fresh_caches):
@@ -530,22 +663,23 @@ def _dense_combo(combo):
 
 @given(combinations(), st.sampled_from([cyclotomic._FLOAT_EXACT, 0]), st.data())
 def test_vanishes_and_trace_match_dense_matrices(combo, float_exact, data):
-    """Against the exact dense reference, on both product routes (a float64
-    bound of 0 sends every product through int64)."""
+    """The BLAS oracle and the rank confirmation against the exact dense
+    reference, on both product routes (a float64 bound of 0 sends every
+    product through int64)."""
     dense = _dense_combo(combo)
     with mock.patch.object(cyclotomic, "_FLOAT_EXACT", float_exact):
-        assert _vanishes(combo) == (not any(dense.flat))
-        assert _trace(combo) == sum(dense.diagonal())
+        assert _dense_vanishes(combo) == (not any(dense.flat))
+        assert _dense_trace(combo) == sum(dense.diagonal())
         # scaled by the lcm of its weights, the combination is a small integer matrix
         den = math.lcm(*(q.denominator for q, _ in combo))
-        assert induced._rank_mod_q(combo) == np.linalg.matrix_rank((dense * den).astype(np.float64))
+        assert permsum._rank_mod_q(combo) == np.linalg.matrix_rank((dense * den).astype(np.float64))
         # the combination minus itself cancels
         zero = combo + [(-q, factors) for q, factors in combo]
-        assert _vanishes(zero) and _trace(zero) == 0 and induced._rank_mod_q(zero) == 0
+        assert _dense_vanishes(zero) and _dense_trace(zero) == 0 and permsum._rank_mod_q(zero) == 0
         # one operator on an integer vector
         f = combo[0][1][0]
         v = data.draw(arrays(np.int64, f.dim, elements=st.integers(-3, 3)))
-        img = induced._act(f, v)
+        img = permsum._act(f, v)
         assert img.dtype == np.int64 and np.array_equal(img, _dense(f) @ v)
 
 
@@ -553,18 +687,19 @@ def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
     p, n = 3, 2
     floated = _component_verdicts(p, n)
     monkeypatch.setattr(cyclotomic, "_FLOAT_EXACT", 0)
-    assert induced._exact_dtype(1) is np.int64
-    dtypes, exact_dtype = [], induced._exact_dtype
+    assert permsum._exact_dtype(1) is np.int64
+    dtypes, exact_dtype = [], permsum._exact_dtype
 
     def recorded(bound):
         dtypes.append(exact_dtype(bound))
         return dtypes[-1]
 
-    monkeypatch.setattr(induced, "_exact_dtype", recorded)
+    monkeypatch.setattr(permsum, "_exact_dtype", recorded)
     assert _component_verdicts(p, n) == floated
-    assert dtypes and set(dtypes) == {np.int64}  # the certificates were built in int64
+    # the column route and the rank confirmation both ran in int64
+    assert dtypes and set(dtypes) == {np.int64}
     with pytest.raises(OverflowError):
-        induced._exact_dtype(2**63)
+        permsum._exact_dtype(2**63)
 
 
 def test_large_campaign_cells_fit_the_transport_budget():
