@@ -1,12 +1,13 @@
 """The one registry of caches that hold character-free cell work.
 
 Work that reads no character (coset and transport tables, whole-group
-pair counts, K_g twist pairs, structure constants, operators, certificates,
-relation verdicts, the fixed-vector chain's graph) is cached per cell
-(p, n), per (p, n, r), per (p, n, group element) or per (p, n, level,
-witness word) and shared by every character there.  The caches are
-unbounded, so a campaign empties them when it moves to another cell, and a
-test empties them before it patches what the cached work is built from.
+product counts, K_g twist ratios, structure constants, operators,
+certificates, relation verdicts, the fixed-vector chain's unit potentials)
+is cached per cell (p, n), per (p, n, r), per (p, n, group element) or per
+(p, n, level, witness word) and shared by every character there.  The
+caches are unbounded, so a campaign empties them when it moves to another
+cell, and a test empties them before it patches what the cached work is
+built from.
 """
 
 from __future__ import annotations

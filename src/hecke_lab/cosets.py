@@ -32,7 +32,7 @@ K0_ENUMERATION_LIMIT = 2**21
 # Elements per block of a walk: the transient arrays of one block stay near
 # 2 MB, so a walk adds little to a process's peak.  The K0 enumeration, the
 # transport build, the whole-group walk of groupconv and the support law's
-# pair table (hecke._Kg_twist_pairs, filled and read a block of a or d
+# pair table (hecke._Kg_twist_ratios, filled and read a block of a or d
 # values at a time) share it.
 _BLOCK_ELEMENTS = 2**14
 
@@ -441,7 +441,7 @@ def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> MatArray:
 def Kg_blocks(g: MatPn) -> Iterator[tuple[MatArray, MatArray]]:
     """Pairs (k, g k g^{-1}) over k in K_g = g^{-1} K0(p^n) g  intersect
     K0(p^n), one block of K0(p^n) at a time; same guard as enumerate_K0.
-    The full-matrix conjugation: the reference for hecke._Kg_twist_pairs,
+    The full-matrix conjugation: the reference for hecke._Kg_twist_ratios,
     which computes only the conjugate's lower row."""
     gi = g.inv()
     for k in _K0_blocks(g.p, g.n, g.n):

@@ -130,10 +130,15 @@ class CyclotomicField:
         """The sum of roots of unity given as a length-m integer count vector,
         as one Fraction; ValueError if it is not rational (any coordinate past
         the first is nonzero)."""
+        return Fraction(int(self.integers_from_counts(counts)))
+
+    def integers_from_counts(self, counts) -> np.ndarray:
+        """rational_from_counts over (..., m) counts at once, as int64."""
         coords = self.reduce_exponent_matrix(counts)
-        if coords[1:].any():
-            raise ValueError(f"coordinates {coords.tolist()} in Q(zeta_{self.order}) are not rational")
-        return Fraction(int(coords[0]))
+        bad = coords[..., 1:].any(axis=-1)
+        if bad.any():
+            raise ValueError(f"coordinates {coords[bad][0].tolist()} in Q(zeta_{self.order}) are not rational")
+        return coords[..., 0]
 
     def reduce_exponent_matrix(self, counts) -> np.ndarray:
         """Vectorized reduction: (..., m) integer counts -> (..., degree) coords,

@@ -14,8 +14,9 @@ the lower row of g, and f2(g^{-1} h) at one entry of the lower row of
 g^{-1} h, which is the lower row of g^{-1} times h.  So the sum is
 regrouped: one walk per cell counts the group by (what f1 reads at g, lower
 row of g^{-1}), that row being delta * (-c, a) with delta = det^{-1}; each
-target h maps the rows through h, and a cell keeps only the resulting pair
-counts; each character only weights its exponent sums by them.  This module deliberately shares no
+target h maps the rows through h, and a cell keeps only the counts of the
+products of the two entries read; each character weights its exponents at
+those units by them.  This module deliberately shares no
 logic with the coset-sum route it checks: it takes the unit inverses from
 characters, and only the group's order and label names from cosets, never
 canonical forms, decompositions or transport.
@@ -67,20 +68,19 @@ def double_coset_census(p: int, n: int) -> dict[str, int]:
 
 
 @cell_cache
-def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
+def _pair_counts(p: int, n: int) -> dict[tuple[str, str], tuple]:
     """The whole-group sum with the character taken out, for every support
-    label l1 and target label h: over the g in l1's double coset, the
-    distinct pairs (entry that f1 reads at g, entry that f2 reads at
-    g^{-1} h) with their counts, bucketed by the label l2 of g^{-1} h.
+    label l1, target label h and label l2 of g^{-1} h: over the g in l1's
+    double coset, the counts of the products of the entry that f1 reads at
+    g and the entry that f2 reads at g^{-1} h.
 
-    Keyed (l1, h, l2) to (a, b, count) arrays; at most q^2 pairs each.
-    Character-free, so built once per cell.  One walk over the group slices
-    fills one joint histogram over (label of g and the entry f1 reads there,
-    lower row of g^{-1}); it must count |GL2(Z/p^n)| elements
-    (AssertionError otherwise).  The lower row of g^{-1} h is the lower row
-    of g^{-1} times h, so each target maps every lower row through h with a
-    q^2-entry table and sums the histogram into its pairs with one weighted
-    bincount.
+    Keyed (l1, l2) to (target index, unit, count) arrays.  Character-free,
+    so built once per cell.  One walk over the group slices fills one joint
+    histogram over (label of g and the entry f1 reads there, lower row of
+    g^{-1}); it must count |GL2(Z/p^n)| elements (AssertionError
+    otherwise).  The lower row of g^{-1} h is the lower row of g^{-1} times
+    h, so each target maps every lower row through h with a q^2-entry table
+    and sums the histogram into its products with one weighted bincount.
     """
     slices = _group_slices(p, n)  # refused past BRUTE_LIMIT before anything is built
     q, labels = p**n, all_labels(p, n)  # label index = v_p(c) capped at n
@@ -102,25 +102,29 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str, str], tuple]:
         raise AssertionError(f"the walk counted {hist.sum()} elements, not |GL2(Z/{q})|")
     filled = np.flatnonzero(hist)
     first, row = np.divmod(filled, rows)  # what f1 sees at g, lower row of g^{-1}
+    l1_at, a_at = np.divmod(first, q)
     weight = hist[filled]  # below 2^53, so exact as float64 weights
-    out = {}
-    for lab_h in labels:
+    size = len(labels) ** 3 * q
+    acc = np.zeros(size)
+    for target, lab_h in enumerate(labels):
         h = label_rep(p, n, lab_h)
         # what f2 sees at g^{-1} h, for each lower row of g^{-1}
-        other = seen[(r0 * h.a + r1 * h.c) % q * q + (r0 * h.b + r1 * h.d) % q]
-        acc = np.bincount(first * width + other[row], weights=weight, minlength=width * width)
-        counts = acc.astype(np.int64).reshape(len(labels), q, len(labels), q)
-        for j1, l1 in enumerate(labels):
-            for j2, l2 in enumerate(labels):
-                a, b = np.nonzero(counts[j1, :, j2])
-                if len(a):
-                    out[(l1, lab_h, l2)] = (a, b, counts[j1, a, j2, b])
+        l2_at, b_at = np.divmod(seen[(r0 * h.a + r1 * h.c) % q * q + (r0 * h.b + r1 * h.d) % q][row], q)
+        key = ((l1_at * len(labels) + l2_at) * len(labels) + target) * q + a_at * b_at % q
+        acc += np.bincount(key, weights=weight, minlength=size)
+    counts = acc.astype(np.int64).reshape(len(labels), len(labels), len(labels), q)
+    out = {}
+    for j1, l1 in enumerate(labels):
+        for j2, l2 in enumerate(labels):
+            target, unit = np.nonzero(counts[j1, j2])
+            if len(target):
+                out[(l1, l2)] = (target, unit, counts[j1, j2, target, unit])
     return out
 
 
 def _value_exponents(vexp: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Exponents of a twisted indicator at elements of its double coset,
-    from the entries it reads there."""
+    from the entries it reads there (or products of them)."""
     expo = vexp[entries]
     if np.any(expo < 0):
         raise AssertionError("twist evaluated at a non-unit entry")
@@ -129,25 +133,21 @@ def _value_exponents(vexp: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 def brute_convolve_labels(p: int, n: int, chi: PChar, l1: str, l2: str) -> dict[str, Fraction]:
     """Structure constants of one basis product from the whole-group sum:
-    at each target, the count-weighted histogram of the exponent sums over
-    the pairs of `_pair_counts`, over |K0|.
+    at each target, the count-weighted histogram of chi at the products of
+    `_pair_counts`, over |K0|.
 
     Roots of unity do cancel here: each histogram must collapse to a
     rational (ValueError otherwise)."""
-    vexp, field = chi.exponent_table(), chi.field
-    pairs, k0_size = _pair_counts(p, n), k0_order(p, n)
-    out: dict[str, Fraction] = {}
-    for lab_h in all_labels(p, n):
-        hit = pairs.get((l1, lab_h, l2))
-        if hit is None:
-            continue
-        a, b, count = hit
-        te = (_value_exponents(vexp, a) + _value_exponents(vexp, b)) % field.order
-        hist = np.bincount(te, weights=count, minlength=field.order).astype(np.int64)
-        val = field.rational_from_counts(hist) / k0_size
-        if val:
-            out[lab_h] = val
-    return out
+    hit = _pair_counts(p, n).get((l1, l2))
+    if hit is None:
+        return {}
+    target, unit, count = hit
+    labels, m = all_labels(p, n), chi.field.order
+    hist = np.bincount(target * m + _value_exponents(chi.exponent_table(), unit), weights=count,
+                       minlength=len(labels) * m)
+    sums = chi.field.integers_from_counts(hist.reshape(len(labels), m))
+    k0_size = k0_order(p, n)
+    return {lab_h: Fraction(s, k0_size) for lab_h, s in zip(labels, sums.tolist()) if s}
 
 
 def cross_check_structure(rep: Report, chi: PChar, tag: str, coset: dict) -> None:

@@ -34,7 +34,6 @@ from .cosets import (
     coset_table,
     label_rep,
     label_stratum,
-    stratum_label,
     stratum_of,
 )
 from .groupconv import BRUTE_LIMIT, cross_check_structure
@@ -50,7 +49,7 @@ def is_supported(g: MatPn, chi: PChar) -> bool:
 
     The criterion: chi(g k g^{-1}) = chi(k) for every k in
     K_g = g^{-1} K0 g  intersect  K0.  Checked by definition, on every pair
-    of lower-right entries that K_g twists (_Kg_twist_pairs), on every cell
+    of lower-right entries that K_g twists (_Kg_twist_ratios), on every cell
     whose p^{2n} pair table fits K0_ENUMERATION_LIMIT: p^n <= 1448, the
     whole large campaign among them; through the closed-form
     parametrization of K_g above that, (7, 4) and (13, 3) among them.
@@ -69,9 +68,9 @@ def _pair_table_fits(p: int, n: int) -> bool:
 
 
 @cell_cache
-def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pairs (d_k, d_{g k g^-1}) over k in K_g: the lower-right
-    entries the twist reads on both sides, at most p^{2n} of them.
+def _Kg_twist_ratios(g: MatPn) -> np.ndarray:
+    """The distinct ratios d_{g k g^-1} / d_k over k in K_g of the units
+    the twist reads on both sides, at most p^n of them.
 
     Only the lower row of g k g^-1 is computed, the two entries the
     criterion reads.  With g^-1 = (a', b'; c', d') and k = (a, b; 0, d) in
@@ -80,13 +79,12 @@ def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
     a plane in (a, b) plus a multiple of d in each entry, and k lies in K_g
     exactly when the lower-left entry vanishes.  So the walk is grouped by
     the lower-left residue: a p^n x p^n table, filled from the (a, b) planes
-    in blocks of about _BLOCK_ELEMENTS elements, marks in row v the
+    in blocks of about _BLOCK_ELEMENTS / 2 elements, marks in row v the
     lower-right values w of the plane where its lower-left value is v.  Each
-    unit d reads row -g_d c' d, and its pairs are (d, w + g_d d' d).  That is
-    |units| p^n + p^{2n} steps, where testing every d against the whole
-    plane took |units|^2 p^n.  Refused with ValueError, before anything is
-    built, when the table exceeds K0_ENUMERATION_LIMIT entries.
-    cosets.Kg_blocks is the full-matrix reference."""
+    unit d reads row -g_d c' d, and its conjugate entries w + g_d d' d must
+    be units (AssertionError).  That is |units| p^n + p^{2n} steps.  Refused
+    with ValueError, before anything is built, when the table exceeds
+    K0_ENUMERATION_LIMIT entries.  cosets.Kg_blocks is the reference."""
     p, n, pn = g.p, g.n, g.pn
     if not _pair_table_fits(p, n):
         raise ValueError(
@@ -94,28 +92,28 @@ def _Kg_twist_pairs(g: MatPn) -> tuple[np.ndarray, np.ndarray]:
             f"the limit is {K0_ENUMERATION_LIMIT}"
         )
     gi = g.inv()
-    units = unit_group(p, n).units
+    units, inverse = unit_group(p, n).units, unit_group(p, n).inverse
     b = np.arange(pn)
-    step = max(1, _BLOCK_ELEMENTS // pn)
+    step = max(1, _BLOCK_ELEMENTS // pn // 2)  # the second pass holds 5 arrays a block
     table = np.zeros((pn, pn), dtype=bool)
     for lo in range(0, len(units), step):
         a = units[lo : lo + step, None]
         lower_left = (g.c * gi.a * a + g.c * gi.c * b) % pn
         table[lower_left, (g.c * gi.b * a + g.c * gi.d * b) % pn] = True
-    seen = np.zeros(pn * pn, dtype=bool)
+    seen = np.zeros(pn, dtype=bool)
     for lo in range(0, len(units), step):
         d = units[lo : lo + step]
         rows, w = np.nonzero(table[(-g.d * gi.c * d) % pn])
         d = d[rows]
-        seen[d * pn + (w + g.d * gi.d * d) % pn] = True
-    pairs = np.flatnonzero(seen)
-    return pairs // pn, pairs % pn
+        conj = (w + g.d * gi.d * d) % pn
+        if np.any(conj % p == 0):
+            raise AssertionError("twist evaluated at a non-unit entry")
+        seen[conj * inverse[d] % pn] = True
+    return np.flatnonzero(seen)
 
 
 def _supported_by_definition(g: MatPn, chi: PChar) -> bool:
-    d, d_conj = _Kg_twist_pairs(g)
-    vexp = chi.exponent_table()
-    return bool(np.all(vexp[d_conj] == vexp[d]))
+    return not chi.exponent_table()[_Kg_twist_ratios(g)].any()
 
 
 def _supported_by_closed_form(g: MatPn, chi: PChar) -> bool:
@@ -146,7 +144,7 @@ def basis_exponent(vexp: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
     Writing g = k0 * rep(coset of g) puts the lower-right (for y classes) or
     lower-left (for the w class) entry of g into the chi slot; the caller
-    passes the entry its class reads.
+    passes the entry its class reads, or a product of such entries.
     """
     e = vexp[entries]
     if np.any(e < 0):
@@ -316,23 +314,29 @@ def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
 
 
 @cell_cache
-def _mirror_geometry(p: int, n: int, lab_h: str, l2: str) -> dict[str, tuple]:
-    """The character-free part of the mirrored sum at the target of `lab_h`
-    over the left-coset representatives b of l2's class: b's twist entry,
-    and the twist entry of x = h b^{-1}, grouped by the label of x in the
-    order the labels first occur.  A twist entry is the lower-left entry
-    for the w class and the lower-right one otherwise.  Built once per cell
-    as one MatArray product; x's label is v_p of its lower-left entry
-    capped at n (0 for w), as d is a unit whenever p | c."""
+def _mirror_geometry(p: int, n: int, l2: str) -> dict[str, tuple]:
+    """The character-free part of the mirrored sum over the left-coset
+    representatives b of l2's class: per label of x = h b^{-1}, the counts
+    of the products of x's and b's twist entries, as (target index, unit,
+    count) arrays.  A twist entry is the lower-left entry for the w class
+    and the lower-right one otherwise.  One MatArray product per target;
+    x's label is v_p of its lower-left entry capped at n (0 for w), as d is
+    a unit whenever p | c."""
+    pn, labels = p**n, all_labels(p, n)
     b = class_left_reps(p, n, l2)
-    x = label_rep(p, n, lab_h) @ b.inv()
-    e_b = b.d if label_stratum(n, l2) else b.c
-    v_x = _vp_array(x.c, p, n)
-    _, first = np.unique(v_x, return_index=True)
+    e_b, b_inv = (b.d if label_stratum(n, l2) else b.c), b.inv()
+    codes = []
+    for target, lab_h in enumerate(labels):
+        x = label_rep(p, n, lab_h) @ b_inv
+        v_x = _vp_array(x.c, p, n)
+        codes.append((v_x * len(labels) + target) * pn + np.where(v_x, x.d, x.c) * e_b % pn)
+    counts = np.bincount(np.concatenate(codes), minlength=len(labels) ** 2 * pn)
+    counts = counts.reshape(len(labels), len(labels), pn)  # (label of x, target, unit)
     out = {}
-    for v in v_x[np.sort(first)]:
-        rows = v_x == v
-        out[stratum_label(v)] = (e_b[rows], (x.d if v else x.c)[rows])
+    for v, lab_x in enumerate(labels):
+        target, unit = np.nonzero(counts[v])
+        if len(target):
+            out[lab_x] = (target, unit, counts[v, target, unit])
     return out
 
 
@@ -342,22 +346,26 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
 
     The matrix work, which reads no character, is done once per cell in
     `_mirror_geometry`.  Roots of unity do cancel here: terms are
-    accumulated as one exponent histogram per pair of basis labels (l2,
-    label of h b^{-1}), and each histogram must collapse to a rational
-    (ValueError otherwise)."""
+    accumulated as one exponent histogram per target and pair of basis
+    labels (l2, label of h b^{-1}), and each histogram must collapse to a
+    rational (ValueError otherwise)."""
     f1._require_same(f2)
     p, n, chi = f1.p, f1.n, f1.chi
-    vexp, field = chi.exponent_table(), chi.field
-    out: dict[str, Fraction] = {}
-    for lab_h in all_labels(p, n):
-        total = Fraction(0)
-        for l2, c2 in f2.coeffs.items():
-            for lab_x, (e_b, e_x) in _mirror_geometry(p, n, lab_h, l2).items():
-                if lab_x not in f1.coeffs:
-                    continue
-                te = (basis_exponent(vexp, e_x) + basis_exponent(vexp, e_b)) % field.order
-                hist = np.bincount(te, minlength=field.order)
-                total += f1.coeffs[lab_x] * c2 * field.rational_from_counts(hist)
+    labels, m = all_labels(p, n), chi.field.order
+    terms = [(f1.coeffs[lab_x] * c2, geo) for l2, c2 in f2.coeffs.items()
+             for lab_x, geo in _mirror_geometry(p, n, l2).items() if lab_x in f1.coeffs]
+    if not terms:
+        return HeckeElem(p, n, chi, {})
+    # one row per (target, term), target-major
+    row = np.concatenate([target * len(terms) + i for i, (_, (target, _, _)) in enumerate(terms)])
+    unit = np.concatenate([unit for _, (_, unit, _) in terms])
+    count = np.concatenate([count for _, (_, _, count) in terms])
+    hist = np.bincount(row * m + basis_exponent(chi.exponent_table(), unit), weights=count,
+                       minlength=len(labels) * len(terms) * m)
+    sums = chi.field.integers_from_counts(hist.reshape(-1, m)).reshape(len(labels), len(terms))
+    out = {}
+    for lab_h, at in zip(labels, sums.tolist()):
+        total = sum(c * s for (c, _), s in zip(terms, at) if s)
         if total:
             out[lab_h] = total
     return HeckeElem(p, n, chi, out)

@@ -25,14 +25,15 @@ identities, prime-field ranks, traces, and the routes' agreement with the
 closed forms) are certificates worked out once per (p, n, r), with ids
 relative to a character's tag, and each character replays them
 (Report.replay).  Only the fixed-vector chain is worked per character:
-right translation reads chi, but only at entries it fixes, so the chain's
-graph and path counts are built once per (p, n, level, witness word), and
-each character reads chi at their entries.
+right translation reads chi, but only at units it fixes, and chi is
+multiplicative there, so the chain's graph, each coordinate's unit
+potential and each component's cycle units are built once per (p, n,
+level, witness word), and each character reads chi at those units with one
+gather.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -172,9 +173,10 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
 
     Each word is a phase permutation, so its equation links coordinate c to
     cls[c] by a root of unity: the solutions are one vector per connected
-    component of the word graph whose cycles all carry phase 0.  The graph
-    and its path counts are built once per (p, n, m_level, t) in
-    `_fixed_geometry`; this character only reads chi at their entries
+    component of the word graph whose cycles all carry phase 0.  Every
+    phase is chi at a unit, so the graph, the unit potential of each
+    coordinate and the cycle units are built once per (p, n, m_level, t) in
+    `_fixed_geometry`; this character only reads chi at those units
     (`_live_basis`).
     """
     p, n = rep.p, rep.n
@@ -190,7 +192,7 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
                 f"no witness word at p={p}, n={n}, conrey {rep.chi.conrey_index()}, m={m_level}: "
                 f"chi is trivial on 1 + p^{m_level} Z, against conductor exponent {rep.r}"
             )
-    basis = _live_basis(_fixed_geometry(p, n, m_level, t), vexp, rep.field.order)
+    basis = _live_basis(_fixed_geometry(p, n, m_level, t), vexp)
     return FixedSubspace(p, n, len(basis), basis)
 
 
@@ -198,54 +200,44 @@ def fixed_subspace(rep: InducedRep, m_level: int) -> FixedSubspace:
 class _WordGeometry:
     """The character-free part of a fixed-vector system.
 
-    Edge i links c = src[i] to dst[i] = cls[c] of one word k, with
-    v[dst] = zeta^delta v[src] for delta = chi(k.d) - chi(d0[c]) as
-    exponents: the two entries it reads are entries[word_at[i]] and
-    entries[coset_at[i]].  Components are numbered by their lowest
-    coordinate.  Walking a spanning forest from each component's lowest
-    coordinate, the phase forced on coordinate c is the sum of
-    path_count[i] * chi(entries[path_entry[i]]) over the i with
-    path_row[i] = c, mod m: the entries read along c's path, counted with
-    sign.  These (row, entry, count) triples are the nonzero entries of the
-    path count matrix.
+    Edge i of word k links c to cls[c] with v[cls[c]] = chi(w_i) v[c] for
+    the unit w_i = k.d d0[c]^-1, as chi is multiplicative on units.
+    Components are numbered by their lowest coordinate.  Walking a spanning
+    forest from each component's lowest coordinate, potential[c] is the
+    product mod p^n of the edge units along c's path, inverted on edges
+    walked backwards, so the phase forced on c is chi(potential[c]).  Every
+    other edge closes a cycle of unit potential[c] w_i potential[cls[c]]^-1,
+    which chi must send to 1: (cycle_label, cycle_unit) are the distinct
+    cycle units other than 1, with their components.
     """
 
-    entries: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    word_at: np.ndarray
-    coset_at: np.ndarray
     labels: np.ndarray
-    path_row: np.ndarray
-    path_entry: np.ndarray
-    path_count: np.ndarray
+    potential: np.ndarray
+    cycle_label: np.ndarray
+    cycle_unit: np.ndarray
 
 
-def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]]) -> _WordGeometry:
+def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]], p: int, n: int) -> _WordGeometry:
     """Geometry of the words given as (cls, d0, word entry), cls a map of the
-    coordinates and d0[c] the entry read at c.
+    coordinates and d0[c] the entry read at c, every entry a unit mod p^n.
 
     The forest is breadth-first, grown one level at a time over the edges
-    taken both ways (sign -1 backwards).  A path changes each count by at
-    most 1 per edge, so `path_count` takes the smallest integer dtype that
-    holds the longest path, and `path_row` and `path_entry` the smallest
-    that index the coordinates and the entries."""
+    taken both ways (with the inverse unit backwards)."""
+    pn, inverse = p**n, unit_group(p, n).inverse
     dim = len(words[0][0])
     src = np.tile(np.arange(dim), len(words))
     dst = np.concatenate([cls for cls, _, _ in words])
-    read = np.concatenate([np.full(dim, kd) for _, _, kd in words] + [d0 for _, d0, _ in words])
-    entries, at = np.unique(read, return_inverse=True)
-    word_at, coset_at = at[: len(src)], at[len(src) :]
+    unit = np.concatenate([kd * inverse[d0] % pn for _, d0, kd in words])
 
     tail, head = np.concatenate([src, dst]), np.concatenate([dst, src])
-    edge, sign = np.tile(np.arange(len(src)), 2), np.repeat([1, -1], len(src))
+    step = np.concatenate([unit, inverse[unit]])
     labels = np.full(dim, -1)
-    paths = np.zeros((dim, len(entries)), dtype=np.int64)
-    ncomp, longest = 0, 0
+    potential = np.ones(dim, dtype=np.int64)
+    ncomp = 0
     while (labels < 0).any():
         front = np.flatnonzero(labels < 0)[:1]  # the component's lowest coordinate
         labels[front] = ncomp
-        for depth in itertools.count():
+        while True:
             on = np.zeros(dim, dtype=bool)
             on[front] = True
             hit = np.flatnonzero(on[tail] & (labels[head] < 0))
@@ -253,51 +245,40 @@ def _word_geometry(words: list[tuple[np.ndarray, np.ndarray, int]]) -> _WordGeom
                 break
             # each coordinate reached joins the forest along its first edge
             front, first = np.unique(head[hit], return_index=True)
-            a, i, s = tail[hit[first]], edge[hit[first]], sign[hit[first]]
             labels[front] = ncomp
-            paths[front] = paths[a]
-            paths[front, word_at[i]] += s
-            paths[front, coset_at[i]] -= s
-        longest = max(longest, depth)
+            potential[front] = potential[tail[hit[first]]] * step[hit[first]] % pn
         ncomp += 1
-    rows, cols = np.nonzero(paths)
-    return _WordGeometry(
-        entries, src, dst, word_at, coset_at, labels,
-        rows.astype(np.min_scalar_type(dim)), cols.astype(np.min_scalar_type(len(entries))),
-        paths[rows, cols].astype(np.min_scalar_type(-max(longest, 1))),
-    )
+    cycle = potential[src] * unit % pn * inverse[potential[dst]] % pn
+    # return_index keeps np.unique on its sorting path, which never imports numpy.ma
+    codes = np.unique(labels[src] * pn + cycle, return_index=True)[0]
+    codes = codes[codes % pn != 1]
+    return _WordGeometry(labels, potential, codes // pn, codes % pn)
 
 
 @cell_cache
 def _fixed_geometry(p: int, n: int, m_level: int, t: Optional[int]) -> _WordGeometry:
     """Geometry of the K0(p^m_level) generators, plus the witness word
     y(p^m) x(t) when t is given.  Every entry it reads is checked to be a
-    unit here, once."""
+    unit here, once: the potentials and cycle units are their products."""
     words = _k0m_generators(p, n, m_level)
     if t is not None:
         words.append(ymat(p, n, p**m_level) @ xmat(p, n, t))
     if any(k.d % p == 0 for k in words):
         raise AssertionError("word with a non-unit lower-right entry")
-    geo = _word_geometry([(*_right_transport(p, n, k), k.d) for k in words])
-    if np.any(geo.entries % p == 0):
+    transports = [_right_transport(p, n, k) for k in words]
+    if any(np.any(d0 % p == 0) for _, d0 in transports):
         raise AssertionError("twist evaluated at a non-unit entry")
-    return geo
+    return _word_geometry([(cls, d0, k.d) for (cls, d0), k in zip(transports, words)], p, n)
 
 
-def _live_basis(geo: _WordGeometry, vexp: np.ndarray, mord: int) -> list[np.ndarray]:
-    """Solutions for one exponent table vexp (chi = zeta_mord^vexp), one per
-    live component, as exponent vectors (-1 off the component).
-
-    The walk phases solve every forest edge; a component is dead when any of
-    its edges disagrees with them, and then it carries only the zero vector.
-    """
-    vals = vexp[geo.entries]
-    ph = np.zeros(len(geo.labels), dtype=np.int64)
-    np.add.at(ph, geo.path_row, geo.path_count * vals[geo.path_entry])
-    ph %= mord
-    delta = vals[geo.word_at] - vals[geo.coset_at]
+def _live_basis(geo: _WordGeometry, vexp: np.ndarray) -> list[np.ndarray]:
+    """Solutions for one exponent table vexp, one per live component, as
+    exponent vectors (-1 off the component): the phases are vexp at the
+    potentials, and a component is dead, carrying only the zero vector,
+    when vexp is nonzero at one of its cycle units."""
+    ph = vexp[geo.potential]
     dead = np.zeros(geo.labels.max() + 1, dtype=bool)
-    dead[geo.labels[geo.src[(ph[geo.src] + delta - ph[geo.dst]) % mord != 0]]] = True
+    dead[geo.cycle_label[vexp[geo.cycle_unit] != 0]] = True
     return [np.where(geo.labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
 
 

@@ -1,11 +1,15 @@
 """The character-free work cached per cell (p, n) or per (p, n, r) gives
 every character the report it would get from empty caches, and that report
-passes."""
+passes; once a cell's caches are filled, a character's work there reads chi
+without any matrix arithmetic."""
 
 import random
 
-from hecke_lab import campaign, hecke, induced
+import pytest
+
+from hecke_lab import campaign, groupconv, hecke, induced
 from hecke_lab.cellcache import CELL_CACHES
+from hecke_lab.cosets import CosetTable, MatArray
 from hecke_lab.characters import PChar
 from hecke_lab.hecke import verify_relations
 from hecke_lab.induced import verify_induced
@@ -37,7 +41,7 @@ def test_registry_holds_every_cell_cache():
         "_basis_product_cached", "_mirror_geometry", "_relation_verdicts", "_pair_counts",
         "_basis_operator", "_y_operator", "_table_certificate", "_spectral_certificate",
         "_fixed_geometry", "coset_table", "_left_transport", "_right_transport",
-        "_Kg_twist_pairs",
+        "_Kg_twist_ratios",
     }
 
 
@@ -55,3 +59,21 @@ def test_campaign_holds_one_cell_at_a_time(monkeypatch, fresh_caches):
     # only (3, 1) is left: its conductor exponents 0 and 1
     assert hecke._relation_verdicts.cache_info().currsize == 2
     assert induced._spectral_certificate.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2), (5, 3)])
+def test_per_character_work_reads_cached_cells_only(monkeypatch, fresh_caches, p, n):
+    """A second pass over every character of a cell, with the caches the
+    first pass filled, runs with coset decomposition, matrix products and
+    inverses and the whole-group walk all refused: what is left per
+    character is reading chi at precomputed entries."""
+    chars = list(PChar.all_characters(p, n))
+    first = [_reports(p, n, chi) for chi in chars]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("per-character work reached the cell's matrix arithmetic")
+
+    for owner, attr in [(CosetTable, "decompose_rows"), (MatArray, "__matmul__"),
+                        (MatArray, "inv"), (groupconv, "_group_slices")]:
+        monkeypatch.setattr(owner, attr, refused)
+    assert [_reports(p, n, chi) for chi in chars] == first

@@ -1,8 +1,8 @@
-"""The whole-group oracle walks GL2(Z/p^n) in slices: its pair counts equal
-a per-target walk over blocks of whole matrices, they and the census do not
-depend on the block size that sizes the slices, a cell's build stays small,
-the walk must count the whole group, and a modulus past the cap is refused
-before anything is built."""
+"""The whole-group oracle walks GL2(Z/p^n) in slices: its unit-product
+counts equal those of a per-target walk over blocks of whole matrices, they
+and the census do not depend on the block size that sizes the slices, a
+cell's build stays small, the walk must count the whole group, and a
+modulus past the cap is refused before anything is built."""
 
 import itertools
 import tracemalloc
@@ -23,7 +23,8 @@ def _reference_pair_counts(p, n):
     """The pair counts by a walk over blocks of the q^4 candidate matrices in
     order: each block keeps its unit-determinant matrices, inverts them, and
     for every target h counts the pairs (entry read at g, entry read at
-    g^{-1} h) with one bincount per target."""
+    g^{-1} h) with one bincount per target; then each pair's count goes to
+    the product of its two entries."""
     q, labels = p**n, all_labels(p, n)
     width = len(labels) * q
     c, d = np.divmod(np.arange(q * q), q)
@@ -41,12 +42,19 @@ def _reference_pair_counts(p, n):
             other = seen[(gi.c * h.a + gi.d * h.c) % q * q + (gi.c * h.b + gi.d * h.d) % q]
             acc += np.bincount(own + other, minlength=width * width)
     out = {}
-    for lab_h, acc in zip(labels, hist):
-        counts = acc.reshape(len(labels), q, len(labels), q)
-        for (j1, l1), (j2, l2) in itertools.product(enumerate(labels), repeat=2):
-            a, b = np.nonzero(counts[j1, :, j2])
-            if len(a):
-                out[(l1, lab_h, l2)] = (a, b, counts[j1, a, j2, b])
+    counts = hist.reshape(len(labels), len(labels), q, len(labels), q)
+    for (j1, l1), (j2, l2) in itertools.product(enumerate(labels), repeat=2):
+        # each pair (a, b) counted at the unit a b, which chi maps to chi(a) chi(b)
+        rows = []
+        for target in range(len(labels)):
+            a, b = np.nonzero(counts[target, j1, :, j2])
+            by_unit = np.zeros(q, dtype=np.int64)
+            np.add.at(by_unit, a * b % q, counts[target, j1, a, j2, b])
+            unit = np.flatnonzero(by_unit)
+            rows.append((np.full(len(unit), target), unit, by_unit[unit]))
+        target, unit, count = (np.concatenate(col) for col in zip(*rows))
+        if len(unit):
+            out[(l1, l2)] = (target, unit, count)
     return out
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hecke_lab import groupconv, hecke, induced
 from hecke_lab.campaign import Campaign
 from hecke_lab.cellcache import clear_cell_caches
-from hecke_lab.characters import PChar
+from hecke_lab.characters import PChar, unit_group
 from hecke_lab.cosets import (
     Kg_blocks,
     MatPn,
@@ -30,7 +30,7 @@ from hecke_lab.hecke import (
     AlgebraError,
     HeckeElem,
     _basis_product,
-    _Kg_twist_pairs,
+    _Kg_twist_ratios,
     _mirror_geometry,
     _pair_table_fits,
     _supported_by_closed_form,
@@ -115,12 +115,14 @@ def test_support_definition_matches_closed_form_on_large_cells(p, n, monkeypatch
             assert is_supported(g, chi) == by_definition
 
 
-def _pairs_by_full_conjugation(g):
-    """The reference for _Kg_twist_pairs: the distinct (d_k, d_{g k g^-1})
-    read off the full conjugates of cosets.Kg_blocks."""
-    pn = g.pn
-    codes = np.unique(np.concatenate([k.d * pn + conj.d for k, conj in Kg_blocks(g)]))
-    return codes // pn, codes % pn
+def _ratios_by_full_conjugation(g):
+    """The reference for _Kg_twist_ratios: the distinct d_{g k g^-1} d_k^-1
+    over the twist pairs read off the full conjugates of cosets.Kg_blocks,
+    every entry a unit."""
+    inverse = unit_group(g.p, g.n).inverse
+    pairs = [(k.d, conj.d) for k, conj in Kg_blocks(g)]
+    assert all(np.all(d % g.p) and np.all(conj % g.p) for d, conj in pairs)
+    return np.unique(np.concatenate([conj * inverse[d] % g.pn for d, conj in pairs]))
 
 
 def _same_arrays(got, want):
@@ -131,10 +133,11 @@ def _same_arrays(got, want):
 
 @pytest.mark.parametrize("p,n", GRID + [(2, 4), (2, 5), (2, 6), (3, 4), (7, 2), (11, 2)])
 def test_Kg_twist_pairs_match_full_conjugation(p, n):
-    # the lower-row walk gives, bit for bit, the pairs of the full products
+    # the lower-row walk gives, bit for bit, the ratios of the twist pairs
+    # of the full products
     for lab in all_labels(p, n):
         g = label_rep(p, n, lab)
-        assert _same_arrays(_Kg_twist_pairs.__wrapped__(g), _pairs_by_full_conjugation(g)), lab
+        assert _same_arrays([_Kg_twist_ratios.__wrapped__(g)], [_ratios_by_full_conjugation(g)]), lab
 
 
 @st.composite
@@ -148,7 +151,7 @@ def invertible(draw) -> MatPn:
 
 @given(invertible())
 def test_Kg_twist_pairs_match_full_conjugation_at_any_g(g):
-    assert _same_arrays(_Kg_twist_pairs.__wrapped__(g), _pairs_by_full_conjugation(g))
+    assert _same_arrays([_Kg_twist_ratios.__wrapped__(g)], [_ratios_by_full_conjugation(g)])
 
 
 def test_definition_walk_refused_before_allocating():
@@ -173,7 +176,7 @@ def test_definition_walk_memory_at_5_3():
         g = label_rep(5, 3, lab)
         tracemalloc.start()
         try:
-            _Kg_twist_pairs.__wrapped__(g)
+            _Kg_twist_ratios.__wrapped__(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,26 +184,28 @@ def test_definition_walk_memory_at_5_3():
 
 
 def test_definition_walk_memory_at_the_largest_admitted_cell():
-    # 1447^2 is the largest p^{2n} within the guard.  Beyond the result
-    # and flatnonzero's index array (24 bytes a pair), the walk holds its
-    # two boolean p^n x p^n tables and blocks of about 16K elements: under
-    # 2 MB more.  The unblocked (a, b) planes alone would take 33 MB.
+    # 1447^2 is the largest p^{2n} within the guard.  The walk holds its
+    # boolean p^n x p^n table, p^n-entry arrays (the ratios among them) and
+    # blocks of about 16K elements: under 2 MB more.  The unblocked (a, b)
+    # planes alone would take 33 MB.
     p, n = 1447, 1
     assert _pair_table_fits(p, n) and not _pair_table_fits(1451, 1)
     for lab in all_labels(p, n):
         g = label_rep(p, n, lab)
         tracemalloc.start()
         try:
-            d, _ = _Kg_twist_pairs.__wrapped__(g)
+            _Kg_twist_ratios.__wrapped__(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * len(d) + 2 * p ** (2 * n) + (2 << 20), (lab, len(d), peak)
+        assert peak < p ** (2 * n) + (2 << 20), (lab, peak)
 
 
-def _mirror_geometry_by_matpn(p, n, lab_h, l2):
-    """_mirror_geometry one scalar MatPn at a time, through the left-coset
-    representatives y(p^j) d(s), w x(t), I and canonical labels."""
+def _mirror_pairs_by_matpn(p, n, lab_h, l2):
+    """The mirrored sum's terms at target lab_h, one scalar MatPn at a time,
+    through the left-coset representatives y(p^j) d(s), w x(t), I and
+    canonical labels: for each label of x = h b^-1, the twist entries of b
+    and of x, one pair a term."""
     h = label_rep(p, n, lab_h)
     if l2 == f"y{n}":
         reps = [identity(p, n)]
@@ -219,20 +224,80 @@ def _mirror_geometry_by_matpn(p, n, lab_h, l2):
         x = h @ b.inv()
         lab_x = double_coset_label(x)
         rows.setdefault(lab_x, []).append((slot(l2, b), slot(lab_x, x)))
-    return {
-        lab_x: tuple(np.array(col, dtype=np.int64) for col in zip(*pairs))
-        for lab_x, pairs in rows.items()
-    }
+    return {lab_x: np.array(pairs, dtype=np.int64).T for lab_x, pairs in rows.items()}
 
 
 @pytest.mark.parametrize("p,n", GRID)
 def test_mirror_geometry_matches_scalar_products(p, n):
-    for lab_h in all_labels(p, n):
-        for l2 in all_labels(p, n):
-            got = _mirror_geometry(p, n, lab_h, l2)
-            want = _mirror_geometry_by_matpn(p, n, lab_h, l2)
-            assert list(got) == list(want), (lab_h, l2)
-            assert all(_same_arrays(got[lab], want[lab]) for lab in want), (lab_h, l2)
+    # the unit products of the scalar terms, counted per target and label
+    # of x, are the geometry's, bit for bit
+    labels = all_labels(p, n)
+    for l2 in labels:
+        want = {}
+        for target, lab_h in enumerate(labels):
+            for lab_x, (e_b, e_x) in _mirror_pairs_by_matpn(p, n, lab_h, l2).items():
+                counts = np.bincount(e_x * e_b % p**n, minlength=p**n)
+                unit = np.flatnonzero(counts)
+                want.setdefault(lab_x, []).append((np.full(len(unit), target), unit, counts[unit]))
+        want = {lab: [np.concatenate(col) for col in zip(*want[lab])] for lab in labels if lab in want}
+        got = _mirror_geometry(p, n, l2)
+        assert list(got) == list(want), l2
+        assert all(_same_arrays(got[lab], want[lab]) for lab in want), l2
+
+
+@pytest.mark.parametrize("p,n", GRID)
+def test_mirror_unit_counts_give_the_term_histograms(p, n):
+    """For every character and every basis product on its basis, the
+    histogram read off the geometry's unit products equals the histogram of
+    the terms' exponent sums chi(e_x) + chi(e_b), per target and label of x."""
+    labels = all_labels(p, n)
+    pairs = {(lab_h, l2): _mirror_pairs_by_matpn(p, n, lab_h, l2) for lab_h in labels for l2 in labels}
+    for chi in PChar.all_characters(p, n):
+        vexp, m = chi.exponent_table(), chi.field.order
+        basis = supported_basis(p, n, chi)
+        for l2 in basis:
+            for lab_x, (target, unit, count) in _mirror_geometry(p, n, l2).items():
+                if lab_x not in basis:
+                    continue
+                for j, lab_h in enumerate(labels):
+                    on = target == j
+                    got = np.bincount(vexp[unit[on]], weights=count[on], minlength=m)
+                    e_b, e_x = pairs[(lab_h, l2)].get(lab_x, np.zeros((2, 0), dtype=np.int64))
+                    want = np.bincount((vexp[e_x] + vexp[e_b]) % m, minlength=m)
+                    assert np.array_equal(got, want), (chi.conrey_index(), lab_h, l2, lab_x)
+
+
+def _moved_count(entry, gen, pn):
+    """(target, unit, count) with one count of its first unit moved to that
+    unit times gen."""
+    target, unit, count = (x.copy() for x in entry)
+    count[0] -= 1
+    moved = (target[0], unit[0] * gen % pn)
+    at = np.flatnonzero((target == moved[0]) & (unit == moved[1]))
+    if len(at):
+        count[at[0]] += 1
+        return target, unit, count
+    return np.append(target, moved[0]), np.append(unit, moved[1]), np.append(count, 1)
+
+
+def test_moving_one_unit_count_fails_both_oracles(monkeypatch, fresh_caches):
+    # one count of the identity product moved from unit u to u g, for the
+    # unit group's generator g: every character with chi(g) != 1 sees it,
+    # in the mirrored sum and in the whole-group sum alike
+    p, n = 3, 2
+    top = f"y{n}"
+    (gen,) = unit_group(p, n).generators
+    seen = [chi for chi in PChar.all_characters(p, n) if chi.exponent(gen)]
+    assert all(verify_relations(p, n, chi).ok for chi in seen)
+    geometry = hecke._mirror_geometry
+    mirror, pairs = dict(geometry(p, n, top)), dict(groupconv._pair_counts(p, n))
+    mirror[top] = _moved_count(mirror[top], gen, p**n)
+    pairs[(top, top)] = _moved_count(pairs[(top, top)], gen, p**n)
+    monkeypatch.setattr(hecke, "_mirror_geometry", lambda p, n, l2: mirror if l2 == top else geometry(p, n, l2))
+    monkeypatch.setattr(groupconv, "_pair_counts", lambda p, n: pairs)
+    for chi in seen:
+        failed = {a.id.split(".", 3)[3] for a in verify_relations(p, n, chi).failures()}
+        assert failed == {"mirrored-convolution", f"bruteforce.{top}x{top}"}, chi.conrey_index()
 
 
 @given(elements(3), RATIONALS, RATIONALS)
@@ -344,8 +409,10 @@ def _assertion(rep, suffix):
 
 
 def _second_read_shifted(exact):
-    """`exact` with every second call's exponents shifted by one: a term
-    reads two twists, so each term moves by one root of unity."""
+    """`exact` with every second call's exponents shifted by one: a call
+    reads chi once for a whole basis product, at the products of the two
+    twists' entries, so every term of every second product moves by one
+    root of unity."""
     calls = itertools.count()
 
     def shifted(vexp, entries):

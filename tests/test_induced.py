@@ -40,6 +40,8 @@ from hecke_lab.permsum import PermSum, _row_blocks
 from hecke_lab.report import Report
 from tests.conftest import GRID, clear_cell_caches
 
+SMALL_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
+
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_dimension_formula(p, n):
@@ -140,34 +142,80 @@ def test_fixed_vectors_are_eigenvectors_of_sampled_K0m(p, n):
                     assert np.array_equal(lhs, (xk + ph[live]) % mord), (chi, m, k)
 
 
+def _path_count_basis(words, vexp, m):
+    """The fixed chain's former route, an oracle for the unit potentials:
+    the same breadth-first forest carries, for each coordinate, the signed
+    counts of the entries read along its path in a dense (dim, entries)
+    matrix; the phase of a coordinate is those counts times vexp at the
+    entries, and a component is dead where an edge disagrees with them."""
+    dim = len(words[0][0])
+    src = np.tile(np.arange(dim), len(words))
+    dst = np.concatenate([cls for cls, _, _ in words])
+    read = np.concatenate([np.full(dim, kd) for _, _, kd in words] + [d0 for _, d0, _ in words])
+    entries, at = np.unique(read, return_inverse=True)
+    word_at, coset_at = at[: len(src)], at[len(src) :]
+    tail, head = np.concatenate([src, dst]), np.concatenate([dst, src])
+    edge, sign = np.tile(np.arange(len(src)), 2), np.repeat([1, -1], len(src))
+    labels = np.full(dim, -1)
+    paths = np.zeros((dim, len(entries)), dtype=np.int64)
+    ncomp = 0
+    while (labels < 0).any():
+        front = np.flatnonzero(labels < 0)[:1]
+        labels[front] = ncomp
+        while True:
+            on = np.zeros(dim, dtype=bool)
+            on[front] = True
+            hit = np.flatnonzero(on[tail] & (labels[head] < 0))
+            if not len(hit):
+                break
+            front, first = np.unique(head[hit], return_index=True)
+            a, i, sg = tail[hit[first]], edge[hit[first]], sign[hit[first]]
+            labels[front] = ncomp
+            paths[front] = paths[a]
+            paths[front, word_at[i]] += sg
+            paths[front, coset_at[i]] -= sg
+        ncomp += 1
+    vals = vexp[entries]
+    ph = paths @ vals % m
+    delta = vals[word_at] - vals[coset_at]
+    dead = np.zeros(ncomp, dtype=bool)
+    dead[labels[src[(ph[src] + delta - ph[dst]) % m != 0]]] = True
+    return [np.where(labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
+
+
+CELL_CHARACTERS = {cell: list(PChar.all_characters(*cell)) for cell in SMALL_CELLS}
+
+
 @st.composite
 def phase_systems(draw):
-    """1-4 phase permutations on 1-12 coordinates over an exponent table of
-    1-6 entries: word k sends v to (zeta^vexp[d0[c]] v[cls[c]])_c and asks
-    for the eigenvalue zeta^vexp[kd]."""
-    m = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    """A character of a cell with p^n <= 27 and 1-4 phase permutations on
+    1-12 coordinates with unit entries: word k sends v to
+    (chi(d0[c]) v[cls[c]])_c and asks for the eigenvalue chi(kd)."""
+    p, n = draw(st.sampled_from(SMALL_CELLS))
+    chi = draw(st.sampled_from(CELL_CHARACTERS[(p, n)]))
+    unit = st.sampled_from(unit_group(p, n).units.tolist())
     dim = draw(st.integers(1, 12))
-    size = draw(st.integers(1, 6))
-    vexp = draw(arrays(np.int64, size, elements=st.integers(0, m - 1)))
     words = [
         (
             np.array(draw(st.permutations(range(dim))), dtype=np.int64),
-            draw(arrays(np.int64, dim, elements=st.integers(0, size - 1))),
-            draw(st.integers(0, size - 1)),
+            np.array(draw(st.lists(unit, min_size=dim, max_size=dim)), dtype=np.int64),
+            draw(unit),
         )
         for _ in range(draw(st.integers(1, 4)))
     ]
-    return m, vexp, words
+    return p, n, chi, words
 
 
 @given(phase_systems())
 def test_live_components_span_the_solution_space(system):
-    """The phases read through the path-count matrix give as many solutions
-    as the stacked (P_k - zeta^x_k I) has null dimension, with disjoint
-    supports, each solving every equation exactly."""
-    m, vexp, words = system
+    """The phases read at the unit potentials give as many solutions as the
+    stacked (P_k - chi(kd) I) has null dimension, with disjoint supports,
+    each solving every equation exactly, and they are the path-count
+    route's, bit for bit."""
+    p, n, chi, words = system
+    vexp, m = chi.exponent_table(), chi.field.order
     dim = len(words[0][0])
-    basis = induced._live_basis(induced._word_geometry(words), vexp, m)
+    basis = induced._live_basis(induced._word_geometry(words, p, n), vexp)
 
     def root(e):
         return np.exp(2j * np.pi * np.asarray(e) / m)
@@ -189,33 +237,39 @@ def test_live_components_span_the_solution_space(system):
             assert np.array_equal(live[cls], live)
             assert np.array_equal((vexp[d0][live] + ph[cls[live]]) % m, (vexp[kd] + ph[live]) % m)
     assert support.max(initial=0) <= 1
+    oracle = _path_count_basis(words, vexp, m)
+    assert len(basis) == len(oracle) and all(np.array_equal(a, b) for a, b in zip(basis, oracle))
 
 
 def test_coboundary_systems_have_every_component_live():
-    """Words whose phases are the differences phi[cls[c]] - phi[c] of one
-    potential phi: every component is live, and its solution is phi minus
-    phi at the component's lowest coordinate, on the component only.  Long
-    random forests read each coordinate's phase off many path counts."""
+    """Words whose edge units are the ratios W[cls[c]] W[c]^-1 of one unit
+    potential W: no cycle unit but 1, so every component is live for every
+    character; the potential is W over W at the component's lowest
+    coordinate, and the solution is chi there, on the component only.  Long
+    random forests multiply many edge units."""
     rng = np.random.default_rng(12)
     for _ in range(40):
-        dim, m = int(rng.integers(1, 40)), int(rng.integers(2, 13))
-        phi = rng.integers(0, m, dim)
-        vexp, words = [], []
+        p, n = SMALL_CELLS[rng.integers(len(SMALL_CELLS))]
+        pn, group = p**n, unit_group(p, n)
+        dim = int(rng.integers(1, 40))
+        W = rng.choice(group.units, dim)
+        words = []
         for _ in range(int(rng.integers(1, 4))):
-            cls = rng.permutation(dim)
-            kd = int(rng.integers(0, m))
-            # one entry per (word, coordinate), then the word's own entry
-            d0 = np.arange(len(vexp), len(vexp) + dim)
-            vexp += list((kd - phi[cls] + phi) % m) + [kd]
-            words.append((cls, d0, len(vexp) - 1))
-        geo = induced._word_geometry(words)
-        basis = induced._live_basis(geo, np.array(vexp), m)
-        assert len(basis) == geo.labels.max() + 1
-        for comp, ph in enumerate(basis):
-            on = geo.labels == comp
-            root = np.flatnonzero(on)[0]
-            assert np.array_equal(ph[on], (phi[on] - phi[root]) % m)
-            assert np.all(ph[~on] == -1)
+            cls, kd = rng.permutation(dim), int(rng.choice(group.units))
+            # the edge unit kd d0[c]^-1 is W[cls[c]] W[c]^-1
+            words.append((cls, kd * W % pn * group.inverse[W[cls]] % pn, kd))
+        geo = induced._word_geometry(words, p, n)
+        assert len(geo.cycle_unit) == 0
+        for chi in CELL_CHARACTERS[(p, n)]:
+            vexp = chi.exponent_table()
+            basis = induced._live_basis(geo, vexp)
+            assert len(basis) == geo.labels.max() + 1
+            for comp, ph in enumerate(basis):
+                on = geo.labels == comp
+                root = np.flatnonzero(on)[0]
+                assert np.array_equal(geo.potential[on], W[on] * group.inverse[W[root]] % pn)
+                assert np.array_equal(ph[on], vexp[geo.potential[on]])
+                assert np.all(ph[~on] == -1)
 
 
 def _scipy_live_components(dim, mord, src, dst, delta):
@@ -239,77 +293,92 @@ def _scipy_live_components(dim, mord, src, dst, delta):
     return [np.where(labels == comp, ph, -1) for comp in np.flatnonzero(~dead)]
 
 
-def _piR_edges(rep, m):
-    """The fixed-vector system of K0(p^m), and of the witness word below the
-    conductor, as (src, dst, delta) edges read off rep.piR."""
-    p, n, mord, vexp = rep.p, rep.n, rep.field.order, rep.chi.exponent_table()
+def _fixed_words(rep, m):
+    """The words of the fixed-vector system of K0(p^m), with the witness
+    word below the conductor."""
+    p, n, vexp = rep.p, rep.n, rep.chi.exponent_table()
     words = induced._k0m_generators(p, n, m)
     if m < rep.r:
         t = next(t for t in range(p**n) if vexp[(1 + p**m * t) % p**n] > 0)
         words.append(ymat(p, n, p**m) @ xmat(p, n, t))
+    return words
+
+
+def _piR_edges(rep, words):
+    """The system's edges as (src, dst, delta), read off rep.piR."""
+    mord, vexp = rep.field.order, rep.chi.exponent_table()
     edges = [(np.arange(rep.dim), cls, (vexp[k.d] - e) % mord)
              for k, (cls, e) in ((k, rep.piR(k)) for k in words)]
     return [np.concatenate(col) for col in zip(*edges)]
 
 
-def test_fixed_subspace_matches_scipy_components(monkeypatch):
-    """On every grid character and level, the chain solves exactly the edges
-    of right translation, and fixed_subspace returns the same basis as the
-    scipy graph route on them."""
+def test_fixed_subspace_matches_scipy_components():
+    """On every grid character and level, fixed_subspace returns the same
+    basis, bit for bit, as the scipy graph route on the edges of right
+    translation and as the path-count route on the same words."""
     pytest.importorskip("scipy.sparse.csgraph")
-    live_basis, solved = induced._live_basis, []
-
-    def recorded(geo, vexp, mord):
-        solved.append(geo)
-        return live_basis(geo, vexp, mord)
-
-    monkeypatch.setattr(induced, "_live_basis", recorded)
     calls = 0
     for p, n in GRID:
         for chi in PChar.all_characters(p, n):
             rep = InducedRep(p, n, chi)
             vexp, mord = chi.exponent_table(), rep.field.order
             for m in range(n + 1):
-                src, dst, delta = _piR_edges(rep, m)
+                words = _fixed_words(rep, m)
                 basis = fixed_subspace(rep, m).basis_exponents
-                geo = solved.pop()
-                read = vexp[geo.entries[geo.word_at]] - vexp[geo.entries[geo.coset_at]]
-                assert np.array_equal(geo.src, src) and np.array_equal(geo.dst, dst)
-                assert np.array_equal(read % mord, delta), (p, n, chi.conrey_index(), m)
-                ref = _scipy_live_components(rep.dim, mord, src, dst, delta)
-                assert len(basis) == len(ref), (p, n, chi.conrey_index(), m)
-                assert all(np.array_equal(a, b) for a, b in zip(basis, ref))
+                ref = _scipy_live_components(rep.dim, mord, *_piR_edges(rep, words))
+                old = _path_count_basis([(*induced._right_transport(p, n, k), k.d) for k in words],
+                                        vexp, mord)
+                assert len(basis) == len(ref) == len(old), (p, n, chi.conrey_index(), m)
+                assert all(np.array_equal(a, b) and np.array_equal(a, c)
+                           for a, b, c in zip(basis, ref, old)), (p, n, chi.conrey_index(), m)
                 calls += 1
     assert calls == 586
 
 
-def test_path_counts_fit_in_the_dense_int8_matrix(monkeypatch):
-    """On every grid character and level, the (row, entry, count) triples of
-    the forest's path counts take no more bytes than a dim x entries int8
-    matrix, hold nonzero counts only, at most one per (row, entry), and none
-    on a component's root."""
+def test_fixed_geometry_holds_units_only(monkeypatch):
+    """On every grid character and level, the geometry the character reads
+    holds units mod p^n only: each potential is 1 at its component's lowest
+    coordinate, and the cycle units are distinct within a component, sorted,
+    and never 1."""
     live_basis, seen = induced._live_basis, {}
 
-    def recorded(geo, vexp, mord):
+    def recorded(geo, vexp):
         seen[id(geo)] = geo
-        return live_basis(geo, vexp, mord)
+        return live_basis(geo, vexp)
 
     monkeypatch.setattr(induced, "_live_basis", recorded)
-    clear_cell_caches()
     for p, n in GRID:
+        clear_cell_caches()
         for chi in PChar.all_characters(p, n):
             for m in range(n + 1):
                 fixed_subspace(InducedRep(p, n, chi), m)
-    assert len(seen) > len(GRID)
-    for geo in seen.values():
-        dim, size = len(geo.labels), len(geo.entries)
-        stored = geo.path_row.nbytes + geo.path_entry.nbytes + geo.path_count.nbytes
-        assert stored <= dim * size, (dim, size, stored)
-        assert geo.path_count.dtype == np.int8 and geo.path_count.all()
-        cells = geo.path_row.astype(np.int64) * size + geo.path_entry
-        assert len(np.unique(cells)) == len(cells)
-        roots = np.unique(geo.labels, return_index=True)[1]
-        assert not np.isin(geo.path_row, roots).any()
+        geos, seen = seen, {}
+        assert geos
+        for geo in geos.values():
+            roots = np.unique(geo.labels, return_index=True)[1]
+            assert np.all(geo.potential[roots] == 1)
+            assert np.all(geo.potential % p) and np.all(geo.cycle_unit % p)
+            assert not np.any(geo.cycle_unit == 1)
+            codes = geo.cycle_label * p**n + geo.cycle_unit
+            assert np.all(np.diff(codes) > 0)
+            assert np.all(geo.cycle_label <= geo.labels.max())
+
+
+def test_fixed_geometry_refuses_a_non_unit_entry(monkeypatch, fresh_caches):
+    # a right transport whose d0 holds a non-unit: refused once, in the
+    # cell's geometry, before any product is formed
+    p, n = 3, 2
+    transport = induced._right_transport
+
+    def broken(p, n, k):
+        cls, d0 = transport(p, n, k)
+        d0 = d0.copy()
+        d0[0] = p
+        return cls, d0
+
+    monkeypatch.setattr(induced, "_right_transport", broken)
+    with pytest.raises(AssertionError, match="non-unit"):
+        fixed_subspace(InducedRep(p, n, PChar.trivial(p, n)), 1)
 
 
 def test_fixed_subspace_refuses_a_missing_witness(monkeypatch):
@@ -413,9 +482,6 @@ def test_vanishes_rejects_one_perturbed_entry(monkeypatch, fresh_caches, block_e
         with pytest.raises(AlgebraError, match="commute"):
             route.trace(identity)
         assert not _dense_vanishes(identity), (a, c)
-
-
-SMALL_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
 
 
 def _cell_operators(p, n):
