@@ -6,23 +6,20 @@ from .campaign import Campaign, run_verify
 from .characters import (
     DirChar,
     PChar,
-    crt_decompose,
     unit_group,
 )
 from .cosets import (
     MatArray,
     MatPn,
-    double_coset_label,
     enumerate_Kg,
     in_K0,
 )
 from .cyclotomic import CyclotomicField
-from .dimoracle import dim_cusp, dim_new, oldspace_dimensions
+from .dimoracle import dim_cusp, dim_new
 from .hecke import (
     HeckeElem,
     convolve,
     is_supported,
-    structure_table,
     supported_basis,
     verify_relations,
     y_element,
@@ -48,7 +45,7 @@ from .operators import (
     quad_ratio,
     slash_evaluate,
 )
-from .qexp import QExpansion, op_Up, op_Utilde, op_Vp
+from .qexp import QExpansion, op_Utilde, op_Vp
 from .report import Assertion, Report
 from .spaces import CuspSpace, SpaceFormatError, load_space
 
@@ -71,10 +68,8 @@ __all__ = [
     "atkin_lehner_matrix",
     "component_dimensions",
     "convolve",
-    "crt_decompose",
     "dim_cusp",
     "dim_new",
-    "double_coset_label",
     "eigenvalue_tables",
     "enumerate_Kg",
     "fixed_subspace",
@@ -82,14 +77,12 @@ __all__ = [
     "is_supported",
     "load_space",
     "newspace_characterize",
-    "oldspace_dimensions",
     "op_matrix",
     "op_Q",
     "op_Qprime",
     "op_S",
     "op_Sprime",
     "op_U",
-    "op_Up",
     "op_Utilde",
     "op_Vp",
     "op_W",
@@ -98,7 +91,6 @@ __all__ = [
     "quad_ratio",
     "run_verify",
     "slash_evaluate",
-    "structure_table",
     "supported_basis",
     "unit_group",
     "verify_induced",

@@ -285,13 +285,6 @@ class DirChar:
     def is_trivial(self) -> bool:
         return all(c.is_trivial() for c in self.components.values())
 
-    def bar(self) -> "DirChar":
-        """Complex-conjugate character: every component flipped."""
-        out = self
-        for p in self.components:
-            out = out.flip_at(p)
-        return out
-
     def at_modulus(self, M: int) -> "DirChar":
         """The character mod M attached to the same primitive character.
         Requires conductor | M and compatible prime support."""
@@ -349,9 +342,3 @@ def _pchar_change_level(chi: PChar, new_n: int) -> PChar:
             raise AssertionError("generator value not representable at new level")
         exps.append(a)
     return PChar(p, new_n, tuple(exps))
-
-
-def crt_decompose(chi: DirChar) -> list[DirChar]:
-    """CRT components of chi, each lifted to a Dirichlet character of its own
-    prime-power modulus.  Their pointwise product (lifted back mod N) is chi."""
-    return [DirChar(p**c.n, {p: c}) for p, c in chi.components.items()]

@@ -82,9 +82,6 @@ class MatPn:
         di = pow(self.det(), -1, self.pn)
         return MatPn(self.p, self.n, di * self.d, -di * self.b, -di * self.c, di * self.a)
 
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
-
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.p}^{self.n}"
 
@@ -109,12 +106,6 @@ class MatArray:
         self.a, self.b, self.c, self.d = np.broadcast_arrays(
             *(np.asarray(x, dtype=np.int64) % pn for x in (a, b, c, d))
         )
-
-    @classmethod
-    def stack(cls, p: int, n: int, mats) -> "MatArray":
-        """The MatPn of a sequence, in order."""
-        ent = np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
-        return cls(p, n, *ent.T)
 
     @classmethod
     def concat(cls, p: int, n: int, parts: list["MatArray"]) -> "MatArray":
@@ -203,8 +194,8 @@ class CosetTable:
     position d, with representative w(1) x(d) = (0, -1; 1, d) and stratum 0;
     then the (c : 1) classes for c in pZ/p^n, ordered by (v_p(c), c), with
     representative y(c) and stratum v_p(c) (n for c = 0).  decompose_rows
-    decomposes many elements at once from their lower rows; position_of and
-    decompose do one MatPn at a time, as the scalar reference.
+    decomposes many elements at once from their lower rows; position_of
+    places one MatPn.
     """
 
     def __init__(self, p: int, n: int):
@@ -234,18 +225,10 @@ class CosetTable:
         # a unit determinant with p | c forces d to be a unit
         return int(self._c1_position[pow(g.d, -1, self.pn) * g.c % self.pn])
 
-    def decompose(self, g: MatPn) -> tuple[int, MatPn]:
-        """g = k0 * rep_array[position]: (position, k0)."""
-        pos = self.position_of(g)
-        k0 = g @ self.rep_array[pos].inv()
-        if not in_K0(k0):
-            raise ValueError(f"{g!r} = k0 * rep left K0(p^n): k0 = {k0!r}")
-        return pos, k0
-
     def decompose_rows(self, c, d) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized decompose, read from the lower rows (c, d) alone:
-        positions, and the lower-right entry d0 of k0 with g = k0 *
-        rep_array[position].
+        """Decompose many elements g = k0 * rep_array[position], read from
+        their lower rows (c, d) alone: positions, and the lower-right entry
+        d0 of k0.
 
         The lower row of k0 * rep is k0's lower-right entry times rep's lower
         row, so (c, d) fixes the coset, and the lower row of k0 is (c, d)
@@ -292,11 +275,6 @@ def stratum_of(g: MatPn) -> int:
     """The double-coset stratum of g, read off its lower-left entry c: 0 when
     p does not divide c, else min(v_p(c), n)."""
     return _vp_array(g.c, g.p, g.n)
-
-
-def double_coset_label(g: MatPn) -> str:
-    """Label in {"w"} | {"y1", ..., "yn"}; "yn" is the K0(p^n) class itself."""
-    return stratum_label(stratum_of(g))
 
 
 def label_rep(p: int, n: int, lab: str) -> MatPn:
@@ -432,15 +410,9 @@ def _K0_blocks(p: int, n: int, m: int) -> Iterator[MatArray]:
     return map(block, range(0, len(units), step))
 
 
-def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> MatArray:
-    """All elements of K0(p^m) inside GL2(Z/p^n), for 1 <= m <= n; refused
-    with ValueError above K0_ENUMERATION_LIMIT elements."""
-    return MatArray.concat(p, n, list(_K0_blocks(p, n, n if m is None else m)))
-
-
 def Kg_blocks(g: MatPn) -> Iterator[tuple[MatArray, MatArray]]:
     """Pairs (k, g k g^{-1}) over k in K_g = g^{-1} K0(p^n) g  intersect
-    K0(p^n), one block of K0(p^n) at a time; same guard as enumerate_K0.
+    K0(p^n), one block of K0(p^n) at a time; same guard as _K0_blocks.
     The full-matrix conjugation: the reference for hecke._Kg_twist_ratios,
     which computes only the conjugate's lower row."""
     gi = g.inv()
@@ -453,20 +425,3 @@ def Kg_blocks(g: MatPn) -> Iterator[tuple[MatArray, MatArray]]:
 def enumerate_Kg(g: MatPn) -> MatArray:
     """K_g = g^{-1} K0(p^n) g  intersect  K0(p^n), by conjugating K0(p^n)."""
     return MatArray.concat(g.p, g.n, [k for k, _ in Kg_blocks(g)])
-
-
-def Kg_condition_closed_form(g: MatPn, k):
-    """Membership test for K_g without enumeration (g a standard rep); k a
-    MatPn, or a MatArray for an elementwise mask.
-
-    For g = y(p^m) with m < n, conjugating k = (a, b; c, d) gives lower-left
-    c + p^m (a - d - p^m b), so k is in K_g iff a - d - p^m b = 0 mod p^{n-m}.
-    For g = w(1) the condition is b = 0 mod p^n; the identity gives all of K0.
-    """
-    p, n = g.p, g.n
-    m = stratum_of(g)
-    if m == n:
-        return in_K0(k)
-    if m == 0:
-        return in_K0(k) & (k.b % k.pn == 0)
-    return in_K0(k) & ((k.a - k.d - p**m * k.b) % p ** (n - m) == 0)

@@ -110,15 +110,3 @@ def dim_new(n: int, k: int, chi: DirChar | None = None) -> int:
     if n % cond != 0:
         raise ValueError("level not divisible by the conductor")
     return newdim(n)
-
-
-def oldspace_dimensions(n: int, k: int, chi: DirChar | None = None) -> dict[int, int]:
-    """New-subspace dimension of every level between the conductor and n."""
-    if chi is None:
-        chi = DirChar.trivial(n)
-    cond = chi.conductor
-    return {
-        m: dim_new(m, k, chi.at_modulus(m))
-        for m in _divisors(n)
-        if m % cond == 0
-    }

@@ -58,15 +58,6 @@ def _group_slices(p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     return map(group_slice, range(0, q, step))
 
 
-def double_coset_census(p: int, n: int) -> dict[str, int]:
-    """Element count of each double coset, by v_p(c) capped at n (label
-    index; 0 = w class): the group slices' elements counted by their
-    lower-left entry c, then grouped by v_p(c)."""
-    by_c = sum(np.count_nonzero(delta, axis=(0, 1, 3)) for _, delta in _group_slices(p, n))
-    vp = _vp_array(np.arange(p**n), p, n)
-    return {lab: int(by_c[vp == j].sum()) for j, lab in enumerate(all_labels(p, n))}
-
-
 @cell_cache
 def _pair_counts(p: int, n: int) -> dict[tuple[str, str], tuple]:
     """The whole-group sum with the character taken out, for every support

@@ -117,9 +117,11 @@ def _supported_by_definition(g: MatPn, chi: PChar) -> bool:
 
 
 def _supported_by_closed_form(g: MatPn, chi: PChar) -> bool:
-    """K_g as parametrized in cosets.Kg_condition_closed_form (g a standard
-    rep): the lower-right entry of g k g^{-1} is d + p^m b for g = y(p^m),
-    and the diagonal entries trade places for g = w."""
+    """K_g in closed form (g a standard rep): for g = y(p^m) with m < n,
+    k = (a, b; c, d) in K0 lies in K_g iff a - d - p^m b = 0 mod p^{n-m},
+    and then the lower-right entry of g k g^{-1} is d + p^m b; for g = w,
+    K_g is b = 0 and the diagonal entries trade places.  The test suite
+    checks the parametrization against the enumeration of K_g."""
     p, n = g.p, g.n
     pn = p**n
     m = stratum_of(g)
@@ -242,11 +244,6 @@ def y_element(p: int, n: int, chi: PChar, ell: int) -> HeckeElem:
 
 
 @cell_cache
-def _basis_product_cached(p: int, n: int, lab1: str, lab2: str) -> tuple:
-    return tuple(sorted(_basis_product(p, n, lab1, lab2).items()))
-
-
-@cell_cache
 def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
     """The coset map cls of lab's transport table (cosets._left_transport),
     after checking on its factors d0 that every twist chi(d0) is 1 for each
@@ -274,10 +271,11 @@ def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
     return cls
 
 
-def _basis_product(p: int, n: int, lab1: str, lab2: str) -> dict[str, int]:
-    """Structure constants of V_lab1 * V_lab2: its value at every double-coset
-    representative h, by the right-coset sum over the class representatives
-    a of lab1.
+@cell_cache
+def _basis_product_cached(p: int, n: int, lab1: str, lab2: str) -> tuple[tuple[str, int], ...]:
+    """Structure constants of V_lab1 * V_lab2 as (label, count) pairs in
+    label order: its value at every double-coset representative h, by the
+    right-coset sum over the class representatives a of lab1.
 
     Each a has twist 1, and a^{-1} h = k0 rep_c puts the lower-right entry d0
     of k0 into the twist slot of lab2 (for either kind of class), so the
@@ -294,7 +292,7 @@ def _basis_product(p: int, n: int, lab1: str, lab2: str) -> dict[str, int]:
     # the standard representative of each class is its own coset's rep
     c_h = [table.position_of(label_rep(p, n, lab)) for lab in labels]
     counts = np.count_nonzero(in_lab2[cls[:, c_h]], axis=0)
-    return {lab: int(c) for lab, c in zip(labels, counts) if c}
+    return tuple(sorted((lab, int(c)) for lab, c in zip(labels, counts) if c))
 
 
 def convolve(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
@@ -369,37 +367,6 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
         if total:
             out[lab_h] = total
     return HeckeElem(p, n, chi, out)
-
-
-# ---------------------------------------------------------------------------
-# Structure table
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StructTable:
-    p: int
-    n: int
-    labels: list[str]
-    constants: dict  # (lab_i, lab_j) -> {lab_k: Fraction}
-
-    def is_commutative(self) -> bool:
-        for li in self.labels:
-            for lj in self.labels:
-                if self.constants[(li, lj)] != self.constants[(lj, li)]:
-                    return False
-        return True
-
-
-def structure_table(p: int, n: int, chi: PChar) -> StructTable:
-    """Structure constants over the supported basis, each product through
-    convolve and so through HeckeElem's label check."""
-    labels = supported_basis(p, n, chi)
-    basis = {lab: HeckeElem.basis(p, n, chi, lab) for lab in labels}
-    constants = {
-        (li, lj): convolve(basis[li], basis[lj]).coeffs for li in labels for lj in labels
-    }
-    return StructTable(p=p, n=n, labels=labels, constants=constants)
 
 
 # ---------------------------------------------------------------------------

@@ -104,21 +104,6 @@ class InducedRep:
             raise ValueError(f"label {lab} is not supported for this character")
         return _basis_operator(self.p, self.n, lab)
 
-    def y_operator(self, k: int) -> PermSum:
-        """Y_k for max(r, 1) <= k <= n: the cell's character-free operator."""
-        if not max(self.r, 1) <= k <= self.n:
-            raise ValueError(f"Y_{k} undefined for this character")
-        return _y_operator(self.p, self.n, k)
-
-    def piR(self, k: MatPn) -> tuple[np.ndarray, np.ndarray]:
-        """Right translation by one group element, twisted by chi: (cls, e)
-        with (pi_R(k) v)[c] = zeta^e[c] v[cls[c]], zeta of order field.order."""
-        cls, d0 = _right_transport(self.p, self.n, k)
-        e = self.chi.exponent_table()[d0]
-        if np.any(e < 0):
-            raise AssertionError("twist evaluated at a non-unit entry")
-        return cls, e
-
 
 def _y_vector(p: int, n: int, ell: int) -> np.ndarray:
     """Y_ell viewed inside I(n): indicator of the strata ell and above (the

@@ -123,12 +123,6 @@ def evaluate_many(forms: list[QExpansion], points) -> np.ndarray:
     return q_pow @ mat
 
 
-def op_Up(f: QExpansion, p: int) -> QExpansion:
-    """Coefficient shift b_n = p^(k/2) a_{pn}."""
-    out = p ** (f.weight / 2) * f.coeffs[p - 1 :: p]
-    return QExpansion(f.weight, out, f"U{p}({f.label})" if f.label else "")
-
-
 def op_Utilde(f: QExpansion, p: int) -> QExpansion:
     """Unitarily normalized shift p^(1 - k/2) a_{pn}."""
     out = p ** (1 - f.weight / 2) * f.coeffs[p - 1 :: p]

@@ -84,19 +84,33 @@ def load_space(source) -> CuspSpace:
     else:
         raise SpaceFormatError(f"unsupported fixture source {type(source)!r}")
 
+    if not isinstance(doc, dict):
+        raise SpaceFormatError("a fixture must hold a JSON object")
     for key in ("level", "weight", "character", "precision", "basis"):
         if key not in doc:
             raise SpaceFormatError(f"fixture missing key {key!r}")
-    level, weight = int(doc["level"]), int(doc["weight"])
-    prec = int(doc["precision"])
+    for key in ("level", "weight", "precision"):
+        if type(doc[key]) is not int:
+            raise SpaceFormatError(f"fixture {key} must be an integer, not {doc[key]!r}")
+    level, weight, prec = doc["level"], doc["weight"], doc["precision"]
+    if level < 1:
+        raise SpaceFormatError(f"fixture level must be at least 1, not {level}")
+    spec = doc["character"]
+    if not (isinstance(spec, dict)
+            and all(type(spec.get(key)) is int for key in ("modulus", "conrey"))):
+        raise SpaceFormatError(
+            f"fixture character must be an object with an integer modulus and conrey, not {spec!r}"
+        )
     try:
-        chi = DirChar.from_spec(doc["character"])
-    except (ValueError, KeyError) as exc:
+        chi = DirChar.from_spec(spec)
+    except ValueError as exc:
         raise SpaceFormatError(f"bad character spec: {exc}") from exc
     if chi.modulus != level:
         raise SpaceFormatError("character modulus differs from the level")
 
     rows = doc["basis"]
+    if not isinstance(rows, list):
+        raise SpaceFormatError(f"fixture basis must be a list, not {rows!r}")
     if rows and prec < MIN_PRECISION:
         raise SpaceFormatError(f"precision {prec} below minimum {MIN_PRECISION}")
     if rows and chi.parity() != (-1) ** weight:
@@ -146,6 +160,28 @@ def fixture_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
 
 
+def _manifest_families(base: Path) -> list[dict]:
+    """The family entries of a directory's manifest: SpaceFormatError unless
+    it holds an object with a "families" list of objects, each naming a
+    string "name" and "space", with an optional string "flipped" and an
+    optional "lower" object from levels to stems."""
+    doc = json.loads((base / MANIFEST).read_text())
+    families = doc.get("families") if isinstance(doc, dict) else None
+    if not isinstance(families, list):
+        raise SpaceFormatError(f"{MANIFEST} must hold an object with a 'families' list")
+    for fam in families:
+        if not (isinstance(fam, dict) and isinstance(fam.get("name"), str)
+                and isinstance(fam.get("space"), str)):
+            raise SpaceFormatError(f"family {fam!r} must be an object with a string name and space")
+        if not isinstance(fam.get("flipped", ""), str):
+            raise SpaceFormatError(f"family {fam['name']}: flipped must be a fixture stem")
+        lower = fam.get("lower", {})
+        if not (isinstance(lower, dict)
+                and all(lv.isdigit() and isinstance(stem, str) for lv, stem in lower.items())):
+            raise SpaceFormatError(f"family {fam['name']}: lower must map levels to fixture stems")
+    return families
+
+
 def load_families(directory: Path | None = None) -> list[dict]:
     """Family manifest entries, each with 'space', 'lower' and 'flipped'
     (the optional conjugate-character twin of 'space', None when not named)
@@ -154,7 +190,7 @@ def load_families(directory: Path | None = None) -> list[dict]:
     base = Path(directory) if directory is not None else fixture_dir()
     space = cache(lambda stem: load_space(base / (stem + ".json")))
     out = []
-    for fam in json.loads((base / MANIFEST).read_text())["families"]:
+    for fam in _manifest_families(base):
         entry = dict(fam)
         entry["space"] = space(fam["space"])
         entry["lower"] = {int(lv): space(stem) for lv, stem in fam.get("lower", {}).items()}
@@ -170,7 +206,7 @@ def load_fixtures(directory: Path) -> list[tuple[str, CuspSpace, CuspSpace | Non
     is no manifest.  Each file is loaded once per call."""
     base = Path(directory)
     manifest = base / MANIFEST
-    families = json.loads(manifest.read_text())["families"] if manifest.exists() else []
+    families = _manifest_families(base) if manifest.exists() else []
     twins = {fam["space"]: fam["flipped"] for fam in families if "flipped" in fam}
     space = cache(lambda stem: load_space(base / (stem + ".json")))
     return [

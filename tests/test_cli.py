@@ -8,6 +8,7 @@ from hecke_lab.campaign import Campaign, run_verify
 from hecke_lab.cli import main
 from hecke_lab.report import Report
 from hecke_lab.spaces import fixture_dir
+from tests.test_spaces import _doc
 
 
 def test_verify_empty_campaign(tmp_path):
@@ -255,3 +256,29 @@ def test_verify_refuses_a_non_integer_seed(seed, tmp_path, capsys):
     campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [], "seed": seed}))
     assert main(["verify", "--campaign", str(campaign)]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["level", "manifest"])
+@pytest.mark.parametrize("command", ["classical", "verify"])
+def test_malformed_fixture_directory_exits_2(command, broken, tmp_path, capsys):
+    # a fixture with "level": null used to die with a TypeError traceback, and
+    # a manifest without a "families" list with KeyError: both exited 1, the
+    # code for failed assertions
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    doc = _doc()
+    manifest = {"families": [{"name": "sq11", "space": "N11k2c1"}]}
+    if broken == "level":
+        doc["level"] = None
+    else:
+        manifest = {"fams": manifest["families"]}
+    (fixtures / "N11k2c1.json").write_text(json.dumps(doc))
+    (fixtures / "families.json").write_text(json.dumps(manifest))
+    if command == "classical":
+        argv = ["classical", "--fixture", str(fixtures), "--prime", "11", "--characterize"]
+    else:
+        campaign = tmp_path / "c.json"
+        campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [str(fixtures)]}))
+        argv = ["verify", "--campaign", str(campaign)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

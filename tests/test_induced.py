@@ -38,7 +38,7 @@ from hecke_lab.induced import (
 )
 from hecke_lab.permsum import PermSum, _row_blocks
 from hecke_lab.report import Report
-from tests.conftest import GRID, clear_cell_caches
+from tests.conftest import GRID, clear_cell_caches, decompose, stack
 
 SMALL_CELLS = [(p, n) for p, n in GRID if p**n <= BRUTE_LIMIT]
 
@@ -77,7 +77,7 @@ def _closure(p, n, gens):
     packed entries: right multiplication from the identity, a breadth-first
     front at a time."""
     seen = np.zeros(p ** (4 * n), dtype=bool)
-    front = MatArray.stack(p, n, [identity(p, n)])
+    front = stack(p, n, [identity(p, n)])
     seen[_packed(front)] = True
     while len(front):
         step = MatArray.concat(p, n, [front @ k for k in gens])
@@ -106,6 +106,15 @@ def test_k0m_generators_generate_K0m(p, n):
         assert member.sum() == k0_order(p, n, m), (p, n, m)
 
 
+def _piR(rep, k):
+    """Right translation by one group element, twisted by chi: (cls, e)
+    with (pi_R(k) v)[c] = zeta^e[c] v[cls[c]], zeta of order field.order."""
+    cls, d0 = induced._right_transport(rep.p, rep.n, k)
+    e = rep.chi.exponent_table()[d0]
+    assert np.all(e >= 0), "twist evaluated at a non-unit entry"
+    return cls, e
+
+
 def _sample_K0m(p, n, m, rng, size=8):
     """Uniform sample of K0(p^m) mod p^n (all of GL2(Z/p^n) at m = 0)."""
     pn = p**n
@@ -132,7 +141,7 @@ def test_fixed_vectors_are_eigenvectors_of_sampled_K0m(p, n):
             basis = fixed_subspace(rep, m).basis_exponents
             assert len(basis) == m - r + 1
             for k in samples[m]:
-                cls, e = rep.piR(k)
+                cls, e = _piR(rep, k)
                 # conductor 1: eigenvalue 1 on all of GL2, where d_k may be a non-unit
                 xk = 0 if r == 0 else int(vexp[k.d])
                 for ph in basis:
@@ -305,10 +314,10 @@ def _fixed_words(rep, m):
 
 
 def _piR_edges(rep, words):
-    """The system's edges as (src, dst, delta), read off rep.piR."""
+    """The system's edges as (src, dst, delta), read off pi_R."""
     mord, vexp = rep.field.order, rep.chi.exponent_table()
     edges = [(np.arange(rep.dim), cls, (vexp[k.d] - e) % mord)
-             for k, (cls, e) in ((k, rep.piR(k)) for k in words)]
+             for k, (cls, e) in ((k, _piR(rep, k)) for k in words)]
     return [np.concatenate(col) for col in zip(*edges)]
 
 
@@ -468,9 +477,8 @@ def test_vanishes_rejects_one_perturbed_entry(monkeypatch, fresh_caches, block_e
     if block_entries is not None:
         monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", block_entries)
     p, n, k = 3, 2, 1
-    rep = InducedRep(p, n, PChar.trivial(p, n))
     route = induced._column_route(p, n)
-    Y, s = rep.y_operator(k), p ** (n - k)
+    Y, s = induced._y_operator(p, n, k), p ** (n - k)
     assert Y.cls.size == 36
     assert route.vanishes([(1, (Y, Y)), (-s, (Y,))]) and _dense_vanishes([(1, (Y, Y)), (-s, (Y,))])
     for a, c in np.ndindex(*Y.cls.shape):
@@ -788,7 +796,7 @@ def test_transport_tables_match_matpn_loop(p, n):
     table = coset_table(p, n)
 
     def reference(products):
-        pairs = [table.decompose(g) for g in products]
+        pairs = [decompose(table, g) for g in products]
         return [pos for pos, _ in pairs], [k0.d for _, k0 in pairs]
 
     reps = [table.rep_array[i] for i in range(table.dim)]
@@ -831,6 +839,4 @@ def test_operators_only_for_supported_labels():
     for lab in ("w", "y1"):
         with pytest.raises(ValueError):
             rep.piL_basis(lab)
-    with pytest.raises(ValueError):
-        rep.y_operator(1)
     assert rep.piL_basis("y2") is InducedRep(p, n, PChar.trivial(p, n)).piL_basis("y2")

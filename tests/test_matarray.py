@@ -10,12 +10,12 @@ from hecke_lab.cosets import (
     MatArray,
     MatPn,
     coset_table,
-    double_coset_label,
     identity,
     in_K0,
     stratum_label,
+    stratum_of,
 )
-from tests.conftest import GRID
+from tests.conftest import GRID, decompose, entries, stack
 
 CELLS = GRID + [(7, 3)]
 
@@ -43,14 +43,14 @@ def cell_and_mats(draw, count=1, in_k0=False, size=st.integers(1, 10)):
 
 def assert_same(arr: MatArray, mats: list[MatPn]):
     assert len(arr) == len(mats)
-    want = np.array([g.entries() for g in mats], dtype=np.int64).reshape(-1, 4)
+    want = np.array([entries(g) for g in mats], dtype=np.int64).reshape(-1, 4)
     assert np.array_equal(np.stack(arr.entries(), axis=1), want)
 
 
 @given(cell_and_mats(count=3))
 def test_product_and_inverse_match_matpn(data):
     p, n, xs, ys, zs = data
-    X, Y, Z = (MatArray.stack(p, n, m) for m in (xs, ys, zs))
+    X, Y, Z = (stack(p, n, m) for m in (xs, ys, zs))
     assert_same(X @ Y, [x @ y for x, y in zip(xs, ys)])
     assert_same(X.inv(), [x.inv() for x in xs])
     # a MatPn broadcasts on either side
@@ -74,23 +74,23 @@ def test_positions_and_decompose_match_matpn(data):
     # the decomposition read from lower rows alone equals the full MatPn one
     p, n, xs = data
     table = coset_table(p, n)
-    X = MatArray.stack(p, n, xs)
+    X = stack(p, n, xs)
     pos, d0 = table.decompose_rows(X.c, X.d)
-    reference = [table.decompose(x) for x in xs]
+    reference = [decompose(table, x) for x in xs]
     assert pos.tolist() == [i for i, _ in reference]
     assert d0.tolist() == [k0.d for _, k0 in reference]
     assert all(in_K0(k0) for _, k0 in reference)
-    assert_same(MatArray.stack(p, n, [k0 for _, k0 in reference]) @ table.rep_array[pos], xs)
+    assert_same(stack(p, n, [k0 for _, k0 in reference]) @ table.rep_array[pos], xs)
 
 
 @given(cell_and_mats(count=1, in_k0=True), st.data())
 def test_labels_invariant_under_K0_on_both_sides(data, draw):
     p, n, xs, ks = data
     table = coset_table(p, n)
-    X, K = MatArray.stack(p, n, xs), MatArray.stack(p, n, ks)
+    X, K = stack(p, n, xs), stack(p, n, ks)
     k = draw.draw(_matrices(p, n, in_k0=True))
     base = table.stratum[positions(table, X)]
-    assert [stratum_label(j) for j in base] == [double_coset_label(x) for x in xs]
+    assert [stratum_label(j) for j in base] == [stratum_label(stratum_of(x)) for x in xs]
     assert np.array_equal(table.stratum[positions(table, K @ X @ k)], base)
     assert np.array_equal(table.stratum[positions(table, k @ X @ K)], base)
     # left multiplication by K0 keeps the right coset itself
@@ -99,7 +99,7 @@ def test_labels_invariant_under_K0_on_both_sides(data, draw):
 
 def test_indexing_and_len():
     p, n = 3, 2
-    X = MatArray.stack(p, n, [MatPn(p, n, 1, t, 3 * t, 1) for t in range(9)])
+    X = stack(p, n, [MatPn(p, n, 1, t, 3 * t, 1) for t in range(9)])
     assert len(X) == 9
     assert X[4] == MatPn(p, n, 1, 4, 12, 1)
     assert_same(X[X.b % 2 == 0], [MatPn(p, n, 1, t, 3 * t, 1) for t in range(0, 9, 2)])
@@ -120,7 +120,7 @@ def test_decompose_rows_rejects_a_factor_outside_K0():
     # a table whose representatives are all replaced by the identity leaves
     # k0 = g, which is outside K0 off the identity class
     table = CosetTable(3, 2)
-    table._rep_inv_array = MatArray.stack(3, 2, [identity(3, 2)] * table.dim)
-    g = MatArray.stack(3, 2, [MatPn(3, 2, 0, -1, 1, 0)])
+    table._rep_inv_array = stack(3, 2, [identity(3, 2)] * table.dim)
+    g = stack(3, 2, [MatPn(3, 2, 0, -1, 1, 0)])
     with pytest.raises(ValueError, match="left K0"):
         table.decompose_rows(g.c, g.d)

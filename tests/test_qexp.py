@@ -12,7 +12,6 @@ from hecke_lab.qexp import (
     PrecisionError,
     QExpansion,
     evaluate_many,
-    op_Up,
     op_Utilde,
     op_Vp,
 )
@@ -59,30 +58,30 @@ def test_evaluate_many_matches_single():
 
 
 def test_shift_normalization():
-    # b_n = p^(k/2) a_(pn): the image of q^p is p^(k/2) q
+    # b_n = p^(1 - k/2) a_(pn): the image of q^p is p^(1 - k/2) q
     p, k = 3, 4
     coeffs = np.zeros(16, dtype=np.complex128)
     coeffs[p - 1] = 1.0  # q^p
     f = QExpansion(k, coeffs)
-    g = op_Up(f, p)
-    assert abs(g.a(1) - p ** (k / 2)) < 1e-14
+    g = op_Utilde(f, p)
+    assert abs(g.a(1) - p ** (1 - k / 2)) < 1e-14
     assert np.allclose(g.coeffs[1:], 0)
 
 
 def test_shift_after_dilation_is_scalar():
-    # U_p V_p = p^(k/2) exactly on coefficients
+    # U~_p V_p = p^(1 - k/2) exactly on coefficients
     p, k = 5, 3
     f = QExpansion(k, np.arange(1, 41, dtype=np.complex128))
-    g = op_Up(op_Vp(f, p), p)
-    assert np.allclose(g.coeffs[: f.prec], p ** (k / 2) * f.coeffs)
+    g = op_Utilde(op_Vp(f, p), p)
+    assert np.allclose(g.coeffs[: f.prec], p ** (1 - k / 2) * f.coeffs)
 
 
 def test_normalized_shift():
     p, k = 2, 6
     f = QExpansion(k, np.arange(1, 33, dtype=np.complex128))
     g = op_Utilde(f, p)
-    h = op_Up(f, p)
-    assert np.allclose(p ** (k - 1) * g.coeffs, h.coeffs)
+    assert np.allclose(g.coeffs, p ** (1 - k / 2) * f.coeffs[p - 1 :: p])
+    assert g.prec == f.prec // p
 
 
 def test_dilation_layout():

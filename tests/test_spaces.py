@@ -9,7 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hecke_lab.dimoracle import dim_cusp
-from hecke_lab.spaces import SpaceFormatError, encode_coeffs, fixture_dir, load_space
+from hecke_lab.spaces import (
+    SpaceFormatError,
+    encode_coeffs,
+    fixture_dir,
+    load_families,
+    load_fixtures,
+    load_space,
+)
 
 REQUIRED_KEYS = {"level", "weight", "character", "precision", "basis", "provenance"}
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
@@ -65,6 +72,37 @@ def test_missing_key():
     del doc["basis"]
     with pytest.raises(SpaceFormatError, match="basis"):
         load_space(doc)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("level", None, "level must be an integer"),  # used to die with TypeError in int()
+    ("level", 11.0, "level must be an integer"),
+    ("level", True, "level must be an integer"),
+    ("level", 0, "level must be at least 1"),  # used to load as a space
+    ("weight", 2.7, "weight must be an integer"),  # used to load as weight 2
+    ("weight", "2", "weight must be an integer"),
+    ("precision", None, "precision must be an integer"),
+    ("character", 1, "character must be an object"),
+    ("character", [11, 1], "character must be an object"),
+    ("character", {"modulus": None, "conrey": 1}, "integer modulus and conrey"),
+    ("character", {"modulus": 11, "conrey": 1.9}, "integer modulus and conrey"),  # loaded as 1
+    ("character", {"modulus": "11", "conrey": True}, "integer modulus and conrey"),
+    ("character", {"conrey": 1}, "integer modulus and conrey"),
+    ("basis", "abc", "basis must be a list"),
+    ("basis", None, "basis must be a list"),
+])
+def test_wrong_typed_field_rejected(key, value, match):
+    doc = _doc()
+    doc[key] = value
+    with pytest.raises(SpaceFormatError, match=match):
+        load_space(doc)
+
+
+def test_non_object_fixture_rejected(tmp_path):
+    path = tmp_path / "N11k2c1.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SpaceFormatError, match="JSON object"):
+        load_space(path)
 
 
 def test_wrong_character_modulus():
@@ -289,3 +327,24 @@ def test_load_from_json_string():
     text = json.dumps(_doc())
     sp = load_space(text)
     assert (sp.level, sp.weight, sp.dim) == (11, 2, 0)
+
+
+@pytest.mark.parametrize("manifest,match", [
+    ({"fams": []}, "'families' list"),  # used to die with KeyError: 'families'
+    ([], "'families' list"),
+    ({"families": {"name": "sq11"}}, "'families' list"),
+    ({"families": ["N11k2c1"]}, "string name and space"),
+    ({"families": [{"name": "sq11"}]}, "string name and space"),
+    ({"families": [{"name": "sq11", "space": 11}]}, "string name and space"),
+    ({"families": [{"space": "N11k2c1"}]}, "string name and space"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "flipped": 1}]}, "flipped"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": ["N1k2c1"]}]}, "lower"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"x": "N1k2c1"}}]}, "lower"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"1": 1}}]}, "lower"),
+])
+@pytest.mark.parametrize("reader", [load_families, load_fixtures])
+def test_malformed_manifest_rejected(manifest, match, reader, tmp_path):
+    (tmp_path / "N11k2c1.json").write_text(json.dumps(_doc()))
+    (tmp_path / "families.json").write_text(json.dumps(manifest))
+    with pytest.raises(SpaceFormatError, match=match):
+        reader(tmp_path)
