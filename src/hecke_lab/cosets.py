@@ -25,8 +25,8 @@ from .characters import _vp_array, unit_group
 # The one size budget, on the elements a cell walks.  Enumerating K0(p^m)
 # mod p^n: at m = n it admits exactly the cells with p^n <= 128 (K0(125) has
 # 1.25M elements, K0(343) 29.6M).  The transport tables hold dim^2 entries
-# each, computed a block of lower rows at a time: it admits every cell up to
-# (5, 4) (562,500) and refuses (7, 4) (7.5M).
+# each, written in closed form a block of class representatives at a time:
+# it admits every cell up to (5, 4) (562,500) and refuses (7, 4) (7.5M).
 K0_ENUMERATION_LIMIT = 2**21
 
 # Elements per block of a walk: the transient arrays of one block stay near
@@ -333,12 +333,31 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     and d0[a, c] is the lower-right entry of k0.
 
     Character-independent, shared by every chi at this cell: the coset sum of
-    the algebra and its left action on the induced model both read it.  Only
-    the lower row of a^{-1} rep_c is computed, the two entries
-    CosetTable.decompose_rows reads, over blocks of about _BLOCK_ELEMENTS
-    products.  Both tables take the smallest unsigned dtype that holds dim,
-    and so p^n.  The class sizes add up to dim, so each table holds dim^2
-    entries; a cell over the size budget is refused before any is built.
+    the algebra and its left action on the induced model both read it.  Each
+    class's coset map and d0 are written in closed form from a's lower row,
+    over blocks of about _BLOCK_ELEMENTS entries; hecke._checked_transport
+    compares them with CosetTable.decompose_rows on every cell with
+    p^n <= groupconv.BRUTE_LIMIT.  Both tables take the smallest unsigned
+    dtype that holds dim, and so p^n.  The class sizes add up to dim, so
+    each table holds dim^2 entries; a cell over the size budget is refused
+    before any is built.
+
+    Proof of the closed form (every value mod p^n).  The lower row (c, d)
+    of g = a^{-1} rep fixes g's coset, and k0 = g rep_{c'}^{-1}.  The (1 : d)
+    coset, at position d, has rep = (0, -1; 1, d) and rep^{-1} = (d, 1; -1, 0),
+    so d0 is g's lower-left entry; the (c : 1) coset, at _c1_position[c], has
+    rep = y(c) and rep^{-1} = y(-c), so d0 is g's lower-right entry.
+    - Identity class: a = I, so cls is the identity map and d0 = 1.
+    - y(p^j), j < n: a = (s, 0; p^j, 1) and a^{-1} has lower row (gamma, 1)
+      with gamma = -p^j s^{-1}.  Then g has lower row (1, d - gamma) on
+      (1 : d), the coset d - gamma, and (c + gamma, 1) on (c : 1), the coset
+      (c + gamma : 1) as p | gamma; d0 = 1 on both.
+    - w: a = (t, -1; 1, 0), a^{-1} = (0, 1; -1, t), lower row (-1, t).  On
+      (1 : d), g has lower row (t, td + 1): for a unit t the coset
+      t^{-1}(td + 1) = d + t^{-1}, with d0 = t; for p | t, td + 1 is a unit,
+      the coset is (t (td + 1)^{-1} : 1) and d0 = td + 1.  On (c : 1), g has
+      lower row (tc - 1, t) with tc - 1 a unit as p | c: the coset
+      (1 : (tc - 1)^{-1} t), with d0 = tc - 1.
     """
     dim = p**n + p ** (n - 1)
     if dim * dim > K0_ENUMERATION_LIMIT:
@@ -347,18 +366,38 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
             f"the limit is {K0_ENUMERATION_LIMIT}"
         )
     table = coset_table(p, n)
-    rep = table.rep_array
+    pn, inverse, at_c = p**n, unit_group(p, n).inverse, table._c1_position
+    dtype = np.min_scalar_type(dim)
+    d = np.arange(pn)  # the (1 : d) cosets, at positions 0..p^n-1
+    c = table.rep_array.c[pn:]  # the (c : 1) cosets, at positions p^n..dim-1
+    # row k: the translation d -> d + k of the (1 : d) cosets
+    shifted = np.lib.stride_tricks.sliding_window_view((np.arange(2 * pn) % pn).astype(dtype), pn)
     step = max(1, _BLOCK_ELEMENTS // dim)
     out = {}
     for lab in all_labels(p, n):
-        ainv = class_right_reps(p, n, lab).inv()
-        cls = np.empty((len(ainv), dim), dtype=np.min_scalar_type(dim))
-        d0 = np.empty_like(cls)
-        for lo in range(0, len(ainv), step):
-            c, d = ainv.c[lo : lo + step, None], ainv.d[lo : lo + step, None]
-            cls[lo : lo + step], d0[lo : lo + step] = table.decompose_rows(
-                c * rep.a + d * rep.c, c * rep.b + d * rep.d
-            )
+        j = label_stratum(n, lab)
+        x = class_right_reps(p, n, lab).a  # s on a y(p^j) class, t on w
+        cls = np.empty((len(x), dim), dtype=dtype)
+        d0 = np.ones_like(cls)
+        for lo in range(0, len(x), step):
+            rows = np.arange(lo, min(lo + step, len(x)))
+            if j == n:
+                cls[rows] = np.arange(dim)
+            elif j:  # d -> d - gamma and c -> c + gamma, with -gamma = p^j s^-1
+                shift = p**j * inverse[x[rows]] % pn
+                cls[rows, :pn] = shifted[shift]
+                cls[rows, pn:] = at_c[(c - shift[:, None]) % pn]
+            else:
+                t, unit = x[rows], x[rows] % p != 0
+                # unit t: d -> d + t^-1, with d0 = t
+                cls[rows[unit], :pn], d0[rows[unit], :pn] = shifted[inverse[t[unit]]], t[unit, None]
+                # p | t: d -> (t (td + 1)^-1 : 1), with d0 = td + 1
+                tz = t[~unit, None]
+                top = (tz * d + 1) % pn
+                cls[rows[~unit], :pn], d0[rows[~unit], :pn] = at_c[tz * inverse[top] % pn], top
+                # (c : 1) -> (1 : (tc - 1)^-1 t), with d0 = tc - 1
+                low = (t[:, None] * c - 1) % pn
+                cls[rows, pn:], d0[rows, pn:] = t[:, None] * inverse[low] % pn, low
         out[lab] = (cls, d0)
     return out
 

@@ -13,6 +13,11 @@ basis, so every term of the coset sum is chi(1) = 1; on the w class chi is
 trivial.  The algebra therefore runs over Q: coefficients are Fractions and
 the integer constants are shared by every character of a cell, and the
 relation audit on them by every character of one conductor exponent.
+
+The coset sum reads the transport table that cosets._left_transport writes
+in closed form.  _checked_transport checks the lemma on it, and on every
+cell with p^n <= groupconv.BRUTE_LIMIT rebuilds it by definition, through
+CosetTable.decompose_rows on every product, and requires the two to agree.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .cosets import (
     _left_transport,
     all_labels,
     class_left_reps,
+    class_right_reps,
     coset_table,
     label_rep,
     label_stratum,
@@ -249,8 +255,11 @@ def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
     after checking on its factors d0 that every twist chi(d0) is 1 for each
     character that supports lab: d0 is 1 mod p^j on a y(p^j) class, by the
     lemma below, and a unit on the w class, which only the trivial
-    character supports.  A failure raises AlgebraError, and is not cached;
-    a passing table is checked once per (p, n, lab).
+    character supports.  Then, on every cell with p^n <= BRUTE_LIMIT, the
+    closed-form table must equal the definition: CosetTable.decompose_rows
+    on every product a^{-1} rep_c, both cls and d0.  A failure raises
+    AlgebraError naming lab, and is not cached; a passing table is checked
+    once per (p, n, lab).
 
     Lemma.  For lab = y(p^j), every d0 in the table is 1 mod p^j.
     Proof.  For j = n the only representative is a = I, so k0 = I.  For
@@ -259,7 +268,7 @@ def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
     As p | u, y(u) = (1, 0; u, 1) maps each coset representative exactly
     onto another: y(u) (0, -1; 1, d) = (0, -1; 1, d - u) and
     y(u) y(c) = y(c + u).  So a^{-1} rep_c = diag(s^-1, 1) rep_c' and
-    d0 = 1.
+    d0 = 1.  These translations are the y rows of the closed form.
     """
     cls, d0 = _left_transport(p, n)[lab]
     j = label_stratum(n, lab)
@@ -268,6 +277,13 @@ def _checked_transport(p: int, n: int, lab: str) -> np.ndarray:
         raise AlgebraError("the w transport has a non-unit d0")
     if j and np.any(d0 % p**j != 1):
         raise AlgebraError(f"the {lab} transport has a d0 off 1 mod {p**j}: twists depend on chi")
+    if p**n <= BRUTE_LIMIT:
+        table, ainv = coset_table(p, n), class_right_reps(p, n, lab).inv()
+        # the lower row of every a^{-1} rep_c, all that decompose_rows reads
+        rep, c, d = table.rep_array, ainv.c[:, None], ainv.d[:, None]
+        want = table.decompose_rows(c * rep.a + d * rep.c, c * rep.b + d * rep.d)
+        if not all(map(np.array_equal, (cls, d0), want)):
+            raise AlgebraError(f"the {lab} transport differs from its decomposition")
     return cls
 
 

@@ -8,15 +8,18 @@ multiplies it by the twist chi(d0) of the transport factor between them.
 
 That twist is always 1 on the algebra's operators.  Every d0 is 1 mod p^j on
 a y(p^j) class, and a unit on the w class, which is supported only by the
-trivial chi; `_basis_operator` reads each transport table through
-hecke._checked_transport, which holds the lemma and checks both facts on the
-table.  So an operator is a permsum.PermSum over the transport table's
-coordinate map, in that table's own compact dtype.  It acts by left
-convolution, so it commutes with right translation, which moves any coset
-to any other: identities are proved, and traces read, off one column
-(permsum._ColumnRoute, which checks both premises).  Only the prime-field
-rank confirmation on small cells forms (dim, dim) count matrices.  Every
-verdict is exact.
+trivial chi; `_basis_operator` reads each transport table, written in closed
+form by cosets._left_transport, through hecke._checked_transport, which holds
+the lemma, checks both facts on the table and, on every cell with
+p^n <= groupconv.BRUTE_LIMIT, checks the whole table against the
+decomposition of every product (CosetTable.decompose_rows, which
+`_right_transport` uses on every cell).  So an operator is a
+permsum.PermSum over the transport table's coordinate map, in that table's
+own compact dtype.  It acts by left convolution, so it commutes with right
+translation, which moves any coset to any other: identities are proved, and
+traces read, off one column (permsum._ColumnRoute, which checks both
+premises).  Only the prime-field rank confirmation on small cells forms
+(dim, dim) count matrices.  Every verdict is exact.
 
 The basis operators and the Y_k are built once per cell (p, n).  The
 eigenvalue tables and the component dimensions read chi only through its
@@ -489,7 +492,6 @@ class SpectralReport:
     n: int
     r: int
     dim: int
-    tables: dict
     component_dims: dict
     fixed_dims: dict
     report: Report
@@ -506,7 +508,7 @@ def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
 
     check(report, f"{tag}.dim", p ** (n - 1) * (p + 1), rep.dim, "formula", 0.0)
 
-    tables = eigenvalue_tables(rep, report)
+    eigenvalue_tables(rep, report)
     comp = component_dimensions(rep, report)
 
     fixed_dims: dict[int, int] = {}
@@ -534,7 +536,6 @@ def verify_induced(p: int, n: int, chi: PChar) -> SpectralReport:
         n=n,
         r=rep.r,
         dim=rep.dim,
-        tables=tables,
         component_dims=comp,
         fixed_dims=fixed_dims,
         report=report,

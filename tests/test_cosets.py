@@ -1,9 +1,12 @@
+import json
 import tracemalloc
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import pytest
 
+from hecke_lab.characters import unit_group
 from hecke_lab.cosets import (
     K0_ENUMERATION_LIMIT,
     MatArray,
@@ -27,6 +30,8 @@ from hecke_lab.cosets import (
 from tests.conftest import GRID, decompose, dmat, entries
 
 CELLS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+LARGE = [(cell["p"], cell["n"]) for cell in json.loads(
+    (Path(__file__).resolve().parents[1] / "campaigns" / "large.json").read_text())["grid"]]
 
 
 def enumerate_K0(p: int, n: int, m: Optional[int] = None) -> MatArray:
@@ -202,6 +207,36 @@ def test_transport_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("p,n", GRID + LARGE)
+def test_transport_closed_form_matches_decomposition(p, n):
+    """Every class's closed-form coset map and d0 equal, entry for entry
+    and in dtype, what CosetTable.decompose_rows makes of every product
+    a^{-1} rep_c."""
+    table = coset_table(p, n)
+    left = _left_transport(p, n)
+    assert list(left) == all_labels(p, n)
+    for lab in all_labels(p, n):
+        g = class_right_reps(p, n, lab).inv()[:, None] @ table.rep_array
+        want = table.decompose_rows(g.c, g.d)
+        for got, ref in zip(left[lab], want):
+            assert got.dtype == np.min_scalar_type(table.dim), (lab, got.dtype)
+            assert np.array_equal(got, ref), lab
+
+
+def test_transport_builds_under_3_5_mb_at_5_4(fresh_caches):
+    """At (5,4), dim 750, the two tables of every class hold 2.15 MiB
+    together; building them a block of class representatives at a time
+    peaks under 3.5 MiB."""
+    coset_table(5, 4), unit_group(5, 4)  # neither is part of the budget
+    tracemalloc.start()
+    try:
+        _left_transport(5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20, peak
 
 
 def test_matrix_arithmetic():

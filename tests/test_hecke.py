@@ -403,6 +403,34 @@ def test_transport_refuses_a_non_unit_w_factor(monkeypatch, fresh_caches):
         induced._basis_operator(p, n, "w")
 
 
+def test_transport_refuses_a_closed_form_off_its_decomposition(monkeypatch, fresh_caches):
+    """One w factor moved to another unit d0, which the lemma allows, and one
+    y1 coset moved, at (3,2): the decomposition refuses each table, naming
+    its label, and caches neither; the coset sum and the induced operator
+    that read them refuse too."""
+    p, n = 3, 2
+    assert p**n <= BRUTE_LIMIT
+    table = dict(_left_transport(p, n))
+    cls, d0 = table["w"]
+    d0 = d0.copy()
+    d0[4, 1] = 2 * d0[4, 1] % p**n
+    table["w"] = (cls, d0)
+    cls, d0 = table["y1"]
+    cls = cls.copy()
+    cls[1, 2] = (cls[1, 2] + 1) % len(cls[1])
+    table["y1"] = (cls, d0)
+    monkeypatch.setattr(hecke, "_left_transport", lambda p, n: table)
+    for lab in ("w", "y1"):
+        with pytest.raises(AlgebraError, match=f"the {lab} transport differs from its decomposition"):
+            hecke._checked_transport(p, n, lab)
+    assert hecke._checked_transport.cache_info().currsize == 0
+    with pytest.raises(AlgebraError, match="y1"):
+        verify_relations(p, n, PChar.from_conrey(p, n, 8))  # conductor 3: basis y1, y2
+    with pytest.raises(AlgebraError, match="the w transport"):
+        induced._basis_operator(p, n, "w")
+    assert induced._basis_operator.cache_info().currsize == 0
+
+
 def _assertion(rep, suffix):
     [a] = [a for a in rep.assertions if a.id.endswith(suffix)]
     return a

@@ -31,6 +31,9 @@ CALLER_DIRS = [PACKAGE, ROOT / "tools", PERFBENCH]
 # perfbench/spans.BOUNDARY wraps the first two by name, and
 # perfbench/workloads.character_record calls `ok` on an untyped receiver
 BENCHMARK_REACHED = ("enumerate_Kg", "InducedRep.piL_basis", "SpectralReport.ok")
+# dataclass fields only tests read: the fixed vectors themselves, which the
+# tests check against the group action
+TEST_READ_FIELDS = ("FixedSubspace.basis_exponents",)
 # test oracles only: the package must neither import nor mention them
 ORACLE_PACKAGES = ("scipy", "sympy")
 # what groupconv, the whole-group oracle, may import at any depth from
@@ -456,13 +459,16 @@ def test_scanner_finds_unread_fields():
 
 
 def test_no_unread_dataclass_fields():
+    # readers are the package, tools/ and perfbench/, as for definitions; the
+    # allowlist must be exactly what only tests read, so a stale entry fails
     callers = [
         path.read_text()
-        for base in CALLER_DIRS + [ROOT / "tests"]
+        for base in CALLER_DIRS
         for path in sorted(base.rglob("*.py"))
     ]
     defined = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unread_fields(defined, callers) == []
+    found = unread_fields(defined, callers)
+    assert sorted(entry.split(": ")[1] for entry in found) == sorted(TEST_READ_FIELDS), found
 
 
 def route_imports(source: str) -> list[str]:

@@ -404,7 +404,8 @@ def test_spectral_audit(p, n):
     for chi in PChar.all_characters(p, n):
         sp = verify_induced(p, n, chi)
         assert sp.report.ok, [a.id for a in sp.report.failures()]
-        assert sp.tables["entrywise_ok"]
+        tables = [a for a in sp.report.assertions if ".table." in a.id]
+        assert tables and all(a.status == "pass" for a in tables)
         assert sp.component_dims["agree"]
         for m, d in sp.fixed_dims.items():
             assert d == (m - sp.r + 1 if m >= sp.r else 0)
@@ -413,7 +414,7 @@ def test_spectral_audit(p, n):
 def test_iwahori_components():
     # level-one induction from the trivial character splits 4 = 1 + 3
     sp = verify_induced(3, 1, PChar.trivial(3, 1))
-    assert sp.tables["Y"][(1, 1)] == 1
+    assert eigenvalue_tables(InducedRep(3, 1, PChar.trivial(3, 1)), Report())["Y"][(1, 1)] == 1
     assert sp.dim == 4
     assert sp.component_dims["by_formula"] == {"w+": 1, "w-": 3}
 
@@ -696,10 +697,10 @@ def test_exact_tables_are_compact(fresh_caches):
 
 
 def test_transport_and_counts_build_under_8_mb(fresh_caches):
-    """At (7,3), dim 392: the transport tables, walked a block of lower rows
-    at a time, and the basis operators' count matrices, built a block of
-    rows at a time, peak under 8 MB together (full int64 products of the
-    153,664 pairs took 17.5 MB alone)."""
+    """At (7,3), dim 392: the transport tables, written a block of class
+    representatives at a time, and the basis operators' count matrices,
+    built a block of rows at a time, peak under 8 MB together (full int64
+    products of the 153,664 pairs took 17.5 MB alone)."""
     p, n = 7, 3
     coset_table(p, n)  # the coset table is not part of the budget
     tracemalloc.start()
