@@ -29,6 +29,7 @@ SAMPLE_ATTEMPTS = 5
 HALTON_BATCH = 512
 HALTON_POINTS = 40960  # points searched per box before giving up on it
 HALTON_STRIDE = 65537  # Halton index at which attempt `skip` starts, per unit of skip
+HALTON_CHUNK = 4096  # indices the Halton table is filled with at a time
 # singular values at or below RANK_RTOL * max(sigma_max, 1) count as zero
 RANK_RTOL = 1e-7
 
@@ -104,9 +105,14 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
     significant digit first, add digit * b^-k, then divide b^-k by b), so the
     points are bit for bit those of the common unscrambled Halton generators
     (tests/test_operators.py compares one)."""
-    out = np.zeros(len(index))
-    q, digit = index.copy(), np.empty_like(index)
-    b2r = 1.0 / base
+    return _add_digits(np.zeros(len(index)), index.copy(), base, 1.0 / base)
+
+
+def _add_digits(out: np.ndarray, q: np.ndarray, base: int, b2r: float) -> np.ndarray:
+    """The digit loop of `_radical_inverse` from a given state: adds the
+    base-b digits of q, least significant first, to `out` in place, the
+    first at weight b2r.  Consumes q."""
+    digit = np.empty_like(q)
     while q.any():
         np.divmod(q, base, out=(q, digit))
         out += digit * b2r
@@ -117,16 +123,28 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _halton(skip: int) -> np.ndarray:
     """The HALTON_POINTS unscrambled 2-d Halton points (bases 2 and 3) that
-    start at index skip * HALTON_STRIDE, shape (HALTON_POINTS, 2)."""
-    # filled 4096 indices at a time, so the temporaries stay small; each
-    # point depends on its own index only, so the chunks change no bit
+    start at index skip * HALTON_STRIDE, shape (HALTON_POINTS, 2).
+
+    The sums of the low L digits, for the largest L with b^L <=
+    HALTON_CHUNK, are tabulated once per base, and each index reads its own
+    from the table; the rest of its digits run through the digit loop from
+    the weight it reaches after L digits.  A zero digit adds 0.0, which
+    changes no sum, so each point is the sum of the same float terms in the
+    same order as in `_radical_inverse`, bit for bit."""
     pts = np.empty((HALTON_POINTS, 2))
     first = skip * HALTON_STRIDE
-    for lo in range(0, HALTON_POINTS, 4096):
-        hi = min(lo + 4096, HALTON_POINTS)
-        index = np.arange(first + lo, first + hi)
-        pts[lo:hi, 0] = _radical_inverse(index, 2)
-        pts[lo:hi, 1] = _radical_inverse(index, 3)
+    for col, base in enumerate((2, 3)):
+        size, b2r = 1, 1.0 / base
+        while size * base <= HALTON_CHUNK:
+            size *= base
+            b2r /= base
+        low_sums = _radical_inverse(np.arange(size), base)
+        # HALTON_CHUNK indices at a time, so the temporaries stay small;
+        # each point depends on its own index only, so the chunks change no bit
+        for lo in range(0, HALTON_POINTS, HALTON_CHUNK):
+            hi = min(lo + HALTON_CHUNK, HALTON_POINTS)
+            high, low = np.divmod(np.arange(first + lo, first + hi), size)
+            pts[lo:hi, col] = _add_digits(low_sums[low], high, base, b2r)
     pts.flags.writeable = False
     return pts
 

@@ -5,8 +5,10 @@ exists, every dataclass field is read somewhere, the whole-group oracle
 imports nothing of the routes it checks, the fixture manifest and the pass
 thresholds are named only in the modules that own them, only `spaces`
 imports the fixture payload's codec (the fixture tool writes through
-`spaces.encode_coeffs`), and importing the package loads only numpy and the
-standard library.
+`spaces.encode_coeffs`), every module loads only numpy and the standard
+library, and each side of the package loads only its own modules:
+`import hecke_lab` loads none, and the exact and numerical sides load none of
+each other's past the bounds of IMPORT_BOUNDS.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -52,6 +54,19 @@ CONFINED = {"families.json": ("spaces.py",), "TOLERANCE": ("newspace.py", "campa
 PAYLOAD_CODECS = ("base64", "binascii")
 PAYLOAD_HOME = "spaces.py"
 FIXTURE_TOOL = ROOT / "tools" / "build_fixtures.py"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+# (modules imported, package modules they must not load): the bare package
+# loads nothing; the support law's modules load no numerical module and not
+# `induced`; `induced` loads no numerical module; the numerical side loads
+# only `characters` and `cyclotomic` of the exact side
+NUMERICAL = ("campaign", "cli", "newspace", "operators", "qexp", "spaces", "dimoracle")
+IMPORT_BOUNDS = [
+    ((), tuple(MODULES)),
+    (("hecke", "cosets", "characters"), NUMERICAL + ("induced", "permsum")),
+    (("induced",), NUMERICAL),
+    (("qexp", "spaces", "operators", "dimoracle"),
+     ("cosets", "hecke", "groupconv", "induced", "permsum")),
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -652,16 +667,43 @@ def test_payload_codec_stays_in_spaces():
     assert calls(tool, "encode_coeffs")
 
 
-def test_import_loads_no_oracle_package():
-    code = (
-        "import sys, hecke_lab, hecke_lab.cli\n"
-        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {ORACLE_PACKAGES!r}))\n"
-    )
+def run_fresh(code: str, timeout: int = 60) -> str:
+    """Standard output of `code` run in a fresh interpreter from src/."""
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,
-        check=True, timeout=60,
+        check=True, timeout=timeout,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_oracle_package():
+    # every module pkgutil finds, so a new module is covered too
+    code = (
+        "import importlib, pkgutil, sys, hecke_lab\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules(hecke_lab.__path__))\n"
+        "for name in names:\n"
+        "    importlib.import_module('hecke_lab.' + name)\n"
+        "print(names)\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {ORACLE_PACKAGES!r}))\n"
+    )
+    names, oracles = map(ast.literal_eval, run_fresh(code).splitlines())
+    assert names == MODULES
+    assert oracles == []
+
+
+@pytest.mark.parametrize(
+    "imported, forbidden", IMPORT_BOUNDS,
+    ids=["+".join(imported) or "package" for imported, _ in IMPORT_BOUNDS],
+)
+def test_each_side_loads_only_its_modules(imported, forbidden):
+    assert set(forbidden) <= set(MODULES), sorted(set(forbidden) - set(MODULES))
+    code = (
+        "import sys, hecke_lab\n"
+        + "".join(f"import hecke_lab.{name}\n" for name in imported)
+        + "print(sorted(m.split('.')[1] for m in sys.modules if m.startswith('hecke_lab.')))\n"
+    )
+    loaded = ast.literal_eval(run_fresh(code))
+    assert sorted(set(loaded) & set(forbidden)) == []
 
 
 def test_default_campaign_never_loads_numpy_ma():
@@ -673,8 +715,4 @@ def test_default_campaign_never_loads_numpy_ma():
         "assert run_verify(Campaign.default()).ok\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT / "src", capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
+    assert run_fresh(code, timeout=120) == "False"
