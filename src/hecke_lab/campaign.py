@@ -4,11 +4,20 @@ A campaign lists algebraic grid cells (p, n, optionally one character) and
 fixture directories for the operator suites.  Every cell contributes its
 assertions to a single report; failures accumulate and never short-circuit
 the run.
+
+The exact side (`hecke`, `induced` and what they load) is imported when its
+routes are first read, at the latest on a run's first grid cell:
+`verify_relations` and `verify_induced` are bound as module attributes then
+(`__getattr__`, PEP 562), and `run_verify` calls them through those
+attributes.  So a campaign without grid cells, and `hecke-lab classical`,
+load only the numerical side.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,12 +25,22 @@ import numpy as np
 
 from .cellcache import clear_cell_caches
 from .characters import PChar
-from .hecke import verify_relations
-from .induced import verify_induced
 from .newspace import TOLERANCE, OpReport, characterize, placement_checks, qualifying_primes
 from .operators import op_U, op_W, w_square_scalar
 from .report import Report, check, check_bool, timed
 from .spaces import CuspSpace, fixture_dir, load_families
+
+
+def __getattr__(name: str):
+    """Bind an exact-side route, loading its module, when it is first read;
+    a route set on the module beforehand is kept."""
+    if name == "verify_relations":
+        from .hecke import verify_relations as route
+    elif name == "verify_induced":
+        from .induced import verify_induced as route
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, route)
 
 
 @dataclass
@@ -62,7 +81,9 @@ class Campaign:
 
 def _checked_grid(grid) -> list[dict]:
     """A campaign file's grid: a list of objects with integer "p" and "n"
-    and, optionally, an integer "conrey"; ValueError otherwise."""
+    and, optionally, an integer "conrey", a unit in 1..p^n - 1; ValueError
+    otherwise.  PChar.from_conrey reduces its index mod p^n, so a conrey
+    past that range would run another cell's character under its own id."""
     if not isinstance(grid, list):
         raise ValueError(f"campaign grid must be a list of cells, not {grid!r}")
     for cell in grid:
@@ -71,6 +92,11 @@ def _checked_grid(grid) -> list[dict]:
         for key in ("p", "n", "conrey"):
             if key in cell and type(cell[key]) is not int:
                 raise ValueError(f"grid cell {cell!r}: {key} must be an integer")
+        if "conrey" in cell and not (
+            cell["n"] >= 1 and 1 <= cell["conrey"] < cell["p"] ** cell["n"]
+            and math.gcd(cell["conrey"], cell["p"]) == 1
+        ):
+            raise ValueError(f"grid cell {cell!r}: conrey must be a unit in 1..p^n - 1")
     return grid
 
 
@@ -84,6 +110,7 @@ def _grid_characters(cell: dict) -> list[PChar]:
 def run_verify(campaign: Campaign) -> Report:
     """Execute every campaign cell and return the merged report."""
     rep = Report(seed=campaign.seed, meta={"campaign": campaign.to_dict()})
+    routes = sys.modules[__name__]
     current = None
     for cell in campaign.grid:
         p, n = int(cell["p"]), int(cell["n"])
@@ -92,8 +119,8 @@ def run_verify(campaign: Campaign) -> Report:
             clear_cell_caches()
             current = (p, n)
         for chi in _grid_characters(cell):
-            rep.extend(verify_relations(p, n, chi).assertions)
-            rep.extend(verify_induced(p, n, chi).report.assertions)
+            rep.extend(routes.verify_relations(p, n, chi).assertions)
+            rep.extend(routes.verify_induced(p, n, chi).report.assertions)
     for directory in campaign.fixture_dirs:
         _classical_suite(rep, Path(directory))
     return rep

@@ -51,6 +51,7 @@ from .groupconv import BRUTE_LIMIT
 from .hecke import AlgebraError, _checked_transport, supported_basis
 from .permsum import PermSum, _act, _ColumnRoute, _rank_mod_q
 from .report import Assertion, Report, character_tag, check, check_bool, timed
+from .spectra import table_eigenvalue, u_eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +274,6 @@ def _live_basis(geo: _WordGeometry, vexp: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Spectral data: eigenvalue tables, traces, component dimensions
 # ---------------------------------------------------------------------------
-
-
-def table_eigenvalue(kind: str, p: int, n: int, i: int, j: int) -> int:
-    """Tabulated scalar of one algebra element on one component.
-
-    kind "V": the single-stratum basis function at level j; kind "Y": the
-    accumulated sum Y_j.  Component index i is absolute, max(r,1) <= i <= n.
-    """
-    if kind == "Y":
-        return p ** (n - j) if j >= i else 0
-    if kind != "V":
-        raise ValueError("kind must be 'V' or 'Y'")
-    if j == n:
-        return 1
-    if j >= i:
-        return p ** (n - j - 1) * (p - 1)
-    if j == i - 1:
-        return -(p ** (n - j - 1))
-    return 0
-
-
-def u_eigenvalue(comp: str, p: int, n: int) -> int:
-    """Scalar of U, the basis function of the w class, on one component of
-    the trivial twist: p^n on "w+" and -p^(n-1) on "w-", the two roots of
-    U U = p^(n-1)(p-1) U + p^n Y_1 (certified in _certify_projector_family),
-    and 0 on the components "i2".."in" above the bottom block."""
-    if comp == "w+":
-        return p**n
-    if comp == "w-":
-        return -(p ** (n - 1))
-    return 0
 
 
 @cell_cache

@@ -18,7 +18,6 @@ import numpy as np
 
 from .cyclotomic import _factorize
 from .dimoracle import dim_new
-from .induced import table_eigenvalue, u_eigenvalue
 from .operators import (
     OpMatrix,
     nullspace,
@@ -30,6 +29,7 @@ from .operators import (
 )
 from .qexp import op_Vp
 from .spaces import CuspSpace
+from .spectra import table_eigenvalue, u_eigenvalue
 
 # The pass thresholds of the classical checks, fixed: the campaign and
 # placement_checks apply them (`hecke-lab classical` runs the campaign's
@@ -77,8 +77,9 @@ def operator_kind(n: int) -> str:
 
 def qualifying_primes(N: int, chi) -> list[QualifyingPrime]:
     """The prime powers p^n || N whose local character factor is imprimitive
-    (conductor exponent c < n).  Their spectra are read from the closed
-    forms that the exact side's certificates check (induced):
+    (conductor exponent c < n).  Their spectra are the closed forms of
+    `spectra`, which `induced`'s certificates check on the exact side;
+    reading them here loads no module of the exact side:
 
     Q (n = 1, c = 0) is the classical form of U on I(1) for the trivial
     twist: -1 on w- (new) and p on w+ (old);

@@ -36,11 +36,17 @@ def test_campaign_file_cannot_set_tolerances(tmp_path):
     "abc", 5, {"p": 3, "n": 2}, [5], ["p"], [[3, 2]], [{"p": 3}], [{"n": 2}],
     [{"p": 3, "n": 2.0}], [{"p": "3", "n": 2}], [{"p": 3, "n": True}],
     [{"p": 3, "n": None}], [{"p": 3, "n": 2, "conrey": 2.5}],
+    # chi5 mod 3 would run as chi2 under the id p3.n1.chi5
+    [{"p": 3, "n": 1, "conrey": 5}],
+    [{"p": 3, "n": 1, "conrey": 2}, {"p": 3, "n": 1, "conrey": 5}],
+    [{"p": 3, "n": 1, "conrey": 0}], [{"p": 5, "n": 2, "conrey": -1}],
+    [{"p": 3, "n": 2, "conrey": 3}],
 ])
 def test_campaign_file_refuses_a_malformed_grid(grid, tmp_path):
     """A grid is a list of objects with integer p and n and an optional
-    integer conrey; anything else is a ValueError (the CLI's exit 2), not a
-    KeyError or TypeError from the first cell that reads it."""
+    integer conrey, a unit in 1..p^n - 1; anything else is a ValueError (the
+    CLI's exit 2), not a KeyError or TypeError from the first cell that reads
+    it, nor another character run under the id the cell names."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"grid": grid}))
     with pytest.raises(ValueError, match="grid"):

@@ -7,8 +7,9 @@ thresholds are named only in the modules that own them, only `spaces`
 imports the fixture payload's codec (the fixture tool writes through
 `spaces.encode_coeffs`), every module loads only numpy and the standard
 library, and each side of the package loads only its own modules:
-`import hecke_lab` loads none, and the exact and numerical sides load none of
-each other's past the bounds of IMPORT_BOUNDS.
+`import hecke_lab` loads none, the exact and numerical sides load none of
+each other's past the bounds of IMPORT_BOUNDS, and `campaign` binds the
+exact side on first use.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -57,15 +58,19 @@ FIXTURE_TOOL = ROOT / "tools" / "build_fixtures.py"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 # (modules imported, package modules they must not load): the bare package
 # loads nothing; the support law's modules load no numerical module and not
-# `induced`; `induced` loads no numerical module; the numerical side loads
-# only `characters` and `cyclotomic` of the exact side
+# `induced`; `induced` loads no numerical module; the numerical side, the
+# campaign and the command included, loads only `characters` and
+# `cyclotomic` of the exact side (`campaign` binds the rest on first use);
+# `spectra`, the closed forms both sides read, loads no other module
 NUMERICAL = ("campaign", "cli", "newspace", "operators", "qexp", "spaces", "dimoracle")
+EXACT_ONLY = ("cosets", "hecke", "groupconv", "induced", "permsum")
 IMPORT_BOUNDS = [
     ((), tuple(MODULES)),
     (("hecke", "cosets", "characters"), NUMERICAL + ("induced", "permsum")),
     (("induced",), NUMERICAL),
-    (("qexp", "spaces", "operators", "dimoracle"),
-     ("cosets", "hecke", "groupconv", "induced", "permsum")),
+    (("qexp", "spaces", "operators", "dimoracle"), EXACT_ONLY),
+    (("newspace", "campaign", "cli"), EXACT_ONLY),
+    (("spectra",), tuple(m for m in MODULES if m != "spectra")),
 ]
 
 
@@ -111,17 +116,25 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source: str) -> list[tuple[str, int]]:
-    """Module-level functions and classes as (name, line), and the non-dunder
-    methods of module-level classes as ("Class.method", line)."""
+    """Module-level functions and classes as (name, line), and the methods of
+    module-level classes as ("Class.method", line).  Dunders are left out at
+    both levels: the interpreter calls them (a module's `__getattr__`, a
+    class's `__repr__`)."""
     out = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not is_dunder(node.name):
             out.append((node.name, node.lineno))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
+                    is_dunder(item.name)
                 ):
                     out.append((f"{node.name}.{item.name}", item.lineno))
     return out
@@ -362,6 +375,7 @@ def test_scanner_finds_callerless_definitions():
         "def orphan():\n"
         "    def inner(): pass\n"
         "    return inner\n"
+        "def __getattr__(name): pass\n"
     )
     caller = (
         "from lib import A as C, B, helper\n"
@@ -704,6 +718,40 @@ def test_each_side_loads_only_its_modules(imported, forbidden):
     )
     loaded = ast.literal_eval(run_fresh(code))
     assert sorted(set(loaded) & set(forbidden)) == []
+
+
+def test_campaign_binds_the_exact_side_on_first_use():
+    """campaign loads hecke and induced on a run's first grid cell and
+    binds their routes as its attributes; run_verify calls whatever is bound
+    there, so a route set on the module beforehand (as the benchmark's
+    GridCapture does) is the one called; other names stay unknown."""
+    code = (
+        "import sys\n"
+        "from hecke_lab import campaign\n"
+        "def loaded():\n"
+        "    return [m for m in ('hecke', 'induced') if 'hecke_lab.' + m in sys.modules]\n"
+        "print(loaded())\n"
+        "assert campaign.run_verify(campaign.Campaign(grid=[{'p': 3, 'n': 1}])).ok\n"
+        "print(loaded())\n"
+        "from hecke_lab import hecke, induced\n"
+        "print([campaign.verify_relations is hecke.verify_relations,\n"
+        "       campaign.verify_induced is induced.verify_induced])\n"
+        "calls = []\n"
+        "def relations(p, n, chi):\n"
+        "    calls.append((p, n, chi.conrey_index()))\n"
+        "    return hecke.verify_relations(p, n, chi)\n"
+        "campaign.verify_relations = relations\n"
+        "assert campaign.run_verify(campaign.Campaign(grid=[{'p': 5, 'n': 1, 'conrey': 2}])).ok\n"
+        "print(calls)\n"
+        "try:\n"
+        "    campaign.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(repr(str(exc)))\n"
+    )
+    before, after, bound, calls, error = map(ast.literal_eval, run_fresh(code).splitlines())
+    assert (before, after, bound) == ([], ["hecke", "induced"], [True, True])
+    assert calls == [(5, 1, 2)]
+    assert error == "module 'hecke_lab.campaign' has no attribute 'no_such_name'"
 
 
 def test_default_campaign_never_loads_numpy_ma():

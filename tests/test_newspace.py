@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hecke_lab.characters import DirChar
-from hecke_lab.induced import u_eigenvalue
 from hecke_lab.newspace import characterize, placement_checks, qualifying_primes
 from hecke_lab.operators import op_Q, op_Qprime, op_S, op_Sprime
 from hecke_lab.spaces import fixture_dir, load_space
+from hecke_lab.spectra import u_eigenvalue
 
 
 def test_qualifying_primes_squarefree():
@@ -92,7 +92,7 @@ def test_placement_survey_images_vanish_into_lower():
 
 
 def test_spectra_are_the_exact_side_closed_forms(families):
-    # the roots read from induced's closed forms are the table they replaced,
+    # the roots read from spectra's closed forms are the table they replaced,
     # as the floats the reports print
     kinds = set()
     for fam in families:
