@@ -25,6 +25,7 @@ import numpy as np
 
 from .cellcache import clear_cell_caches
 from .characters import PChar
+from .cyclotomic import _factorize
 from .newspace import TOLERANCE, OpReport, characterize, placement_checks, qualifying_primes
 from .operators import op_U, op_W, w_square_scalar
 from .report import Report, check, check_bool, timed
@@ -64,6 +65,9 @@ class Campaign:
                 "campaign files cannot set tolerances: the pass thresholds are "
                 "fixed in newspace.TOLERANCE"
             )
+        unknown = sorted(set(doc) - {"about", "grid", "fixture_dirs", "seed"})
+        if unknown:
+            raise ValueError(f"campaign file has unknown keys {unknown}")
         dirs, seed = doc.get("fixture_dirs", []), doc.get("seed", 0)
         if not (isinstance(dirs, list) and all(isinstance(d, str) for d in dirs)):
             raise ValueError(f"campaign fixture_dirs must be a list of paths, not {dirs!r}")
@@ -80,10 +84,11 @@ class Campaign:
 
 
 def _checked_grid(grid) -> list[dict]:
-    """A campaign file's grid: a list of objects with integer "p" and "n"
-    and, optionally, an integer "conrey", a unit in 1..p^n - 1; ValueError
-    otherwise.  PChar.from_conrey reduces its index mod p^n, so a conrey
-    past that range would run another cell's character under its own id."""
+    """A campaign file's grid: a list of objects with a prime "p", an
+    integer "n" >= 1 and, optionally, an integer "conrey", a unit in
+    1..p^n - 1; ValueError otherwise, before any cell runs.
+    PChar.from_conrey reduces its index mod p^n, so a conrey past that range
+    would run another cell's character under its own id."""
     if not isinstance(grid, list):
         raise ValueError(f"campaign grid must be a list of cells, not {grid!r}")
     for cell in grid:
@@ -92,8 +97,10 @@ def _checked_grid(grid) -> list[dict]:
         for key in ("p", "n", "conrey"):
             if key in cell and type(cell[key]) is not int:
                 raise ValueError(f"grid cell {cell!r}: {key} must be an integer")
+        if _factorize(cell["p"]) != [(cell["p"], 1)] or cell["n"] < 1:
+            raise ValueError(f"grid cell {cell!r}: p must be a prime and n at least 1")
         if "conrey" in cell and not (
-            cell["n"] >= 1 and 1 <= cell["conrey"] < cell["p"] ** cell["n"]
+            1 <= cell["conrey"] < cell["p"] ** cell["n"]
             and math.gcd(cell["conrey"], cell["p"]) == 1
         ):
             raise ValueError(f"grid cell {cell!r}: conrey must be a unit in 1..p^n - 1")

@@ -27,7 +27,8 @@ _FLOAT_EXACT = 2**52  # float64 arithmetic is exact on integers below this
 def _exact_dtype(bound: float) -> type:
     """dtype for an integer computation whose values and partial sums are at
     most `bound` in absolute value: float64 (BLAS) below _FLOAT_EXACT, int64
-    below 2^62 (a margin for the rounding of the bound itself), else refused."""
+    below 2^62 (a margin for the rounding of the bound itself), else refused.
+    It serves reduce_exponent_matrix and permsum's gathers and column images."""
     if bound < _FLOAT_EXACT:
         return np.float64
     if bound < 2**62:

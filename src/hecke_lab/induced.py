@@ -19,7 +19,7 @@ own compact dtype.  It acts by left convolution, so it commutes with right
 translation, which moves any coset to any other: identities are proved, and
 traces read, off one column (permsum._ColumnRoute, which checks both
 premises).  Only the prime-field rank confirmation on small cells forms
-(dim, dim) count matrices.  Every verdict is exact.
+(dim, dim) matrices, per call.  Every verdict is exact.
 
 The basis operators and the Y_k are built once per cell (p, n).  The
 eigenvalue tables and the component dimensions read chi only through its

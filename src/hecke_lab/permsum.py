@@ -2,20 +2,21 @@
 certificates.
 
 A PermSum is a sum of operators that each read every coordinate from one
-other coordinate.  It acts on integer vectors by gathers (_act).
-Combinations of their products are certified exactly in two ways:
-_ColumnRoute reads vanishing and traces off one column, for factors that
-commute with a transitive set of coordinate permutations, which it checks;
-_rank_mod_q forms the (dim, dim) count matrices and their products, a block
-of rows at a time, and reduces them into a prime field.  Every integer is
-held in a dtype that _exact_dtype proves exact.
+other coordinate: it is only those maps, and it acts on integer vectors by
+gathers (_act).  Combinations of their products are certified exactly in
+two ways: _ColumnRoute reads vanishing and traces off one column, for
+factors that commute with a transitive set of coordinate permutations,
+which it checks; _rank_mod_q, a confirmation on small cells, builds each
+factor's (dim, dim) matrix from its definition per call, multiplies in
+int64 and reduces into a prime field.  The column route holds every integer
+in a dtype that _exact_dtype proves exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+from functools import reduce
 
 import numpy as np
 
@@ -29,15 +30,14 @@ class PermSum:
     cls[a, c] is the source coordinate feeding row c under operator a, i.e.
     (T_a v)[c] = v[cls[a, c]], in whatever integer dtype it is given (a
     transport table is kept as it is, without a copy).  The certificates
-    apply it to vectors (_act); only the prime-field rank confirmation reads
-    `counts`.
+    apply it to vectors (_act), or build its matrix from the maps
+    (_rank_mod_q).
     """
 
-    __slots__ = ("cls", "_counts")
+    __slots__ = ("cls",)
 
     def __init__(self, cls: np.ndarray):
         self.cls = np.atleast_2d(np.asarray(cls))
-        self._counts = None
 
     @property
     def terms(self) -> int:
@@ -46,25 +46,6 @@ class PermSum:
     @property
     def dim(self) -> int:
         return self.cls.shape[1]
-
-    @property
-    def counts(self) -> np.ndarray:
-        """counts[c, c'] = the number of terms a with cls[a, c] = c': the
-        operator's matrix, built once, on first use, a block of rows at a
-        time.  Each row sums to the number of terms, so no entry exceeds it,
-        and the matrix is held in the smallest unsigned dtype that holds
-        `terms`; _row_blocks widens it for BLAS."""
-        if self._counts is None:
-            dim = self.dim
-            counts = np.empty((dim, dim), dtype=np.min_scalar_type(self.terms))
-            step = _block_rows(dim, dim + self.terms)
-            for lo in range(0, dim, step):
-                src = self.cls[:, lo : lo + step]
-                rows = src.shape[1]
-                flat = (np.arange(rows) * dim + src).ravel()
-                counts[lo : lo + rows] = np.bincount(flat, minlength=rows * dim).reshape(rows, dim)
-            self._counts = counts
-        return self._counts
 
 
 def _act(op: PermSum, v: np.ndarray) -> np.ndarray:
@@ -78,10 +59,7 @@ def _act(op: PermSum, v: np.ndarray) -> np.ndarray:
 # A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
 # over its terms, each factor a PermSum.  The certificates read it off one
 # column (_ColumnRoute); the prime-field rank confirmation forms its products
-# on the factors' count matrices, one block of rows at a time (_row_blocks).
-
-_BLOCK_ENTRIES = 2**14  # the fewest entries a row block holds, unless it is one row
-_RANK_PRIME = 2**31 - 1  # a prime: products of two residues stay below 2^62
+# from the factors' matrices (_rank_mod_q).
 
 
 class _ColumnRoute:
@@ -137,7 +115,7 @@ class _ColumnRoute:
         """(den T e_0, den), den the lcm of the weights' denominators."""
         den = math.lcm(*(q.denominator for q, _ in combo))
         terms = [(int(q * den), self._image(tuple(factors))) for q, factors in combo]
-        # images of e_0 under products of counts are nonnegative
+        # images of e_0 under products of the operators are nonnegative
         dt = _exact_dtype(sum(abs(w) * float(v.max(initial=0)) for w, v in terms))
         return sum(w * v.astype(dt) for w, v in terms), den
 
@@ -153,62 +131,36 @@ class _ColumnRoute:
         return Fraction(self.dim * int(col[0]), den)
 
 
-def _block_rows(dim: int, width: int) -> int:
-    """Rows per block, for rows of `width` entries: a block holds about an
-    eighth of a (dim, dim) matrix, and at least _BLOCK_ENTRIES entries, or a
-    single row.
-
-    The count matrices and the products of the rank confirmation are built
-    a block at a time, so their transient arrays stay small beside the
-    (dim, dim) results.  The floor keeps the blocks of small operators
-    whole."""
-    return max(1, max(_BLOCK_ENTRIES, dim * dim // 8) // width)
-
-
-def _row_blocks(combo: list) -> Iterator[tuple[np.ndarray, list]]:
-    """Yield (rows, [(q, counts)]) over blocks of rows (_block_rows), counts
-    those of each term restricted to the rows: a product in float64 or
-    int64, a single factor as stored, unsigned, for the caller to widen
-    before any arithmetic.
-
-    Counts are nonnegative and every row of a factor's counts sums to its
-    number of terms, so no entry or partial sum of a product exceeds the
-    product of its factors' terms; _exact_dtype picks each step's dtype from
-    the terms of the factors up to it.  Each later factor is widened to its
-    dtype once per combination, the first factor one block at a time."""
-    dim = combo[0][1][0].dim
-    if any(f.dim != dim for _, factors in combo for f in factors):
-        raise ValueError("mismatched operators")
-    terms = []
-    for q, (head, *tail) in combo:
-        bound, rights = head.terms, []
-        for f in tail:
-            bound *= f.terms
-            rights.append(f.counts.astype(_exact_dtype(bound)))
-        terms.append((q, head, rights))
-    step = _block_rows(dim, dim * len(combo))
-    for lo in range(0, dim, step):
-        block = []
-        for q, head, rights in terms:
-            prod = head.counts[lo : lo + step]
-            for right in rights:
-                prod = prod.astype(right.dtype, copy=False) @ right
-            block.append((q, prod))
-        yield np.arange(lo, min(lo + step, dim)), block
+_RANK_PRIME = 2**31 - 1  # a prime: products of two residues stay below 2^62
 
 
 def _rank_mod_q(combo: list) -> int:
     """Rank of a combination reduced into the prime field F_q, q =
     _RANK_PRIME (a coefficient whose denominator q divides has no image:
     `pow` refuses it).  A lower bound on the true rank, used as an
-    independent confirmation at small cells."""
+    independent confirmation at small cells.
+
+    Each factor's matrix is built from its definition, not through _act:
+    entry (c, c') counts the terms a with cls[a, c] = c'.  Entries are
+    nonnegative and every row sums to the number of terms, so no entry or
+    partial sum of a product exceeds the product of its factors' terms; a
+    product whose terms multiply to 2^62 or more is refused (OverflowError)
+    before any matrix is formed, and the rest are exact in int64."""
     q = _RANK_PRIME
     dim = combo[0][1][0].dim
+    if any(f.dim != dim for _, factors in combo for f in factors):
+        raise ValueError("mismatched operators")
+    if any(math.prod(f.terms for f in factors) >= 2**62 for _, factors in combo):
+        raise OverflowError("a product of count matrices may not be exact in int64")
+    starts = np.arange(dim, dtype=np.int64) * dim  # the flat index of each row
+
+    def matrix(f: PermSum) -> np.ndarray:
+        return np.bincount((starts + f.cls).ravel(), minlength=dim * dim).reshape(dim, dim)
+
     M = np.zeros((dim, dim), dtype=np.int64)
-    for rows, block in _row_blocks(combo):
-        for c, prod in block:
-            w = c.numerator * pow(c.denominator, -1, q) % q
-            M[rows] = (M[rows] + w * (prod.astype(np.int64) % q)) % q
+    for c, factors in combo:
+        w = c.numerator * pow(c.denominator, -1, q) % q
+        M = (M + w * (reduce(np.matmul, map(matrix, factors)) % q)) % q
     # Gauss-Jordan elimination mod q; `row` counts the pivots found
     row = 0
     for col in range(dim):

@@ -41,15 +41,29 @@ def test_campaign_file_cannot_set_tolerances(tmp_path):
     [{"p": 3, "n": 1, "conrey": 2}, {"p": 3, "n": 1, "conrey": 5}],
     [{"p": 3, "n": 1, "conrey": 0}], [{"p": 5, "n": 2, "conrey": -1}],
     [{"p": 3, "n": 2, "conrey": 3}],
+    [{"p": 4, "n": 2}], [{"p": 1, "n": 1}], [{"p": 3, "n": 0}],
+    # refused before the good first cell runs
+    [{"p": 2, "n": 1}, {"p": 4, "n": 2}],
 ])
 def test_campaign_file_refuses_a_malformed_grid(grid, tmp_path):
-    """A grid is a list of objects with integer p and n and an optional
-    integer conrey, a unit in 1..p^n - 1; anything else is a ValueError (the
-    CLI's exit 2), not a KeyError or TypeError from the first cell that reads
-    it, nor another character run under the id the cell names."""
+    """A grid is a list of objects with a prime p, an integer n >= 1 and an
+    optional integer conrey, a unit in 1..p^n - 1; anything else is a
+    ValueError (the CLI's exit 2) when the file is read, not a KeyError or
+    TypeError from the first cell that reads it, nor another character run
+    under the id the cell names."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"grid": grid}))
     with pytest.raises(ValueError, match="grid"):
+        Campaign.from_file(path)
+
+
+@pytest.mark.parametrize("key", ["grids", "fixture_dir", "Seed"])
+def test_campaign_file_refuses_an_unknown_key(key, tmp_path):
+    """A misspelt key is refused by name, not read as an empty campaign
+    that passes with no assertion."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: [{"p": 3, "n": 2}]}))
+    with pytest.raises(ValueError, match=key):
         Campaign.from_file(path)
 
 

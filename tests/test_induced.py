@@ -36,7 +36,7 @@ from hecke_lab.induced import (
     fixed_subspace,
     verify_induced,
 )
-from hecke_lab.permsum import PermSum, _row_blocks
+from hecke_lab.permsum import PermSum
 from hecke_lab.report import Report
 from tests.conftest import GRID, clear_cell_caches, decompose, stack
 
@@ -426,57 +426,80 @@ def _dense(op):
     return out
 
 
+def _dense_combo(combo):
+    """The combination as a matrix of exact Fractions."""
+    return sum(Fraction(q) * reduce(np.matmul, map(_dense, factors)).astype(object)
+               for q, factors in combo)
+
+
 def _dense_vanishes(combo):
-    """The dense oracle: each block of rows adds up its weighted products
-    (permsum._row_blocks, BLAS under a proven exactness bound), and every
-    entry must be zero."""
-    den = math.lcm(*(q.denominator for q, _ in combo))
-    for _, block in permsum._row_blocks(combo):
-        terms = [(int(q * den), prod) for q, prod in block]
-        # products of counts are nonnegative
-        dt = cyclotomic._exact_dtype(sum(abs(w) * float(x.max(initial=0)) for w, x in terms))
-        acc = np.zeros(terms[0][1].shape, dtype=dt)
-        for w, prod in terms:
-            acc += w * prod.astype(dt, copy=False)
-        if acc.any():
-            return False
-    return True
+    """The dense oracle: every entry of the combination's matrix is zero."""
+    return not any(_dense_combo(combo).flat)
 
 
 def _dense_trace(combo):
-    """The dense oracle's trace, from the diagonals of the products."""
-    den = math.lcm(*(q.denominator for q, _ in combo))
-    total = 0
-    for rows, block in permsum._row_blocks(combo):
-        for q, prod in block:
-            diag = prod[np.arange(len(rows)), rows]
-            s = diag.sum(dtype=cyclotomic._exact_dtype(len(rows) * float(diag.max(initial=0))))
-            total += int(q * den) * int(s)
-    return Fraction(total, den)
+    """The dense oracle's trace, from the diagonal of the combination."""
+    return sum(_dense_combo(combo).diagonal())
 
 
-def test_products_and_traces_match_dense_matrices(monkeypatch, fresh_caches):
+def test_products_and_traces_match_dense_matrices():
     rng = np.random.default_rng(7)
     dim = 6
     A, B, C = (PermSum(rng.integers(dim, size=(3, dim))) for _ in range(3))
     ABC = _dense(A) @ _dense(B) @ _dense(C)
-    [(rows, [(q, prod)])] = _row_blocks([(1, (A, B, C))])
-    assert q == 1 and np.array_equal(rows, np.arange(dim)) and np.array_equal(prod, ABC)
-    # one-row blocks split the product
-    monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", 1)
     combo = [(Fraction(1, 3), (A, B, C)), (2, (C,))]
     assert _dense_trace(combo) == Fraction(int(np.trace(ABC)), 3) + 2 * int(np.trace(_dense(C)))
+
+
+def test_rank_mod_q_refuses_mismatched_and_inexact_products():
+    """The rank confirmation refuses factors of other dimensions, and a
+    product whose factors' terms multiply to 2^62 or more (the bound on its
+    entries) before any matrix is formed: the 2^31 terms here are views of
+    one entry, so nothing is allocated."""
     q = permsum._RANK_PRIME  # the prime field of the rank confirmation
     assert all(q % t for t in range(2, math.isqrt(q) + 1))
+    A, B = PermSum(np.zeros((1, 2), dtype=np.int64)), PermSum(np.zeros((2, 3), dtype=np.int64))
+    for combo in ([(1, (A, B))], [(1, (A,)), (1, (B,))]):
+        with pytest.raises(ValueError, match="mismatched operators"):
+            permsum._rank_mod_q(combo)
+    wide = PermSum(np.broadcast_to(np.zeros(1, dtype=np.uint8), (2**31, 1)))
+    assert wide.terms == 2**31 and wide.dim == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError):
+            permsum._rank_mod_q([(1, (wide,)), (1, (wide, wide))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
-@pytest.mark.parametrize("block_entries", [None, 1])  # the oracle's default blocks, then one row each
-def test_vanishes_rejects_one_perturbed_entry(monkeypatch, fresh_caches, block_entries):
+def test_rank_confirmation_runs_on_small_cells_only(monkeypatch, fresh_caches):
+    """_spectral_certificate confirms the ranks in the prime field on every
+    cell with p^n <= BRUTE_LIMIT, and on no larger one: the rank route's
+    matrices are at most 36 x 36."""
+    dims, rank = [], induced._rank_mod_q
+
+    def spy(combo):
+        dims.append(combo[0][1][0].dim)
+        return rank(combo)
+
+    monkeypatch.setattr(induced, "_rank_mod_q", spy)
+    for p, n in GRID + [(7, 3)]:
+        dims.clear()
+        for r in sorted({chi.conductor_exponent for chi in PChar.all_characters(p, n)}):
+            induced._spectral_certificate(p, n, r)
+        if p**n <= BRUTE_LIMIT:
+            assert dims and set(dims) == {coset_table(p, n).dim}, (p, n)
+        else:
+            assert not dims, (p, n)
+    assert max(coset_table(p, n).dim for p, n in SMALL_CELLS) == 36
+
+
+def test_vanishes_rejects_one_perturbed_entry(fresh_caches):
     """Every single-entry perturbation of Y_1 at (3,2) breaks its
     commutation with right translation: the column route refuses it (no
     vanishing, no trace), and the dense oracle finds the identity false."""
-    if block_entries is not None:
-        monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", block_entries)
     p, n, k = 3, 2, 1
     route = induced._column_route(p, n)
     Y, s = induced._y_operator(p, n, k), p ** (n - k)
@@ -580,26 +603,6 @@ def _component_verdicts(p, n):
     return out
 
 
-def test_one_row_blocks_give_same_verdicts(monkeypatch, fresh_caches):
-    """The prime-field rank confirmation, the one certificate route that
-    forms dense products, gives the same verdicts on one-row blocks."""
-    p, n = 3, 2
-    blocked = _component_verdicts(p, n)
-    assert any("projcert" in cid for *_, checks in blocked for cid, _ in checks)
-    assert any("rank-specialization" in cid for *_, checks in blocked for cid, _ in checks)
-    monkeypatch.setattr(permsum, "_BLOCK_ENTRIES", 1)
-    blocks, row_blocks = [], permsum._row_blocks
-
-    def recorded(combo):
-        for rows, block in row_blocks(combo):
-            blocks.append(len(rows))
-            yield rows, block
-
-    monkeypatch.setattr(permsum, "_row_blocks", recorded)
-    assert _component_verdicts(p, n) == blocked
-    assert blocks and set(blocks) == {1}  # the ranks were confirmed on one-row blocks
-
-
 def test_component_dimensions_memory(fresh_caches):
     """Certification holds the operators' coordinate maps and one column at
     a time, far below the 18 MB of a single dense (dim, dim, m) int64 tensor
@@ -681,33 +684,26 @@ def test_returned_data_does_not_alias_the_certificates(fresh_caches):
 
 def test_exact_tables_are_compact(fresh_caches):
     """The transport tables are unsigned in the smallest dtype that holds
-    dim (and so p^n), the operators keep them without a copy, and every
-    count matrix is unsigned and no wider than its number of terms needs."""
+    dim (and so p^n), and the operators keep them without a copy."""
     for p, n in GRID + [(7, 3)]:
         dim = coset_table(p, n).dim
         for lab, (cls, d0) in cosets._left_transport(p, n).items():
             assert cls.dtype == d0.dtype == np.min_scalar_type(dim), (p, n, lab)
             assert induced._basis_operator(p, n, lab).cls is cls
-        ops = [induced._basis_operator(p, n, lab) for lab in all_labels(p, n)]
-        for op in ops + [induced._y_operator(p, n, k) for k in range(1, n + 1)]:
-            assert op.counts.dtype.kind == "u" and op.counts.dtype == np.min_scalar_type(op.terms)
-            assert np.array_equal(op.counts.sum(axis=1), np.full(dim, op.terms))
-    assert induced._basis_operator(7, 3, "w").counts.dtype == np.uint16  # 343 terms
-    assert induced._basis_operator(7, 3, "y1").counts.dtype == np.uint8  # 42 terms
 
 
 def test_transport_and_counts_build_under_8_mb(fresh_caches):
     """At (7,3), dim 392: the transport tables, written a block of class
-    representatives at a time, and the basis operators' count matrices,
-    built a block of rows at a time, peak under 8 MB together (full int64
-    products of the 153,664 pairs took 17.5 MB alone)."""
+    representatives at a time, and the basis operators over them peak under
+    8 MB together (full int64 products of the 153,664 pairs took 17.5 MB
+    alone)."""
     p, n = 7, 3
     coset_table(p, n)  # the coset table is not part of the budget
     tracemalloc.start()
     try:
         cosets._left_transport(p, n)
         for lab in all_labels(p, n):
-            induced._basis_operator(p, n, lab).counts
+            induced._basis_operator(p, n, lab)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -730,21 +726,13 @@ def combinations(draw):
             for _ in range(terms)]
 
 
-def _dense_combo(combo):
-    """The combination as a matrix of exact Fractions."""
-    return sum(Fraction(q) * reduce(np.matmul, map(_dense, factors)).astype(object)
-               for q, factors in combo)
-
-
 @given(combinations(), st.sampled_from([cyclotomic._FLOAT_EXACT, 0]), st.data())
 def test_vanishes_and_trace_match_dense_matrices(combo, float_exact, data):
-    """The BLAS oracle and the rank confirmation against the exact dense
-    reference, on both product routes (a float64 bound of 0 sends every
-    product through int64)."""
+    """The rank confirmation against the exact dense reference, and one
+    operator's gather on both dtypes (a float64 bound of 0 sends it through
+    int64)."""
     dense = _dense_combo(combo)
     with mock.patch.object(cyclotomic, "_FLOAT_EXACT", float_exact):
-        assert _dense_vanishes(combo) == (not any(dense.flat))
-        assert _dense_trace(combo) == sum(dense.diagonal())
         # scaled by the lcm of its weights, the combination is a small integer matrix
         den = math.lcm(*(q.denominator for q, _ in combo))
         assert permsum._rank_mod_q(combo) == np.linalg.matrix_rank((dense * den).astype(np.float64))
@@ -771,7 +759,7 @@ def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
 
     monkeypatch.setattr(permsum, "_exact_dtype", recorded)
     assert _component_verdicts(p, n) == floated
-    # the column route and the rank confirmation both ran in int64
+    # the column route ran in int64
     assert dtypes and set(dtypes) == {np.int64}
     with pytest.raises(OverflowError):
         permsum._exact_dtype(2**63)
