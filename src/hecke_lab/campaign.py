@@ -86,23 +86,30 @@ class Campaign:
 def _checked_grid(grid) -> list[dict]:
     """A campaign file's grid: a list of objects with a prime "p", an
     integer "n" >= 1 and, optionally, an integer "conrey", a unit in
-    1..p^n - 1; ValueError otherwise, before any cell runs.
-    PChar.from_conrey reduces its index mod p^n, so a conrey past that range
-    would run another cell's character under its own id."""
+    1..p^n - 1, and no other key (a misspelt conrey would run the whole
+    cell), within the transport tables' size budget; ValueError otherwise,
+    before any cell runs.  PChar.from_conrey reduces its index mod p^n, so
+    a conrey past that range would run another cell's character under its
+    own id."""
     if not isinstance(grid, list):
         raise ValueError(f"campaign grid must be a list of cells, not {grid!r}")
+    if grid:
+        from .cosets import require_transportable
     for cell in grid:
         if not (isinstance(cell, dict) and "p" in cell and "n" in cell):
             raise ValueError(f"grid cell {cell!r} must be an object with keys p and n")
+        extra = sorted(cell.keys() - {"p", "n", "conrey"})
+        if extra:
+            raise ValueError(f"grid cell {cell!r}: unknown key {extra[0]!r}")
         for key in ("p", "n", "conrey"):
             if key in cell and type(cell[key]) is not int:
                 raise ValueError(f"grid cell {cell!r}: {key} must be an integer")
-        if _factorize(cell["p"]) != [(cell["p"], 1)] or cell["n"] < 1:
+        p, n = cell["p"], cell["n"]
+        if p >= 2 and n >= 1:
+            require_transportable(p, n)  # before p is factorized
+        if p < 2 or n < 1 or _factorize(p) != [(p, 1)]:
             raise ValueError(f"grid cell {cell!r}: p must be a prime and n at least 1")
-        if "conrey" in cell and not (
-            1 <= cell["conrey"] < cell["p"] ** cell["n"]
-            and math.gcd(cell["conrey"], cell["p"]) == 1
-        ):
+        if "conrey" in cell and not (1 <= cell["conrey"] < p**n and math.gcd(cell["conrey"], p) == 1):
             raise ValueError(f"grid cell {cell!r}: conrey must be a unit in 1..p^n - 1")
     return grid
 

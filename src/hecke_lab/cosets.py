@@ -359,12 +359,8 @@ def _left_transport(p: int, n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
       lower row (tc - 1, t) with tc - 1 a unit as p | c: the coset
       (1 : (tc - 1)^{-1} t), with d0 = tc - 1.
     """
+    require_transportable(p, n)
     dim = p**n + p ** (n - 1)
-    if dim * dim > K0_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"transport tables mod {p}^{n} hold {dim * dim} entries each; "
-            f"the limit is {K0_ENUMERATION_LIMIT}"
-        )
     table = coset_table(p, n)
     pn, inverse, at_c = p**n, unit_group(p, n).inverse, table._c1_position
     dtype = np.min_scalar_type(dim)
@@ -415,6 +411,15 @@ def k0_order(p: int, n: int, m: Optional[int] = None) -> int:
         return p ** (4 * n - 3) * (p - 1) * (p * p - 1)
     phi = p**n - p ** (n - 1)
     return phi * phi * p**n * p ** (n - m)
+
+
+def require_transportable(p: int, n: int) -> None:
+    """ValueError if a transport table, dim^2 entries with dim = p^n +
+    p^(n-1), exceeds K0_ENUMERATION_LIMIT.  dim > p and dim > 2^n bound p
+    and n first, so a huge cell never forms p^n."""
+    lim = K0_ENUMERATION_LIMIT
+    if p * p > lim or n > lim.bit_length() or (p**n + p ** (n - 1)) ** 2 > lim:
+        raise ValueError(f"transport tables mod {p}^{n} exceed the limit of {lim} entries")
 
 
 def require_enumerable(p: int, n: int, m: int) -> None:

@@ -2,15 +2,12 @@
 
 A root of unity zeta^e is named by its exponent e; a sum of roots of unity
 is a length-m integer count vector (counts[e] copies of zeta^e).  The field
-reduces such vectors to coordinates over the power basis
-1, z, ..., z^{phi(m)-1} modulo the m-th cyclotomic polynomial, which is how
-sums are compared and read as rationals (`rational_from_counts`): the
-exponent histograms of the mirrored and whole-group convolution oracles and
-the dimension oracle's point counts.  There is no multiplication; the Hecke
-algebra itself runs over Q.
-
-The modulus Phi_m comes from `cyclotomic_coeffs`, which divides x^m - 1 by
-Phi_d for every proper divisor d of m in exact integer arithmetic.
+reduces such vectors to integer coordinates on the CRT basis of Z[zeta_m]
+(CyclotomicField), with one gather and one int64 subtraction per prime of
+m, which is how sums are compared and read as rationals
+(`rational_from_counts`): the exponent histograms of the mirrored and
+whole-group convolution oracles and the dimension oracle's point counts.
+There is no multiplication; the Hecke algebra itself runs over Q.
 """
 
 from __future__ import annotations
@@ -20,20 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-_FLOAT_EXACT = 2**52  # float64 arithmetic is exact on integers below this
-
-
-def _exact_dtype(bound: float) -> type:
-    """dtype for an integer computation whose values and partial sums are at
-    most `bound` in absolute value: float64 (BLAS) below _FLOAT_EXACT, int64
-    below 2^62 (a margin for the rounding of the bound itself), else refused.
-    It serves reduce_exponent_matrix and permsum's gathers and column images."""
-    if bound < _FLOAT_EXACT:
-        return np.float64
-    if bound < 2**62:
-        return np.int64
-    raise OverflowError(f"integer bound {bound:.3g} does not fit int64")
 
 
 def euler_phi(m: int) -> int:
@@ -59,70 +42,45 @@ def _factorize(m: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_coeffs(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, leading coefficient first.
-
-    x^m - 1 is the product of Phi_d over d | m, so Phi_m is x^m - 1 divided
-    exactly by Phi_d for each proper divisor d; every division is checked to
-    leave no remainder.  Dividing by the largest d first shortens the
-    dividend soonest.
-    """
-    if m < 1:
-        raise ValueError("cyclotomic order must be >= 1")
-    num = [1] + [0] * (m - 1) + [-1]  # x^m - 1
-    for d in range(m - 1, 0, -1):
-        if m % d == 0:
-            num = _divide_monic(num, cyclotomic_coeffs(d))
-    return tuple(num)
-
-
-def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact quotient num / den of integer polynomials (leading coefficient
-    first, den monic); raises ArithmeticError on a nonzero remainder."""
-    rem = list(num)
-    q = len(rem) - len(den) + 1
-    terms = [(j, a) for j, a in enumerate(den) if a and j]
-    for i in range(q):
-        c = rem[i]
-        if c:
-            for j, a in terms:
-                rem[i + j] -= c * a
-    if any(rem[q:]):
-        raise ArithmeticError("cyclotomic division left a remainder")
-    return rem[:q]
-
-
-@lru_cache(maxsize=None)
 def get_field(order: int) -> "CyclotomicField":
     return CyclotomicField(order)
 
 
 class CyclotomicField:
-    """Q(zeta_m) with a precomputed integer reduction table: row e holds the
-    coordinates of zeta^e for 0 <= e < m."""
+    """Q(zeta_m), where sums of roots of unity are written on the CRT basis
+    of Z[zeta_m] and read as rationals.
+
+    For m = prod q_i with q_i = p_i^a_i, put zeta_{q_i} = zeta^(m/q_i).  The
+    basis is the products prod zeta_{q_i}^{k_i} with 0 <= k_i < phi(q_i), the
+    tuples k in row-major order, so the first element is 1.
+
+    Proof.  By the Chinese remainder theorem each exponent e mod m is
+    sum k_i (m/q_i) for exactly one tuple, k_i = e (m/q_i)^-1 mod q_i, so
+    zeta^e = prod zeta_{q_i}^{k_i}.  With x = zeta_q for q = p^a,
+    Phi_q(x) = sum_{j<p} x^(j q/p) = 0, so for t < q/p
+    x^((p-1) q/p + t) = -sum_{j<p-1} x^(j q/p + t): a power k < q past
+    phi(q) = (p-1) q/p is minus the sum of the others in its residue class
+    mod q/p, all below phi(q).  So the phi(m) = prod phi(q_i) products span
+    Z[zeta_m] over Z; as phi(m) is the degree of Q(zeta_m) over Q, they are a
+    basis of it, and a Z-basis of Z[zeta_m].  A sum is then rational iff
+    every coordinate past the first (the coordinate of 1) is 0, and its value
+    is that first coordinate.
+
+    The field holds O(m) integers: the exponent of each tuple k with
+    k_i < q_i (`_gather`) and one axis (p, q/p) per prime.
+    """
 
     def __init__(self, order: int):
         if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
         self.order = order
-        self.degree = euler_phi(order)
-        mod_coeffs = cyclotomic_coeffs(order)
-        d = self.degree
-        table = np.zeros((order, d), dtype=np.int64)
-        for e in range(d):
-            table[e, e] = 1
-        # z^e = z * z^{e-1}, reduced: shifting may overflow into z^d, which
-        # rewrites as -(c_1 z^{d-1} + ... + c_d) for Phi = z^d + c_1 z^{d-1} + ...
-        tail = np.array([-c for c in mod_coeffs[1:]][::-1], dtype=np.int64)  # coords of z^d
-        for e in range(d, order):
-            prev = table[e - 1]
-            shifted = np.zeros(d, dtype=np.int64)
-            shifted[1:] = prev[:-1]
-            table[e] = shifted + prev[-1] * tail
-        self.reduction = table
-        # fixed per field: reduce_exponent_matrix's BLAS copy and exactness bound
-        self._reduction_f64 = table.astype(np.float64)
-        self._reduction_bound = int(np.abs(table).max(initial=0)) * order
+        primes = _factorize(order)
+        self._axes = [(p, p ** (a - 1)) for p, a in primes]
+        self.degree = math.prod((p - 1) * block for p, block in self._axes)
+        exps = np.zeros((), dtype=np.int64)
+        for p, a in primes:
+            exps = (exps[..., None] + order // p**a * np.arange(p**a)) % order
+        self._gather = exps.ravel()
 
     def __repr__(self):
         return f"CyclotomicField({self.order})"
@@ -136,28 +94,32 @@ class CyclotomicField:
     def integers_from_counts(self, counts) -> np.ndarray:
         """rational_from_counts over (..., m) counts at once, as int64."""
         coords = self.reduce_exponent_matrix(counts)
-        bad = coords[..., 1:].any(axis=-1)
-        if bad.any():
+        if coords[..., 1:].any():
+            bad = coords[..., 1:].any(axis=-1)
             raise ValueError(f"coordinates {coords[bad][0].tolist()} in Q(zeta_{self.order}) are not rational")
         return coords[..., 0]
 
     def reduce_exponent_matrix(self, counts) -> np.ndarray:
-        """Vectorized reduction: (..., m) integer counts -> (..., degree) coords,
-        counts[..., e] the multiplicity of zeta^e.
-
-        Every partial sum is at most m * max|count| * max|table entry|, and
-        _exact_dtype picks from that bound: BLAS in float64, which is a large
-        speedup on the big cells, or int64, or OverflowError.  The float64
-        table and m * max|table entry| are built once per field.
-        """
+        """(..., m) integer counts, counts[..., e] copies of zeta^e, to
+        (..., degree) CRT coordinates: a gather onto the tuples k, then on
+        each prime's axis, split into p blocks of q/p, the top block is
+        subtracted from the others and dropped.  Each step at most doubles a
+        value, so max|count| * 2^(number of primes) must stay below 2^62
+        (OverflowError before any subtraction)."""
         counts = np.asarray(counts, dtype=np.int64)
         if counts.shape[-1:] != (self.order,):
             raise ValueError("count vector must have length m")
-        cmax = int(np.abs(counts).max(initial=0))
-        if _exact_dtype(cmax * self._reduction_bound) is np.float64:
-            out = counts.astype(np.float64) @ self._reduction_f64
-            return np.rint(out).astype(np.int64)
-        return counts @ self.reduction
+        cmax = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
+        if cmax << len(self._axes) >= 2**62:
+            raise OverflowError(f"counts in Q(zeta_{self.order}) may not reduce exactly in int64")
+        x = counts.reshape(-1, self.order)[:, self._gather]
+        done, rest = len(x), self.order  # reduced axes (with the rows), unreduced entries
+        for p, block in self._axes:
+            rest //= p * block
+            x = x.reshape(done, p, block * rest)
+            x = x[:, :-1] - x[:, -1:]
+            done *= (p - 1) * block
+        return x.reshape(counts.shape[:-1] + (self.degree,))
 
 
 def _solve_fraction_system(mat, rhs):

@@ -40,8 +40,8 @@ def _lambda_factor(r: int, s: int, p: int) -> int:
 
 def _eps_points(n: int, chi: DirChar, a: int, b: int, c: int) -> Fraction:
     """sum of chi(x) over roots of a x^2 + b x + c mod n, as the histogram of
-    chi's exponents at the unit roots; provably rational for the characters
-    this package feeds it (the roots pair off)."""
+    chi's exponents at the unit roots, read off its CRT coordinates; provably
+    rational for the characters this package feeds it (the roots pair off)."""
     exps = [chi.exponent(x) for x in range(n) if (a * x * x + b * x + c) % n == 0]
     counts = np.bincount([e for e in exps if e is not None], minlength=chi.field.order)
     return chi.field.rational_from_counts(counts)

@@ -71,7 +71,7 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str], tuple]:
     g^{-1}); it must count |GL2(Z/p^n)| elements (AssertionError
     otherwise).  The lower row of g^{-1} h is the lower row of g^{-1} times
     h, so each target maps every lower row through h with a q^2-entry table
-    and sums the histogram into its products with one weighted bincount.
+    and adds the histogram into its products in int64 (np.add.at).
     """
     slices = _group_slices(p, n)  # refused past BRUTE_LIMIT before anything is built
     q, labels = p**n, all_labels(p, n)  # label index = v_p(c) capped at n
@@ -94,16 +94,16 @@ def _pair_counts(p: int, n: int) -> dict[tuple[str, str], tuple]:
     filled = np.flatnonzero(hist)
     first, row = np.divmod(filled, rows)  # what f1 sees at g, lower row of g^{-1}
     l1_at, a_at = np.divmod(first, q)
-    weight = hist[filled]  # below 2^53, so exact as float64 weights
+    weight = hist[filled]
     size = len(labels) ** 3 * q
-    acc = np.zeros(size)
+    counts = np.zeros(size, dtype=np.int64)
     for target, lab_h in enumerate(labels):
         h = label_rep(p, n, lab_h)
         # what f2 sees at g^{-1} h, for each lower row of g^{-1}
         l2_at, b_at = np.divmod(seen[(r0 * h.a + r1 * h.c) % q * q + (r0 * h.b + r1 * h.d) % q][row], q)
         key = ((l1_at * len(labels) + l2_at) * len(labels) + target) * q + a_at * b_at % q
-        acc += np.bincount(key, weights=weight, minlength=size)
-    counts = acc.astype(np.int64).reshape(len(labels), len(labels), len(labels), q)
+        np.add.at(counts, key, weight)
+    counts = counts.reshape(len(labels), len(labels), len(labels), q)
     out = {}
     for j1, l1 in enumerate(labels):
         for j2, l2 in enumerate(labels):
@@ -134,8 +134,8 @@ def brute_convolve_labels(p: int, n: int, chi: PChar, l1: str, l2: str) -> dict[
         return {}
     target, unit, count = hit
     labels, m = all_labels(p, n), chi.field.order
-    hist = np.bincount(target * m + _value_exponents(chi.exponent_table(), unit), weights=count,
-                       minlength=len(labels) * m)
+    hist = np.zeros(len(labels) * m, dtype=np.int64)
+    np.add.at(hist, target * m + _value_exponents(chi.exponent_table(), unit), count)
     sums = chi.field.integers_from_counts(hist.reshape(len(labels), m))
     k0_size = k0_order(p, n)
     return {lab_h: Fraction(s, k0_size) for lab_h, s in zip(labels, sums.tolist()) if s}

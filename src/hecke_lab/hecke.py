@@ -374,8 +374,8 @@ def convolve_mirrored(f1: HeckeElem, f2: HeckeElem) -> HeckeElem:
     row = np.concatenate([target * len(terms) + i for i, (_, (target, _, _)) in enumerate(terms)])
     unit = np.concatenate([unit for _, (_, unit, _) in terms])
     count = np.concatenate([count for _, (_, _, count) in terms])
-    hist = np.bincount(row * m + basis_exponent(chi.exponent_table(), unit), weights=count,
-                       minlength=len(labels) * len(terms) * m)
+    hist = np.zeros(len(labels) * len(terms) * m, dtype=np.int64)
+    np.add.at(hist, row * m + basis_exponent(chi.exponent_table(), unit), count)
     sums = chi.field.integers_from_counts(hist.reshape(-1, m)).reshape(len(labels), len(terms))
     out = {}
     for lab_h, at in zip(labels, sums.tolist()):

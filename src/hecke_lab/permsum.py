@@ -8,8 +8,8 @@ two ways: _ColumnRoute reads vanishing and traces off one column, for
 factors that commute with a transitive set of coordinate permutations,
 which it checks; _rank_mod_q, a confirmation on small cells, builds each
 factor's (dim, dim) matrix from its definition per call, multiplies in
-int64 and reduces into a prime field.  The column route holds every integer
-in a dtype that _exact_dtype proves exact.
+int64 and reduces into a prime field.  Every integer is int64; gathers and
+column images pass one guard, _require_int64.
 """
 
 from __future__ import annotations
@@ -20,8 +20,14 @@ from functools import reduce
 
 import numpy as np
 
-from .cyclotomic import _exact_dtype
 from .hecke import AlgebraError
+
+
+def _require_int64(bound: int) -> None:
+    """OverflowError unless `bound`, on every value and partial sum of an
+    integer computation, is below 2^62, where int64 is exact."""
+    if bound >= 2**62:
+        raise OverflowError(f"integer bound {bound:.3g} does not fit int64")
 
 
 class PermSum:
@@ -52,8 +58,9 @@ def _act(op: PermSum, v: np.ndarray) -> np.ndarray:
     """Apply an operator to an integer vector, one term per map of the
     coordinates; the image is an integer vector."""
     # each image coordinate sums one entry of v per term
-    dt = _exact_dtype(op.terms * float(np.abs(v).max(initial=0)))
-    return np.asarray(v, dtype=dt)[op.cls].sum(axis=0).astype(np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    _require_int64(op.terms * int(np.abs(v).max(initial=0)))
+    return v[op.cls].sum(axis=0)
 
 
 # A combination [(q, (A, B, ...))] stands for the operator sum of q * A B ...
@@ -116,8 +123,8 @@ class _ColumnRoute:
         den = math.lcm(*(q.denominator for q, _ in combo))
         terms = [(int(q * den), self._image(tuple(factors))) for q, factors in combo]
         # images of e_0 under products of the operators are nonnegative
-        dt = _exact_dtype(sum(abs(w) * float(v.max(initial=0)) for w, v in terms))
-        return sum(w * v.astype(dt) for w, v in terms), den
+        _require_int64(sum(abs(w) * int(v.max(initial=0)) for w, v in terms))
+        return sum(w * v for w, v in terms), den
 
     def vanishes(self, combo: list) -> bool:
         """Exact certificate that a combination is the zero operator."""

@@ -7,6 +7,7 @@ left out."""
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -44,6 +45,8 @@ def test_campaign_file_cannot_set_tolerances(tmp_path):
     [{"p": 4, "n": 2}], [{"p": 1, "n": 1}], [{"p": 3, "n": 0}],
     # refused before the good first cell runs
     [{"p": 2, "n": 1}, {"p": 4, "n": 2}],
+    # a misspelt or unknown key, refused by name rather than ignored
+    [{"p": 3, "n": 1, "Conrey": 2}], [{"p": 3, "n": 1, "N": 2}], [{"p": 3, "n": 1, "about": "x"}],
 ])
 def test_campaign_file_refuses_a_malformed_grid(grid, tmp_path):
     """A grid is a list of objects with a prime p, an integer n >= 1 and an
@@ -55,6 +58,20 @@ def test_campaign_file_refuses_a_malformed_grid(grid, tmp_path):
     path.write_text(json.dumps({"grid": grid}))
     with pytest.raises(ValueError, match="grid"):
         Campaign.from_file(path)
+
+
+@pytest.mark.parametrize("grid", [
+    [{"p": 1000000000000000003, "n": 1}], [{"p": 2, "n": 10**9}], [{"p": 2, "n": 1}, {"p": 7, "n": 4}],
+])
+def test_campaign_file_refuses_an_oversized_cell(grid, tmp_path):
+    """A cell over the transport tables' size budget is refused when the file
+    is read, before its prime is factorized or p^n is formed."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": grid}))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limit"):
+        Campaign.from_file(path)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("key", ["grids", "fixture_dir", "Seed"])

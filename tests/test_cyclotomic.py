@@ -1,9 +1,13 @@
 import cmath
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hecke_lab.cyclotomic import _divide_monic, cyclotomic_coeffs, euler_phi, get_field
+from hecke_lab.cyclotomic import CyclotomicField, _factorize, euler_phi, get_field
 
 CYC_RANGE = range(1, 1201)  # every field order of the grid and of campaigns/large.json (max 500)
 
@@ -12,9 +16,18 @@ def test_euler_phi():
     assert [euler_phi(m) for m in (1, 2, 3, 4, 8, 9, 12, 100)] == [1, 1, 2, 2, 4, 6, 4, 40]
 
 
+def _basis_exponents(m):
+    """The exponent e of each CRT basis element, zeta^e = prod zeta_q^(k_q)
+    over the prime powers q = p^a exactly dividing m, zeta_q = zeta^(m/q)
+    and k_q < phi(q), the tuples in row-major order."""
+    qs = [(p, p**a) for p, a in _factorize(m)]
+    tuples = itertools.product(*(range(q - q // p) for p, q in qs))
+    return np.array([sum(k * (m // q) for k, (_, q) in zip(ks, qs)) % m for ks in tuples], dtype=np.int64)
+
+
 def _embed(f, coords):
-    """Complex value of power-basis coordinates under zeta -> exp(2 pi i / m)."""
-    return np.asarray(coords) @ np.exp(2j * cmath.pi / f.order * np.arange(f.degree))
+    """Complex value of CRT coordinates under zeta -> exp(2 pi i / m)."""
+    return np.asarray(coords) @ np.exp(2j * cmath.pi / f.order * _basis_exponents(f.order))
 
 
 def test_fourth_root():
@@ -54,18 +67,13 @@ def test_rational_detection():
 
 def test_zeta_power_reduction():
     assert get_field(12).rational_from_counts(np.eye(12, dtype=np.int64)[6]) == -1  # zeta^6
-    # every row of the reduction table is zeta^e written on the power basis:
-    # check it under the embedding zeta -> exp(2 pi i / m)
-    for m in (1, 2, 5, 9, 12, 20, 98):
+    # the CRT row of every zeta^e, checked under the embedding zeta -> exp(2 pi i / m)
+    for m in (1, 2, 5, 9, 12, 20, 98, 210):
         f = get_field(m)
-        assert f.reduction.shape == (m, euler_phi(m))
+        rows = f.reduce_exponent_matrix(np.eye(m, dtype=np.int64))
+        assert rows.shape == (m, euler_phi(m)) and f.degree == euler_phi(m)
         for e in range(m):
-            assert abs(_embed(f, f.reduction[e]) - cmath.exp(2j * cmath.pi * e / m)) < 1e-9, (m, e)
-        # one more power wraps around: zeta * zeta^(m-1) = zeta^0, exactly
-        shifted = [0] + f.reduction[-1].tolist()  # zeta^m on 1, ..., z^degree
-        phi = cyclotomic_coeffs(m)[::-1]  # Phi_m, constant term first
-        wrapped = [c - shifted[-1] * a for c, a in zip(shifted[:-1], phi)]
-        assert wrapped == f.reduction[0].tolist(), m
+            assert abs(_embed(f, rows[e]) - cmath.exp(2j * cmath.pi * e / m)) < 1e-9, (m, e)
 
 
 def test_exponent_counts_match_zeta_sums():
@@ -83,63 +91,70 @@ def test_exponent_counts_match_zeta_sums():
     assert abs(_embed(f, coords) - want) < 1e-9
 
 
-def test_reduction_routes_are_exact():
-    """Counts just below the float64 bound m * max|count| * max|table entry|
-    < 2^52 take the BLAS route, those at it and far above it the int64 route;
-    every route gives the exact integer product."""
-    rng = np.random.default_rng(12)
-    for m in (12, 500):
-        f = get_field(m)
-        rmax = int(np.abs(f.reduction).max())
-        for cmax in ((2**52 - 1) // (m * rmax), -(-(2**52) // (m * rmax)), 2**52 // rmax - 1):
-            counts = cmax * rng.choice([-1, 1], size=m)
-            exact = [sum(int(c) * int(r) for c, r in zip(counts, col)) for col in f.reduction.T]
-            assert f.reduce_exponent_matrix(counts).tolist() == exact, (m, cmax)
-            assert f.reduce_exponent_matrix(counts[None, :]).tolist() == [exact]
+@given(st.integers(1, 3000), st.data())
+def test_coordinates_embed_to_the_zeta_sums(m, data):
+    """Small counts at a few exponents, in a batch of rows: each row's CRT
+    coordinates embed to its sum of roots of unity."""
+    f = get_field(m)
+    counts = np.zeros((data.draw(st.integers(1, 3)), m), dtype=np.int64)
+    for row in counts:
+        terms = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(-5, 5)), max_size=12))
+        for e, c in terms:
+            row[e] += c
+    want = counts @ np.exp(2j * cmath.pi / m * np.arange(m))
+    assert np.abs(_embed(f, f.reduce_exponent_matrix(counts)) - want).max() < 1e-8
 
 
 def test_reduction_refuses_counts_past_int64():
-    # in Q(zeta_12), zeta^4 = zeta^2 - 1, so 2^62 (1 + zeta^2 + zeta^4) has
-    # z^2 coordinate 2^63, one past int64: refused, not wrapped to -2^63
-    f = get_field(12)
-    counts = np.zeros(12, dtype=np.int64)
-    counts[[0, 2, 4]] = 2**62
-    with pytest.raises(OverflowError):
-        f.reduce_exponent_matrix(counts)
-    assert f.reduce_exponent_matrix(counts // 2**40).tolist() == [0, 0, 2**23, 0]
-
-
-def _poly_mul(a, b):
-    """Product of integer polynomials, leading coefficient first."""
-    out = [0] * (len(a) + len(b) - 1)
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                out[i + j] += x * y
-    return out
-
-
-def test_cyclotomic_polynomial_identities():
-    # deg Phi_m = phi(m), and the Phi_d over d | m multiply to x^m - 1
-    for m in CYC_RANGE:
-        assert len(cyclotomic_coeffs(m)) - 1 == euler_phi(m), m
-        prod = [1]
-        for d in range(1, m + 1):
-            if m % d == 0:
-                prod = _poly_mul(prod, cyclotomic_coeffs(d))
-        assert prod == [1] + [0] * (m - 1) + [-1], m
+    """Counts with max|count| * 2^(number of primes of m) >= 2^62 are refused
+    on that bound, before any subtraction, even where the sum itself is
+    small; just below the bound every coordinate is exact."""
+    for m in (1, 12, 210):
+        f = get_field(m)
+        refused = 2**62 >> len(_factorize(m))  # the least refused max|count|
+        for c in (refused, -refused):
+            one = np.zeros(m, dtype=np.int64)
+            one[0] = c  # the sum is the integer c itself
+            with pytest.raises(OverflowError):
+                f.reduce_exponent_matrix(one)
+        counts = (refused - 1) * np.random.default_rng(m).choice([-1, 1], size=m)
+        rows = f.reduce_exponent_matrix(np.eye(m, dtype=np.int64))
+        exact = [sum(int(c) * int(r) for c, r in zip(counts, col)) for col in rows.T]
+        assert f.reduce_exponent_matrix(counts).tolist() == exact, m
+        assert f.reduce_exponent_matrix(counts[None, :]).tolist() == [exact], m
 
 
 def test_cyclotomic_polynomials_match_sympy():
+    """The reduction R: Z^m -> Z^phi(m) has kernel exactly (Phi_m), the ideal
+    of Z[x]/(x^m - 1) spanned by the m cyclic shifts of Phi_m's coefficients.
+
+    R kills every shift, and each CRT coordinate is the image of one
+    exponent (that of its basis element), so R is onto.  Its kernel is then
+    a saturated sublattice of rank m - phi(m); the shifts span one of the
+    same rank, saturated because Z[x]/(Phi_m) is torsion-free, and inside
+    it: the two are equal."""
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     for m in CYC_RANGE:
-        ref = [int(c) for c in sympy.cyclotomic_poly(m, x, polys=True).all_coeffs()]
-        assert list(cyclotomic_coeffs(m)) == ref, m
+        f = get_field(m)
+        phi = np.zeros(m, dtype=np.int64)  # Phi_m as counts, x^m = 1
+        coeffs = sympy.cyclotomic_poly(m, x, polys=True).all_coeffs()[::-1]
+        np.add.at(phi, np.arange(len(coeffs)) % m, [int(c) for c in coeffs])
+        # row s is phi shifted by s: phi[(e - s) % m], a view of two copies
+        shifts = np.lib.stride_tricks.sliding_window_view(np.tile(phi, 2), m)[m:0:-1]
+        assert not f.reduce_exponent_matrix(shifts).any(), m
+        units = np.zeros((f.degree, m), dtype=np.int64)
+        units[np.arange(f.degree), _basis_exponents(m)] = 1
+        assert (f.reduce_exponent_matrix(units) == np.eye(f.degree, dtype=np.int64)).all(), m
 
 
-def test_inexact_division_raises():
-    assert _divide_monic([1, 0, 0, -1], (1, -1)) == [1, 1, 1]  # (x^3 - 1) / (x - 1)
-    with pytest.raises(ArithmeticError, match="remainder"):
-        _divide_monic([1, 0, 1], (1, -1))  # x^2 + 1 at x = 1 is 2
+def test_field_holds_order_m_integers():
+    """No (m, phi(m)) table: a field of order 6498 (degree 2052) traces
+    under 1 MB, where one int64 table alone would take 107 MB."""
+    tracemalloc.start()
+    try:
+        f = CyclotomicField(6498)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.degree == 2052 and peak < 2**20, peak

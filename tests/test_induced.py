@@ -5,7 +5,6 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hecke_lab import cosets, cyclotomic, hecke, induced, permsum
+from hecke_lab import cosets, hecke, induced, permsum
 from hecke_lab.campaign import Campaign
 from hecke_lab.characters import PChar, unit_group
 from hecke_lab.cosets import (
@@ -726,48 +725,46 @@ def combinations(draw):
             for _ in range(terms)]
 
 
-@given(combinations(), st.sampled_from([cyclotomic._FLOAT_EXACT, 0]), st.data())
-def test_vanishes_and_trace_match_dense_matrices(combo, float_exact, data):
+@given(combinations(), st.data())
+def test_vanishes_and_trace_match_dense_matrices(combo, data):
     """The rank confirmation against the exact dense reference, and one
-    operator's gather on both dtypes (a float64 bound of 0 sends it through
-    int64)."""
+    operator's gather."""
     dense = _dense_combo(combo)
-    with mock.patch.object(cyclotomic, "_FLOAT_EXACT", float_exact):
-        # scaled by the lcm of its weights, the combination is a small integer matrix
-        den = math.lcm(*(q.denominator for q, _ in combo))
-        assert permsum._rank_mod_q(combo) == np.linalg.matrix_rank((dense * den).astype(np.float64))
-        # the combination minus itself cancels
-        zero = combo + [(-q, factors) for q, factors in combo]
-        assert _dense_vanishes(zero) and _dense_trace(zero) == 0 and permsum._rank_mod_q(zero) == 0
-        # one operator on an integer vector
-        f = combo[0][1][0]
-        v = data.draw(arrays(np.int64, f.dim, elements=st.integers(-3, 3)))
-        img = permsum._act(f, v)
-        assert img.dtype == np.int64 and np.array_equal(img, _dense(f) @ v)
+    # scaled by the lcm of its weights, the combination is a small integer matrix
+    den = math.lcm(*(q.denominator for q, _ in combo))
+    assert permsum._rank_mod_q(combo) == np.linalg.matrix_rank((dense * den).astype(np.float64))
+    # the combination minus itself cancels
+    zero = combo + [(-q, factors) for q, factors in combo]
+    assert _dense_vanishes(zero) and _dense_trace(zero) == 0 and permsum._rank_mod_q(zero) == 0
+    # one operator on an integer vector
+    f = combo[0][1][0]
+    v = data.draw(arrays(np.int64, f.dim, elements=st.integers(-3, 3)))
+    img = permsum._act(f, v)
+    assert img.dtype == np.int64 and np.array_equal(img, _dense(f) @ v)
 
 
 def test_int64_products_give_same_verdicts(monkeypatch, fresh_caches):
-    p, n = 3, 2
-    floated = _component_verdicts(p, n)
-    monkeypatch.setattr(cyclotomic, "_FLOAT_EXACT", 0)
-    assert permsum._exact_dtype(1) is np.int64
-    dtypes, exact_dtype = [], permsum._exact_dtype
+    """Every gather and column image of a cell passes the int64 guard, and
+    the three routes agree with every check passing; the guard refuses a
+    bound of 2^62."""
+    bounds, require = [], permsum._require_int64
 
     def recorded(bound):
-        dtypes.append(exact_dtype(bound))
-        return dtypes[-1]
+        bounds.append(bound)
+        require(bound)
 
-    monkeypatch.setattr(permsum, "_exact_dtype", recorded)
-    assert _component_verdicts(p, n) == floated
-    # the column route ran in int64
-    assert dtypes and set(dtypes) == {np.int64}
+    monkeypatch.setattr(permsum, "_require_int64", recorded)
+    for by_rank, by_system, agree, checks in _component_verdicts(3, 2):
+        assert agree and by_rank == by_system and all(status == "pass" for _, status in checks)
+    assert bounds and max(bounds) < 2**62
+    require(2**62 - 1)
     with pytest.raises(OverflowError):
-        permsum._exact_dtype(2**63)
+        require(2**62)
 
 
 def test_large_campaign_cells_fit_the_transport_budget():
-    """Every cell of the shipped large campaign passes the size check of
-    cosets._left_transport (dim^2 entries per table), read without building a
+    """Every cell of the shipped large campaign passes the size guard of the
+    transport tables (cosets.require_transportable), read without building a
     table."""
     path = Path(__file__).resolve().parents[1] / "campaigns" / "large.json"
     campaign = Campaign.from_file(path)
@@ -775,8 +772,7 @@ def test_large_campaign_cells_fit_the_transport_budget():
     assert cells == [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (5, 4), (7, 2), (7, 3), (11, 2)]
     assert all(set(cell) == {"p", "n"} for cell in campaign.grid)  # every character
     for p, n in cells:
-        dim = p**n + p ** (n - 1)
-        assert dim * dim <= cosets.K0_ENUMERATION_LIMIT, (p, n)
+        cosets.require_transportable(p, n)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (2, 3), (7, 2)])
