@@ -235,9 +235,8 @@ def placement_checks(
 
     if q.roots[0] == 0.0:
         # the main operator kills the newspace: its images are old forms
-        C = space.coeff_matrix()
         for j in range(space.dim):
-            vec = C.T @ main.matrix[:, j]
+            vec = space.coeffs.T @ main.matrix[:, j]
             scale = float(np.linalg.norm(space.basis[j].coeffs))
             _, r = _embed_coords(lower, vec, scale)
             out.append(Placement(f"{main.label} image[{j}] in lower span", r, r <= tol))

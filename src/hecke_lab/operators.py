@@ -299,7 +299,7 @@ def _build_op_U_coeff(space: CuspSpace, p: int) -> OpMatrix:
         x, mis = space.coordinates(g.coeffs)
         cols.append(x)
         worst = max(worst, mis / max(float(np.linalg.norm(g.coeffs)), 1.0))
-    A = space.coeff_matrix()[:, : space.prec // p].T
+    A = space.coeffs[:, : space.prec // p].T
     condA = float(np.linalg.cond(A))
     mat = np.stack(cols, axis=1)
     mat.flags.writeable = False

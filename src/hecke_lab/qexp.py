@@ -35,7 +35,6 @@ class QExpansion:
 
     weight: int
     coeffs: np.ndarray
-    label: str = ""
     _growth: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,11 +125,11 @@ def evaluate_many(forms: list[QExpansion], points) -> np.ndarray:
 def op_Utilde(f: QExpansion, p: int) -> QExpansion:
     """Unitarily normalized shift p^(1 - k/2) a_{pn}."""
     out = p ** (1 - f.weight / 2) * f.coeffs[p - 1 :: p]
-    return QExpansion(f.weight, out, f"Ut{p}({f.label})" if f.label else "")
+    return QExpansion(f.weight, out)
 
 
 def op_Vp(f: QExpansion, p: int) -> QExpansion:
     """Dilation f(z) -> f(pz): coefficients land on multiples of p."""
     out = np.zeros(p * f.prec, dtype=np.complex128)
     out[p - 1 :: p] = f.coeffs
-    return QExpansion(f.weight, out, f"V{p}({f.label})" if f.label else "")
+    return QExpansion(f.weight, out)

@@ -1,10 +1,10 @@
 """Cusp-form spaces backed by q-expansion fixture files.
 
-Fixture format 2 stores each basis form as one ASCII string: standard base64
-(with padding) of its coefficients as little-endian complex128 (real and
-imaginary float64 parts interleaved), so every bit is kept, -0.0 included.
-This module is the one that writes it (`encode_coeffs`) and reads it
-(`load_space`).
+Fixture format 3 stores each basis form as a JSON list of its `precision`
+coefficients a_1, a_2, ..., each an integer below 2^53 in absolute value,
+so that its float is exact.  `load_space` reads a space's forms into one
+read-only complex128 array and refuses any other entry;
+tools/build_fixtures.py writes the shipped fixtures.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .qexp import QExpansion
 MIN_PRECISION = 64
 MANIFEST = "families.json"  # a fixture directory's family manifest
 _INDEPENDENCE_TOL = 1e-8
+_EXACT_BOUND = 2**53  # every integer below it in absolute value is a float
 
 
 class SpaceFormatError(ValueError):
@@ -33,44 +34,45 @@ class CuspSpace:
     level: int
     weight: int
     char: DirChar
-    basis: list[QExpansion]
-    prec: int
+    # basis coefficients a_1..a_prec, forms along rows: read-only complex128
+    coeffs: np.ndarray
+    # the basis forms, views of the rows of coeffs
+    basis: list[QExpansion] = field(init=False)
     # operators.op_matrix and op_U(route="coeff") results with this space as
     # domain, built once each
     _op_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.basis = [QExpansion(self.weight, row) for row in self.coeffs]
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.coeffs.shape[0]
 
-    def coeff_matrix(self) -> np.ndarray:
-        """Basis coefficients, forms along rows."""
-        if not self.basis:
-            return np.zeros((0, self.prec), dtype=np.complex128)
-        return np.stack([f.coeffs for f in self.basis])
+    @property
+    def prec(self) -> int:
+        return self.coeffs.shape[1]
 
     def coordinates(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares coordinates of a coefficient vector in this basis,
-        with the relative misfit.  The residual is measured against the
-        larger of the target norm and the given scale floor of 1."""
+        over the coefficients both hold, with the absolute misfit
+        ||A x - b||; callers scale it."""
         vec = np.asarray(coeffs, dtype=np.complex128)
         L = min(self.prec, len(vec))
         b = vec[:L]
         if self.dim == 0:
             return np.zeros(0, dtype=np.complex128), float(np.linalg.norm(b))
-        A = self.coeff_matrix()[:, :L].T
+        A = self.coeffs[:, :L].T
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         mis = float(np.linalg.norm(A @ x - b))
         return x, mis
 
 
-def encode_coeffs(coeffs) -> str:
-    """A form's coefficients as a format-2 basis entry."""
-    # base64 is imported where it is used: importing it allocates about 50 KB,
-    # which a run that reads no fixture should not pay
-    import base64
-
-    return base64.b64encode(np.asarray(coeffs, "<c16").tobytes()).decode("ascii")
+def _entry_error(i: int) -> SpaceFormatError:
+    return SpaceFormatError(
+        f"form {i} is not a format-3 entry (a list of precision integers, each below "
+        "2^53 in absolute value): rebuild the fixtures with tools/build_fixtures.py"
+    )
 
 
 def load_space(source) -> CuspSpace:
@@ -95,6 +97,10 @@ def load_space(source) -> CuspSpace:
     level, weight, prec = doc["level"], doc["weight"], doc["precision"]
     if level < 1:
         raise SpaceFormatError(f"fixture level must be at least 1, not {level}")
+    if weight < 2:
+        raise SpaceFormatError(f"fixture weight must be at least 2, not {weight}")
+    if prec < MIN_PRECISION:
+        raise SpaceFormatError(f"precision {prec} below minimum {MIN_PRECISION}")
     spec = doc["character"]
     if not (isinstance(spec, dict)
             and all(type(spec.get(key)) is int for key in ("modulus", "conrey"))):
@@ -111,48 +117,34 @@ def load_space(source) -> CuspSpace:
     rows = doc["basis"]
     if not isinstance(rows, list):
         raise SpaceFormatError(f"fixture basis must be a list, not {rows!r}")
-    if rows and prec < MIN_PRECISION:
-        raise SpaceFormatError(f"precision {prec} below minimum {MIN_PRECISION}")
     if rows and chi.parity() != (-1) ** weight:
         raise SpaceFormatError(
             f"parity violation: chi(-1) = {chi.parity()} with weight {weight}"
         )
 
-    import base64  # see encode_coeffs
-
-    basis = []
+    exact = np.empty((len(rows), prec), dtype=np.int64)
     for i, entry in enumerate(rows):
-        if not isinstance(entry, str):
-            raise SpaceFormatError(
-                f"form {i} is not a format-2 entry (a base64 string of little-endian "
-                "complex128); [re, im] pair rows are no longer read: rebuild the "
-                "fixtures with tools/build_fixtures.py"
-            )
+        # a bool, a float (NaN included) or a list is not an int
+        if not (type(entry) is list and len(entry) == prec and set(map(type, entry)) == {int}):
+            raise _entry_error(i)
         try:
-            raw = base64.b64decode(entry, validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII character
-            raise SpaceFormatError(f"form {i}: not standard base64: {exc}") from exc
-        if len(raw) != 16 * prec:
-            raise SpaceFormatError(
-                f"form {i} holds {len(raw)} bytes, expected {prec} coefficients of 16 bytes"
-            )
-        try:
-            # a read-only view of the decoded bytes, no copy
-            basis.append(QExpansion(weight, np.frombuffer(raw, "<c16"), label=f"b{i}"))
-        except ValueError as exc:
-            raise SpaceFormatError(f"form {i}: {exc}") from exc
+            exact[i] = entry
+        except OverflowError:  # past int64
+            raise _entry_error(i) from None
+    coeffs = exact.astype(np.complex128)
+    # an integer below 2^53 in absolute value converts exactly, any other
+    # to a float of at least 2^53 in absolute value
+    far = np.flatnonzero((np.abs(coeffs.real) >= _EXACT_BOUND).any(axis=1))
+    if far.size:
+        raise _entry_error(int(far[0]))
+    coeffs.flags.writeable = False
 
-    if basis:
-        # the real and imaginary parts, scaled by the largest, so that no norm
-        # in the SVD overflows; the ratio of singular values is unchanged
-        parts = np.stack([f.coeffs for f in basis]).view(np.float64)
-        scale = np.abs(parts).max()
-        mat = (parts / scale if scale else parts).view(np.complex128)
-        sv = np.linalg.svd(mat, compute_uv=False)
+    if rows:
+        sv = np.linalg.svd(coeffs, compute_uv=False)
         if sv[-1] <= _INDEPENDENCE_TOL * sv[0]:
             raise SpaceFormatError(f"near-dependent basis: singular values {sv}")
 
-    return CuspSpace(level, weight, chi, basis, prec)
+    return CuspSpace(level, weight, chi, coeffs)
 
 
 def fixture_dir() -> Path:

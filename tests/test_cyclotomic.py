@@ -126,7 +126,13 @@ def test_reduction_refuses_counts_past_int64():
 
 def test_cyclotomic_polynomials_match_sympy():
     """The reduction R: Z^m -> Z^phi(m) has kernel exactly (Phi_m), the ideal
-    of Z[x]/(x^m - 1) spanned by the m cyclic shifts of Phi_m's coefficients.
+    of Z[x]/(x^m - 1) generated by Phi_m.
+
+    The shifts x^s Phi_m with 0 <= s < m - phi(m) are a Z-basis of that
+    ideal.  They are independent: their degrees phi(m) + s are distinct and
+    below m, and each is monic.  They span it: Psi_m = (x^m - 1) / Phi_m is
+    monic of degree m - phi(m), so g = h Psi_m + r over Z with deg r below
+    m - phi(m), and g Phi_m = h (x^m - 1) + r Phi_m.
 
     R kills every shift, and each CRT coordinate is the image of one
     exponent (that of its basis element), so R is onto.  Its kernel is then
@@ -141,7 +147,8 @@ def test_cyclotomic_polynomials_match_sympy():
         coeffs = sympy.cyclotomic_poly(m, x, polys=True).all_coeffs()[::-1]
         np.add.at(phi, np.arange(len(coeffs)) % m, [int(c) for c in coeffs])
         # row s is phi shifted by s: phi[(e - s) % m], a view of two copies
-        shifts = np.lib.stride_tricks.sliding_window_view(np.tile(phi, 2), m)[m:0:-1]
+        shifts = np.lib.stride_tricks.sliding_window_view(np.tile(phi, 2), m)[m : f.degree : -1]
+        assert len(shifts) == m - f.degree
         assert not f.reduce_exponent_matrix(shifts).any(), m
         units = np.zeros((f.degree, m), dtype=np.int64)
         units[np.arange(f.degree), _basis_exponents(m)] = 1

@@ -3,13 +3,11 @@ definition in the package is reached from the package, a tool or the
 benchmark (tests do not count), every function the benchmark's tracer wraps
 exists, every dataclass field is read somewhere, the whole-group oracle
 imports nothing of the routes it checks, the fixture manifest and the pass
-thresholds are named only in the modules that own them, only `spaces`
-imports the fixture payload's codec (the fixture tool writes through
-`spaces.encode_coeffs`), every module loads only numpy and the standard
-library, and each side of the package loads only its own modules:
-`import hecke_lab` loads none, the exact and numerical sides load none of
-each other's past the bounds of IMPORT_BOUNDS, and `campaign` binds the
-exact side on first use.
+thresholds are named only in the modules that own them, every module loads
+only numpy and the standard library, and each side of the package loads
+only its own modules: `import hecke_lab` loads none, the exact and
+numerical sides load none of each other's past the bounds of IMPORT_BOUNDS,
+and `campaign` binds the exact side on first use.
 
 No linter runs on this repository, so these AST scans (stdlib only) are the
 guard against imports and definitions left behind when the code that used
@@ -50,11 +48,6 @@ CHECKED_ROUTES = ("hecke", "induced")
 # manifest's file name where it is parsed, the pass-threshold table where it
 # is held and where it is applied
 CONFINED = {"families.json": ("spaces.py",), "TOLERANCE": ("newspace.py", "campaign.py")}
-# the codecs of the fixture payload (base64 of little-endian complex128):
-# only spaces, which reads and writes fixture format 2, imports them
-PAYLOAD_CODECS = ("base64", "binascii")
-PAYLOAD_HOME = "spaces.py"
-FIXTURE_TOOL = ROOT / "tools" / "build_fixtures.py"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 # (modules imported, package modules they must not load): the bare package
 # loads nothing; the support law's modules load no numerical module and not
@@ -622,63 +615,6 @@ def test_scanner_finds_confined_words_outside_their_modules():
 def test_manifest_and_thresholds_stay_in_their_modules():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert confinement_breaches(sources) == []
-
-
-def module_imports(source: str, modules) -> list[str]:
-    """Lines where an absolute import, at any depth, loads one of `modules`
-    or a submodule of one (`import m`, `import m.x as y`, `from m import x`).
-    Mentions that are not imports do not count."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            continue
-        if any(name.split(".")[0] in modules for name in names):
-            out.append(f"line {node.lineno}")
-    return out
-
-
-def calls(source: str, name: str) -> list[str]:
-    """Lines where a function called `name` is called, bare or as an
-    attribute."""
-    return [
-        f"line {node.lineno}"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
-    ]
-
-
-def test_scanner_finds_codec_imports_and_calls():
-    source = (
-        '"""Writes base64 through binascii, by name only."""\n'
-        "import json, base64\n"
-        "from binascii import a2b_base64\n"
-        "from .base64 import b64decode\n"
-        "def f(x):\n"
-        "    import base64.x as b\n"
-        "    return spaces.encode_coeffs(x), encode_coeffs, encode_coeffs(x)\n"
-    )
-    assert module_imports(source, PAYLOAD_CODECS) == ["line 2", "line 3", "line 6"]
-    assert calls(source, "encode_coeffs") == ["line 7", "line 7"]
-
-
-def test_payload_codec_stays_in_spaces():
-    for path in sorted(PACKAGE.glob("*.py")):
-        found = module_imports(path.read_text(), PAYLOAD_CODECS)
-        assert bool(found) == (path.name == PAYLOAD_HOME), (path.name, found)
-    tool = FIXTURE_TOOL.read_text()
-    assert module_imports(tool, PAYLOAD_CODECS) == []
-    imported = {
-        (node.module, alias.name)
-        for node in ast.walk(ast.parse(tool)) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert ("hecke_lab.spaces", "encode_coeffs") in imported
-    assert calls(tool, "encode_coeffs")
 
 
 def run_fresh(code: str, timeout: int = 60) -> str:

@@ -29,7 +29,7 @@ from hecke_lab.operators import (
     slash_evaluate,
     w_square_scalar,
 )
-from hecke_lab.spaces import encode_coeffs, fixture_dir, load_space
+from hecke_lab.spaces import fixture_dir, load_space
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ def test_survey_operator(sp16):
 
 def _synthetic_doc(level, weight, conrey, rows=1):
     """A fixture document: the form q + O(q^64) when rows = 1."""
-    basis = [encode_coeffs(np.eye(64)[0])] * rows
+    basis = [[1] + [0] * 63] * rows
     return {
         "level": level, "weight": weight, "precision": 64, "basis": basis,
         "character": {"modulus": level, "conrey": conrey},

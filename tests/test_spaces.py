@@ -1,7 +1,5 @@
-import base64
 import hashlib
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import strategies as st
 from hecke_lab.dimoracle import dim_cusp
 from hecke_lab.spaces import (
     SpaceFormatError,
-    encode_coeffs,
     fixture_dir,
     load_families,
     load_fixtures,
@@ -22,8 +19,8 @@ REQUIRED_KEYS = {"level", "weight", "character", "precision", "basis", "provenan
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 # sha256 of each shipped space's basis coefficients, concatenated in basis
 # order as little-endian complex128, computed from the [re, im] pair rows of
-# the format the fixtures were first written in: the conversion to format 2
-# changed no bit
+# the format the fixtures were first written in: the conversions to formats 2
+# and 3 changed no bit
 SHIPPED_COEFF_SHA256 = {
     "N11k2c1": "55e330701d1e0468d58d17d7aabb87ba4374be4d49eb99522de9abefabe8e35d",
     "N14k2c1": "fc1fe2987d6ff8f45d62f23467cb8c7f14d6c1e099a36fe4dd30f8aef8e7deea",
@@ -44,7 +41,7 @@ SHIPPED_COEFF_SHA256 = {
 
 def _doc(level=11, weight=2, conrey=1, prec=256, nforms=0):
     rng = np.random.default_rng(0)
-    basis = [encode_coeffs(rng.standard_normal(prec)) for _ in range(nforms)]
+    basis = [rng.integers(-1000, 1000, prec).tolist() for _ in range(nforms)]
     return {
         "level": level,
         "weight": weight,
@@ -90,6 +87,10 @@ def test_missing_key():
     ("character", {"conrey": 1}, "integer modulus and conrey"),
     ("basis", "abc", "basis must be a list"),
     ("basis", None, "basis must be a list"),
+    ("weight", 1, "weight must be at least 2"),  # died in dim_cusp after a whole cell ran
+    ("weight", -4, "weight must be at least 2"),
+    ("precision", -5, "precision -5 below minimum 64"),  # loaded with an empty basis
+    ("precision", 63, "precision 63 below minimum 64"),
 ])
 def test_wrong_typed_field_rejected(key, value, match):
     doc = _doc()
@@ -144,56 +145,67 @@ def test_dependent_basis_rejected():
     doc["basis"][1] = doc["basis"][0]
     with pytest.raises(SpaceFormatError, match="dependent"):
         load_space(doc)
-    # scaling before the SVD refuses a zero form, and a dependent pair at
-    # the top of the float range
-    big = np.full(256, complex(np.finfo(float).max, -1.0))
-    for forms in ([np.zeros(256)], [big, big / 2], [big, np.zeros(256)]):
-        doc["basis"] = [encode_coeffs(f) for f in forms]
+    # a zero form, and dependent pairs at the top of the exact range
+    top = [2**53 - 2] * 256
+    for forms in ([[0] * 256], [top, [2**52 - 1] * 256], [top, [0] * 256]):
+        doc["basis"] = forms
         with pytest.raises(SpaceFormatError, match="dependent"):
             load_space(doc)
 
 
-def test_ragged_basis_rejected():
-    """An entry whose bytes are not precision complex128 values."""
-    coeffs = np.random.default_rng(0).standard_normal(256)
-    for bad in (coeffs[:-1], np.append(coeffs, 1.0), np.zeros(0)):
-        doc = _doc(nforms=1)
-        doc["basis"][0] = encode_coeffs(bad)
-        with pytest.raises(SpaceFormatError, match="form 0 holds .* expected 256 coefficients"):
-            load_space(doc)
+def _good_row(position, value):
+    row = [1] + [0] * 255
+    row[position] = value
+    return row
+
+
+# (id, entry) pairs: what a format-3 entry of precision 256 must not be
+BAD_ENTRIES = [
+    ("format-2 string", "AAAAAAAA8D8AAAAAAAAAAA=="),
+    ("number", 1.0),
+    ("integer", 1),
+    ("null", None),
+    ("object", {"re": 1.0}),
+    ("list of a string", ["AAAAAAAA8D8AAAAAAAAAAA=="]),
+    ("integral float", _good_row(3, 2.0)),
+    ("fraction", _good_row(3, 2.5)),
+    ("bool", _good_row(3, True)),
+    ("null coefficient", _good_row(3, None)),
+    ("numeric string", _good_row(3, "2")),
+    ("pair", _good_row(3, [2, 0])),
+    ("NaN", _good_row(3, float("nan"))),
+    ("inf", _good_row(3, float("inf"))),
+    ("-inf", _good_row(3, -float("inf"))),
+    ("2^53", _good_row(3, 2**53)),
+    ("-2^53", _good_row(3, -(2**53))),
+    ("-2^63", _good_row(3, -(2**63))),
+    ("2^63", _good_row(3, 2**63)),
+    ("10^400", _good_row(3, 10**400)),
+    ("one short", [1] * 255),
+    ("one long", [1] * 257),
+    ("empty", []),
+    # the [re, im] pair rows of the first fixture format, well formed or not
+    ("pairs0", [[1.0, 2.0], [3.0]]),  # ragged
+    ("pairs1", [[1.0, 2.0, 3.0]]),  # a triple
+    ("pairs2", [[1.0]]),  # a single number
+    ("pairs3", [1.0, 2.0]),  # no pairs at all
+    ("pairs4", [[[1.0, 2.0]]]),  # nested one level too deep
+    ("pairs5", [[1.0, "x"]]),  # not a number
+    ("pairs6", [[1.0, [2.0]]]),  # a list in place of a number
+    ("pairs7", [1.0, [2.0, 3.0]]),  # a bare number in place of a pair
+]
+
+
+@pytest.mark.parametrize("entry", [entry for _, entry in BAD_ENTRIES],
+                         ids=[name for name, _ in BAD_ENTRIES])
+def test_malformed_entry_rejected(entry):
+    """Anything but a list of precision integers below 2^53 in absolute
+    value is refused, naming format 3 and the tool that writes it; the
+    fixture passes through JSON as a file would."""
     doc = _doc(nforms=1)
-    doc["basis"][0] = base64.b64encode(b"\0" * (16 * 256 - 8)).decode()  # half a value short
-    with pytest.raises(SpaceFormatError, match="expected 256 coefficients"):
-        load_space(doc)
-
-
-def test_non_pair_coefficient_rejected():
-    """An entry that is not a string: a number, None, an object, a list of
-    numbers or of strings."""
-    for bad in (1.0, None, {"re": 1.0}, [1.0, 2.0], [encode_coeffs(np.ones(256))]):
-        doc = _doc(nforms=1)
-        doc["basis"][0] = bad
-        with pytest.raises(SpaceFormatError, match="form 0 is not a format-2 entry"):
-            load_space(doc)
-
-
-@pytest.mark.parametrize("pairs", [
-    [[1.0, 2.0], [3.0]],  # ragged
-    [[1.0, 2.0, 3.0]],  # a triple
-    [[1.0]],  # a single number
-    [1.0, 2.0],  # no pairs at all
-    [[[1.0, 2.0]]],  # nested one level too deep
-    [[1.0, "x"]],  # not a number
-    [[1.0, [2.0]]],  # a list in place of a number
-    [1.0, [2.0, 3.0]],  # a bare number in place of a pair
-])
-def test_pair_rows_rejected(pairs):
-    """The [re, im] pair rows of the first fixture format, well formed or
-    not, are refused, naming format 2 and the tool that writes it."""
-    doc = _doc(nforms=1)
-    doc["basis"][0] = pairs
-    with pytest.raises(SpaceFormatError, match="format-2 .* tools/build_fixtures.py"):
-        load_space(doc)
+    doc["basis"][0] = entry
+    with pytest.raises(SpaceFormatError, match="form 0 is not a format-3 entry .* tools/build_fixtures.py"):
+        load_space(json.dumps(doc))
 
 
 def test_shipped_fixture_as_pair_rows_rejected():
@@ -202,60 +214,30 @@ def test_shipped_fixture_as_pair_rows_rejected():
     doc = json.loads((fixture_dir() / "N11k2c1.json").read_text())
     coeffs = load_space(doc).basis[0].coeffs
     doc["basis"] = [[[float(c.real), float(c.imag)] for c in coeffs]]
-    with pytest.raises(SpaceFormatError, match="pair rows are no longer read"):
+    with pytest.raises(SpaceFormatError, match="form 0 is not a format-3 entry"):
         load_space(doc)
 
 
-@pytest.mark.parametrize("char", ["*", "-", "_", " ", "\n", "\u00e9"], ids=[
-    "star", "minus", "underscore", "space", "newline", "non-ascii",
-])
-def test_non_base64_entry_rejected(char):
-    """Characters outside the standard alphabet (URL-safe ones, whitespace
-    and non-ASCII included) are refused, not skipped."""
-    doc = _doc(nforms=1)
-    good = doc["basis"][0]
-    doc["basis"][0] = good[:40] + char + good[41:]
-    with pytest.raises(SpaceFormatError, match="form 0: not standard base64"):
-        load_space(doc)
+_EXACT = 2**53 - 1
 
 
-def test_encoding_is_little_endian_complex128():
-    """An entry is base64 of re, im, re, im, ... as little-endian float64."""
-    raw = struct.pack("<4d", 1.0, -2.5, -0.0, 2.0**-1074)
-    assert encode_coeffs([1.0 - 2.5j, complex(-0.0, 2.0**-1074)]) == base64.b64encode(raw).decode()
-    assert encode_coeffs(np.array([1.0 - 2.5j]).astype(">c16")) == encode_coeffs([1.0 - 2.5j])
-    assert encode_coeffs([]) == ""
-
-
-# every finite part: the independence check scales the basis before its SVD
-_FMAX = float(np.finfo(float).max)
-_part = st.floats(min_value=-_FMAX, max_value=_FMAX, allow_subnormal=True)
-
-
-@given(st.lists(_part, min_size=128, max_size=160).filter(lambda v: len(v) % 2 == 0 and any(v)))
-@example([-0.0, -0.0, 5e-324, -2.0**-1030, 1 / 3, -0.1, 1e150, -2.0**-1022] + [0.0] * 120)
-@example([5e-324] + [-0.0] * 127)
-@example([_FMAX, -_FMAX] * 64)
-def test_codec_round_trip_keeps_every_bit(parts):
-    """encode_coeffs, JSON and load_space return the coefficients bit for
-    bit: -0.0, subnormals and non-integers included."""
-    coeffs = np.array(parts).view(np.complex128)
+@given(st.lists(st.integers(-_EXACT, _EXACT), min_size=64, max_size=96).filter(any))
+@example([_EXACT, -_EXACT] * 32)
+@example([0] * 63 + [-1])
+def test_integer_rows_load_exactly(row):
+    """An integer row below 2^53 in absolute value loads, through JSON, to
+    exactly those floats; one at 2^53 is refused."""
     doc = {
         "level": 11, "weight": 2, "character": {"modulus": 11, "conrey": 1},
-        "precision": len(coeffs), "basis": [encode_coeffs(coeffs)],
+        "precision": len(row), "basis": [row],
     }
     (form,) = load_space(json.dumps(doc)).basis
-    assert form.coeffs.tobytes() == coeffs.tobytes()
-
-
-def test_codec_keeps_negative_zero():
-    coeffs = np.zeros(64, dtype=np.complex128)
-    coeffs[:4] = [complex(-0.0, -0.0), complex(-0.0, 1.5), complex(2.0, -0.0), 0j]
-    doc = _doc(prec=64)
-    doc["basis"] = [encode_coeffs(coeffs)]
-    got = load_space(doc).basis[0].coeffs[:4]
-    assert np.signbit(got.real).tolist() == [True, True, False, False]
-    assert np.signbit(got.imag).tolist() == [True, False, True, False]
+    assert form.coeffs.real.tolist() == row
+    assert form.coeffs.imag.tolist() == [0.0] * len(row)
+    for edge in (2**53, -(2**53)):
+        doc["basis"] = [row[:-1] + [edge]]
+        with pytest.raises(SpaceFormatError, match="form 0 is not a format-3 entry"):
+            load_space(json.dumps(doc))
 
 
 def test_shipped_coefficients_are_pinned():
@@ -269,9 +251,13 @@ def test_shipped_coefficients_are_pinned():
 
 
 def test_loaded_coefficients_are_read_only():
-    """A form cannot change under the operators memoized on its space."""
+    """A form cannot change under the operators memoized on its space.  The
+    forms are views of the rows of the space's one array."""
     sp = load_space(fixture_dir() / "N22k2c1.json")
-    for form in sp.basis:
+    assert sp.coeffs.shape == (sp.dim, sp.prec) == (2, 2048)
+    assert not sp.coeffs.flags.writeable
+    for form, row in zip(sp.basis, sp.coeffs, strict=True):
+        assert np.shares_memory(form.coeffs, sp.coeffs) and (form.coeffs == row).all()
         assert not form.coeffs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             form.coeffs[0] = 0.0
@@ -296,16 +282,6 @@ def test_load_families_parses_each_fixture_once(monkeypatch):
     shared = {stem: group for stem, group in by_stem.items() if len(group) > 1}
     assert sorted(shared) == ["N11k2c1", "N15k2c1", "N7k3c6"]
     assert all(sp is group[0] for group in shared.values() for sp in group)
-
-
-def test_nonfinite_rejected():
-    for bad in (complex(float("nan"), 0.0), complex(0.0, float("inf")), complex(-float("inf"), 1.0)):
-        coeffs = np.ones(256, dtype=np.complex128)
-        coeffs[3] = bad
-        doc = _doc(nforms=1)
-        doc["basis"][0] = encode_coeffs(coeffs)
-        with pytest.raises(SpaceFormatError, match="form 0: non-finite"):
-            load_space(doc)
 
 
 def test_coordinates_and_membership():

@@ -2,8 +2,9 @@
 """Builds the q-expansion fixture files shipped under hecke_lab/fixtures/.
 
 Every basis element is an eta quotient prod_d eta(d z)^{r_d}, expanded with
-exact integer arithmetic and only then rounded to floats, and written
-through hecke_lab.spaces.encode_coeffs (fixture format 2).  Admissibility is
+exact integer arithmetic and written as those integers (fixture format 3,
+read by hecke_lab.spaces.load_space: a list of PREC coefficients, each
+below 2^53 in absolute value so that its float is exact).  Admissibility is
 checked per Ligozat's criteria (see Ono, "The web of modularity", Thm 1.64):
 the two congruences mod 24, the Kronecker-symbol nebentypus, and positive
 order at every cusp.  Each space's basis is verified to be independent and
@@ -27,7 +28,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hecke_lab.characters import DirChar
 from hecke_lab.cyclotomic import _factorize
 from hecke_lab.dimoracle import dim_cusp, dim_new, _divisors
-from hecke_lab.spaces import encode_coeffs
 
 PREC = 2048
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "hecke_lab" / "fixtures"
@@ -348,8 +348,8 @@ def build() -> None:
         for exps in sp["forms"]:
             validate_quotient(N, k, chi, exps)
             coeffs = eta_coefficients(exps, PREC)
-            if max(abs(c) for c in coeffs) >= 2**52:
-                raise AssertionError(f"coefficients overflow float precision: {exps}")
+            if max(abs(c) for c in coeffs) >= 2**53:
+                raise AssertionError(f"coefficients past exact float range: {exps}")
             basis.append(coeffs)
             labels.append(eta_label(exps))
         if basis:
@@ -363,7 +363,7 @@ def build() -> None:
             "weight": k,
             "character": chi.to_spec(),
             "precision": PREC,
-            "basis": [encode_coeffs(row) for row in basis],
+            "basis": basis,
             "provenance": "; ".join(labels) if labels else "empty space",
         }
         name = stem(N, k, chi) + ".json"
@@ -379,7 +379,7 @@ def build() -> None:
         chi = DirChar.from_spec(sp["character"])
         if dim_new(sp["level"], sp["weight"], chi) != fam["expected_new"]:
             raise AssertionError(f"family {fam['name']}: frozen newdim disagrees with oracle")
-    manifest = {"format_version": 2, "precision": PREC, "families": fams}
+    manifest = {"format_version": 3, "precision": PREC, "families": fams}
     (OUT_DIR / "families.json").write_text(json.dumps(manifest, indent=1))
     print(f"wrote {len(written)} spaces + families.json to {OUT_DIR}")
 
