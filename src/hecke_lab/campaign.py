@@ -11,6 +11,12 @@ routes are first read, at the latest on a run's first grid cell:
 (`__getattr__`, PEP 562), and `run_verify` calls them through those
 attributes.  So a campaign without grid cells, and `hecke-lab classical`,
 load only the numerical side.
+
+Each (cell, character) and each classical family runs under a guard: a
+premise that fails there (an `AlgebraError` of the exact side, a refused
+q-series, an operator without sample points, a failed internal assertion)
+becomes one verdict with status "error" and provenance "premise", and the
+run goes on.  Any other exception propagates.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +34,9 @@ from .cellcache import clear_cell_caches
 from .characters import PChar
 from .cyclotomic import _factorize
 from .newspace import TOLERANCE, OpReport, characterize, placement_checks, qualifying_primes
-from .operators import op_U, op_W, w_square_scalar
-from .report import Report, check, check_bool, timed
+from .operators import SamplingError, op_U, op_W, w_square_scalar
+from .qexp import PrecisionError
+from .report import Assertion, Report, character_tag, check, check_bool, timed
 from .spaces import CuspSpace, fixture_dir, load_families
 
 
@@ -121,11 +129,32 @@ def _grid_characters(cell: dict) -> list[PChar]:
     return list(PChar.all_characters(p, n))
 
 
+# the failures of a premise that verdicts rest on; a run with grid cells
+# adds the exact side's AlgebraError, loaded with its routes
+PREMISE_ERRORS = (PrecisionError, SamplingError, AssertionError)
+
+
+@contextmanager
+def _premise(rep: Report, aid: str, errors: tuple[type[Exception], ...] = PREMISE_ERRORS):
+    """Record a premise failure inside the block as one "error" verdict
+    under aid, after the verdicts the block recorded before it; other
+    exceptions propagate."""
+    try:
+        yield
+    except errors as exc:
+        rep.add(Assertion(aid, "error", "premises hold", type(exc).__name__, "premise",
+                          detail=str(exc)))
+
+
 def run_verify(campaign: Campaign) -> Report:
     """Execute every campaign cell and return the merged report."""
     rep = Report(seed=campaign.seed, meta={"campaign": campaign.to_dict()})
     routes = sys.modules[__name__]
     current = None
+    if campaign.grid:
+        from .hecke import AlgebraError
+
+        exact_errors = (AlgebraError, *PREMISE_ERRORS)
     for cell in campaign.grid:
         p, n = int(cell["p"]), int(cell["n"])
         if (p, n) != current:
@@ -133,34 +162,37 @@ def run_verify(campaign: Campaign) -> Report:
             clear_cell_caches()
             current = (p, n)
         for chi in _grid_characters(cell):
-            rep.extend(routes.verify_relations(p, n, chi).assertions)
-            rep.extend(routes.verify_induced(p, n, chi).report.assertions)
+            with _premise(rep, f"{character_tag(chi)}.premise", exact_errors):
+                rep.extend(routes.verify_relations(p, n, chi).assertions)
+                rep.extend(routes.verify_induced(p, n, chi).report.assertions)
     for directory in campaign.fixture_dirs:
         _classical_suite(rep, Path(directory))
     return rep
 
 
 def _classical_suite(rep: Report, base: Path) -> None:
-    """space_checks on each family's space, then placement at its lower levels."""
+    """space_checks on each family's space, then placement at its lower
+    levels, each family under a premise guard."""
     for fam in load_families(base):
         sp = fam["space"]
         tag = f"classical.{fam['name']}"
-        space_checks(rep, tag, sp, fam["flipped"])
-        quals = qualifying_primes(sp.level, sp.char)
-        for level, lower in fam["lower"].items():
-            for q in quals:
-                if sp.level // q.p != level:
-                    continue
-                with timed() as t:
-                    checks = placement_checks(sp, q.p, lower, fam["flipped"])
-                worst = max((c.residual for c in checks), default=0.0)
-                bad = [c.name for c in checks if not c.ok]
-                check_bool(
-                    rep, f"{tag}.placement.p{q.p}",
-                    not bad, "formula", t.elapsed,
-                    expected=f"{len(checks)} placements <= {TOLERANCE['placement']:g}",
-                    computed=f"worst {worst:.3g}" + (f", failed {bad}" if bad else ""),
-                )
+        with _premise(rep, f"{tag}.premise"):
+            space_checks(rep, tag, sp, fam["flipped"])
+            quals = qualifying_primes(sp.level, sp.char)
+            for level, lower in fam["lower"].items():
+                for q in quals:
+                    if sp.level // q.p != level:
+                        continue
+                    with timed() as t:
+                        checks = placement_checks(sp, q.p, lower, fam["flipped"])
+                    worst = max((c.residual for c in checks), default=0.0)
+                    bad = [c.name for c in checks if not c.ok]
+                    check_bool(
+                        rep, f"{tag}.placement.p{q.p}",
+                        not bad, "formula", t.elapsed,
+                        expected=f"{len(checks)} placements <= {TOLERANCE['placement']:g}",
+                        computed=f"worst {worst:.3g}" + (f", failed {bad}" if bad else ""),
+                    )
 
 
 def space_checks(rep: Report, tag: str, sp: CuspSpace, flipped: CuspSpace | None) -> None:

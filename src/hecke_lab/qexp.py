@@ -1,11 +1,14 @@
 """Truncated q-expansions and coefficient-level operators.
 
 A cusp form is carried as the vector (a_1, ..., a_B) of its q-expansion
-coefficients.  Evaluation at a point z in the upper half-plane refuses to
-proceed when the geometric tail estimate past the stored coefficients is
-not far below the working tolerances, and otherwise sums only as many terms
-as float64 can resolve: the sum stops where the same estimate falls to
-RESOLVED_TAIL.
+coefficients.  Evaluation at a point z in the upper half-plane refuses a
+non-finite point, and refuses to proceed when the geometric tail estimate
+past the stored coefficients is not far below the working tolerances;
+otherwise it sums only as many terms as float64 can resolve: the sum stops
+where the same estimate falls to RESOLVED_TAIL.  The powers q^n are read
+from a table built of two short exponential tables, q^(Li + j) =
+exp(2 pi i Li z) exp(2 pi i j z) with j = 1..L and L = QPOW_BLOCK, so a
+point of K terms costs ceil(K / L) + L exponentials instead of K.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import numpy as np
 # evaluate_many refuses when the tail past the stored coefficients may
 # exceed REFUSE_TAIL, and drops the terms past the least count whose tail
 # bound is at most RESOLVED_TAIL.  That is far below the last bit of every
-# value the classical suite takes: its evaluations are bit for bit the full
-# sums (tests/test_qexp.py), while at 1e-30 some already differ.  Fixed on
-# purpose; nothing sets it.
+# value the classical suite takes: its evaluations are bit for bit the sums
+# over all B entries of the same q-power table (tests/test_qexp.py), while at
+# 1e-30 some already differ.  The table is built from blocks of QPOW_BLOCK
+# powers.  Fixed on purpose; nothing sets them.
 REFUSE_TAIL = 1e-10
 RESOLVED_TAIL = 1e-60
+QPOW_BLOCK = 32
 
 
 class PrecisionError(ValueError):
@@ -103,23 +108,61 @@ class QExpansion:
         return m
 
 
+def term_count(forms: list[QExpansion], y: float) -> int:
+    """The one term count of a call whose lowest point has Im z = y: the
+    largest terms_needed(y) over the forms, which must share one weight and
+    one precision.  PrecisionError when a form's tail past the precision
+    may exceed REFUSE_TAIL at y.
+
+    Both are read off the form with the largest growth constant C alone.
+    At a fixed weight k, precision B, height y and count m, tail_bound is
+    inf whatever C is (y <= 0 or rho >= 1), or it is
+    2 max(C, 1) (m+1)^(k/2) x^(m+1) / (1 - rho), whose other factors are
+    positive and do not depend on C; so the bound never decreases as C
+    grows.  Hence that form's bound past B is the largest one, and it is
+    refused exactly when some form is; and at every m its bound is at
+    least each other form's, so its least resolved count (B when none is
+    resolved) is at least theirs, and being one of them, it is the
+    largest."""
+    top = max(forms, key=QExpansion.growth_constant)
+    if top.tail_bound(y) > REFUSE_TAIL:
+        raise PrecisionError(f"tail bound too large at Im z = {y:.4f}")
+    return top.terms_needed(y)
+
+
+def _q_powers(pts: np.ndarray, terms: int) -> np.ndarray:
+    """The (points, terms) table of q^n, n = 1..terms: the entry at
+    n = Li + j (1 <= j <= L = QPOW_BLOCK) is exp(2 pi i Li z) exp(2 pi i j z).
+    An entry does not depend on terms, so a table is the first columns of
+    any longer one."""
+    L = QPOW_BLOCK
+    # both short tables from one np.exp call: the classical suite evaluates
+    # 4 to 8 points at a time, so numpy's cost per call counts
+    n = np.concatenate((np.arange(1, L + 1), L * np.arange(-(-terms // L))))
+    e = np.exp(2j * np.pi * np.outer(pts, n))
+    return (e[:, L:, None] * e[:, None, :L]).reshape(len(pts), -1)[:, :terms]
+
+
 def evaluate_many(forms: list[QExpansion], points) -> np.ndarray:
-    """Matrix of values, points along rows and forms along columns.  Every
-    sum stops at the least m at which each form's tail bound at the lowest
-    point is at most RESOLVED_TAIL; PrecisionError when the tail past the
-    stored coefficients may exceed REFUSE_TAIL there."""
+    """Matrix of values, points along rows and forms along columns.  The
+    forms must share one weight and one precision (ValueError otherwise),
+    and every point must be finite (PrecisionError otherwise).  Every sum
+    stops at term_count at the lowest point, which refuses when the tail
+    past the stored coefficients may exceed REFUSE_TAIL there."""
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    bad = pts[~np.isfinite(pts)]
+    if len(bad):
+        raise PrecisionError(f"cannot evaluate at the non-finite point {complex(bad[0])}")
     if not forms:
         return np.zeros((len(pts), 0), dtype=np.complex128)
-    ymin = float(pts.imag.min())
-    for f in forms:
-        if f.tail_bound(ymin) > REFUSE_TAIL:
-            raise PrecisionError(f"tail bound too large at Im z = {ymin:.4f}")
-    terms = min(min(f.prec for f in forms), max(f.terms_needed(ymin) for f in forms))
-    n = np.arange(1, terms + 1)
-    q_pow = np.exp(2j * np.pi * np.outer(pts, n))
-    mat = np.stack([f.coeffs[:terms] for f in forms], axis=1)
-    return q_pow @ mat
+    if len({(f.weight, f.prec) for f in forms}) > 1:
+        raise ValueError("evaluate_many needs forms of one weight and one precision")
+    terms = term_count(forms, float(pts.imag.min()))
+    # C-ordered (terms, forms), so BLAS sums each value in one order
+    mat = np.empty((terms, len(forms)), dtype=np.complex128)
+    for j, f in enumerate(forms):
+        mat[:, j] = f.coeffs[:terms]
+    return _q_powers(pts, terms) @ mat
 
 
 def op_Utilde(f: QExpansion, p: int) -> QExpansion:

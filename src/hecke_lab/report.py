@@ -7,6 +7,8 @@ provenance tag, and its runtime.  Provenance vocabulary:
   "formula"    expected value is a closed-form prediction of the theory
   "definition" expected value is immediate from a definition or construction
   "oracle"     expected value comes from an independent computation path
+  "premise"    a premise of the verdicts failed (status "error"): the
+               computed value names the exception, the detail holds its text
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
-PROVENANCE_TAGS = ("formula", "definition", "oracle")
+PROVENANCE_TAGS = ("formula", "definition", "oracle", "premise")
 
 
 @dataclass

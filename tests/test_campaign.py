@@ -11,10 +11,14 @@ import time
 
 import pytest
 
+from hecke_lab import campaign
 from hecke_lab.campaign import Campaign, run_verify
+from hecke_lab.hecke import AlgebraError
+from hecke_lab.operators import SamplingError
+from hecke_lab.spaces import fixture_dir
 
 FIELDS = ("id", "status", "expected", "computed", "provenance", "detail")
-DEFAULT_VERDICTS_SHA256 = "da4f6628c46de66e7b72c6188dfd66745284079ecd2e54769118099aee4c5e24"
+DEFAULT_VERDICTS_SHA256 = "9440075ea8644b4a461f0c6d468450d3c64c9a06ed59d18cc8b1285f25cf06ca"
 
 
 def test_default_campaign_verdicts_are_pinned(fresh_caches):
@@ -22,6 +26,51 @@ def test_default_campaign_verdicts_are_pinned(fresh_caches):
     assert rep.ok and len(rep.assertions) == 3202
     rows = [[getattr(a, f) for f in FIELDS] for a in rep.assertions]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_VERDICTS_SHA256
+
+
+def _rows(rep):
+    return [[getattr(a, f) for f in FIELDS] for a in rep.assertions]
+
+
+def test_a_failed_premise_is_one_error_verdict(fresh_caches, monkeypatch):
+    """A premise that fails in one (cell, character) or in one family
+    becomes one "error" verdict under its tag's .premise id, and the run goes
+    on: every other verdict is the one an unpatched run records."""
+    run = Campaign(grid=[{"p": 3, "n": 1}, {"p": 2, "n": 2}], fixture_dirs=[str(fixture_dir())])
+    clean = _rows(run_verify(run))
+    relations, space_checks = campaign.verify_relations, campaign.space_checks
+
+    def broken_relations(p, n, chi):
+        if (p, n, chi.conrey_index()) == (3, 1, 2):
+            raise AlgebraError("a patched premise")
+        return relations(p, n, chi)
+
+    def broken_space_checks(rep, tag, sp, flipped):
+        if tag == "classical.sq11":
+            raise SamplingError("no feasible sample region (patched)")
+        return space_checks(rep, tag, sp, flipped)
+
+    monkeypatch.setattr(campaign, "verify_relations", broken_relations)
+    monkeypatch.setattr(campaign, "space_checks", broken_space_checks)
+    rep = run_verify(run)
+    assert [[a.id, a.status, a.provenance, a.computed, a.detail] for a in rep.failures()] == [
+        ["p3.n1.chi2.premise", "error", "premise", "AlgebraError", "a patched premise"],
+        ["classical.sq11.premise", "error", "premise", "SamplingError",
+         "no feasible sample region (patched)"],
+    ]
+    broken = ("p3.n1.chi2.", "classical.sq11.")
+    kept = [row for row in clean if not row[0].startswith(broken)]
+    assert len(kept) < len(clean)
+    assert [row for row in _rows(rep) if not row[0].startswith(broken)] == kept
+
+
+def test_other_exceptions_still_propagate(fresh_caches, monkeypatch):
+    def relations(p, n, chi):
+        raise TypeError("not a premise")
+
+    monkeypatch.setattr(campaign, "verify_relations", relations)
+    with pytest.raises(TypeError, match="not a premise"):
+        run_verify(Campaign(grid=[{"p": 2, "n": 1}]))
 
 
 def test_campaign_file_cannot_set_tolerances(tmp_path):

@@ -51,6 +51,27 @@ def test_verify_keeps_campaign_seed_unless_given(tmp_path):
     assert json.loads(report.read_text())["seed"] == 9
 
 
+def test_verify_reports_a_failed_premise(tmp_path, monkeypatch, capsys):
+    """An AlgebraError is a ValueError, but in a campaign it is a failed
+    premise: exit 1 with the report written, not an input error (exit 2)."""
+    from hecke_lab import campaign as runner
+    from hecke_lab.hecke import AlgebraError
+
+    def relations(p, n, chi):
+        raise AlgebraError("a patched premise")
+
+    monkeypatch.setattr(runner, "verify_relations", relations)
+    campaign = tmp_path / "c.json"
+    campaign.write_text(json.dumps({"grid": [{"p": 2, "n": 1}]}))
+    report = tmp_path / "out.json"
+    assert main(["verify", "--campaign", str(campaign), "--report", str(report)]) == 1
+    rows = json.loads(report.read_text())["assertions"]
+    assert [(a["id"], a["status"], a["provenance"]) for a in rows] == [
+        ("p2.n1.chi1.premise", "error", "premise")
+    ]
+    assert "FAIL p2.n1.chi1.premise" in capsys.readouterr().out
+
+
 def test_verify_builds_no_json_without_report(tmp_path, monkeypatch, capsys):
     def refused(self, include_runtime=True):
         raise AssertionError("to_json ran without --report")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from hecke_lab.cyclotomic import _factorize
 from hecke_lab.operators import IMAG_FLOOR, atkin_lehner_matrix
 from hecke_lab.qexp import (
+    QPOW_BLOCK,
     RESOLVED_TAIL,
     PrecisionError,
     QExpansion,
     evaluate_many,
     op_Utilde,
     op_Vp,
+    term_count,
 )
 from hecke_lab.spaces import fixture_dir, load_space
 
@@ -115,6 +118,29 @@ def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         QExpansion(2, np.array([1.0, np.inf]))
 
+
+@pytest.mark.parametrize("bad", [
+    complex(0.1, math.nan), complex(math.nan, 0.3), complex(0.1, math.inf),
+    complex(0.1, -math.inf), complex(math.inf, 0.3), complex(-math.inf, 0.3),
+])
+def test_refuses_a_nonfinite_point(bad):
+    """A NaN or infinite part is refused by name, not summed to NaN (a NaN
+    height once slipped past the tail check: NaN > REFUSE_TAIL is false)."""
+    f = _single_q(2, 512)
+    with pytest.raises(PrecisionError, match="non-finite point"):
+        evaluate_many([f], np.array([0.2 + 0.4j, bad]))
+    with pytest.raises(PrecisionError, match="non-finite point"):
+        evaluate_many([], [bad])
+
+
+def test_refuses_mixed_weights_and_precisions():
+    """One call sums one term count and slash_evaluate applies one weight's
+    automorphy factor, so the forms must share both."""
+    pts = np.array([0.1 + 0.4j])
+    for other in (_single_q(4, 512), _single_q(2, 256)):
+        with pytest.raises(ValueError, match="one weight and one precision"):
+            evaluate_many([_single_q(2, 512), other], pts)
+
 def _tail_past_B(f, y):
     """The bound on the tail past the precision B, written out with B in
     place of the count: tail_bound's default must keep every bit of it."""
@@ -131,6 +157,15 @@ def _tail_past_B(f, y):
 
 def _refused_past_B(forms, y):
     return any(_tail_past_B(f, y) > 1e-10 for f in forms)
+
+
+def _table(pts, count):
+    """q^(Li + j) = exp(2 pi i Li z) exp(2 pi i j z), j = 1..L, for
+    n = Li + j <= count: the table evaluate_many reads, written out."""
+    low = np.exp(2j * np.pi * np.outer(pts, np.arange(1, QPOW_BLOCK + 1)))
+    rows = [np.exp(2j * np.pi * np.outer(pts, [QPOW_BLOCK * i])) * low
+            for i in range(-(-count // QPOW_BLOCK))]
+    return np.concatenate(rows, axis=1)[:, :count]
 
 
 @pytest.mark.parametrize("name", SPACES)
@@ -178,13 +213,12 @@ def _evaluation_points(sp):
 @pytest.mark.parametrize("name", SPACES)
 def test_truncated_sums_are_the_full_sums_bit_for_bit(name):
     """Each point set is evaluated as one block (its sum length set by the
-    lowest point) and point by point; every value must be the full sum
-    over all B stored coefficients, compared by bytes.  Where the block
-    is refused, the rule past B refuses it too."""
+    lowest point) and point by point; every value must be the full sum of
+    the same q-power table over all B stored coefficients, compared by
+    bytes.  Where the block is refused, the rule past B refuses it too."""
     sp = load_space(fixture_dir() / f"{name}.json")
     # C-ordered (B, forms), as evaluate_many stacks it: BLAS sums in one order
     coeffs = np.stack([f.coeffs for f in sp.basis], axis=1)
-    n = np.arange(1, sp.prec + 1)
     compared = 0
     for pts in _evaluation_points(sp):
         for block in (pts, *pts[:, None]):
@@ -193,7 +227,7 @@ def test_truncated_sums_are_the_full_sums_bit_for_bit(name):
                 with pytest.raises(PrecisionError):
                     evaluate_many(sp.basis, block)
                 continue
-            full = np.exp(2j * np.pi * np.outer(block, n)) @ coeffs
+            full = _table(block, sp.prec) @ coeffs
             assert evaluate_many(sp.basis, block).tobytes() == full.tobytes()
             compared += 1
     assert compared >= 5 * 8  # every base height, as a block and point by point
@@ -228,3 +262,74 @@ def test_refusal_heights_are_unchanged(name):
             evaluate_many([f], np.array([1j * lo]))
         evaluate_many([f], np.array([1j * hi]))
         assert IMAG_FLOOR > hi
+
+
+def _precise_sums(forms, z, bits=640):
+    """Each form's sum a_n q^n over all B stored coefficients, to far
+    beyond 40 digits: q = exp(2 pi i z) from mpmath at bits + 64 bits, and
+    q^n carried as fixed-point Gaussian integers in units of 2^-bits.  Each
+    step truncates by at most 2 units and |q| < 1, so q^n is off by at most
+    2n units; with |a_n| < 2^53 and B <= 2048, a sum is off by less than
+    2^-(bits - 77).  The coefficients are integers (format 3)."""
+    with mpmath.workprec(bits + 64):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z))
+        qr, qi = (int(mpmath.nint(mpmath.ldexp(part, bits))) for part in (q.real, q.imag))
+    powers, xr, xi = [], qr, qi
+    for _ in range(forms[0].prec):
+        powers.append((xr, xi))
+        xr, xi = (xr * qr - xi * qi) >> bits, (xr * qi + xi * qr) >> bits
+    sums = []
+    for f in forms:
+        sr = si = 0
+        for n in np.flatnonzero(f.coeffs):
+            a = int(f.coeffs[n].real)
+            assert a == f.coeffs[n]
+            sr, si = sr + a * powers[n][0], si + a * powers[n][1]
+        sums.append(complex(sr / (1 << bits), si / (1 << bits)))
+    return sums
+
+
+@pytest.mark.parametrize("name", SPACES)
+def test_values_match_a_precise_sum(name):
+    """At IMAG_FLOOR and 0.3, at real parts -0.37, 0.11 and 0.5, and at
+    the images of those points under every Atkin-Lehner matrix of the
+    level, each value is within 32 units of 2^-52 sum |a_n| |q|^n of the
+    precise sum over all B coefficients (the worst shipped value is about
+    9 units, and 11 with each power its own exponential).  A power table
+    with a block index off by one misses by about |a_n| |q|^n itself."""
+    sp = load_space(fixture_dir() / f"{name}.json")
+    base = np.array([x + 1j * y for y in (IMAG_FLOOR, 0.3) for x in (-0.37, 0.11, 0.5)])
+    sets = [base]
+    for p, n in _factorize(sp.level):
+        (a, b), (c, d) = atkin_lehner_matrix(p, n, sp.level)
+        sets.append((a * base + b) / (c * base + d))
+    n = np.arange(1, sp.prec + 1)
+    for z in np.concatenate(sets):
+        if _refused_past_B(sp.basis, z.imag):
+            continue
+        values = evaluate_many(sp.basis, [z])[0]
+        for f, value, exact in zip(sp.basis, values, _precise_sums(sp.basis, z)):
+            scale = float(np.abs(f.coeffs) @ np.exp(-2 * np.pi * z.imag * n))
+            assert abs(value - exact) <= 32 * 2.0**-52 * scale, (z, abs(value - exact) / scale)
+
+
+@given(
+    weight=st.integers(1, 12),
+    prec=st.integers(1, 400),
+    growths=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5),
+    y=st.floats(1e-3, 30.0),
+)
+def test_one_term_count_is_the_largest_per_form_count(weight, prec, growths, y):
+    """term_count reads only the form of largest growth constant: it is
+    the largest terms_needed over the forms, and it refuses exactly when
+    some form's tail past B exceeds 1e-10."""
+    forms = []
+    for g in growths:
+        coeffs = np.zeros(prec, dtype=np.complex128)
+        coeffs[-1] = g * prec ** (weight / 2)
+        forms.append(QExpansion(weight, coeffs))
+    if _refused_past_B(forms, y):
+        with pytest.raises(PrecisionError):
+            term_count(forms, y)
+    else:
+        assert term_count(forms, y) == max(f.terms_needed(y) for f in forms)
