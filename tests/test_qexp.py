@@ -141,6 +141,7 @@ def test_refuses_mixed_weights_and_precisions():
         with pytest.raises(ValueError, match="one weight and one precision"):
             evaluate_many([_single_q(2, 512), other], pts)
 
+
 def _tail_past_B(f, y):
     """The bound on the tail past the precision B, written out with B in
     place of the count: tail_bound's default must keep every bit of it."""
@@ -217,7 +218,7 @@ def test_truncated_sums_are_the_full_sums_bit_for_bit(name):
     the same q-power table over all B stored coefficients, compared by
     bytes.  Where the block is refused, the rule past B refuses it too."""
     sp = load_space(fixture_dir() / f"{name}.json")
-    # C-ordered (B, forms), as evaluate_many stacks it: BLAS sums in one order
+    # C-ordered (B, forms), as evaluate_many builds it: BLAS sums in one order
     coeffs = np.stack([f.coeffs for f in sp.basis], axis=1)
     compared = 0
     for pts in _evaluation_points(sp):
@@ -304,6 +305,7 @@ def test_values_match_a_precise_sum(name):
         (a, b), (c, d) = atkin_lehner_matrix(p, n, sp.level)
         sets.append((a * base + b) / (c * base + d))
     n = np.arange(1, sp.prec + 1)
+    compared = 0
     for z in np.concatenate(sets):
         if _refused_past_B(sp.basis, z.imag):
             continue
@@ -311,6 +313,8 @@ def test_values_match_a_precise_sum(name):
         for f, value, exact in zip(sp.basis, values, _precise_sums(sp.basis, z)):
             scale = float(np.abs(f.coeffs) @ np.exp(-2 * np.pi * z.imag * n))
             assert abs(value - exact) <= 32 * 2.0**-52 * scale, (z, abs(value - exact) / scale)
+        compared += 1
+    assert compared >= len(base)  # every base point at least
 
 
 @given(
