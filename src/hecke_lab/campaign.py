@@ -9,8 +9,8 @@ The exact side (`hecke`, `induced` and what they load) is imported when its
 routes are first read, at the latest on a run's first grid cell:
 `verify_relations` and `verify_induced` are bound as module attributes then
 (`__getattr__`, PEP 562), and `run_verify` calls them through those
-attributes.  So a campaign without grid cells, and `hecke-lab classical`,
-load only the numerical side.
+attributes.  So a campaign without grid cells, which is what
+`hecke-lab classical` runs, loads only the numerical side.
 
 Each (cell, character) and each classical family runs under a guard: a
 premise that fails there (an `AlgebraError` of the exact side, a refused
@@ -198,9 +198,9 @@ def _classical_suite(rep: Report, base: Path) -> None:
 def space_checks(rep: Report, tag: str, sp: CuspSpace, flipped: CuspSpace | None) -> None:
     """The classical verdicts on one space alone, under ids tag.*: the new
     dimension against the oracle, the spectral gap, operator_checks on each
-    characterizing operator, and at each qualifying prime of a nonzero space
-    the two routes of U_p and W^2 against its scalar.  flipped is the twin
-    the W-conjugates pass through (characterize)."""
+    characterizing operator, and at each qualifying prime p of a nonzero
+    space the two routes of U_p and W^2 against its scalar (W[p].square).
+    flipped is the twin the W-conjugates pass through (characterize)."""
     with timed() as t:
         res = characterize(sp, flipped)
     check(rep, f"{tag}.newdim", res.expected_new, res.new_dim, "oracle",
@@ -228,15 +228,17 @@ def space_checks(rep: Report, tag: str, sp: CuspSpace, flipped: CuspSpace | None
         s = w_square_scalar(sp, p)
         dev = float(np.linalg.norm(W.matrix @ W.matrix - s * np.eye(sp.dim)))
         check_bool(
-            rep, f"{tag}.W.square", dev <= TOLERANCE["w_square"], "formula",
+            rep, f"{tag}.W[{p}].square", dev <= TOLERANCE["w_square"], "formula",
             expected=f"scalar {s:.3g}", computed=f"deviation {dev:.3g}",
         )
 
 
 def operator_checks(rep: Report, prefix: str, op_rep: OpReport) -> None:
     """The verdicts on one characterizing operator, under ids prefix.*: its
-    quadratic relation, its eigenvalues against the two roots, and its
-    health (residual and conditioning under the limits of operators)."""
+    quadratic relation, its eigenvalues against the two roots, the old
+    root's multiplicity m1, read off the trace, against the oracle's
+    integer, and its health (residual and conditioning under the limits of
+    operators)."""
     check_bool(
         rep, f"{prefix}.quad", op_rep.quad <= TOLERANCE["quad"], "formula",
         expected=f"<= {TOLERANCE['quad']:g}", computed=f"{op_rep.quad:.3g}",
@@ -245,6 +247,12 @@ def operator_checks(rep: Report, prefix: str, op_rep: OpReport) -> None:
         rep, f"{prefix}.eigset", op_rep.eig_dist <= TOLERANCE["eig_dist"], "formula",
         expected=f"within {TOLERANCE['eig_dist']:g} of {op_rep.roots}",
         computed=f"{op_rep.eig_dist:.3g}",
+    )
+    check_bool(
+        rep, f"{prefix}.mult",
+        abs(op_rep.old_mult - op_rep.expected_old) <= TOLERANCE["mult"], "oracle",
+        expected=f"{op_rep.expected_old} within {TOLERANCE['mult']:g}",
+        computed=f"{op_rep.old_mult:.15g}",
     )
     check_bool(
         rep, f"{prefix}.healthy", not op_rep.poisoned, "definition",

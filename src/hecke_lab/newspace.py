@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .cyclotomic import _factorize
-from .dimoracle import dim_new
+from .dimoracle import dim_cusp, dim_new
 from .operators import (
     OpMatrix,
     nullspace,
@@ -32,10 +32,10 @@ from .spaces import CuspSpace
 from .spectra import table_eigenvalue, u_eigenvalue
 
 # The pass thresholds of the classical checks, fixed: the campaign and
-# placement_checks apply them (`hecke-lab classical` runs the campaign's
-# checks), and a campaign file cannot set them.
+# placement_checks apply them, and a campaign file cannot set them.
 TOLERANCE = {
     "quad": 1e-6,
+    "mult": 1e-6,
     "placement": 1e-6,
     "dual_route": 1e-8,
     "w_square": 1e-8,
@@ -50,11 +50,13 @@ class QualifyingPrime:
 
     builders holds the main operator and its W-conjugate, called through
     operator(); each satisfies (A - roots[0])(A - roots[1]) = 0, with
-    roots[0] their eigenvalue on the newspace and roots[1] on the old forms."""
+    roots[0] their eigenvalue on the newspace and roots[1] on the old forms.
+    Both act at r: roots[1] occurs dim S_k(N/p^(n-r), chi) times, the
+    forms that come from that level (Casselman's count of fixed vectors)."""
 
     p: int
     n: int
-    kind: str
+    r: int
     builders: tuple[Callable[..., OpMatrix], Callable[..., OpMatrix]]
     roots: tuple[float, float]
 
@@ -67,12 +69,6 @@ class QualifyingPrime:
         if which == 0:
             return self.builders[0](space, self.p)
         return self.builders[1](space, self.p, flipped_space=flipped_space)
-
-
-def operator_kind(n: int) -> str:
-    """The kind of characterizing operator at p^n || N: "Q" at an exact
-    divisor, "S" (the survey operator at r = n - 1) at a higher power."""
-    return "Q" if n == 1 else "S"
 
 
 def qualifying_primes(N: int, chi) -> list[QualifyingPrime]:
@@ -93,14 +89,14 @@ def qualifying_primes(N: int, chi) -> list[QualifyingPrime]:
         c = chi.components[p].conductor_exponent
         if c >= n:
             continue
-        kind = operator_kind(n)
-        if kind == "Q":
+        r = n - 1  # op_S's default; Q at n = 1 acts at r = 0
+        if n == 1:
             builders = (op_Q, op_Qprime)
             spectrum = (u_eigenvalue("w-", p, n), u_eigenvalue("w+", p, n))
         else:
             builders = (op_S, op_Sprime)
-            spectrum = tuple(table_eigenvalue("Y", p, n, i, n - 1) for i in (n, max(c, 1)))
-        out.append(QualifyingPrime(p, n, kind, builders, tuple(float(v) for v in spectrum)))
+            spectrum = tuple(table_eigenvalue("Y", p, n, i, r) for i in (n, max(c, 1)))
+        out.append(QualifyingPrime(p, n, r, builders, tuple(float(v) for v in spectrum)))
     return out
 
 
@@ -110,6 +106,8 @@ class OpReport:
     roots: tuple[float, float]
     quad: float
     eig_dist: float
+    old_mult: float  # m1, the old root's multiplicity read off the trace
+    expected_old: int  # m1 by the dimension oracle
     residual: float
     conditioning: float
     poisoned: bool
@@ -127,29 +125,28 @@ class CharacterizeResult:
     ops: list[OpReport] = field(default_factory=list)
 
 
-def _operator_suite(
-    space: CuspSpace, flipped_space: CuspSpace | None,
-) -> list[tuple[OpMatrix, tuple[float, float]]]:
-    """The characterizing operators with the roots of their quadratic
-    relation, the newspace eigenvalue first."""
-    return [
-        (q.operator(which, space, flipped_space), q.roots)
-        for q in qualifying_primes(space.level, space.char)
-        for which in (0, 1)
-    ]
+def _old_dim(space: CuspSpace, q: QualifyingPrime) -> int:
+    """The oracle's multiplicity of q's old root on space: dim S_k(N/p^(n-r), chi)."""
+    level = space.level // q.p ** (q.n - q.r)
+    return dim_cusp(level, space.weight, space.char.at_modulus(level))
 
 
-def op_report(op: OpMatrix, roots: tuple[float, float]) -> OpReport:
+def op_report(op: OpMatrix, roots: tuple[float, float], expected_old: int) -> OpReport:
     """What the verdicts on one operator read: its quadratic-relation ratio
     for roots, the distance of its farthest eigenvalue from the nearer root,
-    and the health of its solve."""
+    the multiplicity of the old root roots[1], m1 = (tr A - roots[0] d) /
+    (roots[1] - roots[0]) on a space of dimension d (the real part of the
+    trace: the eigenvalues sit at the real roots), beside expected_old, and
+    the health of its solve."""
     quad = quad_ratio(op, *roots)
     eig_dist = 0.0
     if op.dim:
         eigs = np.linalg.eigvals(op.matrix)
         eig_dist = float(max(min(abs(e - r) for r in roots) for e in eigs))
+    old_mult = (float(np.trace(op.matrix).real) - roots[0] * op.dim) / (roots[1] - roots[0])
     return OpReport(
-        op.label, roots, quad, eig_dist, op.residual, op.conditioning, op.poisoned,
+        op.label, roots, quad, eig_dist, old_mult, expected_old,
+        op.residual, op.conditioning, op.poisoned,
     )
 
 
@@ -157,10 +154,13 @@ def characterize(space: CuspSpace, flipped_space: CuspSpace | None = None) -> Ch
     """Cut out the newspace as the joint eigenspace of the characterizing
     operators and compare its dimension with the trace-formula count.
     flipped_space is the conjugate-character twin the W-conjugates pass
-    through (QualifyingPrime.operator)."""
+    through (QualifyingPrime.operator).  The oracle predicts each operator's
+    old multiplicity once per qualifying prime (_old_dim)."""
     expected = dim_new(space.level, space.weight, space.char)
-    suite = _operator_suite(space, flipped_space)
-    reports = [op_report(op, roots) for op, roots in suite]
+    quals = qualifying_primes(space.level, space.char)
+    suite = [(q.operator(which, space, flipped_space), q) for q in quals for which in (0, 1)]
+    old_dims = {q.p: _old_dim(space, q) for q in quals}
+    reports = [op_report(op, q.roots, old_dims[q.p]) for op, q in suite]
     d = space.dim
     if d == 0 or not suite:
         # an empty space, or no qualifying primes: every form is new
@@ -168,7 +168,7 @@ def characterize(space: CuspSpace, flipped_space: CuspSpace | None = None) -> Ch
             space.level, space.weight, d, d, expected,
             math.inf, np.eye(d, dtype=np.complex128), reports,
         )
-    blocks = [op.matrix - roots[0] * np.eye(d) for op, roots in suite]
+    blocks = [op.matrix - q.roots[0] * np.eye(d) for op, q in suite]
     basis, gap = nullspace(np.vstack(blocks))
     return CharacterizeResult(
         space.level, space.weight, d, basis.shape[1], expected,

@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: summary counts "error" rows apart from "fail"
 
 PROVENANCE_TAGS = ("formula", "definition", "oracle", "premise")
 
@@ -78,13 +78,18 @@ class Report:
 
     @property
     def n_fail(self) -> int:
-        return len(self.assertions) - self.n_pass
+        return sum(1 for a in self.assertions if a.status == "fail")
+
+    @property
+    def n_error(self) -> int:
+        return sum(1 for a in self.assertions if a.status == "error")
 
     @property
     def ok(self) -> bool:
         return all(a.status == "pass" for a in self.assertions)
 
     def failures(self) -> list[Assertion]:
+        """Every row that did not pass: failed verdicts and failed premises."""
         return [a for a in self.assertions if a.status != "pass"]
 
     def to_dict(self, include_runtime: bool = True) -> dict:
@@ -92,7 +97,8 @@ class Report:
             "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
             "meta": self.meta,
-            "summary": {"pass": self.n_pass, "fail": self.n_fail, "total": len(self.assertions)},
+            "summary": {"pass": self.n_pass, "fail": self.n_fail, "error": self.n_error,
+                        "total": len(self.assertions)},
             "assertions": [a.to_dict() for a in self.assertions],
         }
         if not include_runtime:

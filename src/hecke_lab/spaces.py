@@ -190,18 +190,3 @@ def load_families(directory: Path | None = None) -> list[dict]:
         out.append(entry)
     return out
 
-
-def load_fixtures(directory: Path) -> list[tuple[str, CuspSpace, CuspSpace | None]]:
-    """Every fixture of a directory as (file stem, space, twin), in file-name
-    order; twin is the conjugate-character twin that a family of the
-    directory's manifest names for the space, None where none does or there
-    is no manifest.  Each file is loaded once per call."""
-    base = Path(directory)
-    manifest = base / MANIFEST
-    families = _manifest_families(base) if manifest.exists() else []
-    twins = {fam["space"]: fam["flipped"] for fam in families if "flipped" in fam}
-    space = cache(lambda stem: load_space(base / (stem + ".json")))
-    return [
-        (path.stem, space(path.stem), space(twins[path.stem]) if path.stem in twins else None)
-        for path in sorted(base.glob("*.json")) if path != manifest
-    ]

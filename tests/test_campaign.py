@@ -11,19 +11,21 @@ import time
 
 import pytest
 
-from hecke_lab import campaign
+from hecke_lab import campaign, newspace
 from hecke_lab.campaign import Campaign, run_verify
+from hecke_lab.dimoracle import dim_cusp
 from hecke_lab.hecke import AlgebraError
 from hecke_lab.operators import SamplingError
 from hecke_lab.spaces import fixture_dir
 
 FIELDS = ("id", "status", "expected", "computed", "provenance", "detail")
-DEFAULT_VERDICTS_SHA256 = "9440075ea8644b4a461f0c6d468450d3c64c9a06ed59d18cc8b1285f25cf06ca"
+DEFAULT_VERDICTS_SHA256 = "477ffd18865f7c90e73d300705aa3e6efa1062f3fb3209b51363b366a43c8dae"
 
 
 def test_default_campaign_verdicts_are_pinned(fresh_caches):
     rep = run_verify(Campaign.default())
-    assert rep.ok and len(rep.assertions) == 3202
+    assert rep.ok and len(rep.assertions) == 3238
+    assert len({a.id for a in rep.assertions}) == 3238  # no id repeats
     rows = [[getattr(a, f) for f in FIELDS] for a in rep.assertions]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFAULT_VERDICTS_SHA256
 
@@ -62,6 +64,26 @@ def test_a_failed_premise_is_one_error_verdict(fresh_caches, monkeypatch):
     kept = [row for row in clean if not row[0].startswith(broken)]
     assert len(kept) < len(clean)
     assert [row for row in _rows(rep) if not row[0].startswith(broken)] == kept
+
+
+@pytest.mark.parametrize("mutant, n_failed", [("swapped roots", 30), ("level N", 36)])
+def test_mult_fails_a_wrong_multiplicity(mutant, n_failed, monkeypatch):
+    """The mult verdict has teeth: m1 read with the roots swapped (d - m1
+    in its place), or predicted by the oracle at level N instead of
+    N/p^(n-r), fails it on n_failed of the 36 shipped operators, and no
+    other verdict fails."""
+    if mutant == "swapped roots":
+        op_report = newspace.op_report
+        monkeypatch.setattr(newspace, "op_report",
+                            lambda op, roots, old: op_report(op, roots[::-1], old))
+    else:
+        monkeypatch.setattr(newspace, "_old_dim",
+                            lambda sp, q: dim_cusp(sp.level, sp.weight, sp.char))
+    rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
+    mult = {a.id for a in rep.assertions if a.id.endswith(".mult")}
+    failed = [a.id for a in rep.failures()]
+    assert len(mult) == 36
+    assert set(failed) <= mult and len(failed) == n_failed
 
 
 def test_other_exceptions_still_propagate(fresh_caches, monkeypatch):

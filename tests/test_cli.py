@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ def test_verify_empty_campaign(tmp_path):
     code = main(["verify", "--campaign", str(campaign), "--report", str(report)])
     assert code == 0
     doc = json.loads(report.read_text())
-    assert doc["summary"] == {"pass": 0, "fail": 0, "total": 0}
+    assert doc["summary"] == {"pass": 0, "fail": 0, "error": 0, "total": 0}
 
 
 def test_verify_small_campaign(tmp_path):
@@ -69,7 +70,9 @@ def test_verify_reports_a_failed_premise(tmp_path, monkeypatch, capsys):
     assert [(a["id"], a["status"], a["provenance"]) for a in rows] == [
         ("p2.n1.chi1.premise", "error", "premise")
     ]
-    assert "FAIL p2.n1.chi1.premise" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0 pass, 0 fail, 1 error" in out
+    assert "ERROR p2.n1.chi1.premise: a patched premise" in out
 
 
 def test_verify_builds_no_json_without_report(tmp_path, monkeypatch, capsys):
@@ -81,7 +84,7 @@ def test_verify_builds_no_json_without_report(tmp_path, monkeypatch, capsys):
     campaign.write_text(json.dumps({"grid": [{"p": 2, "n": 1}], "fixture_dirs": []}))
     assert main(["verify", "--campaign", str(campaign)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("assertions: ") and out.endswith(" pass, 0 fail\n")
+    assert out.startswith("assertions: ") and out.endswith(" pass, 0 fail, 0 error\n")
 
 
 def test_verify_refuses_oversized_cell(tmp_path, capsys):
@@ -99,148 +102,95 @@ def test_verify_refuses_campaign_tolerances(tmp_path, capsys):
     assert "cannot set tolerances" in capsys.readouterr().err
 
 
-def test_classical_single_operator(tmp_path):
-    report = tmp_path / "out.json"
-    code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "11",
-                 "--op", "q", "--report", str(report)])
-    assert code == 0
-    doc = json.loads(report.read_text())
-    ops = doc["meta"]["operators"]
-    assert any(o.get("op", "").startswith("Q[11]") for o in ops)
-    for o in ops:
-        if "residual" in o:
-            assert o["residual"] < 1e-6
-            assert not o["poisoned"]
+CLASSICAL = ["classical", "--fixture", str(fixture_dir())]
 
 
-def test_classical_skips_primitive_character(tmp_path):
-    # N4k3c3 carries a character primitive at 2: no survey operator exists
-    # there, and the run must note the skip instead of failing
-    report = tmp_path / "out.json"
-    code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "2",
-                 "--op", "s", "--report", str(report)])
-    assert code == 0
-    ops = json.loads(report.read_text())["meta"]["operators"]
-    skipped = {o["space"]: o["skipped"] for o in ops if "skipped" in o}
-    assert skipped["N4k3c3"] == "character primitive at p"
-    assert any(o.get("op", "").startswith("S[16,") for o in ops)
+def _rows(rep_doc):
+    """A report's assertions, runtimes aside."""
+    return [{k: v for k, v in a.items() if k != "runtime"} for a in rep_doc["assertions"]]
 
 
 def test_classical_characterize(tmp_path):
     report = tmp_path / "out.json"
-    code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "3",
-                 "--characterize", "--report", str(report)])
-    assert code == 0
+    assert main([*CLASSICAL, "--report", str(report)]) == 0
     doc = json.loads(report.read_text())
-    assert doc["summary"]["fail"] == 0
-    assert doc["summary"]["total"] > 0
+    assert doc["summary"] == {"pass": 217, "fail": 0, "error": 0, "total": 217}
 
 
-def test_classical_missing_directory(tmp_path):
-    code = main(["classical", "--fixture", str(tmp_path / "nope"), "--prime", "2",
-                 "--characterize"])
-    assert code == 2
+def test_classical_characterize_runs_the_campaign_checks(tmp_path):
+    """The command is the campaign's classical suite on its directory: its
+    assertions are those of run_verify on a campaign holding only that
+    directory, row for row, runtimes aside."""
+    report = tmp_path / "out.json"
+    assert main([*CLASSICAL, "--report", str(report)]) == 0
+    suite = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
+    assert _rows(json.loads(report.read_text())) == _rows(suite.to_dict())
+    assert {a.id.rsplit(".", 1)[-1] for a in suite.assertions} == {
+        "newdim", "gap", "quad", "eigset", "mult", "healthy", "routes", "square",
+    } | {"p2", "p3", "p5", "p11"}  # placement at these primes
 
 
-def test_classical_prime_without_fixture():
-    code = main(["classical", "--fixture", str(fixture_dir()), "--prime", "13",
-                 "--characterize"])
-    assert code == 2
-
-
-def test_classical_refuses_a_run_without_checks(capsys):
+def test_classical_help_lists_only_its_two_options(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["classical", "--fixture", str(fixture_dir()), "--prime", "3"])
-    assert exc.value.code == 2
-    assert "needs --op, --characterize or both" in capsys.readouterr().err
+        main(["classical", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--fixture", "--report"}
 
 
-# (p, --op) where every shipped fixture of level divisible by p skips the
-# operator: none has p^2 in its level and a character imprimitive at p
-NO_ADMISSIBLE_OP = [(p, op) for p in (5, 7, 11) for op in ("s", "sprime")]
+def test_classical_missing_directory(tmp_path, capsys):
+    assert main(["classical", "--fixture", str(tmp_path / "nope")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_classical_passes_every_check_choice(p, capsys):
-    """Every check choice passes at p, except the --op runs that no shipped
-    fixture admits at p, which are refused (exit code 2)."""
-    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", str(p)]
-    for choice in (["--characterize"], *(["--op", op] for op in ("q", "qprime", "s", "sprime"))):
-        want = 2 if (p, choice[-1]) in NO_ADMISSIBLE_OP else 0
-        assert main([*cmd, *choice]) == want, choice
-    assert "FAIL" not in capsys.readouterr().out
+def test_classical_records_a_failed_premise(tmp_path, monkeypatch, capsys):
+    """A premise that fails in one family is one classical.<family>.premise
+    verdict: exit 1, the report written, every other row the unpatched
+    run's."""
+    from hecke_lab import campaign as runner
+
+    clean = tmp_path / "clean.json"
+    assert main([*CLASSICAL, "--report", str(clean)]) == 0
+    space_checks = runner.space_checks
+
+    def broken(rep, tag, sp, flipped):
+        if tag == "classical.ch21w3":
+            raise operators.SamplingError("no feasible sample region (patched)")
+        return space_checks(rep, tag, sp, flipped)
+
+    monkeypatch.setattr(runner, "space_checks", broken)
+    report = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main([*CLASSICAL, "--report", str(report)]) == 1
+    rows = _rows(json.loads(report.read_text()))
+    assert [(a["id"], a["status"], a["provenance"]) for a in rows if a["status"] != "pass"] == [
+        ("classical.ch21w3.premise", "error", "premise")
+    ]
+    assert "ERROR classical.ch21w3.premise: no feasible sample region (patched)" in (
+        capsys.readouterr().out
+    )
+    family = "classical.ch21w3."
+    assert [a for a in rows if not a["id"].startswith(family)] == [
+        a for a in _rows(json.loads(clean.read_text())) if not a["id"].startswith(family)
+    ]
 
 
-@pytest.mark.parametrize("p, op", NO_ADMISSIBLE_OP)
-def test_classical_refuses_an_op_no_fixture_admits(p, op, tmp_path, capsys):
-    """An --op run in which every space skips the operator would check
-    nothing, so it is refused; with --characterize beside it the skips are
-    noted and the characterization runs on every space as it does alone."""
-    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", str(p)]
-    assert main([*cmd, "--op", op]) == 2
-    assert f"admits --op {op} at p = {p}" in capsys.readouterr().err
-    alone, both = tmp_path / "alone.json", tmp_path / "both.json"
-    assert main([*cmd, "--characterize", "--report", str(alone)]) == 0
-    assert main([*cmd, "--op", op, "--characterize", "--report", str(both)]) == 0
-    ids = [[a["id"] for a in json.loads(r.read_text())["assertions"]] for r in (alone, both)]
-    assert ids[0] and ids[1] == ids[0]
-    ops = json.loads(both.read_text())["meta"]["operators"]
-    assert ops and all("skipped" in o for o in ops)
-
-
-def _failed_ids(cmd, report):
-    assert main([*cmd, "--report", str(report)]) == 1
+def _failed_ids(report):
+    assert main([*CLASSICAL, "--report", str(report)]) == 1
     return {a["id"] for a in json.loads(report.read_text())["assertions"] if a["status"] != "pass"}
 
 
 def test_classical_op_fails_a_poisoned_operator(tmp_path, monkeypatch):
-    """Every operator flagged poisoned: the healthy check fails, as in the
-    campaign."""
+    """Every operator flagged poisoned: each operator's healthy check
+    fails, and nothing else."""
     monkeypatch.setattr(operators, "CONDITION_LIMIT", 1.0)
-    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", "11", "--op", "q"]
-    assert _failed_ids(cmd, tmp_path / "out.json") == {
-        "N11k2c1.Q[11].healthy", "N22k2c1.Q[11].healthy",
-    }
+    failed = _failed_ids(tmp_path / "out.json")
+    assert len(failed) == 36 and all(aid.endswith(".healthy") for aid in failed)
 
 
 def test_classical_characterize_fails_below_the_gap_floor(tmp_path, monkeypatch):
     monkeypatch.setitem(newspace.TOLERANCE, "gap_min", math.inf)
-    cmd = ["classical", "--fixture", str(fixture_dir()), "--prime", "3", "--characterize"]
-    failed = _failed_ids(cmd, tmp_path / "out.json")
+    failed = _failed_ids(tmp_path / "out.json")
     assert failed and all(aid.endswith(".gap") for aid in failed)
-
-
-def test_classical_characterize_runs_the_campaign_checks(tmp_path):
-    """On N30k2c1 (family sq30) the command records the campaign's
-    assertions, placement aside, under the fixture stem for a tag."""
-    fields = ("status", "expected", "computed", "provenance")
-    report = tmp_path / "out.json"
-    assert main(["classical", "--fixture", str(fixture_dir()), "--prime", "5",
-                 "--characterize", "--report", str(report)]) == 0
-    cli = [
-        (a["id"].removeprefix("N30k2c1."), *(a[f] for f in fields))
-        for a in json.loads(report.read_text())["assertions"] if a["id"].startswith("N30k2c1.")
-    ]
-    suite = [
-        (a.id.removeprefix("classical.sq30."), *(getattr(a, f) for f in fields))
-        for a in run_verify(Campaign(fixture_dirs=[str(fixture_dir())])).assertions
-        if a.id.startswith("classical.sq30.") and ".placement." not in a.id
-    ]
-    assert cli == suite
-    assert {aid.rsplit(".", 1)[-1] for aid, *_ in cli} == {
-        "newdim", "gap", "quad", "eigset", "healthy", "routes", "square",
-    }
-
-
-@pytest.mark.parametrize("prime", ["4", "0", "1", "-3", "9", "x"])
-def test_classical_refuses_a_non_prime(prime, capsys):
-    # --prime 4 --op q used to die with KeyError: 4, --prime 0 with
-    # ZeroDivisionError, and --prime 1 --characterize ran on every fixture
-    for checks in (["--op", "q"], ["--characterize"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["classical", "--fixture", str(fixture_dir()), "--prime", prime, *checks])
-        assert exc.value.code == 2
-        assert f"{prime} is not a prime" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", [[{"p": 3}], "abc", [5], [{"p": 3, "n": 2.0}],
@@ -254,7 +204,7 @@ def test_verify_refuses_a_malformed_grid(grid, tmp_path, capsys):
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
-        main(["classical"])  # missing required --fixture/--prime
+        main(["classical"])  # missing required --fixture
     assert exc.value.code == 2
 
 
@@ -279,12 +229,13 @@ def test_verify_refuses_a_non_integer_seed(seed, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("broken", ["level", "manifest"])
+@pytest.mark.parametrize("broken", ["level", "manifest", "absent"])
 @pytest.mark.parametrize("command", ["classical", "verify"])
 def test_malformed_fixture_directory_exits_2(command, broken, tmp_path, capsys):
     # a fixture with "level": null used to die with a TypeError traceback, and
     # a manifest without a "families" list with KeyError: both exited 1, the
-    # code for failed assertions
+    # code for failed assertions; a directory without a manifest has no
+    # families to run
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
     doc = _doc()
@@ -294,9 +245,10 @@ def test_malformed_fixture_directory_exits_2(command, broken, tmp_path, capsys):
     else:
         manifest = {"fams": manifest["families"]}
     (fixtures / "N11k2c1.json").write_text(json.dumps(doc))
-    (fixtures / "families.json").write_text(json.dumps(manifest))
+    if broken != "absent":
+        (fixtures / "families.json").write_text(json.dumps(manifest))
     if command == "classical":
-        argv = ["classical", "--fixture", str(fixtures), "--prime", "11", "--characterize"]
+        argv = ["classical", "--fixture", str(fixtures)]
     else:
         campaign = tmp_path / "c.json"
         campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [str(fixtures)]}))

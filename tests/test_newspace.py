@@ -11,7 +11,7 @@ from hecke_lab.spectra import u_eigenvalue
 def test_qualifying_primes_squarefree():
     chi = DirChar.trivial(30)
     quals = qualifying_primes(30, chi)
-    assert [(q.p, q.kind) for q in quals] == [(2, "Q"), (3, "Q"), (5, "Q")]
+    assert [(q.p, q.n, q.r) for q in quals] == [(2, 1, 0), (3, 1, 0), (5, 1, 0)]
     assert all(q.builders == (op_Q, op_Qprime) for q in quals)
     # the local data at each p is read from the character's p-component
     with pytest.raises(ValueError, match="modulus must equal the level"):
@@ -21,11 +21,11 @@ def test_qualifying_primes_squarefree():
 def test_qualifying_primes_character_blocks():
     # primitive local factor at 7 disqualifies that prime
     chi = DirChar.from_conrey(21, 13)
-    assert [(q.p, q.kind) for q in qualifying_primes(21, chi)] == [(3, "Q")]
+    assert [(q.p, q.n, q.r) for q in qualifying_primes(21, chi)] == [(3, 1, 0)]
     # conductor 8 inside modulus 16: imprimitive, survey operator applies
     chi16 = DirChar.from_conrey(16, 7)
     [q] = qualifying_primes(16, chi16)
-    assert (q.p, q.n, q.kind, q.builders) == (2, 4, "S", (op_S, op_Sprime))
+    assert (q.p, q.n, q.r, q.builders) == (2, 4, 3, (op_S, op_Sprime))
     # primitive at full level: nothing qualifies
     chi7 = DirChar.from_conrey(7, 6)
     assert qualifying_primes(7, chi7) == []
@@ -44,10 +44,12 @@ def test_characterize_mixed_space():
     res = characterize(sp)
     assert (res.dim, res.new_dim, res.expected_new) == (4, 2, 2)
     assert res.gap >= 1e3
-    # the joint eigenspace is honest: each operator fixes it with eigenvalue -1
+    # the joint eigenspace is honest: each operator fixes it with eigenvalue -1,
+    # and p occurs dim S_3(7, chi) = 1 times
     for rep in res.ops:
         assert rep.quad <= 1e-6
         assert rep.eig_dist <= 1e-6
+        assert rep.expected_old == 1 and abs(rep.old_mult - 1) <= 1e-6
 
 
 def test_characterize_no_qualifying_primes():
@@ -94,14 +96,14 @@ def test_placement_survey_images_vanish_into_lower():
 def test_spectra_are_the_exact_side_closed_forms(families):
     # the roots read from spectra's closed forms are the table they replaced,
     # as the floats the reports print
-    kinds = set()
+    exponents = set()
     for fam in families:
         sp = fam["space"]
         for q in qualifying_primes(sp.level, sp.char):
-            lam = {"Q": -1.0, "S": 0.0}[q.kind]
+            lam = -1.0 if q.n == 1 else 0.0  # Q at n = 1, S above
             assert repr(q.roots) == repr((lam, float(q.p))), (fam["name"], q)
-            kinds.add(q.kind)
-    assert kinds == {"Q", "S"}
+            exponents.add(min(q.n, 2))
+    assert exponents == {1, 2}
     # at n = 1, U is -1 on w- and p on w+
     for p in (2, 3, 5, 7, 11):
         assert (u_eigenvalue("w-", p, 1), u_eigenvalue("w+", p, 1), u_eigenvalue("i1", p, 1)) == (

@@ -301,12 +301,16 @@ def test_load_families_shares_the_named_twin(tmp_path, monkeypatch, no_sampling)
 
 @pytest.mark.parametrize("name_twin", [True, False])
 def test_classical_cli_passes_the_named_twin(tmp_path, no_sampling, name_twin):
-    """Without the twin both runs stop on the refusal (exit 2).  With it S'
+    """Without the twin the run stops on the refusal (exit 2).  With it S'
     is built and passes, and characterize runs to its verdict: the empty
     fixtures miss the oracle's new dimension 1 (exit 1)."""
-    cmd = ["classical", "--fixture", str(_twin_directory(tmp_path, name_twin)), "--prime", "3"]
-    assert main([*cmd, "--op", "sprime"]) == (0 if name_twin else 2)
-    assert main([*cmd, "--characterize"]) == (1 if name_twin else 2)
+    report = tmp_path / "out.json"
+    cmd = ["classical", "--fixture", str(_twin_directory(tmp_path, name_twin))]
+    assert main([*cmd, "--report", str(report)]) == (1 if name_twin else 2)
+    if name_twin:
+        status = {a["id"]: a["status"] for a in json.loads(report.read_text())["assertions"]}
+        assert status["classical.c8.S'[27,2].quad"] == status["classical.c17.S'[27,2].quad"] == "pass"
+        assert status["classical.c8.newdim"] == status["classical.c17.newdim"] == "fail"
 
 
 def test_survey_rejects_bad_r(sp16):

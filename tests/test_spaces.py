@@ -11,7 +11,6 @@ from hecke_lab.spaces import (
     SpaceFormatError,
     fixture_dir,
     load_families,
-    load_fixtures,
     load_space,
 )
 
@@ -318,7 +317,7 @@ def test_load_from_json_string():
     ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"x": "N1k2c1"}}]}, "lower"),
     ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"1": 1}}]}, "lower"),
 ])
-@pytest.mark.parametrize("reader", [load_families, load_fixtures])
+@pytest.mark.parametrize("reader", [load_families])
 def test_malformed_manifest_rejected(manifest, match, reader, tmp_path):
     (tmp_path / "N11k2c1.json").write_text(json.dumps(_doc()))
     (tmp_path / "families.json").write_text(json.dumps(manifest))
