@@ -176,11 +176,6 @@ def characterize(space: CuspSpace, flipped_space: CuspSpace | None = None) -> Ch
     )
 
 
-def _embed_coords(space: CuspSpace, coeffs: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
-    x, mis = space.coordinates(coeffs)
-    return x, mis / max(scale, 1e-300)
-
-
 @dataclass
 class Placement:
     name: str
@@ -188,11 +183,11 @@ class Placement:
     ok: bool
 
 
-def _eig_residual(mat: np.ndarray, x: np.ndarray, lam: float) -> float:
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        return 0.0
-    return float(np.linalg.norm(mat @ x - lam * x)) / nx
+def _eig_residuals(mat: np.ndarray, X: np.ndarray, lam: float) -> list[float]:
+    """||mat x - lam x|| / ||x|| for each column x of X, 0 where x = 0."""
+    nx = np.linalg.norm(X, axis=0)
+    r = np.linalg.norm(mat @ X - lam * X, axis=0)
+    return np.divide(r, nx, out=np.zeros_like(r), where=nx > 0).tolist()
 
 
 def placement_checks(
@@ -215,29 +210,24 @@ def placement_checks(
         raise ValueError(
             f"lower level {lower.level} is not level/{p} = {space.level // p}"
         )
-    out: list[Placement] = []
     main, conj = (q.operator(which, space, flipped_space) for which in (0, 1))
     old = q.roots[1]
-    tol = TOLERANCE["placement"]
-
-    for i, g in enumerate(lower.basis):
-        scale = float(np.linalg.norm(g.coeffs))
-        x, emb_res = _embed_coords(space, g.coeffs, scale)
-        out.append(Placement(f"embed[{i}]", emb_res, emb_res <= tol))
-        r = _eig_residual(main.matrix, x, old)
-        out.append(Placement(f"{main.label} embed[{i}] eig {p}", r, r <= tol))
-
-        vg = op_Vp(g, p)
-        xv, emb_res_v = _embed_coords(space, vg.coeffs, float(np.linalg.norm(vg.coeffs)))
-        out.append(Placement(f"dilate[{i}]", emb_res_v, emb_res_v <= tol))
-        r = _eig_residual(conj.matrix, xv, old)
-        out.append(Placement(f"{conj.label} dilate[{i}] eig {p}", r, r <= tol))
-
+    rows: list[tuple[str, float]] = []
+    if lower.dim:
+        # the embeddings and the dilations of the lower basis, one solve each,
+        # each misfit relative to its form's norm (a loaded basis has no zero form)
+        dilated = np.stack([op_Vp(g, p).coeffs for g in lower.basis], axis=1)
+        x, emb, _ = space.coordinates(lower.coeffs.T)
+        xv, emb_v, _ = space.coordinates(dilated)
+        emb = (emb / np.linalg.norm(lower.coeffs, axis=1)).tolist()
+        emb_v = (emb_v / np.linalg.norm(dilated, axis=0)).tolist()
+        eig, eig_v = _eig_residuals(main.matrix, x, old), _eig_residuals(conj.matrix, xv, old)
+        for i in range(lower.dim):
+            rows += [(f"embed[{i}]", emb[i]), (f"{main.label} embed[{i}] eig {p}", eig[i]),
+                     (f"dilate[{i}]", emb_v[i]), (f"{conj.label} dilate[{i}] eig {p}", eig_v[i])]
     if q.roots[0] == 0.0:
         # the main operator kills the newspace: its images are old forms
-        for j in range(space.dim):
-            vec = space.coeffs.T @ main.matrix[:, j]
-            scale = float(np.linalg.norm(space.basis[j].coeffs))
-            _, r = _embed_coords(lower, vec, scale)
-            out.append(Placement(f"{main.label} image[{j}] in lower span", r, r <= tol))
-    return out
+        _, mis, _ = lower.coordinates(space.coeffs.T @ main.matrix)
+        res = (mis / np.linalg.norm(space.coeffs, axis=1)).tolist()
+        rows += [(f"{main.label} image[{j}] in lower span", r) for j, r in enumerate(res)]
+    return [Placement(name, r, r <= TOLERANCE["placement"]) for name, r in rows]

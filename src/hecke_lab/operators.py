@@ -4,7 +4,8 @@ Operators act through the weight-k slash action.  A matrix is recovered by
 evaluating the basis at well-conditioned sample points in the upper half
 plane and solving a least-squares system; columns are coordinates of the
 transformed basis vectors.  Every matrix carries its solve residual and
-conditioning so downstream checks can refuse unreliable data.  Each
+conditioning so downstream checks can refuse unreliable data, both from
+the one `spaces.least_squares` call that solves for all its columns.  Each
 slash-operator matrix is built once per space and then shared (`op_matrix`).
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .characters import unit_group
 from .qexp import QExpansion, evaluate_many, op_Utilde
-from .spaces import CuspSpace
+from .spaces import CuspSpace, least_squares
 
 CONDITION_LIMIT = 1e8
 RESIDUAL_TOL = 1e-6
@@ -211,34 +212,39 @@ def _build_op_matrix(
     space: CuspSpace, terms: list[tuple[complex, np.ndarray]], label: str, target: CuspSpace
 ) -> OpMatrix:
     if space.dim == 0 or target.dim == 0:
-        X = np.zeros((target.dim, space.dim), dtype=np.complex128)
-        X.flags.writeable = False
-        return OpMatrix(X, 0.0, 1.0, False, label)
+        return _solved(np.zeros((target.dim, space.dim), dtype=np.complex128), 0.0, None, label)
     count = max(2 * target.dim, target.dim + 3)
     mats = [A for _, A in terms]
 
     best = None
     for attempt in range(SAMPLE_ATTEMPTS):
         pts = sample_points(mats, count, skip=attempt)
+        pts.flags.writeable = False
         V = evaluate_many(target.basis, pts)
-        condV = float(np.linalg.cond(V))
-        if best is None or condV < best[2]:
-            best = (pts, V, condV)
-        if condV < CONDITION_LIMIT:
+        # the condition number comes from the solve, so every attempt solves
+        W = np.zeros((len(pts), space.dim), dtype=np.complex128)
+        for coef, A in terms:
+            W += coef * slash_evaluate(space.basis, A, pts)
+        X, misfits, sv = least_squares(V, W)
+        scale = max(np.linalg.norm(W), np.linalg.norm(V), 1e-30)
+        op = _solved(X, float(np.linalg.norm(misfits) / scale), sv, label, {"points": pts})
+        if best is None or op.conditioning < best.conditioning:
+            best = op
+        if op.conditioning < CONDITION_LIMIT:
             break
-    pts, V, condV = best
+    return best
 
-    W = np.zeros((len(pts), space.dim), dtype=np.complex128)
-    for coef, A in terms:
-        W += coef * slash_evaluate(space.basis, A, pts)
 
-    X, *_ = np.linalg.lstsq(V, W, rcond=None)
-    scale = max(np.linalg.norm(W), np.linalg.norm(V), 1e-30)
-    res = float(np.linalg.norm(V @ X - W) / scale)
-    poisoned = condV >= CONDITION_LIMIT or res > RESIDUAL_TOL
+def _solved(
+    X: np.ndarray, residual: float, sv: np.ndarray | None, label: str, meta: dict | None = None
+) -> OpMatrix:
+    """X, made read-only, as an OpMatrix whose conditioning is sigma_max /
+    sigma_min of the solve's singular values sv (inf when the least is 0, 1
+    when sv is None: no solve), poisoned past CONDITION_LIMIT or RESIDUAL_TOL."""
+    cond = 1.0 if sv is None else float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     X.flags.writeable = False
-    pts.flags.writeable = False
-    return OpMatrix(X, res, condV, poisoned, label, {"points": pts})
+    poisoned = cond >= CONDITION_LIMIT or residual > RESIDUAL_TOL
+    return OpMatrix(X, residual, cond, poisoned, label, meta or {})
 
 
 def op_W(space: CuspSpace, p: int, codomain: CuspSpace | None = None) -> OpMatrix:
@@ -289,23 +295,11 @@ def op_U(space: CuspSpace, p: int, route: str = "coeff") -> OpMatrix:
 
 def _build_op_U_coeff(space: CuspSpace, p: int) -> OpMatrix:
     if space.dim == 0:
-        mat = np.zeros((0, 0), dtype=np.complex128)
-        mat.flags.writeable = False
-        return OpMatrix(mat, 0.0, 1.0, False, f"U[{p}]")
-    cols = []
-    worst = 0.0
-    for f in space.basis:
-        g = op_Utilde(f, p)
-        x, mis = space.coordinates(g.coeffs)
-        cols.append(x)
-        worst = max(worst, mis / max(float(np.linalg.norm(g.coeffs)), 1.0))
-    A = space.coeffs[:, : space.prec // p].T
-    condA = float(np.linalg.cond(A))
-    mat = np.stack(cols, axis=1)
-    mat.flags.writeable = False
-    return OpMatrix(
-        mat, worst, condA, condA >= CONDITION_LIMIT or worst > RESIDUAL_TOL, f"U[{p}]~"
-    )
+        return _solved(np.zeros((0, 0), dtype=np.complex128), 0.0, None, f"U[{p}]")
+    shifted = np.stack([op_Utilde(f, p).coeffs for f in space.basis], axis=1)
+    mat, misfits, sv = space.coordinates(shifted)
+    worst = float(np.max(misfits / np.maximum(np.linalg.norm(shifted, axis=0), 1.0)))
+    return _solved(mat, worst, sv, f"U[{p}]~")
 
 
 def op_Q(space: CuspSpace, p: int) -> OpMatrix:

@@ -4,7 +4,8 @@ Fixture format 3 stores each basis form as a JSON list of its `precision`
 coefficients a_1, a_2, ..., each an integer below 2^53 in absolute value,
 so that its float is exact.  `load_space` reads a space's forms into one
 read-only complex128 array and refuses any other entry;
-tools/build_fixtures.py writes the shipped fixtures.
+tools/build_fixtures.py writes the shipped fixtures.  `least_squares` is
+the one least-squares solve of the classical side.
 """
 
 from __future__ import annotations
@@ -53,19 +54,23 @@ class CuspSpace:
     def prec(self) -> int:
         return self.coeffs.shape[1]
 
-    def coordinates(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coordinates of a coefficient vector in this basis,
-        over the coefficients both hold, with the absolute misfit
-        ||A x - b||; callers scale it."""
-        vec = np.asarray(coeffs, dtype=np.complex128)
-        L = min(self.prec, len(vec))
-        b = vec[:L]
+    def coordinates(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """least_squares of a block of coefficient columns against this basis,
+        over the coefficients both hold (callers scale the misfits).  A dim-0
+        space makes no solve: every column is all misfit."""
+        B = np.asarray(block, dtype=np.complex128)[: self.prec]
         if self.dim == 0:
-            return np.zeros(0, dtype=np.complex128), float(np.linalg.norm(b))
-        A = self.coeffs[:, :L].T
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        mis = float(np.linalg.norm(A @ x - b))
-        return x, mis
+            X = np.zeros((0, B.shape[1]), dtype=np.complex128)
+            return X, np.linalg.norm(B, axis=0), np.zeros(0)
+        return least_squares(self.coeffs[:, : len(B)].T, B)
+
+
+def least_squares(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least-squares solution X of A X = B for every column of B in one
+    np.linalg.lstsq call, each column's absolute misfit ||A x - b||, and the
+    descending singular values of A that the call computes."""
+    X, _, _, sv = np.linalg.lstsq(A, B, rcond=None)
+    return X, np.linalg.norm(A @ X - B, axis=0), sv
 
 
 def _entry_error(i: int) -> SpaceFormatError:
@@ -178,15 +183,22 @@ def load_families(directory: Path | None = None) -> list[dict]:
     """Family manifest entries, each with 'space', 'lower' and 'flipped'
     (the optional conjugate-character twin of 'space', None when not named)
     resolved to loaded CuspSpace objects; a fixture named by several entries
-    is loaded once per call and shared by them."""
+    is loaded once per call and shared by them.  A lower fixture or twin of
+    another level or weight than its place in the family is refused here."""
     base = Path(directory) if directory is not None else fixture_dir()
     space = cache(lambda stem: load_space(base / (stem + ".json")))
     out = []
     for fam in _manifest_families(base):
         entry = dict(fam)
-        entry["space"] = space(fam["space"])
+        sp = entry["space"] = space(fam["space"])
         entry["lower"] = {int(lv): space(stem) for lv, stem in fam.get("lower", {}).items()}
         entry["flipped"] = space(fam["flipped"]) if "flipped" in fam else None
+        named = [("lower", stem, int(lv)) for lv, stem in fam.get("lower", {}).items()]
+        named += [("flipped", fam["flipped"], sp.level)] if "flipped" in fam else []
+        for role, stem, level in named:
+            have, want = (space(stem).level, space(stem).weight), (level, sp.weight)
+            if have != want:
+                raise SpaceFormatError(f"family {fam['name']}: {role} fixture {stem} has level "
+                                       "{} and weight {}, not {} and {}".format(*have, *want))
         out.append(entry)
     return out
-

@@ -19,7 +19,7 @@ from hecke_lab.operators import SamplingError
 from hecke_lab.spaces import fixture_dir
 
 FIELDS = ("id", "status", "expected", "computed", "provenance", "detail")
-DEFAULT_VERDICTS_SHA256 = "477ffd18865f7c90e73d300705aa3e6efa1062f3fb3209b51363b366a43c8dae"
+DEFAULT_VERDICTS_SHA256 = "85123cbdde940e45addd4b7617ee8ffc14de8acbe43084b458dd97087bc9bf0d"
 
 
 def test_default_campaign_verdicts_are_pinned(fresh_caches):

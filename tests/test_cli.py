@@ -229,29 +229,40 @@ def test_verify_refuses_a_non_integer_seed(seed, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("broken", ["level", "manifest", "absent"])
+@pytest.mark.parametrize("broken", ["level", "manifest", "absent", "lower"])
 @pytest.mark.parametrize("command", ["classical", "verify"])
-def test_malformed_fixture_directory_exits_2(command, broken, tmp_path, capsys):
+def test_malformed_fixture_directory_exits_2(command, broken, tmp_path, capsys, monkeypatch):
     # a fixture with "level": null used to die with a TypeError traceback, and
     # a manifest without a "families" list with KeyError: both exited 1, the
     # code for failed assertions; a directory without a manifest has no
-    # families to run
+    # families to run; a lower fixture of the wrong level used to stop the
+    # run at its family's placement, after the families before it had run
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
     doc = _doc()
     manifest = {"families": [{"name": "sq11", "space": "N11k2c1"}]}
     if broken == "level":
         doc["level"] = None
+    elif broken == "lower":
+        lower = {"1": "N11k2c1"}  # the level-11 fixture listed as level 1
+        manifest["families"].append({"name": "sq11b", "space": "N11k2c1", "lower": lower})
     else:
         manifest = {"fams": manifest["families"]}
     (fixtures / "N11k2c1.json").write_text(json.dumps(doc))
     if broken != "absent":
         (fixtures / "families.json").write_text(json.dumps(manifest))
+    report = tmp_path / "out.json"
     if command == "classical":
-        argv = ["classical", "--fixture", str(fixtures)]
+        argv = ["classical", "--fixture", str(fixtures), "--report", str(report)]
     else:
         campaign = tmp_path / "c.json"
         campaign.write_text(json.dumps({"grid": [], "fixture_dirs": [str(fixtures)]}))
-        argv = ["verify", "--campaign", str(campaign)]
+        argv = ["verify", "--campaign", str(campaign), "--report", str(report)]
+    checked = []
+    monkeypatch.setattr("hecke_lab.campaign.space_checks", lambda *args: checked.append(args))
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert checked == [] and not report.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if broken == "lower":
+        assert "family sq11b: lower fixture N11k2c1 has level 11 and weight 2, not 1 and 2" in err

@@ -2,8 +2,9 @@
 definition in the package is reached from the package, a tool or the
 benchmark (tests do not count), every function the benchmark's tracer wraps
 exists, every dataclass field is read somewhere, the whole-group oracle
-imports nothing of the routes it checks, the fixture manifest and the pass
-thresholds are named only in the modules that own them, every module loads
+imports nothing of the routes it checks, the fixture manifest, the pass
+thresholds and the least-squares solver are named only in the modules that
+own them (and np.linalg.cond in none), every module loads
 only numpy and the standard library, and each side of the package loads
 only its own modules: `import hecke_lab` loads none, the exact and
 numerical sides load none of each other's past the bounds of IMPORT_BOUNDS,
@@ -47,7 +48,12 @@ CHECKED_ROUTES = ("hecke", "induced")
 # words the package may name only in the modules given: the fixture
 # manifest's file name where it is parsed, the pass-threshold table where it
 # is held and where it is applied
-CONFINED = {"families.json": ("spaces.py",), "TOLERANCE": ("newspace.py", "campaign.py")}
+# the one least-squares routine is spaces.least_squares, which also gives
+# the condition numbers: no module calls another solver or np.linalg.cond
+CONFINED = {
+    "families.json": ("spaces.py",), "TOLERANCE": ("newspace.py", "campaign.py"),
+    "lstsq": ("spaces.py",), "linalg.cond": (),
+}
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 # (modules imported, package modules they must not load): the bare package
 # loads nothing; the support law's modules load no numerical module and not
@@ -543,25 +549,29 @@ def test_groupconv_imports_only_group_arithmetic():
 
 
 def word_mentions(source: str, words) -> list[str]:
-    """Lines where an import (its module or a name it imports), a name, an
-    attribute or a string constant (docstrings included) contains one of
-    `words`, at any depth."""
+    """Lines, each once, where an import (its module or a name it imports,
+    with the module it comes from), a name, an attribute (with the name or
+    attribute it is read from, so `np.linalg.cond` holds "linalg.cond") or
+    a string constant (docstrings included) contains one of `words`, at any
+    depth."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            found = [node.module or ""] + [alias.name for alias in node.names]
+            found = [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Name):
             found = [node.id]
         elif isinstance(node, ast.Attribute):
-            found = [node.attr]
+            base = node.value
+            found = [f"{getattr(base, 'attr', getattr(base, 'id', ''))}.{node.attr}"]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found = [node.value]
         else:
             continue
-        if any(word in text for text in found for word in words):
-            out.append(f"line {node.lineno}")
+        line = f"line {node.lineno}"
+        if line not in out and any(word in text for text in found for word in words):
+            out.append(line)
     return out
 
 
@@ -594,8 +604,10 @@ def confinement_breaches(sources: dict[str, str]) -> list[str]:
 
 def test_scanner_finds_confined_words_outside_their_modules():
     sources = {
-        "spaces.py": "MANIFEST = 'families.json'\n",
+        "spaces.py": "MANIFEST = 'families.json'\nX = np.linalg.lstsq(A, B, rcond=None)\n",
         "campaign.py": "from .newspace import TOLERANCE\n",
+        "operators.py": "def f(V, W):\n    return np.linalg.lstsq(V, W)[0], np.linalg.cond(V)\n",
+        "newspace.py": "from numpy.linalg import cond\n",
         "cli.py": (
             '"""Reads families.json."""\n'
             "from . import newspace\n"
@@ -609,6 +621,9 @@ def test_scanner_finds_confined_words_outside_their_modules():
         "cli.py line 4: families.json",
         "cli.py line 4: TOLERANCE",
         "report.py line 1: TOLERANCE",
+        "operators.py line 2: lstsq",
+        "operators.py line 2: linalg.cond",
+        "newspace.py line 1: linalg.cond",
     ]
 
 

@@ -4,6 +4,7 @@ import pytest
 from hecke_lab.characters import DirChar
 from hecke_lab.newspace import characterize, placement_checks, qualifying_primes
 from hecke_lab.operators import op_Q, op_Qprime, op_S, op_Sprime
+from hecke_lab.qexp import op_Vp
 from hecke_lab.spaces import fixture_dir, load_space
 from hecke_lab.spectra import u_eigenvalue
 
@@ -91,6 +92,64 @@ def test_placement_survey_images_vanish_into_lower():
     assert lower.dim == 0
     checks = placement_checks(sp, 3, lower)
     assert all(c.ok for c in checks)
+
+
+def _placement_reference(space, p, lower, flipped):
+    """placement_checks one form at a time, each coordinate vector from its
+    own np.linalg.lstsq call: (name, residual, ok) triples."""
+
+    def coords(target, vec, scale):
+        b = vec[: min(target.prec, len(vec))]
+        if target.dim == 0:
+            return np.zeros(0), float(np.linalg.norm(b)) / scale
+        A = target.coeffs[:, : len(b)].T
+        x = np.linalg.lstsq(A, b, rcond=None)[0]
+        return x, float(np.linalg.norm(A @ x - b)) / scale
+
+    def eig(mat, x, lam):
+        nx = float(np.linalg.norm(x))
+        return float(np.linalg.norm(mat @ x - lam * x)) / nx if nx else 0.0
+
+    q = next(q for q in qualifying_primes(space.level, space.char) if q.p == p)
+    main, conj = (q.operator(which, space, flipped) for which in (0, 1))
+    old, out = q.roots[1], []
+    for i, g in enumerate(lower.basis):
+        x, emb = coords(space, g.coeffs, float(np.linalg.norm(g.coeffs)))
+        vg = op_Vp(g, p).coeffs
+        xv, emb_v = coords(space, vg, float(np.linalg.norm(vg)))
+        out += [
+            (f"embed[{i}]", emb),
+            (f"{main.label} embed[{i}] eig {p}", eig(main.matrix, x, old)),
+            (f"dilate[{i}]", emb_v),
+            (f"{conj.label} dilate[{i}] eig {p}", eig(conj.matrix, xv, old)),
+        ]
+    if q.roots[0] == 0.0:
+        for j in range(space.dim):
+            vec = space.coeffs.T @ main.matrix[:, j]
+            _, r = coords(lower, vec, float(np.linalg.norm(space.coeffs[j])))
+            out.append((f"{main.label} image[{j}] in lower span", r))
+    return [(name, r, r <= 1e-6) for name, r in out]
+
+
+def test_placement_equals_the_per_form_reference(families):
+    """The block solves of placement_checks give, on every shipped family
+    and lower level, the checks that one solve per form gives: the same
+    names and pass flags in the same order, and residuals (misfits already
+    relative to their vector's norm) within 1e-12."""
+    checked = 0
+    for fam in families:
+        sp = fam["space"]
+        for level, lower in fam["lower"].items():
+            for q in qualifying_primes(sp.level, sp.char):
+                if sp.level // q.p != level:
+                    continue
+                got = placement_checks(sp, q.p, lower, fam["flipped"])
+                want = _placement_reference(sp, q.p, lower, fam["flipped"])
+                assert [(c.name, c.ok) for c in got] == [(n, ok) for n, _, ok in want]
+                for c, (_, r, _) in zip(got, want):
+                    assert type(c.residual) is float and abs(c.residual - r) <= 1e-12, c.name
+                checked += len(got)
+    assert checked >= 20
 
 
 def test_spectra_are_the_exact_side_closed_forms(families):

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hecke_lab.operators import (
     IMAG_FLOOR,
     SAMPLE_BAND,
     SamplingError,
+    _solved,
     _feasible,
     _halton,
     _radical_inverse,
@@ -29,6 +32,7 @@ from hecke_lab.operators import (
     slash_evaluate,
     w_square_scalar,
 )
+from hecke_lab.qexp import evaluate_many
 from hecke_lab.spaces import fixture_dir, load_space
 
 
@@ -406,13 +410,16 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
     """The classical suite over the shipped families asks for 160 operator
     matrices, 42 of them distinct; each distinct one is sampled and solved
     once (one first sampling attempt per build).  The coefficient route of
-    op_U is built once for each of its 18 (space, p)."""
-    from hecke_lab import operators
+    op_U is built once for each of its 18 (space, p).  Each build is one
+    least-squares solve, and the placement checks make 11 more (one per
+    block of embeddings, dilations and images into a nonzero space)."""
+    from hecke_lab import operators, spaces
     from hecke_lab.campaign import Campaign, run_verify
 
     op_matrix_, sample_points_ = operators.op_matrix, operators.sample_points
     build_op_U_coeff_ = operators._build_op_U_coeff
-    calls, distinct, builds, coeff_builds = [], set(), [], []
+    least_squares_ = spaces.least_squares
+    calls, distinct, builds, coeff_builds, solves = [], set(), [], [], []
 
     def counted_op_matrix(space, terms, label="", codomain=None):
         target = codomain if codomain is not None else space
@@ -430,10 +437,35 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
         coeff_builds.append((id(space), p))
         return build_op_U_coeff_(space, p)
 
+    def counted_least_squares(A, B):
+        solves.append(B.shape)
+        return least_squares_(A, B)
+
     monkeypatch.setattr(operators, "op_matrix", counted_op_matrix)
     monkeypatch.setattr(operators, "sample_points", counted_sample_points)
     monkeypatch.setattr(operators, "_build_op_U_coeff", counted_build_op_U_coeff)
+    monkeypatch.setattr(operators, "least_squares", counted_least_squares)
+    monkeypatch.setattr(spaces, "least_squares", counted_least_squares)
     rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
     assert rep.n_fail == 0
     assert (len(calls), len(distinct), len(builds)) == (160, 42, 42)
     assert (len(coeff_builds), len(set(coeff_builds))) == (18, 18)
+    assert len(solves) == 42 + 18 + 11 and all(cols > 0 for _, cols in solves)
+
+
+def test_conditioning_is_the_solved_matrix_condition_number():
+    """Both routes read the condition number off the singular values of
+    their one least-squares solve: it is np.linalg.cond of the matrix
+    solved against (the sampled basis values, the truncated coefficients),
+    and a zero singular value makes it inf, without a warning."""
+    sp = load_space(fixture_dir() / "N22k2c1.json")
+    for op in (op_U(sp, 2, route="sampled"), op_W(sp, 11)):
+        V = evaluate_many(sp.basis, op.meta["points"])
+        assert op.conditioning == pytest.approx(np.linalg.cond(V), rel=1e-12)
+    A = sp.coeffs[:, : sp.prec // 2].T
+    assert op_U(sp, 2).conditioning == pytest.approx(np.linalg.cond(A), rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sv in ([3.0, 0.0], [0.0, 0.0]):
+            op = _solved(np.zeros((2, 2)), 0.0, np.array(sv), "X")
+            assert op.conditioning == np.linalg.cond(np.diag(sv)) == math.inf and op.poisoned

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hecke_lab import spaces
 from hecke_lab.dimoracle import dim_cusp
 from hecke_lab.spaces import (
     SpaceFormatError,
     fixture_dir,
+    least_squares,
     load_families,
     load_space,
 )
@@ -263,8 +265,6 @@ def test_loaded_coefficients_are_read_only():
 
 
 def test_load_families_parses_each_fixture_once(monkeypatch):
-    from hecke_lab import spaces
-
     loaded = []
     load = spaces.load_space
     monkeypatch.setattr(spaces, "load_space", lambda path: loaded.append(path.stem) or load(path))
@@ -287,15 +287,80 @@ def test_coordinates_and_membership():
     sp = load_space(fixture_dir() / "N22k2c1.json")
     assert sp.dim == 2
     target = 2.0 * sp.basis[0].coeffs - 3.0 * sp.basis[1].coeffs
-    x, mis = sp.coordinates(target)
-    assert np.allclose(x, [2.0, -3.0])
-    assert mis < 1e-9
-    assert mis / np.linalg.norm(target) < 1e-12
     # something outside the span
     alien = np.zeros(sp.prec, dtype=np.complex128)
     alien[0] = 1.0
-    _, mis = sp.coordinates(alien)
-    assert mis > 1e-3
+    x, mis, sv = sp.coordinates(np.stack([target, alien], axis=1))
+    assert x.shape == (2, 2) and mis.shape == (2,)
+    assert np.allclose(x[:, 0], [2.0, -3.0])
+    assert mis[0] < 1e-9
+    assert mis[0] / np.linalg.norm(target) < 1e-12
+    assert mis[1] > 1e-3
+    assert np.allclose(sv, np.linalg.svd(sp.coeffs, compute_uv=False), rtol=1e-12)
+
+
+def test_coordinates_truncate_to_what_both_hold():
+    sp = load_space(fixture_dir() / "N22k2c1.json")
+    target = 2.0 * sp.basis[0].coeffs - 3.0 * sp.basis[1].coeffs
+    # a column shorter than the precision is solved over its own length,
+    # against the basis truncated to it
+    short = target[:100, None]
+    x, mis, sv = sp.coordinates(short)
+    assert np.allclose(x[:, 0], [2.0, -3.0]) and mis[0] < 1e-9
+    assert np.allclose(sv, np.linalg.svd(sp.coeffs[:, :100], compute_uv=False), rtol=1e-12)
+    # past the precision, the extra coefficients are not read
+    long = np.concatenate([target, np.full(sp.prec, 1e6)])[:, None]
+    x, mis, _ = sp.coordinates(long)
+    assert np.allclose(x[:, 0], [2.0, -3.0]) and mis[0] < 1e-9
+
+
+def test_coordinates_on_a_dim_0_space_make_no_solve(monkeypatch):
+    sp = load_space(_doc())
+    assert sp.dim == 0
+    monkeypatch.setattr(spaces, "least_squares", None)  # any solve would raise
+    block = np.arange(2 * (sp.prec + 5), dtype=np.complex128).reshape(sp.prec + 5, 2)
+    x, mis, sv = sp.coordinates(block)
+    assert x.shape == (0, 2) and sv.shape == (0,)
+    # every column is all misfit, over the precision only
+    assert np.array_equal(mis, np.linalg.norm(block[: sp.prec], axis=0))
+
+
+def _column_reference(A, B):
+    """np.linalg.lstsq one column at a time, with each misfit."""
+    cols = [np.linalg.lstsq(A, b, rcond=None)[0] for b in B.T]
+    X = np.stack(cols, axis=1) if cols else np.zeros((A.shape[1], 0), dtype=A.dtype)
+    return X, np.array([np.linalg.norm(A @ x - b) for x, b in zip(cols, B.T)])
+
+
+@given(
+    st.integers(1, 12), st.integers(1, 6), st.integers(0, 4), st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+)
+@example(4, 4, 4, 3, 0)  # square and full rank
+def test_least_squares_equals_per_column_solves(rows, cols, rank, nrhs, seed):
+    """least_squares equals np.linalg.lstsq column by column within 1e-12 of
+    the block's scale, on random complex blocks of any rank (full when
+    rank >= min(rows, cols), else the product of two thin factors) with
+    some right-hand columns zero, and its singular values are A's."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    A = gauss(rows, cols)
+    if rank < min(rows, cols):
+        A = gauss(rows, rank) @ gauss(rank, cols)
+    B = gauss(rows, nrhs)
+    B[:, rng.random(nrhs) < 0.3] = 0.0
+    X, mis, sv = least_squares(A, B)
+    X_ref, mis_ref = _column_reference(A, B)
+    sv_ref = np.linalg.svd(A, compute_uv=False)
+    assert X.shape == (cols, nrhs) and mis.shape == (nrhs,)
+    scale = max(1.0, np.abs(X_ref).max(initial=0.0))
+    assert np.abs(X - X_ref).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(mis - mis_ref).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(B).max(initial=0.0))
+    assert np.abs(sv - sv_ref).max() <= 1e-12 * sv_ref[0]
+    assert np.all(X[:, ~B.any(axis=0)] == 0) and np.all(mis[~B.any(axis=0)] == 0)
 
 
 def test_load_from_json_string():
@@ -316,10 +381,22 @@ def test_load_from_json_string():
     ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": ["N1k2c1"]}]}, "lower"),
     ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"x": "N1k2c1"}}]}, "lower"),
     ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"1": 1}}]}, "lower"),
+    # fixtures that do not fit their place in the family: these used to load,
+    # and a wrong lower level stopped a run after the families before it
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"1": "N11k2c1"}}]},
+     "family sq11: lower fixture N11k2c1 has level 11 and weight 2, not 1 and 2"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "lower": {"1": "N1k4c1"}}]},
+     "family sq11: lower fixture N1k4c1 has level 1 and weight 4, not 1 and 2"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "flipped": "N22k2c1"}]},
+     "family sq11: flipped fixture N22k2c1 has level 22 and weight 2, not 11 and 2"),
+    ({"families": [{"name": "sq11", "space": "N11k2c1", "flipped": "N11k4c1"}]},
+     "family sq11: flipped fixture N11k4c1 has level 11 and weight 4, not 11 and 2"),
 ])
 @pytest.mark.parametrize("reader", [load_families])
 def test_malformed_manifest_rejected(manifest, match, reader, tmp_path):
-    (tmp_path / "N11k2c1.json").write_text(json.dumps(_doc()))
+    for level, weight in [(11, 2), (1, 4), (22, 2), (11, 4)]:
+        doc = _doc(level=level, weight=weight)
+        (tmp_path / f"N{level}k{weight}c1.json").write_text(json.dumps(doc))
     (tmp_path / "families.json").write_text(json.dumps(manifest))
     with pytest.raises(SpaceFormatError, match=match):
         reader(tmp_path)
