@@ -55,6 +55,13 @@ def dim_cusp(n: int, k: int, chi: DirChar | None = None) -> int:
         chi = DirChar.trivial(n)
     if chi.modulus != n:
         raise ValueError("character modulus must equal the level")
+    return _dim_cusp(n, k, chi)
+
+
+@lru_cache(maxsize=None)
+def _dim_cusp(n: int, k: int, chi: DirChar) -> int:
+    """The Cohen-Oesterle formula, once per (n, k, chi) in a process
+    (DirChar compares and hashes by value)."""
     if chi.parity() != (-1) ** k:
         return 0
 
@@ -97,16 +104,16 @@ def dim_new(n: int, k: int, chi: DirChar | None = None) -> int:
         chi = DirChar.trivial(n)
     if chi.modulus != n:
         raise ValueError("character modulus must equal the level")
-    cond = chi.conductor
-
-    @lru_cache(maxsize=None)
-    def newdim(m: int) -> int:
-        d = dim_cusp(m, k, chi.at_modulus(m))
-        for md in _divisors(m):
-            if md != m and md % cond == 0:
-                d -= sigma0(m // md) * newdim(md)
-        return d
-
-    if n % cond != 0:
+    if n % chi.conductor != 0:
         raise ValueError("level not divisible by the conductor")
-    return newdim(n)
+    return _dim_new(n, k, chi)
+
+
+@lru_cache(maxsize=None)
+def _dim_new(n: int, k: int, chi: DirChar) -> int:
+    """The degeneracy-map recursion, once per (n, k, chi) in a process."""
+    d = dim_cusp(n, k, chi)
+    for m in _divisors(n):
+        if m != n and m % chi.conductor == 0:
+            d -= sigma0(n // m) * _dim_new(m, k, chi.at_modulus(m))
+    return d

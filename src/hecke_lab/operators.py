@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,11 @@ SAMPLE_ATTEMPTS = 5
 HALTON_BATCH = 512
 HALTON_POINTS = 40960  # points searched per box before giving up on it
 HALTON_STRIDE = 65537  # Halton index at which attempt `skip` starts, per unit of skip
-HALTON_CHUNK = 4096  # indices the Halton table is filled with at a time
+# relative growth of each term's feasibility disc before a box is pruned by
+# it: far above the rounding of `_feasible` (sample_points has the proof)
+DISC_MARGIN = 1e-9
+# IMAG_FLOOR / (1 + DISC_MARGIN) exactly, as (numerator, denominator)
+_DISC_S = (Fraction(IMAG_FLOOR) / (1 + Fraction(DISC_MARGIN))).as_integer_ratio()
 # singular values at or below RANK_RTOL * max(sigma_max, 1) count as zero
 RANK_RTOL = 1e-7
 
@@ -105,15 +111,12 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
     the radix point.  The float operations run in the usual order (least
     significant digit first, add digit * b^-k, then divide b^-k by b), so the
     points are bit for bit those of the common unscrambled Halton generators
-    (tests/test_operators.py compares one)."""
-    return _add_digits(np.zeros(len(index)), index.copy(), base, 1.0 / base)
-
-
-def _add_digits(out: np.ndarray, q: np.ndarray, base: int, b2r: float) -> np.ndarray:
-    """The digit loop of `_radical_inverse` from a given state: adds the
-    base-b digits of q, least significant first, to `out` in place, the
-    first at weight b2r.  Consumes q."""
+    (tests/test_operators.py compares one).  Each point depends on its own
+    index only."""
+    out = np.zeros(len(index))
+    q = index.copy()
     digit = np.empty_like(q)
+    b2r = 1.0 / base
     while q.any():
         np.divmod(q, base, out=(q, digit))
         out += digit * b2r
@@ -122,32 +125,22 @@ def _add_digits(out: np.ndarray, q: np.ndarray, base: int, b2r: float) -> np.nda
 
 
 @lru_cache(maxsize=None)
-def _halton(skip: int) -> np.ndarray:
-    """The HALTON_POINTS unscrambled 2-d Halton points (bases 2 and 3) that
-    start at index skip * HALTON_STRIDE, shape (HALTON_POINTS, 2).
-
-    The sums of the low L digits, for the largest L with b^L <=
-    HALTON_CHUNK, are tabulated once per base, and each index reads its own
-    from the table; the rest of its digits run through the digit loop from
-    the weight it reaches after L digits.  A zero digit adds 0.0, which
-    changes no sum, so each point is the sum of the same float terms in the
-    same order as in `_radical_inverse`, bit for bit."""
-    pts = np.empty((HALTON_POINTS, 2))
-    first = skip * HALTON_STRIDE
-    for col, base in enumerate((2, 3)):
-        size, b2r = 1, 1.0 / base
-        while size * base <= HALTON_CHUNK:
-            size *= base
-            b2r /= base
-        low_sums = _radical_inverse(np.arange(size), base)
-        # HALTON_CHUNK indices at a time, so the temporaries stay small;
-        # each point depends on its own index only, so the chunks change no bit
-        for lo in range(0, HALTON_POINTS, HALTON_CHUNK):
-            hi = min(lo + HALTON_CHUNK, HALTON_POINTS)
-            high, low = np.divmod(np.arange(first + lo, first + hi), size)
-            pts[lo:hi, col] = _add_digits(low_sums[low], high, base, b2r)
+def _halton(skip: int, start: int) -> np.ndarray:
+    """The HALTON_BATCH unscrambled 2-d Halton points (bases 2 and 3) from
+    index skip * HALTON_STRIDE + start, shape (HALTON_BATCH, 2), read-only.
+    Built when a box first reads it; since each point depends on its own
+    index only, the batches are bit for bit the rows of one longer build."""
+    index = np.arange(HALTON_BATCH) + (skip * HALTON_STRIDE + start)
+    pts = np.column_stack([_radical_inverse(index, 2), _radical_inverse(index, 3)])
     pts.flags.writeable = False
     return pts
+
+
+def _batch_reads() -> int:
+    """Halton batches read so far: every read is one call of `_halton`, and
+    passes all HALTON_BATCH of its points to `_feasible`."""
+    info = _halton.cache_info()
+    return info.hits + info.misses
 
 
 def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarray:
@@ -156,32 +149,86 @@ def sample_points(mats: list[np.ndarray], count: int, skip: int = 0) -> np.ndarr
     the constraints leave no room there, the floor is relaxed to IMAG_FLOOR
     (or to the floor an upper-triangular A sets).  Each box is searched in
     HALTON_BATCH-point batches of the same Halton points, which `skip`
-    shifts to a later stretch of the sequence."""
+    shifts to a later stretch of the sequence.  A term of determinant <= 0
+    raises ValueError; SamplingError when no box yields `count` points.
+
+    Boxes that cannot hold a point are not searched, and refusals that no
+    box could change come before any batch is read.  Write t = IMAG_FLOOR,
+    u = 2^-53 and M = DISC_MARGIN.  For A = (a, b; c, d) with det > 0 and
+    c != 0, |cz + d|^2 = c^2 ((x + d/c)^2 + y^2), so Im(Az) = det y /
+    |cz + d|^2 >= t exactly on the closed disc tangent to the real line at
+    the cusp -d/c with radius R = det / (2 t c^2).  Let D be that disc grown
+    about its cusp to radius R (1 + M).
+
+    Claim: a box point that `_feasible` accepts for A lies in D.  A box
+    point z = x + iy has |x| <= 1/2 and y >= t exactly: lo + v (hi - lo)
+    with 0 <= v < 1 rounds into [lo, hi].  Each float operation of
+    `_feasible` rounds once, to a relative u (the hypot of abs to within an
+    ulp).  The roundings of c, d and c x together move x to an x' with
+    |x' - x| <= 2u, and the others change the computed value by a factor
+    within 1 +- 20u; so z' = x' + iy lies in the disc of radius R (1 + 20u)
+    at the same cusp.  At height y the half-width sqrt(y (2r - y)) of the
+    disc of radius r grows from r = R (1 + 20u) to r = R (1 + M) by at least
+    y (M - 20u) / (1 + M) >= t M / 2 > 2u, so z lies in D.
+
+    The tests are exact integer statements about the discs D, with s =
+    t / (1 + M) (D has top det / (s c^2) and radius det / (2 s c^2)):
+    - D lies below a box's floor y_lo, y_lo s c^2 > det: the box is skipped,
+      and so is every box when y_lo is the lowest floor;
+    - D misses the strip, (2 |c d| - c^2) s > det: refused;
+    - two discs D are disjoint, (d1 c2 - d2 c1)^2 s^2 > det1 det2 (their
+      centres farther apart than the sum of their radii): refused.
+    When every disc meets the strip and every two meet, their x-ranges
+    and the strip's share a point (intervals that meet in pairs share one),
+    so the x-ranges need no test of their own."""
     t_img = IMAG_FLOOR
     band_lo, band_hi = SAMPLE_BAND
     y_floor = t_img
+    discs = []  # (c, d, det) of each term with c != 0
     for A in mats:
-        (a, b), (c, d) = A
+        (a, b), (c, d) = ((int(v) for v in row) for row in A)
+        det = a * d - b * c
+        if det <= 0:
+            raise ValueError("slash requires positive determinant")
         if c == 0:
-            det = int(a) * int(d)
-            y_floor = max(y_floor, t_img * int(d) ** 2 / det)
+            y_floor = max(y_floor, t_img * d**2 / det)
+        else:
+            discs.append((c, d, det))
 
-    unit = _halton(skip)
-    for y_lo in (max(band_lo, y_floor), y_floor):
-        if y_lo >= band_hi:
+    sn, sd = _DISC_S
+    refusal = "no feasible sample region"
+    for c, d, det in discs:
+        if (2 * abs(c * d) - c * c) * sn > det * sd:
+            raise SamplingError(f"{refusal}: the disc at cusp {Fraction(-d, c)} misses the strip")
+    for (c1, d1, det1), (c2, d2, det2) in combinations(discs, 2):
+        if ((d1 * c2 - d2 * c1) * sn) ** 2 > det1 * det2 * sd * sd:
+            raise SamplingError(f"{refusal}: the discs at cusps {Fraction(-d1, c1)} "
+                                f"and {Fraction(-d2, c2)} are disjoint")
+
+    def below(y_lo: float) -> Fraction | None:
+        """The cusp of the first disc D that lies below y_lo, if any."""
+        yn, yd = y_lo.as_integer_ratio()
+        return next((Fraction(-d, c) for c, d, det in discs if yn * sn * c * c > det * yd * sd), None)
+
+    cusp = below(y_floor)
+    if cusp is not None:
+        raise SamplingError(f"{refusal}: the disc at cusp {cusp} lies below Im z = {y_floor:.4g}")
+    # when the floor reaches the band the two boxes are one
+    for y_lo in dict.fromkeys((max(band_lo, y_floor), y_floor)):
+        if y_lo >= band_hi or below(y_lo) is not None:
             continue
         lo, hi = np.array([-0.5, y_lo]), np.array([0.5, band_hi])
         found: list[np.ndarray] = []
         total = 0
         for start in range(0, HALTON_POINTS, HALTON_BATCH):
-            pts = lo + unit[start:start + HALTON_BATCH] * (hi - lo)
+            pts = lo + _halton(skip, start) * (hi - lo)
             z = pts[:, 0] + 1j * pts[:, 1]
             z = z[_feasible(z, mats, t_img)]
             found.append(z)
             total += len(z)
             if total >= count:
                 return np.concatenate(found)[:count]
-    raise SamplingError(f"no feasible sample region for {len(mats)} constraints")
+    raise SamplingError(f"{refusal} for {len(mats)} constraints")
 
 
 def op_matrix(
@@ -217,8 +264,12 @@ def _build_op_matrix(
     mats = [A for _, A in terms]
 
     best = None
+    examined = kept = 0
     for attempt in range(SAMPLE_ATTEMPTS):
+        reads = _batch_reads()
         pts = sample_points(mats, count, skip=attempt)
+        examined += HALTON_BATCH * (_batch_reads() - reads)
+        kept += len(pts)
         pts.flags.writeable = False
         V = evaluate_many(target.basis, pts)
         # the condition number comes from the solve, so every attempt solves
@@ -232,6 +283,8 @@ def _build_op_matrix(
             best = op
         if op.conditioning < CONDITION_LIMIT:
             break
+    # the sampler's yield over every attempt: points passed to _feasible, points used
+    best.meta.update(examined=examined, kept=kept)
     return best
 
 

@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+from hecke_lab import dimoracle
+from hecke_lab.campaign import Campaign, run_verify
 from hecke_lab.characters import DirChar
-from hecke_lab.dimoracle import _divisors, _eps_points, dim_cusp, dim_new
+from hecke_lab.dimoracle import _divisors, _eps_points, dim_cusp, dim_new, sigma0
+from hecke_lab.spaces import fixture_dir
 
 # cusp-space dimensions frozen from independent hand evaluations of the
 # trace-formula closed form (Cohen-Oesterle / Stein, Modular Forms: A
@@ -77,6 +80,48 @@ def test_old_plus_new_consistency(N, k):
         _sigma0(N // M) * nd for M, nd in oldspace_dimensions(N, k, chi).items()
     )
     assert total == dim_cusp(N, k, chi)
+
+
+def _uncached_dim_new(n, k, chi):
+    """dim_new as it was before the module-level caches: the formula itself
+    at every level, through a recursion that lives for one call."""
+    formula = dimoracle._dim_cusp.__wrapped__
+
+    def newdim(m):
+        d = formula(m, k, chi.at_modulus(m))
+        for md in _divisors(m):
+            if md != m and md % chi.conductor == 0:
+                d -= sigma0(m // md) * newdim(md)
+        return d
+
+    return newdim(n)
+
+
+def test_cached_oracle_matches_an_uncached_run():
+    """Over every character mod N <= 40 and k in {2, 3, 4}, both cached
+    functions give the uncached values."""
+    seen = 0
+    for N in range(1, 41):
+        for j in range(1, max(N, 2)):
+            if math.gcd(j, N) != 1:
+                continue
+            chi = DirChar.from_conrey(N, j)
+            for k in (2, 3, 4):
+                assert dim_cusp(N, k, chi) == dimoracle._dim_cusp.__wrapped__(N, k, chi), (N, j, k)
+                assert dim_new(N, k, chi) == _uncached_dim_new(N, k, chi), (N, j, k)
+                seen += 1
+    assert seen == 3 * 490  # 490 characters
+
+
+def test_classical_suite_evaluates_the_formula_once_per_space():
+    """A cold classical run asks for 30 distinct (n, k, chi), and the
+    Cohen-Oesterle formula runs once for each."""
+    dimoracle._dim_cusp.cache_clear()
+    dimoracle._dim_new.cache_clear()
+    rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
+    assert rep.n_fail == 0
+    assert dimoracle._dim_cusp.cache_info().misses == 30
+
 
 def test_point_counts_on_every_character_up_to_64():
     """The exact point counts equal the complex sums of chi over the roots of

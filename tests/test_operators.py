@@ -1,14 +1,18 @@
 import json
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hecke_lab.campaign import Campaign, run_verify
 from hecke_lab.cli import main
 from hecke_lab.newspace import characterize, placement_checks
 from hecke_lab.operators import (
+    HALTON_BATCH,
     HALTON_POINTS,
     HALTON_STRIDE,
     IMAG_FLOOR,
@@ -85,12 +89,19 @@ def test_sample_points_deterministic_and_feasible():
         pts1 = sample_points(mats, 8, skip=skip)
         pts2 = sample_points(mats, 8, skip=skip)
         assert np.array_equal(pts1, pts2)
+        # the disc of W[11] tops out below the band: its box is skipped
+        assert pts1.tobytes() == reference_sample_points(mats, 8, skip).tobytes()
         for A in mats:
             (a, b), (c, d) = A
             det = int(a) * int(d) - int(b) * int(c)
             im = det * pts1.imag / np.abs(c * pts1 + d) ** 2
             assert np.all(im >= 0.02)
     assert not np.array_equal(sample_points(mats, 8, skip=1), sample_points(mats, 8))
+
+
+def _batches(skip, stop):
+    """The per-batch Halton points of attempt skip up to index stop, joined."""
+    return np.concatenate([_halton(skip, start) for start in range(0, stop, HALTON_BATCH)])
 
 
 def test_sample_points_match_scipy_halton():
@@ -105,7 +116,7 @@ def test_sample_points_match_scipy_halton():
         if skip:
             engine.fast_forward(skip * 65537)
         raw = np.concatenate([engine.random(512) for _ in range(3)])
-        assert _halton(skip)[: len(raw)].tobytes() == raw.tobytes(), skip
+        assert _batches(skip, len(raw)).tobytes() == raw.tobytes(), skip
         pts = qmc.scale(raw, [-0.5, SAMPLE_BAND[0]], [0.5, SAMPLE_BAND[1]])
         z = pts[:, 0] + 1j * pts[:, 1]
         z = z[_feasible(z, mats, IMAG_FLOOR)]
@@ -113,13 +124,77 @@ def test_sample_points_match_scipy_halton():
         assert sample_points(mats, len(z), skip=skip).tobytes() == z.tobytes(), skip
 
 
+@lru_cache(maxsize=None)
+def _halton_table(skip):
+    """The HALTON_POINTS points of attempt skip, built from the whole index
+    range at once (read-only)."""
+    index = np.arange(skip * HALTON_STRIDE, skip * HALTON_STRIDE + HALTON_POINTS)
+    table = np.column_stack([_radical_inverse(index, 2), _radical_inverse(index, 3)])
+    table.flags.writeable = False
+    return table
+
+
 @pytest.mark.parametrize("skip", [0, 3])
 def test_halton_table_matches_a_one_shot_build(skip):
-    """The table built in chunks is, over all HALTON_POINTS rows, the one
-    built from the whole index range at once, bit for bit."""
-    index = np.arange(skip * HALTON_STRIDE, skip * HALTON_STRIDE + HALTON_POINTS)
-    whole = np.column_stack([_radical_inverse(index, 2), _radical_inverse(index, 3)])
-    assert _halton(skip).tobytes() == whole.tobytes()
+    """The batches, built one at a time, are over all HALTON_POINTS rows the
+    table built from the whole index range at once, bit for bit, and each
+    is read-only."""
+    assert _batches(skip, HALTON_POINTS).tobytes() == _halton_table(skip).tobytes()
+    assert not _halton(skip, HALTON_POINTS - HALTON_BATCH).flags.writeable
+
+
+def reference_sample_points(mats, count, skip=0):
+    """The whole-table scan sample_points replaced: every box the floors
+    allow, in HALTON_BATCH batches of the one-shot table, with no disc test."""
+    band_lo, band_hi = SAMPLE_BAND
+    y_floor = IMAG_FLOOR
+    for A in mats:
+        (a, b), (c, d) = A
+        if c == 0:
+            y_floor = max(y_floor, IMAG_FLOOR * int(d) ** 2 / (int(a) * int(d)))
+    unit = _halton_table(skip)
+    for y_lo in (max(band_lo, y_floor), y_floor):
+        if y_lo >= band_hi:
+            continue
+        lo, hi = np.array([-0.5, y_lo]), np.array([0.5, band_hi])
+        found, total = [], 0
+        for start in range(0, HALTON_POINTS, HALTON_BATCH):
+            pts = lo + unit[start:start + HALTON_BATCH] * (hi - lo)
+            z = pts[:, 0] + 1j * pts[:, 1]
+            z = z[_feasible(z, mats, IMAG_FLOOR)]
+            found.append(z)
+            total += len(z)
+            if total >= count:
+                return np.concatenate(found)[:count]
+    raise SamplingError("no feasible sample region")
+
+
+def _det(A):
+    return int(A[0, 0]) * int(A[1, 1]) - int(A[0, 1]) * int(A[1, 0])
+
+
+# integer terms of positive determinant; c up to 400 spans discs wider than
+# the strip down to ones narrower than a batch's spacing
+_terms = st.lists(
+    st.builds(lambda a, b, c, d: np.array([[a, b], [c, d]], dtype=np.int64),
+              st.integers(-8, 8), st.integers(-8, 8), st.integers(0, 400), st.integers(-400, 400),
+              ).filter(lambda A: _det(A) > 0),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=200)
+@given(_terms, st.integers(1, 24), st.integers(0, 2))
+def test_sample_points_match_the_whole_table_scan(mats, count, skip):
+    """The disc tests and the per-batch build change no point: sample_points
+    returns the reference scan's bytes, or both refuse."""
+    try:
+        want = reference_sample_points(mats, count, skip).tobytes()
+    except SamplingError:
+        with pytest.raises(SamplingError, match="^no feasible sample region"):
+            sample_points(mats, count, skip)
+    else:
+        assert sample_points(mats, count, skip).tobytes() == want
 
 
 def test_sample_points_infeasible():
@@ -128,6 +203,45 @@ def test_sample_points_infeasible():
     huge = np.array([[1, 0], [0, 10**6]])
     with pytest.raises(SamplingError):
         sample_points([huge], 4)
+
+
+@pytest.fixture
+def count_feasible(monkeypatch):
+    """The number of _feasible calls so far, as calls[0]."""
+    from hecke_lab import operators
+
+    calls = [0]
+    feasible = operators._feasible
+
+    def counted(*args):
+        calls[0] += 1
+        return feasible(*args)
+
+    monkeypatch.setattr(operators, "_feasible", counted)
+    return calls
+
+
+def test_unreachable_cusp_is_refused_at_once(count_feasible):
+    """At N = 53 the Atkin-Lehner matrix is (0, 1; -53, 53): its disc of
+    radius 1/(0.04 * 53) touches the real line at the cusp 1, farther than
+    that from the strip, and no batch is read."""
+    with pytest.raises(SamplingError, match="^no feasible sample region: the disc at cusp 1 "):
+        sample_points([atkin_lehner_matrix(53, 1, 53)], 4)
+    assert count_feasible == [0]
+
+
+NON_POSITIVE = [[[0, 0], [0, 1]], [[1, 0], [0, -1]], [[1, 1], [1, 1]], [[1, 2], [1, 1]]]
+
+
+@pytest.mark.parametrize("A", NON_POSITIVE)
+def test_non_positive_determinant_is_refused_before_sampling(A, sp11, count_feasible):
+    """det 0, -1, 0 and -1: refused as slash_evaluate refuses them, before
+    any batch is read, directly and through op_matrix."""
+    for call in (lambda: sample_points([np.array(A)], 4),
+                 lambda: op_matrix(sp11, [(1.0, np.array(A))], label="bad")):
+        with pytest.raises(ValueError, match="slash requires positive determinant"):
+            call()
+    assert count_feasible == [0]
 
 
 def test_slash_identity(sp11):
@@ -324,14 +438,23 @@ def test_survey_rejects_bad_r(sp16):
         op_S(sp16, 2, r=4)  # at or above n
 
 
-@pytest.mark.parametrize("name, p, r", [
-    ("N27k2c1", 3, 0), ("N27k2c1", 3, 1), ("N36k2c1", 2, 0), ("N36k2c1", 3, 0),
-])
-def test_survey_below_top_level_finds_no_sample_points(name, p, r):
+SURVEY_REFUSALS = {
+    ("N27k2c1", 3, 0): "the disc at cusp -26 misses the strip",
+    ("N27k2c1", 3, 1): "the discs at cusps -8/3 and -2/9 are disjoint",
+    ("N36k2c1", 2, 0): "the disc at cusp 23/9 misses the strip",
+    ("N36k2c1", 3, 0): "the disc at cusp 11/4 misses the strip",
+}
+
+
+@pytest.mark.parametrize("name, p, r", list(SURVEY_REFUSALS))
+def test_survey_below_top_level_finds_no_sample_points(name, p, r, count_feasible):
     # open case: the terms with j < n - 1 push the sample box toward cusps
-    # whose feasibility disks are disjoint, and the sampler refuses
-    with pytest.raises(SamplingError, match="no feasible sample region"):
+    # whose feasibility disks miss the strip or each other, and the sampler
+    # refuses before it reads a batch
+    why = SURVEY_REFUSALS[name, p, r]
+    with pytest.raises(SamplingError, match=f"^no feasible sample region: {why}$"):
         op_S(load_space(fixture_dir() / f"{name}.json"), p, r)
+    assert count_feasible == [0]
 
 
 def test_op_Q_requires_exact_divisor(sp16):
@@ -412,14 +535,17 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
     once (one first sampling attempt per build).  The coefficient route of
     op_U is built once for each of its 18 (space, p).  Each build is one
     least-squares solve, and the placement checks make 11 more (one per
-    block of embeddings, dilations and images into a nonzero space)."""
+    block of embeddings, dilations and images into a nonzero space).  The
+    sampled builds pass 40,448 points (79 batches) to _feasible and use
+    197: the whole-table scan passed 81,408 (159 batches) for the same 197."""
     from hecke_lab import operators, spaces
     from hecke_lab.campaign import Campaign, run_verify
 
     op_matrix_, sample_points_ = operators.op_matrix, operators.sample_points
     build_op_U_coeff_ = operators._build_op_U_coeff
+    build_op_matrix_ = operators._build_op_matrix
     least_squares_ = spaces.least_squares
-    calls, distinct, builds, coeff_builds, solves = [], set(), [], [], []
+    calls, distinct, builds, coeff_builds, solves, sampled = [], set(), [], [], [], []
 
     def counted_op_matrix(space, terms, label="", codomain=None):
         target = codomain if codomain is not None else space
@@ -433,6 +559,10 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
             builds.append(mats)
         return sample_points_(mats, count, skip)
 
+    def counted_build_op_matrix(space, terms, label, target):
+        sampled.append(build_op_matrix_(space, terms, label, target))
+        return sampled[-1]
+
     def counted_build_op_U_coeff(space, p):
         coeff_builds.append((id(space), p))
         return build_op_U_coeff_(space, p)
@@ -444,6 +574,7 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
     monkeypatch.setattr(operators, "op_matrix", counted_op_matrix)
     monkeypatch.setattr(operators, "sample_points", counted_sample_points)
     monkeypatch.setattr(operators, "_build_op_U_coeff", counted_build_op_U_coeff)
+    monkeypatch.setattr(operators, "_build_op_matrix", counted_build_op_matrix)
     monkeypatch.setattr(operators, "least_squares", counted_least_squares)
     monkeypatch.setattr(spaces, "least_squares", counted_least_squares)
     rep = run_verify(Campaign(fixture_dirs=[str(fixture_dir())]))
@@ -451,6 +582,8 @@ def test_classical_suite_builds_each_operator_once(monkeypatch):
     assert (len(calls), len(distinct), len(builds)) == (160, 42, 42)
     assert (len(coeff_builds), len(set(coeff_builds))) == (18, 18)
     assert len(solves) == 42 + 18 + 11 and all(cols > 0 for _, cols in solves)
+    assert sum(op.meta["examined"] for op in sampled) == 40448
+    assert sum(op.meta["kept"] for op in sampled) == 197
 
 
 def test_conditioning_is_the_solved_matrix_condition_number():
