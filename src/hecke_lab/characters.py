@@ -258,22 +258,18 @@ class DirChar:
             rem, mod = rem + mod * t, mod * pa
         return rem % self.modulus
 
-    def exponent(self, u: int, primes=None) -> Optional[int]:
-        """chi(u) = zeta_m^e, or None for non-units.  With `primes`, the
-        product of the components at those primes only (the p-part of chi
-        for primes=(p,)), still as an exponent of zeta_m."""
+    def exponent(self, u: int) -> Optional[int]:
+        """chi(u) = zeta_m^e, or None for non-units."""
         m = self.field.order
         e = 0
         for p, chi_p in self.components.items():
-            if primes is not None and p not in primes:
-                continue
             if u % p == 0:
                 return None
             e = (e + chi_p.exponent(u % chi_p.modulus) * (m // chi_p.field.order)) % m
         return e
 
-    def value_complex(self, u: int, primes=None) -> complex:
-        e = self.exponent(u, primes)
+    def value_complex(self, u: int) -> complex:
+        e = self.exponent(u)
         if e is None:
             return 0j
         return complex(np.exp(2j * np.pi * e / self.field.order))

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import unit_group
+from .characters import DirChar, unit_group
 from .qexp import QExpansion, evaluate_many, op_Utilde
 from .spaces import CuspSpace, least_squares
 
@@ -300,42 +300,68 @@ def _solved(
     return OpMatrix(X, residual, cond, poisoned, label, meta or {})
 
 
+def slash_character(chi: DirChar, A) -> complex:
+    """chi(d) for an integer matrix A = (a, b; c, d) whose lower-right entry
+    d is a unit mod N, the modulus of chi; ValueError otherwise.
+
+    This is the one place the package reads the convention
+        f |_k gamma = chi(d_gamma) f   for gamma in Gamma_0(N), f in S_k(N, chi),
+    and every chi-scalar of the characterizing operators is one of its uses:
+    - W^2.  W = W_{p^n} = (q beta, 1; N gamma, q) (atkin_lehner_matrix) with
+      q = p^n, M = N / q and q beta - M gamma = 1.  Then W^2 = q gamma_W with
+      gamma_W = (q beta^2 + M gamma, beta + 1; N gamma (beta + 1), M gamma + q)
+      of determinant 1 in Gamma_0(N), and the scalar q acts trivially, so W^2
+      acts as chi(M gamma + q).  Its d = M gamma + q is -1 mod q and q mod M,
+      so the scalar is chi_p(-1) chi_M(q) (`w_square_scalar`).
+    - Q.  At p || N with chi_p trivial that scalar is chi_M(p), so W^(-1) is
+      conj(chi_M(p)) W and Q = U_p W^(-1) has no scalar of its own (`op_Q`).
+    - S.  If gamma' = h gamma with h in Gamma_0(N), then d_gamma' = d_h
+      d_gamma mod N (N | c_h), so conj(chi(d_gamma')) f|gamma' =
+      conj(chi(d_h)) chi(d_h) conj(chi(d_gamma)) f|gamma = conj(chi(d_gamma))
+      f|gamma: with the weights conj(chi(d_A)), a sum over right cosets of
+      Gamma_0(N) does not depend on the representatives (`survey_terms`)."""
+    d = int(np.asarray(A)[1, 1])
+    if math.gcd(d, chi.modulus) != 1:
+        raise ValueError(f"lower-right entry {d} is not a unit mod {chi.modulus}")
+    return chi.value_complex(d)
+
+
 def op_W(space: CuspSpace, p: int, codomain: CuspSpace | None = None) -> OpMatrix:
     """Atkin-Lehner involution at the full p-power part of the level."""
-    n = _level_exponent(space, p)
+    n = _level_exponent(space.char, p)
     A = atkin_lehner_matrix(p, n, space.level)
     return op_matrix(space, [(1.0, A)], label=f"W[{p**n}]", codomain=codomain)
 
 
 def w_square_scalar(space: CuspSpace, p: int) -> complex:
-    """Scalar by which W_{p^n} applied twice acts: chi_p(-1) chi_M(p^n),
-    with chi_p the p-part of chi and chi_M the part away from p."""
-    chi = space.char
-    q = p ** _level_exponent(space, p)
-    return chi.value_complex(-1, (p,)) * chi.value_complex(q, _away(chi, p))
+    """Scalar by which W_{p^n} applied twice acts: chi at W^2 / p^n, which
+    lies in Gamma_0(N) (slash_character has the proof)."""
+    n = _level_exponent(space.char, p)
+    W = atkin_lehner_matrix(p, n, space.level)
+    return slash_character(space.char, W @ W // p**n)
 
 
-def _level_exponent(space: CuspSpace, p: int) -> int:
-    """The exponent n of p^n || level, read off the character's component
-    at p; ValueError when p does not divide the level."""
-    if p not in space.char.components:
-        raise ValueError(f"p = {p} does not divide the level {space.level}")
-    return space.char.components[p].n
+def _level_exponent(chi: DirChar, p: int) -> int:
+    """The exponent n of p^n || N, the modulus of chi, read off the
+    character's component at p; ValueError when p does not divide N."""
+    if p not in chi.components:
+        raise ValueError(f"p = {p} does not divide the level {chi.modulus}")
+    return chi.components[p].n
 
 
-def _away(chi, p: int) -> list[int]:
-    """The primes of chi's modulus other than p."""
-    return [ell for ell in chi.components if ell != p]
+def shift_terms(p: int) -> list[tuple[complex, np.ndarray]]:
+    """The slash terms of the p-th coefficient shift: (1, s; 0, p) for
+    s = 0, ..., p - 1, each of weight 1."""
+    return [(1.0, np.array([[1, s], [0, p]], dtype=np.int64)) for s in range(p)]
 
 
 def op_U(space: CuspSpace, p: int, route: str = "coeff") -> OpMatrix:
     """Matrix of the normalized p-th coefficient shift b_n = p^(1-k/2) a_{pn}.
     route='coeff' solves against stored coefficients, once per space and p
     (memoized on the space like op_matrix, its matrix read-only);
-    route='sampled' uses the slash decomposition sum_s f|(1, s; 0, p)."""
+    route='sampled' sums the slash terms of shift_terms."""
     if route == "sampled":
-        terms = [(1.0, np.array([[1, s], [0, p]], dtype=np.int64)) for s in range(p)]
-        return op_matrix(space, terms, label=f"U[{p}]~")
+        return op_matrix(space, shift_terms(p), label=f"U[{p}]~")
     if route != "coeff":
         raise ValueError(f"unknown route {route!r}")
     # memoized next to op_matrix's results; keys of op_matrix are 3-tuples
@@ -357,15 +383,14 @@ def _build_op_U_coeff(space: CuspSpace, p: int) -> OpMatrix:
 
 def op_Q(space: CuspSpace, p: int) -> OpMatrix:
     """Involution-normalized operator at an exact prime divisor p of the
-    level whose local character factor is trivial: the normalized shift
-    composed with the Atkin-Lehner map, scaled by the conjugate away-part
-    value at p."""
-    N = space.level
-    if _level_exponent(space, p) != 1:
-        raise ValueError(f"p = {p} must exactly divide the level {N}")
+    level whose local character factor is trivial: U_p W_p^(-1), the
+    normalized shift composed with the inverse of the Atkin-Lehner map,
+    conj(w_square_scalar) W_p."""
+    if _level_exponent(space.char, p) != 1:
+        raise ValueError(f"p = {p} must exactly divide the level {space.level}")
     if space.char.components[p].conductor_exponent != 0:
         raise ValueError(f"character has a nontrivial factor at {p}")
-    scalar = np.conj(space.char.value_complex(p, _away(space.char, p)))
+    scalar = np.conj(w_square_scalar(space, p))
     Wop = op_W(space, p)
     Ut = op_U(space, p)
     return _combine(scalar * (Ut.matrix @ Wop.matrix), [Ut, Wop], f"Q[{p}]")
@@ -377,34 +402,52 @@ def op_Qprime(space: CuspSpace, p: int, flipped_space: CuspSpace | None = None) 
     return w_conjugate(space, p, lambda inner: op_Q(inner, p), flipped_space)
 
 
-def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
-    """Level-raising survey operator at p^n || level: identity plus the
-    chi-twisted slash sum over lower-triangular-modulo-p^j matrices with
-    left column divisible by p^j M, for j from r to n-1."""
-    N = space.level
-    n = _level_exponent(space, p)
-    if r is None:
-        r = n - 1
-    q = p**n
-    M = N // q
-    c_exp = space.char.components[p].conductor_exponent
+def survey_terms(chi: DirChar, p: int, r: int) -> list[tuple[complex, np.ndarray]]:
+    """The slash terms of the survey operator S_{p^n, r} at p^n || N, the
+    modulus of chi, for c <= r <= n - 1 with c the conductor exponent of
+    chi at p (ValueError otherwise): the identity, and for j = r, ..., n - 1
+    and each unit s mod p^(n-j) the matrix (a, b; p^j M, d) with
+    d = p^(n-j) - s M, M = N / p^n, a = d^(-1) mod p^j M and b = (a d - 1) /
+    (p^j M), of determinant 1, weighted by conj(chi(d)).
+
+    A twisted trace for r >= 1.  There are 1 + sum_j phi(p^(n-j)) = p^(n-r)
+    terms, each in Gamma_0(L) with L = N / p^(n-r) = p^r M, and d is a unit
+    mod N (it is p^(n-j) mod M and -s M mod p).  Two of them lie in one
+    right coset of Gamma_0(N) exactly when their ratios c d^(-1) mod N
+    agree (the lower-left entry of g1 g2^(-1) is c1 d2 - d1 c2).  The ratios
+    are pairwise distinct: the identity's is 0, a term's at j has p-adic
+    valuation j < n, and two terms at one j, with units s and t, agree only
+    when p^n M divides p^j M^2 (s - t), that is when s = t mod p^(n-j).
+    As [Gamma_0(L) : Gamma_0(N)] = p^(n-r) when p | L, the terms are one
+    per right coset, and by slash_character's third use the sum is the
+    trace from level N down to level L, weighted by conj(chi(d)), for any
+    representatives (tests/test_operators.py checks these facts for every
+    N < 2000).  At r = 0 the p^n terms lie in distinct cosets too, but
+    Gamma_0(M) holds p^(n-1) (p + 1) of them, so S_{p^n, 0} is not that
+    trace."""
+    N = chi.modulus
+    n = _level_exponent(chi, p)
+    M = N // p**n
+    c_exp = chi.components[p].conductor_exponent
     if not c_exp <= r <= n - 1:
         raise ValueError(f"need conductor exponent {c_exp} <= r <= {n - 1}, got r = {r}")
-    terms: list[tuple[complex, np.ndarray]] = [
-        (1.0, np.array([[1, 0], [0, 1]], dtype=np.int64))
-    ]
-    chi = space.char
+    terms: list[tuple[complex, np.ndarray]] = [(1.0, np.eye(2, dtype=np.int64))]
     for j in range(r, n):
         c = p**j * M
         for s in unit_group(p, n - j).units.tolist():
             d = p ** (n - j) - s * M
             a = pow(d % c, -1, c) if c > 1 else 0
-            b = (a * d - 1) // c
-            if a * d - b * c != 1:
-                raise AssertionError("determinant normalization failed")
-            scalar = np.conj(complex(chi.value_complex(d % N)))
-            terms.append((scalar, np.array([[a, b], [c, d]], dtype=np.int64)))
-    return op_matrix(space, terms, label=f"S[{q},{r}]")
+            A = np.array([[a, (a * d - 1) // c], [c, d]], dtype=np.int64)
+            terms.append((np.conj(slash_character(chi, A)), A))
+    return terms
+
+
+def op_S(space: CuspSpace, p: int, r: int | None = None) -> OpMatrix:
+    """Level-raising survey operator at p^n || level, r = n - 1 by default:
+    the sum of survey_terms."""
+    n = _level_exponent(space.char, p)
+    r = n - 1 if r is None else r
+    return op_matrix(space, survey_terms(space.char, p, r), label=f"S[{p**n},{r}]")
 
 
 def op_Sprime(

@@ -69,6 +69,16 @@ def fresh_caches():
     clear_cell_caches()
 
 
+def chi_bar(slash):
+    """A mutant of operators.slash_character: chi-bar for chi, read as chi
+    at d^(-1) mod N through slash itself, so it is bit for bit slash
+    wherever chi(d) is real."""
+    def mutant(chi, A):
+        d_inv = pow(int(np.asarray(A)[1, 1]), -1, chi.modulus)
+        return slash(chi, np.array([[1, 0], [0, d_inv]], dtype=np.int64))
+    return mutant
+
+
 # Property tests draw the same examples on every run and stay within tier-1 time.
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("tier1")

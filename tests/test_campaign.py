@@ -7,16 +7,19 @@ left out."""
 
 import hashlib
 import json
+import re
 import time
+from collections import Counter
 
 import pytest
 
-from hecke_lab import campaign, newspace
+from hecke_lab import campaign, newspace, operators
 from hecke_lab.campaign import Campaign, run_verify
 from hecke_lab.dimoracle import dim_cusp
 from hecke_lab.hecke import AlgebraError
 from hecke_lab.operators import SamplingError
 from hecke_lab.spaces import fixture_dir
+from tests.conftest import chi_bar
 
 FIELDS = ("id", "status", "expected", "computed", "provenance", "detail")
 DEFAULT_VERDICTS_SHA256 = "85123cbdde940e45addd4b7617ee8ffc14de8acbe43084b458dd97087bc9bf0d"
@@ -84,6 +87,51 @@ def test_mult_fails_a_wrong_multiplicity(mutant, n_failed, monkeypatch):
     failed = [a.id for a in rep.failures()]
     assert len(mult) == 36
     assert set(failed) <= mult and len(failed) == n_failed
+
+
+def _from_r_plus_1(survey_terms):
+    """survey_terms without its j = r terms: the sum from r + 1."""
+    return lambda chi, p, r: [
+        (w, A) for w, A in survey_terms(chi, p, r) if A[1, 0] % p ** (r + 1) == 0
+    ]
+
+
+def _without_s0(shift_terms):
+    return lambda p: shift_terms(p)[1:]
+
+
+# in-process mutants of the slash terms: the operators name each replaces,
+# the mutant made from the original, and the classical verdicts it fails,
+# counted by kind (the id past the family, operator arguments dropped)
+SLASH_MUTANTS = {
+    "chi-bar slash character": ("slash_character", chi_bar, {}),
+    "survey from r + 1": ("survey_terms", _from_r_plus_1, {
+        "newdim": 4, "S.quad": 6, "S.eigset": 6, "S.mult": 5, "S'.quad": 6,
+        "S'.eigset": 6, "S'.mult": 5, "placement.p2": 4, "placement.p3": 2,
+    }),
+    "shift without s = 0": ("shift_terms", _without_s0, {"U.routes": 18}),
+}
+# the mutants no classical verdict kills, with what kills them: every
+# shipped character is real, so chi-bar reads bit for bit as chi on them
+EXPECTED_SURVIVORS = {
+    "chi-bar slash character": "tests/test_characters.py::"
+    "test_chi_bar_slash_character_fails_the_crt_lift_test; on verdicts, "
+    "ROADMAP items 19 (symbols) and 3 (non-real fixtures)",
+}
+
+
+@pytest.mark.parametrize("name", list(SLASH_MUTANTS))
+def test_slash_term_mutants(name, monkeypatch):
+    """Each mutant fails exactly the classical verdicts listed, every one
+    of them as "fail", not "error"; the survivors are exactly those that
+    fail none."""
+    attr, mutate, killed = SLASH_MUTANTS[name]
+    monkeypatch.setattr(operators, attr, mutate(getattr(operators, attr)))
+    failures = run_verify(Campaign(fixture_dirs=[str(fixture_dir())])).failures()
+    assert {a.status for a in failures} <= {"fail"}
+    kinds = Counter(re.sub(r"\[[^]]*\]", "", a.id.split(".", 2)[2]) for a in failures)
+    assert kinds == Counter(killed)
+    assert (name in EXPECTED_SURVIVORS) == (not killed)
 
 
 def test_other_exceptions_still_propagate(fresh_caches, monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from hecke_lab.characters import (
     unit_group,
 )
 from hecke_lab.cyclotomic import _factorize
+from hecke_lab import operators
+from hecke_lab.operators import atkin_lehner_matrix
+from tests.conftest import chi_bar
 
 # quadratic character values on the units, frozen by hand from the
 # Kronecker symbols of the corresponding fundamental discriminants
@@ -252,28 +256,64 @@ def _pchar(p: int, a: int, j: int) -> PChar:
     return PChar.from_conrey(p, a, j)
 
 
-def test_prime_parts_match_crt_lifts():
-    """The p-part of chi at x is chi at the unit = x mod q, = 1 mod N/q, and
-    the away-part is chi at the unit = 1 mod q, = x mod N/q (q = p^n || N).
-    Reading them from the components is bit for bit that, for every p | N and
-    every character mod N < 400, at the values the operators use: the p-part
-    at -1, the away-part at q and at p."""
-    count = 0
-    for N in range(2, 400):
+def w_square_cases(bound: int):
+    """(chi, p, q, M, A) for every character chi mod N < bound and every
+    q = p^n || N, M = N / q, with A = W^2 / q for W = atkin_lehner_matrix(p,
+    n, N), in exact integers."""
+    for N in range(2, bound):
         fact = _factorize(N)
         for j in range(1, N):
             if math.gcd(j, N) != 1:
                 continue
             chi = DirChar(N, {p: _pchar(p, a, j % p**a) for p, a in fact})
             for p, a in fact:
-                q, M = p**a, N // p**a
-                away = [ell for ell, _ in fact if ell != p]
-                pairs = [
-                    (chi.value_complex(-1, (p,)), chi.value_complex(_crt_lift(-1 % q, q, 1, M))),
-                    (chi.value_complex(q, away), chi.value_complex(_crt_lift(1, q, q % M, M))),
-                    (chi.value_complex(p, away), chi.value_complex(_crt_lift(1, q, p % M, M))),
-                ]
-                for got, want in pairs:
-                    assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), (N, j, p)
-                count += len(pairs)
-    assert count == 267249
+                q = p**a
+                (w11, w12), (w21, w22) = atkin_lehner_matrix(p, a, N).tolist()
+                W2 = [[w11 * w11 + w12 * w21, w11 * w12 + w12 * w22],
+                      [w21 * w11 + w22 * w21, w21 * w12 + w22 * w22]]
+                assert all(x % q == 0 for row in W2 for x in row), (N, p)
+                yield chi, p, q, N // q, np.array(W2, dtype=np.int64) // q
+
+
+def bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+def test_w_square_reads_chi_at_the_crt_lift():
+    """W_{p^n}^2 / p^n is an integer matrix in Gamma_0(N) whose lower-right
+    entry d is -1 mod q = p^n and q mod M = N / q, for every character mod
+    N < 400 and every q || N.  slash_character reads chi(d) bit for bit as
+    chi at that CRT lift, so w_square_scalar is chi_p(-1) chi_M(q); at n = 1
+    with chi_p trivial its conjugate, op_Q's scalar, is conj(chi_M(p)) bit
+    for bit."""
+    count = trivial_at_p = 0
+    for chi, p, q, M, A in w_square_cases(400):
+        (a, b), (c, d) = A.tolist()
+        N = q * M
+        assert a * d - b * c == 1 and c % N == 0, (N, p)
+        assert d % q == q - 1 and d % M == q % M, (N, p)
+        s = operators.slash_character(chi, A)
+        assert bits(s) == bits(chi.value_complex(_crt_lift(-1 % q, q, q % M, M))), (N, p)
+        assert bits(operators.w_square_scalar(SimpleNamespace(level=N, char=chi), p)) == bits(s)
+        if q == p and chi.components[p].is_trivial():
+            want = chi.value_complex(_crt_lift(1, q, p % M, M))
+            assert bits(np.conj(s)) == bits(np.conj(want)), (N, p)
+            trivial_at_p += 1
+        count += 1
+    assert (count, trivial_at_p) == (89083, 16111)
+
+
+def test_chi_bar_slash_character_fails_the_crt_lift_test(monkeypatch):
+    """The mutant chi-bar in slash_character, which every classical verdict
+    survives (all shipped characters are real), fails the test above at its
+    first non-real value: chi(7) = -i for Conrey 3 mod 10 at p = 2."""
+    monkeypatch.setattr(operators, "slash_character", chi_bar(operators.slash_character))
+    with pytest.raises(AssertionError, match=r"^\(10, 2\)"):
+        test_w_square_reads_chi_at_the_crt_lift()
+
+
+@pytest.mark.parametrize("A", [[[1, 0], [0, 3]], [[1, 0], [7, 14]], [[4, 1], [21, 6]]])
+def test_slash_character_refuses_a_non_unit_corner(A):
+    """Conrey 13 mod 21 at a lower-right entry d sharing a prime with 21."""
+    with pytest.raises(ValueError, match="is not a unit mod 21"):
+        operators.slash_character(DirChar.from_conrey(21, 13), A)

@@ -50,9 +50,12 @@ CHECKED_ROUTES = ("hecke", "induced")
 # is held and where it is applied
 # the one least-squares routine is spaces.least_squares, which also gives
 # the condition numbers: no module calls another solver or np.linalg.cond
+# a character is evaluated as a complex number only in `characters` and in
+# operators.slash_character, the one reading of the slash convention
 CONFINED = {
     "families.json": ("spaces.py",), "TOLERANCE": ("newspace.py", "campaign.py"),
     "lstsq": ("spaces.py",), "linalg.cond": (),
+    "value_complex": ("characters.py", "operators.py"),
 }
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 # (modules imported, package modules they must not load): the bare package
@@ -615,6 +618,7 @@ def test_scanner_finds_confined_words_outside_their_modules():
             "    return base / f'{x}families.json', newspace.TOLERANCE['quad']\n"
         ),
         "report.py": "from .newspace import TOLERANCE as limits\n",
+        "qexp.py": "def twist(chi, n):\n    return chi.value_complex(n)\n",
     }
     assert confinement_breaches(sources) == [
         "cli.py line 1: families.json",
@@ -624,12 +628,23 @@ def test_scanner_finds_confined_words_outside_their_modules():
         "operators.py line 2: lstsq",
         "operators.py line 2: linalg.cond",
         "newspace.py line 1: linalg.cond",
+        "qexp.py line 2: value_complex",
     ]
 
 
 def test_manifest_and_thresholds_stay_in_their_modules():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert confinement_breaches(sources) == []
+
+
+def test_operators_evaluate_chi_only_in_slash_character():
+    """operators reads a character's value on one line, inside
+    slash_character."""
+    source = (PACKAGE / "operators.py").read_text()
+    [func] = [node for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and node.name == "slash_character"]
+    [line] = word_mentions(source, ["value_complex"])
+    assert func.lineno < int(line.split()[1]) <= func.end_lineno
 
 
 def run_fresh(code: str, timeout: int = 60) -> str:

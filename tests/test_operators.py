@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke_lab.campaign import Campaign, run_verify
+from hecke_lab.characters import DirChar
 from hecke_lab.cli import main
+from hecke_lab.cyclotomic import _factorize
 from hecke_lab.newspace import characterize, placement_checks
 from hecke_lab.operators import (
     HALTON_BATCH,
@@ -33,7 +35,10 @@ from hecke_lab.operators import (
     op_W,
     quad_ratio,
     sample_points,
+    shift_terms,
+    slash_character,
     slash_evaluate,
+    survey_terms,
     w_square_scalar,
 )
 from hecke_lab.qexp import evaluate_many
@@ -429,6 +434,54 @@ def test_classical_cli_passes_the_named_twin(tmp_path, no_sampling, name_twin):
         status = {a["id"]: a["status"] for a in json.loads(report.read_text())["assertions"]}
         assert status["classical.c8.S'[27,2].quad"] == status["classical.c17.S'[27,2].quad"] == "pass"
         assert status["classical.c8.newdim"] == status["classical.c17.newdim"] == "fail"
+
+
+def test_survey_terms_are_one_per_right_coset():
+    """For every N < 2000, every p^n || N with n >= 2 and 0 <= r <= n - 1
+    (the trivial character admits every r): survey_terms gives matrices of
+    determinant 1 with d a unit mod N and pairwise distinct ratios c d^(-1)
+    mod N, so no two share a right coset of Gamma_0(N).  At r >= 1 there
+    are p^(n-r) of them, each in Gamma_0(L) with L = N / p^(n-r): one per
+    right coset of Gamma_0(N) in Gamma_0(L), a twisted trace.  At r = 0 the
+    p^n terms cover only p^n of the p^(n-1) (p + 1) cosets of Gamma_0(N) in
+    Gamma_0(N / p^n)."""
+    traces = partial = 0
+    for N in range(2, 2000):
+        chi = DirChar.trivial(N)
+        for p, n in _factorize(N):
+            for r in range(n if n >= 2 else 0):
+                terms = survey_terms(chi, p, r)
+                ratios = set()
+                for _, A in terms:
+                    (a, b), (c, d) = A.tolist()
+                    assert a * d - b * c == 1 and math.gcd(d, N) == 1, (N, p, r)
+                    ratios.add(c * pow(d, -1, N) % N)
+                assert len(ratios) == len(terms), (N, p, r)
+                if r >= 1:
+                    L = N // p ** (n - r)
+                    assert len(terms) == p ** (n - r), (N, p, r)
+                    assert all(A[1, 0] % L == 0 for _, A in terms), (N, p, r)
+                    traces += 1
+                else:
+                    assert len(terms) == p**n < p ** (n - 1) * (p + 1), (N, p)
+                    partial += 1
+    assert (traces, partial) == (1512, 888)
+
+
+def test_survey_and_shift_terms_are_data():
+    """The terms need no space: survey_terms weights each matrix by
+    conj(chi(d)) from the character alone (Conrey 13 mod 21, p = 3, r = 0,
+    where chi(-4) = chi(-11) = -1), and U's shifts are (1, s; 0, p)."""
+    chi = DirChar.from_conrey(21, 13)
+    terms = survey_terms(chi, 3, 0)
+    assert [A.tolist() for _, A in terms] == [
+        [[1, 0], [0, 1]], [[5, -3], [7, -4]], [[5, -8], [7, -11]],
+    ]
+    assert [w for w, _ in terms] == [1.0, *(np.conj(slash_character(chi, A)) for _, A in terms[1:])]
+    assert [w.real for w, _ in terms] == [1, -1, -1]
+    assert [(w, A.tolist()) for w, A in shift_terms(3)] == [
+        (1.0, [[1, s], [0, 3]]) for s in range(3)
+    ]
 
 
 def test_survey_rejects_bad_r(sp16):
